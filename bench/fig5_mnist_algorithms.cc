@@ -81,8 +81,8 @@ int main() {
     WriteSeriesCsv(CsvName("Fig 5c/5f — Paillier fusion"), series);
   }
     std::printf(
-        "Paper: Paillier is ~100x slower than plain averaging, and DeTA is ~4%% *faster*\n"
-        "than FFL here because partitions are encrypted/aggregated in parallel.\n");
+        "Paper (Figure 5f): Paillier is ~100x slower than plain averaging, and DeTA is\n"
+        "~4%% faster than FFL.\n");
   }
   return 0;
 }

@@ -1,6 +1,6 @@
 // Shared driver for the Figure 5-7 training comparisons: runs the same workload through
-// the centralized FFL baseline and through DeTA, then prints the per-round
-// loss/accuracy/latency series the paper plots.
+// the centralized FFL baseline (a one-aggregator DetaJob) and through DeTA, then prints
+// the per-round loss/accuracy/latency series the paper plots.
 #ifndef DETA_BENCH_FL_FIGURE_COMMON_H_
 #define DETA_BENCH_FL_FIGURE_COMMON_H_
 
@@ -12,7 +12,6 @@
 
 #include "bench_util.h"
 #include "core/deta_job.h"
-#include "fl/training_job.h"
 
 namespace deta::bench {
 
@@ -60,13 +59,11 @@ inline FigureSeries RunComparison(const FigureWorkload& w) {
     fl::ExecutionOptions warm = w.config;
     warm.rounds = 1;
     warm.use_paillier = false;
-    fl::FflJob warmup(warm, MakeWorkloadParties(w), w.model_factory, w.make_eval());
-    warmup.Run();
+    core::RunCentralizedBaseline(warm, MakeWorkloadParties(w), w.model_factory,
+                                 w.make_eval());
   }
-  {
-    fl::FflJob ffl(w.config, MakeWorkloadParties(w), w.model_factory, w.make_eval());
-    series.ffl = ffl.Run();
-  }
+  series.ffl = core::RunCentralizedBaseline(w.config, MakeWorkloadParties(w),
+                                            w.model_factory, w.make_eval());
   {
     core::DetaOptions deta_options;
     deta_options.num_aggregators = w.num_aggregators;
@@ -126,7 +123,7 @@ inline void PrintSeries(const std::string& title, const FigureSeries& s) {
                 a.round, a.loss, a.accuracy, a.cumulative_latency_s, b.loss, b.accuracy,
                 b.cumulative_latency_s, overhead);
   }
-  std::printf("one-time setup: FFL %.3fs, DeTA (attestation+provisioning) %.3fs\n",
+  std::printf("one-time setup (attestation+provisioning): FFL %.3fs, DeTA %.3fs\n",
               s.ffl.setup_seconds, s.deta.setup_seconds);
   // Convergence parity summary.
   double max_loss_gap = 0.0;

@@ -1,4 +1,4 @@
-// deta_run — configurable command-line driver for DeTA / FFL training jobs.
+// deta_run — configurable command-line runner for DeTA training jobs.
 //
 //   $ ./deta_run --dataset=mnist --parties=4 --aggregators=3 --rounds=5 \
 //                --algorithm=coordinate_median --shuffle=1 --compare-baseline=1
@@ -19,7 +19,8 @@
 //   --ldp=0|1 --ldp-sigma=F --ldp-clip=F party-side DP (default off; sigma=0.05 clip=2)
 //   --noniid=0|1                         90-10 two-class skew split
 //   --train-examples=N --eval-examples=N dataset sizes
-//   --compare-baseline=0|1               also run centralized FFL and diff the models
+//   --compare-baseline=0|1               also run the centralized FFL baseline; exit 1
+//                                        unless its final model is bit-identical
 //   --seed=N                             reproducibility seed
 //   --threads=N                          worker threads for aggregation/crypto hot paths
 //                                        (0 = hardware concurrency; results are bitwise
@@ -37,7 +38,6 @@
 #include "common/logging.h"
 #include "common/telemetry.h"
 #include "core/deta_job.h"
-#include "fl/training_job.h"
 
 using namespace deta;
 
@@ -212,9 +212,19 @@ int main(int argc, char** argv) {
   }
   std::printf("setup (attestation + provisioning): %.3fs\n", result.setup_seconds);
 
+  bool matches_baseline = true;
   if (flags.GetBool("compare-baseline", false)) {
-    fl::FflJob ffl(options, make_parties(), workload.model_factory, eval_data);
-    fl::JobResult baseline = ffl.Run();
+    // The baseline persists nothing: its snapshots would land next to the DeTA run's,
+    // and a later --resume would load them.
+    fl::ExecutionOptions baseline_options = options;
+    baseline_options.checkpoint = {};
+    fl::JobResult baseline = core::RunCentralizedBaseline(
+        baseline_options, make_parties(), workload.model_factory, eval_data);
+    if (!baseline.ok()) {
+      std::fprintf(stderr, "baseline run failed (%s): %s\n",
+                   fl::JobStatusName(baseline.status), baseline.error.c_str());
+      return 1;
+    }
     std::printf("\nbaseline FFL final: loss=%.4f acc=%.4f latency=%.3fs\n",
                 baseline.rounds.back().loss, baseline.rounds.back().accuracy,
                 baseline.rounds.back().cumulative_latency_s);
@@ -224,10 +234,9 @@ int main(int argc, char** argv) {
     for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
       max_diff = std::max(max_diff, std::abs(a[i] - b[i]));
     }
+    matches_baseline = a == b;
     std::printf("max parameter difference DeTA vs FFL: %g%s\n", max_diff,
-                train.ldp.enabled || options.use_paillier
-                    ? " (noise/quantization expected)"
-                    : (max_diff == 0.0f ? " (bit-exact)" : ""));
+                matches_baseline ? " (bit-exact)" : " (MISMATCH)");
   }
 
   std::string telemetry_out = flags.Get("telemetry-out", "");
@@ -239,5 +248,5 @@ int main(int argc, char** argv) {
     }
     std::printf("telemetry written to %s\n", telemetry_out.c_str());
   }
-  return 0;
+  return matches_baseline ? 0 : 1;
 }

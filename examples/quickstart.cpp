@@ -9,7 +9,6 @@
 
 #include "common/logging.h"
 #include "core/deta_job.h"
-#include "fl/training_job.h"
 
 using namespace deta;
 
@@ -62,10 +61,11 @@ int main() {
   std::printf("one-time attestation/setup: %.3fs (simulated SEV provisioning)\n",
               deta_result.setup_seconds);
 
-  // 4. The centralized baseline on the identical workload.
+  // 4. The centralized baseline on the identical workload: the same engine with one
+  //    aggregator that sees every party's full update.
   std::printf("\n== Baseline: centralized FFL aggregator ==\n");
-  fl::FflJob ffl(options, make_parties(), model_factory, eval);
-  fl::JobResult ffl_result = ffl.Run();
+  fl::JobResult ffl_result =
+      core::RunCentralizedBaseline(options, make_parties(), model_factory, eval);
 
   // 5. Verdict: same model, small overhead.
   std::printf("\n%5s  %22s  %22s\n", "round", "DeTA (loss/acc/lat)", "FFL (loss/acc/lat)");

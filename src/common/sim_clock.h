@@ -23,7 +23,6 @@ struct LatencyModel {
   double rtt_seconds = 0.002;             // per message round trip (same-region LAN/WAN mix)
   double bandwidth_bytes_per_sec = 125e6;  // ~1 Gbps
   double sev_compute_overhead = 0.08;     // extra fraction of compute inside a CVM
-  double attestation_seconds = 0.35;      // one-time phase-I attestation per aggregator
 
   // Modelled time to move |bytes| across one hop.
   double TransferSeconds(uint64_t bytes) const {

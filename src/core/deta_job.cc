@@ -732,7 +732,9 @@ fl::JobResult DetaJob::Run() {
       down_bytes = std::max(down_bytes, bytes);
     }
     agg_phase *= (1.0 + lm.sev_compute_overhead);
-    agg_phase += lm.rtt_seconds;  // initiator/follower sync
+    if (num_aggs > 1) {
+      agg_phase += lm.rtt_seconds;  // initiator/follower round.done sync
+    }
     double round_latency = party_phase + agg_phase + lm.TransferSeconds(down_bytes);
     sim_clock.Advance(round_latency);
     DETA_COUNTER("core.deta_job.rounds").Increment();
@@ -793,6 +795,21 @@ fl::JobResult DetaJob::Run() {
   // Snapshot after every node thread has joined, so all their metric writes are folded in.
   finish_telemetry(result, cumulative);
   return result;
+}
+
+fl::JobResult RunCentralizedBaseline(fl::ExecutionOptions options,
+                                     std::vector<std::unique_ptr<fl::Party>> parties,
+                                     const fl::ModelFactory& global_factory,
+                                     data::Dataset eval) {
+  DetaOptions central;
+  central.num_aggregators = 1;
+  central.enable_partition = false;
+  central.enable_shuffle = false;
+  central.use_key_broker = false;
+  options.latency.sev_compute_overhead = 0.0;
+  return DetaJob(std::move(options), central, std::move(parties), global_factory,
+                 std::move(eval))
+      .Run();
 }
 
 }  // namespace deta::core

@@ -8,8 +8,9 @@
 // Aggregators and parties run on real threads and communicate only via the message bus.
 // The job's main thread acts as the evaluation observer: it receives one party's merged
 // global model per round (all parties hold identical copies) plus timing reports, from
-// which it produces the same loss/accuracy/latency metrics as the FFL baseline, making
-// the Figure 5-7 comparisons apples-to-apples.
+// which it produces the per-round loss/accuracy/latency metrics. The centralized FFL
+// baseline (RunCentralizedBaseline below) is this same engine in a one-aggregator shape,
+// so the Figure 5-7 comparisons measure both systems the same way.
 #ifndef DETA_CORE_DETA_JOB_H_
 #define DETA_CORE_DETA_JOB_H_
 
@@ -27,8 +28,8 @@
 namespace deta::core {
 
 // Deployment shape of the decentralized aggregation layer. Execution knobs shared with
-// the FFL baseline (rounds, training, algorithm, Paillier, latency, seed, threads) come
-// from fl::ExecutionOptions instead.
+// the centralized baseline (rounds, training, algorithm, Paillier, latency, seed,
+// threads) come from fl::ExecutionOptions instead.
 struct DetaOptions {
   int num_aggregators = 3;
   std::vector<double> proportions;  // optional custom partition proportions
@@ -86,9 +87,6 @@ class DetaJob {
   // the transform (party-held secret state).
   const std::vector<std::shared_ptr<cc::Cvm>>& aggregator_cvms() const { return cvms_; }
   const Transform& transform() const { return *transform_; }
-  // Post-run access for the fault-injection tests: delivered/dropped traffic counters.
-  // Only meaningful for jobs using the built-in in-proc transport.
-  const net::MessageBus& bus() const { return bus_; }
 
  private:
   // True when |role| runs in this process (deployment.local_roles empty = all local).
@@ -160,6 +158,16 @@ class DetaJob {
   bool resume_failed_ = false;
   std::string resume_error_;
 };
+
+// The paper's baseline, "FFL with one central aggregator" (§7): a DetaJob with a single
+// aggregator that receives every party's full, in-order update (partitioning, shuffling
+// and the key broker off). The aggregator is a plain server rather than a CVM, so its
+// compute carries no SEV overhead in the latency model. Checkpoint/resume, fault
+// injection and telemetry behave exactly as for any other DetaJob.
+fl::JobResult RunCentralizedBaseline(fl::ExecutionOptions options,
+                                     std::vector<std::unique_ptr<fl::Party>> parties,
+                                     const fl::ModelFactory& global_factory,
+                                     data::Dataset eval);
 
 }  // namespace deta::core
 

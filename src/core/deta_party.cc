@@ -258,8 +258,7 @@ void DetaParty::SaveState(int round) {
                  seal.Seal(material_->Serialize(), rng_));
   }
   if (config_.use_paillier && config_.paillier.has_value()) {
-    // Versioned (v2 = CRT-extended) private-key section; parsing a pre-CRT v1 section
-    // still resumes, minus the CRT speedup (persist/paillier_key_codec.h).
+    // Versioned private-key section (persist/paillier_key_codec.h).
     snapshot.Add(persist::SectionType::kKeyMaterial, "paillier-key",
                  seal.Seal(persist::SerializePaillierKey(*config_.paillier), rng_));
   }

@@ -130,28 +130,25 @@ bool PaillierPrivateKey::PrecomputeCrt(const PaillierPublicKey& pub) {
   return true;
 }
 
-BigUint PaillierPrivateKey::Decrypt(const BigUint& c, const PaillierPublicKey& pub) const {
-  if (HasCrt() && mont_p2_ != nullptr && mont_q2_ != nullptr) {
-    // CRT decryption: exponentiate against the half-size moduli p^2/q^2 with the
-    // half-size exponents p-1/q-1, then recombine with Garner's formula. ~4x cheaper
-    // than the lambda/mu path and bitwise identical to it.
-    const BigUint& pv = p.ExposeForCrypto();
-    const BigUint& qv = q.ExposeForCrypto();
-    BigUint mp = BigUint::MulMod(
-        LFunction(mont_p2_->PowMod(c.Mod(p_squared.ExposeForCrypto()),
-                                   p_minus_1.ExposeForCrypto()), pv),
-        hp.ExposeForCrypto(), pv);
-    BigUint mq = BigUint::MulMod(
-        LFunction(mont_q2_->PowMod(c.Mod(q_squared.ExposeForCrypto()),
-                                   q_minus_1.ExposeForCrypto()), qv),
-        hq.ExposeForCrypto(), qv);
-    BigUint h = BigUint::MulMod(BigUint::SubMod(mq, mp, qv), p_inv_q.ExposeForCrypto(), qv);
-    return mp.Add(pv.Mul(h));  // mp + p*h < p*q = n
-  }
-  const MontgomeryContext* mont = pub.mont_n2();
-  BigUint u = mont != nullptr ? mont->PowMod(c, lambda.ExposeForCrypto())
-                              : BigUint::PowMod(c, lambda.ExposeForCrypto(), pub.n_squared);
-  return BigUint::MulMod(LFunction(u, pub.n), mu.ExposeForCrypto(), pub.n);
+BigUint PaillierPrivateKey::Decrypt(const BigUint& c,
+                                    const PaillierPublicKey& /*pub*/) const {
+  DETA_CHECK_MSG(HasCrt() && mont_p2_ != nullptr && mont_q2_ != nullptr,
+                 "Paillier private key lacks its CRT extension (PrecomputeCrt)");
+  // CRT decryption: exponentiate against the half-size moduli p^2/q^2 with the
+  // half-size exponents p-1/q-1, then recombine with Garner's formula. ~4x cheaper than
+  // the textbook lambda/mu decryption and bitwise identical to it.
+  const BigUint& pv = p.ExposeForCrypto();
+  const BigUint& qv = q.ExposeForCrypto();
+  BigUint mp = BigUint::MulMod(
+      LFunction(mont_p2_->PowMod(c.Mod(p_squared.ExposeForCrypto()),
+                                 p_minus_1.ExposeForCrypto()), pv),
+      hp.ExposeForCrypto(), pv);
+  BigUint mq = BigUint::MulMod(
+      LFunction(mont_q2_->PowMod(c.Mod(q_squared.ExposeForCrypto()),
+                                 q_minus_1.ExposeForCrypto()), qv),
+      hq.ExposeForCrypto(), qv);
+  BigUint h = BigUint::MulMod(BigUint::SubMod(mq, mp, qv), p_inv_q.ExposeForCrypto(), qv);
+  return mp.Add(pv.Mul(h));  // mp + p*h < p*q = n
 }
 
 std::vector<BigUint> PaillierPrivateKey::DecryptBatch(const std::vector<BigUint>& cs,

@@ -6,11 +6,9 @@
 // ciphertexts yields sum + K*offset, which the decoder removes.
 //
 // Hot path: all modular exponentiations run through a cached Montgomery fixed-window
-// context (crypto/montgomery.h). The private key carries an optional CRT extension
-// (decrypt mod p^2 and q^2 against half-size moduli, recombine via Garner) that makes
-// decryption ~4x cheaper on top of Montgomery; keys without the extension (legacy
-// snapshots) fall back to the lambda/mu path. Both paths produce bitwise-identical
-// plaintexts, so fusion results do not depend on which key form decrypted them.
+// context (crypto/montgomery.h). Decryption uses the private key's CRT extension
+// (decrypt mod p^2 and q^2 against half-size moduli, recombine via Garner), ~4x cheaper
+// than the textbook lambda/mu decryption and bitwise identical to it.
 #ifndef DETA_CRYPTO_PAILLIER_H_
 #define DETA_CRYPTO_PAILLIER_H_
 
@@ -66,9 +64,10 @@ struct PaillierPrivateKey {
   Secret<BigUint> lambda;  // deta-lint: secret — lcm(p-1, q-1)
   Secret<BigUint> mu;      // deta-lint: secret — (L(g^lambda mod n^2))^-1 mod n
 
-  // CRT extension (empty p/q = absent; legacy keys decrypt via lambda/mu). The primes
-  // and everything derived from them are secret; the derived members exist so decrypt
-  // never recomputes an inverse or square per ciphertext.
+  // CRT extension, required by Decrypt (empty p/q = absent). GeneratePaillierKey and
+  // the key codec always build it. The primes and everything derived from them are
+  // secret; the derived members exist so decrypt never recomputes an inverse or square
+  // per ciphertext.
   Secret<BigUint> p;          // deta-lint: secret — prime factor of n
   Secret<BigUint> q;          // deta-lint: secret — prime factor of n
   Secret<BigUint> p_squared;  // deta-lint: secret
@@ -84,6 +83,7 @@ struct PaillierPrivateKey {
   // must multiply to pub.n). Returns false on degenerate inputs (non-invertible hp/hq).
   bool PrecomputeCrt(const PaillierPublicKey& pub);
 
+  // CRT decryption; a key without the CRT extension fails a DETA_CHECK.
   BigUint Decrypt(const BigUint& c, const PaillierPublicKey& pub) const;
   // Decrypts every element of |cs| in parallel (decryption is deterministic, so no
   // randomness bookkeeping is needed).

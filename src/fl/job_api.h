@@ -1,7 +1,7 @@
-// The unified FFL/DeTA job API: one options struct shared by the centralized baseline
-// (fl::FflJob) and the decentralized deployment (core::DetaJob), and one result struct
-// returned by value from both Run() methods so neither job needs stateful post-run
-// getters.
+// The training-job API: one options struct and one result struct for every run of
+// core::DetaJob, including the centralized baseline built on it
+// (core::RunCentralizedBaseline). The result is returned by value, so no job needs
+// stateful post-run getters.
 #ifndef DETA_FL_JOB_API_H_
 #define DETA_FL_JOB_API_H_
 
@@ -65,8 +65,7 @@ struct ExecutionOptions {
   // Worker threads for the deterministic parallel layer (common/parallel.h); 0 = one per
   // hardware core. Numeric results are bitwise-identical for any value.
   int threads = 0;
-  // Seeded fault injection for the protocol fabric (DetaJob only: the FFL baseline does
-  // all aggregation in-process with no bus traffic). Disabled by default; the observer
+  // Seeded fault injection for the protocol fabric. Disabled by default; the observer
   // endpoint is always exempted, so measurement reports are never faulted.
   net::FaultPlan fault_plan;
   // Retransmission pacing for every bounded protocol wait (handshakes, uploads,
@@ -108,8 +107,8 @@ inline const char* JobStatusName(JobStatus status) {
 struct JobResult {
   std::vector<RoundMetrics> rounds;
   std::vector<float> final_params;
-  // One-time pre-training setup, reported separately from round latency: Paillier keygen
-  // for FflJob; platform attestation + token provisioning for DetaJob.
+  // One-time pre-training setup, reported separately from round latency: platform
+  // attestation + token provisioning.
   double setup_seconds = 0.0;
   JobStatus status = JobStatus::kOk;
   // Human-readable failure description; empty when status == kOk.

@@ -31,8 +31,6 @@ void MessageBus::SetFaultPlan(FaultPlan plan) {
 void MessageBus::Deliver(Message message) {
   auto it = endpoints_.find(message.to);
   if (it == endpoints_.end() || MailboxClosed(*it->second)) {
-    ++dropped_count_;
-    ++dropped_by_type_[message.type];
     DETA_COUNTER("net.bus.dropped").Increment();
     topic_counters_.Get("net.bus.dropped", message.type).Increment();
     LOG_DEBUG << "dropping message " << message.type << " to "
@@ -40,9 +38,6 @@ void MessageBus::Deliver(Message message) {
               << message.to;
     return;
   }
-  total_bytes_ += message.WireSize();
-  ++message_count_;
-  edge_bytes_[{message.from, message.to}] += message.WireSize();
   DETA_COUNTER("net.bus.delivered").Increment();
   DETA_COUNTER("net.bus.delivered_bytes").Add(message.WireSize());
   topic_counters_.Get("net.bus.delivered", message.type).Increment();
@@ -90,8 +85,6 @@ bool MessageBus::Send(Message message) {
     held_.erase(held);
   }
   if (d.drop) {
-    ++dropped_count_;
-    ++dropped_by_type_[message.type];
     // Deliberate (fault-injected) losses get their own counter so the CI bench gate can
     // insist net.bus.dropped stays zero on fault-free runs.
     DETA_COUNTER("net.bus.fault_dropped").Increment();
@@ -124,62 +117,6 @@ bool MessageBus::Send(Message message) {
 void MessageBus::Unregister(const std::string& name) {
   MutexLock lock(mutex_);
   endpoints_.erase(name);
-}
-
-TransportStats MessageBus::Stats() const {
-  MutexLock lock(mutex_);
-  TransportStats s;
-  s.messages_delivered = message_count_;
-  s.bytes_delivered = total_bytes_;
-  s.messages_dropped = dropped_count_;
-  return s;
-}
-
-uint64_t MessageBus::TotalBytes() const {
-  MutexLock lock(mutex_);
-  return total_bytes_;
-}
-
-uint64_t MessageBus::EdgeBytes(const std::string& from, const std::string& to) const {
-  MutexLock lock(mutex_);
-  auto it = edge_bytes_.find({from, to});
-  return it == edge_bytes_.end() ? 0 : it->second;
-}
-
-uint64_t MessageBus::MessageCount() const {
-  MutexLock lock(mutex_);
-  return message_count_;
-}
-
-uint64_t MessageBus::DroppedCount() const {
-  MutexLock lock(mutex_);
-  return dropped_count_;
-}
-
-uint64_t MessageBus::DroppedCount(const std::string& type) const {
-  MutexLock lock(mutex_);
-  auto it = dropped_by_type_.find(type);
-  return it == dropped_by_type_.end() ? 0 : it->second;
-}
-
-uint64_t MessageBus::DroppedCountWithPrefix(const std::string& prefix) const {
-  MutexLock lock(mutex_);
-  uint64_t n = 0;
-  for (const auto& [type, count] : dropped_by_type_) {
-    if (type.rfind(prefix, 0) == 0) {
-      n += count;
-    }
-  }
-  return n;
-}
-
-void MessageBus::ResetStats() {
-  MutexLock lock(mutex_);
-  total_bytes_ = 0;
-  message_count_ = 0;
-  dropped_count_ = 0;
-  dropped_by_type_.clear();
-  edge_bytes_.clear();
 }
 
 }  // namespace deta::net

@@ -1,9 +1,8 @@
 // In-process transport backend. Every logical node (party, aggregator, attestation
-// proxy) registers an endpoint and gets a blocking mailbox; Send() routes by name. The
-// bus also keeps per-edge byte counters feeding the latency model (DESIGN.md "Simulated
-// time"), counting *delivered* traffic only, and an optional seeded fault-injection
-// layer (net/fault.h) that drops / delays / duplicates / reorders messages
-// deterministically.
+// proxy) registers an endpoint and gets a blocking mailbox; Send() routes by name.
+// Traffic is counted only in the net.bus.* telemetry counters (delivered, dropped and
+// fault-dropped, each also per topic), and an optional seeded fault-injection layer
+// (net/fault.h) drops / delays / duplicates / reorders messages deterministically.
 //
 // This is the stand-in for the paper's gRPC/TLS deployment fabric when every role runs
 // in one process: nodes run on real threads and communicate only through messages, so
@@ -48,39 +47,19 @@ class MessageBus final : public Transport {
   // resets the per-edge fault schedule.
   void SetFaultPlan(FaultPlan plan) override;
 
-  TransportStats Stats() const override;
   const char* BackendName() const override { return "inproc"; }
-
-  // Total bytes / messages *delivered* across the bus (per directed edge for EdgeBytes).
-  // Undelivered traffic — unknown or closed target, fault-injected drops — is counted in
-  // DroppedCount instead, so it cannot inflate the simulated latency model.
-  uint64_t TotalBytes() const;
-  uint64_t EdgeBytes(const std::string& from, const std::string& to) const;
-  uint64_t MessageCount() const;
-  uint64_t DroppedCount() const;
-  // Dropped messages of one type (exact match), e.g. "auth.challenge".
-  uint64_t DroppedCount(const std::string& type) const;
-  // Dropped messages whose type starts with |prefix|, e.g. "auth.".
-  uint64_t DroppedCountWithPrefix(const std::string& prefix) const;
-  void ResetStats();
 
  private:
   uint64_t NextSeq() override {
     return next_seq_.fetch_add(1, std::memory_order_relaxed);
   }
   void Unregister(const std::string& name) override;
-  // Counts + pushes to the target mailbox; bumps drop stats otherwise.
+  // Counts + pushes to the target mailbox; counts a drop otherwise.
   void Deliver(Message message) DETA_REQUIRES(mutex_);
 
-  mutable Mutex mutex_;
+  Mutex mutex_;
   TopicCounterCache topic_counters_ DETA_GUARDED_BY(mutex_);
   std::map<std::string, Endpoint*> endpoints_ DETA_GUARDED_BY(mutex_);
-  std::map<std::pair<std::string, std::string>, uint64_t> edge_bytes_
-      DETA_GUARDED_BY(mutex_);
-  uint64_t total_bytes_ DETA_GUARDED_BY(mutex_) = 0;
-  uint64_t message_count_ DETA_GUARDED_BY(mutex_) = 0;
-  uint64_t dropped_count_ DETA_GUARDED_BY(mutex_) = 0;
-  std::map<std::string, uint64_t> dropped_by_type_ DETA_GUARDED_BY(mutex_);
   std::unique_ptr<FaultInjector> injector_ DETA_GUARDED_BY(mutex_);
   // Sequence tags are drawn from one bus-wide counter, not per endpoint: receivers dedup
   // on (sender name, tag), and a crashed role revived under the same name must never

@@ -196,24 +196,17 @@ void TcpTransport::SetFaultPlan(FaultPlan plan) {
   held_.clear();
 }
 
-TransportStats TcpTransport::Stats() const {
-  MutexLock lock(mutex_);
-  return stats_;
-}
-
 void TcpTransport::CountDrop(const std::string& type, uint64_t n) {
-  stats_.messages_dropped += n;
   DETA_COUNTER("net.bus.dropped").Add(n);
   if (!type.empty()) {
     topic_counters_.Get("net.bus.dropped", type).Add(n);
   }
 }
 
-// Messages addressed to a peer that announced a graceful exit. Not in
-// stats_.messages_dropped and not under net.bus.dropped: the telemetry gate treats
-// drops as must-be-zero on clean runs, and a finished role shedding fire-and-forget
-// tail traffic is clean — the in-proc backend silently parks the same sends in an
-// unread mailbox.
+// Messages addressed to a peer that announced a graceful exit. Not under
+// net.bus.dropped: the telemetry gate treats drops as must-be-zero on clean runs, and a
+// finished role shedding fire-and-forget tail traffic is clean — the in-proc backend
+// silently parks the same sends in an unread mailbox.
 void TcpTransport::CountRetired(const std::string& type, uint64_t n) {
   DETA_COUNTER("net.bus.retired").Add(n);
   if (!type.empty()) {
@@ -253,7 +246,6 @@ bool TcpTransport::Send(Message message) {
   if (d.drop) {
     DETA_COUNTER("net.bus.fault_dropped").Increment();
     topic_counters_.Get("net.bus.fault_dropped", message.type).Increment();
-    stats_.messages_dropped += 1;
     LOG_DEBUG << "fault: dropping " << message.type << " " << message.from << " -> "
               << message.to;
   } else if (d.reorder && !release.has_value()) {
@@ -673,8 +665,6 @@ void TcpTransport::DeliverLocal(Message message) {
               << message.to;
     return;
   }
-  stats_.messages_delivered += 1;
-  stats_.bytes_delivered += message.WireSize();
   DETA_COUNTER("net.bus.delivered").Increment();
   DETA_COUNTER("net.bus.delivered_bytes").Add(message.WireSize());
   topic_counters_.Get("net.bus.delivered", message.type).Increment();

@@ -77,7 +77,6 @@ class TcpTransport final : public Transport {
   std::unique_ptr<Endpoint> CreateEndpoint(const std::string& name) override;
   bool Send(Message message) override;
   void SetFaultPlan(FaultPlan plan) override;
-  TransportStats Stats() const override;
   const char* BackendName() const override { return "tcp"; }
 
   // The port actually bound (useful with listen_port = 0).
@@ -142,7 +141,7 @@ class TcpTransport final : public Transport {
   std::atomic<bool> stop_{false};
   std::atomic<uint64_t> next_seq_{1};
 
-  mutable Mutex mutex_;
+  Mutex mutex_;
   std::map<std::string, Endpoint*> local_endpoints_ DETA_GUARDED_BY(mutex_);
   std::map<int, Conn> conns_ DETA_GUARDED_BY(mutex_);
   std::map<std::string, int> addr_to_fd_ DETA_GUARDED_BY(mutex_);
@@ -163,9 +162,8 @@ class TcpTransport final : public Transport {
   // Fault injection (sender-side), mirroring MessageBus.
   std::unique_ptr<FaultInjector> injector_ DETA_GUARDED_BY(mutex_);
   std::map<std::pair<std::string, std::string>, Message> held_ DETA_GUARDED_BY(mutex_);
-  // Stats + telemetry.
+  // Telemetry.
   TopicCounterCache topic_counters_ DETA_GUARDED_BY(mutex_);
-  TransportStats stats_ DETA_GUARDED_BY(mutex_);
 
   ServiceThread loop_thread_;  // last member: joins before the state above dies
 };

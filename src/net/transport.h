@@ -50,16 +50,6 @@ struct Message {
   }
 };
 
-// Delivery totals a backend must keep. Counting happens where the backend can observe
-// it (in-proc: at routing; TCP: at frame receipt), but the meaning is fixed: delivered
-// counts only messages actually pushed into a live mailbox, dropped counts everything
-// else (unknown/closed target, fault-injected loss, connection failure).
-struct TransportStats {
-  uint64_t messages_delivered = 0;
-  uint64_t bytes_delivered = 0;
-  uint64_t messages_dropped = 0;
-};
-
 class Transport;
 
 // Receiving handle for one named endpoint. Created via Transport::CreateEndpoint;
@@ -147,8 +137,6 @@ class Transport {
   // resets the per-edge fault schedule. Faults are decided on the sending side in both
   // backends, so a given (seed, edge, send index) faults identically over either wire.
   virtual void SetFaultPlan(FaultPlan plan) = 0;
-
-  virtual TransportStats Stats() const = 0;
 
   // Short backend tag for logs/tests: "inproc" or "tcp".
   virtual const char* BackendName() const = 0;

@@ -1,6 +1,7 @@
 #include "nn/checkpoint.h"
 
-#include <cstdio>
+#include <optional>
+#include <vector>
 
 #include "common/logging.h"
 #include "crypto/sha256.h"
@@ -19,13 +20,6 @@ constexpr char kOptimizerSection[] = "optimizer";
 Bytes ReadWholeFile(const std::string& path) {
   std::optional<Bytes> blob = persist::ReadFile(path);
   return blob.has_value() ? std::move(*blob) : Bytes{};
-}
-
-persist::Snapshot BuildSnapshot(const std::vector<float>& params) {
-  persist::Snapshot snapshot;
-  snapshot.role = kCheckpointRole;
-  snapshot.AddFloats(persist::SectionType::kModelParams, kParamsSection, params);
-  return snapshot;
 }
 
 }  // namespace
@@ -56,30 +50,12 @@ const char* CheckpointStatusName(CheckpointStatus status) {
   return "unknown";
 }
 
-Bytes SerializeCheckpoint(const std::vector<float>& params) {
-  return persist::SerializeSnapshot(BuildSnapshot(params));
-}
-
-std::optional<std::vector<float>> ParseCheckpoint(const Bytes& blob) {
-  std::optional<persist::Snapshot> snapshot = persist::ParseSnapshot(blob);
-  if (!snapshot.has_value() || snapshot->role != kCheckpointRole) {
-    LOG_WARNING << "checkpoint rejected (corrupted or not a model checkpoint)";
-    return std::nullopt;
-  }
-  return snapshot->FindFloats(kParamsSection);
-}
-
-bool SaveCheckpoint(const Model& model, const std::string& path) {
-  return SaveCheckpointWithOptimizer(model, nullptr, path);
-}
-
-bool LoadCheckpoint(Model& model, const std::string& path) {
-  return LoadCheckpointInto(model, nullptr, path) == CheckpointStatus::kOk;
-}
-
 bool SaveCheckpointWithOptimizer(const Model& model, const Sgd* sgd,
                                  const std::string& path) {
-  persist::Snapshot snapshot = BuildSnapshot(model.GetFlatParams());
+  persist::Snapshot snapshot;
+  snapshot.role = kCheckpointRole;
+  snapshot.AddFloats(persist::SectionType::kModelParams, kParamsSection,
+                     model.GetFlatParams());
   snapshot.Add(persist::SectionType::kRaw, kArchSection, ArchitectureDigest(model));
   if (sgd != nullptr) {
     snapshot.Add(persist::SectionType::kOptimizerState, kOptimizerSection,
@@ -107,8 +83,8 @@ CheckpointStatus LoadCheckpointInto(Model& model, Sgd* sgd, const std::string& p
   if (!params.has_value()) {
     return CheckpointStatus::kCorrupt;
   }
-  // Pre-digest checkpoints carry no architecture section; the count check is the only
-  // compatibility signal left for those.
+  // A snapshot without the architecture section (never written by this file) still gets
+  // the count check.
   if (static_cast<int64_t>(params->size()) != model.NumParameters()) {
     LOG_WARNING << "checkpoint parameter count " << params->size()
                 << " does not match model (" << model.NumParameters() << ")";

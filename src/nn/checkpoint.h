@@ -6,9 +6,7 @@
 #ifndef DETA_NN_CHECKPOINT_H_
 #define DETA_NN_CHECKPOINT_H_
 
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "common/bytes.h"
 #include "nn/models.h"
@@ -30,20 +28,10 @@ enum class CheckpointStatus {
 
 const char* CheckpointStatusName(CheckpointStatus status);
 
-// Serializes a checkpoint blob: a persist snapshot with the parameter vector and (via
-// the overload) architecture digest + optimizer state, integrity-protected by the
-// codec's SHA-256 frame.
-Bytes SerializeCheckpoint(const std::vector<float>& params);
-// Parses and verifies a checkpoint blob; nullopt if malformed, truncated, or corrupted.
-std::optional<std::vector<float>> ParseCheckpoint(const Bytes& blob);
-
-// File convenience wrappers (atomic write-rename; Save returns false on I/O failure).
-bool SaveCheckpoint(const Model& model, const std::string& path);
-// Loads into |model|; false on I/O failure, corruption, or parameter-count mismatch.
-bool LoadCheckpoint(Model& model, const std::string& path);
-
-// Full-fidelity variants: persist the architecture digest and, when |sgd| is non-null,
-// its momentum buffers, so training resumes with identical optimizer dynamics.
+// Writes |model|'s parameters, its architecture digest and, when |sgd| is non-null, its
+// momentum buffers, so training resumes with identical optimizer dynamics. The file is
+// a persist snapshot (integrity-protected by the codec's SHA-256 frame) written by
+// atomic write-rename; returns false on I/O failure.
 bool SaveCheckpointWithOptimizer(const Model& model, const Sgd* sgd,
                                  const std::string& path);
 // Restores parameters (and optimizer state into |sgd| when present in the file and

@@ -7,8 +7,7 @@ namespace deta::persist {
 
 namespace {
 
-constexpr uint32_t kVersionLegacy = 1;  // lambda/mu only
-constexpr uint32_t kVersionCrt = 2;     // + CRT primes p, q
+constexpr uint32_t kVersionCrt = 2;  // lambda/mu + CRT primes p, q
 
 using crypto::BigUint;
 
@@ -16,38 +15,26 @@ void WriteBigUint(net::Writer& w, const BigUint& v) { w.WriteBytes(v.ToBytes());
 
 BigUint ReadBigUint(net::Reader& r) { return BigUint::FromBytes(r.ReadBytes()); }
 
-Bytes SerializeWithVersion(const crypto::PaillierKeyPair& kp, uint32_t version) {
+}  // namespace
+
+Bytes SerializePaillierKey(const crypto::PaillierKeyPair& kp) {
+  DETA_CHECK_MSG(kp.priv.HasCrt(), "Paillier key lacks its CRT extension");
   net::Writer w;
-  w.WriteU32(version);
+  w.WriteU32(kVersionCrt);
   WriteBigUint(w, kp.pub.n);
   // ExposeForSeal: the serialized blob travels only inside sealed snapshot sections
   // and over the broker's authenticated channel (deta_taintcheck tracks this flow).
   WriteBigUint(w, kp.priv.lambda.ExposeForSeal());
   WriteBigUint(w, kp.priv.mu.ExposeForSeal());
-  if (version >= kVersionCrt) {
-    WriteBigUint(w, kp.priv.p.ExposeForSeal());
-    WriteBigUint(w, kp.priv.q.ExposeForSeal());
-  }
+  WriteBigUint(w, kp.priv.p.ExposeForSeal());
+  WriteBigUint(w, kp.priv.q.ExposeForSeal());
   return w.Take();
-}
-
-}  // namespace
-
-Bytes SerializePaillierKey(const crypto::PaillierKeyPair& kp) {
-  // Keys without the CRT extension (hand-built or themselves loaded from a v1 blob)
-  // round-trip through the v1 format rather than failing the snapshot.
-  return SerializeWithVersion(kp, kp.priv.HasCrt() ? kVersionCrt : kVersionLegacy);
-}
-
-Bytes SerializePaillierKeyV1(const crypto::PaillierKeyPair& kp) {
-  return SerializeWithVersion(kp, kVersionLegacy);
 }
 
 std::optional<crypto::PaillierKeyPair> ParsePaillierKey(const Bytes& blob) {
   try {
     net::Reader r(blob);
-    uint32_t version = r.ReadU32();
-    if (version != kVersionLegacy && version != kVersionCrt) {
+    if (r.ReadU32() != kVersionCrt) {
       return std::nullopt;
     }
     crypto::PaillierKeyPair kp;
@@ -60,14 +47,12 @@ std::optional<crypto::PaillierKeyPair> ParsePaillierKey(const Bytes& blob) {
     kp.pub.PrecomputeCache();
     kp.priv.lambda = deta::Secret<BigUint>(ReadBigUint(r));
     kp.priv.mu = deta::Secret<BigUint>(ReadBigUint(r));
-    if (version >= kVersionCrt) {
-      kp.priv.p = deta::Secret<BigUint>(ReadBigUint(r));
-      kp.priv.q = deta::Secret<BigUint>(ReadBigUint(r));
-      // PrecomputeCrt validates p*q == n, so a corrupted prime cannot produce a key
-      // that silently decrypts to garbage.
-      if (!kp.priv.PrecomputeCrt(kp.pub)) {
-        return std::nullopt;
-      }
+    kp.priv.p = deta::Secret<BigUint>(ReadBigUint(r));
+    kp.priv.q = deta::Secret<BigUint>(ReadBigUint(r));
+    // PrecomputeCrt validates p*q == n, so a corrupted prime cannot produce a key that
+    // silently decrypts to garbage.
+    if (!kp.priv.PrecomputeCrt(kp.pub)) {
+      return std::nullopt;
     }
     return kp;
   } catch (const CheckFailure&) {

@@ -1,13 +1,11 @@
 // Versioned snapshot codec for Paillier key material (checkpoint/resume of roles that
 // hold the fusion decryption capability).
 //
-// v1 carried only lambda/mu (the pre-CRT private key). v2 adds the CRT primes p/q; the
-// derived CRT fields (p^2, q^2, exponents, hp/hq, Garner inverse, Montgomery contexts)
-// are recomputed on load rather than stored, so the on-disk secret surface stays
-// minimal. Loading a v1 blob still yields a fully working key — decryption falls back
-// to the lambda/mu path — which is the legacy-resume guarantee: a snapshot written
-// before the CRT extension existed resumes against current code with identical
-// plaintexts, just without the CRT speedup.
+// The format (version 2) carries lambda/mu plus the CRT primes p/q; the derived CRT
+// fields (p^2, q^2, exponents, hp/hq, Garner inverse, Montgomery contexts) are
+// recomputed on load rather than stored, so the on-disk secret surface stays minimal.
+// A version-1 blob (lambda/mu without the primes) is rejected: decryption needs the CRT
+// extension.
 //
 // The blob holds raw private key material: callers MUST seal it (persist::SealKey)
 // before it enters a snapshot section, exactly like RNG state and transform material.
@@ -21,17 +19,12 @@
 
 namespace deta::persist {
 
-// Current format: v2 (lambda/mu + CRT primes) when the private key carries the CRT
-// extension, v1 otherwise.
+// Serializes a key pair whose private key carries the CRT extension (DETA_CHECK).
 Bytes SerializePaillierKey(const crypto::PaillierKeyPair& kp);
 
-// v1 format (lambda/mu only). Kept as a writer so the legacy-load fallback stays
-// testable end-to-end; new snapshots should use SerializePaillierKey.
-Bytes SerializePaillierKeyV1(const crypto::PaillierKeyPair& kp);
-
-// Parses either version; nullopt on malformed/truncated input, unknown version, or CRT
-// primes that do not multiply to n. The returned key has its Montgomery caches (and,
-// for v2, CRT tables) rebuilt and ready.
+// nullopt on malformed/truncated input, any version but 2, or CRT primes that do not
+// multiply to n. The returned key has its Montgomery caches and CRT tables rebuilt and
+// ready.
 std::optional<crypto::PaillierKeyPair> ParsePaillierKey(const Bytes& blob);
 
 }  // namespace deta::persist

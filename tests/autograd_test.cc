@@ -47,6 +47,11 @@ struct OpCase {
   Tensor::Shape shape;
 };
 
+// gtest lists each case with its printed GetParam(), and gtest_discover_tests folds
+// that into the CTest name. The default printer dumps the struct's bytes, pointers
+// included, so the names changed on every run of the binary; print the case name.
+void PrintTo(const OpCase& c, std::ostream* os) { *os << c.name; }
+
 class GradCheckTest : public ::testing::TestWithParam<OpCase> {};
 
 TEST_P(GradCheckTest, MatchesFiniteDifference) {

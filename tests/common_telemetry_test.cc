@@ -9,7 +9,6 @@
 #include "common/logging.h"
 #include "common/telemetry.h"
 #include "core/deta_job.h"
-#include "fl/training_job.h"
 
 namespace deta::telemetry {
 namespace {
@@ -297,16 +296,6 @@ TEST(TelemetryDetaJobTest, SnapshotsAreIdenticalAcrossThreadCounts) {
   // The numeric contract the telemetry one piggybacks on.
   EXPECT_EQ(params[0], params[1]);
   EXPECT_EQ(params[0], params[2]);
-}
-
-TEST(TelemetryFflJobTest, ResultCarriesPerRunDelta) {
-  fl::ExecutionOptions options = JobOptions(/*threads=*/1);
-  fl::FflJob job(options, MakeParties(2, options.train), TinyMlpFactory(),
-                 SmallMnist(40, 6));
-  fl::JobResult result = job.Run();
-  EXPECT_EQ(CounterOr0(result.telemetry, "fl.ffl.rounds"), 2u);
-  EXPECT_EQ(CounterOr0(result.telemetry, "fl.aggregation.calls"), 2u);
-  EXPECT_TRUE(result.telemetry.histograms.count("span.fl.ffl.round.wall_s"));
 }
 
 }  // namespace

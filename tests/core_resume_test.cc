@@ -2,7 +2,7 @@
 // aggregator, key broker) crash-killed at any checkpointed round and revived from its
 // snapshot must leave the run bitwise-identical to a fault-free run — same final
 // parameters, same training-progress telemetry signature — at any thread count. Plus
-// whole-job resume (checkpoint.resume) for both DeTA and the FFL baseline.
+// whole-job resume (checkpoint.resume) for both DeTA and the one-aggregator FFL baseline.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -11,7 +11,6 @@
 
 #include "common/telemetry.h"
 #include "core/deta_job.h"
-#include "fl/training_job.h"
 
 namespace deta::core {
 namespace {
@@ -197,25 +196,24 @@ TEST(CrashResumeTest, WholeJobResumeMatchesUninterruptedRun) {
   EXPECT_EQ(resumed.final_params, CleanBaseline(2, 4).final_params);
 }
 
+// Whole-job resume in the baseline shape: one aggregator, no partition/shuffle, and no
+// key broker (parties rebuild their transform from config, not broker material).
 TEST(CrashResumeTest, FflWholeJobResumeMatchesUninterruptedRun) {
   std::string dir = UniqueDir("modeb_ffl");
-  fl::JobResult first = fl::FflJob(BaseOptions(2, 2, dir), MakeParties(),
-                                   TinyMlpFactory(), SmallMnist(40, 6))
-                            .Run();
+  fl::JobResult first = RunCentralizedBaseline(BaseOptions(2, 2, dir), MakeParties(),
+                                               TinyMlpFactory(), SmallMnist(40, 6));
   ASSERT_TRUE(first.ok()) << first.error;
 
   fl::ExecutionOptions resumed_options = BaseOptions(4, 2, dir);
   resumed_options.checkpoint.resume = true;
-  fl::JobResult resumed = fl::FflJob(resumed_options, MakeParties(), TinyMlpFactory(),
-                                     SmallMnist(40, 6))
-                              .Run();
+  fl::JobResult resumed = RunCentralizedBaseline(resumed_options, MakeParties(),
+                                                 TinyMlpFactory(), SmallMnist(40, 6));
   ASSERT_TRUE(resumed.ok()) << resumed.error;
   EXPECT_EQ(resumed.resumed_from_round, 2);
   ASSERT_EQ(resumed.rounds.size(), 2u);
 
-  fl::JobResult clean = fl::FflJob(BaseOptions(4, 2, ""), MakeParties(),
-                                   TinyMlpFactory(), SmallMnist(40, 6))
-                            .Run();
+  fl::JobResult clean = RunCentralizedBaseline(BaseOptions(4, 2, ""), MakeParties(),
+                                               TinyMlpFactory(), SmallMnist(40, 6));
   ASSERT_TRUE(clean.ok());
   EXPECT_EQ(resumed.final_params, clean.final_params);
 }

@@ -4,6 +4,7 @@
 #include "common/parallel.h"
 #include "crypto/paillier.h"
 #include "fl/paillier_fusion.h"
+#include "net/codec.h"
 #include "persist/paillier_key_codec.h"
 
 namespace deta::crypto {
@@ -232,15 +233,14 @@ TEST_F(PaillierTest, KeyCodecV2RoundTripsCrtExtension) {
   EXPECT_EQ(key_.priv.Decrypt(c2, key_.pub).ToU64(), 9u);
 }
 
-TEST_F(PaillierTest, KeyCodecLegacyV1LoadsWithoutCrt) {
-  // A snapshot written before the CRT extension existed must still resume: same
-  // plaintexts through the lambda/mu fallback, just without the speedup.
-  Bytes blob = persist::SerializePaillierKeyV1(key_);
-  std::optional<PaillierKeyPair> back = persist::ParsePaillierKey(blob);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_FALSE(back->priv.HasCrt());
-  BigUint c = key_.pub.Encrypt(BigUint(424242), rng_);
-  EXPECT_EQ(back->priv.Decrypt(c, back->pub).ToU64(), 424242u);
+TEST_F(PaillierTest, DecryptRequiresCrtExtension) {
+  // There is no lambda/mu fallback: a key without the CRT primes cannot decrypt.
+  PaillierPrivateKey lambda_only;
+  lambda_only.lambda = key_.priv.lambda;
+  lambda_only.mu = key_.priv.mu;
+  ASSERT_FALSE(lambda_only.HasCrt());
+  EXPECT_THROW(lambda_only.Decrypt(key_.pub.Encrypt(BigUint(7), rng_), key_.pub),
+               CheckFailure);
 }
 
 TEST_F(PaillierTest, KeyCodecRejectsGarbage) {
@@ -252,6 +252,13 @@ TEST_F(PaillierTest, KeyCodecRejectsGarbage) {
   Bytes wrong_version = blob;
   wrong_version[0] = 0x7f;  // version byte far beyond kVersionCrt
   EXPECT_FALSE(persist::ParsePaillierKey(wrong_version).has_value());
+  // A version-1 blob (lambda/mu without the CRT primes): nothing could decrypt with it.
+  net::Writer v1;
+  v1.WriteU32(1);
+  v1.WriteBytes(key_.pub.n.ToBytes());
+  v1.WriteBytes(key_.priv.lambda.ExposeForSeal().ToBytes());
+  v1.WriteBytes(key_.priv.mu.ExposeForSeal().ToBytes());
+  EXPECT_FALSE(persist::ParsePaillierKey(v1.Take()).has_value());
 }
 
 TEST(PaillierKeyGenTest, DistinctKeysForDistinctSeeds) {

@@ -1,7 +1,8 @@
-// End-to-end centralized-baseline (FFL) training jobs.
+// End-to-end centralized-baseline (FFL) training jobs: one aggregator receiving every
+// party's full update (core::RunCentralizedBaseline).
 #include <gtest/gtest.h>
 
-#include "fl/training_job.h"
+#include "core/deta_job.h"
 
 namespace deta::fl {
 namespace {
@@ -51,15 +52,25 @@ std::vector<std::unique_ptr<Party>> MakeParties(int count, const TrainConfig& tc
   return MakePartiesWith(SmallModelFactory(), count, tc);
 }
 
-TEST(FflJobTest, FedAvgLossDecreases) {
+// The baseline runs real attestation and EC handshakes, which sanitizer builds slow
+// ~10-20x; pace the handshake retries and the setup barrier for that.
+ExecutionOptions BaselineOptions() {
   ExecutionOptions options;
+  options.retry.max_attempts = 10;
+  options.retry.max_timeout_ms = 8000;
+  options.setup_timeout_ms = 180000;
+  return options;
+}
+
+TEST(FflJobTest, FedAvgLossDecreases) {
+  ExecutionOptions options = BaselineOptions();
   options.rounds = 4;
   options.train.batch_size = 16;
   options.train.local_epochs = 1;
   options.train.lr = 0.1f;
-  FflJob job(options, MakeParties(3, options.train), SmallModelFactory(),
-             SmallMnist(60, 6));
-  JobResult result = job.Run();
+  JobResult result = core::RunCentralizedBaseline(options, MakeParties(3, options.train),
+                                                  SmallModelFactory(), SmallMnist(60, 6));
+  ASSERT_TRUE(result.ok()) << result.error;
   const auto& metrics = result.rounds;
   ASSERT_EQ(metrics.size(), 4u);
   EXPECT_LT(metrics.back().loss, metrics.front().loss);
@@ -73,49 +84,50 @@ TEST(FflJobTest, FedAvgLossDecreases) {
 }
 
 TEST(FflJobTest, FedSgdModeTrains) {
-  ExecutionOptions options;
+  ExecutionOptions options = BaselineOptions();
   options.rounds = 25;
   options.train.batch_size = 32;
   options.train.lr = 0.15f;
   options.train.kind = TrainConfig::UpdateKind::kGradient;
-  FflJob job(options, MakeParties(3, options.train), SmallModelFactory(),
-             SmallMnist(60, 6));
-  JobResult result = job.Run();
+  JobResult result = core::RunCentralizedBaseline(options, MakeParties(3, options.train),
+                                                  SmallModelFactory(), SmallMnist(60, 6));
+  ASSERT_TRUE(result.ok()) << result.error;
   EXPECT_LT(result.rounds.back().loss, result.rounds.front().loss);
 }
 
 TEST(FflJobTest, CoordinateMedianConverges) {
-  ExecutionOptions options;
+  ExecutionOptions options = BaselineOptions();
   options.rounds = 4;
   options.algorithm = "coordinate_median";
   options.train.batch_size = 16;
   options.train.lr = 0.1f;
-  FflJob job(options, MakeParties(3, options.train), SmallModelFactory(),
-             SmallMnist(60, 6));
-  JobResult result = job.Run();
+  JobResult result = core::RunCentralizedBaseline(options, MakeParties(3, options.train),
+                                                  SmallModelFactory(), SmallMnist(60, 6));
+  ASSERT_TRUE(result.ok()) << result.error;
   EXPECT_LT(result.rounds.back().loss, result.rounds.front().loss);
 }
 
 TEST(FflJobTest, PaillierMatchesPlainAveraging) {
   // One round of Paillier fusion must reproduce plain uniform averaging up to the
   // fixed-point codec's quantization.
-  ExecutionOptions plain_options;
+  ExecutionOptions plain_options = BaselineOptions();
   plain_options.rounds = 1;
   plain_options.train.batch_size = 16;
   plain_options.train.lr = 0.1f;
   // Equal-sized shards make weighted and uniform averaging coincide.
-  FflJob plain(plain_options, MakePartiesWith(TinyMlpFactory(), 3, plain_options.train),
-               TinyMlpFactory(), SmallMnist(40, 6));
-  JobResult plain_result = plain.Run();
+  JobResult plain_result = core::RunCentralizedBaseline(
+      plain_options, MakePartiesWith(TinyMlpFactory(), 3, plain_options.train),
+      TinyMlpFactory(), SmallMnist(40, 6));
 
   ExecutionOptions paillier_options = plain_options;
   paillier_options.use_paillier = true;
   paillier_options.paillier_modulus_bits = 256;
-  FflJob homomorphic(paillier_options,
-                     MakePartiesWith(TinyMlpFactory(), 3, paillier_options.train),
-                     TinyMlpFactory(), SmallMnist(40, 6));
-  JobResult homomorphic_result = homomorphic.Run();
+  JobResult homomorphic_result = core::RunCentralizedBaseline(
+      paillier_options, MakePartiesWith(TinyMlpFactory(), 3, paillier_options.train),
+      TinyMlpFactory(), SmallMnist(40, 6));
 
+  ASSERT_TRUE(plain_result.ok()) << plain_result.error;
+  ASSERT_TRUE(homomorphic_result.ok()) << homomorphic_result.error;
   const auto& a = plain_result.final_params;
   const auto& b = homomorphic_result.final_params;
   ASSERT_EQ(a.size(), b.size());

@@ -3,8 +3,8 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "core/deta_job.h"
 #include "fl/ldp.h"
-#include "fl/training_job.h"
 
 namespace deta::fl {
 namespace {
@@ -137,6 +137,10 @@ TEST(LdpTest, LdpComposesWithFflTraining) {
   options.train.ldp.enabled = true;
   options.train.ldp.clip_norm = 2.0f;
   options.train.ldp.noise_multiplier = 0.05f;
+  // Real EC handshakes: pace them for sanitizer builds, which slow them ~10-20x.
+  options.retry.max_attempts = 10;
+  options.retry.max_timeout_ms = 8000;
+  options.setup_timeout_ms = 180000;
 
   Rng split_rng(9);
   auto shards = data::SplitIid(train, 3, split_rng);
@@ -146,8 +150,9 @@ TEST(LdpTest, LdpComposesWithFflTraining) {
                                               shards[static_cast<size_t>(i)], factory,
                                               options.train, 100 + i));
   }
-  FflJob job(options, std::move(parties), factory, eval);
-  JobResult result = job.Run();
+  JobResult result =
+      core::RunCentralizedBaseline(options, std::move(parties), factory, eval);
+  ASSERT_TRUE(result.ok()) << result.error;
   EXPECT_LT(result.rounds.back().loss, result.rounds.front().loss);
 }
 

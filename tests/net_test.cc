@@ -13,6 +13,21 @@
 namespace deta::net {
 namespace {
 
+// Reads the net.bus.* telemetry counters accumulated since construction: a Delta over
+// the process-global registry, so only this test's traffic counts.
+class BusCounters {
+ public:
+  BusCounters() : start_(telemetry::Snapshot()) {}
+  uint64_t operator()(const std::string& name) const {
+    telemetry::TelemetrySnapshot delta = telemetry::Delta(start_, telemetry::Snapshot());
+    auto it = delta.counters.find(name);
+    return it == delta.counters.end() ? 0 : it->second;
+  }
+
+ private:
+  telemetry::TelemetrySnapshot start_;
+};
+
 TEST(CodecTest, AllTypesRoundTrip) {
   Writer w;
   w.WriteU32(0xdeadbeef);
@@ -84,25 +99,26 @@ TEST(MessageBusTest, NameReusableAfterDestruction) {
 }
 
 TEST(MessageBusTest, UnknownTargetDropped) {
+  BusCounters counters;
   MessageBus bus;
   auto a = bus.CreateEndpoint("a");
-  // Undelivered traffic must not count as delivered: it would inflate the byte counters
-  // that feed the simulated latency model.
+  // Undelivered traffic must not count as delivered.
   EXPECT_FALSE(a->Send("ghost", "x", {}));
-  EXPECT_EQ(bus.MessageCount(), 0u);
-  EXPECT_EQ(bus.TotalBytes(), 0u);
-  EXPECT_EQ(bus.DroppedCount(), 1u);
-  EXPECT_EQ(bus.DroppedCount("x"), 1u);
+  EXPECT_EQ(counters("net.bus.delivered"), 0u);
+  EXPECT_EQ(counters("net.bus.delivered_bytes"), 0u);
+  EXPECT_EQ(counters("net.bus.dropped"), 1u);
+  EXPECT_EQ(counters("net.bus.dropped.x"), 1u);
 }
 
 TEST(MessageBusTest, SendToClosedEndpointFails) {
+  BusCounters counters;
   MessageBus bus;
   auto a = bus.CreateEndpoint("a");
   auto b = bus.CreateEndpoint("b");
   b->Close();
   EXPECT_FALSE(a->Send("b", "x", {}));
-  EXPECT_EQ(bus.DroppedCount(), 1u);
-  EXPECT_EQ(bus.MessageCount(), 0u);
+  EXPECT_EQ(counters("net.bus.dropped"), 1u);
+  EXPECT_EQ(counters("net.bus.delivered"), 0u);
 }
 
 TEST(MessageBusTest, ClosedFlagDisambiguatesTimeout) {
@@ -116,17 +132,17 @@ TEST(MessageBusTest, ClosedFlagDisambiguatesTimeout) {
 }
 
 TEST(MessageBusTest, ByteAccounting) {
+  BusCounters counters;
   MessageBus bus;
   auto a = bus.CreateEndpoint("a");
   auto b = bus.CreateEndpoint("b");
   a->Send("b", "t", Bytes(100));
   a->Send("b", "t", Bytes(50));
   b->Send("a", "t", Bytes(10));
-  EXPECT_EQ(bus.MessageCount(), 3u);
-  EXPECT_GT(bus.EdgeBytes("a", "b"), bus.EdgeBytes("b", "a"));
-  EXPECT_GE(bus.TotalBytes(), 160u);
-  bus.ResetStats();
-  EXPECT_EQ(bus.TotalBytes(), 0u);
+  EXPECT_EQ(counters("net.bus.delivered"), 3u);
+  EXPECT_EQ(counters("net.bus.delivered.t"), 3u);
+  // Payloads plus, per message, the one-byte names and type and the 8-byte tag.
+  EXPECT_EQ(counters("net.bus.delivered_bytes"), 160u + 3 * (3 + sizeof(uint64_t)));
 }
 
 TEST(MessageBusTest, ReceiveTypeStashesOthers) {
@@ -319,6 +335,7 @@ TEST(FaultInjectorTest, MaxFaultsBudgetExhausts) {
 }
 
 TEST(MessageBusTest, FaultDropIsCountedNotDelivered) {
+  BusCounters counters;
   MessageBus bus;
   FaultPlan plan;
   plan.seed = 7;
@@ -329,9 +346,11 @@ TEST(MessageBusTest, FaultDropIsCountedNotDelivered) {
   // A fault-dropped message looks like network loss to the sender: Send succeeds.
   EXPECT_TRUE(a->Send("b", "lost", {}));
   EXPECT_FALSE(b->ReceiveFor(30).has_value());
-  EXPECT_EQ(bus.MessageCount(), 0u);
-  EXPECT_EQ(bus.DroppedCount(), 1u);
-  EXPECT_EQ(bus.DroppedCountWithPrefix("lo"), 1u);
+  EXPECT_EQ(counters("net.bus.delivered"), 0u);
+  EXPECT_EQ(counters("net.bus.fault_dropped"), 1u);
+  EXPECT_EQ(counters("net.bus.fault_dropped.lost"), 1u);
+  // Deliberate losses stay out of the must-be-zero drop counter.
+  EXPECT_EQ(counters("net.bus.dropped"), 0u);
 }
 
 TEST(MessageBusTest, BusDuplicatesAreSuppressedByReceiver) {
@@ -416,6 +435,7 @@ TEST(MessageBusTest, SameSeedSameDropSchedule) {
 // --- bounded request/reply ---
 
 TEST(RetryTest, RequestReplyRecoversFromDrops) {
+  BusCounters counters;
   MessageBus bus;
   FaultPlan plan;
   plan.seed = 13;
@@ -442,7 +462,7 @@ TEST(RetryTest, RequestReplyRecoversFromDrops) {
     ASSERT_TRUE(reply.has_value()) << i;
     EXPECT_EQ(BytesToString(reply->payload), "ping");
   }
-  EXPECT_GT(bus.DroppedCount(), 0u);  // the retries actually did something
+  EXPECT_GT(counters("net.bus.fault_dropped"), 0u);  // the retries actually did something
   server->Close();
   responder.join();
 }
@@ -618,25 +638,21 @@ TEST(EndpointStashTest, ReceiveMatchForStashesNonMatchesInOrderAcrossADuplicate)
 }
 
 TEST(MessageBusTest, UnknownTargetBumpsTelemetryCounter) {
-  auto counter_value = [] {
-    auto counters = telemetry::Snapshot().counters;
-    auto it = counters.find("net.bus.unknown_target");
-    return it == counters.end() ? uint64_t{0} : it->second;
-  };
-  uint64_t before = counter_value();
+  BusCounters counters;
   MessageBus bus;
   auto a = bus.CreateEndpoint("a");
   EXPECT_FALSE(a->Send("ghost", "x", {}));
   // The CI gate keys on this counter: routing to a name nobody registered is a wiring
   // bug, distinct from fault-injected or closed-endpoint drops.
-  EXPECT_EQ(counter_value(), before + 1);
+  EXPECT_EQ(counters("net.bus.unknown_target"), 1u);
   FaultPlan plan;
   plan.seed = 7;
   plan.default_rates.drop = 1.0;
   bus.SetFaultPlan(plan);
   auto b = bus.CreateEndpoint("b");
   EXPECT_TRUE(a->Send("b", "x", {}));
-  EXPECT_EQ(counter_value(), before + 1);  // fault loss is not an unknown target
+  // Fault loss is not an unknown target.
+  EXPECT_EQ(counters("net.bus.unknown_target"), 1u);
 }
 
 }  // namespace

@@ -251,15 +251,5 @@ TEST(CheckpointTest, MissingAndCorruptFilesAreDistinguished) {
   EXPECT_EQ(LoadCheckpointInto(*model, nullptr, path), CheckpointStatus::kCorrupt);
 }
 
-TEST(CheckpointTest, LegacyHelpersStillRoundTrip) {
-  std::vector<float> params = {0.5f, -1.5f, 2.0f};
-  Bytes blob = SerializeCheckpoint(params);
-  std::optional<std::vector<float>> parsed = ParseCheckpoint(blob);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(*parsed, params);
-  blob[3] ^= 1;
-  EXPECT_FALSE(ParseCheckpoint(blob).has_value());
-}
-
 }  // namespace
 }  // namespace deta::nn
