@@ -123,7 +123,8 @@ inline void PrintSeries(const std::string& title, const FigureSeries& s) {
                 a.round, a.loss, a.accuracy, a.cumulative_latency_s, b.loss, b.accuracy,
                 b.cumulative_latency_s, overhead);
   }
-  std::printf("one-time setup (attestation+provisioning): FFL %.3fs, DeTA %.3fs\n",
+  std::printf("one-time setup (attestation through ready barrier, wall): FFL %.3fs, "
+              "DeTA %.3fs\n",
               s.ffl.setup_seconds, s.deta.setup_seconds);
   // Convergence parity summary.
   double max_loss_gap = 0.0;

@@ -52,6 +52,14 @@ void BM_AeadSealOpen(benchmark::State& state) {
 }
 BENCHMARK(BM_AeadSealOpen)->Arg(4096)->Arg(1 << 18);
 
+void BM_EcKeygen(benchmark::State& state) {
+  SecureRng rng(StringToBytes("bench"));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(GenerateEcKey(rng));
+  }
+}
+BENCHMARK(BM_EcKeygen);
+
 void BM_EcdsaSign(benchmark::State& state) {
   SecureRng rng(StringToBytes("bench"));
   EcKeyPair key = GenerateEcKey(rng);

@@ -24,7 +24,6 @@
 #include <cstdio>
 #include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/logging.h"
@@ -86,27 +85,7 @@ int main(int argc, char** argv) {
   flags.emplace("examples-per-party", "8");
   flags.emplace("eval-examples", "32");
   flags.emplace("batch", "8");
-  // In-proc: broker off by default — its round-trip adds one more EC handshake per
-  // party, which on a small machine doubles an already O(parties) setup phase
-  // (--key-broker=1 restores the paper's deployment shape). TCP: broker on, making the
-  // default cluster 60 parties + 3 aggregators + broker = 64 OS processes.
-  flags.emplace("key-broker", mode == "tcp" ? "1" : "0");
-  // Handshakes for thousands of parties take a while on few cores; never let the
-  // barrier give up before they finish. Patient first timeouts matter even more:
-  // retransmitting into an aggregator that is merely backlogged (not deaf) multiplies
-  // its EC work and melts setup down.
-  flags.emplace("round-timeout-ms", "600000");
-  flags.emplace("setup-timeout-ms", "1800000");
-  flags.emplace("retry-attempts", "12");
-  flags.emplace("retry-initial-timeout-ms", "8000");
-  flags.emplace("retry-max-timeout-ms", "240000");
-  if (mode == "inproc") {
-    // Pace party starts to roughly the machine's handshake service rate (~1.1s of EC
-    // work per party on one core), so the aggregators' queues stay short instead of
-    // feeding a retransmission storm. --stagger-ms=0 launches everything at once.
-    unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-    flags.emplace("stagger-ms", std::to_string(std::max(1u, 1100 / cores)));
-  }
+  // Everything else (key broker on, timeouts, retry policy) is the ClusterSpec default.
   core::ClusterSpec spec = core::ClusterSpec::FromFlags(flags);
 
   // Child-role dispatch for --mode=tcp (the parent re-execs this very binary).
@@ -127,9 +106,8 @@ int main(int argc, char** argv) {
     }
     result = std::move(cluster.observer);
   } else if (mode == "inproc") {
-    std::printf("scale_parties: %d in-proc parties, %d aggregators, %d rounds"
-                " (start stagger %dms)\n",
-                spec.parties, spec.aggregators, spec.rounds, spec.party_stagger_ms);
+    std::printf("scale_parties: %d in-proc parties, %d aggregators, %d rounds\n",
+                spec.parties, spec.aggregators, spec.rounds);
     core::DetaJob job(core::BuildExecutionOptions(spec), core::BuildDetaOptions(spec),
                       core::BuildLocalParties(spec, spec.PartyNames()),
                       core::ClusterModelFactory(spec), core::ClusterEvalData(spec));
@@ -145,7 +123,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   Report(result, spec.parties);
-  std::printf("setup: %.3fs (attestation + handshakes, one-time)\n",
+  std::printf("setup: %.3fs wall (attestation, key fetch, handshakes, ready barrier;"
+              " one-time)\n",
               result.setup_seconds);
 
   auto out_it = flags.find("telemetry-out");

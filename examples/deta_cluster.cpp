@@ -17,7 +17,6 @@
 //   --batch=N --local-epochs=N --lr=F --threads=N
 //   --round-timeout-ms=N --setup-timeout-ms=N
 //   --retry-attempts=N --retry-initial-timeout-ms=N --retry-max-timeout-ms=N
-//   --stagger-ms=N                              per-party setup start stagger (in-proc)
 //   --listen-host=HOST --registry-port=N        (0 = pick a free port)
 //   --telemetry-dir=DIR                         per-role telemetry JSON under DIR
 //   --drop=F --fault-seed=N                     seeded message-loss injection

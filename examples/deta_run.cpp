@@ -210,7 +210,8 @@ int main(int argc, char** argv) {
     std::printf("%5d %10.4f %10.4f %14.3f\n", m.round, m.loss, m.accuracy,
                 m.cumulative_latency_s);
   }
-  std::printf("setup (attestation + provisioning): %.3fs\n", result.setup_seconds);
+  std::printf("setup (attestation, handshakes, ready barrier; wall): %.3fs\n",
+              result.setup_seconds);
 
   bool matches_baseline = true;
   if (flags.GetBool("compare-baseline", false)) {

@@ -58,7 +58,7 @@ int main() {
   std::printf("== DeTA: 4 parties, 3 SEV-protected aggregators ==\n");
   core::DetaJob deta(options, deta_options, make_parties(), model_factory, eval);
   fl::JobResult deta_result = deta.Run();
-  std::printf("one-time attestation/setup: %.3fs (simulated SEV provisioning)\n",
+  std::printf("one-time setup (attestation, handshakes, ready barrier; wall): %.3fs\n",
               deta_result.setup_seconds);
 
   // 4. The centralized baseline on the identical workload: the same engine with one

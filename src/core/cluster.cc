@@ -72,7 +72,6 @@ std::vector<std::string> ClusterSpec::ToArgs() const {
   args.push_back(arg("retry-attempts", std::to_string(retry_attempts)));
   args.push_back(arg("retry-initial-timeout-ms", std::to_string(retry_initial_timeout_ms)));
   args.push_back(arg("retry-max-timeout-ms", std::to_string(retry_max_timeout_ms)));
-  args.push_back(arg("stagger-ms", std::to_string(party_stagger_ms)));
   args.push_back(arg("listen-host", listen_host));
   args.push_back(arg("registry-port", std::to_string(registry_port)));
   args.push_back(arg("telemetry-dir", telemetry_dir));
@@ -114,7 +113,6 @@ ClusterSpec ClusterSpec::FromFlags(const std::map<std::string, std::string>& fla
   spec.retry_initial_timeout_ms =
       get_int("retry-initial-timeout-ms", spec.retry_initial_timeout_ms);
   spec.retry_max_timeout_ms = get_int("retry-max-timeout-ms", spec.retry_max_timeout_ms);
-  spec.party_stagger_ms = get_int("stagger-ms", spec.party_stagger_ms);
   spec.listen_host = get("listen-host", spec.listen_host);
   spec.registry_port = get_int("registry-port", spec.registry_port);
   spec.telemetry_dir = get("telemetry-dir", spec.telemetry_dir);
@@ -248,7 +246,6 @@ DetaOptions BuildDetaOptions(const ClusterSpec& spec) {
   DetaOptions deta;
   deta.num_aggregators = spec.aggregators;
   deta.use_key_broker = spec.use_key_broker;
-  deta.party_start_stagger_ms = spec.party_stagger_ms;
   return deta;
 }
 

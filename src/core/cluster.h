@@ -47,17 +47,12 @@ struct ClusterSpec {
   int threads = 1;
   int round_timeout_ms = 60000;
   int setup_timeout_ms = 120000;
-  // Retransmission policy, more patient than the protocol default: when hundreds of
-  // party threads contend for a few cores (or sanitizer builds slow every EC op), a
-  // handshake reply can legitimately take seconds. The initial timeout matters most at
-  // scale — retransmitting into an already-backlogged aggregator only multiplies its
-  // EC work, so the scale harness raises it well above the protocol's 250ms.
+  // Retransmission policy, more patient than the protocol default (more attempts, a
+  // higher cap): when hundreds of party threads contend for a few cores, or a sanitizer
+  // build slows every step, a handshake reply can legitimately take seconds.
   int retry_attempts = 10;
   int retry_initial_timeout_ms = 250;
   int retry_max_timeout_ms = 8000;
-  // Per-party setup start stagger (DetaOptions::party_start_stagger_ms). Only
-  // meaningful for in-proc scale runs, where one process hosts every party.
-  int party_stagger_ms = 0;
 
   // Transport: the parent hosts the TCP name registry on this host/port (0 = pick a
   // free port and pass the bound address to the children).

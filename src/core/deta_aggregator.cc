@@ -349,8 +349,15 @@ void DetaAggregator::MarkRoundDone(const std::string& aggregator, int round) {
     LOG_WARNING << config_.name << ": round.done received by a follower";
     return;
   }
-  if (round != current_round_) {
-    LOG_WARNING << config_.name << ": stale round.done for round " << round;
+  if (round < current_round_) {
+    // A follower retransmits round.done until round.begin for the next round acks it,
+    // so a copy that crossed that round.begin arrives after the round advanced: expected
+    // protocol fallout under load, not a fault.
+    LOG_DEBUG << config_.name << ": surplus round.done for round " << round;
+    return;
+  }
+  if (round > current_round_) {
+    LOG_WARNING << config_.name << ": round.done for future round " << round;
     return;
   }
   // A set, not a counter: a retransmitted round.done from the same follower must not

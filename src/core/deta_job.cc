@@ -116,7 +116,6 @@ DetaJob::DetaJob(fl::ExecutionOptions options, DetaOptions deta,
   const bool resume_roles = whole_job_resume && !resume_failed_;
 
   // --- Phase I: platforms, paused CVMs, attestation, token provisioning (steps 1-2) ---
-  Stopwatch attest_watch;
   ras_ = std::make_unique<cc::RemoteAttestationService>(setup_rng);
   Bytes image = AggregatorImage(options_);
   proxy_ = std::make_unique<cc::AttestationProxy>(
@@ -133,7 +132,6 @@ DetaJob::DetaJob(fl::ExecutionOptions options, DetaOptions deta,
     DETA_CHECK_MSG(provision.ok, "aggregator attestation failed: " << provision.failure_reason);
     aggregator_names.push_back(name);
   }
-  attestation_seconds_ = attest_watch.ElapsedSeconds();
 
   // --- Shared party-side secrets: model mapper seed + permutation key. The trusted key
   // broker owns them and serves them to parties over authenticated channels (§4.2);
@@ -183,15 +181,11 @@ DetaJob::DetaJob(fl::ExecutionOptions options, DetaOptions deta,
   broker_identity_ = broker_identity;
 
   // --- Aggregator nodes (threads created at Run) ---
-  // Idle-watchdog floor: with staggered party starts the quiet stretches scale with the
-  // deployment — an early party legitimately hears nothing while the rest of the roster
-  // trickles through setup, and an aggregator waits out the same tail before round 1.
+  // Idle-watchdog floor: an early party legitimately hears nothing while the rest of the
+  // roster finishes setup, and an aggregator waits out the same tail before round 1.
   // The watchdog only has to beat a genuinely dead peer, so cover the worst legitimate
-  // silence: the longer of the round/setup timeouts plus the whole stagger window.
-  const int stagger_window_ms =
-      static_cast<int>(party_names_.size()) * deta_.party_start_stagger_ms;
-  const int idle_floor_ms =
-      std::max(options_.round_timeout_ms, options_.setup_timeout_ms) + stagger_window_ms;
+  // silence: the longer of the round/setup timeouts.
+  const int idle_floor_ms = std::max(options_.round_timeout_ms, options_.setup_timeout_ms);
   aggregator_names_ = aggregator_names;
   for (int j = 0; j < deta_.num_aggregators; ++j) {
     AggregatorConfig ac;
@@ -249,7 +243,6 @@ DetaJob::DetaJob(fl::ExecutionOptions options, DetaOptions deta,
     pc.rounds = options_.rounds;
     pc.retry = options_.retry;
     pc.idle_timeout_ms = std::max(pc.idle_timeout_ms, idle_floor_ms);
-    pc.start_delay_ms = static_cast<int>(i) * deta_.party_start_stagger_ms;
     pc.store = store_.get();
     pc.checkpoint_every = options_.checkpoint.every_n_rounds;
     pc.seal_seed = options_.seed;
@@ -294,6 +287,7 @@ DetaJob::DetaJob(fl::ExecutionOptions options, DetaOptions deta,
         std::move(local), pc, party_transform, *transport_, std::move(party_rng)));
   }
   revive_rng_ = crypto::SecureRng(setup_rng.NextBytes(32));
+  construct_seconds_ = setup_watch_.ElapsedSeconds();
 }
 
 bool DetaJob::RoleIsLocal(const std::string& role) const {
@@ -387,7 +381,6 @@ void DetaJob::ReviveCrashedRoles(net::Endpoint& observer, bool job_started) {
     pc.resume = true;
     pc.resume_max_round = -1;
     pc.announce_ready = false;  // the ready barrier already passed
-    pc.start_delay_ms = 0;      // and with it, any start stagger
     std::string name = local->name();
     deta_parties_[i].reset();
     deta_parties_[i] = std::make_unique<DetaParty>(
@@ -451,7 +444,7 @@ fl::JobResult DetaJob::RunWorker() {
   const telemetry::TelemetrySnapshot telemetry_start = telemetry::Snapshot();
   StartLocalRoles();
   fl::JobResult result;
-  result.setup_seconds = attestation_seconds_;
+  result.setup_seconds = construct_seconds_;
   for (auto& party : deta_parties_) {
     party->Join();
   }
@@ -517,10 +510,6 @@ fl::JobResult DetaJob::Run() {
   StartLocalRoles();
 
   fl::JobResult result;
-  // Attestation and registration are one-time setup (before training starts); the paper's
-  // latency curves measure training rounds only, so setup is reported separately via
-  // JobResult::setup_seconds rather than folded into round latency.
-  result.setup_seconds = attestation_seconds_;
   result.resumed_from_round = resume_round_;
 
   // With crash faults configured the observer doubles as the supervisor: every bounded
@@ -566,6 +555,11 @@ fl::JobResult DetaJob::Run() {
            << " parties verified and registered with " << aggregator_names_.size()
            << " aggregators";
   StopBroker(*observer);  // every party holds the material once it reports ready
+  // Attestation, handshakes and the ready barrier are one-time setup; the paper's
+  // latency curves measure training rounds only, so setup is reported separately. It
+  // ends here, not at the job-start ack: the initiator sends round 1's round.begin to
+  // the parties before it acks.
+  result.setup_seconds = setup_watch_.ElapsedSeconds();
 
   // Acked job start, so a stalled initiator is a typed error instead of a silent hang.
   // (Observer traffic is exempt from fault injection, so this succeeds first try when

@@ -17,6 +17,7 @@
 #include <memory>
 
 #include "cc/attestation_proxy.h"
+#include "common/sim_clock.h"
 #include "core/deta_aggregator.h"
 #include "core/deta_party.h"
 #include "core/key_broker.h"
@@ -46,11 +47,6 @@ struct DetaOptions {
   // missing at that point are recorded as dropouts for the round. 0 = every party must
   // arrive (an absence at the deadline is a quorum failure).
   int min_quorum = 0;
-  // Party i delays its setup by i * this many ms. At 1k-10k-party scale, launching
-  // every EC handshake simultaneously backs the aggregators up past the retransmission
-  // timeouts, and the retransmissions themselves then multiply the backlog; pacing the
-  // starts keeps the handshake queues short. 0 = all parties start at once.
-  int party_start_stagger_ms = 0;
 };
 
 // Where this DetaJob instance's roles run. The default (all fields empty) is the
@@ -79,8 +75,9 @@ class DetaJob {
   ~DetaJob();
 
   // Runs the full life cycle; returns per-round metrics, the final global parameters,
-  // and setup time (platform attestation + token provisioning — one-time cost reported
-  // separately from round latency, matching the paper's measurement boundary).
+  // and setup time (attestation, key-broker fetch, party handshakes and the ready
+  // barrier — one-time cost reported separately from round latency, matching the
+  // paper's measurement boundary).
   fl::JobResult Run();
 
   // Post-run access for the security experiments: the aggregator CVMs (breachable) and
@@ -111,6 +108,8 @@ class DetaJob {
   // Writes the job-level snapshot (global params + observer accumulators) for round |r|.
   void SaveJobState(int round, const std::vector<float>& params, double cumulative);
 
+  // Started first, so it spans all of construction; JobResult::setup_seconds.
+  WallStopwatch setup_watch_;
   fl::ExecutionOptions options_;
   DetaOptions deta_;
   DetaDeployment deployment_;
@@ -135,7 +134,8 @@ class DetaJob {
   std::shared_ptr<const Transform> transform_;
   std::vector<std::unique_ptr<DetaAggregator>> aggregators_;
   std::vector<std::unique_ptr<DetaParty>> deta_parties_;
-  double attestation_seconds_ = 0.0;
+  // Wall time of construction, the setup a worker process without the barrier reports.
+  double construct_seconds_ = 0.0;
 
   // --- durability / crash-fault orchestration state ---
   std::unique_ptr<persist::StateStore> store_;

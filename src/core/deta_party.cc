@@ -145,9 +145,6 @@ bool DetaParty::SetupChannels() {
 }
 
 void DetaParty::Run() {
-  if (config_.start_delay_ms > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(config_.start_delay_ms));
-  }
   bool resumed = false;
   if (config_.resume) {
     resumed = RestoreFromSnapshot();

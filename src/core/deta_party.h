@@ -60,10 +60,6 @@ struct DetaPartyConfig {
   int rounds = 0;
   // Retransmission pacing for setup handshakes and per-round uploads.
   net::RetryPolicy retry;
-  // Wait this long before starting setup. At 1k-10k-party scale the job staggers party
-  // starts (index * DetaOptions::party_start_stagger_ms) so thousands of simultaneous
-  // EC handshakes cannot back up the aggregators into a retransmission storm.
-  int start_delay_ms = 0;
   // Overall ceiling on one round's upload + result collection; the round is skipped
   // when it expires (0 = no ceiling — wait for shutdown).
   int result_timeout_ms = 120000;

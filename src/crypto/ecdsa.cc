@@ -85,7 +85,7 @@ bool EcdsaVerify(const EcPoint& public_key, const Bytes& message, const EcdsaSig
   }
   BigUint u1 = BigUint::MulMod(z, s_inv, n);
   BigUint u2 = BigUint::MulMod(sig.r, s_inv, n);
-  EcPoint point = curve.Add(curve.MulGenerator(u1), curve.Mul(u2, public_key));
+  EcPoint point = curve.MulAdd(u1, u2, public_key);
   if (point.is_infinity) {
     return false;
   }

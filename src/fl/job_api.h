@@ -107,8 +107,11 @@ inline const char* JobStatusName(JobStatus status) {
 struct JobResult {
   std::vector<RoundMetrics> rounds;
   std::vector<float> final_params;
-  // One-time pre-training setup, reported separately from round latency: platform
-  // attestation + token provisioning.
+  // One-time pre-training setup, reported separately from round latency: wall time from
+  // the start of DetaJob construction until the observer starts round 1 (job.start),
+  // covering attestation and token provisioning, the key-broker fetch, every party
+  // handshake and the ready barrier. A worker process of a multi-process deployment has
+  // no barrier and reports its constructor's wall time. 0 when the barrier failed.
   double setup_seconds = 0.0;
   JobStatus status = JobStatus::kOk;
   // Human-readable failure description; empty when status == kOk.

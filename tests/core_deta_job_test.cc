@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <set>
 
 #include "core/deta_job.h"
@@ -246,19 +248,69 @@ TEST(DetaJobTest, SingleAggregatorNoTransformModeWorks) {
   EXPECT_EQ(ffl_result.final_params, deta_result.final_params);
 }
 
-TEST(DetaJobTest, AttestationTimeReportedSeparately) {
+// Records when round 1's local training starts, the first step after setup.
+class FirstRoundClockParty : public fl::Party {
+ public:
+  FirstRoundClockParty(std::string name, data::Dataset shard, const fl::TrainConfig& tc,
+                       uint64_t seed, std::atomic<int64_t>* first_round_ticks)
+      : fl::Party(std::move(name), std::move(shard), TinyMlpFactory(), tc, seed),
+        first_round_ticks_(first_round_ticks) {}
+
+  LocalResult RunLocalRound(const std::vector<float>& global_params, int round) override {
+    if (round == 1) {
+      int64_t unset = 0;
+      first_round_ticks_->compare_exchange_strong(
+          unset, std::chrono::steady_clock::now().time_since_epoch().count());
+    }
+    return fl::Party::RunLocalRound(global_params, round);
+  }
+
+ private:
+  std::atomic<int64_t>* first_round_ticks_;
+};
+
+// setup_seconds is wall time from the start of construction until round 1 starts:
+// attestation, the key-broker fetch, every party handshake and the ready barrier.
+// Delaying every two-phase-auth message by 200 ms makes the handshakes most of that
+// interval, so a figure that left them out would fall far short of it.
+TEST(DetaJobTest, SetupSecondsCoversHandshakes) {
   fl::ExecutionOptions base = BaseOptions();
   base.rounds = 1;
+  base.fault_plan.seed = 3;
+  base.fault_plan.delay_ms = 200;
+  net::EdgeFault slow_auth;
+  slow_auth.type_prefix = "auth";
+  slow_auth.rates.delay = 1.0;
+  base.fault_plan.overrides.push_back(slow_auth);
+  // A delayed handshake round trip takes about 2 x 200 ms, plus queueing behind the
+  // other party at a single-threaded responder; no retransmission should race it.
+  base.retry.initial_timeout_ms = 2000;
   DetaOptions deta_options;
   deta_options.num_aggregators = 2;
-  DetaJob deta(base, deta_options, MakeParties(2, base.train), SmallModelFactory(),
+
+  std::atomic<int64_t> first_round_ticks{0};
+  Rng rng(9);
+  std::vector<data::Dataset> shards = data::SplitIid(SmallMnist(64, 5), 2, rng);
+  std::vector<std::unique_ptr<fl::Party>> parties;
+  for (int i = 0; i < 2; ++i) {
+    parties.push_back(std::make_unique<FirstRoundClockParty>(
+        "party" + std::to_string(i), shards[static_cast<size_t>(i)], base.train, 100 + i,
+        &first_round_ticks));
+  }
+  const int64_t start_ticks = std::chrono::steady_clock::now().time_since_epoch().count();
+  DetaJob deta(base, deta_options, std::move(parties), TinyMlpFactory(),
                SmallMnist(30, 6));
   fl::JobResult result = deta.Run();
   ASSERT_TRUE(result.ok()) << result.error;
   ASSERT_FALSE(result.rounds.empty());
-  // One-time attestation/provisioning cost is reported in JobResult::setup_seconds and
-  // does not silently inflate per-round latency.
-  EXPECT_GT(result.setup_seconds, 0.0);
+  ASSERT_NE(first_round_ticks.load(), 0);
+  const double until_first_round =
+      std::chrono::duration<double>(
+          std::chrono::steady_clock::duration(first_round_ticks.load() - start_ticks))
+          .count();
+  EXPECT_GE(result.setup_seconds, 0.9 * until_first_round);
+  EXPECT_LE(result.setup_seconds, until_first_round);
+  // Setup stays out of per-round latency.
   EXPECT_GT(result.rounds[0].round_latency_s, 0.0);
 }
 
