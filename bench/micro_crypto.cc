@@ -183,6 +183,18 @@ void BM_PowModSchoolbook(benchmark::State& state) {
 }
 BENCHMARK(BM_PowModSchoolbook)->Arg(512)->Arg(1024);
 
+// Binary GCD at the shape of Paillier encryption's gcd(r, n) = 1 check: a random r below
+// an odd |bits|-bit modulus.
+void BM_BigUintGcd(benchmark::State& state) {
+  SecureRng rng(StringToBytes("bench"));
+  BigUint n = OddModulus(rng, static_cast<size_t>(state.range(0)));
+  BigUint r = BigUint::RandomBelow(rng, n);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(BigUint::Gcd(r, n));
+  }
+}
+BENCHMARK(BM_BigUintGcd)->Arg(256)->Arg(1024);
+
 // CRT decryption (the library's only decrypt path) vs. the textbook lambda/mu
 // decryption as the reference row. Both produce the same plaintext; the gap is the win.
 void BM_PaillierDecryptCrt(benchmark::State& state) {

@@ -22,7 +22,9 @@ baseline. A row is a FAIL when its ns_per_op exceeds the baseline by more than
 --max-regression percent; a baseline row MISSING from the fresh snapshot is a
 hard error (a renamed/deleted benchmark silently exits the perf trajectory
 otherwise). Fresh rows absent from the baseline are reported but pass — they
-join the gate when the baseline is next regenerated.
+join the gate when the baseline is next regenerated. When both files carry a
+build_type stamp (bench_snapshot.py) and the two differ, the comparison fails
+outright: the build type alone moves the numbers. A file without a stamp passes.
 
 Usage:
   scripts/bench_gate.py --baseline BENCH_crypto.json --max-regression 35 fresh.json
@@ -93,22 +95,28 @@ def check_snapshot(path: str, forbidden, required) -> list:
     return errors
 
 
-def load_bench_rows(path: str):
+def load_bench_snapshot(path: str):
     with open(path, encoding="utf-8") as f:
         snapshot = json.load(f)
-    rows = snapshot.get("rows")
-    if not isinstance(rows, dict):
+    if not isinstance(snapshot.get("rows"), dict):
         raise ValueError(f"{path}: no 'rows' object — not a bench_snapshot.py file?")
-    return rows
+    return snapshot
 
 
 def check_baseline(baseline_path: str, fresh_path: str, max_regression: float) -> list:
     """Per-row relative gate: fresh ns_per_op vs the committed baseline."""
     try:
-        baseline = load_bench_rows(baseline_path)
-        fresh = load_bench_rows(fresh_path)
+        baseline_snapshot = load_bench_snapshot(baseline_path)
+        fresh_snapshot = load_bench_snapshot(fresh_path)
     except (OSError, json.JSONDecodeError, ValueError) as e:
         return [f"unreadable bench snapshot: {e}"]
+    base_type = baseline_snapshot.get("build_type")
+    fresh_type = fresh_snapshot.get("build_type")
+    if base_type and fresh_type and base_type != fresh_type:
+        return [f"{fresh_path} is a {fresh_type} build but baseline {baseline_path} is "
+                f"{base_type}; compare snapshots of one build type"]
+    baseline = baseline_snapshot["rows"]
+    fresh = fresh_snapshot["rows"]
 
     errors = []
     for name in sorted(baseline):

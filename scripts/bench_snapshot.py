@@ -4,9 +4,16 @@
 Runs the given google-benchmark binaries with --benchmark_format=json and writes
 one consolidated snapshot:
 
-    {"commit": "<git rev>", "date": "YYYY-MM-DD", "rows": {
+    {"commit": "<git rev>", "date": "YYYY-MM-DD",
+     "build_type": "Release", "cxx_flags": "-O3 -DNDEBUG", "rows": {
         "<bench>/<row name>": {"ns_per_op": <real_time ns>, "ops": <iterations>},
         ...}}
+
+Build stamp: build_type and cxx_flags (CMAKE_CXX_FLAGS_<TYPE>) come from the
+CMakeCache.txt of each binary's build tree, the nearest one above the binary. The
+same code reads over 1.4x apart between build types, so a snapshot refuses to mix
+build trees whose stamps differ, and scripts/bench_gate.py --baseline refuses to
+compare snapshots of different build types.
 
 Thread pinning: rows from multi-threaded benches encode their thread count in the
 row name (e.g. "coords:4096/threads:2"); --threads keeps only rows matching that
@@ -25,6 +32,7 @@ with scripts/bench_gate.py --baseline (see EXPERIMENTS.md).
 
 import argparse
 import json
+import os
 import re
 import subprocess
 import sys
@@ -38,6 +46,34 @@ def git_commit() -> str:
         return out.stdout.strip()
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
+
+
+def build_stamp(binary: str) -> dict:
+    """{"build_type", "cxx_flags"} from the CMakeCache.txt of |binary|'s build tree."""
+    directory = os.path.dirname(os.path.abspath(binary))
+    while True:
+        cache = os.path.join(directory, "CMakeCache.txt")
+        if os.path.isfile(cache):
+            break
+        parent = os.path.dirname(directory)
+        if parent == directory:
+            raise RuntimeError(f"{binary}: no CMakeCache.txt above it; cannot stamp "
+                               "the build type")
+        directory = parent
+    entries = {}
+    with open(cache, encoding="utf-8", errors="replace") as f:
+        for line in f:
+            m = re.match(r"([A-Za-z0-9_]+):[A-Z]+=(.*)$", line.rstrip("\n"))
+            if m:
+                entries[m.group(1)] = m.group(2)
+    build_type = entries.get("CMAKE_BUILD_TYPE", "")
+    if not build_type:
+        raise RuntimeError(f"{cache}: CMAKE_BUILD_TYPE is empty; cannot stamp the "
+                           "build type")
+    return {
+        "build_type": build_type,
+        "cxx_flags": entries.get("CMAKE_CXX_FLAGS_" + build_type.upper(), "").strip(),
+    }
 
 
 def run_bench(binary: str, bench_filter: str, min_time: float) -> dict:
@@ -75,6 +111,15 @@ def main() -> int:
                         help="--benchmark_min_time per row (default 0.5s)")
     args = parser.parse_args()
 
+    stamp = None
+    for binary in args.binaries:
+        binary_stamp = build_stamp(binary)
+        if stamp is not None and binary_stamp != stamp:
+            print(f"bench_snapshot: {binary} was built {binary_stamp}, an earlier "
+                  f"binary {stamp}; one snapshot holds one build", file=sys.stderr)
+            return 1
+        stamp = binary_stamp
+
     rows = {}
     for binary in args.binaries:
         bench = binary.rsplit("/", 1)[-1]
@@ -100,6 +145,7 @@ def main() -> int:
     snapshot = {
         "commit": git_commit(),
         "date": date.today().isoformat(),
+        **stamp,
         "rows": {k: rows[k] for k in sorted(rows)},
     }
     with open(args.out, "w", encoding="utf-8") as f:

@@ -27,10 +27,11 @@ cd "${repo_root}"
 jobs="$(nproc 2>/dev/null || echo 2)"
 
 # The TSan gate covers the suites that exercise real threads: the bus and its fault
-# injector, retry/secure-channel, the deterministic parallel layer, telemetry, and the
-# aggregator/party/job protocol stack. Filtering keeps the (slow, ~10x) sanitized run
-# feasible on small containers.
-tsan_filter='MessageBus*:EndpointDedupTest*:EndpointStashTest*:FaultInjector*:Retry*:SecureChannel*:Codec*:ParallelFor*:ParallelReduce*:DefaultThreads*:ThreadInvariance*:AggregatorNode*:KeyBroker*:Auth*:Telemetry*:DetaJobFaultTest.QuorumFailureIsTypedNotAHang:*TransportConformanceTest.AuthHandshakeVerifiesAndRejects*:*TransportConformanceTest.KeyFetchServesIdenticalMaterial*'
+# injector, retry/secure-channel, the deterministic parallel layer, telemetry, the
+# Paillier batch encrypt/decrypt fan-out (pool workers share one Montgomery context,
+# so its scratch must stay per call), and the aggregator/party/job protocol stack.
+# Filtering keeps the (slow, ~10x) sanitized run feasible on small containers.
+tsan_filter='MessageBus*:EndpointDedupTest*:EndpointStashTest*:FaultInjector*:Retry*:SecureChannel*:Codec*:ParallelFor*:ParallelReduce*:DefaultThreads*:ThreadInvariance*:AggregatorNode*:KeyBroker*:Auth*:Telemetry*:DetaJobFaultTest.QuorumFailureIsTypedNotAHang:*TransportConformanceTest.AuthHandshakeVerifiesAndRejects*:*TransportConformanceTest.KeyFetchServesIdenticalMaterial*:PaillierTest.*:PaillierCrtDifferentialTest.*'
 
 cmake_flags_for_preset() {
   case "$1" in

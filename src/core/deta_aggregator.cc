@@ -257,7 +257,13 @@ void DetaAggregator::Aggregate(int round) {
         paillier_codec_->AccumulateInPlace(acc, ct);
       }
     }
-    result_payload = fl::SerializeCiphertexts(acc);
+    // Under a quorum the sum may hold fewer than num_parties fragments. The count rides
+    // inside the sealed result, so re-served and resumed results carry it too, and
+    // parties decode (and average) with it.
+    net::Writer w;
+    w.WriteU32(static_cast<uint32_t>(staged_.size()));
+    w.WriteBytes(fl::SerializeCiphertexts(acc));
+    result_payload = w.Take();
   } else {
     std::vector<fl::ModelUpdate> updates;
     updates.reserve(staged_.size());

@@ -460,14 +460,24 @@ void DetaParty::RunRound(int round) {
         continue;
       }
       if (config_.use_paillier) {
-        std::vector<crypto::BigUint> ct = fl::DeserializeCiphertexts(*payload);
+        // The aggregator states how many fragments it summed (fewer than num_parties
+        // under a quorum); decode and average over exactly those, as
+        // IterativeAveraging does on the plain path.
+        net::Reader result(*payload);
+        int addends = static_cast<int>(result.ReadU32());
+        std::vector<crypto::BigUint> ct = fl::DeserializeCiphertexts(result.ReadBytes());
+        if (addends < 1 || addends > config_.num_parties) {
+          LOG_WARNING << name() << ": Paillier result from " << m->from << " claims "
+                      << addends << " addends";
+          continue;
+        }
         size_t fragment_len = static_cast<size_t>(
             transform_->config().enable_partition
                 ? transform_->mapper().PartitionSize(static_cast<int>(j))
                 : static_cast<int64_t>(global_params_.size()));
         aggregated[j] = paillier_codec_->DecryptSum(ct, config_.paillier->priv,
-                                                    fragment_len, config_.num_parties);
-        float inv = 1.0f / static_cast<float>(config_.num_parties);
+                                                    fragment_len, addends);
+        float inv = 1.0f / static_cast<float>(addends);
         for (auto& v : aggregated[j]) {
           v *= inv;
         }

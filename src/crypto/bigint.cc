@@ -11,7 +11,66 @@ namespace deta::crypto {
 
 namespace {
 constexpr uint64_t kBase = 1ULL << 32;
+
+// Fixed-buffer helpers for the binary GCD: a value is (limbs, length) with no leading
+// zero limb, so comparisons and subtractions shrink with the operands.
+
+size_t TrimmedLength(const uint64_t* v, size_t n) {
+  while (n > 0 && v[n - 1] == 0) {
+    --n;
+  }
+  return n;
 }
+
+// v != 0.
+size_t TrailingZeroBits(const uint64_t* v) {
+  size_t i = 0;
+  while (v[i] == 0) {
+    ++i;
+  }
+  return 64 * i + static_cast<size_t>(__builtin_ctzll(v[i]));
+}
+
+// v >>= bits in place; returns the new length.
+size_t ShiftRightInPlace(uint64_t* v, size_t n, size_t bits) {
+  size_t limb_shift = bits / 64;
+  size_t bit_shift = bits % 64;
+  size_t out_n = n - limb_shift;
+  for (size_t i = 0; i < out_n; ++i) {
+    uint64_t x = v[i + limb_shift] >> bit_shift;
+    if (bit_shift != 0 && i + limb_shift + 1 < n) {
+      x |= v[i + limb_shift + 1] << (64 - bit_shift);
+    }
+    v[i] = x;
+  }
+  return TrimmedLength(v, out_n);
+}
+
+int Compare64(const uint64_t* u, size_t un, const uint64_t* v, size_t vn) {
+  if (un != vn) {
+    return un < vn ? -1 : 1;
+  }
+  for (size_t i = un; i-- > 0;) {
+    if (u[i] != v[i]) {
+      return u[i] < v[i] ? -1 : 1;
+    }
+  }
+  return 0;
+}
+
+// u -= v for u > v (so un >= vn); returns the new length.
+size_t SubInPlace(uint64_t* u, size_t un, const uint64_t* v, size_t vn) {
+  uint64_t borrow = 0;
+  for (size_t i = 0; i < un; ++i) {
+    unsigned __int128 diff =
+        static_cast<unsigned __int128>(u[i]) - (i < vn ? v[i] : 0) - borrow;
+    u[i] = static_cast<uint64_t>(diff);
+    borrow = static_cast<uint64_t>(diff >> 127);
+  }
+  return TrimmedLength(u, un);
+}
+
+}  // namespace
 
 BigUint::BigUint(uint64_t value) {
   if (value != 0) {
@@ -350,7 +409,7 @@ BigUint BigUint::PowMod(const BigUint& base, const BigUint& exp, const BigUint& 
   if (m == BigUint(1)) {
     return BigUint();
   }
-  // Montgomery REDC requires gcd(m, 2^32) = 1, so even moduli (Miller-Rabin
+  // Montgomery REDC requires gcd(m, 2^64) = 1, so even moduli (Miller-Rabin
   // pre-checks, tests) must keep the schoolbook path; Paillier moduli n^2 are odd.
   if (m.IsOdd()) {
     return MontgomeryContext(m).PowMod(base, exp);
@@ -406,13 +465,38 @@ bool BigUint::InvMod(const BigUint& a, const BigUint& m, BigUint* out) {
   return true;
 }
 
-BigUint BigUint::Gcd(BigUint a, BigUint b) {
-  while (!b.IsZero()) {
-    BigUint r = a.Mod(b);
-    a = b;
-    b = r;
+BigUint BigUint::Gcd(const BigUint& a, const BigUint& b) {
+  if (a.IsZero() || b.IsZero()) {
+    return a.IsZero() ? b : a;
   }
-  return a;
+  // Stein: gcd(2^i u', 2^j v') = 2^min(i,j) gcd(u', v') for odd u', v', and for odd
+  // u > v, gcd(u, v) = gcd((u - v) / 2^k, v) with u - v even and nonzero.
+  const size_t n = (std::max(a.limbs_.size(), b.limbs_.size()) + 1) / 2;
+  std::vector<uint64_t> work(2 * n);
+  uint64_t* u = work.data();
+  uint64_t* v = u + n;
+  a.ToLimbs64(u, n);
+  b.ToLimbs64(v, n);
+  size_t u_zeros = TrailingZeroBits(u);
+  size_t v_zeros = TrailingZeroBits(v);
+  size_t un = ShiftRightInPlace(u, TrimmedLength(u, n), u_zeros);
+  size_t vn = ShiftRightInPlace(v, TrimmedLength(v, n), v_zeros);
+  for (;;) {
+    int cmp = Compare64(u, un, v, vn);
+    if (cmp == 0) {
+      break;
+    }
+    if (cmp < 0) {
+      std::swap(u, v);
+      std::swap(un, vn);
+    }
+    un = SubInPlace(u, un, v, vn);
+    un = ShiftRightInPlace(u, un, TrailingZeroBits(u));
+  }
+  BigUint out = FromLimbs64(u, un).ShiftLeft(std::min(u_zeros, v_zeros));
+  // Callers pass secrets (Lcm(p-1, q-1) in keygen, the encryption randomness r).
+  SecureWipe(work.data(), work.size() * sizeof(uint64_t));
+  return out;
 }
 
 BigUint BigUint::Lcm(const BigUint& a, const BigUint& b) {
@@ -523,6 +607,26 @@ uint64_t BigUint::ToU64() const {
     v |= static_cast<uint64_t>(limbs_[1]) << 32;
   }
   return v;
+}
+
+void BigUint::ToLimbs64(uint64_t* out, size_t n) const {
+  DETA_CHECK_LE((limbs_.size() + 1) / 2, n);
+  for (size_t k = 0; k < n; ++k) {
+    uint64_t lo = 2 * k < limbs_.size() ? limbs_[2 * k] : 0;
+    uint64_t hi = 2 * k + 1 < limbs_.size() ? limbs_[2 * k + 1] : 0;
+    out[k] = lo | (hi << 32);
+  }
+}
+
+BigUint BigUint::FromLimbs64(const uint64_t* limbs, size_t n) {
+  BigUint out;
+  out.limbs_.resize(2 * n);
+  for (size_t k = 0; k < n; ++k) {
+    out.limbs_[2 * k] = static_cast<uint32_t>(limbs[k]);
+    out.limbs_[2 * k + 1] = static_cast<uint32_t>(limbs[k] >> 32);
+  }
+  out.Trim();
+  return out;
 }
 
 void BigUint::Wipe() {

@@ -1,8 +1,12 @@
 // Arbitrary-precision unsigned integers, from scratch (no GMP in this environment).
 // 32-bit limbs, little-endian limb order, 64-bit intermediates. Supports everything
 // Paillier and secp256k1 need: +, -, *, divmod (Knuth algorithm D), shifts, modular
-// exponentiation, modular inverse (extended Euclid), gcd/lcm, Miller-Rabin primality,
-// and random/prime generation from a SecureRng.
+// exponentiation, modular inverse (extended Euclid), gcd (Stein's binary GCD) and lcm,
+// Miller-Rabin primality, and random/prime generation from a SecureRng.
+//
+// The two hot kernels, Montgomery multiplication (crypto/montgomery.h) and Gcd, work on
+// 64-bit limbs with unsigned __int128 products; ToLimbs64/FromLimbs64 join and split
+// the 32-bit limbs at their boundary.
 //
 // Not constant-time; this repo's crypto is a protocol-faithful simulation substrate, not
 // a hardened production TLS stack (see DESIGN.md).
@@ -77,7 +81,9 @@ class BigUint {
   // Multiplicative inverse of a mod m; returns false if gcd(a, m) != 1.
   static bool InvMod(const BigUint& a, const BigUint& m, BigUint* out);
 
-  static BigUint Gcd(BigUint a, BigUint b);
+  // Stein's binary GCD on 64-bit limbs: subtract and shift, never divide.
+  // Gcd(0, x) = Gcd(x, 0) = x.
+  static BigUint Gcd(const BigUint& a, const BigUint& b);
   static BigUint Lcm(const BigUint& a, const BigUint& b);
 
   // Uniform random integer in [0, bound).
@@ -98,6 +104,12 @@ class BigUint {
   void Wipe();
 
   const std::vector<uint32_t>& limbs() const { return limbs_; }
+
+  // Fixed-width little-endian 64-bit limbs for the word-size kernels: writes |n| limbs
+  // to |out|, zero-padded; checks the value fits.
+  void ToLimbs64(uint64_t* out, size_t n) const;
+  // Inverse of ToLimbs64 (leading zero limbs are trimmed).
+  static BigUint FromLimbs64(const uint64_t* limbs, size_t n);
 
  private:
   void Trim();

@@ -1,5 +1,7 @@
 #include "crypto/montgomery.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 #include "crypto/secure_wipe.h"
 
@@ -7,13 +9,19 @@ namespace deta::crypto {
 
 namespace {
 
-// -m^-1 mod 2^32 by Newton iteration: each step doubles the number of correct bits.
-uint32_t NegInverse32(uint32_t m0) {
-  uint32_t x = m0;  // correct mod 2^3 for odd m0
-  for (int i = 0; i < 4; ++i) {
+using u128 = unsigned __int128;
+
+// -m^-1 mod 2^64 by Newton iteration: each step doubles the number of correct bits.
+uint64_t NegInverse64(uint64_t m0) {
+  uint64_t x = m0;  // correct mod 2^3 for odd m0
+  for (int i = 0; i < 5; ++i) {
     x *= 2u - m0 * x;
   }
-  return ~x + 1u;  // -x mod 2^32
+  return ~x + 1u;  // -x mod 2^64
+}
+
+void WipeLimbs(std::vector<uint64_t>& limbs) {
+  SecureWipe(limbs.data(), limbs.size() * sizeof(uint64_t));
 }
 
 }  // namespace
@@ -21,168 +29,161 @@ uint32_t NegInverse32(uint32_t m0) {
 MontgomeryContext::MontgomeryContext(const BigUint& modulus) : modulus_(modulus) {
   DETA_CHECK_MSG(modulus.IsOdd(), "MontgomeryContext requires an odd modulus");
   DETA_CHECK_MSG(modulus > BigUint(1), "MontgomeryContext requires modulus > 1");
-  m_ = modulus.limbs();
-  inv32_ = NegInverse32(m_[0]);
-  // R^2 mod m with R = 2^(32*limbs), computed once via the schoolbook divider.
-  BigUint r2 = BigUint(1).ShiftLeft(64 * m_.size()).Mod(modulus);
-  r2_ = Import(r2);
-  one_mont_ = Import(BigUint(1).ShiftLeft(32 * m_.size()).Mod(modulus));
+  s_ = (modulus.BitLength() + 63) / 64;
+  m_.resize(s_);
+  modulus.ToLimbs64(m_.data(), s_);
+  inv64_ = NegInverse64(m_[0]);
+  // R^2 mod m and R mod m with R = 2^(64*s), computed once via the schoolbook divider.
+  r2_.resize(s_);
+  Import(BigUint(1).ShiftLeft(128 * s_).Mod(modulus), r2_.data());
+  one_mont_.resize(s_);
+  Import(BigUint(1).ShiftLeft(64 * s_).Mod(modulus), one_mont_.data());
 }
 
 MontgomeryContext::~MontgomeryContext() {
-  SecureWipe(m_.data(), m_.size() * sizeof(uint32_t));
-  SecureWipe(r2_.data(), r2_.size() * sizeof(uint32_t));
-  SecureWipe(one_mont_.data(), one_mont_.size() * sizeof(uint32_t));
+  WipeLimbs(m_);
+  WipeLimbs(r2_);
+  WipeLimbs(one_mont_);
   modulus_.Wipe();
 }
 
-MontgomeryContext::Limbs MontgomeryContext::Import(const BigUint& a) const {
+void MontgomeryContext::Import(const BigUint& a, uint64_t* out) const {
   DETA_CHECK_MSG(a < modulus_, "Montgomery operand not reduced mod m");
-  Limbs out = a.limbs();
-  out.resize(m_.size(), 0);
-  return out;
+  a.ToLimbs64(out, s_);
 }
 
-BigUint MontgomeryContext::Export(const Limbs& a) const { return BigUint::FromLimbs(a); }
-
-void MontgomeryContext::MulMontLimbs(const Limbs& a, const Limbs& b, Limbs* out,
-                                     Limbs* scratch) const {
+void MontgomeryContext::MulMontLimbs(const uint64_t* a, const uint64_t* b, uint64_t* out,
+                                     uint64_t* t) const {
   // CIOS (coarsely integrated operand scanning): interleaves the schoolbook product
-  // with the REDC reduction so the intermediate never exceeds s+2 limbs.
-  const size_t s = m_.size();
-  Limbs& t = *scratch;
-  t.assign(s + 2, 0);
+  // with the REDC reduction so the intermediate never exceeds s+2 limbs. Every 128-bit
+  // accumulation stays below 2^128: (2^64-1)^2 + 2*(2^64-1) = 2^128 - 1.
+  const size_t s = s_;
+  const uint64_t* m = m_.data();
+  std::fill(t, t + s + 2, uint64_t{0});
   for (size_t i = 0; i < s; ++i) {
-    uint64_t ai = a[i];
-    uint64_t carry = 0;
+    const uint64_t ai = a[i];
+    u128 c = 0;
     for (size_t j = 0; j < s; ++j) {
-      uint64_t cur = t[j] + ai * b[j] + carry;
-      t[j] = static_cast<uint32_t>(cur);
-      carry = cur >> 32;
+      c = static_cast<u128>(ai) * b[j] + t[j] + static_cast<uint64_t>(c >> 64);
+      t[j] = static_cast<uint64_t>(c);
     }
-    uint64_t cur = static_cast<uint64_t>(t[s]) + carry;
-    t[s] = static_cast<uint32_t>(cur);
-    t[s + 1] = static_cast<uint32_t>(cur >> 32);
+    c = static_cast<u128>(t[s]) + static_cast<uint64_t>(c >> 64);
+    t[s] = static_cast<uint64_t>(c);
+    t[s + 1] = static_cast<uint64_t>(c >> 64);
 
-    uint64_t mf = static_cast<uint32_t>(t[0] * inv32_);
-    cur = t[0] + mf * m_[0];
-    carry = cur >> 32;
+    const uint64_t mf = t[0] * inv64_;
+    c = static_cast<u128>(mf) * m[0] + t[0];
     for (size_t j = 1; j < s; ++j) {
-      cur = t[j] + mf * m_[j] + carry;
-      t[j - 1] = static_cast<uint32_t>(cur);
-      carry = cur >> 32;
+      c = static_cast<u128>(mf) * m[j] + t[j] + static_cast<uint64_t>(c >> 64);
+      t[j - 1] = static_cast<uint64_t>(c);
     }
-    cur = static_cast<uint64_t>(t[s]) + carry;
-    t[s - 1] = static_cast<uint32_t>(cur);
-    t[s] = t[s + 1] + static_cast<uint32_t>(cur >> 32);
-    t[s + 1] = 0;
+    c = static_cast<u128>(t[s]) + static_cast<uint64_t>(c >> 64);
+    t[s - 1] = static_cast<uint64_t>(c);
+    t[s] = t[s + 1] + static_cast<uint64_t>(c >> 64);
   }
   // Conditional final subtraction: the CIOS invariant leaves t < 2m.
   bool ge = t[s] != 0;
   if (!ge) {
     ge = true;
     for (size_t i = s; i-- > 0;) {
-      if (t[i] != m_[i]) {
-        ge = t[i] > m_[i];
+      if (t[i] != m[i]) {
+        ge = t[i] > m[i];
         break;
       }
     }
   }
-  out->resize(s);
   if (ge) {
-    int64_t borrow = 0;
+    uint64_t borrow = 0;
     for (size_t i = 0; i < s; ++i) {
-      int64_t diff = static_cast<int64_t>(t[i]) - static_cast<int64_t>(m_[i]) - borrow;
-      borrow = diff < 0 ? 1 : 0;
-      (*out)[i] = static_cast<uint32_t>(diff);
+      u128 diff = static_cast<u128>(t[i]) - m[i] - borrow;
+      out[i] = static_cast<uint64_t>(diff);
+      borrow = static_cast<uint64_t>(diff >> 127);
     }
   } else {
-    for (size_t i = 0; i < s; ++i) {
-      (*out)[i] = t[i];
-    }
+    std::copy(t, t + s, out);
   }
 }
 
 BigUint MontgomeryContext::ToMont(const BigUint& a) const {
-  Limbs in = Import(a);
-  Limbs out, scratch;
-  MulMontLimbs(in, r2_, &out, &scratch);
-  return Export(out);
+  Limbs work(2 * s_ + 2);
+  Import(a, work.data());
+  MulMontLimbs(work.data(), r2_.data(), work.data(), work.data() + s_);
+  return Export(work.data());
 }
 
 BigUint MontgomeryContext::FromMont(const BigUint& a) const {
-  Limbs in = Import(a);
-  Limbs one(m_.size(), 0);
+  Limbs work(3 * s_ + 2);
+  uint64_t* one = work.data() + s_;
+  Import(a, work.data());
   one[0] = 1;
-  Limbs out, scratch;
-  MulMontLimbs(in, one, &out, &scratch);
-  return Export(out);
+  MulMontLimbs(work.data(), one, work.data(), one + s_);
+  return Export(work.data());
 }
 
 BigUint MontgomeryContext::MulMont(const BigUint& a, const BigUint& b) const {
-  Limbs la = Import(a);
-  Limbs lb = Import(b);
-  Limbs out, scratch;
-  MulMontLimbs(la, lb, &out, &scratch);
-  return Export(out);
+  Limbs work(3 * s_ + 2);
+  uint64_t* lb = work.data() + s_;
+  Import(a, work.data());
+  Import(b, lb);
+  MulMontLimbs(work.data(), lb, work.data(), lb + s_);
+  return Export(work.data());
 }
 
 BigUint MontgomeryContext::MulMod(const BigUint& a, const BigUint& b) const {
-  Limbs la = Import(a);
-  Limbs lb = Import(b);
-  Limbs out, scratch;
+  Limbs work(3 * s_ + 2);
+  uint64_t* la = work.data();
+  uint64_t* lb = la + s_;
+  uint64_t* t = lb + s_;
+  Import(a, la);
+  Import(b, lb);
   // (a*R) * b * R^-1 = a*b ... converting one operand up and multiplying back down
   // costs two passes, same as ToMont+FromMont but without the extra reduction.
-  MulMontLimbs(la, r2_, &out, &scratch);
-  la.swap(out);
-  MulMontLimbs(la, lb, &out, &scratch);
-  return Export(out);
+  MulMontLimbs(la, r2_.data(), la, t);
+  MulMontLimbs(la, lb, la, t);
+  return Export(la);
 }
 
 BigUint MontgomeryContext::PowMod(const BigUint& base, const BigUint& exp) const {
-  const size_t s = m_.size();
+  const size_t s = s_;
   if (exp.IsZero()) {
     return BigUint(1).Mod(modulus_);
   }
-  Limbs scratch, tmp;
-  // table[w] = base^w in Montgomery form, w in [0, 16).
-  std::vector<Limbs> table(16);
-  table[0] = one_mont_;
-  Limbs base_limbs = Import(base.Mod(modulus_));
-  MulMontLimbs(base_limbs, r2_, &table[1], &scratch);
-  for (int w = 2; w < 16; ++w) {
-    MulMontLimbs(table[w - 1], table[1], &table[w], &scratch);
+  // One buffer: table[w] = base^w in Montgomery form for w in [0, 16), then the
+  // accumulator, then the product scratch.
+  Limbs work(18 * s + 2);
+  uint64_t* table = work.data();
+  uint64_t* acc = table + 16 * s;
+  uint64_t* t = acc + s;
+  std::copy(one_mont_.begin(), one_mont_.end(), table);
+  Import(base.Mod(modulus_), acc);
+  MulMontLimbs(acc, r2_.data(), table + s, t);
+  for (size_t w = 2; w < 16; ++w) {
+    MulMontLimbs(table + (w - 1) * s, table + s, table + w * s, t);
   }
 
   const std::vector<uint32_t>& e = exp.limbs();
   size_t windows = (exp.BitLength() + 3) / 4;
-  Limbs acc = one_mont_;
+  std::copy(one_mont_.begin(), one_mont_.end(), acc);
   for (size_t wi = windows; wi-- > 0;) {
     if (wi + 1 != windows) {
       for (int sq = 0; sq < 4; ++sq) {
-        MulMontLimbs(acc, acc, &tmp, &scratch);
-        acc.swap(tmp);
+        MulMontLimbs(acc, acc, acc, t);
       }
     }
-    // 32 % 4 == 0, so a window never straddles a limb boundary.
+    // 32 % 4 == 0, so a window never straddles a (32-bit) exponent limb boundary.
     uint32_t w = (e[(wi * 4) / 32] >> ((wi * 4) % 32)) & 0xFu;
     if (w != 0) {
-      MulMontLimbs(acc, table[w], &tmp, &scratch);
-      acc.swap(tmp);
+      MulMontLimbs(acc, table + w * s, acc, t);
     }
   }
-  Limbs one(s, 0);
-  one[0] = 1;
-  MulMontLimbs(acc, one, &tmp, &scratch);
-  BigUint result = Export(tmp);
+  // Leave Montgomery form: multiply by 1, reusing the table's first slot.
+  std::fill(table, table + s, uint64_t{0});
+  table[0] = 1;
+  MulMontLimbs(acc, table, acc, t);
+  BigUint result = Export(acc);
   // The table holds powers of a possibly secret-derived base (and acc/scratch its
   // residue); scrub before the storage returns to the allocator.
-  for (Limbs& entry : table) {
-    SecureWipe(entry.data(), entry.size() * sizeof(uint32_t));
-  }
-  SecureWipe(acc.data(), acc.size() * sizeof(uint32_t));
-  SecureWipe(tmp.data(), tmp.size() * sizeof(uint32_t));
-  SecureWipe(scratch.data(), scratch.size() * sizeof(uint32_t));
+  WipeLimbs(work);
   return result;
 }
 

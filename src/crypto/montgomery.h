@@ -1,6 +1,6 @@
 // Montgomery-form modular arithmetic context for odd moduli: REDC-based
-// multiplication/squaring (CIOS, 32-bit limbs, 64-bit intermediates) and fixed-window
-// (4-bit) modular exponentiation. This is the hot path under Paillier encrypt/decrypt
+// multiplication/squaring (CIOS, 64-bit limbs, unsigned __int128 intermediates) and
+// fixed-window (4-bit) modular exponentiation. This is the hot path under Paillier encrypt/decrypt
 // and Miller-Rabin witnesses: it replaces the schoolbook multiply + Knuth-D divide per
 // modular product with a single fused multiply-reduce pass that never divides.
 //
@@ -8,10 +8,13 @@
 // reference (BigUint::PowModSchoolbook) — the deterministic-aggregation guarantee does
 // not depend on which path computed an exponentiation.
 //
-// A context precomputes everything derived from the modulus (R^2 mod m, -m^-1 mod 2^32)
-// once; contexts are immutable after construction and safe to share across the
-// deterministic parallel layer. Contexts built over secret moduli (the CRT primes'
-// squares in the extended Paillier private key) wipe their limb storage on destruction.
+// A context precomputes everything derived from the modulus (R^2 mod m, R mod m,
+// -m^-1 mod 2^64, with R = 2^(64*s) for an s-limb modulus) once; contexts are immutable
+// after construction and safe to share across the deterministic parallel layer: every
+// call works in its own scratch, so concurrent callers never share mutable state.
+// BigUint keeps 32-bit limbs; operands are joined into 64-bit limbs on the way in and
+// split on the way out. Contexts built over secret moduli (the CRT primes' squares in
+// the extended Paillier private key) wipe their limb storage on destruction.
 #ifndef DETA_CRYPTO_MONTGOMERY_H_
 #define DETA_CRYPTO_MONTGOMERY_H_
 
@@ -34,7 +37,7 @@ class MontgomeryContext {
 
   const BigUint& modulus() const { return modulus_; }
 
-  // Conversions to/from Montgomery form (a*R mod m with R = 2^(32*limbs)).
+  // Conversions to/from Montgomery form (a*R mod m with R = 2^(64*s)).
   BigUint ToMont(const BigUint& a) const;
   BigUint FromMont(const BigUint& a) const;
 
@@ -45,22 +48,26 @@ class MontgomeryContext {
   BigUint MulMod(const BigUint& a, const BigUint& b) const;
 
   // base^exp mod m via fixed 4-bit windows: per window, four Montgomery squarings plus
-  // at most one table multiply. The 16-entry window table is wiped before returning
-  // (decryption exponentiates a table of powers tied to secret-keyed values).
+  // at most one table multiply. One buffer per call holds the 16-entry window table, the
+  // accumulator and the product scratch, so no product allocates; it is wiped before
+  // returning (decryption exponentiates a table of powers tied to secret-keyed values).
   BigUint PowMod(const BigUint& base, const BigUint& exp) const;
 
  private:
-  using Limbs = std::vector<uint32_t>;
+  using Limbs = std::vector<uint64_t>;
 
-  // Fixed-width import: value must be < modulus; pads to limb count.
-  Limbs Import(const BigUint& a) const;
-  BigUint Export(const Limbs& a) const;
-  // CIOS fused multiply-reduce: out = a*b*R^-1 mod m. |out| must not alias a or b.
-  void MulMontLimbs(const Limbs& a, const Limbs& b, Limbs* out, Limbs* scratch) const;
+  // Fixed-width import into s limbs at |out|: value must be < modulus.
+  void Import(const BigUint& a, uint64_t* out) const;
+  BigUint Export(const uint64_t* a) const { return BigUint::FromLimbs64(a, s_); }
+  // CIOS fused multiply-reduce: out = a*b*R^-1 mod m over s-limb operands. |t| is s + 2
+  // limbs of scratch; |out| may alias a or b (it is written after the last read).
+  void MulMontLimbs(const uint64_t* a, const uint64_t* b, uint64_t* out,
+                    uint64_t* t) const;
 
   BigUint modulus_;
+  size_t s_;          // 64-bit limb count
   Limbs m_;           // modulus, fixed width
-  uint32_t inv32_;    // -m^-1 mod 2^32
+  uint64_t inv64_;    // -m^-1 mod 2^64
   Limbs r2_;          // R^2 mod m (Montgomery form of R)
   Limbs one_mont_;    // R mod m (Montgomery form of 1)
 };

@@ -72,23 +72,6 @@ BigUint PaillierPublicKey::AddCiphertexts(const BigUint& c1, const BigUint& c2) 
   return BigUint::MulMod(c1, c2, n_squared);
 }
 
-std::vector<BigUint> PaillierPublicKey::AddCiphertextBatch(
-    const std::vector<BigUint>& c1, const std::vector<BigUint>& c2) const {
-  DETA_CHECK_EQ(c1.size(), c2.size());
-  telemetry::Span span("crypto.paillier.add_batch");
-  DETA_COUNTER("crypto.paillier.add_ops").Add(c1.size());
-  DETA_HISTOGRAM("crypto.paillier.add_batch_size", ::deta::telemetry::Unit::kCount)
-      .Record(static_cast<double>(c1.size()));
-  std::vector<BigUint> out(c1.size());
-  parallel::ParallelFor(0, static_cast<int64_t>(c1.size()), 8, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      size_t k = static_cast<size_t>(i);
-      out[k] = AddCiphertexts(c1[k], c2[k]);
-    }
-  });
-  return out;
-}
-
 BigUint PaillierPublicKey::MulPlain(const BigUint& c, const BigUint& k) const {
   if (mont_n2_ != nullptr) {
     return mont_n2_->PowMod(c, k);

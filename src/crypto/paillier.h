@@ -42,9 +42,6 @@ struct PaillierPublicKey {
   std::vector<BigUint> EncryptBatch(const std::vector<BigUint>& ms, SecureRng& rng) const;
   // Homomorphic addition: Dec(AddCiphertexts(c1, c2)) = Dec(c1) + Dec(c2) mod n.
   BigUint AddCiphertexts(const BigUint& c1, const BigUint& c2) const;
-  // Coordinate-wise AddCiphertexts over two equal-length vectors, in parallel.
-  std::vector<BigUint> AddCiphertextBatch(const std::vector<BigUint>& c1,
-                                          const std::vector<BigUint>& c2) const;
   // Homomorphic scalar multiply: Dec(MulPlain(c, k)) = k * Dec(c) mod n.
   BigUint MulPlain(const BigUint& c, const BigUint& k) const;
 

@@ -4,6 +4,7 @@
 
 #include "common/check.h"
 #include "common/parallel.h"
+#include "common/telemetry.h"
 #include "net/codec.h"
 
 namespace deta::fl {
@@ -41,6 +42,7 @@ std::vector<BigUint> PaillierVectorCodec::Encrypt(const std::vector<float>& valu
 void PaillierVectorCodec::AccumulateInPlace(std::vector<BigUint>& acc,
                                             const std::vector<BigUint>& other) const {
   DETA_CHECK_EQ(acc.size(), other.size());
+  DETA_COUNTER("crypto.paillier.add_ops").Add(acc.size());
   parallel::ParallelFor(0, static_cast<int64_t>(acc.size()), 8, [&](int64_t lo, int64_t hi) {
     for (int64_t i = lo; i < hi; ++i) {
       size_t k = static_cast<size_t>(i);

@@ -442,6 +442,36 @@ TEST(DetaJobFaultTest, DropoutScheduleIsDeterministic) {
   EXPECT_EQ(second.final_params, first.final_params);
 }
 
+// Under a quorum an aggregator sums fewer Paillier fragments than there are parties.
+// Parties must decode and average over the count it summed, as IterativeAveraging does
+// on the plain path; decoding with num_parties offsets every coordinate by a lane.
+TEST(DetaJobFaultTest, PaillierQuorumMatchesPlain) {
+  auto run = [](bool use_paillier) {
+    fl::ExecutionOptions base = BaseOptions();
+    base.use_paillier = use_paillier;
+    base.paillier_modulus_bits = 256;
+    base.fault_plan.seed = 5;
+    net::EdgeFault fault;
+    fault.from = "party2";
+    fault.type_prefix = "round.upload";
+    fault.rates.drop = 1.0;
+    base.fault_plan.overrides.push_back(fault);
+    DetaOptions deta_options;
+    deta_options.num_aggregators = 2;
+    deta_options.quorum = 2;
+    DetaJob deta(base, deta_options, MakePartiesWith(TinyMlpFactory(), 3, base.train),
+                 TinyMlpFactory(), SmallMnist(30, 6));
+    return deta.Run();
+  };
+  fl::JobResult plain = run(false);
+  fl::JobResult paillier = run(true);
+  ASSERT_EQ(plain.status, fl::JobStatus::kOk);
+  ASSERT_EQ(paillier.status, fl::JobStatus::kOk);
+  std::map<int, std::vector<std::string>> expected = {{1, {"party2"}}, {2, {"party2"}}};
+  EXPECT_EQ(paillier.per_round_dropouts, expected);
+  EXPECT_LT(MaxAbsDiff(plain.final_params, paillier.final_params), 1e-4f);
+}
+
 // When no quorum can form, the job ends with a typed error instead of hanging.
 TEST(DetaJobFaultTest, QuorumFailureIsTypedNotAHang) {
   fl::ExecutionOptions base = BaseOptions();

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/check.h"
 #include "crypto/bigint.h"
 #include "crypto/chacha20.h"
@@ -159,6 +161,64 @@ TEST(BigUintTest, GcdLcm) {
   EXPECT_EQ(BigUint::Gcd(BigUint(17), BigUint(5)).ToU64(), 1u);
   EXPECT_EQ(BigUint::Lcm(BigUint(4), BigUint(6)).ToU64(), 12u);
   EXPECT_EQ(BigUint::Gcd(BigUint(0), BigUint(5)).ToU64(), 5u);
+}
+
+// Euclid's algorithm by remainders, the implementation the binary GCD replaced: the
+// oracle BigUint::Gcd is checked against.
+BigUint EuclidGcd(BigUint a, BigUint b) {
+  while (!b.IsZero()) {
+    BigUint r = a.Mod(b);
+    a = b;
+    b = r;
+  }
+  return a;
+}
+
+TEST(BigUintGcdTest, MatchesEuclidOracle) {
+  SecureRng rng(StringToBytes("gcd-oracle"));
+  auto random_bits = [&](size_t max_bits) {
+    return BigUint::RandomBits(rng, 1 + rng.NextBelow(max_bits));
+  };
+  auto check = [](const BigUint& a, const BigUint& b) {
+    BigUint expected = EuclidGcd(a, b);
+    ASSERT_EQ(BigUint::Gcd(a, b), expected) << a.ToHexString() << " " << b.ToHexString();
+    ASSERT_EQ(BigUint::Gcd(b, a), expected) << a.ToHexString() << " " << b.ToHexString();
+  };
+  int pairs = 0;
+  for (int i = 0; i < 3400; ++i) {
+    BigUint a = random_bits(600);
+    BigUint b = random_bits(600);
+    check(a, b);
+    // A shared odd factor, so the result is not 1.
+    BigUint f = random_bits(200);
+    f = f.IsOdd() ? f : f.Add(BigUint(1));
+    check(a.Mul(f), b.Mul(f));
+    // Shared and unshared powers of two on top of the shared odd factor.
+    size_t k = rng.NextBelow(size_t{140});
+    size_t j = rng.NextBelow(size_t{140});
+    check(a.Mul(f).ShiftLeft(k), b.Mul(f).ShiftLeft(j));
+    pairs += 3;
+  }
+  EXPECT_GE(pairs, 10000);
+}
+
+TEST(BigUintGcdTest, EdgeCases) {
+  SecureRng rng(StringToBytes("gcd-edges"));
+  EXPECT_TRUE(BigUint::Gcd(BigUint(0), BigUint(0)).IsZero());
+  for (size_t bits : {size_t{1}, size_t{31}, size_t{64}, size_t{65}, size_t{256}}) {
+    BigUint x = BigUint::RandomBits(rng, bits);
+    EXPECT_EQ(BigUint::Gcd(BigUint(0), x), x) << bits;
+    EXPECT_EQ(BigUint::Gcd(x, BigUint(0)), x) << bits;
+    EXPECT_EQ(BigUint::Gcd(x, x), x) << bits;
+  }
+  for (size_t k : {size_t{0}, size_t{1}, size_t{31}, size_t{32}, size_t{63}, size_t{64},
+                   size_t{65}, size_t{128}, size_t{200}}) {
+    for (size_t j : {size_t{0}, size_t{5}, size_t{63}, size_t{64}, size_t{129}}) {
+      EXPECT_EQ(BigUint::Gcd(BigUint(1).ShiftLeft(k), BigUint(1).ShiftLeft(j)),
+                BigUint(1).ShiftLeft(std::min(k, j)))
+          << k << " " << j;
+    }
+  }
 }
 
 TEST(BigUintTest, MillerRabinKnownPrimes) {

@@ -106,7 +106,7 @@ TEST(MontgomeryDifferentialTest, PowModExponentEdgeCases) {
 }
 
 // Regression for the PowMod dispatch: a non-odd modulus must take the schoolbook
-// fallback (Montgomery needs gcd(m, 2^32) = 1) and still produce correct results.
+// fallback (Montgomery needs gcd(m, 2^64) = 1) and still produce correct results.
 TEST(MontgomeryDifferentialTest, PowModEvenModulusFallback) {
   SecureRng rng(StringToBytes("mont-powmod-even"));
   int cases = 0;
@@ -129,6 +129,69 @@ TEST(MontgomeryDifferentialTest, PowModEvenModulusFallback) {
   // Small fixed vectors, checked against hand-computable values.
   EXPECT_EQ(BigUint::PowMod(BigUint(3), BigUint(4), BigUint(10)).ToU64(), 1u);  // 81 mod 10
   EXPECT_EQ(BigUint::PowMod(BigUint(2), BigUint(10), BigUint(6)).ToU64(), 4u);  // 1024 mod 6
+}
+
+// Moduli at the workload's and the benches' sizes. 288 and 480 bits have an odd number
+// of 32-bit BigUint limbs, so there R = 2^(64*s) is not 2^(32*limbs); 511 bits is the
+// workload's n^2 for a 256-bit n.
+constexpr size_t kWideBitSizes[] = {288, 480, 511, 512, 1024, 2048, 4096};
+
+// MulMod, the Montgomery-form round trips, and PowMod (with a random base and with
+// m - 1) against the schoolbook oracles, plus the m - 1 operand edge.
+void CheckAgainstSchoolbook(const BigUint& m, SecureRng& rng, int products) {
+  MontgomeryContext ctx(m);
+  const size_t bits = m.BitLength();
+  const BigUint m1 = m.Sub(BigUint(1));
+  for (int i = 0; i < products; ++i) {
+    BigUint a = BigUint::RandomBelow(rng, m);
+    BigUint b = BigUint::RandomBelow(rng, m);
+    ASSERT_EQ(ctx.MulMod(a, b), BigUint::MulMod(a, b, m)) << "m=" << m.ToHexString();
+    ASSERT_EQ(ctx.MulMod(a, m1), BigUint::MulMod(a, m1, m)) << "m=" << m.ToHexString();
+    ASSERT_EQ(ctx.FromMont(ctx.MulMont(ctx.ToMont(a), ctx.ToMont(b))),
+              BigUint::MulMod(a, b, m));
+  }
+  ASSERT_EQ(ctx.MulMod(m1, m1), BigUint::MulMod(m1, m1, m)) << "m=" << m.ToHexString();
+  ASSERT_EQ(ctx.FromMont(ctx.ToMont(m1)), m1);
+  ASSERT_EQ(ctx.MulMont(m1, m1), ctx.ToMont(ctx.FromMont(ctx.MulMont(m1, m1))));
+  // Full-width exponents up to 1024 bits; shorter ones keep the oracle fast above that.
+  BigUint exp = BigUint::RandomBits(rng, bits <= 1024 ? bits : 96);
+  BigUint base = BigUint::RandomBits(rng, bits + 9);
+  ASSERT_EQ(ctx.PowMod(base, exp), BigUint::PowModSchoolbook(base, exp, m))
+      << "m=" << m.ToHexString();
+  ASSERT_EQ(ctx.PowMod(m1, exp), BigUint::PowModSchoolbook(m1, exp, m));
+  ASSERT_EQ(ctx.PowMod(base, m1), BigUint::PowModSchoolbook(base, m1, m))
+      << "m=" << m.ToHexString();
+}
+
+TEST(MontgomeryDifferentialTest, WideModuliMatchSchoolbook) {
+  SecureRng rng(StringToBytes("mont-wide"));
+  for (size_t bits : kWideBitSizes) {
+    int reps = bits <= 1024 ? 6 : 2;
+    for (int rep = 0; rep < reps; ++rep) {
+      CheckAgainstSchoolbook(RandomOddModulus(rng, bits), rng, 20);
+      if (HasFatalFailure()) {
+        return;
+      }
+    }
+  }
+}
+
+// The top 64-bit limb all ones maximizes every carry in the CIOS rows and the final
+// subtraction; 2^(64*s) - 1 is the extreme case.
+TEST(MontgomeryDifferentialTest, AllOnesTopLimbMatchesSchoolbook) {
+  SecureRng rng(StringToBytes("mont-all-ones"));
+  for (size_t s : {size_t{1}, size_t{2}, size_t{5}, size_t{8}, size_t{9}, size_t{16}}) {
+    BigUint top = BigUint(~uint64_t{0}).ShiftLeft(64 * (s - 1));
+    BigUint all_ones = BigUint(1).ShiftLeft(64 * s).Sub(BigUint(1));
+    CheckAgainstSchoolbook(all_ones, rng, 10);
+    for (int rep = 0; rep < 3 && s > 1; ++rep) {
+      BigUint low = BigUint::RandomBits(rng, 64 * (s - 1) - rng.NextBelow(8));
+      CheckAgainstSchoolbook(top.Add(low.IsOdd() ? low : low.Add(BigUint(1))), rng, 10);
+    }
+    if (HasFatalFailure()) {
+      return;
+    }
+  }
 }
 
 TEST(MontgomeryContextTest, RejectsEvenOrTrivialModulus) {

@@ -2,7 +2,9 @@
 
 #include "common/check.h"
 #include "common/parallel.h"
+#include "common/telemetry.h"
 #include "crypto/paillier.h"
+#include "crypto/sha256.h"
 #include "fl/paillier_fusion.h"
 #include "net/codec.h"
 #include "persist/paillier_key_codec.h"
@@ -106,6 +108,21 @@ TEST_F(PaillierTest, VectorCodecHomomorphicSumAcrossParties) {
   }
 }
 
+// Every homomorphic add the fusion path performs is counted where it happens, so a
+// run's crypto.paillier ops count covers encrypts, adds and decrypts.
+TEST_F(PaillierTest, AccumulateInPlaceCountsAdds) {
+  fl::PaillierVectorCodec codec(key_.pub, /*max_parties=*/4);
+  std::vector<float> v(20, 0.5f);
+  std::vector<BigUint> acc = codec.Encrypt(v, rng_);
+  std::vector<BigUint> other = codec.Encrypt(v, rng_);
+  const telemetry::TelemetrySnapshot before = telemetry::Snapshot();
+  codec.AccumulateInPlace(acc, other);
+  codec.AccumulateInPlace(acc, other);
+  const telemetry::TelemetrySnapshot delta = telemetry::Delta(before, telemetry::Snapshot());
+  EXPECT_EQ(delta.counters.at("crypto.paillier.add_ops"), 2 * acc.size());
+  EXPECT_EQ(delta.counters.at("crypto.paillier.encrypt_ops"), 0u);
+}
+
 TEST_F(PaillierTest, CiphertextSerializationRoundTrip) {
   fl::PaillierVectorCodec codec(key_.pub, 4);
   std::vector<float> v = {1.0f, 2.0f, -3.0f};
@@ -136,9 +153,11 @@ TEST_F(PaillierTest, PackerRoundTripsExactSums) {
   }
   std::vector<BigUint> acc = PaillierEncryptPacked(key_.pub, packer, vectors[0], rng_);
   for (int a = 1; a < kAddends; ++a) {
-    acc = key_.pub.AddCiphertextBatch(
-        acc, PaillierEncryptPacked(key_.pub, packer, vectors[static_cast<size_t>(a)],
-                                   rng_));
+    std::vector<BigUint> ct =
+        PaillierEncryptPacked(key_.pub, packer, vectors[static_cast<size_t>(a)], rng_);
+    for (size_t i = 0; i < acc.size(); ++i) {
+      acc[i] = key_.pub.AddCiphertexts(acc[i], ct[i]);
+    }
   }
   std::vector<int64_t> sums = PaillierDecryptPackedSum(
       key_.priv, key_.pub, packer, acc, expected.size(), kAddends);
@@ -154,9 +173,11 @@ TEST_F(PaillierTest, PackedMatchesUnpackedCiphertextSums) {
   PaillierPacker packer(key_.pub, /*max_addends=*/4, /*lane_bits=*/24);
   std::vector<int64_t> a = {5, -3, 1000, -1000, 0, 77, -77};
   std::vector<int64_t> b = {-5, 4, -999, 1001, 12, -6, 7};
-  std::vector<BigUint> packed = key_.pub.AddCiphertextBatch(
-      PaillierEncryptPacked(key_.pub, packer, a, rng_),
-      PaillierEncryptPacked(key_.pub, packer, b, rng_));
+  std::vector<BigUint> packed = PaillierEncryptPacked(key_.pub, packer, a, rng_);
+  std::vector<BigUint> packed_b = PaillierEncryptPacked(key_.pub, packer, b, rng_);
+  for (size_t i = 0; i < packed.size(); ++i) {
+    packed[i] = key_.pub.AddCiphertexts(packed[i], packed_b[i]);
+  }
   std::vector<int64_t> packed_sums =
       PaillierDecryptPackedSum(key_.priv, key_.pub, packer, packed, a.size(), 2);
   for (size_t i = 0; i < a.size(); ++i) {
@@ -259,6 +280,40 @@ TEST_F(PaillierTest, KeyCodecRejectsGarbage) {
   v1.WriteBytes(key_.priv.lambda.ExposeForSeal().ToBytes());
   v1.WriteBytes(key_.priv.mu.ExposeForSeal().ToBytes());
   EXPECT_FALSE(persist::ParsePaillierKey(v1.Take()).has_value());
+}
+
+// SHA-256 over three seeded keys of 256, 512 and 1024 bits: per key, n, the wire
+// encoding of one packed encryption, and the decrypted homomorphic sum of 8 encrypted
+// vectors. It covers keygen (Miller-Rabin through PowMod, Lcm through Gcd), encryption
+// and CRT decryption. The digest was computed by the 32-bit-limb Montgomery kernel and
+// the Euclid GCD that the 64-bit kernels replaced; any byte that moves changes it.
+TEST_F(PaillierTest, KnownAnswerDigest) {
+  constexpr int kAddends = 8;
+  Bytes transcript;
+  auto append = [&](const Bytes& b) { transcript.insert(transcript.end(), b.begin(), b.end()); };
+  auto vector_for = [](int party) {
+    std::vector<float> v(24);
+    for (size_t i = 0; i < v.size(); ++i) {
+      v[i] = static_cast<float>(static_cast<int>(i) - 12) * 0.375f + 0.125f * party;
+    }
+    return v;
+  };
+  for (size_t bits : {size_t{256}, size_t{512}, size_t{1024}}) {
+    SecureRng rng(StringToBytes("paillier-known-answer-" + std::to_string(bits)));
+    PaillierKeyPair key = GeneratePaillierKey(rng, bits);
+    fl::PaillierVectorCodec codec(key.pub, kAddends);
+    std::vector<BigUint> acc = codec.Encrypt(vector_for(0), rng);
+    append(key.pub.n.ToBytes());
+    append(fl::SerializeCiphertexts(acc));
+    for (int party = 1; party < kAddends; ++party) {
+      codec.AccumulateInPlace(acc, codec.Encrypt(vector_for(party), rng));
+    }
+    net::Writer sums;
+    sums.WriteFloatVector(codec.DecryptSum(acc, key.priv, 24, kAddends));
+    append(sums.Take());
+  }
+  EXPECT_EQ(ToHex(Sha256Digest(transcript)),
+            "17ab248f4c5575cbf27eecbb5ee4ed9ee65d184a7ade6a721770c0dda5302643");
 }
 
 TEST(PaillierKeyGenTest, DistinctKeysForDistinctSeeds) {
