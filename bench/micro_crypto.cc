@@ -1,6 +1,7 @@
 // Microbenchmarks for the crypto substrate (google-benchmark): the primitives behind
-// attestation (SHA-256/ECDSA), secure channels (ChaCha20/HMAC/AEAD), shuffling (keyed
-// permutation derivation), and Paillier fusion.
+// attestation (SHA-256/ECDSA), secure channels (the 4-block ChaCha20 core, Poly1305 and
+// the RFC 8439 ChaCha20-Poly1305 AEAD), shuffling (keyed permutation derivation on the
+// SecureRng stream), and Paillier fusion.
 #include <benchmark/benchmark.h>
 
 #include "bench_main.h"
@@ -10,6 +11,7 @@
 #include "crypto/aead.h"
 #include "crypto/ecdsa.h"
 #include "crypto/paillier.h"
+#include "crypto/poly1305.h"
 #include "crypto/sha256.h"
 #include "fl/paillier_fusion.h"
 
@@ -38,6 +40,17 @@ void BM_ChaCha20(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
 }
 BENCHMARK(BM_ChaCha20)->Arg(4096)->Arg(1 << 20);
+
+void BM_Poly1305(benchmark::State& state) {
+  SecureRng rng(StringToBytes("bench"));
+  auto key = rng.NextArray<kPoly1305KeySize>();
+  Bytes data(static_cast<size_t>(state.range(0)), 0x55);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Poly1305Mac(key, data));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_Poly1305)->Arg(1 << 18);
 
 void BM_AeadSealOpen(benchmark::State& state) {
   SecureRng rng(StringToBytes("bench"));

@@ -56,6 +56,11 @@ void Cvm::GuestWrite(const std::string& region, const Bytes& plaintext) {
   encrypted_memory_[region] = EncryptRegion(region, plaintext);
 }
 
+void Cvm::GuestErase(const std::string& region) {
+  DETA_CHECK_MSG(state_ == State::kRunning, "guest erase on non-running CVM");
+  encrypted_memory_.erase(region);
+}
+
 std::optional<Bytes> Cvm::GuestRead(const std::string& region) const {
   if (state_ != State::kRunning) {
     return std::nullopt;

@@ -9,9 +9,11 @@
 //     VM encryption keys (VEKs), measured CVM launch, attestation report generation,
 //     launch-secret injection into encrypted guest memory, CVM resume.
 //   * Cvm — a confidential VM: image measurement (SHA-256 standing in for the OVMF launch
-//     digest), memory regions encrypted under the VEK, and explicit adversary views:
-//     HypervisorRead() (what a rogue host admin sees — ciphertext) and Breach() (what a
-//     successful SEV exploit yields — plaintext; drives the §6 worst-case analysis).
+//     digest), memory regions encrypted under the VEK (ChaCha20 on the shared keystream
+//     core), and explicit adversary views: HypervisorRead() (what a rogue host admin
+//     sees — ciphertext) and Breach() (what a successful SEV exploit yields — plaintext;
+//     drives the §6 worst-case analysis). An aggregator's CVM keeps only the latest
+//     round's fragments and result: writing round N's result erases round N-1's.
 #ifndef DETA_CC_SEV_H_
 #define DETA_CC_SEV_H_
 
@@ -64,6 +66,10 @@ class Cvm {
   // In-guest accesses (only valid while running).
   void GuestWrite(const std::string& region, const Bytes& plaintext);
   std::optional<Bytes> GuestRead(const std::string& region) const;
+  // Frees a region (a no-op when it does not exist). Aggregators free the previous
+  // round's regions as they write a new result, so guest memory holds only the latest
+  // round and does not grow with the round count.
+  void GuestErase(const std::string& region);
 
   // Host-adversary view: raw encrypted bytes (what SEV protects against).
   std::optional<Bytes> HypervisorRead(const std::string& region) const;

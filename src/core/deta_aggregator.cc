@@ -287,6 +287,12 @@ void DetaAggregator::Aggregate(int round) {
   result_round_ = round;
   result_plain_ = result_payload;
   cvm_->GuestWrite("aggregated:r" + std::to_string(round), result_payload);
+  // Guest memory keeps only the latest round: free the previous round's regions.
+  std::string previous = ":r" + std::to_string(round - 1);
+  cvm_->GuestErase("aggregated" + previous);
+  for (const std::string& party : config_.party_names) {
+    cvm_->GuestErase("update:" + party + previous);
+  }
   // Crash consistency: the snapshot lands on disk *before* any party or peer can
   // observe this round as complete (result distribution / round.done below). A crash
   // at any later point revives into a state that can re-serve this round's result.
@@ -338,6 +344,7 @@ void DetaAggregator::ResendResult(const std::string& party) {
   }
   LOG_DEBUG << config_.name << ": re-serving round " << result_round_ << " result to "
             << party;
+  DETA_COUNTER("core.deta_agg.results_reserved").Increment();
   net::Writer w;
   w.WriteU32(static_cast<uint32_t>(result_round_));
   w.WriteBytes(channel->second.Seal(result_plain_, rng_));

@@ -395,6 +395,9 @@ void DetaParty::RunRound(int round) {
         continue;
       }
       const std::string& agg = config_.aggregator_names[j];
+      if (attempt > 0) {
+        DETA_COUNTER("core.deta_party.upload_resends").Increment();
+      }
       net::Writer w;
       w.WriteU32(static_cast<uint32_t>(round));
       w.WriteBytes(channels_.at(agg).Seal(payloads[j], rng_));

@@ -1,41 +1,66 @@
-// Authenticated encryption: ChaCha20 + HMAC-SHA256 encrypt-then-MAC with HKDF key
-// separation. Real DeTA deployments use TLS for party<->aggregator channels (§4.3); this
-// construction provides the same confidentiality+integrity guarantee for the in-process
-// simulation without an external TLS stack.
+// Authenticated encryption: RFC 8439 ChaCha20-Poly1305, the ChaCha20 suite of TLS 1.3.
+// Real DeTA deployments use TLS for party<->aggregator channels (§4.3); this is the same
+// record cipher, keyed from the channel's master secret instead of a TLS handshake.
 //
-// Frame layout: nonce(12) || ciphertext || tag(32). The tag covers nonce, associated data
-// length, associated data, and ciphertext.
+// Construction (RFC 8439 §2.8): the Poly1305 one-time key is the first 32 bytes of
+// ChaCha20 keystream block 0; encryption starts at block 1; the tag covers
+// AD || pad16 || ciphertext || pad16 || le64(|AD|) || le64(|ciphertext|).
+//
+// Frame layout: [caller headroom] || nonce(12) || ciphertext || tag(16). Aead::Seal
+// allocates the frame once, copies the plaintext in, encrypts it in place and writes the
+// tag behind it; Aead::Open checks the tag over the ciphertext where it lies before
+// decrypting anything.
 #ifndef DETA_CRYPTO_AEAD_H_
 #define DETA_CRYPTO_AEAD_H_
 
 #include <optional>
+#include <span>
 
 #include "common/bytes.h"
 #include "common/secret.h"
 #include "crypto/chacha20.h"
+#include "crypto/poly1305.h"
 #include "crypto/secure_wipe.h"
 
 namespace deta::crypto {
 
+inline constexpr size_t kAeadTagSize = kPoly1305TagSize;
+// Bytes a frame adds to its plaintext: nonce and tag.
+inline constexpr size_t kAeadOverhead = kChaChaNonceSize + kAeadTagSize;
+
+// AEAD_CHACHA20_POLY1305 on raw spans. Encrypts |data| in place and writes its tag.
+void ChaCha20Poly1305Seal(const std::array<uint8_t, kChaChaKeySize>& key,
+                          const std::array<uint8_t, kChaChaNonceSize>& nonce,
+                          std::span<const uint8_t> associated_data, std::span<uint8_t> data,
+                          std::span<uint8_t, kAeadTagSize> tag);
+
+// Checks |tag| over |ciphertext| in constant time and only then decrypts it; nullopt on
+// a mismatch.
+std::optional<Bytes> ChaCha20Poly1305Open(const std::array<uint8_t, kChaChaKeySize>& key,
+                                          const std::array<uint8_t, kChaChaNonceSize>& nonce,
+                                          std::span<const uint8_t> associated_data,
+                                          std::span<const uint8_t> ciphertext,
+                                          std::span<const uint8_t, kAeadTagSize> tag);
+
 class Aead {
  public:
-  // |master_key| is expanded via HKDF into independent encryption and MAC keys.
+  // |master_key| is expanded via HKDF into the ChaCha20-Poly1305 key, a Secret member
+  // that wipes itself on destruction.
   explicit Aead(const Bytes& master_key);
 
-  // Both derived keys are Secret members, wiped automatically on destruction.
+  // Encrypts and authenticates under a nonce drawn from |rng|. The frame starts with
+  // |headroom| zero bytes the caller may fill (SecureChannel writes its sequence number
+  // there), so a framed message is built in one buffer.
+  Bytes Seal(std::span<const uint8_t> plaintext, std::span<const uint8_t> associated_data,
+             SecureRng& rng, size_t headroom = 0) const;
 
-  // Encrypts and authenticates. The nonce is drawn from |rng| and prepended to the frame.
-  Bytes Seal(const Bytes& plaintext, const Bytes& associated_data, SecureRng& rng) const;
-
-  // Verifies and decrypts; nullopt on any authentication failure.
-  std::optional<Bytes> Open(const Bytes& frame, const Bytes& associated_data) const;
+  // Verifies and decrypts a frame (without headroom); nullopt on any authentication
+  // failure.
+  std::optional<Bytes> Open(std::span<const uint8_t> frame,
+                            std::span<const uint8_t> associated_data) const;
 
  private:
-  Bytes MacInput(const Bytes& nonce, const Bytes& associated_data,
-                 const Bytes& ciphertext) const;
-
-  Secret<std::array<uint8_t, kChaChaKeySize>> enc_key_;  // deta-lint: secret
-  Secret<Bytes> mac_key_;                                // deta-lint: secret
+  Secret<std::array<uint8_t, kChaChaKeySize>> key_;
 };
 
 }  // namespace deta::crypto

@@ -1,7 +1,13 @@
 // ChaCha20 stream cipher (RFC 8439) plus a deterministic CSPRNG built on the keystream.
 //
+// One keystream core serves every consumer. It makes 4 consecutive 64-byte blocks per
+// call, one block per lane of a 4 x uint32 GCC/Clang vector type, so x86-64's SSE2
+// baseline (or any other target) runs the 4 blocks side by side with no intrinsics.
+//
 // Uses in this repo:
-//   * SecureChannel payload encryption (encrypt-then-MAC with HMAC-SHA256),
+//   * ChaCha20-Poly1305 (crypto/aead.h): SecureChannel frames, sealed snapshot sections
+//     and SEV launch secrets,
+//   * CVM guest-memory encryption (cc/sev.h),
 //   * CSPRNG for key generation, nonces, attestation challenges,
 //   * the keyed permutation generator behind parameter shuffling (crypto-strength
 //     permutations are exactly the security knob §4.2 analyzes).
@@ -10,6 +16,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 
 #include "common/bytes.h"
 #include "common/secret.h"
@@ -19,9 +26,23 @@ namespace deta::crypto {
 
 inline constexpr size_t kChaChaKeySize = 32;
 inline constexpr size_t kChaChaNonceSize = 12;
+inline constexpr size_t kChaChaBlockSize = 64;
+// The core's output per call: 4 consecutive blocks.
+inline constexpr size_t kChaChaBatchSize = 4 * kChaChaBlockSize;
 
-// XORs |data| with the ChaCha20 keystream for (key, nonce) starting at block |counter|.
+// Writes the keystream blocks for counters |counter| .. |counter| + 3 to |out|. The
+// 32-bit counter wraps modulo 2^32 without touching the nonce.
+void ChaCha20Blocks(const std::array<uint8_t, kChaChaKeySize>& key,
+                    const std::array<uint8_t, kChaChaNonceSize>& nonce, uint32_t counter,
+                    std::span<uint8_t, kChaChaBatchSize> out);
+
+// XORs |data| in place with the keystream for (key, nonce) starting at block |counter|.
 // Encryption and decryption are the same operation.
+void ChaCha20XorInPlace(const std::array<uint8_t, kChaChaKeySize>& key,
+                        const std::array<uint8_t, kChaChaNonceSize>& nonce,
+                        uint32_t counter, std::span<uint8_t> data);
+
+// Out-of-place form of ChaCha20XorInPlace.
 Bytes ChaCha20Xor(const std::array<uint8_t, kChaChaKeySize>& key,
                   const std::array<uint8_t, kChaChaNonceSize>& nonce, uint32_t counter,
                   const Bytes& data);
@@ -52,9 +73,7 @@ class SecureRng {
   template <size_t N>
   std::array<uint8_t, N> NextArray() {
     std::array<uint8_t, N> out;
-    for (auto& b : out) {
-      b = NextByte();
-    }
+    Fill(out);
     return out;
   }
 
@@ -66,14 +85,18 @@ class SecureRng {
   bool RestoreState(const Bytes& data);
 
  private:
+  // Refills the buffer with the next 4 blocks (1 block when 4 would straddle the nonce
+  // rollover), so the stream is the same as one block at a time.
   void Refill();
+  void Fill(std::span<uint8_t> out);
 
   Secret<std::array<uint8_t, kChaChaKeySize>> key_;  // deta-lint: secret
   std::array<uint8_t, kChaChaNonceSize> nonce_{};
-  uint32_t counter_ = 0;
+  uint32_t counter_ = 0;  // next block to generate
   // deta-lint: secret — unconsumed keystream predicts future outputs
-  Secret<Bytes> block_;
-  size_t pos_ = 0;
+  Secret<std::array<uint8_t, kChaChaBatchSize>> block_;
+  size_t len_ = 0;  // valid bytes in block_
+  size_t pos_ = 0;  // consumed bytes in block_
 };
 
 }  // namespace deta::crypto

@@ -1,6 +1,7 @@
-// HMAC-SHA256 (RFC 2104) and HKDF (RFC 5869). HMAC authenticates secure-channel frames
-// (encrypt-then-MAC); HKDF derives independent encryption/MAC keys from an ECDH shared
-// secret and derives per-round permutation seeds from the permutation key.
+// HMAC-SHA256 (RFC 2104) and HKDF (RFC 5869). HKDF derives AEAD keys from ECDH shared
+// secrets and snapshot seal keys; HMAC keys ECDSA's deterministic nonces and derives the
+// per-round shuffle seeds from the permutation key. Frames are authenticated by Poly1305
+// (crypto/aead.h), not by HMAC.
 #ifndef DETA_CRYPTO_HMAC_H_
 #define DETA_CRYPTO_HMAC_H_
 

@@ -63,10 +63,10 @@ Bytes SecureChannel::AssociatedData(ChannelRole sender, uint64_t seq) const {
 Bytes SecureChannel::Seal(const Bytes& plaintext, crypto::SecureRng& rng) {
   DETA_COUNTER("net.channel.seal").Increment();
   uint64_t seq = ++send_seq_;
-  Bytes frame;
-  AppendU64(frame, seq);
-  Bytes sealed = aead_.Seal(plaintext, AssociatedData(role_, seq), rng);
-  frame.insert(frame.end(), sealed.begin(), sealed.end());
+  Bytes frame = aead_.Seal(plaintext, AssociatedData(role_, seq), rng, sizeof(uint64_t));
+  for (size_t i = 0; i < sizeof(uint64_t); ++i) {
+    frame[i] = static_cast<uint8_t>(seq >> (8 * i));
+  }
   return frame;
 }
 
@@ -80,9 +80,9 @@ std::optional<Bytes> SecureChannel::Open(const Bytes& frame) {
     DETA_COUNTER("net.channel.open_rejected").Increment();
     return std::nullopt;  // replayed or superseded frame
   }
-  Bytes sealed(frame.begin() + sizeof(uint64_t), frame.end());
   ChannelRole sender =
       role_ == ChannelRole::kInitiator ? ChannelRole::kResponder : ChannelRole::kInitiator;
+  auto sealed = std::span<const uint8_t>(frame).subspan(sizeof(uint64_t));
   std::optional<Bytes> plaintext = aead_.Open(sealed, AssociatedData(sender, seq));
   if (plaintext.has_value()) {
     last_accepted_ = seq;  // only authenticated frames advance the window

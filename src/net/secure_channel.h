@@ -4,10 +4,13 @@
 // protocol (src/core/auth_protocol.h); this class is the record layer — the stand-in for
 // TLS in the paper's deployment.
 //
-// Frame layout: seq(8, LE) || aead_frame. The AEAD associated data is
-// channel_id || direction || seq, where the direction label depends on the sender's role,
-// so a frame can neither be replayed on another channel, nor reflected back to its
-// sender, nor replayed on the same channel (Open rejects non-monotonic sequences).
+// Frame layout: seq(8, LE) || nonce(12) || ciphertext || tag(16), one buffer: Seal has
+// the AEAD leave 8 bytes of headroom for seq, and Open hands the AEAD the span past seq,
+// so neither side copies the sealed body. The AEAD (ChaCha20-Poly1305, crypto/aead.h)
+// associated data is channel_id || direction || seq, where the direction label depends
+// on the sender's role, so a frame can neither be replayed on another channel, nor
+// reflected back to its sender, nor replayed on the same channel (Open rejects
+// non-monotonic sequences).
 #ifndef DETA_NET_SECURE_CHANNEL_H_
 #define DETA_NET_SECURE_CHANNEL_H_
 

@@ -10,10 +10,12 @@ namespace deta::persist {
 
 namespace {
 constexpr char kMagic[] = "DETA-SNAP";
-constexpr uint32_t kVersion = 1;
+// v2: sealed sections are ChaCha20-Poly1305 frames. A v1 snapshot (ChaCha20 +
+// HMAC-SHA256 sections) is rejected as an unknown version, not as tampering.
+constexpr uint32_t kVersion = 2;
 // Associated data binding sealed sections to this codec version; a sealed blob lifted
 // into a different context fails authentication.
-constexpr char kSealContext[] = "deta-persist-section-v1";
+constexpr char kSealContext[] = "deta-persist-section-v2";
 }  // namespace
 
 const char* SectionTypeName(SectionType type) {

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <set>
 
+#include "cc/attestation_proxy.h"
 #include "core/deta_job.h"
 
 namespace deta::core {
@@ -229,6 +230,46 @@ TEST(DetaJobTest, BreachedAggregatorsHoldOnlyFragments) {
   }
 }
 
+// Guest memory keeps only the latest round: after a 3-round job every aggregator CVM
+// holds round-3 regions besides its auth token, and the bytes it retains do not grow
+// with the round count.
+TEST(DetaJobTest, AggregatorCvmsKeepOnlyTheLatestRound) {
+  auto run = [](int rounds) {
+    fl::ExecutionOptions base = BaseOptions();
+    base.rounds = rounds;
+    DetaOptions deta_options;
+    deta_options.num_aggregators = 3;
+    auto job = std::make_unique<DetaJob>(base, deta_options,
+                                         MakePartiesWith(TinyMlpFactory(), 2, base.train),
+                                         TinyMlpFactory(), SmallMnist(30, 6));
+    EXPECT_TRUE(job->Run().ok());
+    return job;
+  };
+  auto retained_bytes = [](const DetaJob& job) {
+    size_t bytes = 0;
+    for (const auto& cvm : job.aggregator_cvms()) {
+      for (const auto& [region, plaintext] : cvm->Breach()) {
+        bytes += plaintext.size();
+      }
+    }
+    return bytes;
+  };
+
+  std::unique_ptr<DetaJob> three = run(3);
+  for (const auto& cvm : three->aggregator_cvms()) {
+    auto dump = cvm->Breach();
+    EXPECT_TRUE(dump.count("aggregated:r3"));
+    EXPECT_TRUE(dump.count("update:party0:r3"));
+    EXPECT_TRUE(dump.count("update:party1:r3"));
+    for (const auto& [region, plaintext] : dump) {
+      if (region != cc::kTokenRegion) {
+        EXPECT_TRUE(region.ends_with(":r3")) << cvm->id() << " still holds " << region;
+      }
+    }
+  }
+  EXPECT_EQ(retained_bytes(*run(2)), retained_bytes(*run(4)));
+}
+
 TEST(DetaJobTest, SingleAggregatorNoTransformModeWorks) {
   // §4.2: users can run one CVM-protected aggregator with partitioning/shuffling off
   // (e.g. for FLTrust-style algorithms needing the full model).
@@ -411,6 +452,42 @@ TEST(DetaJobFaultTest, FivePercentDropConvergesBitExact) {
   for (size_t i = 0; i < result.rounds.size(); ++i) {
     EXPECT_DOUBLE_EQ(result.rounds[i].loss, clean_result.rounds[i].loss) << "round " << i;
   }
+}
+
+// A lost round result makes the party re-send its upload and the aggregator re-serve
+// its cached result. Both are counted, and the recovered job is bit-identical.
+TEST(DetaJobFaultTest, LostResultIsReservedAndCounted) {
+  fl::ExecutionOptions base = BaseOptions();
+  DetaOptions deta_options;
+  deta_options.num_aggregators = 3;
+  DetaJob clean(base, deta_options, MakePartiesWith(TinyMlpFactory(), 3, base.train),
+                TinyMlpFactory(), SmallMnist(30, 6));
+  fl::JobResult clean_result = clean.Run();
+  ASSERT_EQ(clean_result.status, fl::JobStatus::kOk);
+
+  fl::ExecutionOptions faulty = base;
+  faulty.fault_plan.seed = 3;
+  net::EdgeFault lost_result;
+  lost_result.from = "aggregator1";
+  lost_result.to = "party0";
+  lost_result.type_prefix = kRoundResult;
+  lost_result.rates.drop = 1.0;
+  lost_result.max_faults = 1;
+  faulty.fault_plan.overrides = {lost_result};
+  DetaJob deta(faulty, deta_options, MakePartiesWith(TinyMlpFactory(), 3, faulty.train),
+               TinyMlpFactory(), SmallMnist(30, 6));
+  fl::JobResult result = deta.Run();
+  ASSERT_EQ(result.status, fl::JobStatus::kOk);
+
+  auto counter = [&](const std::string& name) {
+    auto it = result.telemetry.counters.find(name);
+    return it == result.telemetry.counters.end() ? uint64_t{0} : it->second;
+  };
+  EXPECT_GE(counter("net.bus.fault_dropped.round"), 1u);
+  EXPECT_GE(counter("core.deta_party.upload_resends"), 1u);
+  EXPECT_GE(counter("core.deta_agg.results_reserved"), 1u);
+  EXPECT_TRUE(result.per_round_dropouts.empty());
+  EXPECT_EQ(result.final_params, clean_result.final_params);
 }
 
 // A party whose uploads never arrive is skipped per round — recorded, not fatal — and

@@ -1,7 +1,13 @@
 // SHA-256 / HMAC / HKDF / ChaCha20 against published test vectors (FIPS 180-4 examples,
-// RFC 4231, RFC 5869, RFC 8439).
+// RFC 4231, RFC 5869, RFC 8439), the 4-block ChaCha20 core against the scalar block
+// function it replaced, and SecureRng's stream against a digest pinned before that change.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
+#include "common/rng.h"
+#include "core/shuffler.h"
 #include "crypto/chacha20.h"
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
@@ -127,6 +133,100 @@ TEST(ChaCha20Test, Rfc8439Example) {
   EXPECT_EQ(ChaCha20Xor(key, nonce, 1, ciphertext), plaintext);
 }
 
+// The scalar one-block-at-a-time ChaCha20 the 4-block core replaced, kept as an oracle.
+void OracleBlock(const std::array<uint8_t, kChaChaKeySize>& key,
+                 const std::array<uint8_t, kChaChaNonceSize>& nonce, uint32_t counter,
+                 uint8_t out[64]) {
+  auto rotl = [](uint32_t x, int n) { return (x << n) | (x >> (32 - n)); };
+  auto quarter_round = [&](uint32_t& a, uint32_t& b, uint32_t& c, uint32_t& d) {
+    a += b;
+    d = rotl(d ^ a, 16);
+    c += d;
+    b = rotl(b ^ c, 12);
+    a += b;
+    d = rotl(d ^ a, 8);
+    c += d;
+    b = rotl(b ^ c, 7);
+  };
+  auto load = [](const uint8_t* p) {
+    return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+           (static_cast<uint32_t>(p[2]) << 16) | (static_cast<uint32_t>(p[3]) << 24);
+  };
+  uint32_t state[16] = {0x61707865, 0x3320646e, 0x79622d32, 0x6b206574};
+  for (int i = 0; i < 8; ++i) {
+    state[4 + i] = load(key.data() + 4 * i);
+  }
+  state[12] = counter;
+  for (int i = 0; i < 3; ++i) {
+    state[13 + i] = load(nonce.data() + 4 * i);
+  }
+  uint32_t w[16];
+  std::copy(state, state + 16, w);
+  for (int round = 0; round < 10; ++round) {
+    quarter_round(w[0], w[4], w[8], w[12]);
+    quarter_round(w[1], w[5], w[9], w[13]);
+    quarter_round(w[2], w[6], w[10], w[14]);
+    quarter_round(w[3], w[7], w[11], w[15]);
+    quarter_round(w[0], w[5], w[10], w[15]);
+    quarter_round(w[1], w[6], w[11], w[12]);
+    quarter_round(w[2], w[7], w[8], w[13]);
+    quarter_round(w[3], w[4], w[9], w[14]);
+  }
+  for (int i = 0; i < 16; ++i) {
+    uint32_t v = w[i] + state[i];
+    for (int b = 0; b < 4; ++b) {
+      out[4 * i + b] = static_cast<uint8_t>(v >> (8 * b));
+    }
+  }
+}
+
+Bytes OracleXor(const std::array<uint8_t, kChaChaKeySize>& key,
+                const std::array<uint8_t, kChaChaNonceSize>& nonce, uint32_t counter,
+                const Bytes& data) {
+  Bytes out(data.size());
+  uint8_t block[64];
+  for (size_t offset = 0; offset < data.size(); offset += 64) {
+    OracleBlock(key, nonce, counter++, block);  // wraps mod 2^32, nonce untouched
+    for (size_t i = 0; i < 64 && offset + i < data.size(); ++i) {
+      out[offset + i] = static_cast<uint8_t>(data[offset + i] ^ block[i]);
+    }
+  }
+  return out;
+}
+
+TEST(ChaCha20Test, CoreMatchesScalarOracleAtEveryLength) {
+  SecureRng rng(StringToBytes("oracle"));
+  auto key = rng.NextArray<kChaChaKeySize>();
+  auto nonce = rng.NextArray<kChaChaNonceSize>();
+  Bytes data = rng.NextBytes(1100);
+  for (size_t n = 0; n <= data.size(); ++n) {
+    Bytes prefix(data.begin(), data.begin() + static_cast<long>(n));
+    Bytes expected = OracleXor(key, nonce, 7, prefix);
+    ASSERT_EQ(ChaCha20Xor(key, nonce, 7, prefix), expected) << "length " << n;
+    ChaCha20XorInPlace(key, nonce, 7, prefix);
+    ASSERT_EQ(prefix, expected) << "in place, length " << n;
+  }
+}
+
+TEST(ChaCha20Test, CounterWrapsWithoutTouchingTheNonce) {
+  SecureRng rng(StringToBytes("wrap"));
+  auto key = rng.NextArray<kChaChaKeySize>();
+  auto nonce = rng.NextArray<kChaChaNonceSize>();
+  Bytes data = rng.NextBytes(1100);
+  for (uint32_t counter = 0xfffffffb; counter != 0; ++counter) {
+    EXPECT_EQ(ChaCha20Xor(key, nonce, counter, data), OracleXor(key, nonce, counter, data))
+        << "counter " << counter;
+    std::array<uint8_t, kChaChaBatchSize> blocks;
+    ChaCha20Blocks(key, nonce, counter, blocks);
+    for (uint32_t j = 0; j < 4; ++j) {
+      uint8_t expected[64];
+      OracleBlock(key, nonce, counter + j, expected);
+      EXPECT_EQ(0, std::memcmp(blocks.data() + 64 * j, expected, 64))
+          << "counter " << counter << " lane " << j;
+    }
+  }
+}
+
 TEST(SecureRngTest, DeterministicFromSeed) {
   SecureRng a(StringToBytes("seed"));
   SecureRng b(StringToBytes("seed"));
@@ -153,6 +253,106 @@ TEST(SecureRngTest, ByteDistributionRoughlyUniform) {
     EXPECT_GT(c, 16);   // expectation 64; crude sanity bound
     EXPECT_LT(c, 160);
   }
+}
+
+void HashU64(Sha256& h, uint64_t v) {
+  Bytes le;
+  AppendU64(le, v);
+  h.Update(le);
+}
+
+// 3,000 mixed draws from |rng|, steered by |picker|, with SerializeState -> RestoreState
+// hops into a fresh generator at random points of the stream.
+void HashMixedDraws(Sha256& h, SecureRng& rng, Rng& picker) {
+  for (int call = 0; call < 3000; ++call) {
+    switch (picker.NextBelow(7)) {
+      case 0:
+        HashU64(h, rng.NextByte());
+        break;
+      case 1:
+        HashU64(h, rng.NextU32());
+        break;
+      case 2:
+        HashU64(h, rng.NextU64());
+        break;
+      case 3: {
+        // Bounds of every magnitude; those just above 2^63 reject about half the draws.
+        uint64_t bound = picker.NextU64() >> picker.NextBelow(64);
+        HashU64(h, rng.NextBelow(bound == 0 ? 1 : bound));
+        break;
+      }
+      case 4:
+        h.Update(rng.NextBytes(static_cast<size_t>(picker.NextBelow(300))));
+        break;
+      case 5: {
+        auto nonce = rng.NextArray<kChaChaNonceSize>();
+        h.Update(nonce.data(), nonce.size());
+        break;
+      }
+      default: {
+        SecureRng restored(StringToBytes("unrelated seed"));
+        ASSERT_TRUE(restored.RestoreState(rng.SerializeState()));
+        rng = restored;
+        break;
+      }
+    }
+  }
+}
+
+// A generator state at block |counter| under |nonce|, holding |block| unconsumed from
+// |pos|, in SerializeState's layout.
+Bytes CraftedState(const std::array<uint8_t, kChaChaNonceSize>& nonce, uint32_t counter,
+                   const Bytes& block, uint64_t pos) {
+  Bytes state;
+  for (size_t i = 0; i < kChaChaKeySize; ++i) {
+    state.push_back(static_cast<uint8_t>(7 * i + 1));
+  }
+  state.insert(state.end(), nonce.begin(), nonce.end());
+  AppendU32(state, counter);
+  AppendU64(state, pos);
+  AppendU64(state, block.size());
+  state.insert(state.end(), block.begin(), block.end());
+  return state;
+}
+
+// Pinned at the byte-at-a-time generator: the stream (across state hops and the nonce
+// rollover after 2^32 blocks) and the shuffle permutations drawn from it must not move a
+// bit, because keys, nonces and permutations in every job come from it.
+TEST(SecureRngTest, KnownAnswerDigest) {
+  Sha256 h;
+  for (uint64_t seed = 0; seed < 20; ++seed) {
+    SecureRng rng(StringToBytes("kat-seed-" + std::to_string(seed)));
+    Rng picker(seed);
+    HashMixedDraws(h, rng, picker);
+  }
+
+  Bytes partial_block(64);
+  for (size_t i = 0; i < partial_block.size(); ++i) {
+    partial_block[i] = static_cast<uint8_t>(0xa0 ^ i);
+  }
+  const std::array<uint8_t, kChaChaNonceSize> carry_nonce = {0xff, 0xff, 0x00, 0x01, 0x02,
+                                                             0x03, 0x04, 0x05, 0x06, 0x07,
+                                                             0x08, 0x09};
+  std::array<uint8_t, kChaChaNonceSize> all_ones_nonce;
+  all_ones_nonce.fill(0xff);
+  for (const Bytes& state : {CraftedState(carry_nonce, 0xfffffffe, {}, 0),
+                             CraftedState(all_ones_nonce, 0xfffffffd, partial_block, 10)}) {
+    SecureRng rng(StringToBytes("unrelated seed"));
+    ASSERT_TRUE(rng.RestoreState(state));
+    Rng picker(99);
+    HashMixedDraws(h, rng, picker);
+  }
+
+  core::Shuffler shuffler(StringToBytes("kat-permutation-key"));
+  for (auto [round, partition, size] :
+       {std::tuple<uint64_t, int, int64_t>{1, 0, 1}, {3, 1, 1000}, {77, 2, 100003}}) {
+    for (int64_t index : shuffler.PermutationFor(round, partition, size)) {
+      HashU64(h, static_cast<uint64_t>(index));
+    }
+  }
+  auto digest = h.Finish();
+  EXPECT_EQ(ToHex(Bytes(digest.begin(), digest.end())),
+            "1943405a2e18bcca3d862044aa2a3567df66543eedaa92bdb5970dacf2f5307e");
 }
 
 }  // namespace
