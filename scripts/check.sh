@@ -18,8 +18,7 @@
 #                     build, thread-safety negative-compile gate, clang-tidy
 #                     (build-static/). The clang legs SKIP with a message when
 #                     clang/clang-tidy are not installed (the python legs always
-#                     run); CI installs both plus python3-clang so the taint pass
-#                     also runs on the real libclang AST.
+#                     run); CI installs both.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -88,8 +87,8 @@ run_static() {
   echo "==> static: deta_taintcheck fixture selftest"
   "${python}" scripts/deta_taintcheck.py --selftest
 
-  echo "==> static: deta_taintcheck over the tree (internal frontend)"
-  "${python}" scripts/deta_taintcheck.py --frontend internal --report taint-report.json
+  echo "==> static: deta_taintcheck over the tree"
+  "${python}" scripts/deta_taintcheck.py --report taint-report.json
 
   echo "==> static: Secret<T> negative-compile gate"
   local rc=0
@@ -113,17 +112,6 @@ run_static() {
 
   echo "==> static: thread-safety negative-compile gate"
   scripts/thread_safety_negcompile.sh "${repo_root}"
-
-  # The taint pass again, this time on the real AST: python3-clang resolves calls and
-  # arguments precisely where the internal frontend approximates. Optional because the
-  # binding is an apt package, not a wheel — SKIP keeps minimal containers green.
-  if "${python}" -c 'import clang.cindex' >/dev/null 2>&1; then
-    echo "==> static: deta_taintcheck over the tree (libclang frontend)"
-    "${python}" scripts/deta_taintcheck.py --frontend libclang \
-      --compile-commands build-static/compile_commands.json --report taint-report.json
-  else
-    echo "==> static: SKIP libclang taint pass (python3-clang not installed)"
-  fi
 
   if ! command -v clang-tidy >/dev/null 2>&1; then
     echo "==> static: SKIP clang-tidy (not installed)"

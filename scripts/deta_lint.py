@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """deta_lint: repo-specific static checks for the DeTA invariants.
 
-Three passes over src/ (and, where noted, tests/):
+Line-by-line token checks over src/ (and, where noted, tests/):
 
 Determinism
   DL-D1  nondeterminism sources (std::random_device, rand(, srand(, time(,
@@ -19,24 +19,6 @@ Determinism
          (common/parallel.*). Raw primitives are invisible to clang's
          -Wthread-safety analysis, so locking through them is unchecked.
 
-Secret hygiene (taint from `// deta-lint: secret` tags on declarations)
-  DL-S1  tagged secret referenced in a DETA_LOG / LOG_* statement.
-  DL-S2  class owning a tagged secret member has no destructor that wipes it
-         (crypto::SecureWipe / .Wipe()), unless every secret member's type wipes
-         itself (Secret<T>, Aead, SecureRng, SecureChannel).
-  DL-S3  tagged secret referenced in a telemetry registration/label expression.
-  DL-S4  tagged secret reaching a snapshot section Add() without Seal() in the
-         same statement (plaintext state on disk). A statement-ordered alias
-         pre-pass extends this one hop: `auto blob = <secret-expr>;` taints
-         `blob`, so the Add() no longer needs to name the secret directly.
-
-Scope note: these are fast regex/statement checks — a pre-pass. They see one
-file at a time and (for DL-S4) one level of local aliasing. Flows that span
-functions or translation units (a getter returning key material that a caller
-logs, a helper that serializes a secret for a plaintext send) are the job of
-the interprocedural taint checker, scripts/deta_taintcheck.py, which runs in
-the same `check.sh --preset static` gate.
-
 Protocol liveness
   DL-L1  unbounded blocking wait: mailbox receives with no deadline (.Receive() /
          .ReceiveType( / .Pop()) outside the transport internals, and socket
@@ -44,6 +26,10 @@ Protocol liveness
          protocol wait must carry a timeout (the *For forms; a tick for event
          loops) so a dead peer cannot wedge an event loop — the rule PR 2
          established by hand, now machine-checked.
+
+Secret hygiene is not a lint rule: Secret<T> (common/secret.h) makes a leak a
+compile error, and scripts/deta_taintcheck.py follows what leaves an Expose*
+call.
 
 Suppressions: `// deta-lint: allow(DL-XX) <reason>` on the finding's line or the
 line directly above. The reason is mandatory; unused suppressions and unused
@@ -69,10 +55,6 @@ RULES = {
     "DL-D1": "nondeterminism source outside the whitelist",
     "DL-D2": "unordered container (hash-order iteration is nondeterministic)",
     "DL-D3": "raw concurrency primitive outside the annotated wrappers",
-    "DL-S1": "secret referenced in a log statement",
-    "DL-S2": "secret-owning type does not wipe in its destructor",
-    "DL-S3": "secret referenced in a telemetry name/label expression",
-    "DL-S4": "secret added to a snapshot section without Seal()",
     "DL-L1": "unbounded blocking receive (no timeout)",
 }
 
@@ -94,12 +76,6 @@ WHITELIST = [
      "Endpoint implements the unbounded primitives directly over the mailbox queue; "
      "Close() is their documented unblocking path"),
 ]
-
-# Types that zeroize their own key material on destruction; members of these
-# types satisfy DL-S2 without the owning class adding a wipe. Secret<T>
-# (common/secret.h) is the canonical one: the wrapper wipes in its destructor,
-# so tagged members should migrate to it rather than grow bespoke destructors.
-SELF_WIPING_TYPES = ("Secret<", "Aead", "SecureRng", "SecureChannel")
 
 # Token patterns per rule (applied to comment/string-stripped code).
 D1_TOKENS = [
@@ -129,29 +105,7 @@ L1_TOKEN = re.compile(
     r"|\bepoll_wait\s*\([^;()]*,\s*-1\s*\)"
     r"|\bpoll\s*\([^;()]*,\s*-1\s*\)")
 
-LOG_TOKEN = re.compile(r"\bDETA_LOG\b|\bLOG_(?:DEBUG|INFO|WARNING|ERROR)\b")
-TELEMETRY_TOKEN = re.compile(
-    r"\bGetCounter\s*\(|\bGetGauge\s*\(|\bGetHistogram\s*\(|\bDETA_COUNTER\s*\(|"
-    r"\bDETA_HISTOGRAM\s*\(")
-SNAPSHOT_ADD_TOKEN = re.compile(r"\.\s*Add\s*\(\s*(?:[\w]+::)*SectionType")
-SEAL_TOKEN = re.compile(r"\bSeal\s*\(")
-
-# Local alias assignment: `Type name = expr;` or `name = expr;` with a plain
-# identifier LHS (member accesses like `kp.priv.lambda = ...` are declarations
-# of taint, not aliases, and are handled by the secret-name match itself).
-ALIAS_ASSIGN = re.compile(
-    r"\s*(?:const\s+)?(?:[A-Za-z_][\w:]*(?:\s*<[^=;]*>)?[&\s\*]+)?"
-    r"(?P<name>[A-Za-z_]\w*)\s*=[^=]")
-
-TAG_SECRET = re.compile(r"deta-lint:\s*secret\b")
 TAG_ALLOW = re.compile(r"deta-lint:\s*allow\((DL-[A-Z]\d)\)\s*(.*)")
-
-MEMBER_DECL = re.compile(
-    r"^\s*(?:mutable\s+)?(?:const\s+)?"
-    r"(?P<type>[A-Za-z_][\w:]*(?:\s*<[^;{}]*>)?(?:\s*[\*&])?)"
-    r"\s+(?P<name>[A-Za-z_]\w*)\s*(?:=[^;]*|\{[^;]*\})?;")
-CLASS_DECL = re.compile(r"\b(?:class|struct)\s+(?:DETA_\w+\s*(?:\([^)]*\))?\s*)?"
-                        r"(?P<name>[A-Za-z_]\w*)")
 
 
 class Finding:
@@ -172,9 +126,8 @@ class Finding:
 def split_code_and_comments(lines):
     """Returns (code_lines, comment_lines); both same length as input.
 
-    String/char literal contents are blanked in code_lines, so token scans and
-    secret-name matches never fire inside literals. Block comments are handled
-    across lines.
+    String/char literal contents are blanked in code_lines, so token scans never
+    fire inside literals. Block comments are handled across lines.
     """
     code_lines, comment_lines = [], []
     in_block = False
@@ -220,7 +173,7 @@ def split_code_and_comments(lines):
 
 
 # ---------------------------------------------------------------------------
-# Per-file parsing: suppressions, secret tags, class structure
+# Per-file parsing: suppressions
 # ---------------------------------------------------------------------------
 
 class Suppression:
@@ -239,91 +192,6 @@ def collect_suppressions(path, comment_lines):
         if m:
             out.append(Suppression(m.group(1), m.group(2), path, idx + 1))
     return out
-
-
-class SecretMember:
-    def __init__(self, path, line, cls, name, decl_type):
-        self.path = path
-        self.line = line
-        self.cls = cls  # enclosing class name or None
-        self.name = name
-        self.decl_type = decl_type
-
-    @property
-    def self_wiping(self):
-        return any(t in self.decl_type for t in SELF_WIPING_TYPES)
-
-
-def enclosing_classes(code_lines):
-    """For each line (0-based), the innermost enclosing class/struct name or None,
-    evaluated at the *start* of the line."""
-    result = []
-    stack = []  # brace stack: class name or None per open brace
-    pending = None  # class name seen, brace not yet opened
-    for code in code_lines:
-        result.append(next((s for s in reversed(stack) if s), None))
-        m = CLASS_DECL.search(code)
-        decl_pos = m.start() if m else None
-        for pos, ch in enumerate(code):
-            if decl_pos is not None and pos == decl_pos:
-                pending = m.group("name")
-            if ch == "{":
-                stack.append(pending)
-                pending = None
-            elif ch == "}":
-                if stack:
-                    stack.pop()
-            elif ch == ";" and pending is not None and decl_pos is not None:
-                pending = None  # forward declaration
-    return result
-
-
-def collect_secrets(path, code_lines, comment_lines):
-    """Finds `// deta-lint: secret` tags: on a declaration line, or on a
-    comment-only line directly preceding one."""
-    classes = enclosing_classes(code_lines)
-    secrets = []
-    pending_tag_line = None
-    for idx in range(len(code_lines)):
-        tagged_here = bool(TAG_SECRET.search(comment_lines[idx]))
-        code = code_lines[idx].strip()
-        if not code:
-            if tagged_here:
-                pending_tag_line = idx
-            continue
-        if tagged_here or pending_tag_line is not None:
-            tag_line = idx if tagged_here else pending_tag_line
-            m = MEMBER_DECL.match(code_lines[idx])
-            if m:
-                secrets.append(SecretMember(path, idx + 1, classes[idx],
-                                            m.group("name"), m.group("type")))
-            else:
-                secrets.append(SecretMember(path, tag_line + 1, classes[idx],
-                                            None, ""))
-        pending_tag_line = idx if (tagged_here and not code) else None
-    return secrets
-
-
-# ---------------------------------------------------------------------------
-# Statement grouping (for the taint passes)
-# ---------------------------------------------------------------------------
-
-def statements(code_lines):
-    """Yields (start_line_1based, text) for ';'-terminated statement chunks.
-    Braces also end a chunk, so function bodies don't glue together."""
-    buf, start = [], None
-    for idx, code in enumerate(code_lines):
-        stripped = code.strip()
-        if not stripped:
-            continue
-        if start is None:
-            start = idx + 1
-        buf.append(code)
-        if stripped.endswith((";", "{", "}", ":")) or stripped.startswith("#"):
-            yield start, " ".join(buf)
-            buf, start = [], None
-    if buf:
-        yield start, " ".join(buf)
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +237,6 @@ class Linter:
     # -- passes ----------------------------------------------------------
 
     def lint_files(self, paths):
-        parsed = {}
-        all_secrets = []
         for path in paths:
             with open(path, "r", encoding="utf-8", errors="replace") as f:
                 lines = f.read().splitlines()
@@ -379,19 +245,7 @@ class Linter:
             self.suppressions.extend(supps)
             relpath = rel(path, self.root)
             in_src = relpath.startswith("src/") or "/" not in relpath
-            secrets = collect_secrets(relpath, code_lines, comment_lines) if in_src else []
-            all_secrets.extend(secrets)
-            parsed[path] = (relpath, code_lines, comment_lines, supps, secrets, in_src)
-
-        secret_names = sorted({s.name for s in all_secrets if s.name})
-        secret_name_re = (re.compile(r"\b(?:" + "|".join(map(re.escape, secret_names)) + r")\b")
-                          if secret_names else None)
-
-        for path, (relpath, code_lines, _comments, supps, secrets, in_src) in parsed.items():
             self._token_pass(path, relpath, code_lines, supps, in_src)
-            if in_src:
-                self._taint_pass(path, relpath, code_lines, supps, secret_name_re)
-                self._wipe_pass(path, relpath, code_lines, supps, secrets, parsed)
 
     def _token_pass(self, path, relpath, code_lines, supps, in_src):
         for idx, code in enumerate(code_lines):
@@ -419,96 +273,6 @@ class Linter:
                 self._report("DL-L1", path, relpath, line,
                              "unbounded blocking receive — use the *For variant with a "
                              "timeout so a dead peer cannot wedge this loop", supps)
-
-    def _taint_pass(self, path, relpath, code_lines, supps, secret_name_re):
-        if secret_name_re is None:
-            return
-        # Statement-ordered alias tracking (DL-S4 only): `auto blob = <expr
-        # naming a secret or an existing alias>;` taints `blob`, so a later
-        # plaintext Add(blob) is caught even though the Add statement never
-        # names the tagged member. Seal() in the aliasing statement sanitizes
-        # (the alias then holds ciphertext); reassigning an alias from a clean
-        # expression clears it. One file, one hop — deeper flows (through
-        # helpers, returns, other TUs) are deta_taintcheck.py's job.
-        aliases = {}  # alias name -> originating secret name
-        for start, text in statements(code_lines):
-            alias_hit = next((a for a in aliases
-                              if re.search(r"\b" + re.escape(a) + r"\b", text)), None)
-            hit = secret_name_re.search(text)
-            m = ALIAS_ASSIGN.match(text)
-            if m:
-                lhs = m.group("name")
-                rhs = text[m.end("name"):]
-                rhs_secret = secret_name_re.search(rhs)
-                rhs_alias = next((a for a in aliases
-                                  if re.search(r"\b" + re.escape(a) + r"\b", rhs)), None)
-                if SEAL_TOKEN.search(rhs):
-                    aliases.pop(lhs, None)  # holds ciphertext now
-                elif rhs_secret:
-                    aliases[lhs] = rhs_secret.group(0)
-                elif rhs_alias:
-                    aliases[lhs] = aliases[rhs_alias]
-                else:
-                    aliases.pop(lhs, None)  # overwritten with a clean value
-            if not hit and alias_hit is None:
-                continue
-            name = hit.group(0) if hit else alias_hit
-            if hit:
-                if LOG_TOKEN.search(text):
-                    self._report("DL-S1", path, relpath, start,
-                                 f"secret `{name}` referenced in a log statement", supps)
-                if TELEMETRY_TOKEN.search(text):
-                    self._report("DL-S3", path, relpath, start,
-                                 f"secret `{name}` referenced in a telemetry "
-                                 "name/label expression", supps)
-            if SNAPSHOT_ADD_TOKEN.search(text) and not SEAL_TOKEN.search(text):
-                origin = name if hit else aliases[alias_hit]
-                via = "" if hit else f" (via local `{alias_hit}`)"
-                self._report("DL-S4", path, relpath, start,
-                             f"secret `{origin}` added to a snapshot section without "
-                             f"Seal(){via} — plaintext key material on disk", supps)
-
-    def _wipe_pass(self, path, relpath, code_lines, supps, secrets, parsed):
-        by_class = {}
-        for s in secrets:
-            if s.name is None:
-                continue
-            by_class.setdefault(s.cls, []).append(s)
-        file_text = "\n".join(code_lines)
-        for cls, members in by_class.items():
-            if cls is None:
-                continue  # free declarations (locals/globals) have no destructor to check
-            if all(m.self_wiping for m in members):
-                continue
-            texts = [file_text]
-            sibling = self._sibling_source(path)
-            if sibling and sibling in parsed:
-                texts.append("\n".join(parsed[sibling][1]))
-            if not any(self._destructor_wipes(t, cls) for t in texts):
-                first = members[0]
-                self._report(
-                    "DL-S2", path, relpath, first.line,
-                    f"`{cls}` owns secret member(s) "
-                    f"{', '.join(m.name for m in members if not m.self_wiping)} but no "
-                    "destructor calls crypto::SecureWipe / .Wipe()", supps)
-
-    @staticmethod
-    def _sibling_source(path):
-        if path.endswith(".h"):
-            return path[:-2] + ".cc"
-        if path.endswith(".cc"):
-            return path[:-3] + ".h"
-        return None
-
-    @staticmethod
-    def _destructor_wipes(text, cls):
-        for m in re.finditer(r"~" + re.escape(cls) + r"\s*\(", text):
-            window = text[m.start():m.start() + 600]
-            if "= delete" in window.split(";", 1)[0]:
-                continue
-            if "Wipe" in window:
-                return True
-        return False
 
     # -- strict-mode bookkeeping -----------------------------------------
 

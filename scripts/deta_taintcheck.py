@@ -1,20 +1,18 @@
 #!/usr/bin/env python3
 """deta_taintcheck: interprocedural secret-flow checker for the DeTA tree.
 
-Where deta_lint.py's DL-S rules are fast single-statement regex checks, this
-pass tracks *flows*: a secret exposed from its Secret<T> wrapper (or a plain
-`// deta-lint: secret` tagged variable) is followed through local assignments,
-call arguments, return values, and builder objects (net::Writer and friends)
-across functions and translation units, and reported when it reaches a
-forbidden sink without passing a sanitizer.
+Secret<T> (common/secret.h) makes a leak of a wrapped secret a compile error;
+this pass tracks what happens after an audited exposure. A secret exposed from
+its wrapper is followed through local assignments, call arguments, return
+values, and builder objects (net::Writer and friends) across functions and
+translation units, and reported when it reaches a forbidden sink without
+passing a sanitizer.
 
 Taint seeds
   * every `x.ExposeForCrypto() / x.ExposeForSeal() / x.ExposeMutable()` call —
-    the complete exposure surface of Secret<T> (common/secret.h); inside the
-    wrapper a secret is compile-time contained, so exposure sites are exactly
-    where the type system hands responsibility to this checker;
-  * plain variables tagged `// deta-lint: secret` whose type is not already
-    self-wiping/contained (Secret<T>, Aead, SecureRng, SecureChannel).
+    the complete exposure surface of Secret<T>; inside the wrapper a secret is
+    compile-time contained, so exposure sites are exactly where the type
+    system hands responsibility to this checker.
 
 Propagation
   * `lhs = <tainted expr>` taints lhs (strong updates: a clean reassignment
@@ -63,15 +61,13 @@ Findings carry the full flow: seed site, each propagation hop, sink site.
 Suppress a deliberate sink with `// deta-taintcheck: allow(<class>) <reason>`
 on the sink's line or the line above (the reason is mandatory).
 
-Frontends
-  --frontend libclang   parse via clang.cindex over compile_commands.json
-                        (CI: exact function extents and parameter names);
-  --frontend internal   self-contained parser, no dependencies (the default
-                        fallback in containers that carry no libclang);
-  --frontend auto       libclang when importable, else internal.
-The taint engine is frontend-independent; both produce the same function
-model, and the fixture corpus (--selftest) always runs the internal frontend
-so its results do not depend on what is installed.
+Parser: a dependency-free C++ text parser (Python only, no compiler) finds
+function definitions, out-of-line `Class::Method` names, parameter lists
+spanning lines, and constructor initializer lists (`member(expr)` is modelled
+as `member = expr`); the log/ fixtures pin each of these shapes. Statements
+are text chunks ending at ';', '{', '}' or ':'. The parser does not expand
+macros, and a declaration head longer than 13 lines is not read as a
+function.
 
 Known limits (documented, fixture-pinned): linking is by simple name (no
 overload/receiver-type resolution); member-field taint does not transfer
@@ -79,9 +75,7 @@ between methods of the same class (Secret<T> members make the compile layer
 carry that); loop bodies get one forward pass per fixpoint round.
 
 Usage:
-  scripts/deta_taintcheck.py [--root DIR] [--frontend auto|libclang|internal]
-                             [--compile-commands build/compile_commands.json]
-                             [--report out.json] [paths...]
+  scripts/deta_taintcheck.py [--root DIR] [--report out.json] [paths...]
   scripts/deta_taintcheck.py --selftest   # fixture corpus (scripts/taint_fixtures)
 """
 
@@ -91,7 +85,6 @@ import argparse
 import json
 import os
 import re
-import subprocess
 import sys
 
 # ---------------------------------------------------------------------------
@@ -120,12 +113,7 @@ WIRE_CALLEES = {"Send", "RequestReply"}
 
 SINK_CLASSES = ("log", "telemetry", "persist", "wire")
 
-TAG_SECRET = re.compile(r"deta-lint:\s*secret\b")
 TAG_ALLOW = re.compile(r"deta-taintcheck:\s*allow\((log|telemetry|persist|wire)\)\s*(\S.*)")
-
-# Types whose tagged members are already contained (mirror of deta_lint's
-# SELF_WIPING_TYPES): the tag documents sensitivity, the type enforces it.
-CONTAINED_TYPES = ("Secret<", "Aead", "SecureRng", "SecureChannel")
 
 ASSIGN_RE = re.compile(
     r"^\s*(?:(?:const\s+)?[\w:]+(?:\s*<[^=;]*>)?[&\s\*]+)?"
@@ -192,7 +180,7 @@ def split_code_and_comments(lines):
 
 
 # ---------------------------------------------------------------------------
-# Function model (produced by either frontend)
+# Function model
 # ---------------------------------------------------------------------------
 
 class FunctionModel:
@@ -220,25 +208,12 @@ class Suppression:
         self.used = False
 
 
-class TaintSource:
-    """A tagged plain (non-contained) variable name."""
-
-    def __init__(self, name, path, line):
-        self.name = name
-        self.path = path
-        self.line = line
-
-
 # ---------------------------------------------------------------------------
-# Internal frontend: dependency-free C++ text parser
+# Parser: dependency-free C++ text parser
 # ---------------------------------------------------------------------------
 
 PARAM_NAME_RE = re.compile(r"([A-Za-z_]\w*)\s*(?:\[\s*\])?$")
 FUNC_NAME_RE = re.compile(r"((?:[A-Za-z_][\w]*::)*~?[A-Za-z_]\w*)\s*\(")
-MEMBER_DECL = re.compile(
-    r"^\s*(?:mutable\s+)?(?:static\s+)?(?:const\s+)?"
-    r"(?P<type>[A-Za-z_][\w:]*(?:\s*<[^;{}]*>)?(?:\s*[\*&])?)"
-    r"\s+(?P<name>[A-Za-z_]\w*)\s*(?:=[^;]*|\{[^;]*\})?;")
 CLASS_DECL = re.compile(r"\b(?:class|struct)\s+(?:[A-Z_]+\s*(?:\([^)]*\))?\s*)?"
                         r"(?P<name>[A-Za-z_]\w*)[^;{]*$")
 
@@ -271,37 +246,22 @@ def _param_names(sig_args):
     return names
 
 
-def scan_tags(path, code_lines, comment_lines):
-    """Collects allow() suppressions and tagged plain-secret sources."""
-    suppressions, sources = [], []
-
-    def source_from(idx):
-        dm = MEMBER_DECL.match(code_lines[idx])
-        if dm and not any(t in dm.group("type") for t in CONTAINED_TYPES):
-            sources.append(TaintSource(dm.group("name"), path, idx + 1))
-
-    pending_tag = False
+def collect_suppressions(path, comment_lines):
+    """Collects `deta-taintcheck: allow(<class>) <reason>` suppressions."""
+    suppressions = []
     for idx, comment in enumerate(comment_lines):
         m = TAG_ALLOW.search(comment)
         if m:
             suppressions.append(Suppression(m.group(1), m.group(2).strip(),
                                             path, idx + 1))
-        if pending_tag and code_lines[idx].strip():
-            source_from(idx)
-            pending_tag = False
-        if TAG_SECRET.search(comment):
-            if code_lines[idx].strip():
-                source_from(idx)
-            else:
-                pending_tag = True
-    return suppressions, sources
+    return suppressions
 
 
-def parse_internal(path, text):
+def parse_file(path, text):
     """Extracts function definitions and their statement lists from raw text."""
     lines = text.splitlines()
     code_lines, comment_lines = split_code_and_comments(lines)
-    suppressions, sources = scan_tags(path, code_lines, comment_lines)
+    suppressions = collect_suppressions(path, comment_lines)
 
     functions = []
     n = len(code_lines)
@@ -427,131 +387,11 @@ def parse_internal(path, text):
                     code_lines[i + 1].lstrip().startswith("{"):
                 class_stack.append((cm.group("name"), depth + 1))
         i += 1
-    return functions, suppressions, sources
+    return functions, suppressions
 
 
 # ---------------------------------------------------------------------------
-# libclang frontend (CI: exact extents; optional everywhere else)
-# ---------------------------------------------------------------------------
-
-def _create_index(ci):
-    """Index.create() with distro-friendly library discovery.
-
-    Ubuntu/Debian ship versioned libraries (libclang-18.so.18 under
-    /usr/lib/llvm-18/lib/) that ctypes' default search never finds.  Honour an
-    explicit DETA_LIBCLANG override first, then let cindex try its own lookup,
-    then probe the versioned install locations, newest first.
-    """
-    import glob as _glob  # noqa: PLC0415
-
-    override = os.environ.get("DETA_LIBCLANG")
-    if override:
-        ci.Config.set_library_file(override)
-        return ci.Index.create()
-    try:
-        return ci.Index.create()
-    except ci.LibclangError:
-        pass
-    candidates = sorted(
-        _glob.glob("/usr/lib/llvm-*/lib/libclang*.so*")
-        + _glob.glob("/usr/lib/*-linux-gnu/libclang*.so*"),
-        reverse=True,
-    )
-    for cand in candidates:
-        ci.Config.set_library_file(cand)
-        try:
-            return ci.Index.create()
-        except ci.LibclangError:
-            continue
-    raise ci.LibclangError("no usable libclang found (set DETA_LIBCLANG)")
-
-
-def parse_libclang(paths, compile_commands_dir):
-    """Parses TUs with clang.cindex; returns the same model as parse_internal.
-
-    Statement granularity stays textual (the engine is regex-driven over
-    statement spans), but function boundaries, parameter names, and qualified
-    names come from the AST, which removes the internal parser's heuristics.
-    Raises ImportError/OSError when the bindings or library are unavailable.
-    """
-    import clang.cindex as ci  # noqa: PLC0415  (optional dependency, CI only)
-
-    index = _create_index(ci)
-    db = None
-    if compile_commands_dir:
-        try:
-            db = ci.CompilationDatabase.fromDirectory(compile_commands_dir)
-        except ci.CompilationDatabaseError:
-            db = None
-
-    all_functions, all_supps, all_sources = [], [], []
-    seen_defs = set()
-    for path in paths:
-        args = ["-std=c++20"]
-        if db is not None:
-            cmds = db.getCompileCommands(path)
-            if cmds:
-                raw = list(cmds[0].arguments)[1:-1]
-                args = [a for a in raw if a != "-c" and not a.endswith(".o")]
-        try:
-            tu = index.parse(path, args=args)
-        except ci.TranslationUnitLoadError:
-            continue
-        with open(path, "r", encoding="utf-8", errors="replace") as f:
-            text = f.read()
-        code_lines, comment_lines = split_code_and_comments(text.splitlines())
-        supps, sources = scan_tags(path, code_lines, comment_lines)
-        all_supps.extend(supps)
-        all_sources.extend(sources)
-
-        def visit(cursor):
-            for child in cursor.get_children():
-                if child.location.file is None or \
-                        os.path.abspath(str(child.location.file)) != \
-                        os.path.abspath(path):
-                    continue
-                if child.kind in (ci.CursorKind.FUNCTION_DECL,
-                                  ci.CursorKind.CXX_METHOD,
-                                  ci.CursorKind.CONSTRUCTOR,
-                                  ci.CursorKind.DESTRUCTOR) and \
-                        child.is_definition():
-                    key = (path, child.extent.start.line, child.spelling)
-                    if key in seen_defs:
-                        continue
-                    seen_defs.add(key)
-                    qname = child.spelling
-                    parent = child.semantic_parent
-                    if parent is not None and parent.kind in (
-                            ci.CursorKind.CLASS_DECL, ci.CursorKind.STRUCT_DECL):
-                        qname = f"{parent.spelling}::{qname}"
-                    params = [p.spelling or f"__anon{k}" for k, p in
-                              enumerate(child.get_arguments())]
-                    fn = FunctionModel(path, child.extent.start.line, qname, params)
-                    s, e = child.extent.start.line - 1, child.extent.end.line
-                    buf, start = [], None
-                    for k in range(s, min(e, len(code_lines))):
-                        seg = code_lines[k]
-                        stripped = seg.strip()
-                        if not stripped:
-                            continue
-                        if start is None:
-                            start = k + 1
-                        buf.append(seg)
-                        if stripped.endswith((";", "{", "}", ":")):
-                            fn.statements.append((start, " ".join(buf)))
-                            buf, start = [], None
-                    if buf:
-                        fn.statements.append((start, " ".join(buf)))
-                    all_functions.append(fn)
-                else:
-                    visit(child)
-
-        visit(tu.cursor)
-    return all_functions, all_supps, all_sources
-
-
-# ---------------------------------------------------------------------------
-# The taint engine (frontend-independent)
+# The taint engine
 # ---------------------------------------------------------------------------
 
 class Finding:
@@ -627,11 +467,10 @@ def _token_re(token):
 
 
 class Engine:
-    def __init__(self, functions, suppressions, sources, root):
+    def __init__(self, functions, suppressions, root):
         self.root = root
         self.functions = functions
         self.suppressions = suppressions
-        self.sources = sources
         self.by_simple = {}
         for fn in functions:
             # Secret<T>'s own accessors must never register as resolvable
@@ -640,7 +479,6 @@ class Engine:
             if fn.simple.startswith("Expose") or fn.simple in DECLASSIFIED_CALLEES:
                 continue
             self.by_simple.setdefault(fn.simple, []).append(fn)
-        self.source_names = {s.name: s for s in sources}
         self.findings = []
 
     def _rel(self, path):
@@ -685,10 +523,6 @@ class Engine:
         for token, chain in tainted.items():
             if _token_re(token).search(residue):
                 return token, chain
-        for name, src in self.source_names.items():
-            if _token_re(name).search(residue):
-                return name, [f"{self._rel(src.path)}:{src.line}: "
-                              f"tagged secret `{name}`"]
         return None
 
     # -- per-function analysis -------------------------------------------
@@ -845,38 +679,26 @@ def discover(root, arg_paths):
     return sorted(out)
 
 
-def load_model(paths, frontend, compile_commands):
-    """Returns (functions, suppressions, sources, frontend_used)."""
-    if frontend in ("auto", "libclang"):
-        try:
-            cc_dir = os.path.dirname(compile_commands) if compile_commands else None
-            result = parse_libclang(paths, cc_dir)
-            return (*result, "libclang")
-        except Exception as e:  # noqa: BLE001 — any bindings failure falls back
-            if frontend == "libclang":
-                print(f"deta_taintcheck: libclang frontend unavailable: {e}",
-                      file=sys.stderr)
-                sys.exit(2)
-    functions, supps, sources = [], [], []
+def load_model(paths):
+    """Returns (functions, suppressions) over every file in |paths|."""
+    functions, supps = [], []
     for path in paths:
         with open(path, "r", encoding="utf-8", errors="replace") as f:
             text = f.read()
-        fns, s, src = parse_internal(path, text)
+        fns, s = parse_file(path, text)
         functions.extend(fns)
         supps.extend(s)
-        sources.extend(src)
-    return functions, supps, sources, "internal"
+    return functions, supps
 
 
-def run_check(root, paths, frontend, compile_commands, report_path):
-    functions, supps, sources, used = load_model(paths, frontend, compile_commands)
-    engine = Engine(functions, supps, sources, root)
+def run_check(root, paths, report_path):
+    functions, supps = load_model(paths)
+    engine = Engine(functions, supps, root)
     findings = engine.run()
     for f in findings:
         print(f.render(root))
     if report_path:
         payload = {
-            "frontend": used,
             "files": len(paths),
             "functions": len(functions),
             "findings": [f.to_json(root) for f in findings],
@@ -886,19 +708,15 @@ def run_check(root, paths, frontend, compile_commands, report_path):
         print(f"deta_taintcheck: report written to {report_path}")
     if not findings:
         print(f"deta_taintcheck: OK ({len(paths)} files, {len(functions)} "
-              f"functions, 0 flows, frontend={used})")
+              f"functions, 0 flows)")
     return not findings
 
 
 def run_selftest(root):
     """Fixture corpus: scripts/taint_fixtures/<class>/flow_*.cc must each yield
     >= 1 finding of that class (>= 2 flow fixtures per class, covering a
-    multi-statement and a cross-function leak); clean_*.cc must yield nothing.
-    Every flow fixture must also pass deta_lint cleanly — these are exactly the
-    leaks the single-statement regex pass cannot see."""
-    script_dir = os.path.dirname(os.path.abspath(__file__))
-    fixtures = os.path.join(script_dir, "taint_fixtures")
-    lint = os.path.join(script_dir, "deta_lint.py")
+    multi-statement and a cross-function leak); clean_*.cc must yield nothing."""
+    fixtures = os.path.join(os.path.dirname(os.path.abspath(__file__)), "taint_fixtures")
     if not os.path.isdir(fixtures):
         print(f"deta_taintcheck: fixture directory missing: {fixtures}")
         return False
@@ -915,8 +733,8 @@ def run_selftest(root):
             if not name.endswith(SOURCE_EXTENSIONS):
                 continue
             path = os.path.join(class_dir, name)
-            functions, supps, sources, _ = load_model([path], "internal", None)
-            engine = Engine(functions, supps, sources, class_dir)
+            functions, supps = load_model([path])
+            engine = Engine(functions, supps, class_dir)
             findings = engine.run()
             hits = [f for f in findings if f.sink_class == sink_class]
             if name.startswith("flow_"):
@@ -926,16 +744,6 @@ def run_selftest(root):
                           f"TC-{sink_class.upper()} flow but produced "
                           f"{[f.sink_class for f in findings] or 'nothing'}")
                     ok = False
-                if os.path.isfile(lint):
-                    r = subprocess.run([sys.executable, lint, path],
-                                       capture_output=True, text=True,
-                                       check=False)
-                    if r.returncode != 0:
-                        print(f"selftest FAIL: {sink_class}/{name} is flagged "
-                              f"by deta_lint — the fixture must demonstrate a "
-                              f"flow only the interprocedural pass catches:\n"
-                              f"{r.stdout}")
-                        ok = False
             elif name.startswith("clean_"):
                 if findings:
                     print(f"selftest FAIL: {sink_class}/{name} must be clean "
@@ -959,10 +767,6 @@ def main(argv):
     parser = argparse.ArgumentParser(
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--frontend", choices=("auto", "libclang", "internal"),
-                        default="auto")
-    parser.add_argument("--compile-commands", default=None,
-                        help="compile_commands.json (libclang flags source)")
     parser.add_argument("--report", default=None,
                         help="write a JSON flow report here")
     parser.add_argument("--selftest", action="store_true",
@@ -977,15 +781,11 @@ def main(argv):
         os.path.dirname(os.path.abspath(__file__)))
     if args.selftest:
         return 0 if run_selftest(root) else 1
-    cc = args.compile_commands
-    if cc is None:
-        candidate = os.path.join(root, "build", "compile_commands.json")
-        cc = candidate if os.path.isfile(candidate) else None
     paths = discover(root, args.paths)
     if not paths:
         print("deta_taintcheck: no source files found")
         return 2
-    return 0 if run_check(root, paths, args.frontend, cc, args.report) else 1
+    return 0 if run_check(root, paths, args.report) else 1
 
 
 if __name__ == "__main__":

@@ -1,7 +1,6 @@
 // MUST produce TC-LOG: the exposure happens in one function, the taint rides a
 // call argument through a formatting helper, and the sink fires inside a third
-// function. No single statement connects the secret to the log, so the regex
-// pass has nothing to match.
+// function. No single statement connects the secret to the log.
 #include <string>
 #include <vector>
 

@@ -1,7 +1,6 @@
 // MUST produce TC-LOG: the channel key is exposed, hex-formatted through an
-// intermediate local, and logged two statements later. deta_lint's DL-S1 only
-// matches a tagged name inside the log statement itself, so this flow is
-// invisible to the regex pass — the log line mentions only `hex`.
+// intermediate local, and logged two statements later. The log line mentions
+// only `hex`, so the flow shows only by following the assignments.
 #include <string>
 #include <vector>
 

@@ -1,7 +1,7 @@
 // MUST produce TC-PERSIST: a serializer helper absorbs exposed seed bytes into
 // a Writer and returns the buffer; the caller persists the returned blob
 // unsealed. Two functions, a builder object, and no statement that names both
-// the secret and the sink — regex checks cannot connect them.
+// the secret and the sink.
 #include <cstdint>
 #include <string>
 #include <vector>

@@ -1,7 +1,6 @@
 // MUST produce TC-PERSIST: the permutation key is exposed into a local and
 // written to a snapshot section two statements later with no Seal() anywhere.
-// DL-S4's alias pre-pass only seeds from `deta-lint: secret` tags — a
-// Secret<T> exposure feeding an alias is exactly the shape it cannot see.
+// The Add() only names the local `blob`.
 #include <string>
 #include <vector>
 

@@ -1,7 +1,6 @@
 // MUST produce TC-TELEMETRY: a helper exposes the token key and returns a
 // string derived from it; the caller folds the returned value into a gauge
-// name. The taint crosses the function boundary via the return value, which
-// the single-statement pass cannot follow.
+// name. The taint crosses the function boundary via the return value.
 #include <string>
 #include <vector>
 

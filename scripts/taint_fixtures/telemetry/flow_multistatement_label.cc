@@ -1,7 +1,6 @@
 // MUST produce TC-TELEMETRY: the mapper seed is exposed, folded into a metric
 // label through an intermediate string, and registered two statements later.
-// DL-S3 needs the tagged name inside the registration expression; here the
-// registration only names `label`.
+// The registration only names `label`.
 #include <string>
 #include <vector>
 

@@ -2,9 +2,8 @@
 //
 // DeTA's trust argument (paper §4) is that secrets — Paillier private components,
 // channel master secrets, the broker's transform material, CSPRNG states — only ever
-// leave a role sealed or wiped. PR 5 enforced that with a regex lint over hand-placed
-// `// deta-lint: secret` tags; this wrapper moves the first line of defence into the
-// type system, where a leak is a *compile error* instead of a lint finding:
+// leave a role sealed or wiped. This wrapper puts that rule into the type system, where
+// a leak is a *compile error*:
 //
 //   * construction is explicit: a T never silently becomes a Secret<T>, so taint is
 //     always introduced deliberately at the point a value becomes secret;
@@ -14,8 +13,8 @@
 //   * stream insertion is deleted outright, so `DETA_LOG(...) << secret` and
 //     `std::cout << secret` fail to build even via ADL;
 //   * destruction (and reassignment) wipes the previous value through
-//     crypto::SecureWipe / T::Wipe, so owners no longer need hand-written zeroizing
-//     destructors that DL-S2 has to police.
+//     crypto::SecureWipe / T::Wipe, so owners need no hand-written zeroizing
+//     destructors (tests/common_test.cc's SecretTest pins each wipe).
 //
 // The audited accessors are the complete exposure surface, and their names are what
 // the interprocedural taint checker (scripts/deta_taintcheck.py) seeds on — a value

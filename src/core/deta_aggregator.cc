@@ -17,6 +17,12 @@ constexpr int kTickMs = 50;
 // snapshot but before the crash burned sequence numbers the peer has already accepted;
 // jumping past them keeps the peer's monotonic replay window satisfied.
 constexpr uint64_t kResumeSeqSlack = uint64_t{1} << 20;
+// After the final round the aggregator *drains* instead of exiting: it keeps re-serving
+// the cached round result to parties whose copy was lost, until every party confirms
+// completion (party.done) or the mailbox stays quiet for this long. Exceeds the default
+// retry policy's capped per-attempt timeout (2 s), so under that policy the drain cannot
+// end between two retransmissions of a party that still needs the result.
+constexpr int kDrainTimeoutMs = 4000;
 }  // namespace
 
 DetaAggregator::DetaAggregator(AggregatorConfig config, net::Transport& transport,
@@ -35,7 +41,7 @@ DetaAggregator::DetaAggregator(AggregatorConfig config, net::Transport& transpor
   if (config_.use_paillier) {
     DETA_CHECK(config_.paillier_public.has_value());
     paillier_codec_ = std::make_unique<fl::PaillierVectorCodec>(
-        *config_.paillier_public, config_.num_parties, config_.paillier_lane_bits);
+        *config_.paillier_public, config_.num_parties);
   } else {
     algorithm_ = fl::MakeAlgorithm(config_.algorithm);
   }
@@ -67,8 +73,7 @@ void DetaAggregator::Run() {
       idle_deadline_ = Clock::now() + std::chrono::milliseconds(config_.idle_timeout_ms);
       if (draining_) {
         // Any traffic is evidence some party is still recovering its result.
-        drain_deadline_ =
-            Clock::now() + std::chrono::milliseconds(config_.drain_timeout_ms);
+        drain_deadline_ = Clock::now() + std::chrono::milliseconds(kDrainTimeoutMs);
       }
       Dispatch(*m);
     } else if (endpoint_->closed()) {
@@ -512,7 +517,7 @@ void DetaAggregator::StartDraining() {
     return;
   }
   draining_ = true;
-  drain_deadline_ = Clock::now() + std::chrono::milliseconds(config_.drain_timeout_ms);
+  drain_deadline_ = Clock::now() + std::chrono::milliseconds(kDrainTimeoutMs);
   LOG_DEBUG << config_.name << ": draining";
 }
 
@@ -549,17 +554,12 @@ void DetaAggregator::OnTick() {
     return;  // no round deadlines or retransmissions apply while draining
   }
 
-  // Round-collection deadline: aggregate what we have if the floor is met, otherwise
-  // fail the round with a typed error instead of waiting forever.
+  // Round-collection deadline: a round still collecting has not met its quorum (it
+  // aggregates the moment it does), so fail it with a typed error instead of waiting
+  // forever.
   if (collecting_ && now >= round_deadline_) {
-    int have = static_cast<int>(staged_.size());
-    int need = config_.min_quorum > 0 ? config_.min_quorum : config_.num_parties;
-    if (have >= need) {
-      Aggregate(current_round_);
-    } else {
-      FailRound(current_round_, have, need);
-      return;
-    }
+    FailRound(current_round_, static_cast<int>(staged_.size()), config_.num_parties);
+    return;
   }
 
   // Initiator: keep nudging parties (and followers) with round.begin until the round

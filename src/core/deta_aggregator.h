@@ -9,11 +9,11 @@
 //
 // The event loop never blocks unboundedly: it ticks on a short receive timeout and uses
 // the ticks to (a) retransmit round.begin / round.done with capped backoff, (b) enforce a
-// per-round collection deadline — aggregating the staged subset when a minimum quorum is
-// met and reporting the absentees, or emitting a typed agg.failed to the observer when it
-// is not — and (c) bail out on a global idle backstop instead of hanging. A party whose
-// round.result was dropped recovers by retransmitting its upload: uploads for an
-// already-aggregated round are answered with a re-sealed copy of the cached result.
+// per-round collection deadline — a round still missing fragments then emits a typed
+// agg.failed to the observer — and (c) bail out on a global idle backstop instead of
+// hanging. A party whose round.result was dropped recovers by retransmitting its upload:
+// uploads for an already-aggregated round are answered with a re-sealed copy of the
+// cached result.
 //
 // Everything secret the aggregator handles (its auth token, received fragments, the
 // aggregated result) lives in the CVM's encrypted memory, so the breach experiments can
@@ -64,29 +64,18 @@ struct AggregatorConfig {
   // Late fragments for an already-aggregated round are dropped — tolerates stragglers in
   // the asynchronous-training setting §8.2 discusses.
   int quorum = 0;
-  // Minimum fragments required when the round deadline expires. 0 = all parties must
-  // arrive before the deadline (any absence is a quorum failure); > 0 = aggregate the
-  // staged subset at the deadline and report the missing parties as dropouts.
-  int min_quorum = 0;
   // Deadline for collecting one round's uploads, measured from when this aggregator
   // learns the round started. Must exceed the retry policy's total budget or parties
   // lose their retransmission window.
   int round_timeout_ms = 10000;
   // Backstop: exit (with a warning) if no message arrives for this long.
   int idle_timeout_ms = 60000;
-  // After the final round the aggregator *drains* instead of exiting: it keeps
-  // re-serving the cached round result to parties whose copy was lost, until every
-  // party confirms completion (party.done) or the mailbox stays quiet for this long.
-  // Must exceed the retry policy's capped per-attempt timeout, or the drain can end
-  // between two retransmissions of a party that still needs the result.
-  int drain_timeout_ms = 4000;
   // Retransmission pacing for round.begin / round.done.
   net::RetryPolicy retry;
   std::string algorithm = "iterative_averaging";
   // Paillier fusion: aggregate ciphertexts homomorphically instead of plaintext floats.
   bool use_paillier = false;
   std::optional<crypto::PaillierPublicKey> paillier_public;
-  int paillier_lane_bits = 56;
   // Observer endpoint for timing reports (empty = no reports).
   std::string observer;
   std::string initiator_name;
@@ -161,7 +150,6 @@ class DetaAggregator {
   std::shared_ptr<cc::Cvm> cvm_;
   // The auth token proves this CVM passed attestation; the Secret wrapper wipes it on
   // destruction and keeps it out of logs/telemetry/plaintext wires by construction.
-  // deta-lint: secret
   Secret<crypto::BigUint> token_private_;
   crypto::SecureRng rng_;
   std::unique_ptr<fl::AggregationAlgorithm> algorithm_;

@@ -17,6 +17,10 @@ namespace deta::core {
 
 namespace {
 
+using Clock = std::chrono::steady_clock;
+// Every observer wait ticks at most this long between crash checks.
+constexpr int kObserverTickMs = 50;
+
 // The aggregator "image" whose SHA-256 is the CVM launch measurement. In a real
 // deployment this is the OVMF+workload digest; here a canonical manifest plays that role —
 // any tampering (e.g. a malicious aggregator binary) changes the measurement and fails
@@ -52,6 +56,8 @@ DetaJob::DetaJob(fl::ExecutionOptions options, DetaOptions deta,
   }
   DETA_CHECK(!party_names_.empty());
   DETA_CHECK_GT(deta_.num_aggregators, 0);
+  DETA_CHECK_MSG(deta_.quorum >= 0 && static_cast<size_t>(deta_.quorum) <= party_names_.size(),
+                 "quorum " << deta_.quorum << " outside [0, " << party_names_.size() << "]");
   observer_local_ = RoleIsLocal("observer");
   broker_local_ = RoleIsLocal(KeyBroker::kEndpointName);
   DETA_CHECK_MSG(options_.fault_plan.crashes.empty() || deployment_.local_roles.empty(),
@@ -198,7 +204,6 @@ DetaJob::DetaJob(fl::ExecutionOptions options, DetaOptions deta,
     ac.num_aggregators = deta_.num_aggregators;
     ac.rounds = options_.rounds;
     ac.quorum = deta_.quorum;
-    ac.min_quorum = deta_.min_quorum;
     ac.round_timeout_ms = options_.round_timeout_ms;
     ac.idle_timeout_ms = std::max(ac.idle_timeout_ms, idle_floor_ms);
     ac.retry = options_.retry;
@@ -512,31 +517,35 @@ fl::JobResult DetaJob::Run() {
   fl::JobResult result;
   result.resumed_from_round = resume_round_;
 
-  // With crash faults configured the observer doubles as the supervisor: every bounded
-  // wait below is sliced into short ticks so a crashed role is revived within ~50ms
-  // instead of stalling the phase for its full timeout.
-  const bool crash_mode = !options_.fault_plan.crashes.empty();
-  auto receive_ready = [&]() -> std::optional<net::Message> {
-    if (!crash_mode) {
-      return observer->ReceiveTypeFor(kPartyReady, options_.setup_timeout_ms);
-    }
-    auto deadline = std::chrono::steady_clock::now() +
-                    std::chrono::milliseconds(options_.setup_timeout_ms);
-    while (std::chrono::steady_clock::now() < deadline) {
-      ReviveCrashedRoles(*observer, /*job_started=*/false);
-      std::optional<net::Message> m = observer->ReceiveTypeFor(kPartyReady, 50);
+  // The observer doubles as the supervisor: each wait below receives in ticks of at most
+  // kObserverTickMs and revives crashed roles between them (a no-op when none crashed),
+  // so a crash stalls a phase for one tick instead of its full timeout. |receive| takes
+  // the tick's timeout; the wait returns the first message, or nullopt at |deadline|.
+  auto supervised_wait = [&](Clock::time_point deadline, bool job_started,
+                             const auto& receive) -> std::optional<net::Message> {
+    for (;;) {
+      ReviveCrashedRoles(*observer, job_started);
+      auto left = std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
+                                                                        Clock::now());
+      if (left.count() <= 0) {
+        return std::nullopt;
+      }
+      std::optional<net::Message> m =
+          receive(static_cast<int>(std::min<int64_t>(left.count(), kObserverTickMs)));
       if (m.has_value()) {
         return m;
       }
     }
-    return std::nullopt;
   };
 
   // Bounded ready barrier: every party (local or remote) reports the outcome of
   // verification + registration, or the barrier times out. Either failure is a typed
   // result, not a hang.
   for (size_t i = 0; i < party_names_.size(); ++i) {
-    std::optional<net::Message> m = receive_ready();
+    std::optional<net::Message> m = supervised_wait(
+        Clock::now() + std::chrono::milliseconds(options_.setup_timeout_ms),
+        /*job_started=*/false,
+        [&](int ms) { return observer->ReceiveTypeFor(kPartyReady, ms); });
     if (!m.has_value()) {
       result.status = fl::JobStatus::kSetupFailed;
       result.error = "timed out waiting for party readiness";
@@ -561,30 +570,24 @@ fl::JobResult DetaJob::Run() {
   // the parties before it acks.
   result.setup_seconds = setup_watch_.ElapsedSeconds();
 
-  // Acked job start, so a stalled initiator is a typed error instead of a silent hang.
-  // (Observer traffic is exempt from fault injection, so this succeeds first try when
-  // the initiator is healthy.) Under crash faults, RequestReply's fast abort on a dead
-  // endpoint would burn the whole retry budget before the supervisor could revive the
-  // initiator — so interleave send / short wait / revive manually instead.
+  // Acked job start, retransmitted on options_.retry's schedule, so a stalled initiator
+  // is a typed error instead of a silent hang. (Observer traffic is exempt from fault
+  // injection, so this succeeds first try when the initiator is healthy.) Unlike
+  // RequestReply, a failed send does not end the handshake: the send fails when the
+  // initiator crashed, and the wait's next tick revives it and re-sends job.start.
+  const std::string& initiator = aggregator_names_[0];
   bool job_started = false;
-  if (!crash_mode) {
-    job_started = net::RequestReply(*observer, aggregator_names_[0], kJobStart, {},
-                                    kJobStartAck, options_.retry)
-                      .has_value();
-  } else {
-    auto deadline = std::chrono::steady_clock::now() +
-                    std::chrono::milliseconds(options_.setup_timeout_ms);
-    while (!job_started && std::chrono::steady_clock::now() < deadline) {
-      observer->Send(aggregator_names_[0], kJobStart, {});
-      job_started = observer->ReceiveTypeFor(kJobStartAck, 250).has_value();
-      if (!job_started) {
-        ReviveCrashedRoles(*observer, /*job_started=*/true);
-      }
-    }
+  for (int attempt = 0; !job_started && attempt < options_.retry.max_attempts; ++attempt) {
+    observer->Send(initiator, kJobStart, {});
+    Clock::time_point attempt_deadline =
+        Clock::now() + std::chrono::milliseconds(options_.retry.TimeoutForAttempt(attempt));
+    job_started = supervised_wait(attempt_deadline, /*job_started=*/true, [&](int ms) {
+                    return observer->ReceiveMatchFor(kJobStartAck, initiator, ms);
+                  }).has_value();
   }
   if (!job_started) {
     result.status = fl::JobStatus::kStalled;
-    result.error = "initiator " + aggregator_names_[0] + " did not ack job start";
+    result.error = "initiator " + initiator + " did not ack job start";
     ShutdownAll(*observer);
     finish_telemetry(result, 0.0);
     return result;
@@ -626,8 +629,7 @@ fl::JobResult DetaJob::Run() {
   for (int round = resume_round_ + 1; round <= options_.rounds && result.ok(); ++round) {
     telemetry::Span round_span("core.deta_job.round", &sim_clock);
     WallStopwatch round_wall;
-    auto deadline = std::chrono::steady_clock::now() +
-                    std::chrono::milliseconds(round_budget_ms);
+    Clock::time_point deadline = Clock::now() + std::chrono::milliseconds(round_budget_ms);
     auto round_complete = [&] {
       // Every active party either reported timing or skipped; every aggregator
       // reported; the global params arrived unless the reporter sat the round out.
@@ -644,22 +646,14 @@ fl::JobResult DetaJob::Run() {
              params_ready;
     };
     while (!round_complete()) {
-      auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-          deadline - std::chrono::steady_clock::now());
-      if (left.count() <= 0) {
+      std::optional<net::Message> m =
+          supervised_wait(deadline, /*job_started=*/true,
+                          [&](int ms) { return observer->ReceiveFor(ms); });
+      if (!m.has_value()) {
         result.status = fl::JobStatus::kStalled;
         result.error = "no progress in round " + std::to_string(round) + " within " +
                        std::to_string(round_budget_ms) + "ms";
         break;
-      }
-      int wait_ms = static_cast<int>(left.count());
-      if (crash_mode) {
-        ReviveCrashedRoles(*observer, /*job_started=*/true);
-        wait_ms = std::min(wait_ms, 50);
-      }
-      std::optional<net::Message> m = observer->ReceiveFor(wait_ms);
-      if (!m.has_value()) {
-        continue;  // deadline check on the next pass
       }
       net::Reader r(m->payload);
       if (m->type == kPartyTiming) {

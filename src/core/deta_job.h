@@ -41,12 +41,9 @@ struct DetaOptions {
   // instead of handing parties a pre-built transform. Default on: this is the paper's
   // deployment shape; turning it off removes the broker round-trip from setup.
   bool use_key_broker = true;
-  // Aggregate as soon as this many party fragments arrive (0 = all parties).
+  // Aggregate as soon as this many party fragments arrive (0 = all parties; at most the
+  // party count). A round deadline with fewer fragments is a quorum failure.
   int quorum = 0;
-  // Minimum fragments required when an aggregator's round deadline expires; parties
-  // missing at that point are recorded as dropouts for the round. 0 = every party must
-  // arrive (an absence at the deadline is a quorum failure).
-  int min_quorum = 0;
 };
 
 // Where this DetaJob instance's roles run. The default (all fields empty) is the

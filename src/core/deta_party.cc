@@ -18,6 +18,9 @@ namespace deta::core {
 namespace {
 using Clock = std::chrono::steady_clock;
 constexpr int kTickMs = 50;
+// Overall ceiling on one round's upload + result collection; the round is skipped when
+// it expires.
+constexpr int kResultTimeoutMs = 120000;
 
 int MsUntil(Clock::time_point deadline) {
   auto left = std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
@@ -52,7 +55,7 @@ DetaParty::DetaParty(std::unique_ptr<fl::Party> local, DetaPartyConfig config,
                    "Paillier fusion enabled but no key source configured");
     if (config_.paillier.has_value()) {
       paillier_codec_ = std::make_unique<fl::PaillierVectorCodec>(
-          config_.paillier->pub, config_.num_parties, config_.paillier_lane_bits);
+          config_.paillier->pub, config_.num_parties);
     }
   }
 }
@@ -120,8 +123,8 @@ bool DetaParty::SetupChannels() {
       LOG_WARNING << name() << ": Paillier fusion enabled but no key from job or broker";
       return false;
     }
-    paillier_codec_ = std::make_unique<fl::PaillierVectorCodec>(
-        config_.paillier->pub, config_.num_parties, config_.paillier_lane_bits);
+    paillier_codec_ = std::make_unique<fl::PaillierVectorCodec>(config_.paillier->pub,
+                                                               config_.num_parties);
   }
   // Verify, then register with *all* aggregators (the paper's precondition for joining
   // training: no update is ever shared with an unverified aggregator).
@@ -366,7 +369,7 @@ void DetaParty::RunRound(int round) {
   // every aggregator whose result is still missing, then waits one backoff slice for
   // results. Re-sends are re-sealed so the aggregator's replay window accepts them; the
   // aggregator answers a re-send for an already-aggregated round with the cached result.
-  // The loop is bounded by result_timeout_ms, not by the retry budget: an aggregator
+  // The loop is bounded by kResultTimeoutMs, not by the retry budget: an aggregator
   // that is merely slow (still waiting on other parties' uploads) is indistinguishable
   // from a lossy link, and giving up after a handful of retransmissions would turn
   // benign scheduling skew into spurious round skips. Retransmission cadence plateaus
@@ -384,9 +387,7 @@ void DetaParty::RunRound(int round) {
   std::vector<bool> have(num_aggs, false);
   size_t received = 0;
   Clock::time_point overall_deadline =
-      Clock::now() + std::chrono::milliseconds(config_.result_timeout_ms > 0
-                                                   ? config_.result_timeout_ms
-                                                   : (1 << 30));
+      Clock::now() + std::chrono::milliseconds(kResultTimeoutMs);
   int unreachable_streak = 0;
   for (int attempt = 0; received < num_aggs; ++attempt) {
     bool any_reachable = false;

@@ -47,7 +47,6 @@ struct DetaPartyConfig {
   // Paillier fusion key material (all parties hold it; the key-broker role).
   bool use_paillier = false;
   std::optional<crypto::PaillierKeyPair> paillier;
-  int paillier_lane_bits = 56;
   int num_parties = 1;
   // Starting global parameters; identical across all parties of a job.
   std::vector<float> initial_params;
@@ -60,9 +59,6 @@ struct DetaPartyConfig {
   int rounds = 0;
   // Retransmission pacing for setup handshakes and per-round uploads.
   net::RetryPolicy retry;
-  // Overall ceiling on one round's upload + result collection; the round is skipped
-  // when it expires (0 = no ceiling — wait for shutdown).
-  int result_timeout_ms = 120000;
   // Backstop: exit (with a warning) when no message arrives for this long between rounds.
   int idle_timeout_ms = 60000;
 

@@ -35,15 +35,12 @@ inline constexpr char kKeyBrokerMaterial[] = "kb.material";
 // and reaching a log, telemetry label, or plaintext snapshot section requires an
 // audited Expose* call.
 struct TransformMaterial {
-  // deta-lint: secret
   Secret<Bytes> permutation_key;
-  // deta-lint: secret
   Secret<Bytes> mapper_seed;
   // Serialized Paillier key pair (persist/paillier_key_codec.h; empty = job does not
   // use Paillier fusion). Carried by the broker so the fusion decryption capability is
   // dispatched over the same authenticated channel as the transform secrets — it is
   // the key-broker key material the paper's §4.2 broker role exists to hold.
-  // deta-lint: secret
   Secret<Bytes> paillier_key;
   int64_t total_params = 0;
   std::vector<double> proportions;  // empty = uniform over num_aggregators

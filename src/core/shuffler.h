@@ -34,7 +34,7 @@ class Shuffler {
                                int partition) const;
 
  private:
-  // deta-lint: secret — undoing the shuffle costs O(2^|key|) without it
+  // Undoing the shuffle costs O(2^|key|) without it.
   Secret<Bytes> key_;
 };
 

@@ -90,10 +90,10 @@ class SecureRng {
   void Refill();
   void Fill(std::span<uint8_t> out);
 
-  Secret<std::array<uint8_t, kChaChaKeySize>> key_;  // deta-lint: secret
+  Secret<std::array<uint8_t, kChaChaKeySize>> key_;
   std::array<uint8_t, kChaChaNonceSize> nonce_{};
   uint32_t counter_ = 0;  // next block to generate
-  // deta-lint: secret — unconsumed keystream predicts future outputs
+  // Unconsumed keystream predicts future outputs.
   Secret<std::array<uint8_t, kChaChaBatchSize>> block_;
   size_t len_ = 0;  // valid bytes in block_
   size_t pos_ = 0;  // consumed bytes in block_

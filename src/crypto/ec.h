@@ -76,7 +76,7 @@ struct EcKeyPair {
   EcKeyPair(BigUint priv, EcPoint pub)
       : private_key(std::move(priv)), public_key(std::move(pub)) {}
 
-  Secret<BigUint> private_key;  // deta-lint: secret — scalar in [1, n)
+  Secret<BigUint> private_key;  // scalar in [1, n)
   EcPoint public_key;           // private_key * G
 };
 

@@ -58,22 +58,22 @@ struct PaillierPrivateKey {
   // log, a telemetry label, or a plaintext wire/persist path without an audited
   // Expose* call, and it wipes itself on destruction.
 
-  Secret<BigUint> lambda;  // deta-lint: secret — lcm(p-1, q-1)
-  Secret<BigUint> mu;      // deta-lint: secret — (L(g^lambda mod n^2))^-1 mod n
+  Secret<BigUint> lambda;  // lcm(p-1, q-1)
+  Secret<BigUint> mu;      // (L(g^lambda mod n^2))^-1 mod n
 
   // CRT extension, required by Decrypt (empty p/q = absent). GeneratePaillierKey and
   // the key codec always build it. The primes and everything derived from them are
   // secret; the derived members exist so decrypt never recomputes an inverse or square
   // per ciphertext.
-  Secret<BigUint> p;          // deta-lint: secret — prime factor of n
-  Secret<BigUint> q;          // deta-lint: secret — prime factor of n
-  Secret<BigUint> p_squared;  // deta-lint: secret
-  Secret<BigUint> q_squared;  // deta-lint: secret
-  Secret<BigUint> p_minus_1;  // deta-lint: secret — CRT exponent mod p^2
-  Secret<BigUint> q_minus_1;  // deta-lint: secret — CRT exponent mod q^2
-  Secret<BigUint> hp;         // deta-lint: secret — L_p(g^(p-1) mod p^2)^-1 mod p
-  Secret<BigUint> hq;         // deta-lint: secret — L_q(g^(q-1) mod q^2)^-1 mod q
-  Secret<BigUint> p_inv_q;    // deta-lint: secret — p^-1 mod q (Garner recombination)
+  Secret<BigUint> p;          // prime factor of n
+  Secret<BigUint> q;          // prime factor of n
+  Secret<BigUint> p_squared;
+  Secret<BigUint> q_squared;
+  Secret<BigUint> p_minus_1;  // CRT exponent mod p^2
+  Secret<BigUint> q_minus_1;  // CRT exponent mod q^2
+  Secret<BigUint> hp;         // L_p(g^(p-1) mod p^2)^-1 mod p
+  Secret<BigUint> hq;         // L_q(g^(q-1) mod q^2)^-1 mod q
+  Secret<BigUint> p_inv_q;    // p^-1 mod q (Garner recombination)
 
   bool HasCrt() const { return !p.ExposeForCrypto().IsZero(); }
   // Derives p_squared..p_inv_q and the per-prime Montgomery contexts from p/q (which

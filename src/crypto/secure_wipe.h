@@ -1,11 +1,13 @@
 // Best-effort secret erasure: zeroes memory through a compiler barrier so the store
 // cannot be elided as a dead write (the usual fate of a plain memset before free).
 //
-// Every type owning material tagged `// deta-lint: secret` must call one of these from
-// its destructor — enforced by deta_lint rule DL-S2 — so key schedules, shared secrets,
-// and seal keys do not linger in freed heap pages for a breach experiment (or a real
-// exploit) to scrape. This is the in-process half of the paper's trust argument: secrets
-// live only inside their trust domain *and* only for their useful lifetime.
+// Secret<T> (common/secret.h) calls these on destruction and reassignment. The kernels
+// that keep key material outside a Secret<T> (Poly1305, the ChaCha20 block batch, EC
+// scalars, Montgomery contexts over secret moduli) call them from their destructors. So
+// key schedules, shared secrets, and seal keys do not linger in freed heap pages for a
+// breach experiment (or a real exploit) to scrape. This is the in-process half of the
+// paper's trust argument: secrets live only inside their trust domain *and* only for
+// their useful lifetime.
 #ifndef DETA_CRYPTO_SECURE_WIPE_H_
 #define DETA_CRYPTO_SECURE_WIPE_H_
 

@@ -62,9 +62,8 @@ class SecureChannel {
  private:
   Bytes AssociatedData(ChannelRole sender, uint64_t seq) const;
 
-  crypto::Aead aead_;  // deta-lint: secret — Aead wipes its own keys on destruction
-  // deta-lint: secret — retained for SerializeState
-  Secret<Bytes> master_secret_;
+  crypto::Aead aead_;  // wipes its own keys on destruction
+  Secret<Bytes> master_secret_;  // retained for SerializeState
   std::string channel_id_;
   ChannelRole role_;
   uint64_t send_seq_ = 0;       // last sequence number sealed

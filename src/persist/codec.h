@@ -82,8 +82,8 @@ class SealKey {
 
  private:
   explicit SealKey(const Bytes& master_key) : aead_(master_key) {}
-  // deta-lint: secret — Aead wipes its own key schedule on destruction, so SealKey
-  // needs no destructor of its own.
+  // Aead wipes its own key schedule on destruction, so SealKey needs no destructor of
+  // its own.
   crypto::Aead aead_;
 };
 

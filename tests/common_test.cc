@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <memory>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/check.h"
 #include "common/queue.h"
 #include "common/rng.h"
+#include "common/secret.h"
 #include "common/sim_clock.h"
 
 namespace deta {
@@ -222,6 +228,93 @@ TEST(StopwatchTest, MeasuresThreadCpuTime) {
     x = x * 1.0000001;
   }
   EXPECT_GT(watch.ElapsedSeconds(), 0.0);
+}
+
+// A wrapped value whose Wipe() is observable: it zeroes the payload, as a real wipe
+// would, and counts the call, so a test can tell which Secret operation wiped which
+// value.
+struct WipeProbe {
+  int value = 0;
+  int* wipes = nullptr;
+  void Wipe() {
+    value = 0;
+    ++*wipes;
+  }
+};
+
+TEST(SecretTest, DestructorWipesTheValue) {
+  int wipes = 0;
+  { Secret<WipeProbe> key(WipeProbe{7, &wipes}); }
+  EXPECT_EQ(wipes, 1);
+}
+
+TEST(SecretTest, CopyAssignmentWipesTheOldValue) {
+  int old_wipes = 0;
+  int source_wipes = 0;
+  Secret<WipeProbe> target(WipeProbe{1, &old_wipes});
+  const Secret<WipeProbe> source(WipeProbe{2, &source_wipes});
+  target = source;
+  EXPECT_EQ(old_wipes, 1);
+  EXPECT_EQ(source_wipes, 0);  // a copy leaves its source intact
+  EXPECT_EQ(target.ExposeForCrypto().value, 2);
+  EXPECT_EQ(source.ExposeForCrypto().value, 2);
+}
+
+TEST(SecretTest, MoveAssignmentWipesTheOldValueAndTheSource) {
+  int old_wipes = 0;
+  int source_wipes = 0;
+  Secret<WipeProbe> target(WipeProbe{1, &old_wipes});
+  Secret<WipeProbe> source(WipeProbe{2, &source_wipes});
+  target = std::move(source);
+  EXPECT_EQ(old_wipes, 1);
+  EXPECT_EQ(source_wipes, 1);
+  EXPECT_EQ(target.ExposeForCrypto().value, 2);
+  EXPECT_EQ(source.ExposeForCrypto().value, 0);
+}
+
+TEST(SecretTest, MoveConstructionWipesTheSource) {
+  int wipes = 0;
+  Secret<WipeProbe> source(WipeProbe{3, &wipes});
+  Secret<WipeProbe> moved(std::move(source));
+  EXPECT_EQ(wipes, 1);
+  EXPECT_EQ(moved.ExposeForCrypto().value, 3);
+  EXPECT_EQ(source.ExposeForCrypto().value, 0);
+}
+
+TEST(SecretTest, WipeNowEmptiesBytesAndZeroesArrays) {
+  Secret<Bytes> bytes(Bytes{0x01, 0x02, 0x03});
+  bytes.WipeNow();
+  EXPECT_TRUE(bytes.ExposeForCrypto().empty());
+
+  Secret<std::array<uint8_t, 4>> array(std::array<uint8_t, 4>{0x0a, 0x0b, 0x0c, 0x0d});
+  array.WipeNow();
+  EXPECT_EQ(array.ExposeForCrypto(), (std::array<uint8_t, 4>{}));
+}
+
+// Records whether a buffer held only zero bytes when its vector freed it.
+bool freed_buffer_all_zero = false;
+
+template <typename T>
+struct ZeroCheckingAllocator {
+  using value_type = T;
+  ZeroCheckingAllocator() = default;
+  template <typename U>
+  ZeroCheckingAllocator(const ZeroCheckingAllocator<U>& /*other*/) {}
+  T* allocate(size_t n) { return std::allocator<T>().allocate(n); }
+  void deallocate(T* p, size_t n) {
+    freed_buffer_all_zero = std::all_of(p, p + n, [](T b) { return b == 0; });
+    std::allocator<T>().deallocate(p, n);
+  }
+  bool operator==(const ZeroCheckingAllocator& /*other*/) const { return true; }
+};
+
+// No key byte outlives its Secret in freed heap memory: the destructor wipes the
+// vector's buffer before the vector hands it back to the allocator.
+TEST(SecretTest, VectorBufferIsZeroedBeforeItIsFreed) {
+  using CheckedBytes = std::vector<uint8_t, ZeroCheckingAllocator<uint8_t>>;
+  freed_buffer_all_zero = false;
+  { Secret<CheckedBytes> key(CheckedBytes{0x11, 0x22, 0x33, 0x44}); }
+  EXPECT_TRUE(freed_buffer_all_zero);
 }
 
 }  // namespace

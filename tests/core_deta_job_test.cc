@@ -9,6 +9,7 @@
 #include <set>
 
 #include "cc/attestation_proxy.h"
+#include "common/check.h"
 #include "core/deta_job.h"
 
 namespace deta::core {
@@ -568,6 +569,19 @@ TEST(DetaJobFaultTest, QuorumFailureIsTypedNotAHang) {
   EXPECT_FALSE(result.ok());
   EXPECT_FALSE(result.error.empty());
   EXPECT_TRUE(result.rounds.empty());
+}
+
+// A quorum outside [0, parties] would leave every round to fail at its deadline, so the
+// job rejects it at construction.
+TEST(DetaJobFaultTest, QuorumOutsidePartyCountIsRejected) {
+  fl::ExecutionOptions base = BaseOptions();
+  for (int quorum : {-1, 3}) {
+    DetaOptions deta_options;
+    deta_options.quorum = quorum;
+    EXPECT_THROW(DetaJob(base, deta_options, MakePartiesWith(TinyMlpFactory(), 2, base.train),
+                         TinyMlpFactory(), SmallMnist(30, 6)),
+                 CheckFailure);
+  }
 }
 
 }  // namespace

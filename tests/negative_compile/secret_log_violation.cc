@@ -1,6 +1,6 @@
 // Must NOT compile: streaming a Secret into a log statement. The deleted
 // templated operator<< wins overload resolution for any stream type, so the
-// leak dies at compile time instead of surviving until deta_lint runs.
+// leak dies at compile time.
 #include "common/logging.h"
 #include "common/secret.h"
 
