@@ -7,6 +7,7 @@
 #include "bench_main.h"
 
 #include "common/parallel.h"
+#include "core/model_mapper.h"
 #include "core/shuffler.h"
 #include "crypto/aead.h"
 #include "crypto/ecdsa.h"
@@ -330,6 +331,18 @@ void BM_PermutationDerivation(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * n);
 }
 BENCHMARK(BM_PermutationDerivation)->Arg(10000)->Arg(100000)->Arg(1000000);
+
+// The model mapper's layout at bulk_update_tcp's 2,035,210 parameters over 3 aggregators:
+// one Fisher-Yates over every coordinate plus the walk that fills the partitions.
+void BM_MapperLayout(benchmark::State& state) {
+  int64_t n = state.range(0);
+  const Bytes seed = StringToBytes("bench");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::ModelMapper::Uniform(n, 3, seed));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * n);
+}
+BENCHMARK(BM_MapperLayout)->Arg(2035210);
 
 }  // namespace
 

@@ -420,7 +420,11 @@ std::string ConsumeTelemetryFlag(int* argc, char** argv) {
 }
 
 std::string ToJson(const TelemetrySnapshot& snapshot) {
-  std::string out = "{\"version\":1,\"sim_seconds\":";
+  std::string out = "{\"version\":1,\"build\":{\"type\":";
+  AppendJsonString(&out, DETA_BUILD_TYPE);
+  out += ",\"cxx_flags\":";
+  AppendJsonString(&out, DETA_CXX_FLAGS);
+  out += "},\"sim_seconds\":";
   AppendDouble(&out, snapshot.sim_seconds);
   out += ",\"counters\":{";
   bool first = true;

@@ -212,8 +212,11 @@ class Span {
 std::string ConsumeTelemetryFlag(int* argc, char** argv);
 
 // Machine-readable export consumed by scripts/bench_gate.py:
-//   {"version":1,"counters":{...},"gauges":{...},
+//   {"version":1,"build":{"type":...,"cxx_flags":...},"sim_seconds":...,
+//    "counters":{...},"gauges":{...},
 //    "histograms":{name:{"unit":...,"count":...,"sum":...,"buckets":[[b,c],...]}}}
+// "build" names the CMake build type and its compiler flags (CMAKE_CXX_FLAGS plus the
+// build type's own), since the same run reads 1.4x apart between build types.
 std::string ToJson(const TelemetrySnapshot& snapshot);
 // Writes ToJson(snapshot) to |path|; false (with a logged error) on I/O failure.
 bool WriteJsonFile(const TelemetrySnapshot& snapshot, const std::string& path);

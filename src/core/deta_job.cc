@@ -151,7 +151,12 @@ DetaJob::DetaJob(fl::ExecutionOptions options, DetaOptions deta,
   material.num_aggregators = deta_.num_aggregators;
   material.enable_partition = deta_.enable_partition;
   material.enable_shuffle = deta_.enable_shuffle;
-  transform_ = material.BuildTransform();
+  if (!deta_.use_key_broker) {
+    // Parties share this transform. With the key broker each party builds its own from
+    // the fetched material, and the job builds its copy only when transform() asks.
+    transform_ = material.BuildTransform();
+    party_transform_ = transform_;
+  }
 
   // --- Paillier key material: generated before the broker exists so the fusion key
   // rides inside the broker-served material (§4.2 key-broker key material) and reaches
@@ -261,17 +266,14 @@ DetaJob::DetaJob(fl::ExecutionOptions options, DetaOptions deta,
       pc.resume = true;
       pc.resume_max_round = resume_round_;
     }
-    std::shared_ptr<const Transform> party_transform = transform_;
     if (deta_.use_key_broker) {
       pc.fetch_from_key_broker = true;
       pc.key_broker_public = broker_identity.public_key;
-      party_transform = nullptr;  // built from broker-served material during setup
       // The Paillier key is broker-served material too: parties receive it over the
       // authenticated fetch channel (or from their own sealed snapshot on resume),
       // never via plain job config.
       pc.paillier.reset();
     }
-    party_transform_ = party_transform;
     party_configs_.push_back(pc);
     crypto::SecureRng party_rng(setup_rng.NextBytes(32));  // drawn even for remote roles
     if (!RoleIsLocal(party_names_[i])) {
@@ -289,10 +291,19 @@ DetaJob::DetaJob(fl::ExecutionOptions options, DetaOptions deta,
     DETA_CHECK_MSG(local != nullptr,
                    "no local trainer supplied for hosted party " << party_names_[i]);
     deta_parties_.push_back(std::make_unique<DetaParty>(
-        std::move(local), pc, party_transform, *transport_, std::move(party_rng)));
+        std::move(local), pc, party_transform_, *transport_, std::move(party_rng)));
   }
   revive_rng_ = crypto::SecureRng(setup_rng.NextBytes(32));
   construct_seconds_ = setup_watch_.ElapsedSeconds();
+}
+
+const Transform& DetaJob::transform() const {
+  std::call_once(transform_once_, [this] {
+    if (transform_ == nullptr) {
+      transform_ = material_.BuildTransform();
+    }
+  });
+  return *transform_;
 }
 
 bool DetaJob::RoleIsLocal(const std::string& role) const {

@@ -15,6 +15,7 @@
 #define DETA_CORE_DETA_JOB_H_
 
 #include <memory>
+#include <mutex>
 
 #include "cc/attestation_proxy.h"
 #include "common/sim_clock.h"
@@ -78,9 +79,10 @@ class DetaJob {
   fl::JobResult Run();
 
   // Post-run access for the security experiments: the aggregator CVMs (breachable) and
-  // the transform (party-held secret state).
+  // the transform (party-held secret state). In key-broker mode the first call derives
+  // the transform from the retained material.
   const std::vector<std::shared_ptr<cc::Cvm>>& aggregator_cvms() const { return cvms_; }
-  const Transform& transform() const { return *transform_; }
+  const Transform& transform() const;
 
  private:
   // True when |role| runs in this process (deployment.local_roles empty = all local).
@@ -128,7 +130,10 @@ class DetaJob {
   std::vector<std::shared_ptr<cc::Cvm>> cvms_;
   std::unique_ptr<cc::AttestationProxy> proxy_;
   std::unique_ptr<KeyBroker> key_broker_;
-  std::shared_ptr<const Transform> transform_;
+  // Built by the constructor when parties share it (no key broker), else by the first
+  // transform() call.
+  mutable std::once_flag transform_once_;
+  mutable std::shared_ptr<const Transform> transform_;
   std::vector<std::unique_ptr<DetaAggregator>> aggregators_;
   std::vector<std::unique_ptr<DetaParty>> deta_parties_;
   // Wall time of construction, the setup a worker process without the barrier reports.
@@ -136,7 +141,8 @@ class DetaJob {
 
   // --- durability / crash-fault orchestration state ---
   std::unique_ptr<persist::StateStore> store_;
-  // Retained construction inputs so crashed roles can be rebuilt identically.
+  // Retained construction inputs so crashed roles can be rebuilt identically (and the
+  // key-broker-mode transform() built on demand).
   TransformMaterial material_;
   crypto::EcKeyPair broker_identity_;
   std::vector<AggregatorConfig> agg_configs_;

@@ -346,9 +346,10 @@ void DetaParty::RunRound(int round) {
   fl::Party::LocalResult local = local_->RunLocalRound(global_params_, round);
 
   // --- Trans: partition + shuffle (+ Paillier encryption when enabled) ---
+  // The round's shuffle tables are derived here once and reused by Trans^-1.
   Stopwatch transform_watch;
-  std::vector<std::vector<float>> fragments =
-      transform_->Apply(local.update.values, static_cast<uint64_t>(round));
+  const RoundTransform trans = transform_->ForRound(static_cast<uint64_t>(round));
+  std::vector<std::vector<float>> fragments = trans.Apply(local.update.values);
   std::vector<Bytes> payloads(fragments.size());
   uint64_t upload_bytes_max = 0;
   for (size_t j = 0; j < fragments.size(); ++j) {
@@ -525,7 +526,7 @@ void DetaParty::RunRound(int round) {
 
   // --- Trans^-1: un-shuffle + merge, then synchronize the local model ---
   Stopwatch invert_watch;
-  std::vector<float> merged = transform_->Invert(aggregated, static_cast<uint64_t>(round));
+  std::vector<float> merged = trans.Invert(aggregated);
   double invert_seconds = invert_watch.ElapsedSeconds() + result_seconds;
 
   if (config_.train.kind == fl::TrainConfig::UpdateKind::kGradient) {

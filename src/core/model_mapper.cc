@@ -1,11 +1,12 @@
 #include "core/model_mapper.h"
 
-#include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "common/check.h"
 #include "common/parallel.h"
-#include "crypto/chacha20.h"
+#include "common/telemetry.h"
+#include "core/shuffler.h"
 
 namespace deta::core {
 
@@ -14,40 +15,55 @@ ModelMapper::ModelMapper(int64_t total_params, const std::vector<double>& propor
     : total_params_(total_params) {
   DETA_CHECK_GT(total_params, 0);
   DETA_CHECK(!proportions.empty());
+  for (double share : proportions) {
+    // A negative or infinite share would hand one aggregator every coordinate.
+    DETA_CHECK_MSG(std::isfinite(share) && share >= 0.0,
+                   "mapper proportion " << share << " is negative or not finite");
+  }
   double sum = std::accumulate(proportions.begin(), proportions.end(), 0.0);
-  DETA_CHECK_GT(sum, 0.0);
+  DETA_CHECK_MSG(std::isfinite(sum) && sum > 0.0,
+                 "mapper proportions sum to " << sum);
+  DETA_COUNTER("core.transform.layouts").Increment();
 
   // Cryptographically seeded permutation of all coordinate indices; contiguous slices of
-  // the permutation become the partitions, so membership is uniform at random.
-  std::vector<int64_t> order(static_cast<size_t>(total_params));
-  std::iota(order.begin(), order.end(), 0);
+  // the permutation become the partitions, so membership is uniform at random. Each
+  // coordinate is marked with the partition whose slice holds it.
   Bytes seed = shared_seed;
   seed.insert(seed.end(), {'m', 'a', 'p', 'p', 'e', 'r'});
   crypto::SecureRng rng(seed);
-  for (size_t i = order.size(); i > 1; --i) {
-    size_t j = static_cast<size_t>(rng.NextBelow(i));
-    std::swap(order[i - 1], order[j]);
+  const size_t n = static_cast<size_t>(total_params);
+  std::vector<uint32_t> owner(n);
+  std::vector<size_t> counts(proportions.size());
+  {
+    const std::vector<uint32_t> order = SeededPermutation(rng, n);
+    size_t start = 0;
+    for (size_t p = 0; p < proportions.size(); ++p) {
+      size_t count = n - start;  // the last partition absorbs the rounding remainder
+      if (p + 1 < proportions.size()) {
+        double quota = static_cast<double>(total_params) * proportions[p] / sum;
+        if (quota < static_cast<double>(count)) {
+          count = static_cast<size_t>(quota);
+        }
+      }
+      for (size_t k = start; k < start + count; ++k) {
+        owner[order[k]] = static_cast<uint32_t>(p);
+      }
+      counts[p] = count;
+      start += count;
+    }
   }
 
+  // §4.1: fragments are "squeezed to occupy all empty slots in sequence" — membership is
+  // random but relative order is preserved, so one ascending walk over the coordinates
+  // fills every partition in index order. (Any further reordering is the shuffler's job,
+  // keyed separately.)
   partition_indices_.resize(proportions.size());
-  size_t start = 0;
   for (size_t p = 0; p < proportions.size(); ++p) {
-    size_t count;
-    if (p + 1 == proportions.size()) {
-      count = order.size() - start;  // last partition absorbs rounding remainder
-    } else {
-      count = static_cast<size_t>(static_cast<double>(total_params) * proportions[p] / sum);
-      count = std::min(count, order.size() - start);
-    }
-    partition_indices_[p].assign(order.begin() + static_cast<long>(start),
-                                 order.begin() + static_cast<long>(start + count));
-    // §4.1: fragments are "squeezed to occupy all empty slots in sequence" — membership is
-    // random but relative order is preserved, so keep the indices ascending. (Any further
-    // reordering is the shuffler's job, keyed separately.)
-    std::sort(partition_indices_[p].begin(), partition_indices_[p].end());
-    start += count;
+    partition_indices_[p].reserve(counts[p]);
   }
-  DETA_CHECK_EQ(start, order.size());
+  for (size_t i = 0; i < n; ++i) {
+    partition_indices_[owner[i]].push_back(static_cast<int64_t>(i));
+  }
 }
 
 ModelMapper ModelMapper::Uniform(int64_t total_params, int num_aggregators,

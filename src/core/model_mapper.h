@@ -19,9 +19,10 @@ namespace deta::core {
 class ModelMapper {
  public:
   // |total_params| parameters distributed over |proportions.size()| aggregators with the
-  // given proportions (need not sum exactly to 1; they are normalized). The assignment is
-  // a seeded random permutation, so every aggregator's partition is a uniform random
-  // subset of coordinates.
+  // given proportions (finite, non-negative, positive sum; they need not sum exactly to 1
+  // and are normalized). The assignment is a seeded random permutation, so every
+  // aggregator's partition is a uniform random subset of coordinates. Counted under
+  // core.transform.layouts.
   ModelMapper(int64_t total_params, const std::vector<double>& proportions,
               const Bytes& shared_seed);
 

@@ -1,69 +1,97 @@
 #include "core/shuffler.h"
 
+#include <numeric>
+
 #include "common/check.h"
 #include "common/parallel.h"
-#include "crypto/chacha20.h"
+#include "common/telemetry.h"
 #include "crypto/hmac.h"
+#include "crypto/secure_wipe.h"
 #include "net/codec.h"
 
 namespace deta::core {
+
+std::vector<uint32_t> SeededPermutation(crypto::SecureRng& rng, size_t n) {
+  DETA_CHECK_LT(n, size_t{1} << 32);
+  std::vector<uint32_t> table(n);
+  std::iota(table.begin(), table.end(), 0u);
+  for (size_t i = n; i > 1; --i) {
+    std::swap(table[i - 1], table[static_cast<size_t>(rng.NextBelow(i))]);
+  }
+  return table;
+}
+
+PermutationTable& PermutationTable::operator=(PermutationTable&& other) noexcept {
+  if (this != &other) {
+    Wipe();
+    table_ = std::move(other.table_);
+  }
+  return *this;
+}
+
+void PermutationTable::Wipe() {
+  crypto::SecureWipe(table_.data(), table_.size() * sizeof(uint32_t));
+}
+
+std::vector<float> GatherBy(const std::vector<float>& fragment,
+                            std::span<const uint32_t> table) {
+  DETA_CHECK_EQ(fragment.size(), table.size());
+  std::vector<float> out(fragment.size());
+  // Disjoint writes, so chunks parallelize.
+  parallel::ParallelFor(0, static_cast<int64_t>(fragment.size()), 1 << 15,
+                        [&](int64_t lo, int64_t hi) {
+                          for (int64_t i = lo; i < hi; ++i) {
+                            out[static_cast<size_t>(i)] =
+                                fragment[table[static_cast<size_t>(i)]];
+                          }
+                        });
+  return out;
+}
+
+std::vector<float> ScatterBy(const std::vector<float>& fragment,
+                             std::span<const uint32_t> table) {
+  DETA_CHECK_EQ(fragment.size(), table.size());
+  std::vector<float> out(fragment.size());
+  // The table is a bijection, so writes are disjoint.
+  parallel::ParallelFor(0, static_cast<int64_t>(fragment.size()), 1 << 15,
+                        [&](int64_t lo, int64_t hi) {
+                          for (int64_t i = lo; i < hi; ++i) {
+                            out[table[static_cast<size_t>(i)]] =
+                                fragment[static_cast<size_t>(i)];
+                          }
+                        });
+  return out;
+}
 
 Shuffler::Shuffler(Bytes permutation_key) : key_(std::move(permutation_key)) {
   DETA_CHECK_MSG(!key_.ExposeForCrypto().empty(), "empty permutation key");
 }
 
-std::vector<int64_t> Shuffler::PermutationFor(uint64_t round_id, int partition,
-                                              int64_t size) const {
-  // PRF(key, round || partition) seeds a deterministic Fisher-Yates. Every party derives
-  // the identical permutation; nothing about it is inferable without the key.
+std::vector<uint32_t> Shuffler::PermutationFor(uint64_t round_id, int partition,
+                                               int64_t size) const {
+  DETA_CHECK_GE(size, 0);
+  // PRF(key, round || partition) seeds the Fisher-Yates. Every party derives the
+  // identical permutation; nothing about it is inferable without the key.
   net::Writer w;
   w.WriteU64(round_id);
   w.WriteU32(static_cast<uint32_t>(partition));
-  Bytes seed = crypto::HmacSha256(key_.ExposeForCrypto(), w.Take());
-  crypto::SecureRng rng(seed);
-
-  std::vector<int64_t> perm(static_cast<size_t>(size));
-  for (int64_t i = 0; i < size; ++i) {
-    perm[static_cast<size_t>(i)] = i;
-  }
-  for (size_t i = perm.size(); i > 1; --i) {
-    size_t j = static_cast<size_t>(rng.NextBelow(i));
-    std::swap(perm[i - 1], perm[j]);
-  }
-  return perm;
+  crypto::SecureRng rng(crypto::HmacSha256(key_.ExposeForCrypto(), w.Take()));
+  DETA_COUNTER("core.transform.permutations").Increment();
+  return SeededPermutation(rng, static_cast<size_t>(size));
 }
 
 std::vector<float> Shuffler::Shuffle(const std::vector<float>& fragment, uint64_t round_id,
                                      int partition) const {
-  std::vector<int64_t> perm =
-      PermutationFor(round_id, partition, static_cast<int64_t>(fragment.size()));
-  std::vector<float> out(fragment.size());
-  // Gather through the permutation: disjoint writes, so chunks parallelize. (Deriving the
-  // permutation itself is a sequential Fisher-Yates and stays serial.)
-  parallel::ParallelFor(0, static_cast<int64_t>(fragment.size()), 1 << 15,
-                        [&](int64_t lo, int64_t hi) {
-                          for (int64_t i = lo; i < hi; ++i) {
-                            out[static_cast<size_t>(i)] =
-                                fragment[static_cast<size_t>(perm[static_cast<size_t>(i)])];
-                          }
-                        });
-  return out;
+  PermutationTable table(
+      PermutationFor(round_id, partition, static_cast<int64_t>(fragment.size())));
+  return GatherBy(fragment, table.view());
 }
 
 std::vector<float> Shuffler::Unshuffle(const std::vector<float>& fragment, uint64_t round_id,
                                        int partition) const {
-  std::vector<int64_t> perm =
-      PermutationFor(round_id, partition, static_cast<int64_t>(fragment.size()));
-  std::vector<float> out(fragment.size());
-  // Scatter through the permutation: perm is a bijection, so writes are disjoint.
-  parallel::ParallelFor(0, static_cast<int64_t>(fragment.size()), 1 << 15,
-                        [&](int64_t lo, int64_t hi) {
-                          for (int64_t i = lo; i < hi; ++i) {
-                            out[static_cast<size_t>(perm[static_cast<size_t>(i)])] =
-                                fragment[static_cast<size_t>(i)];
-                          }
-                        });
-  return out;
+  PermutationTable table(
+      PermutationFor(round_id, partition, static_cast<int64_t>(fragment.size())));
+  return ScatterBy(fragment, table.view());
 }
 
 Bytes GeneratePermutationKey(size_t bits, const Bytes& entropy) {

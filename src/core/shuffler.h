@@ -11,23 +11,55 @@
 #define DETA_CORE_SHUFFLER_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/secret.h"
+#include "crypto/chacha20.h"
 
 namespace deta::core {
 
+// The one seeded Fisher-Yates behind both the model mapper's layout and the per-round
+// shuffle: iota, then for i = n..2 swap(t[i-1], t[rng.NextBelow(i)]). Requires n < 2^32.
+std::vector<uint32_t> SeededPermutation(crypto::SecureRng& rng, size_t n);
+
+// A permutation table that wipes itself when destroyed or overwritten: a round's table
+// undoes that round's shuffle, so it must not linger in freed heap pages.
+class PermutationTable {
+ public:
+  PermutationTable() = default;
+  explicit PermutationTable(std::vector<uint32_t> table) : table_(std::move(table)) {}
+  PermutationTable(PermutationTable&& other) noexcept = default;
+  PermutationTable& operator=(PermutationTable&& other) noexcept;
+  ~PermutationTable() { Wipe(); }
+
+  std::span<const uint32_t> view() const { return table_; }
+
+ private:
+  void Wipe();
+
+  std::vector<uint32_t> table_;
+};
+
+// out[i] = fragment[table[i]]: applies a shuffle table.
+std::vector<float> GatherBy(const std::vector<float>& fragment,
+                            std::span<const uint32_t> table);
+// out[table[i]] = fragment[i]: undoes GatherBy with the same table.
+std::vector<float> ScatterBy(const std::vector<float>& fragment,
+                             std::span<const uint32_t> table);
+
 class Shuffler {
  public:
-  // |permutation_key| of any length; the paper's key-size security knob. |key_bits| in
-  // [8, 8*key.size()] optionally truncates the effective key for the ablation bench.
+  // |permutation_key| of any length; its size is the paper's key-size security knob
+  // (the ablation bench shortens it through GeneratePermutationKey's |bits|).
   explicit Shuffler(Bytes permutation_key);
 
   // The permutation for (round, partition) as an index map: out[i] = in[perm[i]].
-  std::vector<int64_t> PermutationFor(uint64_t round_id, int partition, int64_t size) const;
+  // Counted under core.transform.permutations.
+  std::vector<uint32_t> PermutationFor(uint64_t round_id, int partition, int64_t size) const;
 
-  // Applies / inverts the round's permutation on one fragment.
+  // Applies / inverts the round's permutation on one fragment, deriving its table.
   std::vector<float> Shuffle(const std::vector<float>& fragment, uint64_t round_id,
                              int partition) const;
   std::vector<float> Unshuffle(const std::vector<float>& fragment, uint64_t round_id,

@@ -6,6 +6,7 @@
 #define DETA_CORE_TRANSFORM_H_
 
 #include <memory>
+#include <span>
 
 #include "core/model_mapper.h"
 #include "core/shuffler.h"
@@ -17,6 +18,34 @@ struct TransformConfig {
   bool enable_shuffle = true;
 };
 
+class Transform;
+
+// One round of Trans and Trans^-1. Constructing it derives the round's shuffle table for
+// every partition, once; a party holds it from upload to download, so Trans^-1 reuses the
+// tables Trans drew. Move-only, and it must not outlive the Transform that made it. The
+// tables wipe themselves when it dies.
+class RoundTransform {
+ public:
+  RoundTransform(RoundTransform&&) noexcept = default;
+  RoundTransform& operator=(RoundTransform&&) noexcept = default;
+
+  // Trans(LU[P]) for this round: fragment f goes to aggregator f.
+  std::vector<std::vector<float>> Apply(const std::vector<float>& flat) const;
+  // Trans^-1(AU[A_j]): un-shuffle each aggregated fragment and merge.
+  std::vector<float> Invert(const std::vector<std::vector<float>>& fragments) const;
+
+  // Partition |p|'s shuffle table, Shuffler::PermutationFor(round, p, size); empty when
+  // shuffling is off.
+  std::span<const uint32_t> Table(int p) const;
+
+ private:
+  friend class Transform;
+  RoundTransform(const Transform& transform, uint64_t round_id);
+
+  const Transform* transform_;
+  std::vector<PermutationTable> tables_;  // one per partition; empty when shuffle is off
+};
+
 class Transform {
  public:
   // |mapper| and |shuffler| are shared across all parties of a training job.
@@ -25,10 +54,12 @@ class Transform {
 
   int num_partitions() const;
 
-  // Trans(LU[P]) for one round: fragment f goes to aggregator f.
+  // Derives round |round_id|'s tables (one per partition, in parallel across partitions).
+  RoundTransform ForRound(uint64_t round_id) const;
+
+  // One-shot forms of ForRound(round_id).Apply / .Invert: each call derives the tables.
   std::vector<std::vector<float>> Apply(const std::vector<float>& flat,
                                         uint64_t round_id) const;
-  // Trans^-1(AU[A_j]): un-shuffle each aggregated fragment and merge.
   std::vector<float> Invert(const std::vector<std::vector<float>>& fragments,
                             uint64_t round_id) const;
 
@@ -36,6 +67,8 @@ class Transform {
   const TransformConfig& config() const { return config_; }
 
  private:
+  friend class RoundTransform;
+
   std::shared_ptr<const ModelMapper> mapper_;
   std::shared_ptr<const Shuffler> shuffler_;
   TransformConfig config_;

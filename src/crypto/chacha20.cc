@@ -224,10 +224,11 @@ uint64_t SecureRng::NextU64() {
 
 uint64_t SecureRng::NextBelow(uint64_t bound) {
   DETA_CHECK_GT(bound, 0u);
-  uint64_t threshold = (0ULL - bound) % bound;
+  // Draws below the threshold 2^64 mod |bound| are rejected. The threshold is below
+  // |bound|, so a draw at or above |bound| is accepted without dividing to compute it.
   for (;;) {
     uint64_t r = NextU64();
-    if (r >= threshold) {
+    if (r >= bound || r >= (0ULL - bound) % bound) {
       return r % bound;
     }
   }

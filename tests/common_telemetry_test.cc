@@ -140,6 +140,16 @@ TEST(TelemetryJsonTest, ExportContainsRegisteredMetrics) {
   EXPECT_NE(json.find("\"unit\":\"seconds\""), std::string::npos);
 }
 
+// Every export names the build it came from: a non-empty build type and flags.
+TEST(TelemetryJsonTest, ExportStampsTheBuild) {
+  std::string json = ToJson(Snapshot());
+  for (const std::string key : {"\"build\":{\"type\":\"", ",\"cxx_flags\":\""}) {
+    size_t at = json.find(key);
+    ASSERT_NE(at, std::string::npos) << key;
+    EXPECT_NE(json[at + key.size()], '"') << key << " is empty";
+  }
+}
+
 TEST(TelemetryFlagTest, ConsumeTelemetryFlagStripsArgv) {
   char prog[] = "prog";
   char flag[] = "--telemetry-out=/tmp/x.json";

@@ -10,6 +10,7 @@
 
 #include "cc/attestation_proxy.h"
 #include "common/check.h"
+#include "common/telemetry.h"
 #include "core/deta_job.h"
 
 namespace deta::core {
@@ -135,6 +136,29 @@ TEST(DetaJobTest, MatchesCentralizedBaselineBitExactly) {
     EXPECT_DOUBLE_EQ(ffl_result.rounds[i].accuracy, deta_result.rounds[i].accuracy);
   }
   EXPECT_EQ(ffl_result.final_params, deta_result.final_params);
+}
+
+// In key-broker mode each party derives its own layout, and each round's shuffle tables
+// once, holding them from Trans to Trans^-1. The job itself derives no layout.
+TEST(DetaJobTest, EachPartyDerivesEachRoundPermutationOnce) {
+  fl::ExecutionOptions base = BaseOptions();
+  const int kParties = 3;
+  DetaOptions deta_options;
+  deta_options.num_aggregators = 2;
+  ASSERT_TRUE(deta_options.use_key_broker);
+  // Counted from before construction, so a layout built by the job itself would show.
+  const telemetry::TelemetrySnapshot before = telemetry::Snapshot();
+  DetaJob deta(base, deta_options, MakePartiesWith(TinyMlpFactory(), kParties, base.train),
+               TinyMlpFactory(), SmallMnist(30, 6));
+  ASSERT_EQ(deta.Run().status, fl::JobStatus::kOk);
+  const telemetry::TelemetrySnapshot delta = telemetry::Delta(before, telemetry::Snapshot());
+  auto counter = [&](const std::string& name) {
+    auto it = delta.counters.find(name);
+    return it == delta.counters.end() ? uint64_t{0} : it->second;
+  };
+  EXPECT_EQ(counter("core.transform.layouts"), static_cast<uint64_t>(kParties));
+  EXPECT_EQ(counter("core.transform.permutations"),
+            static_cast<uint64_t>(base.rounds * kParties * deta_options.num_aggregators));
 }
 
 TEST(DetaJobTest, CoordinateMedianMatchesBaseline) {

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <numeric>
 #include <set>
 
 #include "common/check.h"
 #include "common/rng.h"
 #include "core/model_mapper.h"
+#include "crypto/sha256.h"
 
 namespace deta::core {
 namespace {
@@ -104,6 +107,21 @@ TEST(ModelMapperTest, AssignmentIsUnbiased) {
   }
 }
 
+// A negative or non-finite share used to pass the sum check, convert a negative double
+// to size_t and hand one aggregator every coordinate.
+TEST(ModelMapperTest, RejectsNegativeOrNonFiniteProportions) {
+  const Bytes seed = StringToBytes("x");
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(ModelMapper(1000, {-1.0, 2.0}, seed), CheckFailure);
+  EXPECT_THROW(ModelMapper(1000, {inf, 1.0}, seed), CheckFailure);
+  EXPECT_THROW(ModelMapper(1000, {std::nan(""), 1.0}, seed), CheckFailure);
+  EXPECT_THROW(ModelMapper(1000, {1e308, 1e308}, seed), CheckFailure);  // sum overflows
+  EXPECT_THROW(ModelMapper(1000, {0.0, 0.0}, seed), CheckFailure);
+  ModelMapper empty_share(1000, {0.0, 1.0}, seed);
+  EXPECT_EQ(empty_share.PartitionSize(0), 0);
+  EXPECT_EQ(empty_share.PartitionSize(1), 1000);
+}
+
 TEST(ModelMapperTest, MergeRejectsWrongFragmentShapes) {
   ModelMapper mapper = ModelMapper::Uniform(10, 2, StringToBytes("x"));
   auto fragments = mapper.Partition(std::vector<float>(10, 1.0f));
@@ -122,6 +140,31 @@ TEST(ModelMapperTest, FragmentLeaksNoArchitectureInfo) {
     EXPECT_GT(frag.size(), 300u);
     EXPECT_LT(frag.size(), 350u);
   }
+}
+
+// Pinned at the sort-based mapper: aggregation commutes with any layout, so golden.json
+// cannot see a layout change and SeedDeterminesAssignment only checks repeatability.
+// Every partition's indices, partitions in order, each as 8 little-endian bytes.
+TEST(ModelMapperTest, KnownAnswerDigest) {
+  crypto::Sha256 h;
+  auto hash_layout = [&h](const ModelMapper& mapper) {
+    for (int p = 0; p < mapper.num_partitions(); ++p) {
+      Bytes le;
+      for (int64_t index : mapper.PartitionIndices(p)) {
+        AppendU64(le, static_cast<uint64_t>(index));
+      }
+      h.Update(le);
+    }
+  };
+  const Bytes seed = StringToBytes("kat-mapper-seed");
+  hash_layout(ModelMapper::Uniform(2035210, 3, seed));
+  hash_layout(ModelMapper::Uniform(1666, 3, seed));
+  hash_layout(ModelMapper::Uniform(1000, 5, seed));
+  hash_layout(ModelMapper::Uniform(7, 2, seed));
+  hash_layout(ModelMapper(100003, {0.5, 0.3, 0.2}, seed));
+  auto digest = h.Finish();
+  EXPECT_EQ(ToHex(Bytes(digest.begin(), digest.end())),
+            "f320ad95456c232ca1a72163fcee053d3ef7165f2da6ef255b130a401bb7ed24");
 }
 
 }  // namespace

@@ -29,11 +29,30 @@ TEST(TransformTest, ApplyInvertRoundTrip) {
   }
   for (bool partition : {true, false}) {
     for (bool shuffle : {true, false}) {
+      SCOPED_TRACE(testing::Message() << "partition=" << partition << " shuffle=" << shuffle);
       auto transform = MakeTransform(501, 3, partition, shuffle);
       auto fragments = transform->Apply(flat, 7);
       EXPECT_EQ(static_cast<int>(fragments.size()), transform->num_partitions());
-      EXPECT_EQ(transform->Invert(fragments, 7), flat)
-          << "partition=" << partition << " shuffle=" << shuffle;
+      EXPECT_EQ(transform->Invert(fragments, 7), flat);
+
+      // The round object holds PermutationFor's tables and matches the one-shot calls.
+      const RoundTransform round = transform->ForRound(7);
+      Shuffler shuffler(GeneratePermutationKey(128, StringToBytes("key")));
+      for (int p = 0; p < transform->num_partitions(); ++p) {
+        std::span<const uint32_t> table = round.Table(p);
+        if (!shuffle) {
+          EXPECT_TRUE(table.empty());
+          continue;
+        }
+        const int64_t size =
+            partition ? transform->mapper().PartitionSize(p) : static_cast<int64_t>(flat.size());
+        EXPECT_EQ(std::vector<uint32_t>(table.begin(), table.end()),
+                  shuffler.PermutationFor(7, p, size));
+      }
+      auto round_fragments = round.Apply(flat);
+      EXPECT_EQ(round_fragments, fragments);
+      EXPECT_EQ(round.Invert(round_fragments), flat);
+      EXPECT_EQ(round.Invert(fragments), transform->Invert(fragments, 7));
     }
   }
 }
