@@ -25,14 +25,15 @@ repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "${repo_root}"
 jobs="$(nproc 2>/dev/null || echo 2)"
 
-# The TSan gate covers the suites that exercise real threads: the bus and its fault
-# injector, retry/secure-channel, the deterministic parallel layer, telemetry, the
+# The TSan gate covers the suites that exercise real threads: the shared send pipeline
+# and its fault injector on both backends (the bus and a loopback TCP transport, whose
+# event loop delivers concurrently with senders), retry/secure-channel, the deterministic parallel layer, telemetry, the
 # Paillier batch encrypt/decrypt fan-out (pool workers share one Montgomery context,
 # so its scratch must stay per call), and the aggregator/party/job protocol stack.
 # The Trans suites run too: a round's shuffle tables fill from ParallelFor chunks, then
 # gather and scatter in nested regions.
 # Filtering keeps the (slow, ~10x) sanitized run feasible on small containers.
-tsan_filter='MessageBus*:EndpointDedupTest*:EndpointStashTest*:FaultInjector*:Retry*:SecureChannel*:Codec*:ParallelFor*:ParallelReduce*:DefaultThreads*:ThreadInvariance*:AggregatorNode*:KeyBroker*:Auth*:Telemetry*:DetaJobFaultTest.QuorumFailureIsTypedNotAHang:*TransportConformanceTest.AuthHandshakeVerifiesAndRejects*:*TransportConformanceTest.KeyFetchServesIdenticalMaterial*:PaillierTest.*:PaillierCrtDifferentialTest.*:ShufflerTest.*:TransformTest.*:*TransformCommuteTest.*:ModelMapperTest.*:*MapperPropertyTest.*'
+tsan_filter='MessageBus*:TcpTransportTest*:EndpointDedupTest*:EndpointStashTest*:FaultInjector*:Retry*:SecureChannel*:Codec*:ParallelFor*:ParallelReduce*:DefaultThreads*:ThreadInvariance*:AggregatorNode*:KeyBroker*:Auth*:Telemetry*:DetaJobFaultTest.QuorumFailureIsTypedNotAHang:*TransportConformanceTest.AuthHandshakeVerifiesAndRejects*:*TransportConformanceTest.KeyFetchServesIdenticalMaterial*:PaillierTest.*:PaillierCrtDifferentialTest.*:ShufflerTest.*:TransformTest.*:*TransformCommuteTest.*:ModelMapperTest.*:*MapperPropertyTest.*'
 
 cmake_flags_for_preset() {
   case "$1" in

@@ -70,8 +70,6 @@ uint64_t FoldSlot(const State& state, uint32_t slot) DETA_REQUIRES(state.mutex) 
   return total;
 }
 
-std::atomic<bool> g_enabled{true};
-
 thread_local Shard* tls_shard = nullptr;
 
 Shard& LocalShard() {
@@ -147,28 +145,15 @@ int BucketFor(double value) {
   return b;
 }
 
-void SetEnabled(bool enabled) { g_enabled.store(enabled, std::memory_order_relaxed); }
-
-bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
-
 void Counter::Add(uint64_t delta) {
-  if (!Enabled()) {
-    return;
-  }
   LocalShard().slots[slot_].fetch_add(delta, std::memory_order_relaxed);
 }
 
 void Gauge::Set(double value) {
-  if (!Enabled()) {
-    return;
-  }
   GlobalState().gauge_values[index_].store(value, std::memory_order_relaxed);
 }
 
 void Histogram::Record(double value) {
-  if (!Enabled()) {
-    return;
-  }
   Shard& shard = LocalShard();
   shard.slots[base_slot_ + static_cast<uint32_t>(BucketFor(value))].fetch_add(
       1, std::memory_order_relaxed);
@@ -376,9 +361,6 @@ void Span::End() {
   ended_ = true;
   tls_current_span = parent_;
   --tls_span_depth;
-  if (!Enabled()) {
-    return;
-  }
   MetricsRegistry& registry = MetricsRegistry::Global();
   std::string metric = "span.";
   metric.append(name_).append(".wall_s");

@@ -14,8 +14,8 @@
 //  2. *Cheap enough for hot paths.* The write path is one relaxed atomic add into a
 //     per-thread shard — no shared cache line is ever contended, no lock is taken after
 //     a handle is resolved. Handle resolution (name -> slot) takes the registry mutex
-//     once per call site via a function-local static. The enabled-check is one relaxed
-//     atomic load. Budget: < 2% wall-clock on micro_aggregation with telemetry on.
+//     once per call site via a function-local static. Budget: < 2% wall-clock on
+//     micro_aggregation.
 //  3. *Fold-on-snapshot.* Shards are only summed when Snapshot() runs; the instrumented
 //     code never observes aggregation.
 //
@@ -151,10 +151,6 @@ class MetricsRegistry {
 // Convenience wrappers over MetricsRegistry::Global().
 TelemetrySnapshot Snapshot();
 void Reset();
-
-// Master switch. When disabled, Add/Set/Record/Span are no-ops (handles still resolve).
-void SetEnabled(bool enabled);
-bool Enabled();
 
 // Function-local-static handle caching for hot call sites:
 //   DETA_COUNTER("net.channel.seal").Increment();

@@ -13,10 +13,6 @@ namespace deta::core {
 namespace {
 // Event-loop tick granularity: deadlines and retransmissions are checked this often.
 constexpr int kTickMs = 50;
-// Added to restored channels' outbound sequence counters: seals issued after the
-// snapshot but before the crash burned sequence numbers the peer has already accepted;
-// jumping past them keeps the peer's monotonic replay window satisfied.
-constexpr uint64_t kResumeSeqSlack = uint64_t{1} << 20;
 // After the final round the aggregator *drains* instead of exiting: it keeps re-serving
 // the cached round result to parties whose copy was lost, until every party confirms
 // completion (party.done) or the mailbox stays quiet for this long. Exceeds the default
@@ -238,8 +234,7 @@ void DetaAggregator::HandleUpload(const net::Message& m) {
   // material the §6 breach experiments dump.
   cvm_->GuestWrite("update:" + m.from + ":r" + std::to_string(round), *fragment);
   staged_[m.from] = std::move(*fragment);
-  int early = config_.quorum > 0 ? config_.quorum : config_.num_parties;
-  if (static_cast<int>(staged_.size()) >= early) {
+  if (static_cast<int>(staged_.size()) >= FragmentsNeeded()) {
     Aggregate(round);
   }
 }
@@ -430,14 +425,8 @@ void DetaAggregator::SaveState(int round) {
   persist::SealKey seal = persist::SealKey::Derive(config_.seal_seed, config_.name);
   snapshot.Add(persist::SectionType::kRaw, "result",
                seal.Seal(result_plain_, rng_));
-  net::Writer ch;
-  ch.WriteU32(static_cast<uint32_t>(channels_.size()));
-  for (const auto& [party, channel] : channels_) {
-    ch.WriteString(party);
-    ch.WriteBytes(channel.SerializeState());
-  }
   snapshot.Add(persist::SectionType::kChannelState, "channels",
-               seal.Seal(ch.Take(), rng_));
+               seal.Seal(net::SerializeChannels(channels_), rng_));
   snapshot.Add(persist::SectionType::kRegistrationCache, "registrations",
                seal.Seal(registrations_.Serialize(), rng_));
   snapshot.Add(persist::SectionType::kRngState, "rng",
@@ -484,23 +473,13 @@ bool DetaAggregator::RestoreFromSnapshot() {
         !registrations_plain.has_value() || !rng_plain.has_value()) {
       return false;
     }
-    std::map<std::string, net::SecureChannel> restored;
-    net::Reader cr(*channels_plain);
-    uint32_t count = cr.ReadU32();
-    for (uint32_t i = 0; i < count; ++i) {
-      std::string party = cr.ReadString();
-      std::optional<net::SecureChannel> channel =
-          net::SecureChannel::DeserializeState(cr.ReadBytes(), kResumeSeqSlack);
-      if (!channel.has_value()) {
-        return false;
-      }
-      restored.emplace(std::move(party), std::move(*channel));
-    }
-    if (!registrations_.Deserialize(*registrations_plain) ||
+    std::optional<std::map<std::string, net::SecureChannel>> restored =
+        net::RestoreChannels(*channels_plain);
+    if (!restored.has_value() || !registrations_.Deserialize(*registrations_plain) ||
         !rng_.RestoreState(*rng_plain)) {
       return false;
     }
-    channels_ = std::move(restored);
+    channels_ = std::move(*restored);
     result_round_ = result_round;
     result_plain_ = std::move(*result_plain);
     last_aggregated_round_ = last_aggregated;
@@ -521,7 +500,13 @@ void DetaAggregator::StartDraining() {
   LOG_DEBUG << config_.name << ": draining";
 }
 
-void DetaAggregator::FailRound(int round, int have, int need) {
+int DetaAggregator::FragmentsNeeded() const {
+  return config_.quorum > 0 ? config_.quorum : config_.num_parties;
+}
+
+void DetaAggregator::FailRound(int round) {
+  int have = static_cast<int>(staged_.size());
+  int need = FragmentsNeeded();
   LOG_WARNING << config_.name << ": quorum failure in round " << round << " (" << have
               << "/" << need << " fragments at deadline)";
   if (!config_.observer.empty()) {
@@ -558,7 +543,7 @@ void DetaAggregator::OnTick() {
   // aggregates the moment it does), so fail it with a typed error instead of waiting
   // forever.
   if (collecting_ && now >= round_deadline_) {
-    FailRound(current_round_, static_cast<int>(staged_.size()), config_.num_parties);
+    FailRound(current_round_);
     return;
   }
 

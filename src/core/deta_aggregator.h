@@ -55,7 +55,6 @@ inline constexpr char kShutdown[] = "shutdown";
 
 struct AggregatorConfig {
   std::string name;
-  int index = 0;
   bool is_initiator = false;
   int num_parties = 0;
   int num_aggregators = 1;
@@ -137,7 +136,10 @@ class DetaAggregator {
   void SendRoundBegin();
   void SendRoundDone();
   void MarkRoundDone(const std::string& aggregator, int round);
-  void FailRound(int round, int have, int need);
+  // The fragments that complete a round: the quorum when one is set, else every party.
+  int FragmentsNeeded() const;
+  // Reports the round's staged fragments against FragmentsNeeded() and stops.
+  void FailRound(int round);
   void StartDraining();
   // Writes a snapshot of the durable state (round counter, result cache, channels,
   // registration cache, RNG) for completed round |round|.

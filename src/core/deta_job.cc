@@ -201,7 +201,6 @@ DetaJob::DetaJob(fl::ExecutionOptions options, DetaOptions deta,
   for (int j = 0; j < deta_.num_aggregators; ++j) {
     AggregatorConfig ac;
     ac.name = aggregator_names[static_cast<size_t>(j)];
-    ac.index = j;
     ac.is_initiator = (j == 0);  // "DeTA randomly selects one aggregator as initiator";
                                  // index 0 is equivalent (names carry no bias) and
                                  // keeps runs reproducible.
@@ -618,10 +617,6 @@ fl::JobResult DetaJob::Run() {
   std::map<int, std::vector<float>> reported_params;
   std::map<int, std::set<std::string>> dropouts;  // round -> absent/skipping parties
 
-  std::set<std::string> active;  // parties still participating
-  for (const std::string& name : party_names_) {
-    active.insert(name);
-  }
   const std::string reporter = party_names_[0];
   // On whole-job resume the constructor loaded the job snapshot's params into the global
   // model, so this is the restored consistent cut (and already the final params if the
@@ -642,18 +637,12 @@ fl::JobResult DetaJob::Run() {
     WallStopwatch round_wall;
     Clock::time_point deadline = Clock::now() + std::chrono::milliseconds(round_budget_ms);
     auto round_complete = [&] {
-      // Every active party either reported timing or skipped; every aggregator
-      // reported; the global params arrived unless the reporter sat the round out.
-      size_t accounted = timings[round].size();
-      for (const std::string& p : dropouts[round]) {
-        if (active.count(p)) {
-          ++accounted;
-        }
-      }
-      bool params_ready = reported_params.count(round) > 0 ||
-                          dropouts[round].count(reporter) > 0 ||
-                          !active.count(reporter);
-      return accounted >= active.size() && agg_reports[round].size() >= num_aggs &&
+      // Every party either reported timing or skipped; every aggregator reported; the
+      // global params arrived unless the reporter sat the round out.
+      size_t accounted = timings[round].size() + dropouts[round].size();
+      bool params_ready =
+          reported_params.count(round) > 0 || dropouts[round].count(reporter) > 0;
+      return accounted >= party_names_.size() && agg_reports[round].size() >= num_aggs &&
              params_ready;
     };
     while (!round_complete()) {
@@ -691,13 +680,6 @@ fl::JobResult DetaJob::Run() {
         int rd = static_cast<int>(r.ReadU32());
         dropouts[rd].insert(m->from);
         LOG_WARNING << "observer: party " << m->from << " skipped round " << rd;
-      } else if (m->type == kPartyFailed) {
-        int rd = static_cast<int>(r.ReadU32());
-        std::string reason = r.ReadString();
-        LOG_WARNING << "observer: party " << m->from << " failed in round " << rd
-                    << ": " << reason << " — continuing without it";
-        dropouts[rd].insert(m->from);
-        active.erase(m->from);
       } else if (m->type == kAggFailed) {
         int rd = static_cast<int>(r.ReadU32());
         int have = static_cast<int>(r.ReadU32());

@@ -33,7 +33,6 @@ inline constexpr char kPartyReady[] = "party.ready";
 inline constexpr char kPartyTiming[] = "party.timing";
 inline constexpr char kPartyReport[] = "party.report";
 inline constexpr char kPartyRoundSkipped[] = "party.round_skipped";
-inline constexpr char kPartyFailed[] = "party.failed";
 
 struct DetaPartyConfig {
   std::vector<std::string> aggregator_names;

@@ -167,14 +167,8 @@ void KeyBroker::SaveState() {
   snapshot.role = kEndpointName;
   snapshot.round = static_cast<int>(served_.size());  // serve progress, not a round
   persist::SealKey seal = persist::SealKey::Derive(durability_.seal_seed, kEndpointName);
-  net::Writer ch;
-  ch.WriteU32(static_cast<uint32_t>(channels_.size()));
-  for (const auto& [party, channel] : channels_) {
-    ch.WriteString(party);
-    ch.WriteBytes(channel.SerializeState());
-  }
   snapshot.Add(persist::SectionType::kChannelState, "channels",
-               seal.Seal(ch.Take(), rng_));
+               seal.Seal(net::SerializeChannels(channels_), rng_));
   snapshot.Add(persist::SectionType::kRegistrationCache, "registrations",
                seal.Seal(registrations_.Serialize(), rng_));
   snapshot.Add(persist::SectionType::kRngState, "rng",
@@ -215,17 +209,10 @@ bool KeyBroker::RestoreFromSnapshot() {
         !rng_plain.has_value()) {
       return false;
     }
-    std::map<std::string, net::SecureChannel> restored;
-    net::Reader cr(*channels_plain);
-    uint32_t count = cr.ReadU32();
-    for (uint32_t i = 0; i < count; ++i) {
-      std::string party = cr.ReadString();
-      std::optional<net::SecureChannel> channel =
-          net::SecureChannel::DeserializeState(cr.ReadBytes(), uint64_t{1} << 20);
-      if (!channel.has_value()) {
-        return false;
-      }
-      restored.emplace(std::move(party), std::move(*channel));
+    std::optional<std::map<std::string, net::SecureChannel>> restored =
+        net::RestoreChannels(*channels_plain);
+    if (!restored.has_value()) {
+      return false;
     }
     std::set<std::string> served_names;
     net::Reader sr(served->data);
@@ -237,7 +224,7 @@ bool KeyBroker::RestoreFromSnapshot() {
         !rng_.RestoreState(*rng_plain)) {
       return false;
     }
-    channels_ = std::move(restored);
+    channels_ = std::move(*restored);
     served_ = std::move(served_names);
     LOG_INFO << "key broker: resumed with " << served_.size()
              << " parties already served (generation " << snapshot->generation << ")";

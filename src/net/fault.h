@@ -1,9 +1,11 @@
-// Deterministic, seeded fault injection for the in-process message bus. The plan assigns
-// per-edge drop / delay / duplicate / reorder probabilities; every decision is a pure
-// function of (seed, edge, per-edge send counter), so the same seed reproduces the same
-// fault schedule regardless of thread interleaving — each edge's messages are sent in
-// program order by a single owner thread. This is what makes the protocol's failure paths
-// reachable (and testable) at all: without it the bus never loses anything.
+// Deterministic, seeded fault injection, decided on the sending side by the send pipeline
+// both transports share (Transport::Send, net/transport.h). The plan assigns per-edge
+// drop / delay / duplicate / reorder probabilities; every decision is a pure function of
+// (seed, edge, per-edge send counter), so the same seed reproduces the same fault
+// schedule regardless of thread interleaving or wire — each edge's messages are sent in
+// program order by a single owner thread. This is what makes the protocol's failure
+// paths reachable (and testable) at all: without it the in-process bus never loses
+// anything.
 #ifndef DETA_NET_FAULT_H_
 #define DETA_NET_FAULT_H_
 
@@ -61,10 +63,10 @@ struct FaultPlan {
   // protocol fabric.
   std::set<std::string> immune;
   // Role crashes (distinct from message faults: these kill whole processes, not
-  // messages, and are orchestrated by the job driver rather than the bus injector).
+  // messages, and are orchestrated by the job driver rather than the injector).
   std::vector<CrashFault> crashes;
 
-  // True when any *message* fault can fire; crash faults do not flow through the bus
+  // True when any *message* fault can fire; crash faults do not flow through the
   // injector and are intentionally excluded.
   bool enabled() const;
   // Crash round configured for |role| (0 = this role never crashes).
@@ -86,7 +88,7 @@ struct FaultDecision {
   bool delay = false;
 };
 
-// Stateful decision engine owned by the bus (guarded by the bus mutex). Decisions consume
+// Stateful decision engine owned by the Transport (guarded by its send lock). Decisions consume
 // one tick of the per-edge counter, so two injectors with the same plan produce identical
 // schedules for identical per-edge send sequences.
 class FaultInjector {

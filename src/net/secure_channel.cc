@@ -93,4 +93,30 @@ std::optional<Bytes> SecureChannel::Open(const Bytes& frame) {
   return plaintext;
 }
 
+Bytes SerializeChannels(const std::map<std::string, SecureChannel>& channels) {
+  Writer w;
+  w.WriteU32(static_cast<uint32_t>(channels.size()));
+  for (const auto& [peer, channel] : channels) {
+    w.WriteString(peer);
+    w.WriteBytes(channel.SerializeState());
+  }
+  return w.Take();
+}
+
+std::optional<std::map<std::string, SecureChannel>> RestoreChannels(const Bytes& data) {
+  std::map<std::string, SecureChannel> channels;
+  Reader r(data);
+  uint32_t count = r.ReadU32();
+  for (uint32_t i = 0; i < count; ++i) {
+    std::string peer = r.ReadString();
+    std::optional<SecureChannel> channel =
+        SecureChannel::DeserializeState(r.ReadBytes(), kResumeSeqSlack);
+    if (!channel.has_value()) {
+      return std::nullopt;
+    }
+    channels.emplace(std::move(peer), std::move(*channel));
+  }
+  return channels;
+}
+
 }  // namespace deta::net

@@ -14,6 +14,8 @@
 #ifndef DETA_NET_SECURE_CHANNEL_H_
 #define DETA_NET_SECURE_CHANNEL_H_
 
+#include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
 
@@ -53,9 +55,9 @@ class SecureChannel {
   // Rebuilds a channel from SerializeState output. |send_seq_slack| is added to the
   // restored outbound counter: frames sealed after the snapshot but before the crash
   // consumed sequence numbers the peer has already accepted, and the peer's monotonic
-  // replay window silently discards any reuse. The slack (2^20 in the resume paths —
-  // far more than one round can send) jumps past that burned range; the window only
-  // requires inbound sequences to increase, not to be dense.
+  // replay window silently discards any reuse. The slack (kResumeSeqSlack in the resume
+  // paths) jumps past that burned range; the window only requires inbound sequences to
+  // increase, not to be dense.
   static std::optional<SecureChannel> DeserializeState(const Bytes& data,
                                                        uint64_t send_seq_slack = 0);
 
@@ -69,6 +71,17 @@ class SecureChannel {
   uint64_t send_seq_ = 0;       // last sequence number sealed
   uint64_t last_accepted_ = 0;  // last sequence number successfully opened
 };
+
+// Send-sequence slack for channels restored on resume: far more than one round can send.
+inline constexpr uint64_t kResumeSeqSlack = uint64_t{1} << 20;
+
+// Channel-map codec for durable roles (aggregators and the key broker checkpoint their
+// party channels). The bytes carry master secrets: seal them before they reach disk.
+Bytes SerializeChannels(const std::map<std::string, SecureChannel>& channels);
+// Restores SerializeChannels output, adding kResumeSeqSlack to every send counter.
+// nullopt when a channel does not parse; truncated input throws CheckFailure, like every
+// net::Reader.
+std::optional<std::map<std::string, SecureChannel>> RestoreChannels(const Bytes& data);
 
 }  // namespace deta::net
 

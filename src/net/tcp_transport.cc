@@ -12,7 +12,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <thread>
 
 #include "common/check.h"
 #include "common/logging.h"
@@ -156,12 +155,8 @@ TcpTransport::~TcpTransport() {
 
 std::string TcpTransport::registry_address() const { return self_addr_; }
 
-std::unique_ptr<Endpoint> TcpTransport::CreateEndpoint(const std::string& name) {
-  std::unique_ptr<Endpoint> endpoint = MakeEndpoint(name);
+void TcpTransport::Registered(const std::string& name) {
   MutexLock lock(mutex_);
-  DETA_CHECK_MSG(local_endpoints_.find(name) == local_endpoints_.end(),
-                 "duplicate endpoint name: " << name);
-  local_endpoints_[name] = endpoint.get();
   if (options_.registry_addr.empty()) {
     RegistryAdd(name, self_addr_);
   } else {
@@ -173,100 +168,18 @@ std::unique_ptr<Endpoint> TcpTransport::CreateEndpoint(const std::string& name) 
                  {NameAddrFrame(kFrameRegister, name, self_addr_), false, ""});
     }
   }
-  return endpoint;
 }
 
-void TcpTransport::Unregister(const std::string& name) {
+void TcpTransport::Unregistered(const std::string& name) {
   MutexLock lock(mutex_);
-  local_endpoints_.erase(name);
+  if (HasOpenEndpoint(name)) {
+    return;  // re-created under the same name since it left the table: keep it registered
+  }
   if (options_.registry_addr.empty()) {
     RegistryRemove(name);
   } else if (registry_fd_ >= 0) {
     QueueFrame(registry_fd_, {NameFrame(kFrameUnregister, name), false, ""});
   }
-}
-
-void TcpTransport::SetFaultPlan(FaultPlan plan) {
-  MutexLock lock(mutex_);
-  if (plan.enabled()) {
-    injector_ = std::make_unique<FaultInjector>(std::move(plan));
-  } else {
-    injector_.reset();
-  }
-  held_.clear();
-}
-
-void TcpTransport::CountDrop(const std::string& type, uint64_t n) {
-  DETA_COUNTER("net.bus.dropped").Add(n);
-  if (!type.empty()) {
-    topic_counters_.Get("net.bus.dropped", type).Add(n);
-  }
-}
-
-// Messages addressed to a peer that announced a graceful exit. Not under
-// net.bus.dropped: the telemetry gate treats drops as must-be-zero on clean runs, and a
-// finished role shedding fire-and-forget tail traffic is clean — the in-proc backend
-// silently parks the same sends in an unread mailbox.
-void TcpTransport::CountRetired(const std::string& type, uint64_t n) {
-  DETA_COUNTER("net.bus.retired").Add(n);
-  if (!type.empty()) {
-    topic_counters_.Get("net.bus.retired", type).Add(n);
-  }
-}
-
-// Mirrors MessageBus::Send decision-for-decision so a given (seed, edge, send index)
-// faults identically over either backend. The one contract difference: TCP cannot know
-// whether the target endpoint is alive, so Send always returns true — an unreachable
-// peer looks exactly like network loss, and net/retry.h bounds the damage.
-bool TcpTransport::Send(Message message) {
-  FaultDecision d;
-  int delay_ms = 0;
-  {
-    MutexLock lock(mutex_);
-    if (injector_ != nullptr) {
-      d = injector_->Decide(message.from, message.to, message.type);
-      delay_ms = injector_->plan().delay_ms;
-    }
-  }
-  if (d.delay && delay_ms > 0) {
-    // Blocks the *sender*, like a slow link; messages on other edges overtake freely.
-    std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
-  }
-  MutexLock lock(mutex_);
-  DETA_COUNTER("net.bus.sent").Increment();
-  DETA_COUNTER("net.bus.sent_bytes").Add(message.WireSize());
-  topic_counters_.Get("net.bus.sent", message.type).Increment();
-  std::pair<std::string, std::string> edge{message.from, message.to};
-  std::optional<Message> release;
-  auto held = held_.find(edge);
-  if (held != held_.end()) {
-    release = std::move(held->second);
-    held_.erase(held);
-  }
-  if (d.drop) {
-    DETA_COUNTER("net.bus.fault_dropped").Increment();
-    topic_counters_.Get("net.bus.fault_dropped", message.type).Increment();
-    LOG_DEBUG << "fault: dropping " << message.type << " " << message.from << " -> "
-              << message.to;
-  } else if (d.reorder && !release.has_value()) {
-    held_.emplace(edge, std::move(message));
-  } else {
-    bool duplicate = d.duplicate;
-    Message copy;
-    if (duplicate) {
-      DETA_COUNTER("net.bus.duplicated").Increment();
-      topic_counters_.Get("net.bus.duplicated", message.type).Increment();
-      copy = message;
-    }
-    Route(std::move(message));
-    if (duplicate) {
-      Route(std::move(copy));
-    }
-  }
-  if (release.has_value()) {
-    Route(std::move(*release));
-  }
-  return true;
 }
 
 void TcpTransport::Route(Message message) {
@@ -278,7 +191,7 @@ void TcpTransport::Route(Message message) {
   std::deque<Message>& parked = parked_[message.to];
   parked.push_back(std::move(message));
   if (parked.size() > options_.max_parked_per_name) {
-    CountDrop(parked.front().type);
+    CountDropped(parked.front().type);
     parked.pop_front();
   }
   ResolveName(parked.back().to);
@@ -293,7 +206,7 @@ void TcpTransport::RouteResolved(Message message, const std::string& addr) {
   }
   int fd = GetOrConnect(addr);
   if (fd < 0) {
-    CountDrop(message.type);
+    CountDropped(message.type);
     return;
   }
   QueueFrame(fd, {MsgFrame(message), true, message.type});
@@ -363,7 +276,7 @@ bool TcpTransport::EnsureRegistryConn() {
     return false;
   }
   registry_fd_ = fd;
-  for (const auto& [name, endpoint] : local_endpoints_) {
+  for (const std::string& name : LocalNames()) {
     QueueFrame(registry_fd_,
                {NameAddrFrame(kFrameRegister, name, self_addr_), false, ""});
   }
@@ -418,7 +331,7 @@ void TcpTransport::QueueFrame(int fd, OutFrame frame) {
   auto it = conns_.find(fd);
   if (it == conns_.end()) {
     if (frame.is_data) {
-      CountDrop(frame.type);
+      CountDropped(frame.type);
     }
     return;
   }
@@ -457,7 +370,7 @@ void TcpTransport::CloseConn(int fd, const char* why) {
     if (it->second.peer_retired) {
       CountRetired(f.type);
     } else {
-      CountDrop(f.type);
+      CountDropped(f.type);
     }
   }
   LOG_DEBUG << options_.node_name << ": closing connection"
@@ -654,21 +567,6 @@ void TcpTransport::HandleFrame(int fd, const Bytes& body) {
       CloseConn(fd, "unknown frame kind");
       return;
   }
-}
-
-void TcpTransport::DeliverLocal(Message message) {
-  auto it = local_endpoints_.find(message.to);
-  if (it == local_endpoints_.end() || MailboxClosed(*it->second)) {
-    CountDrop(message.type);
-    LOG_DEBUG << options_.node_name << ": dropping message " << message.type << " to "
-              << (it == local_endpoints_.end() ? "unknown" : "closed") << " endpoint "
-              << message.to;
-    return;
-  }
-  DETA_COUNTER("net.bus.delivered").Increment();
-  DETA_COUNTER("net.bus.delivered_bytes").Add(message.WireSize());
-  topic_counters_.Get("net.bus.delivered", message.type).Increment();
-  DeliverToMailbox(*it->second, std::move(message));
 }
 
 void TcpTransport::Loop() {

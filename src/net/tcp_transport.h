@@ -22,9 +22,12 @@
 //     re-resolves and re-dials. Messages to a name hosted on this very node still
 //     travel through the loopback socket: every delivery crosses a real TCP stream, so
 //     single-node tests exercise the same code path as a cluster.
-//   * Fault injection is applied on the sending side, before framing, with the same
-//     FaultInjector and the same decision sequence as the in-process bus — a given
-//     (seed, edge, send index) faults identically over either backend.
+//   * The send pipeline (fault decisions, the reorder holdback, every net.bus.*
+//     counter) and the local endpoint table are Transport's (net/transport.h), shared
+//     with the in-process bus. This backend supplies Route — resolve, park, frame,
+//     queue — and keeps the registry in step with the local table. Send always returns
+//     true: an unreachable peer looks exactly like network loss, and net/retry.h bounds
+//     the damage.
 //
 // Determinism note: socket readiness order is not deterministic, so *timing* over TCP
 // is not reproducible the way the in-process bus is. The protocol layer never depends
@@ -45,7 +48,6 @@
 #include "common/mutex.h"
 #include "common/thread.h"
 #include "common/thread_annotations.h"
-#include "net/fault.h"
 #include "net/transport.h"
 
 namespace deta::net {
@@ -73,11 +75,6 @@ class TcpTransport final : public Transport {
  public:
   explicit TcpTransport(TcpTransportOptions options);
   ~TcpTransport() override;
-
-  std::unique_ptr<Endpoint> CreateEndpoint(const std::string& name) override;
-  bool Send(Message message) override;
-  void SetFaultPlan(FaultPlan plan) override;
-  const char* BackendName() const override { return "tcp"; }
 
   // The port actually bound (useful with listen_port = 0).
   int listen_port() const { return bound_port_; }
@@ -108,10 +105,12 @@ class TcpTransport final : public Transport {
   void HandleWritable(int fd) DETA_REQUIRES(mutex_);
   void HandleFrame(int fd, const Bytes& body) DETA_REQUIRES(mutex_);
   void CloseConn(int fd, const char* why) DETA_REQUIRES(mutex_);
+  // --- Transport hooks ---
+  void Route(Message message) override DETA_REQUIRES(mutex_);
+  void Registered(const std::string& name) override;
+  void Unregistered(const std::string& name) override;
   // --- routing (any thread, under mutex_) ---
-  void Route(Message message) DETA_REQUIRES(mutex_);
   void RouteResolved(Message message, const std::string& addr) DETA_REQUIRES(mutex_);
-  void DeliverLocal(Message message) DETA_REQUIRES(mutex_);
   void ResolveName(const std::string& name) DETA_REQUIRES(mutex_);
   void CompleteResolve(const std::string& name, const std::string& addr)
       DETA_REQUIRES(mutex_);
@@ -124,13 +123,6 @@ class TcpTransport final : public Transport {
   int GetOrConnect(const std::string& addr) DETA_REQUIRES(mutex_);
   bool EnsureRegistryConn() DETA_REQUIRES(mutex_);
   void UpdateEpollInterest(int fd) DETA_REQUIRES(mutex_);
-  void CountDrop(const std::string& type, uint64_t n = 1) DETA_REQUIRES(mutex_);
-  void CountRetired(const std::string& type, uint64_t n = 1) DETA_REQUIRES(mutex_);
-
-  uint64_t NextSeq() override {
-    return next_seq_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void Unregister(const std::string& name) override;
 
   TcpTransportOptions options_;
   std::string self_addr_;  // "host:port" with the actually-bound port
@@ -139,10 +131,10 @@ class TcpTransport final : public Transport {
   int listen_fd_ = -1;
   int wake_fd_ = -1;  // eventfd: kicks the loop on shutdown
   std::atomic<bool> stop_{false};
-  std::atomic<uint64_t> next_seq_{1};
 
-  Mutex mutex_;
-  std::map<std::string, Endpoint*> local_endpoints_ DETA_GUARDED_BY(mutex_);
+  // Connection, resolution and registry state is guarded by Transport::mutex_, so a
+  // send's fault decision and its routing are one step and senders and the event loop
+  // share one lock (DESIGN.md "One send pipeline").
   std::map<int, Conn> conns_ DETA_GUARDED_BY(mutex_);
   std::map<std::string, int> addr_to_fd_ DETA_GUARDED_BY(mutex_);
   int registry_fd_ DETA_GUARDED_BY(mutex_) = -1;
@@ -159,11 +151,6 @@ class TcpTransport final : public Transport {
   // to requesting connection fds; -1 marks a request from this very node.
   std::map<std::string, std::string> registry_names_ DETA_GUARDED_BY(mutex_);
   std::map<std::string, std::set<int>> registry_waiters_ DETA_GUARDED_BY(mutex_);
-  // Fault injection (sender-side), mirroring MessageBus.
-  std::unique_ptr<FaultInjector> injector_ DETA_GUARDED_BY(mutex_);
-  std::map<std::pair<std::string, std::string>, Message> held_ DETA_GUARDED_BY(mutex_);
-  // Telemetry.
-  TopicCounterCache topic_counters_ DETA_GUARDED_BY(mutex_);
 
   ServiceThread loop_thread_;  // last member: joins before the state above dies
 };

@@ -1,7 +1,9 @@
 #include "net/transport.h"
 
 #include <chrono>
+#include <thread>
 
+#include "common/check.h"
 #include "common/logging.h"
 #include "common/telemetry.h"
 
@@ -153,23 +155,159 @@ size_t Endpoint::DedupTagsForTest() const {
   return total;
 }
 
-std::unique_ptr<Endpoint> Transport::MakeEndpoint(std::string name) {
-  return std::unique_ptr<Endpoint>(new Endpoint(std::move(name), this));
+std::unique_ptr<Endpoint> Transport::CreateEndpoint(const std::string& name) {
+  std::unique_ptr<Endpoint> endpoint(new Endpoint(name, this));
+  {
+    MutexLock lock(table_mutex_);
+    DETA_CHECK_MSG(endpoints_.emplace(name, endpoint.get()).second,
+                   "duplicate endpoint name: " << name);
+  }
+  Registered(name);
+  return endpoint;
 }
 
-void Transport::DeliverToMailbox(Endpoint& endpoint, Message message) {
-  endpoint.mailbox_.Push(std::move(message));
+void Transport::Unregister(const std::string& name) {
+  {
+    MutexLock lock(table_mutex_);
+    endpoints_.erase(name);
+  }
+  Unregistered(name);
 }
 
-bool Transport::MailboxClosed(const Endpoint& endpoint) {
-  return endpoint.mailbox_.closed();
+bool Transport::Reachable(const std::string&) { return true; }
+void Transport::Registered(const std::string&) {}
+void Transport::Unregistered(const std::string&) {}
+
+void Transport::SetFaultPlan(FaultPlan plan) {
+  MutexLock lock(mutex_);
+  if (plan.enabled()) {
+    injector_ = std::make_unique<FaultInjector>(std::move(plan));
+  } else {
+    injector_.reset();
+  }
+  held_.clear();
 }
 
-telemetry::Counter& TopicCounterCache::Get(const char* kind, const std::string& type) {
+bool Transport::Send(Message message) {
+  FaultDecision d;
+  int delay_ms = 0;
+  {
+    MutexLock lock(mutex_);
+    if (injector_ != nullptr) {
+      d = injector_->Decide(message.from, message.to, message.type);
+      delay_ms = injector_->plan().delay_ms;
+    }
+  }
+  if (d.delay && delay_ms > 0) {
+    // Blocks the *sender*, like a slow link; messages on other edges overtake freely.
+    std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
+  }
+  MutexLock lock(mutex_);
+  DETA_COUNTER("net.bus.sent").Increment();
+  DETA_COUNTER("net.bus.sent_bytes").Add(message.WireSize());
+  CountTopic("net.bus.sent", message.type);
+  bool reachable = Reachable(message.to);
+  if (!reachable) {
+    // A name nobody ever registered (or whose endpoint is gone) is a routing bug in
+    // fault-free runs; the dedicated counter lets the CI must-be-zero gate catch it
+    // even when nobody reads the logs.
+    DETA_COUNTER("net.bus.unknown_target").Increment();
+    LOG_WARNING << "dropping message " << message.type
+                << " to unknown or closed endpoint " << message.to;
+  }
+  std::pair<std::string, std::string> edge{message.from, message.to};
+  // Release any message held back on this edge *after* processing the current one, so a
+  // reorder fault swaps it behind its successor.
+  std::optional<Message> release;
+  auto held = held_.find(edge);
+  if (held != held_.end()) {
+    release = std::move(held->second);
+    held_.erase(held);
+  }
+  if (d.drop) {
+    // Deliberate (fault-injected) losses get their own counter so the CI bench gate can
+    // insist net.bus.dropped stays zero on fault-free runs.
+    DETA_COUNTER("net.bus.fault_dropped").Increment();
+    CountTopic("net.bus.fault_dropped", message.type);
+    LOG_DEBUG << "fault: dropping " << message.type << " " << message.from << " -> "
+              << message.to;
+  } else if (d.reorder && !release.has_value()) {
+    // Held until the edge's next send. If the slot was just vacated, route normally —
+    // holding two would starve the first.
+    held_.emplace(edge, std::move(message));
+  } else {
+    std::optional<Message> copy;
+    if (d.duplicate) {
+      DETA_COUNTER("net.bus.duplicated").Increment();
+      CountTopic("net.bus.duplicated", message.type);
+      copy = message;
+    }
+    Route(std::move(message));
+    if (copy.has_value()) {
+      Route(std::move(*copy));
+    }
+  }
+  if (release.has_value()) {
+    Route(std::move(*release));
+  }
+  return reachable;
+}
+
+void Transport::DeliverLocal(Message message) {
+  {
+    MutexLock lock(table_mutex_);
+    auto it = endpoints_.find(message.to);
+    if (it != endpoints_.end() && !it->second->closed()) {
+      DETA_COUNTER("net.bus.delivered").Increment();
+      DETA_COUNTER("net.bus.delivered_bytes").Add(message.WireSize());
+      TopicCounter("net.bus.delivered", message.type).Increment();
+      // Pushed under the table lock so the target cannot unregister mid-delivery; the
+      // push never blocks (unbounded queue), so this cannot deadlock.
+      it->second->mailbox_.Push(std::move(message));
+      return;
+    }
+  }
+  LOG_DEBUG << "dropping message " << message.type << " to unknown or closed endpoint "
+            << message.to;
+  CountDropped(message.type);
+}
+
+bool Transport::HasOpenEndpoint(const std::string& name) {
+  MutexLock lock(table_mutex_);
+  auto it = endpoints_.find(name);
+  return it != endpoints_.end() && !it->second->closed();
+}
+
+std::vector<std::string> Transport::LocalNames() {
+  MutexLock lock(table_mutex_);
+  std::vector<std::string> names;
+  names.reserve(endpoints_.size());
+  for (const auto& [name, endpoint] : endpoints_) {
+    names.push_back(name);
+  }
+  return names;
+}
+
+void Transport::CountDropped(const std::string& type) {
+  DETA_COUNTER("net.bus.dropped").Increment();
+  CountTopic("net.bus.dropped", type);
+}
+
+void Transport::CountRetired(const std::string& type) {
+  DETA_COUNTER("net.bus.retired").Increment();
+  CountTopic("net.bus.retired", type);
+}
+
+void Transport::CountTopic(const char* kind, const std::string& type) {
+  MutexLock lock(table_mutex_);
+  TopicCounter(kind, type).Increment();
+}
+
+telemetry::Counter& Transport::TopicCounter(const char* kind, const std::string& type) {
   std::string key(kind);
   key.push_back('.');
   key.append(type, 0, type.find('.'));
-  auto [it, inserted] = cache_.try_emplace(key, nullptr);
+  auto [it, inserted] = topic_counters_.try_emplace(std::move(key), nullptr);
   if (inserted) {
     it->second = &telemetry::MetricsRegistry::Global().GetCounter(it->first);
   }

@@ -1,34 +1,48 @@
-// Pluggable message transport: the interface every backend implements, and the
-// transport-agnostic Endpoint protocol code receives on.
+// Pluggable message transport: the one send pipeline and local endpoint table both
+// backends share, and the transport-agnostic Endpoint protocol code receives on.
 //
 // Two backends exist:
-//   * MessageBus (net/message_bus.h) — the in-process backend. Routing is a map lookup
-//     under one mutex; delivery is a mailbox push. `using InProcTransport = MessageBus`.
+//   * MessageBus (net/message_bus.h) — the in-process backend. Every name is local, so
+//     routing is a push into the target's mailbox.
 //   * TcpTransport (net/tcp_transport.h) — real non-blocking sockets behind an epoll
 //     loop, length-prefixed frames (net/codec.h), and a name registry so roles still
 //     address each other by logical name.
 //
-// The split of responsibilities is deliberate: everything a *receiver* needs —
-// blocking/bounded receives, selective receive with a stash, duplicate suppression —
-// lives in Endpoint and is identical over both backends. A backend only has to do three
-// things: register/unregister names, route a tagged Message (applying the fault plan),
-// and push delivered messages into the target Endpoint's mailbox. That keeps the
-// reliability contract (messages arrive zero, one, or two times; retransmissions carry
-// fresh tags; receivers dedup on (sender, tag)) a property of the endpoint layer, not of
-// any particular wire.
+// Everything the two do alike lives here, once:
+//   * Endpoint: blocking/bounded receives, selective receive with a stash, duplicate
+//     suppression.
+//   * Transport::Send, the send pipeline: count the send, decide its faults
+//     (net/fault.h), sleep out a delay outside every lock, then apply the one-slot
+//     reorder holdback, drop and duplicate, and hand each surviving copy to the
+//     backend's Route.
+//   * The local endpoint table with its mailbox delivery, the sequence counter, and every
+//     net.bus.* counter with one per-topic cache.
+// Faults are therefore decided on the sending side by the same code over either wire: a
+// given (seed, edge, send index) faults identically in both backends. The reliability
+// contract (messages arrive zero, one, or two times; retransmissions carry fresh tags;
+// receivers dedup on (sender, tag)) is a property of this layer, not of any wire.
+//
+// Lock order: Transport::mutex_ (fault state, reorder holdback, and TcpTransport's
+// routing state), then table_mutex_ (the endpoint table and the topic counter cache, a
+// leaf). A send holds mutex_ across Route; TcpTransport's event loop takes it for every
+// socket event.
 #ifndef DETA_NET_TRANSPORT_H_
 #define DETA_NET_TRANSPORT_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/mutex.h"
 #include "common/queue.h"
+#include "common/thread_annotations.h"
 #include "net/fault.h"
 
 namespace deta::telemetry {
@@ -120,57 +134,77 @@ class Endpoint {
   std::map<std::string, SeenWindow> seen_;
 };
 
-// Backend interface. A Transport owns routing and delivery; Endpoints own receiving.
+// The shared send pipeline plus the local endpoint table. A backend derives from it and
+// supplies Route, plus what it alone knows about names (Reachable, Registered,
+// Unregistered).
 class Transport {
  public:
   virtual ~Transport() = default;
 
   // Creates (registers) an endpoint. Name must be unique among live endpoints on this
   // transport (and, for TCP, across the whole cluster).
-  virtual std::unique_ptr<Endpoint> CreateEndpoint(const std::string& name) = 0;
+  std::unique_ptr<Endpoint> CreateEndpoint(const std::string& name)
+      DETA_EXCLUDES(table_mutex_);
 
-  // Routes a message (see Endpoint::Send for the return-value contract). Callers should
-  // normally go through Endpoint::Send, which tags the message from NextSeq().
-  virtual bool Send(Message message) = 0;
+  // The send pipeline (see the file comment). Callers should normally go through
+  // Endpoint::Send, which tags the message from NextSeq(); see it for the return value.
+  bool Send(Message message) DETA_EXCLUDES(mutex_);
 
   // Installs a fault plan. Call before traffic starts; replaces any previous plan and
-  // resets the per-edge fault schedule. Faults are decided on the sending side in both
-  // backends, so a given (seed, edge, send index) faults identically over either wire.
-  virtual void SetFaultPlan(FaultPlan plan) = 0;
-
-  // Short backend tag for logs/tests: "inproc" or "tcp".
-  virtual const char* BackendName() const = 0;
+  // resets the per-edge fault schedule and the reorder holdback.
+  void SetFaultPlan(FaultPlan plan) DETA_EXCLUDES(mutex_);
 
  protected:
-  // Constructs an Endpoint bound to this transport (the Endpoint constructor is
-  // private; backends mint handles through this).
-  std::unique_ptr<Endpoint> MakeEndpoint(std::string name);
-  // Delivery primitive: pushes into the target's mailbox. The caller must hold
-  // whatever lock makes the Endpoint* stable (see backend implementations); the push
-  // itself never blocks (unbounded queue).
-  static void DeliverToMailbox(Endpoint& endpoint, Message message);
-  static bool MailboxClosed(const Endpoint& endpoint);
+  // Carries one message toward its target: called under mutex_, once for every
+  // copy the fault plan lets through, in per-edge send order.
+  virtual void Route(Message message) DETA_REQUIRES(mutex_) = 0;
+  // False when |to| can never receive, so Send counts net.bus.unknown_target and returns
+  // false. The default answers true: a name missing here may live on another node.
+  virtual bool Reachable(const std::string& to);
+  // Called after |name| joins, and after it leaves, the local endpoint table.
+  virtual void Registered(const std::string& name);
+  virtual void Unregistered(const std::string& name);
+
+  // Pushes into the named local endpoint's mailbox and counts net.bus.delivered; counts
+  // net.bus.dropped when no open local endpoint has that name.
+  void DeliverLocal(Message message) DETA_EXCLUDES(table_mutex_);
+  bool HasOpenEndpoint(const std::string& name) DETA_EXCLUDES(table_mutex_);
+  std::vector<std::string> LocalNames() DETA_EXCLUDES(table_mutex_);
+  // Traffic lost after Send routed it: net.bus.dropped is network loss, which the
+  // must-be-zero gate watches; net.bus.retired is tail traffic to a peer that left on
+  // purpose (TCP's GOODBYE), which is clean.
+  void CountDropped(const std::string& type);
+  void CountRetired(const std::string& type);
+
+  // Lock order: mutex_, then table_mutex_. mutex_ guards the fault state and the reorder
+  // holdback; a backend with routing state of its own guards it with mutex_ too, so
+  // routing is atomic with the fault decision (TcpTransport's event loop takes it for
+  // every socket event).
+  Mutex mutex_;
 
  private:
   friend class Endpoint;
   // Draws the next sequence tag. Transport-wide (not per endpoint): receivers dedup on
   // (sender name, tag), and a crashed role revived under the same name must never reuse
   // a tag its previous incarnation already sent.
-  virtual uint64_t NextSeq() = 0;
+  uint64_t NextSeq() { return next_seq_.fetch_add(1, std::memory_order_relaxed); }
   // Called from the Endpoint destructor.
-  virtual void Unregister(const std::string& name) = 0;
-};
+  void Unregister(const std::string& name) DETA_EXCLUDES(table_mutex_);
+  // The counter "<kind>.<topic prefix>", where the topic prefix is the message type up
+  // to its first '.', so gates and experiments read per-protocol-phase traffic.
+  telemetry::Counter& TopicCounter(const char* kind, const std::string& type)
+      DETA_REQUIRES(table_mutex_);
+  void CountTopic(const char* kind, const std::string& type) DETA_EXCLUDES(table_mutex_);
 
-// Shared cache of telemetry topic counters ("<kind>.<topic prefix>", where the topic
-// prefix is the message type up to its first '.'). Both backends bump the same counter
-// names so telemetry-based gates and experiments read identically over either wire.
-// Not internally synchronized: the owning backend guards it with its own mutex.
-class TopicCounterCache {
- public:
-  telemetry::Counter& Get(const char* kind, const std::string& type);
-
- private:
-  std::map<std::string, telemetry::Counter*> cache_;
+  std::atomic<uint64_t> next_seq_{1};
+  std::unique_ptr<FaultInjector> injector_ DETA_GUARDED_BY(mutex_);
+  // Reorder holdback: at most one in-flight message per edge, released right after the
+  // edge's next send (so a held message is delivered out of order but never starved).
+  std::map<std::pair<std::string, std::string>, Message> held_ DETA_GUARDED_BY(mutex_);
+  Mutex table_mutex_ DETA_ACQUIRED_AFTER(mutex_);
+  std::map<std::string, Endpoint*> endpoints_ DETA_GUARDED_BY(table_mutex_);
+  std::map<std::string, telemetry::Counter*> topic_counters_
+      DETA_GUARDED_BY(table_mutex_);
 };
 
 }  // namespace deta::net

@@ -595,6 +595,26 @@ TEST(DetaJobFaultTest, QuorumFailureIsTypedNotAHang) {
   EXPECT_TRUE(result.rounds.empty());
 }
 
+// A failed quorum round reports the fragments it needed: the quorum, not every party.
+TEST(DetaJobFaultTest, QuorumFailureReportsTheQuorumNeeded) {
+  fl::ExecutionOptions base = BaseOptions();
+  base.fault_plan.seed = 5;
+  net::EdgeFault fault;
+  fault.type_prefix = "round.upload";  // every upload from every party
+  fault.rates.drop = 1.0;
+  base.fault_plan.overrides.push_back(fault);
+  base.round_timeout_ms = 700;
+  base.setup_timeout_ms = 120000;
+  DetaOptions deta_options;
+  deta_options.num_aggregators = 2;
+  deta_options.quorum = 2;
+  DetaJob deta(base, deta_options, MakePartiesWith(TinyMlpFactory(), 3, base.train),
+               TinyMlpFactory(), SmallMnist(30, 6));
+  fl::JobResult result = deta.Run();
+  EXPECT_EQ(result.status, fl::JobStatus::kQuorumFailed);
+  EXPECT_NE(result.error.find("(0/2 fragments)"), std::string::npos) << result.error;
+}
+
 // A quorum outside [0, parties] would leave every round to fail at its deadline, so the
 // job rejects it at construction.
 TEST(DetaJobFaultTest, QuorumOutsidePartyCountIsRejected) {

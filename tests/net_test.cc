@@ -9,6 +9,7 @@
 #include "net/message_bus.h"
 #include "net/retry.h"
 #include "net/secure_channel.h"
+#include "net/tcp_transport.h"
 
 namespace deta::net {
 namespace {
@@ -129,20 +130,6 @@ TEST(MessageBusTest, ClosedFlagDisambiguatesTimeout) {
   a->Close();
   EXPECT_FALSE(a->ReceiveFor(10).has_value());
   EXPECT_TRUE(a->closed());  // closed, not slow
-}
-
-TEST(MessageBusTest, ByteAccounting) {
-  BusCounters counters;
-  MessageBus bus;
-  auto a = bus.CreateEndpoint("a");
-  auto b = bus.CreateEndpoint("b");
-  a->Send("b", "t", Bytes(100));
-  a->Send("b", "t", Bytes(50));
-  b->Send("a", "t", Bytes(10));
-  EXPECT_EQ(counters("net.bus.delivered"), 3u);
-  EXPECT_EQ(counters("net.bus.delivered.t"), 3u);
-  // Payloads plus, per message, the one-byte names and type and the 8-byte tag.
-  EXPECT_EQ(counters("net.bus.delivered_bytes"), 160u + 3 * (3 + sizeof(uint64_t)));
 }
 
 TEST(MessageBusTest, ReceiveTypeStashesOthers) {
@@ -334,15 +321,18 @@ TEST(FaultInjectorTest, MaxFaultsBudgetExhausts) {
   }
 }
 
-TEST(MessageBusTest, FaultDropIsCountedNotDelivered) {
+// Send-pipeline checks run on both backends: the MessageBusTest and TcpTransportTest
+// twins below hand each one a fresh transport, so fault and accounting behaviour is
+// pinned over either wire. Receives carry deadlines because TCP delivers from its event
+// loop, after Send returns.
+void ExpectFaultDropIsCountedNotDelivered(Transport& transport) {
   BusCounters counters;
-  MessageBus bus;
   FaultPlan plan;
   plan.seed = 7;
   plan.default_rates.drop = 1.0;
-  bus.SetFaultPlan(plan);
-  auto a = bus.CreateEndpoint("a");
-  auto b = bus.CreateEndpoint("b");
+  transport.SetFaultPlan(plan);
+  auto a = transport.CreateEndpoint("a");
+  auto b = transport.CreateEndpoint("b");
   // A fault-dropped message looks like network loss to the sender: Send succeeds.
   EXPECT_TRUE(a->Send("b", "lost", {}));
   EXPECT_FALSE(b->ReceiveFor(30).has_value());
@@ -353,43 +343,102 @@ TEST(MessageBusTest, FaultDropIsCountedNotDelivered) {
   EXPECT_EQ(counters("net.bus.dropped"), 0u);
 }
 
-TEST(MessageBusTest, BusDuplicatesAreSuppressedByReceiver) {
-  MessageBus bus;
+void ExpectDuplicatesAreSuppressedByReceiver(Transport& transport) {
   FaultPlan plan;
   plan.seed = 11;
   plan.default_rates.duplicate = 1.0;
-  bus.SetFaultPlan(plan);
-  auto a = bus.CreateEndpoint("a");
-  auto b = bus.CreateEndpoint("b");
+  transport.SetFaultPlan(plan);
+  auto a = transport.CreateEndpoint("a");
+  auto b = transport.CreateEndpoint("b");
   a->Send("b", "once", StringToBytes("payload"));
-  auto first = b->ReceiveFor(1000);
+  auto first = b->ReceiveFor(5000);
   ASSERT_TRUE(first.has_value());
   // The duplicate carries the same sequence tag and must be invisible to the receiver.
   EXPECT_FALSE(b->ReceiveFor(50).has_value());
   // Distinct sends (fresh tags) are NOT deduplicated.
   a->Send("b", "twice", {});
   a->Send("b", "twice", {});
-  EXPECT_TRUE(b->ReceiveFor(1000).has_value());
-  EXPECT_TRUE(b->ReceiveFor(1000).has_value());
+  EXPECT_TRUE(b->ReceiveFor(5000).has_value());
+  EXPECT_TRUE(b->ReceiveFor(5000).has_value());
 }
 
-TEST(MessageBusTest, ReorderSwapsAdjacentMessages) {
-  MessageBus bus;
+void ExpectReorderSwapsAdjacentMessages(Transport& transport) {
   FaultPlan plan;
   plan.seed = 3;
   plan.default_rates.reorder = 1.0;
-  bus.SetFaultPlan(plan);
-  auto a = bus.CreateEndpoint("a");
-  auto b = bus.CreateEndpoint("b");
+  transport.SetFaultPlan(plan);
+  auto a = transport.CreateEndpoint("a");
+  auto b = transport.CreateEndpoint("b");
   a->Send("b", "m1", {});
   a->Send("b", "m2", {});
   a->Send("b", "m3", {});
   a->Send("b", "m4", {});
   // One-slot holdback: each held message is released right after its successor.
-  EXPECT_EQ(b->Receive()->type, "m2");
-  EXPECT_EQ(b->Receive()->type, "m1");
-  EXPECT_EQ(b->Receive()->type, "m4");
-  EXPECT_EQ(b->Receive()->type, "m3");
+  for (const char* expected : {"m2", "m1", "m4", "m3"}) {
+    std::optional<Message> m = b->ReceiveFor(5000);
+    ASSERT_TRUE(m.has_value()) << expected;
+    EXPECT_EQ(m->type, expected);
+  }
+}
+
+void ExpectByteAccounting(Transport& transport) {
+  BusCounters counters;
+  auto a = transport.CreateEndpoint("a");
+  auto b = transport.CreateEndpoint("b");
+  a->Send("b", "t", Bytes(100));
+  a->Send("b", "t", Bytes(50));
+  b->Send("a", "t", Bytes(10));
+  EXPECT_TRUE(b->ReceiveFor(5000).has_value());
+  EXPECT_TRUE(b->ReceiveFor(5000).has_value());
+  EXPECT_TRUE(a->ReceiveFor(5000).has_value());
+  EXPECT_EQ(counters("net.bus.sent"), 3u);
+  EXPECT_EQ(counters("net.bus.delivered"), 3u);
+  EXPECT_EQ(counters("net.bus.delivered.t"), 3u);
+  // Payloads plus, per message, the one-byte names and type and the 8-byte tag.
+  EXPECT_EQ(counters("net.bus.delivered_bytes"), 160u + 3 * (3 + sizeof(uint64_t)));
+  EXPECT_EQ(counters("net.bus.sent_bytes"), counters("net.bus.delivered_bytes"));
+}
+
+TEST(MessageBusTest, FaultDropIsCountedNotDelivered) {
+  MessageBus bus;
+  ExpectFaultDropIsCountedNotDelivered(bus);
+}
+
+TEST(MessageBusTest, BusDuplicatesAreSuppressedByReceiver) {
+  MessageBus bus;
+  ExpectDuplicatesAreSuppressedByReceiver(bus);
+}
+
+TEST(MessageBusTest, ReorderSwapsAdjacentMessages) {
+  MessageBus bus;
+  ExpectReorderSwapsAdjacentMessages(bus);
+}
+
+TEST(MessageBusTest, ByteAccounting) {
+  MessageBus bus;
+  ExpectByteAccounting(bus);
+}
+
+// The same checks over a loopback TcpTransport that hosts its own registry: every
+// message crosses a real socket and is delivered by the event loop.
+TEST(TcpTransportTest, FaultDropIsCountedNotDelivered) {
+  TcpTransport tcp{TcpTransportOptions{}};
+  ExpectFaultDropIsCountedNotDelivered(tcp);
+}
+
+TEST(TcpTransportTest, DuplicatesAreSuppressedByReceiver) {
+  TcpTransport tcp{TcpTransportOptions{}};
+  ExpectDuplicatesAreSuppressedByReceiver(tcp);
+}
+
+TEST(TcpTransportTest, ReorderSwapsAdjacentMessages) {
+  TcpTransport tcp{TcpTransportOptions{}};
+  ExpectReorderSwapsAdjacentMessages(tcp);
+}
+
+TEST(TcpTransportTest, ByteAccounting) {
+  TcpTransport tcp{TcpTransportOptions{}};
+  ExpectByteAccounting(tcp);
 }
 
 TEST(MessageBusTest, ReceiveTypeSelectsAcrossReorderedDelivery) {
