@@ -56,7 +56,8 @@ int main() {
     auto challenge = agg->ReceiveType(core::kAuthChallenge);
     core::AnswerChallenge(*agg, *challenge, token_private);
     auto registration = agg->ReceiveType(core::kAuthRegister);
-    auto channel = core::AcceptRegistration(*agg, *registration, token_private, agg_rng);
+    core::RegistrationCache registrations;
+    auto channel = registrations.Accept(*agg, *registration, token_private, agg_rng);
     // Echo one sealed message back across the established channel.
     auto upload = agg->ReceiveType("demo.upload");
     auto opened = channel->second.Open(upload->payload);

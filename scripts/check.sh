@@ -63,14 +63,14 @@ run_preset() {
     (cd "${build_dir}" && ctest --output-on-failure -j "${jobs}")
   fi
   if [[ "${preset}" == "asan" ]]; then
-    # Durability gate: re-run the snapshot codec/store suites plus one crash-revive and
-    # one whole-job-resume scenario with halt_on_error, so a heap error anywhere on the
-    # crash/restore path fails the leg immediately instead of being absorbed by ctest's
-    # per-test process isolation.
+    # Durability gate: re-run the snapshot codec/store suites, the Paillier key codec,
+    # and crash-revive (plain and Paillier) and whole-job-resume scenarios with
+    # halt_on_error, so a heap error anywhere on the crash/restore path fails the leg
+    # immediately instead of being absorbed by ctest's per-test process isolation.
     echo "==> ${preset}: durability crash/resume gate"
     ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
       "./${build_dir}/tests/deta_tests" \
-      --gtest_filter='PersistCodecTest.*:PersistSealTest.*:StateStoreTest.*:CheckpointTest.*:CrashResumeTest.FollowerCrashMidRunIsLossless:CrashResumeTest.WholeJobResumeMatchesUninterruptedRun'
+      --gtest_filter='PersistCodecTest.*:PersistSealTest.*:StateStoreTest.*:CheckpointTest.*:PaillierTest.KeyCodec*:CrashResumeTest.FollowerCrashMidRunIsLossless:CrashResumeTest.PaillierPartyCrashIsLossless:CrashResumeTest.WholeJobResumeMatchesUninterruptedRun'
   fi
   echo "==> OK (${preset})"
 }

@@ -37,8 +37,6 @@ class ServiceThread {
     if (thread_.joinable()) thread_.join();
   }
 
-  bool Joinable() const { return thread_.joinable(); }
-
  private:
   std::thread thread_;
 };

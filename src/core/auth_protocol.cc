@@ -133,18 +133,6 @@ void AnswerChallenge(net::Endpoint& endpoint, const net::Message& challenge,
   endpoint.Send(challenge.from, kAuthResponse, sig.Serialize());
 }
 
-std::optional<std::pair<std::string, net::SecureChannel>> AcceptRegistration(
-    net::Endpoint& endpoint, const net::Message& registration,
-    const Secret<crypto::BigUint>& token_private, crypto::SecureRng& rng) {
-  std::optional<RegistrationAck> ack =
-      BuildRegistrationAck(endpoint.name(), registration, token_private, rng);
-  if (!ack.has_value()) {
-    return std::nullopt;
-  }
-  endpoint.Send(registration.from, kAuthRegisterAck, ack->ack_wire);
-  return std::make_pair(registration.from, std::move(ack->channel));
-}
-
 std::optional<std::pair<std::string, net::SecureChannel>> RegistrationCache::Accept(
     net::Endpoint& endpoint, const net::Message& registration,
     const Secret<crypto::BigUint>& token_private, crypto::SecureRng& rng) {

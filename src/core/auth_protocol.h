@@ -62,13 +62,6 @@ std::optional<net::SecureChannel> RegisterWithAggregator(
 void AnswerChallenge(net::Endpoint& endpoint, const net::Message& challenge,
                      const Secret<crypto::BigUint>& token_private);
 
-// Handles one kAuthRegister message; returns (party name, responder-role channel) on
-// success. NOT idempotent under retransmission — prefer RegistrationCache in any event
-// loop that can see the same registration twice.
-std::optional<std::pair<std::string, net::SecureChannel>> AcceptRegistration(
-    net::Endpoint& endpoint, const net::Message& registration,
-    const Secret<crypto::BigUint>& token_private, crypto::SecureRng& rng);
-
 // Responder-side registration state: caches the ack sent to each party so a
 // retransmitted registration (same party, same ECDH share) is answered with the
 // identical ack — re-deriving the same master secret — instead of re-keying a channel
@@ -76,8 +69,9 @@ std::optional<std::pair<std::string, net::SecureChannel>> AcceptRegistration(
 // restarted) re-keys and returns the fresh channel.
 class RegistrationCache {
  public:
-  // Processes one kAuthRegister message, always replying to the party. Returns a channel
-  // only when one was (re-)created; nullopt for cached re-acks and malformed shares.
+  // Processes one kAuthRegister message, replying to the party unless its share is
+  // malformed. Returns a channel only when one was (re-)created; nullopt for cached
+  // re-acks and malformed shares.
   std::optional<std::pair<std::string, net::SecureChannel>> Accept(
       net::Endpoint& endpoint, const net::Message& registration,
       const Secret<crypto::BigUint>& token_private, crypto::SecureRng& rng);

@@ -256,11 +256,6 @@ DetaJob::DetaJob(fl::ExecutionOptions options, DetaOptions deta,
     pc.checkpoint_every = options_.checkpoint.every_n_rounds;
     pc.seal_seed = options_.seed;
     pc.crash_at_round = options_.fault_plan.CrashRoundFor(party_names_[i]);
-    if (options_.fault_plan.CrashRoundFor(KeyBroker::kEndpointName) > 0) {
-      // A broker crash strands the fetch mid-handshake; retry the whole handshake while
-      // the job driver revives the replacement broker.
-      pc.broker_fetch_attempts = 5;
-    }
     if (resume_roles) {
       pc.resume = true;
       pc.resume_max_round = resume_round_;

@@ -21,6 +21,10 @@ constexpr int kTickMs = 50;
 // Overall ceiling on one round's upload + result collection; the round is skipped when
 // it expires.
 constexpr int kResultTimeoutMs = 120000;
+// Whole-handshake attempts for the key-broker material fetch. A crashed broker aborts
+// the fetch instantly, and one retry budget would be burned before the job revives it;
+// a fault-free fetch succeeds on its first attempt.
+constexpr int kBrokerFetchAttempts = 5;
 
 int MsUntil(Clock::time_point deadline) {
   auto left = std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
@@ -75,8 +79,9 @@ bool DetaParty::SetupChannels() {
   // skips the broker entirely — the broker may no longer be running.
   if (config_.fetch_from_key_broker && transform_ == nullptr) {
     std::optional<TransformMaterial> material;
-    int attempts = std::max(1, config_.broker_fetch_attempts);
-    for (int attempt = 0; attempt < attempts && !material.has_value(); ++attempt) {
+    for (int attempt = 0; attempt < kBrokerFetchAttempts && !material.has_value() &&
+                          !endpoint_->closed();
+         ++attempt) {
       if (attempt > 0) {
         // The broker endpoint did not exist for the previous attempt (crashed, or not
         // yet revived); RequestReply fails fast in that case, so pace the retries.
@@ -101,21 +106,8 @@ bool DetaParty::SetupChannels() {
       LOG_WARNING << name() << ": broker material partition count mismatch";
       return false;
     }
-    // ExposeForCrypto: parsing the broker-served blob back into PaillierPrivateKey,
-    // whose components are themselves Secret members.
-    const Bytes& paillier_blob = material_->paillier_key.ExposeForCrypto();
-    if (config_.use_paillier && !paillier_blob.empty()) {
-      std::optional<crypto::PaillierKeyPair> kp =
-          persist::ParsePaillierKey(paillier_blob);
-      if (!kp.has_value()) {
-        LOG_WARNING << name() << ": broker-served Paillier key failed to parse";
-        return false;
-      }
-      if (config_.paillier.has_value() && config_.paillier->pub.n != kp->pub.n) {
-        LOG_WARNING << name() << ": broker-served Paillier key disagrees with job key";
-        return false;
-      }
-      config_.paillier = std::move(*kp);
+    if (!AdoptServedPaillierKey()) {
+      return false;
     }
   }
   if (config_.use_paillier && paillier_codec_ == nullptr) {
@@ -254,13 +246,10 @@ void DetaParty::SaveState(int round) {
   snapshot.Add(persist::SectionType::kRngState, "rng",
                seal.Seal(rng_.SerializeState(), rng_));
   if (material_.has_value()) {
+    // The one key copy: broker-served material carries the Paillier key, and without a
+    // broker the job re-derives the key from its seed.
     snapshot.Add(persist::SectionType::kKeyMaterial, "material",
                  seal.Seal(material_->Serialize(), rng_));
-  }
-  if (config_.use_paillier && config_.paillier.has_value()) {
-    // Versioned private-key section (persist/paillier_key_codec.h).
-    snapshot.Add(persist::SectionType::kKeyMaterial, "paillier-key",
-                 seal.Seal(persist::SerializePaillierKey(*config_.paillier), rng_));
   }
   if (!config_.store->Write(snapshot)) {
     LOG_WARNING << name_ << ": snapshot write failed for round " << round;
@@ -313,29 +302,35 @@ bool DetaParty::RestoreFromSnapshot() {
       return false;
     }
     transform_ = material_->BuildTransform();
-  }
-  const persist::Section* paillier_key = snapshot->Find("paillier-key");
-  if (paillier_key != nullptr && config_.use_paillier) {
-    std::optional<Bytes> plain = seal.Open(paillier_key->data);
-    if (!plain.has_value()) {
+    if (!AdoptServedPaillierKey()) {
       return false;
     }
-    std::optional<crypto::PaillierKeyPair> kp = persist::ParsePaillierKey(*plain);
-    if (!kp.has_value()) {
-      return false;
-    }
-    if (config_.paillier.has_value() && config_.paillier->pub.n != kp->pub.n) {
-      // A job-supplied key that disagrees with the snapshot means the resume targets
-      // a different federation; decrypting with either key would be wrong.
-      LOG_WARNING << name_ << ": snapshot Paillier key does not match job key";
-      return false;
-    }
-    config_.paillier = std::move(*kp);
   }
   global_params_ = std::move(*params);
   resume_round_ = snapshot->round;
   LOG_INFO << name_ << ": resumed from snapshot at round " << resume_round_
            << " (generation " << snapshot->generation << ")";
+  return true;
+}
+
+bool DetaParty::AdoptServedPaillierKey() {
+  // ExposeForCrypto: parsing the served blob back into PaillierPrivateKey, whose
+  // components are themselves Secret members.
+  const Bytes& blob = material_->paillier_key.ExposeForCrypto();
+  if (!config_.use_paillier || blob.empty()) {
+    return true;
+  }
+  std::optional<crypto::PaillierKeyPair> kp = persist::ParsePaillierKey(blob);
+  if (!kp.has_value()) {
+    LOG_WARNING << name_ << ": broker-served Paillier key failed to parse";
+    return false;
+  }
+  if (config_.paillier.has_value() && config_.paillier->pub.n() != kp->pub.n()) {
+    // Decrypting with either of two disagreeing keys would be wrong.
+    LOG_WARNING << name_ << ": broker-served Paillier key disagrees with job key";
+    return false;
+  }
+  config_.paillier = std::move(*kp);
   return true;
 }
 

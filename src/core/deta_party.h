@@ -43,7 +43,8 @@ struct DetaPartyConfig {
   // round for evaluation (they are identical across parties).
   bool is_reporter = false;
   fl::TrainConfig train;
-  // Paillier fusion key material (all parties hold it; the key-broker role).
+  // Paillier fusion key pair (all parties hold it). Unset when the key broker serves
+  // it inside the transform material instead.
   bool use_paillier = false;
   std::optional<crypto::PaillierKeyPair> paillier;
   int num_parties = 1;
@@ -78,10 +79,6 @@ struct DetaPartyConfig {
   int crash_at_round = 0;
   // Seed for the snapshot sealing key (stand-in for CVM sealed storage; job-provided).
   uint64_t seal_seed = 0;
-  // Attempts for the key-broker material fetch during setup. The job raises this when a
-  // broker crash is planned: the fetch aborts instantly while the broker is down, and a
-  // plain retry budget would be burned before the revive lands.
-  int broker_fetch_attempts = 1;
 };
 
 class DetaParty {
@@ -125,6 +122,9 @@ class DetaParty {
   // Restores params/trainer/rng/material from the store; false when nothing verifiable
   // matches the configured resume point.
   bool RestoreFromSnapshot();
+  // Takes the Paillier key out of the broker-served material_, after a fetch or a
+  // restore. False when it fails to parse or disagrees with a job-supplied key.
+  bool AdoptServedPaillierKey();
 
   std::unique_ptr<fl::Party> local_;
   std::string name_;
@@ -138,7 +138,8 @@ class DetaParty {
   std::map<std::string, net::SecureChannel> channels_;  // aggregator -> channel
   std::vector<float> global_params_;
   // Broker-served transform material, retained (and snapshotted sealed) so a resumed
-  // party can rebuild its transform without a live broker.
+  // party can rebuild its transform, and recover its Paillier key, without a live
+  // broker.
   std::optional<TransformMaterial> material_;
   int resume_round_ = 0;
   bool setup_ok_ = false;

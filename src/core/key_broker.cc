@@ -23,8 +23,6 @@ Bytes TransformMaterial::Serialize() const {
   w.WriteU32(static_cast<uint32_t>(num_aggregators));
   w.WriteU32(enable_partition ? 1 : 0);
   w.WriteU32(enable_shuffle ? 1 : 0);
-  // Appended after the v1 fields so material serialized before the Paillier extension
-  // (old sealed snapshots) still parses: Deserialize reads it only when bytes remain.
   w.WriteBytes(paillier_key.ExposeForSeal());
   return w.Take();
 }
@@ -42,9 +40,7 @@ TransformMaterial TransformMaterial::Deserialize(const Bytes& data) {
   m.num_aggregators = static_cast<int>(r.ReadU32());
   m.enable_partition = r.ReadU32() != 0;
   m.enable_shuffle = r.ReadU32() != 0;
-  if (!r.AtEnd()) {
-    m.paillier_key = Secret<Bytes>(r.ReadBytes());
-  }
+  m.paillier_key = Secret<Bytes>(r.ReadBytes());
   return m;
 }
 

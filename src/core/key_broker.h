@@ -40,7 +40,8 @@ struct TransformMaterial {
   // Serialized Paillier key pair (persist/paillier_key_codec.h; empty = job does not
   // use Paillier fusion). Carried by the broker so the fusion decryption capability is
   // dispatched over the same authenticated channel as the transform secrets — it is
-  // the key-broker key material the paper's §4.2 broker role exists to hold.
+  // the key-broker key material the paper's §4.2 broker role exists to hold. A party's
+  // sealed snapshot keeps the key only here.
   Secret<Bytes> paillier_key;
   int64_t total_params = 0;
   std::vector<double> proportions;  // empty = uniform over num_aggregators

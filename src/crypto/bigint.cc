@@ -494,16 +494,9 @@ BigUint BigUint::Gcd(const BigUint& a, const BigUint& b) {
     un = ShiftRightInPlace(u, un, TrailingZeroBits(u));
   }
   BigUint out = FromLimbs64(u, un).ShiftLeft(std::min(u_zeros, v_zeros));
-  // Callers pass secrets (Lcm(p-1, q-1) in keygen, the encryption randomness r).
+  // Callers pass secrets (the Paillier encryption randomness r).
   SecureWipe(work.data(), work.size() * sizeof(uint64_t));
   return out;
-}
-
-BigUint BigUint::Lcm(const BigUint& a, const BigUint& b) {
-  if (a.IsZero() || b.IsZero()) {
-    return BigUint();
-  }
-  return a.Mul(b).DivMod(Gcd(a, b)).quotient;
 }
 
 BigUint BigUint::RandomBelow(SecureRng& rng, const BigUint& bound) {

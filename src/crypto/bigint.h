@@ -84,7 +84,6 @@ class BigUint {
   // Stein's binary GCD on 64-bit limbs: subtract and shift, never divide.
   // Gcd(0, x) = Gcd(x, 0) = x.
   static BigUint Gcd(const BigUint& a, const BigUint& b);
-  static BigUint Lcm(const BigUint& a, const BigUint& b);
 
   // Uniform random integer in [0, bound).
   static BigUint RandomBelow(SecureRng& rng, const BigUint& bound);
@@ -99,7 +98,7 @@ class BigUint {
   uint64_t ToU64() const;
 
   // Zeroes the limb storage through a compiler barrier and resets the value to 0.
-  // Called by destructors of types holding secret exponents (Paillier lambda/mu, ECDH
+  // Called by destructors of types holding secret values (Paillier primes, ECDH
   // private scalars, auth tokens) so key material does not linger in freed heap pages.
   void Wipe();
 

@@ -1,7 +1,6 @@
 #include "crypto/paillier.h"
 
-#include <cmath>
-#include <cstdlib>
+#include <algorithm>
 
 #include "common/check.h"
 #include "common/parallel.h"
@@ -18,28 +17,21 @@ BigUint LFunction(const BigUint& x, const BigUint& n) {
 
 }  // namespace
 
-void PaillierPublicKey::PrecomputeCache() {
-  if (mont_n2_ == nullptr && n_squared.IsOdd() && n_squared > BigUint(1)) {
-    mont_n2_ = std::make_shared<const MontgomeryContext>(n_squared);
-  }
-}
+PaillierPublicKey::PaillierPublicKey(BigUint n)
+    : n_(std::move(n)), mont_n2_(std::make_shared<const MontgomeryContext>(n_.Mul(n_))) {}
 
 BigUint PaillierPublicKey::Encrypt(const BigUint& m, SecureRng& rng) const {
-  DETA_CHECK_MSG(m < n, "Paillier plaintext out of range");
+  DETA_CHECK_MSG(m < n_, "Paillier plaintext out of range");
   // r uniform in [1, n) with gcd(r, n) = 1 (holds with overwhelming probability for a
   // well-formed key; re-draw otherwise).
   BigUint r;
   do {
-    r = BigUint::RandomBelow(rng, n);
-  } while (r.IsZero() || BigUint::Gcd(r, n) != BigUint(1));
+    r = BigUint::RandomBelow(rng, n_);
+  } while (r.IsZero() || BigUint::Gcd(r, n_) != BigUint(1));
   // c = g^m * r^n mod n^2. With g = n + 1, g^m = 1 + m*n (mod n^2), a big speedup;
   // m < n makes 1 + m*n < n^2 already reduced.
-  BigUint g_m = BigUint(1).Add(m.Mul(n));
-  if (mont_n2_ != nullptr) {
-    return mont_n2_->MulMod(g_m, mont_n2_->PowMod(r, n));
-  }
-  BigUint r_n = BigUint::PowMod(r, n, n_squared);
-  return BigUint::MulMod(g_m, r_n, n_squared);
+  BigUint g_m = BigUint(1).Add(m.Mul(n_));
+  return mont_n2_->MulMod(g_m, mont_n2_->PowMod(r, n_));
 }
 
 std::vector<BigUint> PaillierPublicKey::EncryptBatch(const std::vector<BigUint>& ms,
@@ -66,76 +58,70 @@ std::vector<BigUint> PaillierPublicKey::EncryptBatch(const std::vector<BigUint>&
 }
 
 BigUint PaillierPublicKey::AddCiphertexts(const BigUint& c1, const BigUint& c2) const {
-  if (mont_n2_ != nullptr) {
-    return mont_n2_->MulMod(c1, c2);
-  }
-  return BigUint::MulMod(c1, c2, n_squared);
+  return mont_n2_->MulMod(c1, c2);
 }
 
-BigUint PaillierPublicKey::MulPlain(const BigUint& c, const BigUint& k) const {
-  if (mont_n2_ != nullptr) {
-    return mont_n2_->PowMod(c, k);
-  }
-  return BigUint::PowMod(c, k, n_squared);
-}
-
-bool PaillierPrivateKey::PrecomputeCrt(const PaillierPublicKey& pub) {
-  // All derivation happens on exposed references inside this kernel; every derived
-  // value lands back in a Secret member (or is a fresh local wiped by BigUint dtor
-  // semantics when it leaves scope).
+std::optional<PaillierPrivateKey> PaillierPrivateKey::FromPrimes(
+    const PaillierPublicKey& pub, Secret<BigUint> p, Secret<BigUint> q) {
+  // All derivation happens on exposed references inside this kernel, and every derived
+  // value lands in a Secret member. The intermediates lp and lq are plain BigUint
+  // locals, and BigUint does not wipe itself on destruction.
   const BigUint& pv = p.ExposeForCrypto();
   const BigUint& qv = q.ExposeForCrypto();
-  if (pv.IsZero() || qv.IsZero() || pv.Mul(qv) != pub.n) {
-    return false;
+  if (pv.Mul(qv) != pub.n()) {
+    return std::nullopt;
   }
-  p_squared = Secret<BigUint>(pv.Mul(pv));
-  q_squared = Secret<BigUint>(qv.Mul(qv));
-  p_minus_1 = Secret<BigUint>(pv.Sub(BigUint(1)));
-  q_minus_1 = Secret<BigUint>(qv.Sub(BigUint(1)));
-  const BigUint& p2 = p_squared.ExposeForCrypto();
-  const BigUint& q2 = q_squared.ExposeForCrypto();
-  mont_p2_ = std::make_shared<const MontgomeryContext>(p2);
-  mont_q2_ = std::make_shared<const MontgomeryContext>(q2);
+  PaillierPrivateKey key;
+  key.p_minus_1_ = Secret<BigUint>(pv.Sub(BigUint(1)));
+  key.q_minus_1_ = Secret<BigUint>(qv.Sub(BigUint(1)));
+  // The contexts keep (and wipe) their own copies of p^2 and q^2.
+  Secret<BigUint> p2(pv.Mul(pv));
+  Secret<BigUint> q2(qv.Mul(qv));
+  key.mont_p2_ = std::make_shared<const MontgomeryContext>(p2.ExposeForCrypto());
+  key.mont_q2_ = std::make_shared<const MontgomeryContext>(q2.ExposeForCrypto());
   // hp = L_p(g^(p-1) mod p^2)^-1 mod p (and symmetrically hq): the per-prime analogue
   // of mu, precomputed so decryption costs one inverse-free multiply per prime.
-  BigUint lp = LFunction(mont_p2_->PowMod(pub.g.Mod(p2), p_minus_1.ExposeForCrypto()), pv);
-  BigUint lq = LFunction(mont_q2_->PowMod(pub.g.Mod(q2), q_minus_1.ExposeForCrypto()), qv);
+  const BigUint g = pub.n().Add(BigUint(1));
+  BigUint lp = LFunction(key.mont_p2_->PowMod(g.Mod(key.mont_p2_->modulus()),
+                                              key.p_minus_1_.ExposeForCrypto()),
+                         pv);
+  BigUint lq = LFunction(key.mont_q2_->PowMod(g.Mod(key.mont_q2_->modulus()),
+                                              key.q_minus_1_.ExposeForCrypto()),
+                         qv);
   BigUint hp_v;
   BigUint hq_v;
   BigUint p_inv_q_v;
+  // p^-1 mod q exists exactly when p != q.
   if (!BigUint::InvMod(lp, pv, &hp_v) || !BigUint::InvMod(lq, qv, &hq_v) ||
       !BigUint::InvMod(pv, qv, &p_inv_q_v)) {
-    return false;
+    return std::nullopt;
   }
-  hp = Secret<BigUint>(std::move(hp_v));
-  hq = Secret<BigUint>(std::move(hq_v));
-  p_inv_q = Secret<BigUint>(std::move(p_inv_q_v));
-  return true;
+  key.hp_ = Secret<BigUint>(std::move(hp_v));
+  key.hq_ = Secret<BigUint>(std::move(hq_v));
+  key.p_inv_q_ = Secret<BigUint>(std::move(p_inv_q_v));
+  key.p_ = std::move(p);
+  key.q_ = std::move(q);
+  return key;
 }
 
-BigUint PaillierPrivateKey::Decrypt(const BigUint& c,
-                                    const PaillierPublicKey& /*pub*/) const {
-  DETA_CHECK_MSG(HasCrt() && mont_p2_ != nullptr && mont_q2_ != nullptr,
-                 "Paillier private key lacks its CRT extension (PrecomputeCrt)");
+BigUint PaillierPrivateKey::Decrypt(const BigUint& c) const {
   // CRT decryption: exponentiate against the half-size moduli p^2/q^2 with the
-  // half-size exponents p-1/q-1, then recombine with Garner's formula. ~4x cheaper than
-  // the textbook lambda/mu decryption and bitwise identical to it.
-  const BigUint& pv = p.ExposeForCrypto();
-  const BigUint& qv = q.ExposeForCrypto();
+  // half-size exponents p-1/q-1, then recombine with Garner's formula.
+  const BigUint& pv = p_.ExposeForCrypto();
+  const BigUint& qv = q_.ExposeForCrypto();
   BigUint mp = BigUint::MulMod(
-      LFunction(mont_p2_->PowMod(c.Mod(p_squared.ExposeForCrypto()),
-                                 p_minus_1.ExposeForCrypto()), pv),
-      hp.ExposeForCrypto(), pv);
+      LFunction(mont_p2_->PowMod(c.Mod(mont_p2_->modulus()), p_minus_1_.ExposeForCrypto()),
+                pv),
+      hp_.ExposeForCrypto(), pv);
   BigUint mq = BigUint::MulMod(
-      LFunction(mont_q2_->PowMod(c.Mod(q_squared.ExposeForCrypto()),
-                                 q_minus_1.ExposeForCrypto()), qv),
-      hq.ExposeForCrypto(), qv);
-  BigUint h = BigUint::MulMod(BigUint::SubMod(mq, mp, qv), p_inv_q.ExposeForCrypto(), qv);
+      LFunction(mont_q2_->PowMod(c.Mod(mont_q2_->modulus()), q_minus_1_.ExposeForCrypto()),
+                qv),
+      hq_.ExposeForCrypto(), qv);
+  BigUint h = BigUint::MulMod(BigUint::SubMod(mq, mp, qv), p_inv_q_.ExposeForCrypto(), qv);
   return mp.Add(pv.Mul(h));  // mp + p*h < p*q = n
 }
 
-std::vector<BigUint> PaillierPrivateKey::DecryptBatch(const std::vector<BigUint>& cs,
-                                                      const PaillierPublicKey& pub) const {
+std::vector<BigUint> PaillierPrivateKey::DecryptBatch(const std::vector<BigUint>& cs) const {
   telemetry::Span span("crypto.paillier.decrypt_batch");
   DETA_COUNTER("crypto.paillier.decrypt_ops").Add(cs.size());
   DETA_HISTOGRAM("crypto.paillier.decrypt_batch_size", ::deta::telemetry::Unit::kCount)
@@ -143,7 +129,7 @@ std::vector<BigUint> PaillierPrivateKey::DecryptBatch(const std::vector<BigUint>
   std::vector<BigUint> out(cs.size());
   parallel::ParallelFor(0, static_cast<int64_t>(cs.size()), 1, [&](int64_t lo, int64_t hi) {
     for (int64_t i = lo; i < hi; ++i) {
-      out[static_cast<size_t>(i)] = Decrypt(cs[static_cast<size_t>(i)], pub);
+      out[static_cast<size_t>(i)] = Decrypt(cs[static_cast<size_t>(i)]);
     }
   });
   return out;
@@ -157,28 +143,13 @@ PaillierKeyPair GeneratePaillierKey(SecureRng& rng, size_t modulus_bits) {
     if (p == q) {
       continue;
     }
-    BigUint n = p.Mul(q);
-    // gcd(n, (p-1)(q-1)) must be 1; guaranteed for distinct primes of equal length.
-    PaillierKeyPair kp;
-    kp.pub.n = n;
-    kp.pub.n_squared = n.Mul(n);
-    kp.pub.g = n.Add(BigUint(1));
-    kp.pub.PrecomputeCache();
-    kp.priv.lambda = Secret<BigUint>(BigUint::Lcm(p.Sub(BigUint(1)), q.Sub(BigUint(1))));
-
-    BigUint u = kp.pub.mont_n2()->PowMod(kp.pub.g, kp.priv.lambda.ExposeForCrypto());
-    BigUint l = LFunction(u, n);
-    BigUint mu;
-    if (!BigUint::InvMod(l, n, &mu)) {
-      continue;  // Degenerate key; re-draw.
-    }
-    kp.priv.mu = Secret<BigUint>(std::move(mu));
-    kp.priv.p = Secret<BigUint>(std::move(p));
-    kp.priv.q = Secret<BigUint>(std::move(q));
-    if (!kp.priv.PrecomputeCrt(kp.pub)) {
-      continue;
-    }
-    return kp;
+    // RandomBits forces the top bit, so p and q have equal length. Distinct primes of
+    // equal length make gcd(n, (p-1)(q-1)) = 1, so every such pair is a valid key.
+    PaillierPublicKey pub(p.Mul(q));
+    std::optional<PaillierPrivateKey> priv = PaillierPrivateKey::FromPrimes(
+        pub, Secret<BigUint>(std::move(p)), Secret<BigUint>(std::move(q)));
+    DETA_CHECK(priv.has_value());
+    return PaillierKeyPair{std::move(pub), std::move(*priv)};
   }
 }
 
@@ -188,7 +159,7 @@ PaillierPacker::PaillierPacker(const PaillierPublicKey& pub, int max_addends,
   DETA_CHECK_GE(lane_bits, 8);
   DETA_CHECK_LE(lane_bits, 62);
   // Reserve one lane-width of headroom below the modulus top.
-  int usable_bits = static_cast<int>(pub.n.BitLength()) - lane_bits - 8;
+  int usable_bits = static_cast<int>(pub.n().BitLength()) - lane_bits - 8;
   DETA_CHECK_MSG(usable_bits >= lane_bits, "Paillier modulus too small for packing");
   lanes_ = usable_bits / lane_bits;
   // Per-lane layout: encoded value = offset + value, with value in (-offset, offset).
@@ -273,39 +244,10 @@ std::vector<BigUint> PaillierEncryptPacked(const PaillierPublicKey& pub,
 }
 
 std::vector<int64_t> PaillierDecryptPackedSum(const PaillierPrivateKey& priv,
-                                              const PaillierPublicKey& pub,
                                               const PaillierPacker& packer,
                                               const std::vector<BigUint>& cs, size_t n,
                                               int num_addends) {
-  return packer.UnpackSum(priv.DecryptBatch(cs, pub), n, num_addends);
-}
-
-PaillierFloatCodec::PaillierFloatCodec(const PaillierPublicKey& pub, int scale_bits,
-                                       int offset_bits)
-    : pub_(pub),
-      scale_(std::ldexp(1.0, scale_bits)),
-      offset_(BigUint(1).ShiftLeft(static_cast<size_t>(offset_bits))) {
-  DETA_CHECK_LT(static_cast<size_t>(offset_bits) + 8, pub.n.BitLength());
-}
-
-BigUint PaillierFloatCodec::Encode(float v) const {
-  long long scaled = std::llround(static_cast<double>(v) * scale_);
-  // value = offset + scaled; offset dominates so the result is nonnegative.
-  if (scaled >= 0) {
-    return offset_.Add(BigUint(static_cast<uint64_t>(scaled)));
-  }
-  return offset_.Sub(BigUint(static_cast<uint64_t>(-scaled)));
-}
-
-float PaillierFloatCodec::DecodeSum(const BigUint& plain, int num_addends) const {
-  BigUint total_offset = offset_.Mul(BigUint(static_cast<uint64_t>(num_addends)));
-  double value;
-  if (plain >= total_offset) {
-    value = static_cast<double>(plain.Sub(total_offset).ToU64());
-  } else {
-    value = -static_cast<double>(total_offset.Sub(plain).ToU64());
-  }
-  return static_cast<float>(value / scale_);
+  return packer.UnpackSum(priv.DecryptBatch(cs), n, num_addends);
 }
 
 }  // namespace deta::crypto

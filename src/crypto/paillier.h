@@ -1,18 +1,24 @@
 // Paillier additively homomorphic encryption (Paillier, EUROCRYPT'99), used by the
 // Paillier-based Fusion aggregation algorithm (paper §7.1 / Figure 5c,f).
 //
-// Model updates are floats; they are encoded into the plaintext ring Z_n with fixed-point
-// scaling plus an offset so negative values round-trip. Homomorphic addition of K party
-// ciphertexts yields sum + K*offset, which the decoder removes.
+// Model updates are floats; the fusion layer quantizes them to fixed point and packs
+// several into one plaintext of Z_n (PaillierPacker below), so the homomorphic sum of K
+// party ciphertexts decrypts to the per-coordinate sums.
 //
-// Hot path: all modular exponentiations run through a cached Montgomery fixed-window
-// context (crypto/montgomery.h). Decryption uses the private key's CRT extension
-// (decrypt mod p^2 and q^2 against half-size moduli, recombine via Garner), ~4x cheaper
-// than the textbook lambda/mu decryption and bitwise identical to it.
+// A key exists in one form only. The public key is the modulus n: the generator is
+// fixed at g = n + 1, so g^m mod n^2 = 1 + m*n. The private key is the primes p and q
+// plus the CRT values derived from them. Decryption works mod p^2 and q^2 and
+// recombines with Garner's formula, about 4x cheaper than the textbook lambda/mu
+// decryption and bitwise identical to it; that textbook form survives only as the
+// oracle in tests/crypto_montgomery_test.cc and the BM_PaillierDecryptLambda fixture.
+//
+// Hot path: every modular exponentiation runs through a cached Montgomery fixed-window
+// context (crypto/montgomery.h), built once per key and shared by copies.
 #ifndef DETA_CRYPTO_PAILLIER_H_
 #define DETA_CRYPTO_PAILLIER_H_
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/secret.h"
@@ -22,16 +28,12 @@
 
 namespace deta::crypto {
 
-struct PaillierPublicKey {
-  BigUint n;         // modulus p*q
-  BigUint n_squared;  // n^2 (cached)
-  BigUint g;         // generator, n + 1
+class PaillierPublicKey {
+ public:
+  // Derives n^2 and its Montgomery context. |n| must be odd and > 1.
+  explicit PaillierPublicKey(BigUint n);
 
-  // Builds the shared Montgomery context for n^2. Called by GeneratePaillierKey and
-  // key deserialization; harmless to call again. Encrypt/AddCiphertexts work (slower)
-  // without it, so hand-assembled keys in tests stay valid.
-  void PrecomputeCache();
-  const MontgomeryContext* mont_n2() const { return mont_n2_.get(); }
+  const BigUint& n() const { return n_; }
 
   // Encrypts m in [0, n) with fresh randomness from |rng|.
   BigUint Encrypt(const BigUint& m, SecureRng& rng) const;
@@ -42,53 +44,48 @@ struct PaillierPublicKey {
   std::vector<BigUint> EncryptBatch(const std::vector<BigUint>& ms, SecureRng& rng) const;
   // Homomorphic addition: Dec(AddCiphertexts(c1, c2)) = Dec(c1) + Dec(c2) mod n.
   BigUint AddCiphertexts(const BigUint& c1, const BigUint& c2) const;
-  // Homomorphic scalar multiply: Dec(MulPlain(c, k)) = k * Dec(c) mod n.
-  BigUint MulPlain(const BigUint& c, const BigUint& k) const;
 
  private:
-  // Shared across copies: the modulus is public, and the context is immutable after
-  // PrecomputeCache, so concurrent batch workers can all read through it.
+  BigUint n_;
+  // Shared across copies: the modulus is public and the context immutable, so
+  // concurrent batch workers can all read through it.
   std::shared_ptr<const MontgomeryContext> mont_n2_;
 };
 
-struct PaillierPrivateKey {
-  // Whoever holds lambda/mu (or the CRT primes, which are strictly stronger) can
-  // decrypt every party's update — the exact capability the decentralization argument
-  // denies to aggregators — so every component is a Secret<BigUint>: it cannot reach a
-  // log, a telemetry label, or a plaintext wire/persist path without an audited
-  // Expose* call, and it wipes itself on destruction.
+class PaillierPrivateKey {
+ public:
+  // Builds the private key of |pub| from its prime factors and derives the CRT values.
+  // nullopt unless p * q = n and p != q; a factor of 1 fails a DETA_CHECK.
+  static std::optional<PaillierPrivateKey> FromPrimes(const PaillierPublicKey& pub,
+                                                      Secret<BigUint> p,
+                                                      Secret<BigUint> q);
 
-  Secret<BigUint> lambda;  // lcm(p-1, q-1)
-  Secret<BigUint> mu;      // (L(g^lambda mod n^2))^-1 mod n
+  // The primes are the whole secret: everything else here derives from them.
+  const Secret<BigUint>& p() const { return p_; }
+  const Secret<BigUint>& q() const { return q_; }
 
-  // CRT extension, required by Decrypt (empty p/q = absent). GeneratePaillierKey and
-  // the key codec always build it. The primes and everything derived from them are
-  // secret; the derived members exist so decrypt never recomputes an inverse or square
-  // per ciphertext.
-  Secret<BigUint> p;          // prime factor of n
-  Secret<BigUint> q;          // prime factor of n
-  Secret<BigUint> p_squared;
-  Secret<BigUint> q_squared;
-  Secret<BigUint> p_minus_1;  // CRT exponent mod p^2
-  Secret<BigUint> q_minus_1;  // CRT exponent mod q^2
-  Secret<BigUint> hp;         // L_p(g^(p-1) mod p^2)^-1 mod p
-  Secret<BigUint> hq;         // L_q(g^(q-1) mod q^2)^-1 mod q
-  Secret<BigUint> p_inv_q;    // p^-1 mod q (Garner recombination)
-
-  bool HasCrt() const { return !p.ExposeForCrypto().IsZero(); }
-  // Derives p_squared..p_inv_q and the per-prime Montgomery contexts from p/q (which
-  // must multiply to pub.n). Returns false on degenerate inputs (non-invertible hp/hq).
-  bool PrecomputeCrt(const PaillierPublicKey& pub);
-
-  // CRT decryption; a key without the CRT extension fails a DETA_CHECK.
-  BigUint Decrypt(const BigUint& c, const PaillierPublicKey& pub) const;
+  BigUint Decrypt(const BigUint& c) const;
   // Decrypts every element of |cs| in parallel (decryption is deterministic, so no
   // randomness bookkeeping is needed).
-  std::vector<BigUint> DecryptBatch(const std::vector<BigUint>& cs,
-                                    const PaillierPublicKey& pub) const;
+  std::vector<BigUint> DecryptBatch(const std::vector<BigUint>& cs) const;
 
  private:
-  // MontgomeryContext wipes its limb storage when the last key copy drops it.
+  PaillierPrivateKey() = default;
+
+  // Whoever holds these can decrypt every party's update, the exact capability the
+  // decentralization argument denies to aggregators. So every component is a
+  // Secret<BigUint>: it cannot reach a log, a telemetry label, or a plaintext wire or
+  // persist path without an audited Expose* call, and it wipes itself on destruction.
+  // The derived members exist so decryption never recomputes an inverse per ciphertext.
+  Secret<BigUint> p_;
+  Secret<BigUint> q_;
+  Secret<BigUint> p_minus_1_;  // CRT exponent mod p^2
+  Secret<BigUint> q_minus_1_;  // CRT exponent mod q^2
+  Secret<BigUint> hp_;         // L_p(g^(p-1) mod p^2)^-1 mod p
+  Secret<BigUint> hq_;         // L_q(g^(q-1) mod q^2)^-1 mod q
+  Secret<BigUint> p_inv_q_;    // p^-1 mod q (Garner recombination)
+  // Contexts over p^2 and q^2; a context wipes its modulus and tables when the last
+  // key copy drops it.
   std::shared_ptr<const MontgomeryContext> mont_p2_;
   std::shared_ptr<const MontgomeryContext> mont_q2_;
 };
@@ -99,7 +96,7 @@ struct PaillierKeyPair {
 };
 
 // Generates a key with |modulus_bits|-bit n. Benches default to 512 for speed; the
-// construction is identical at 2048. The private key carries the CRT extension.
+// construction is identical at 2048.
 PaillierKeyPair GeneratePaillierKey(SecureRng& rng, size_t modulus_bits);
 
 // Lane layout for packing k quantized model parameters into one Paillier plaintext
@@ -146,27 +143,9 @@ std::vector<BigUint> PaillierEncryptPacked(const PaillierPublicKey& pub,
                                            const std::vector<int64_t>& values,
                                            SecureRng& rng);
 std::vector<int64_t> PaillierDecryptPackedSum(const PaillierPrivateKey& priv,
-                                              const PaillierPublicKey& pub,
                                               const PaillierPacker& packer,
                                               const std::vector<BigUint>& cs, size_t n,
                                               int num_addends);
-
-// Fixed-point float codec for homomorphic aggregation.
-class PaillierFloatCodec {
- public:
-  // |scale_bits| fractional bits; |offset_bits| sets the representable magnitude bound
-  // (values must satisfy |v| < 2^(offset_bits - scale_bits - 1) after aggregation).
-  PaillierFloatCodec(const PaillierPublicKey& pub, int scale_bits = 24, int offset_bits = 48);
-
-  BigUint Encode(float v) const;
-  // Decodes a plaintext that is the homomorphic sum of |num_addends| encoded values.
-  float DecodeSum(const BigUint& plain, int num_addends) const;
-
- private:
-  const PaillierPublicKey& pub_;
-  double scale_;
-  BigUint offset_;
-};
 
 }  // namespace deta::crypto
 

@@ -55,7 +55,7 @@ std::vector<float> PaillierVectorCodec::DecryptSum(const std::vector<BigUint>& c
                                                    const crypto::PaillierPrivateKey& priv,
                                                    size_t n, int num_addends) const {
   std::vector<int64_t> sums =
-      crypto::PaillierDecryptPackedSum(priv, pub_, packer_, ciphertexts, n, num_addends);
+      crypto::PaillierDecryptPackedSum(priv, packer_, ciphertexts, n, num_addends);
   std::vector<float> out(n);
   parallel::ParallelFor(0, static_cast<int64_t>(n), 256, [&](int64_t lo, int64_t hi) {
     for (int64_t i = lo; i < hi; ++i) {

@@ -1,16 +1,20 @@
 // Paillier-based fusion (paper §7.1, Figures 5c/5f): parties encrypt their updates under
-// a shared Paillier public key (from a trusted key-broker, as in Liu et al.), the
-// aggregator sums ciphertexts homomorphically without ever seeing plaintext, and parties
-// decrypt the fused result.
+// a shared Paillier public key, the aggregator sums ciphertexts homomorphically without
+// ever seeing plaintext, and parties decrypt the fused result. The key pair comes from
+// the trusted key broker (as in Liu et al.) inside the sealed transform material, or
+// from the job config when no broker runs; a party snapshot holds it once, in that
+// material, and a job without a broker re-derives it from the job seed on resume.
 //
-// Coordinates are lane-packed through crypto::PaillierPacker: several fixed-point values
-// share one Paillier plaintext, with enough headroom per lane that the homomorphic sum
-// of up to |max_parties| updates cannot carry across lanes. Packing divides the
-// (dominant) modular-exponentiation count, which is the honest version of why the
-// paper's Figure 5f shows DeTA *speeding Paillier up*: the work is embarrassingly
-// parallel across coordinates, so partitioning it across aggregators divides the
-// wall-clock. This layer only adds the float <-> fixed-point quantization; lane layout,
-// headroom accounting, and the packed encrypt/decrypt hot path live in crypto/.
+// PaillierVectorCodec is the one float codec over Paillier. Coordinates are lane-packed
+// through crypto::PaillierPacker ("Lossless Privacy-Preserving Aggregation for
+// Decentralized FL", arXiv:2501.04409): several fixed-point values share one Paillier
+// plaintext, with enough headroom per lane that the homomorphic sum of up to
+// |max_parties| updates cannot carry across lanes. Packing divides the (dominant)
+// modular-exponentiation count, which is the honest version of why the paper's Figure
+// 5f shows DeTA *speeding Paillier up*: the work is embarrassingly parallel across
+// coordinates, so partitioning it across aggregators divides the wall-clock. This layer
+// only adds the float <-> fixed-point quantization; lane layout, headroom accounting,
+// and the packed encrypt/decrypt hot path live in crypto/.
 #ifndef DETA_FL_PAILLIER_FUSION_H_
 #define DETA_FL_PAILLIER_FUSION_H_
 

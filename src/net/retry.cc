@@ -10,7 +10,7 @@ namespace deta::net {
 int RetryPolicy::TimeoutForAttempt(int attempt) const {
   double t = static_cast<double>(initial_timeout_ms);
   for (int i = 0; i < attempt; ++i) {
-    t *= backoff;
+    t *= 2.0;
     if (t >= static_cast<double>(max_timeout_ms)) {
       return max_timeout_ms;
     }

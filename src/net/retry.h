@@ -16,11 +16,10 @@ namespace deta::net {
 
 struct RetryPolicy {
   int initial_timeout_ms = 250;  // first wait before retransmitting
-  double backoff = 2.0;          // timeout multiplier per attempt
   int max_timeout_ms = 2000;     // cap on the per-attempt timeout
   int max_attempts = 6;          // total transmissions (first send + retries)
 
-  // Per-attempt timeout (attempt is 0-based), exponential with cap.
+  // Per-attempt timeout (attempt is 0-based): doubles per attempt up to the cap.
   int TimeoutForAttempt(int attempt) const;
   // Upper bound on the total time RequestReply can block under this policy.
   int TotalBudgetMs() const;

@@ -35,44 +35,59 @@ constexpr uint32_t kFrameResolveReply = 5;
 // outlive the job and a send to a finished role lands in an unread mailbox.
 constexpr uint32_t kFrameGoodbye = 6;
 
-Bytes Finish(Writer& body) {
-  Bytes out;
-  AppendU32(out, static_cast<uint32_t>(body.buffer().size()));
-  const Bytes& b = body.buffer();
-  out.insert(out.end(), b.begin(), b.end());
-  return out;
+// Frames larger than this are a protocol error (the connection is dropped).
+constexpr uint32_t kMaxFrameBytes = 256u << 20;
+// Messages parked per unresolved name before the oldest is dropped (counted as dropped
+// traffic; retransmissions recover).
+constexpr size_t kMaxParkedPerName = 1024;
+// Event-loop tick: the bound on epoll_wait (DL-L1) and the granularity of shutdown.
+constexpr int kTickMs = 20;
+
+// A frame is a u32 little-endian body length, then the body. Every frame is made by
+// FrameStart, which reserves the prefix, and FrameEnd, which fills it in, so the body
+// is written once and never copied behind the prefix.
+Writer FrameStart(uint32_t kind) {
+  Writer w;
+  w.WriteU32(0);
+  w.WriteU32(kind);
+  return w;
+}
+
+Bytes FrameEnd(Writer& w) {
+  Bytes frame = w.Take();
+  const uint32_t len = static_cast<uint32_t>(frame.size() - 4);
+  for (size_t i = 0; i < 4; ++i) {
+    frame[i] = static_cast<uint8_t>(len >> (8 * i));
+  }
+  return frame;
 }
 
 Bytes MsgFrame(const Message& m) {
-  Writer w;
-  w.WriteU32(kFrameMsg);
+  Writer w = FrameStart(kFrameMsg);
   w.WriteString(m.from);
   w.WriteString(m.to);
   w.WriteString(m.type);
   w.WriteU64(m.seq);
   w.WriteBytes(m.payload);
-  return Finish(w);
+  return FrameEnd(w);
 }
 
 Bytes NameAddrFrame(uint32_t kind, const std::string& name, const std::string& addr) {
-  Writer w;
-  w.WriteU32(kind);
+  Writer w = FrameStart(kind);
   w.WriteString(name);
   w.WriteString(addr);
-  return Finish(w);
+  return FrameEnd(w);
 }
 
 Bytes NameFrame(uint32_t kind, const std::string& name) {
-  Writer w;
-  w.WriteU32(kind);
+  Writer w = FrameStart(kind);
   w.WriteString(name);
-  return Finish(w);
+  return FrameEnd(w);
 }
 
 Bytes GoodbyeFrame() {
-  Writer w;
-  w.WriteU32(kFrameGoodbye);
-  return Finish(w);
+  Writer w = FrameStart(kFrameGoodbye);
+  return FrameEnd(w);
 }
 
 // Parses "a.b.c.d:port" into a sockaddr. Numeric IPv4 only (see header).
@@ -190,7 +205,7 @@ void TcpTransport::Route(Message message) {
   }
   std::deque<Message>& parked = parked_[message.to];
   parked.push_back(std::move(message));
-  if (parked.size() > options_.max_parked_per_name) {
+  if (parked.size() > kMaxParkedPerName) {
     CountDropped(parked.front().type);
     parked.pop_front();
   }
@@ -490,7 +505,7 @@ void TcpTransport::HandleReadable(int fd) {
   size_t off = 0;
   while (conn.inbuf.size() - off >= 4) {
     uint32_t len = ReadU32(conn.inbuf, off);
-    if (len > options_.max_frame_bytes) {
+    if (len > kMaxFrameBytes) {
       CloseConn(fd, "oversized frame");
       return;
     }
@@ -574,7 +589,7 @@ void TcpTransport::Loop() {
   epoll_event events[kMaxEvents];
   std::chrono::steady_clock::time_point stop_deadline{};
   for (;;) {
-    int n = epoll_wait(epoll_fd_, events, kMaxEvents, options_.tick_ms);
+    int n = epoll_wait(epoll_fd_, events, kMaxEvents, kTickMs);
     MutexLock lock(mutex_);
     for (int i = 0; i < n; ++i) {
       int fd = events[i].data.fd;

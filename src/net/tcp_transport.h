@@ -6,15 +6,16 @@
 //   * One epoll event loop per transport instance, on a deta::ServiceThread. All
 //     sockets are non-blocking; epoll_wait runs with a bounded tick (DL-L1).
 //   * Wire format: length-prefixed frames (u32 little-endian byte count, then a
-//     net/codec.h body). Frame kinds: data message, register/unregister, resolve and
-//     resolve-reply (the name registry).
+//     net/codec.h body of at most 256 MiB; a larger frame drops the connection).
+//     Frame kinds: data message, register/unregister, resolve and resolve-reply (the
+//     name registry).
 //   * Name registry: exactly one node in a cluster hosts the registry (it leaves
 //     TcpTransportOptions::registry_addr empty); every other node dials it. Endpoints
 //     register their logical name plus this node's listen address; a send to an
-//     unresolved name parks the message and asks the registry. A resolve for a name
-//     nobody registered yet parks *at the registry* until the name appears — the
-//     registry is the cluster's rendezvous point, so process startup order does not
-//     matter.
+//     unresolved name parks the message (at most 1,024 per name, oldest dropped
+//     first) and asks the registry. A resolve for a name nobody registered yet parks
+//     *at the registry* until the name appears — the registry is the cluster's
+//     rendezvous point, so process startup order does not matter.
 //   * Per-peer connection multiplexing: all endpoints on a node share one outbound
 //     connection per peer node (per-edge FIFO follows from per-connection FIFO), with
 //     reconnect-on-failure — a broken connection drops whatever was queued on it
@@ -62,13 +63,6 @@ struct TcpTransportOptions {
   std::string registry_addr;
   // Node tag for log lines only.
   std::string node_name = "node";
-  // Frames larger than this are a protocol error (the connection is dropped).
-  uint32_t max_frame_bytes = 256u << 20;
-  // Messages parked per unresolved name before the oldest is dropped (counted as
-  // dropped traffic; retransmissions recover).
-  size_t max_parked_per_name = 1024;
-  // Event-loop tick: the bound on epoll_wait (DL-L1) and the granularity of shutdown.
-  int tick_ms = 20;
 };
 
 class TcpTransport final : public Transport {

@@ -1,11 +1,9 @@
 // Versioned snapshot codec for Paillier key material (checkpoint/resume of roles that
-// hold the fusion decryption capability).
+// hold the fusion decryption capability, and the key the broker serves to parties).
 //
-// The format (version 2) carries lambda/mu plus the CRT primes p/q; the derived CRT
-// fields (p^2, q^2, exponents, hp/hq, Garner inverse, Montgomery contexts) are
-// recomputed on load rather than stored, so the on-disk secret surface stays minimal.
-// A version-1 blob (lambda/mu without the primes) is rejected: decryption needs the CRT
-// extension.
+// The format (version 3) is (n, p, q): exactly what the key is. The CRT values and the
+// Montgomery contexts are recomputed on load rather than stored, so the secret surface
+// stays minimal. Versions 1 and 2 (which also carried lambda/mu) are rejected.
 //
 // The blob holds raw private key material: callers MUST seal it (persist::SealKey)
 // before it enters a snapshot section, exactly like RNG state and transform material.
@@ -19,12 +17,11 @@
 
 namespace deta::persist {
 
-// Serializes a key pair whose private key carries the CRT extension (DETA_CHECK).
 Bytes SerializePaillierKey(const crypto::PaillierKeyPair& kp);
 
-// nullopt on malformed/truncated input, any version but 2, or CRT primes that do not
-// multiply to n. The returned key has its Montgomery caches and CRT tables rebuilt and
-// ready.
+// nullopt on malformed/truncated input, any version but 3, or primes that do not
+// multiply to n. The returned key has its Montgomery contexts and CRT values rebuilt
+// and ready.
 std::optional<crypto::PaillierKeyPair> ParsePaillierKey(const Bytes& blob);
 
 }  // namespace deta::persist

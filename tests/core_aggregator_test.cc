@@ -13,6 +13,10 @@
 namespace deta::core {
 namespace {
 
+// Bound on every wait for the aggregator, so a regression fails the test instead of
+// hanging it.
+constexpr int kWaitMs = 10000;
+
 class AggregatorNodeTest : public ::testing::Test {
  protected:
   AggregatorNodeTest()
@@ -55,13 +59,24 @@ class AggregatorNodeTest : public ::testing::Test {
 
   std::vector<float> AwaitResult(net::Endpoint& endpoint, net::SecureChannel& channel,
                                  int expect_round) {
-    auto m = endpoint.ReceiveType(kRoundResult);
-    EXPECT_TRUE(m.has_value());
+    auto m = endpoint.ReceiveTypeFor(kRoundResult, kWaitMs);
+    if (!m.has_value()) {
+      ADD_FAILURE() << endpoint.name() << " got no round result";
+      return {};
+    }
     net::Reader r(m->payload);
     EXPECT_EQ(static_cast<int>(r.ReadU32()), expect_round);
     auto payload = channel.Open(r.ReadBytes());
     EXPECT_TRUE(payload.has_value());
     return fl::DeserializeUpdate(*payload).values;
+  }
+
+  // Every party announces its exit, as DetaParty does after its final round, so the
+  // draining aggregator stops at once instead of waiting out its drain timeout.
+  static void AnnounceDone(std::initializer_list<net::Endpoint*> parties) {
+    for (net::Endpoint* party : parties) {
+      party->Send("agg0", kPartyDone, {});
+    }
   }
 
   net::MessageBus bus_;
@@ -100,8 +115,8 @@ TEST_F(AggregatorNodeTest, FullRoundProtocol) {
 
   driver->Send("agg0", kJobStart, {});
   // Both parties get the round.begin broadcast.
-  EXPECT_TRUE(p0->ReceiveType(kRoundBegin).has_value());
-  EXPECT_TRUE(p1->ReceiveType(kRoundBegin).has_value());
+  EXPECT_TRUE(p0->ReceiveTypeFor(kRoundBegin, kWaitMs).has_value());
+  EXPECT_TRUE(p1->ReceiveTypeFor(kRoundBegin, kWaitMs).has_value());
 
   Upload(*p0, c0, "agg0", 1, {1.0f, 2.0f});
   Upload(*p1, c1, "agg0", 1, {3.0f, 4.0f});
@@ -109,8 +124,9 @@ TEST_F(AggregatorNodeTest, FullRoundProtocol) {
   EXPECT_EQ(AwaitResult(*p1, c1, 1), (std::vector<float>{2.0f, 3.0f}));
 
   // Last round complete: parties receive shutdown; aggregator thread exits.
-  EXPECT_TRUE(p0->ReceiveType(kShutdown).has_value());
-  EXPECT_TRUE(p1->ReceiveType(kShutdown).has_value());
+  EXPECT_TRUE(p0->ReceiveTypeFor(kShutdown, kWaitMs).has_value());
+  EXPECT_TRUE(p1->ReceiveTypeFor(kShutdown, kWaitMs).has_value());
+  AnnounceDone({p0.get(), p1.get()});
   aggregator->Join();
 }
 
@@ -131,9 +147,9 @@ TEST_F(AggregatorNodeTest, QuorumAggregatesWithoutStragglers) {
   net::SecureChannel c2 = Register(*p2, "agg0");
 
   driver->Send("agg0", kJobStart, {});
-  p0->ReceiveType(kRoundBegin);
-  p1->ReceiveType(kRoundBegin);
-  p2->ReceiveType(kRoundBegin);
+  p0->ReceiveTypeFor(kRoundBegin, kWaitMs);
+  p1->ReceiveTypeFor(kRoundBegin, kWaitMs);
+  p2->ReceiveTypeFor(kRoundBegin, kWaitMs);
 
   // Only two of three parties upload; the round must still complete.
   Upload(*p0, c0, "agg0", 1, {2.0f});
@@ -145,7 +161,8 @@ TEST_F(AggregatorNodeTest, QuorumAggregatesWithoutStragglers) {
   // The straggler's late upload for the completed round is dropped without crashing.
   Upload(*p2, c2, "agg0", 1, {100.0f});
 
-  p0->ReceiveType(kShutdown);
+  p0->ReceiveTypeFor(kShutdown, kWaitMs);
+  AnnounceDone({p0.get(), p1.get(), p2.get()});
   aggregator->Join();
 }
 
@@ -161,7 +178,7 @@ TEST_F(AggregatorNodeTest, UnregisteredUploadIgnored) {
   net::SecureChannel c1 = Register(*p1, "agg0");
 
   driver->Send("agg0", kJobStart, {});
-  p0->ReceiveType(kRoundBegin);
+  p0->ReceiveTypeFor(kRoundBegin, kWaitMs);
 
   // The intruder has no channel; its garbage upload must not poison the round.
   net::Writer w;
@@ -172,7 +189,8 @@ TEST_F(AggregatorNodeTest, UnregisteredUploadIgnored) {
   Upload(*p0, c0, "agg0", 1, {1.0f});
   Upload(*p1, c1, "agg0", 1, {5.0f});
   EXPECT_EQ(AwaitResult(*p0, c0, 1), (std::vector<float>{3.0f}));
-  p0->ReceiveType(kShutdown);
+  p0->ReceiveTypeFor(kShutdown, kWaitMs);
+  AnnounceDone({p0.get(), p1.get()});
   aggregator->Join();
 }
 
@@ -186,11 +204,12 @@ TEST_F(AggregatorNodeTest, StoresFragmentsInCvmMemory) {
   net::SecureChannel c0 = Register(*p0, "agg0");
   net::SecureChannel c1 = Register(*p1, "agg0");
   driver->Send("agg0", kJobStart, {});
-  p0->ReceiveType(kRoundBegin);
+  p0->ReceiveTypeFor(kRoundBegin, kWaitMs);
   Upload(*p0, c0, "agg0", 1, {7.0f});
   Upload(*p1, c1, "agg0", 1, {9.0f});
   AwaitResult(*p0, c0, 1);
-  p0->ReceiveType(kShutdown);
+  p0->ReceiveTypeFor(kShutdown, kWaitMs);
+  AnnounceDone({p0.get(), p1.get()});
   aggregator->Join();
 
   // The staged fragment and the aggregated result live in encrypted CVM memory.

@@ -25,6 +25,7 @@ class AuthTest : public ::testing::Test {
                                   int registrations) {
     return std::thread([this, key, challenges, registrations] {
       crypto::SecureRng agg_rng(StringToBytes("agg-rng"));
+      RegistrationCache cache;
       for (int i = 0; i < challenges; ++i) {
         auto m = aggregator_->ReceiveType(kAuthChallenge);
         ASSERT_TRUE(m.has_value());
@@ -33,7 +34,7 @@ class AuthTest : public ::testing::Test {
       for (int i = 0; i < registrations; ++i) {
         auto m = aggregator_->ReceiveType(kAuthRegister);
         ASSERT_TRUE(m.has_value());
-        auto channel = AcceptRegistration(*aggregator_, *m, key, agg_rng);
+        auto channel = cache.Accept(*aggregator_, *m, key, agg_rng);
         ASSERT_TRUE(channel.has_value());
         server_channels_.push_back(std::move(channel->second));
       }
@@ -97,7 +98,8 @@ TEST_F(AuthTest, MalformedRegistrationShareRejected) {
   bogus.to = "agg0";
   bogus.type = kAuthRegister;
   bogus.payload = Bytes(65, 0x01);  // not a curve point
-  auto channel = AcceptRegistration(*aggregator_, bogus, token_.private_key, agg_rng);
+  RegistrationCache cache;
+  auto channel = cache.Accept(*aggregator_, bogus, token_.private_key, agg_rng);
   EXPECT_FALSE(channel.has_value());
 }
 

@@ -2,6 +2,7 @@
 
 #include <thread>
 
+#include "common/check.h"
 #include "core/key_broker.h"
 #include "net/codec.h"
 #include "net/message_bus.h"
@@ -40,10 +41,10 @@ TEST(TransformMaterialTest, PaillierKeyRoundTripsOnTheWire) {
   EXPECT_EQ(back.paillier_key, m.paillier_key);
 }
 
-TEST(TransformMaterialTest, DeserializesPreExtensionWireFormat) {
-  // Material serialized before the paillier_key field existed (v1 sealed snapshots,
-  // old brokers) ends right after the shuffle flag; it must still parse, with the key
-  // simply absent.
+TEST(TransformMaterialTest, RejectsPreExtensionWireFormat) {
+  // Material serialized before the paillier_key field existed ends right after the
+  // shuffle flag. No such blob can still be opened (its seal AEAD is gone), so the field
+  // is always read and a blob without it is malformed.
   TransformMaterial m = TestMaterial();
   net::Writer w;
   w.WriteBytes(m.permutation_key.ExposeForSeal());
@@ -53,10 +54,7 @@ TEST(TransformMaterialTest, DeserializesPreExtensionWireFormat) {
   w.WriteU32(static_cast<uint32_t>(m.num_aggregators));
   w.WriteU32(1);
   w.WriteU32(1);
-  TransformMaterial back = TransformMaterial::Deserialize(w.Take());
-  EXPECT_EQ(back.permutation_key, m.permutation_key);
-  EXPECT_EQ(back.num_aggregators, m.num_aggregators);
-  EXPECT_TRUE(back.paillier_key.ExposeForCrypto().empty());
+  EXPECT_THROW(TransformMaterial::Deserialize(w.Take()), CheckFailure);
 }
 
 TEST(TransformMaterialTest, BuildTransformIsDeterministic) {

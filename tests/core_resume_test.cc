@@ -176,6 +176,31 @@ TEST(CrashResumeTest, KeyBrokerCrashDuringEverySetupServeIsLossless) {
   }
 }
 
+// Paillier fusion with the key broker on. A party snapshot holds the fusion key once,
+// inside the sealed broker material, so the revived party decrypts with the key it
+// restored from there: it neither refetches nor gets one from the job config.
+TEST(CrashResumeTest, PaillierPartyCrashIsLossless) {
+  ASSERT_TRUE(Deployment().use_key_broker);
+  auto run = [](const std::string& dir, bool crash) {
+    fl::ExecutionOptions options = BaseOptions(3, 2, dir);
+    options.use_paillier = true;
+    if (crash) {
+      options.fault_plan.crashes.push_back({"party1", 2});
+    }
+    DetaJob job(options, Deployment(), MakeParties(), TinyMlpFactory(), SmallMnist(40, 6));
+    return job.Run();
+  };
+  fl::JobResult clean = run("", false);
+  ASSERT_TRUE(clean.ok()) << clean.error;
+  fl::JobResult revived = run(UniqueDir("crash_paillier"), true);
+  ASSERT_TRUE(revived.ok()) << revived.error;
+  EXPECT_EQ(revived.final_params, clean.final_params);
+  EXPECT_EQ(revived.telemetry.DeterministicSignature("core.deta_job."),
+            clean.telemetry.DeterministicSignature("core.deta_job."));
+  EXPECT_EQ(revived.telemetry.counters.at("persist.crash.injected"), 1u);
+  EXPECT_GE(revived.telemetry.counters.at("persist.role_revived"), 1u);
+}
+
 TEST(CrashResumeTest, WholeJobResumeMatchesUninterruptedRun) {
   std::string dir = UniqueDir("modeb_deta");
   fl::JobResult first =

@@ -201,12 +201,32 @@ TEST(MontgomeryContextTest, RejectsEvenOrTrivialModulus) {
 }
 
 // Textbook Paillier decryption, m = L(c^lambda mod n^2) * mu mod n with
-// L(u) = (u - 1) / n: the oracle the CRT decryption path is checked against.
-BigUint DecryptLambdaMu(const PaillierKeyPair& key, const BigUint& c) {
-  BigUint u = BigUint::PowMod(c, key.priv.lambda.ExposeForCrypto(), key.pub.n_squared);
-  BigUint l = u.Sub(BigUint(1)) / key.pub.n;
-  return BigUint::MulMod(l, key.priv.mu.ExposeForCrypto(), key.pub.n);
-}
+// L(u) = (u - 1) / n, lambda = lcm(p-1, q-1) and mu = L(g^lambda mod n^2)^-1 mod n for
+// g = n + 1: the oracle the CRT decryption path is checked against. The key holds
+// neither lambda nor mu, so the oracle derives them from p and q.
+class TextbookPaillier {
+ public:
+  explicit TextbookPaillier(const PaillierKeyPair& key)
+      : n_(key.pub.n()), n2_(n_.Mul(n_)) {
+    BigUint p1 = key.priv.p().ExposeForCrypto().Sub(BigUint(1));
+    BigUint q1 = key.priv.q().ExposeForCrypto().Sub(BigUint(1));
+    lambda_ = p1.Mul(q1) / BigUint::Gcd(p1, q1);
+    BigUint g = n_.Add(BigUint(1));
+    EXPECT_TRUE(BigUint::InvMod(L(BigUint::PowMod(g, lambda_, n2_)), n_, &mu_));
+  }
+
+  BigUint Decrypt(const BigUint& c) const {
+    return BigUint::MulMod(L(BigUint::PowMod(c, lambda_, n2_)), mu_, n_);
+  }
+
+ private:
+  BigUint L(const BigUint& u) const { return u.Sub(BigUint(1)) / n_; }
+
+  BigUint n_;
+  BigUint n2_;
+  BigUint lambda_;
+  BigUint mu_;
+};
 
 // CRT decryption must be plaintext-identical to the textbook lambda/mu decryption for
 // the same key.
@@ -214,12 +234,12 @@ TEST(PaillierCrtDifferentialTest, CrtDecryptMatchesLambdaMu) {
   SecureRng rng(StringToBytes("crt-diff"));
   for (size_t modulus_bits : {size_t{128}, size_t{256}}) {
     PaillierKeyPair key = GeneratePaillierKey(rng, modulus_bits);
-    ASSERT_TRUE(key.priv.HasCrt());
+    TextbookPaillier textbook(key);
     for (int i = 0; i < 100; ++i) {
-      BigUint m = BigUint::RandomBelow(rng, key.pub.n);
+      BigUint m = BigUint::RandomBelow(rng, key.pub.n());
       BigUint c = key.pub.Encrypt(m, rng);
-      BigUint via_crt = key.priv.Decrypt(c, key.pub);
-      BigUint via_lambda = DecryptLambdaMu(key, c);
+      BigUint via_crt = key.priv.Decrypt(c);
+      BigUint via_lambda = textbook.Decrypt(c);
       ASSERT_EQ(via_crt, via_lambda) << "modulus_bits=" << modulus_bits << " i=" << i;
       ASSERT_EQ(via_crt, m);
     }

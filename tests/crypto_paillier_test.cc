@@ -14,9 +14,8 @@ namespace {
 
 class PaillierTest : public ::testing::Test {
  protected:
-  PaillierTest() : rng_(StringToBytes("paillier-test")) {
-    key_ = GeneratePaillierKey(rng_, 256);
-  }
+  PaillierTest()
+      : rng_(StringToBytes("paillier-test")), key_(GeneratePaillierKey(rng_, 256)) {}
   SecureRng rng_;
   PaillierKeyPair key_;
 };
@@ -24,7 +23,7 @@ class PaillierTest : public ::testing::Test {
 TEST_F(PaillierTest, EncryptDecryptRoundTrip) {
   for (uint64_t m : {0ULL, 1ULL, 42ULL, 123456789ULL}) {
     BigUint c = key_.pub.Encrypt(BigUint(m), rng_);
-    EXPECT_EQ(key_.priv.Decrypt(c, key_.pub).ToU64(), m);
+    EXPECT_EQ(key_.priv.Decrypt(c).ToU64(), m);
   }
 }
 
@@ -37,13 +36,7 @@ TEST_F(PaillierTest, HomomorphicAddition) {
   BigUint c1 = key_.pub.Encrypt(BigUint(1000), rng_);
   BigUint c2 = key_.pub.Encrypt(BigUint(2345), rng_);
   BigUint sum = key_.pub.AddCiphertexts(c1, c2);
-  EXPECT_EQ(key_.priv.Decrypt(sum, key_.pub).ToU64(), 3345u);
-}
-
-TEST_F(PaillierTest, HomomorphicScalarMultiply) {
-  BigUint c = key_.pub.Encrypt(BigUint(11), rng_);
-  BigUint scaled = key_.pub.MulPlain(c, BigUint(9));
-  EXPECT_EQ(key_.priv.Decrypt(scaled, key_.pub).ToU64(), 99u);
+  EXPECT_EQ(key_.priv.Decrypt(sum).ToU64(), 3345u);
 }
 
 TEST_F(PaillierTest, ManyAddendsAccumulate) {
@@ -53,22 +46,11 @@ TEST_F(PaillierTest, ManyAddendsAccumulate) {
     acc = key_.pub.AddCiphertexts(acc, key_.pub.Encrypt(BigUint(i * i), rng_));
     expected += i * i;
   }
-  EXPECT_EQ(key_.priv.Decrypt(acc, key_.pub).ToU64(), expected);
+  EXPECT_EQ(key_.priv.Decrypt(acc).ToU64(), expected);
 }
 
 TEST_F(PaillierTest, PlaintextOutOfRangeThrows) {
-  EXPECT_THROW(key_.pub.Encrypt(key_.pub.n, rng_), CheckFailure);
-}
-
-TEST_F(PaillierTest, FloatCodecRoundTripsSums) {
-  PaillierFloatCodec codec(key_.pub);
-  // Sum of 3 encoded values, mixed signs.
-  float values[3] = {1.5f, -2.25f, 0.125f};
-  BigUint acc = key_.pub.Encrypt(codec.Encode(values[0]), rng_);
-  acc = key_.pub.AddCiphertexts(acc, key_.pub.Encrypt(codec.Encode(values[1]), rng_));
-  acc = key_.pub.AddCiphertexts(acc, key_.pub.Encrypt(codec.Encode(values[2]), rng_));
-  float sum = codec.DecodeSum(key_.priv.Decrypt(acc, key_.pub), 3);
-  EXPECT_NEAR(sum, -0.625f, 1e-4f);
+  EXPECT_THROW(key_.pub.Encrypt(key_.pub.n(), rng_), CheckFailure);
 }
 
 TEST_F(PaillierTest, VectorCodecPacksAndUnpacks) {
@@ -159,8 +141,8 @@ TEST_F(PaillierTest, PackerRoundTripsExactSums) {
       acc[i] = key_.pub.AddCiphertexts(acc[i], ct[i]);
     }
   }
-  std::vector<int64_t> sums = PaillierDecryptPackedSum(
-      key_.priv, key_.pub, packer, acc, expected.size(), kAddends);
+  std::vector<int64_t> sums =
+      PaillierDecryptPackedSum(key_.priv, packer, acc, expected.size(), kAddends);
   ASSERT_EQ(sums.size(), expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(sums[i], expected[i]) << i;  // exact: packing adds no rounding
@@ -179,13 +161,13 @@ TEST_F(PaillierTest, PackedMatchesUnpackedCiphertextSums) {
     packed[i] = key_.pub.AddCiphertexts(packed[i], packed_b[i]);
   }
   std::vector<int64_t> packed_sums =
-      PaillierDecryptPackedSum(key_.priv, key_.pub, packer, packed, a.size(), 2);
+      PaillierDecryptPackedSum(key_.priv, packer, packed, a.size(), 2);
   for (size_t i = 0; i < a.size(); ++i) {
     // Unpacked reference: encrypt the nonnegative shifted value per coordinate.
     const int64_t shift = int64_t{1} << 20;
     BigUint ca = key_.pub.Encrypt(BigUint(static_cast<uint64_t>(a[i] + shift)), rng_);
     BigUint cb = key_.pub.Encrypt(BigUint(static_cast<uint64_t>(b[i] + shift)), rng_);
-    uint64_t sum = key_.priv.Decrypt(key_.pub.AddCiphertexts(ca, cb), key_.pub).ToU64();
+    uint64_t sum = key_.priv.Decrypt(key_.pub.AddCiphertexts(ca, cb)).ToU64();
     EXPECT_EQ(packed_sums[i], static_cast<int64_t>(sum) - 2 * shift) << i;
   }
 }
@@ -239,29 +221,21 @@ TEST_F(PaillierTest, VectorCodecBitExactAcrossThreadCounts) {
 
 // --- Versioned private-key persistence (persist/paillier_key_codec.h) ---
 
+// The name predates codec version 3; the test round-trips the current (n, p, q) blob.
 TEST_F(PaillierTest, KeyCodecV2RoundTripsCrtExtension) {
   Bytes blob = persist::SerializePaillierKey(key_);
   std::optional<PaillierKeyPair> back = persist::ParsePaillierKey(blob);
   ASSERT_TRUE(back.has_value());
-  EXPECT_TRUE(back->priv.HasCrt());
-  EXPECT_EQ(back->pub.n, key_.pub.n);
-  EXPECT_EQ(back->priv.p, key_.priv.p);
-  EXPECT_EQ(back->priv.q, key_.priv.q);
+  EXPECT_EQ(back->priv.p().ExposeForCrypto().Mul(back->priv.q().ExposeForCrypto()),
+            back->pub.n());
+  EXPECT_EQ(back->pub.n(), key_.pub.n());
+  EXPECT_EQ(back->priv.p(), key_.priv.p());
+  EXPECT_EQ(back->priv.q(), key_.priv.q());
   BigUint c = key_.pub.Encrypt(BigUint(31337), rng_);
-  EXPECT_EQ(back->priv.Decrypt(c, back->pub).ToU64(), 31337u);
+  EXPECT_EQ(back->priv.Decrypt(c).ToU64(), 31337u);
   // The reloaded public key must also encrypt (Montgomery cache rebuilt).
   BigUint c2 = back->pub.Encrypt(BigUint(9), rng_);
-  EXPECT_EQ(key_.priv.Decrypt(c2, key_.pub).ToU64(), 9u);
-}
-
-TEST_F(PaillierTest, DecryptRequiresCrtExtension) {
-  // There is no lambda/mu fallback: a key without the CRT primes cannot decrypt.
-  PaillierPrivateKey lambda_only;
-  lambda_only.lambda = key_.priv.lambda;
-  lambda_only.mu = key_.priv.mu;
-  ASSERT_FALSE(lambda_only.HasCrt());
-  EXPECT_THROW(lambda_only.Decrypt(key_.pub.Encrypt(BigUint(7), rng_), key_.pub),
-               CheckFailure);
+  EXPECT_EQ(key_.priv.Decrypt(c2).ToU64(), 9u);
 }
 
 TEST_F(PaillierTest, KeyCodecRejectsGarbage) {
@@ -271,20 +245,34 @@ TEST_F(PaillierTest, KeyCodecRejectsGarbage) {
   Bytes truncated(blob.begin(), blob.begin() + static_cast<long>(blob.size() / 2));
   EXPECT_FALSE(persist::ParsePaillierKey(truncated).has_value());
   Bytes wrong_version = blob;
-  wrong_version[0] = 0x7f;  // version byte far beyond kVersionCrt
+  wrong_version[0] = 0x7f;  // version byte far beyond the current 3
   EXPECT_FALSE(persist::ParsePaillierKey(wrong_version).has_value());
-  // A version-1 blob (lambda/mu without the CRT primes): nothing could decrypt with it.
+  // Versions 1 (n, lambda, mu) and 2 (n, lambda, mu, p, q) carried the textbook key;
+  // phi(n) and its inverse mod n are such a key for g = n + 1.
+  const BigUint& p = key_.priv.p().ExposeForCrypto();
+  const BigUint& q = key_.priv.q().ExposeForCrypto();
+  BigUint lambda = p.Sub(BigUint(1)).Mul(q.Sub(BigUint(1)));
+  BigUint mu;
+  ASSERT_TRUE(BigUint::InvMod(lambda, key_.pub.n(), &mu));
   net::Writer v1;
   v1.WriteU32(1);
-  v1.WriteBytes(key_.pub.n.ToBytes());
-  v1.WriteBytes(key_.priv.lambda.ExposeForSeal().ToBytes());
-  v1.WriteBytes(key_.priv.mu.ExposeForSeal().ToBytes());
+  v1.WriteBytes(key_.pub.n().ToBytes());
+  v1.WriteBytes(lambda.ToBytes());
+  v1.WriteBytes(mu.ToBytes());
   EXPECT_FALSE(persist::ParsePaillierKey(v1.Take()).has_value());
+  net::Writer v2;
+  v2.WriteU32(2);
+  v2.WriteBytes(key_.pub.n().ToBytes());
+  v2.WriteBytes(lambda.ToBytes());
+  v2.WriteBytes(mu.ToBytes());
+  v2.WriteBytes(p.ToBytes());
+  v2.WriteBytes(q.ToBytes());
+  EXPECT_FALSE(persist::ParsePaillierKey(v2.Take()).has_value());
 }
 
 // SHA-256 over three seeded keys of 256, 512 and 1024 bits: per key, n, the wire
 // encoding of one packed encryption, and the decrypted homomorphic sum of 8 encrypted
-// vectors. It covers keygen (Miller-Rabin through PowMod, Lcm through Gcd), encryption
+// vectors. It covers keygen (Miller-Rabin through PowMod), encryption (r through Gcd)
 // and CRT decryption. The digest was computed by the 32-bit-limb Montgomery kernel and
 // the Euclid GCD that the 64-bit kernels replaced; any byte that moves changes it.
 TEST_F(PaillierTest, KnownAnswerDigest) {
@@ -303,7 +291,7 @@ TEST_F(PaillierTest, KnownAnswerDigest) {
     PaillierKeyPair key = GeneratePaillierKey(rng, bits);
     fl::PaillierVectorCodec codec(key.pub, kAddends);
     std::vector<BigUint> acc = codec.Encrypt(vector_for(0), rng);
-    append(key.pub.n.ToBytes());
+    append(key.pub.n().ToBytes());
     append(fl::SerializeCiphertexts(acc));
     for (int party = 1; party < kAddends; ++party) {
       codec.AccumulateInPlace(acc, codec.Encrypt(vector_for(party), rng));
@@ -320,8 +308,9 @@ TEST(PaillierKeyGenTest, DistinctKeysForDistinctSeeds) {
   SecureRng r1(StringToBytes("a")), r2(StringToBytes("b"));
   auto k1 = GeneratePaillierKey(r1, 128);
   auto k2 = GeneratePaillierKey(r2, 128);
-  EXPECT_NE(k1.pub.n, k2.pub.n);
-  EXPECT_EQ(k1.pub.g, k1.pub.n.Add(BigUint(1)));
+  EXPECT_NE(k1.pub.n(), k2.pub.n());
+  // The generator is n + 1: as a ciphertext (r = 1) it decrypts to 1.
+  EXPECT_EQ(k1.priv.Decrypt(k1.pub.n().Add(BigUint(1))), BigUint(1));
 }
 
 }  // namespace

@@ -550,7 +550,6 @@ TEST(RetryTest, RequestReplyFailsFastOnDeadPeer) {
 TEST(RetryTest, BackoffIsCappedAndBounded) {
   RetryPolicy policy;
   policy.initial_timeout_ms = 100;
-  policy.backoff = 2.0;
   policy.max_timeout_ms = 400;
   policy.max_attempts = 5;
   EXPECT_EQ(policy.TimeoutForAttempt(0), 100);
