@@ -5,6 +5,10 @@
 // accumulated process telemetry is written to that file as JSON (see
 // common/telemetry.h::ToJson); scripts/bench_gate.py consumes it in CI to assert that
 // must-be-zero counters (dropped frames, channel rejects, warnings) stayed zero.
+//
+// The benchmark JSON's context carries the library's build stamp (telemetry::Build) as
+// deta_build_type and deta_cxx_flags; scripts/bench_snapshot.py copies it into each
+// snapshot.
 #ifndef DETA_BENCH_BENCH_MAIN_H_
 #define DETA_BENCH_BENCH_MAIN_H_
 
@@ -19,6 +23,9 @@
   int main(int argc, char** argv) {                                              \
     std::string telemetry_out =                                                  \
         ::deta::telemetry::ConsumeTelemetryFlag(&argc, argv);                    \
+    ::deta::telemetry::BuildStamp build = ::deta::telemetry::Build();            \
+    ::benchmark::AddCustomContext("deta_build_type", build.type);                \
+    ::benchmark::AddCustomContext("deta_cxx_flags", build.cxx_flags);            \
     ::benchmark::Initialize(&argc, argv);                                        \
     if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;          \
     ::benchmark::RunSpecifiedBenchmarks();                                       \

@@ -9,11 +9,12 @@ one consolidated snapshot:
         "<bench>/<row name>": {"ns_per_op": <real_time ns>, "ops": <iterations>},
         ...}}
 
-Build stamp: build_type and cxx_flags (CMAKE_CXX_FLAGS_<TYPE>) come from the
-CMakeCache.txt of each binary's build tree, the nearest one above the binary. The
-same code reads over 1.4x apart between build types, so a snapshot refuses to mix
-build trees whose stamps differ, and scripts/bench_gate.py --baseline refuses to
-compare snapshots of different build types.
+Build stamp: build_type and cxx_flags are what each binary reports in its benchmark
+JSON's context (deta_build_type, deta_cxx_flags; bench/bench_main.h), the same stamp
+its telemetry JSON carries: the build type and the flags that compiled src/. Timings
+from different builds do not compare, so a snapshot refuses binaries whose stamps
+differ, and scripts/bench_gate.py --baseline refuses to compare snapshots of
+different build types.
 
 Thread pinning: rows from multi-threaded benches encode their thread count in the
 row name (e.g. "coords:4096/threads:2"); --threads keeps only rows matching that
@@ -32,7 +33,6 @@ with scripts/bench_gate.py --baseline (see EXPERIMENTS.md).
 
 import argparse
 import json
-import os
 import re
 import subprocess
 import sys
@@ -48,32 +48,15 @@ def git_commit() -> str:
         return "unknown"
 
 
-def build_stamp(binary: str) -> dict:
-    """{"build_type", "cxx_flags"} from the CMakeCache.txt of |binary|'s build tree."""
-    directory = os.path.dirname(os.path.abspath(binary))
-    while True:
-        cache = os.path.join(directory, "CMakeCache.txt")
-        if os.path.isfile(cache):
-            break
-        parent = os.path.dirname(directory)
-        if parent == directory:
-            raise RuntimeError(f"{binary}: no CMakeCache.txt above it; cannot stamp "
-                               "the build type")
-        directory = parent
-    entries = {}
-    with open(cache, encoding="utf-8", errors="replace") as f:
-        for line in f:
-            m = re.match(r"([A-Za-z0-9_]+):[A-Z]+=(.*)$", line.rstrip("\n"))
-            if m:
-                entries[m.group(1)] = m.group(2)
-    build_type = entries.get("CMAKE_BUILD_TYPE", "")
-    if not build_type:
-        raise RuntimeError(f"{cache}: CMAKE_BUILD_TYPE is empty; cannot stamp the "
-                           "build type")
-    return {
-        "build_type": build_type,
-        "cxx_flags": entries.get("CMAKE_CXX_FLAGS_" + build_type.upper(), "").strip(),
-    }
+def build_stamp(binary: str, report: dict) -> dict:
+    """{"build_type", "cxx_flags"} from the context of |binary|'s benchmark JSON."""
+    context = report.get("context", {})
+    if "deta_build_type" not in context or "deta_cxx_flags" not in context:
+        raise RuntimeError(f"{binary}: its benchmark context names no build "
+                           "(deta_build_type/deta_cxx_flags); is it a DETA_BENCH_MAIN "
+                           "binary?")
+    return {"build_type": context["deta_build_type"],
+            "cxx_flags": context["deta_cxx_flags"]}
 
 
 def run_bench(binary: str, bench_filter: str, min_time: float) -> dict:
@@ -112,18 +95,16 @@ def main() -> int:
     args = parser.parse_args()
 
     stamp = None
+    rows = {}
     for binary in args.binaries:
-        binary_stamp = build_stamp(binary)
+        bench = binary.rsplit("/", 1)[-1]
+        report = run_bench(binary, args.filter, args.min_time)
+        binary_stamp = build_stamp(binary, report)
         if stamp is not None and binary_stamp != stamp:
             print(f"bench_snapshot: {binary} was built {binary_stamp}, an earlier "
                   f"binary {stamp}; one snapshot holds one build", file=sys.stderr)
             return 1
         stamp = binary_stamp
-
-    rows = {}
-    for binary in args.binaries:
-        bench = binary.rsplit("/", 1)[-1]
-        report = run_bench(binary, args.filter, args.min_time)
         for b in report.get("benchmarks", []):
             if b.get("run_type") == "aggregate":
                 continue  # keep raw iterations rows only

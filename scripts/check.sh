@@ -31,9 +31,10 @@ jobs="$(nproc 2>/dev/null || echo 2)"
 # Paillier batch encrypt/decrypt fan-out (pool workers share one Montgomery context,
 # so its scratch must stay per call), and the aggregator/party/job protocol stack.
 # The Trans suites run too: a round's shuffle tables fill from ParallelFor chunks, then
-# gather and scatter in nested regions.
+# gather and scatter in nested regions. So does the training known-answer test: its
+# digest, taken at -O2, must hold under TSan's instrumentation as in every other build.
 # Filtering keeps the (slow, ~10x) sanitized run feasible on small containers.
-tsan_filter='MessageBus*:TcpTransportTest*:EndpointDedupTest*:EndpointStashTest*:FaultInjector*:Retry*:SecureChannel*:Codec*:ParallelFor*:ParallelReduce*:DefaultThreads*:ThreadInvariance*:AggregatorNode*:KeyBroker*:Auth*:Telemetry*:DetaJobFaultTest.QuorumFailureIsTypedNotAHang:*TransportConformanceTest.AuthHandshakeVerifiesAndRejects*:*TransportConformanceTest.KeyFetchServesIdenticalMaterial*:PaillierTest.*:PaillierCrtDifferentialTest.*:ShufflerTest.*:TransformTest.*:*TransformCommuteTest.*:ModelMapperTest.*:*MapperPropertyTest.*'
+tsan_filter='MessageBus*:TcpTransportTest*:EndpointDedupTest*:EndpointStashTest*:FaultInjector*:Retry*:SecureChannel*:Codec*:ParallelFor*:ParallelReduce*:DefaultThreads*:ThreadInvariance*:AggregatorNode*:KeyBroker*:Auth*:Telemetry*:DetaJobFaultTest.QuorumFailureIsTypedNotAHang:*TransportConformanceTest.AuthHandshakeVerifiesAndRejects*:*TransportConformanceTest.KeyFetchServesIdenticalMaterial*:PaillierTest.*:PaillierCrtDifferentialTest.*:ShufflerTest.*:TransformTest.*:*TransformCommuteTest.*:ModelMapperTest.*:*MapperPropertyTest.*:PartyTest.TrainingKnownAnswerDigest'
 
 cmake_flags_for_preset() {
   case "$1" in

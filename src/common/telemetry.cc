@@ -401,11 +401,14 @@ std::string ConsumeTelemetryFlag(int* argc, char** argv) {
   return path;
 }
 
+BuildStamp Build() { return {DETA_BUILD_TYPE, DETA_CXX_FLAGS}; }
+
 std::string ToJson(const TelemetrySnapshot& snapshot) {
+  BuildStamp build = Build();
   std::string out = "{\"version\":1,\"build\":{\"type\":";
-  AppendJsonString(&out, DETA_BUILD_TYPE);
+  AppendJsonString(&out, build.type);
   out += ",\"cxx_flags\":";
-  AppendJsonString(&out, DETA_CXX_FLAGS);
+  AppendJsonString(&out, build.cxx_flags);
   out += "},\"sim_seconds\":";
   AppendDouble(&out, snapshot.sim_seconds);
   out += ",\"counters\":{";

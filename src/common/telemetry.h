@@ -207,12 +207,21 @@ class Span {
 // unknown flags (e.g. benchmark::Initialize).
 std::string ConsumeTelemetryFlag(int* argc, char** argv);
 
+// The build that compiled the library: the CMake build type and the flags that compiled
+// src/ (CMAKE_CXX_FLAGS plus the build type's own, as src/CMakeLists.txt leaves them).
+// Timings from different builds do not compare (Debug is -O0), so every telemetry JSON
+// and every bench snapshot (bench/bench_main.h) names it.
+struct BuildStamp {
+  std::string type;
+  std::string cxx_flags;
+};
+BuildStamp Build();
+
 // Machine-readable export consumed by scripts/bench_gate.py:
 //   {"version":1,"build":{"type":...,"cxx_flags":...},"sim_seconds":...,
 //    "counters":{...},"gauges":{...},
 //    "histograms":{name:{"unit":...,"count":...,"sum":...,"buckets":[[b,c],...]}}}
-// "build" names the CMake build type and its compiler flags (CMAKE_CXX_FLAGS plus the
-// build type's own), since the same run reads 1.4x apart between build types.
+// "build" is Build().
 std::string ToJson(const TelemetrySnapshot& snapshot);
 // Writes ToJson(snapshot) to |path|; false (with a logged error) on I/O failure.
 bool WriteJsonFile(const TelemetrySnapshot& snapshot, const std::string& path);

@@ -725,8 +725,10 @@ fl::JobResult DetaJob::Run() {
     global_model_->SetFlatParams(last_params);
     fl::RoundMetrics m;
     m.round = round;
-    m.loss = nn::MeanLoss(*global_model_, eval_.images, eval_.labels, eval_.classes);
-    m.accuracy = nn::Accuracy(*global_model_, eval_.images, eval_.labels);
+    nn::Evaluation evaluation =
+        nn::Evaluate(*global_model_, eval_.images, eval_.labels, eval_.classes);
+    m.loss = evaluation.loss;
+    m.accuracy = evaluation.accuracy;
     m.round_latency_s = round_latency;
     cumulative += round_latency;
     m.cumulative_latency_s = cumulative;

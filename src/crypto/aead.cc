@@ -79,8 +79,8 @@ std::optional<Bytes> ChaCha20Poly1305Open(const std::array<uint8_t, kChaChaKeySi
                          Bytes(tag.begin(), tag.end()))) {
     return std::nullopt;
   }
-  Bytes plaintext(ciphertext.begin(), ciphertext.end());
-  ChaCha20XorInPlace(key, nonce, 1, plaintext);
+  Bytes plaintext(ciphertext.size());
+  ChaCha20Xor(key, nonce, 1, ciphertext, plaintext);
   return plaintext;
 }
 

@@ -9,7 +9,8 @@
 // Frame layout: [caller headroom] || nonce(12) || ciphertext || tag(16). Aead::Seal
 // allocates the frame once, copies the plaintext in, encrypts it in place and writes the
 // tag behind it; Aead::Open checks the tag over the ciphertext where it lies before
-// decrypting anything.
+// decrypting anything, then decrypts it straight into the plaintext buffer (so the
+// ciphertext is read twice, once per pass).
 #ifndef DETA_CRYPTO_AEAD_H_
 #define DETA_CRYPTO_AEAD_H_
 

@@ -1,6 +1,7 @@
 #include "crypto/chacha20.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <random>
 
@@ -11,9 +12,15 @@ namespace deta::crypto {
 
 namespace {
 
+// The core stores its 32-bit lanes straight into the keystream with memcpy, which is the
+// RFC's little-endian byte order only on a little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "the ChaCha20 core memcpys its 32-bit lanes as keystream bytes; port it "
+              "before building on a big-endian target");
+
 // Four lanes of 32-bit words; lane j carries block counter + j. GCC and Clang lower the
-// element-wise operators to SSE2 on x86-64 and to whatever vector unit (or scalar code)
-// another target has.
+// element-wise operators and shuffles to SSE2 on x86-64 and to whatever vector unit (or
+// scalar code) another target has.
 using U32x4 = uint32_t __attribute__((vector_size(16)));
 
 U32x4 Splat(uint32_t v) { return U32x4{v, v, v, v}; }
@@ -35,17 +42,26 @@ void QuarterRound(U32x4& a, U32x4& b, U32x4& c, U32x4& d) {
   b = Rotl(b, 7);
 }
 
+// Transposes the 4x4 word matrix whose rows are a, b, c and d.
+void Transpose(U32x4& a, U32x4& b, U32x4& c, U32x4& d) {
+  U32x4 ab_lo = __builtin_shufflevector(a, b, 0, 4, 1, 5);
+  U32x4 ab_hi = __builtin_shufflevector(a, b, 2, 6, 3, 7);
+  U32x4 cd_lo = __builtin_shufflevector(c, d, 0, 4, 1, 5);
+  U32x4 cd_hi = __builtin_shufflevector(c, d, 2, 6, 3, 7);
+  a = __builtin_shufflevector(ab_lo, cd_lo, 0, 1, 4, 5);
+  b = __builtin_shufflevector(ab_lo, cd_lo, 2, 3, 6, 7);
+  c = __builtin_shufflevector(ab_hi, cd_hi, 0, 1, 4, 5);
+  d = __builtin_shufflevector(ab_hi, cd_hi, 2, 3, 6, 7);
+}
+
 uint32_t LoadLe32(const uint8_t* p) {
   return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
          (static_cast<uint32_t>(p[2]) << 16) | (static_cast<uint32_t>(p[3]) << 24);
 }
 
-void StoreLe32(uint8_t* p, uint32_t v) {
-  p[0] = static_cast<uint8_t>(v);
-  p[1] = static_cast<uint8_t>(v >> 8);
-  p[2] = static_cast<uint8_t>(v >> 16);
-  p[3] = static_cast<uint8_t>(v >> 24);
-}
+// 4 blocks of keystream in stream order: row 4 * j + r holds words 4r..4r+3 of block j,
+// so the rows' bytes are the keystream's bytes.
+using Stream = U32x4[16];
 
 // The input words of 4 consecutive blocks. Holds the expanded key, so it wipes itself.
 class BlockBatch {
@@ -70,7 +86,7 @@ class BlockBatch {
   ~BlockBatch() { SecureWipe(input_, sizeof(input_)); }
 
   // Writes the current 4 blocks to |out| and steps every lane 4 blocks on.
-  void Next(uint8_t* out) {
+  void Next(Stream& out) {
     U32x4 x[16];
     for (int i = 0; i < 16; ++i) {
       x[i] = input_[i];
@@ -87,8 +103,13 @@ class BlockBatch {
     }
     for (int i = 0; i < 16; ++i) {
       x[i] += input_[i];
-      for (int lane = 0; lane < 4; ++lane) {
-        StoreLe32(out + kChaChaBlockSize * lane + 4 * i, x[i][lane]);
+    }
+    // x[i] holds word i of the 4 blocks; after transposing group r, x[4r + j] holds
+    // words 4r..4r+3 of block j.
+    for (int r = 0; r < 4; ++r) {
+      Transpose(x[4 * r], x[4 * r + 1], x[4 * r + 2], x[4 * r + 3]);
+      for (int j = 0; j < 4; ++j) {
+        out[4 * j + r] = x[4 * r + j];
       }
     }
     input_[12] += Splat(4);
@@ -98,19 +119,19 @@ class BlockBatch {
   U32x4 input_[16];
 };
 
-// data ^= keystream over n bytes, 8 bytes at a time.
-void XorBytes(uint8_t* data, const uint8_t* keystream, size_t n) {
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    uint64_t d = 0;
-    uint64_t k = 0;
-    std::memcpy(&d, data + i, 8);
-    std::memcpy(&k, keystream + i, 8);
-    d ^= k;
-    std::memcpy(data + i, &d, 8);
+// out = in ^ stream over the first n <= 256 bytes: whole 16-byte rows as vectors, then
+// the rest byte by byte. |in| and |out| are the same bytes or disjoint.
+void XorStream(const uint8_t* in, uint8_t* out, const Stream& stream, size_t n) {
+  size_t row = 0;
+  for (; 16 * row + 16 <= n; ++row) {
+    U32x4 v;
+    std::memcpy(&v, in + 16 * row, 16);
+    v ^= stream[row];
+    std::memcpy(out + 16 * row, &v, 16);
   }
-  for (; i < n; ++i) {
-    data[i] ^= keystream[i];
+  const auto* keystream = reinterpret_cast<const uint8_t*>(stream);
+  for (size_t i = 16 * row; i < n; ++i) {
+    out[i] = in[i] ^ keystream[i];
   }
 }
 
@@ -119,27 +140,41 @@ void XorBytes(uint8_t* data, const uint8_t* keystream, size_t n) {
 void ChaCha20Blocks(const std::array<uint8_t, kChaChaKeySize>& key,
                     const std::array<uint8_t, kChaChaNonceSize>& nonce, uint32_t counter,
                     std::span<uint8_t, kChaChaBatchSize> out) {
-  BlockBatch(key, nonce, counter).Next(out.data());
+  Stream stream;
+  BlockBatch(key, nonce, counter).Next(stream);
+  std::memcpy(out.data(), stream, kChaChaBatchSize);
+  SecureWipe(stream, sizeof(stream));
+}
+
+void ChaCha20Xor(const std::array<uint8_t, kChaChaKeySize>& key,
+                 const std::array<uint8_t, kChaChaNonceSize>& nonce, uint32_t counter,
+                 std::span<const uint8_t> in, std::span<uint8_t> out) {
+  DETA_CHECK_EQ(in.size(), out.size());
+  BlockBatch batch(key, nonce, counter);
+  Stream stream;
+  size_t offset = 0;
+  for (; in.size() - offset >= kChaChaBatchSize; offset += kChaChaBatchSize) {
+    batch.Next(stream);
+    XorStream(in.data() + offset, out.data() + offset, stream, kChaChaBatchSize);
+  }
+  if (offset < in.size()) {
+    batch.Next(stream);
+    XorStream(in.data() + offset, out.data() + offset, stream, in.size() - offset);
+  }
+  SecureWipe(stream, sizeof(stream));
 }
 
 void ChaCha20XorInPlace(const std::array<uint8_t, kChaChaKeySize>& key,
                         const std::array<uint8_t, kChaChaNonceSize>& nonce,
                         uint32_t counter, std::span<uint8_t> data) {
-  BlockBatch batch(key, nonce, counter);
-  uint8_t keystream[kChaChaBatchSize];
-  for (size_t offset = 0; offset < data.size(); offset += kChaChaBatchSize) {
-    batch.Next(keystream);
-    size_t n = std::min(kChaChaBatchSize, data.size() - offset);
-    XorBytes(data.data() + offset, keystream, n);
-  }
-  SecureWipe(keystream, sizeof(keystream));
+  ChaCha20Xor(key, nonce, counter, data, data);
 }
 
 Bytes ChaCha20Xor(const std::array<uint8_t, kChaChaKeySize>& key,
                   const std::array<uint8_t, kChaChaNonceSize>& nonce, uint32_t counter,
                   const Bytes& data) {
-  Bytes out = data;
-  ChaCha20XorInPlace(key, nonce, counter, out);
+  Bytes out(data.size());
+  ChaCha20Xor(key, nonce, counter, data, out);
   return out;
 }
 

@@ -2,7 +2,9 @@
 //
 // One keystream core serves every consumer. It makes 4 consecutive 64-byte blocks per
 // call, one block per lane of a 4 x uint32 GCC/Clang vector type, so x86-64's SSE2
-// baseline (or any other target) runs the 4 blocks side by side with no intrinsics.
+// baseline (or any other target) runs the 4 blocks side by side with no intrinsics. A
+// 4x4 transpose then turns the lanes into 16-byte rows of keystream, which XOR into the
+// data as whole vectors (little-endian hosts only; the core static_asserts it).
 //
 // Uses in this repo:
 //   * ChaCha20-Poly1305 (crypto/aead.h): SecureChannel frames, sealed snapshot sections
@@ -42,7 +44,13 @@ void ChaCha20XorInPlace(const std::array<uint8_t, kChaChaKeySize>& key,
                         const std::array<uint8_t, kChaChaNonceSize>& nonce,
                         uint32_t counter, std::span<uint8_t> data);
 
-// Out-of-place form of ChaCha20XorInPlace.
+// out = in ^ keystream. |in| and |out| have the same size and are either the same bytes
+// (ChaCha20XorInPlace) or disjoint.
+void ChaCha20Xor(const std::array<uint8_t, kChaChaKeySize>& key,
+                 const std::array<uint8_t, kChaChaNonceSize>& nonce, uint32_t counter,
+                 std::span<const uint8_t> in, std::span<uint8_t> out);
+
+// Out-of-place form returning a new buffer.
 Bytes ChaCha20Xor(const std::array<uint8_t, kChaChaKeySize>& key,
                   const std::array<uint8_t, kChaChaNonceSize>& nonce, uint32_t counter,
                   const Bytes& data);

@@ -64,8 +64,9 @@ BigUint PaillierPublicKey::AddCiphertexts(const BigUint& c1, const BigUint& c2) 
 std::optional<PaillierPrivateKey> PaillierPrivateKey::FromPrimes(
     const PaillierPublicKey& pub, Secret<BigUint> p, Secret<BigUint> q) {
   // All derivation happens on exposed references inside this kernel, and every derived
-  // value lands in a Secret member. The intermediates lp and lq are plain BigUint
-  // locals, and BigUint does not wipe itself on destruction.
+  // value lands in a Secret member. BigUint does not wipe itself on destruction, so the
+  // locals below that determine the key (the powers and their L values) are wiped by
+  // hand; the temporaries inside PowMod, LFunction and InvMod are freed unwiped.
   const BigUint& pv = p.ExposeForCrypto();
   const BigUint& qv = q.ExposeForCrypto();
   if (pv.Mul(qv) != pub.n()) {
@@ -82,23 +83,22 @@ std::optional<PaillierPrivateKey> PaillierPrivateKey::FromPrimes(
   // hp = L_p(g^(p-1) mod p^2)^-1 mod p (and symmetrically hq): the per-prime analogue
   // of mu, precomputed so decryption costs one inverse-free multiply per prime.
   const BigUint g = pub.n().Add(BigUint(1));
-  BigUint lp = LFunction(key.mont_p2_->PowMod(g.Mod(key.mont_p2_->modulus()),
-                                              key.p_minus_1_.ExposeForCrypto()),
-                         pv);
-  BigUint lq = LFunction(key.mont_q2_->PowMod(g.Mod(key.mont_q2_->modulus()),
-                                              key.q_minus_1_.ExposeForCrypto()),
-                         qv);
-  BigUint hp_v;
-  BigUint hq_v;
-  BigUint p_inv_q_v;
+  BigUint gp = key.mont_p2_->PowMod(g.Mod(key.mont_p2_->modulus()),
+                                    key.p_minus_1_.ExposeForCrypto());
+  BigUint gq = key.mont_q2_->PowMod(g.Mod(key.mont_q2_->modulus()),
+                                    key.q_minus_1_.ExposeForCrypto());
+  BigUint lp = LFunction(gp, pv);
+  BigUint lq = LFunction(gq, qv);
   // p^-1 mod q exists exactly when p != q.
-  if (!BigUint::InvMod(lp, pv, &hp_v) || !BigUint::InvMod(lq, qv, &hq_v) ||
-      !BigUint::InvMod(pv, qv, &p_inv_q_v)) {
+  bool invertible = BigUint::InvMod(lp, pv, &key.hp_.ExposeMutable()) &&
+                    BigUint::InvMod(lq, qv, &key.hq_.ExposeMutable()) &&
+                    BigUint::InvMod(pv, qv, &key.p_inv_q_.ExposeMutable());
+  for (BigUint* local : {&gp, &gq, &lp, &lq}) {
+    local->Wipe();
+  }
+  if (!invertible) {
     return std::nullopt;
   }
-  key.hp_ = Secret<BigUint>(std::move(hp_v));
-  key.hq_ = Secret<BigUint>(std::move(hq_v));
-  key.p_inv_q_ = Secret<BigUint>(std::move(p_inv_q_v));
   key.p_ = std::move(p);
   key.q_ = std::move(q);
   return key;

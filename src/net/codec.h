@@ -55,6 +55,9 @@ class Writer {
     }
   }
 
+  // Sizes the buffer once, so writing up to |bytes| never reallocates it (and never
+  // frees a copy of what was already written).
+  void Reserve(size_t bytes) { buffer_.reserve(bytes); }
   const Bytes& buffer() const { return buffer_; }
   Bytes Take() { return std::move(buffer_); }
 

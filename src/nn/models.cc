@@ -183,6 +183,35 @@ Tensor SliceBatch(const Tensor& data, int start, int count) {
   return out;
 }
 
+// Correct argmax predictions among a batch's logits, whose rows are labels[start...].
+int CountCorrect(const Tensor& logits, const std::vector<int>& labels, int start) {
+  int count = logits.dim(0);
+  int classes = logits.dim(1);
+  int correct = 0;
+  for (int i = 0; i < count; ++i) {
+    const float* row = logits.data() + static_cast<int64_t>(i) * classes;
+    int best = 0;
+    for (int c = 1; c < classes; ++c) {
+      if (row[c] > row[best]) {
+        best = c;
+      }
+    }
+    if (best == labels[static_cast<size_t>(start + i)]) {
+      ++correct;
+    }
+  }
+  return correct;
+}
+
+// A batch's summed cross-entropy: its mean loss times its size.
+double BatchLossSum(const Var& logits, const std::vector<int>& labels, int start,
+                    int classes) {
+  int count = logits.value().dim(0);
+  std::vector<int> batch_labels(labels.begin() + start, labels.begin() + start + count);
+  Var loss = ag::SoftmaxCrossEntropy(logits, Var(OneHot(batch_labels, classes)));
+  return static_cast<double>(loss.value()[0]) * count;
+}
+
 }  // namespace
 
 double Accuracy(Model& model, const Tensor& inputs, const std::vector<int>& labels,
@@ -192,21 +221,8 @@ double Accuracy(Model& model, const Tensor& inputs, const std::vector<int>& labe
   int correct = 0;
   for (int start = 0; start < total; start += batch_size) {
     int count = std::min(batch_size, total - start);
-    Var x(SliceBatch(inputs, start, count));
-    Var logits = model.Forward(x);
-    int classes = logits.value().dim(1);
-    for (int i = 0; i < count; ++i) {
-      const float* row = logits.value().data() + static_cast<int64_t>(i) * classes;
-      int best = 0;
-      for (int c = 1; c < classes; ++c) {
-        if (row[c] > row[best]) {
-          best = c;
-        }
-      }
-      if (best == labels[static_cast<size_t>(start + i)]) {
-        ++correct;
-      }
-    }
+    Var logits = model.Forward(Var(SliceBatch(inputs, start, count)));
+    correct += CountCorrect(logits.value(), labels, start);
   }
   return static_cast<double>(correct) / static_cast<double>(total);
 }
@@ -218,13 +234,26 @@ double MeanLoss(Model& model, const Tensor& inputs, const std::vector<int>& labe
   double loss_sum = 0.0;
   for (int start = 0; start < total; start += batch_size) {
     int count = std::min(batch_size, total - start);
-    Var x(SliceBatch(inputs, start, count));
-    std::vector<int> batch_labels(labels.begin() + start, labels.begin() + start + count);
-    Var logits = model.Forward(x);
-    Var loss = ag::SoftmaxCrossEntropy(logits, Var(OneHot(batch_labels, classes)));
-    loss_sum += static_cast<double>(loss.value()[0]) * count;
+    Var logits = model.Forward(Var(SliceBatch(inputs, start, count)));
+    loss_sum += BatchLossSum(logits, labels, start, classes);
   }
   return loss_sum / static_cast<double>(total);
+}
+
+Evaluation Evaluate(Model& model, const Tensor& inputs, const std::vector<int>& labels,
+                    int classes, int batch_size) {
+  int total = inputs.dim(0);
+  DETA_CHECK_EQ(static_cast<size_t>(total), labels.size());
+  double loss_sum = 0.0;
+  int correct = 0;
+  for (int start = 0; start < total; start += batch_size) {
+    int count = std::min(batch_size, total - start);
+    Var logits = model.Forward(Var(SliceBatch(inputs, start, count)));
+    loss_sum += BatchLossSum(logits, labels, start, classes);
+    correct += CountCorrect(logits.value(), labels, start);
+  }
+  return {loss_sum / static_cast<double>(total),
+          static_cast<double>(correct) / static_cast<double>(total)};
 }
 
 }  // namespace deta::nn

@@ -65,6 +65,14 @@ double Accuracy(Model& model, const Tensor& inputs, const std::vector<int>& labe
 double MeanLoss(Model& model, const Tensor& inputs, const std::vector<int>& labels,
                 int classes, int batch_size = 64);
 
+// MeanLoss and Accuracy, bit for bit, from one forward pass per batch.
+struct Evaluation {
+  double loss = 0.0;
+  double accuracy = 0.0;
+};
+Evaluation Evaluate(Model& model, const Tensor& inputs, const std::vector<int>& labels,
+                    int classes, int batch_size = 64);
+
 }  // namespace deta::nn
 
 #endif  // DETA_NN_MODELS_H_

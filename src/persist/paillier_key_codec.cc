@@ -1,6 +1,7 @@
 #include "persist/paillier_key_codec.h"
 
 #include "common/check.h"
+#include "crypto/secure_wipe.h"
 #include "net/codec.h"
 
 namespace deta::persist {
@@ -11,20 +12,32 @@ constexpr uint32_t kVersion = 3;  // n, p, q
 
 using crypto::BigUint;
 
-void WriteBigUint(net::Writer& w, const BigUint& v) { w.WriteBytes(v.ToBytes()); }
-
-BigUint ReadBigUint(net::Reader& r) { return BigUint::FromBytes(r.ReadBytes()); }
+// BigUint does not wipe itself, so the wire copy of p or q is wiped here once its limbs
+// hold the value.
+BigUint ReadBigUint(net::Reader& r) {
+  Bytes be = r.ReadBytes();
+  BigUint v = BigUint::FromBytes(be);
+  crypto::SecureWipe(be);
+  return v;
+}
 
 }  // namespace
 
 Bytes SerializePaillierKey(const crypto::PaillierKeyPair& kp) {
-  net::Writer w;
-  w.WriteU32(kVersion);
-  WriteBigUint(w, kp.pub.n());
+  Bytes n = kp.pub.n().ToBytes();
   // ExposeForSeal: the serialized blob travels only inside sealed snapshot sections
   // and over the broker's authenticated channel (deta_taintcheck tracks this flow).
-  WriteBigUint(w, kp.priv.p().ExposeForSeal());
-  WriteBigUint(w, kp.priv.q().ExposeForSeal());
+  Bytes p = kp.priv.p().ExposeForSeal().ToBytes();
+  Bytes q = kp.priv.q().ExposeForSeal().ToBytes();
+  net::Writer w;
+  // Reserved up front: a buffer that grew after p was written would free a copy of it.
+  w.Reserve(sizeof(uint32_t) + 3 * sizeof(uint64_t) + n.size() + p.size() + q.size());
+  w.WriteU32(kVersion);
+  w.WriteBytes(n);
+  w.WriteBytes(p);
+  w.WriteBytes(q);
+  crypto::SecureWipe(p);
+  crypto::SecureWipe(q);
   return w.Take();
 }
 

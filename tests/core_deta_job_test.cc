@@ -101,8 +101,9 @@ fl::JobResult SequentialReference(const fl::ExecutionOptions& options,
     model->SetFlatParams(params);
     fl::RoundMetrics m;
     m.round = round;
-    m.loss = nn::MeanLoss(*model, eval.images, eval.labels, eval.classes);
-    m.accuracy = nn::Accuracy(*model, eval.images, eval.labels);
+    nn::Evaluation evaluation = nn::Evaluate(*model, eval.images, eval.labels, eval.classes);
+    m.loss = evaluation.loss;
+    m.accuracy = evaluation.accuracy;
     result.rounds.push_back(m);
   }
   result.final_params = params;

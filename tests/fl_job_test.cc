@@ -2,7 +2,10 @@
 // party's full update (core::RunCentralizedBaseline).
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/deta_job.h"
+#include "crypto/sha256.h"
 
 namespace deta::fl {
 namespace {
@@ -171,6 +174,47 @@ TEST(PartyTest, ParameterModeChangesParams) {
   std::vector<float> global = model->GetFlatParams();
   auto result = party.RunLocalRound(global, 1);
   EXPECT_NE(result.update.values, global);
+}
+
+// Pins training arithmetic across build types. The digest was computed by the default
+// build at -O2; the -O0, -O3 and sanitizer builds must reproduce it bit for bit. A
+// contracted multiply-add or a reordered sum anywhere in a forward pass, a backward pass,
+// an optimizer step or the average moves it.
+TEST(PartyTest, TrainingKnownAnswerDigest) {
+  crypto::Sha256 h;
+  auto hash_floats = [&h](const std::vector<float>& values) {
+    Bytes le;
+    for (float v : values) {
+      uint32_t bits;
+      std::memcpy(&bits, &v, sizeof(bits));
+      AppendU32(le, bits);
+    }
+    h.Update(le);
+  };
+  TrainConfig tc;
+  tc.batch_size = 8;
+  tc.lr = 0.1f;
+  tc.momentum = 0.9f;
+  // Three MLP parties on 20, 13 and 8 examples: full and partial batches, and unequal
+  // weights in the average.
+  std::vector<ModelUpdate> updates;
+  for (int n : {20, 13, 8}) {
+    Party party("mlp", SmallMnist(n, static_cast<uint64_t>(n)), TinyMlpFactory(), tc,
+                static_cast<uint64_t>(n));
+    updates.push_back(party.RunLocalRound(TinyMlpFactory()()->GetFlatParams(), 1).update);
+    hash_floats(updates.back().values);
+  }
+  hash_floats(IterativeAveraging().Aggregate(updates));
+  // ConvNet-8: a parameter round over two batches, then one batch's gradient.
+  Party conv("conv", SmallMnist(12, 4), SmallModelFactory(), tc, 4);
+  std::vector<float> global = SmallModelFactory()()->GetFlatParams();
+  hash_floats(conv.RunLocalRound(global, 1).update.values);
+  tc.kind = TrainConfig::UpdateKind::kGradient;
+  Party conv_sgd("conv", SmallMnist(12, 5), SmallModelFactory(), tc, 5);
+  hash_floats(conv_sgd.RunLocalRound(global, 1).update.values);
+  auto digest = h.Finish();
+  EXPECT_EQ(ToHex(Bytes(digest.begin(), digest.end())),
+            "40f9cde2b7d2d50cecef54382ae76415f6097f33f15a35025675576a450115e1");
 }
 
 }  // namespace

@@ -117,6 +117,27 @@ TEST(ModelsTest, ZooParameterCountsAndForward) {
   }
 }
 
+// The observer's one-pass evaluation must report exactly what the two separate passes
+// report, including over a partial last batch (50 = 3 * 16 + 2).
+TEST(ModelsTest, EvaluateMatchesMeanLossAndAccuracy) {
+  Rng rng(31);
+  Tensor images({50, 1, 14, 14});
+  std::vector<int> labels(50);
+  for (int64_t i = 0; i < images.numel(); ++i) {
+    images[i] = rng.NextGaussian();
+  }
+  for (int& label : labels) {
+    label = static_cast<int>(rng.NextBelow(10));
+  }
+  auto check = [&labels](Model& model, const Tensor& inputs) {
+    Evaluation evaluation = Evaluate(model, inputs, labels, 10, 16);
+    EXPECT_EQ(evaluation.loss, MeanLoss(model, inputs, labels, 10, 16));
+    EXPECT_EQ(evaluation.accuracy, Accuracy(model, inputs, labels, 16));
+  };
+  check(*BuildMlp(14 * 14, {12}, 10, rng), images.Reshape({50, 14 * 14}));
+  check(*BuildConvNet8(1, 14, 10, rng), images);
+}
+
 TEST(ModelsTest, OneHotEncoding) {
   Tensor oh = OneHot({2, 0}, 3);
   EXPECT_EQ(oh.shape(), (Tensor::Shape{2, 3}));
