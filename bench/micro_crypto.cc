@@ -116,6 +116,18 @@ void BM_PaillierEncrypt(benchmark::State& state) {
 }
 BENCHMARK(BM_PaillierEncrypt)->Arg(256)->Arg(512);
 
+// The same ciphertext by CRT on the private key (what a party runs): two
+// exponentiations mod p^2 and q^2, joined by Garner, against one mod n^2 above.
+void BM_PaillierEncryptCrt(benchmark::State& state) {
+  SecureRng rng(StringToBytes("bench"));
+  PaillierKeyPair key = GeneratePaillierKey(rng, static_cast<size_t>(state.range(0)));
+  BigUint m(123456789);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(key.priv.Encrypt(m, rng));
+  }
+}
+BENCHMARK(BM_PaillierEncryptCrt)->Arg(256)->Arg(512);
+
 void BM_PaillierAddCiphertexts(benchmark::State& state) {
   SecureRng rng(StringToBytes("bench"));
   PaillierKeyPair key = GeneratePaillierKey(rng, 256);
@@ -247,9 +259,12 @@ BENCHMARK(BM_PaillierDecryptLambda);
 
 // Packed hot path at several pack widths: narrower lanes pack more values per
 // ciphertext, dividing the per-coordinate exponentiation cost (items/s is the
-// comparable column across widths).
+// comparable column across widths). Both rows run on one thread: they have no threads
+// column, so bench_snapshot.py keeps them whatever the core count, and the baseline
+// must not read a parallel wall time on a many-core runner.
 void BM_PaillierPackedEncrypt(benchmark::State& state) {
   int lane_bits = static_cast<int>(state.range(0));
+  parallel::ScopedThreads threads(1);
   SecureRng rng(StringToBytes("bench"));
   PaillierKeyPair key = GeneratePaillierKey(rng, 256);
   PaillierPacker packer(key.pub, /*max_addends=*/8, lane_bits);
@@ -267,6 +282,7 @@ BENCHMARK(BM_PaillierPackedEncrypt)->ArgName("lane_bits")->Arg(16)->Arg(32)->Arg
 
 void BM_PaillierPackedDecryptSum(benchmark::State& state) {
   int lane_bits = static_cast<int>(state.range(0));
+  parallel::ScopedThreads threads(1);
   SecureRng rng(StringToBytes("bench"));
   PaillierKeyPair key = GeneratePaillierKey(rng, 256);
   PaillierPacker packer(key.pub, /*max_addends=*/8, lane_bits);

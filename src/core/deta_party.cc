@@ -349,7 +349,8 @@ void DetaParty::RunRound(int round) {
   uint64_t upload_bytes_max = 0;
   for (size_t j = 0; j < fragments.size(); ++j) {
     if (config_.use_paillier) {
-      payloads[j] = fl::SerializeCiphertexts(paillier_codec_->Encrypt(fragments[j], rng_));
+      payloads[j] = fl::SerializeCiphertexts(
+          paillier_codec_->Encrypt(fragments[j], config_.paillier->priv, rng_));
     } else {
       fl::ModelUpdate fragment_update;
       fragment_update.values = std::move(fragments[j]);

@@ -1,6 +1,8 @@
 #include "crypto/montgomery.h"
 
 #include <algorithm>
+#include <array>
+#include <type_traits>
 
 #include "common/check.h"
 #include "crypto/secure_wipe.h"
@@ -52,12 +54,14 @@ void MontgomeryContext::Import(const BigUint& a, uint64_t* out) const {
   a.ToLimbs64(out, s_);
 }
 
+template <size_t kLimbs>
 void MontgomeryContext::MulMontLimbs(const uint64_t* a, const uint64_t* b, uint64_t* out,
                                      uint64_t* t) const {
   // CIOS (coarsely integrated operand scanning): interleaves the schoolbook product
   // with the REDC reduction so the intermediate never exceeds s+2 limbs. Every 128-bit
-  // accumulation stays below 2^128: (2^64-1)^2 + 2*(2^64-1) = 2^128 - 1.
-  const size_t s = s_;
+  // accumulation stays below 2^128: (2^64-1)^2 + 2*(2^64-1) = 2^128 - 1. At a constant
+  // width every loop below unrolls completely.
+  const size_t s = kLimbs != 0 ? kLimbs : s_;
   const uint64_t* m = m_.data();
   std::fill(t, t + s + 2, uint64_t{0});
   for (size_t i = 0; i < s; ++i) {
@@ -107,7 +111,7 @@ void MontgomeryContext::MulMontLimbs(const uint64_t* a, const uint64_t* b, uint6
 BigUint MontgomeryContext::ToMont(const BigUint& a) const {
   Limbs work(2 * s_ + 2);
   Import(a, work.data());
-  MulMontLimbs(work.data(), r2_.data(), work.data(), work.data() + s_);
+  MulMontLimbs<0>(work.data(), r2_.data(), work.data(), work.data() + s_);
   return Export(work.data());
 }
 
@@ -116,7 +120,7 @@ BigUint MontgomeryContext::FromMont(const BigUint& a) const {
   uint64_t* one = work.data() + s_;
   Import(a, work.data());
   one[0] = 1;
-  MulMontLimbs(work.data(), one, work.data(), one + s_);
+  MulMontLimbs<0>(work.data(), one, work.data(), one + s_);
   return Export(work.data());
 }
 
@@ -125,7 +129,7 @@ BigUint MontgomeryContext::MulMont(const BigUint& a, const BigUint& b) const {
   uint64_t* lb = work.data() + s_;
   Import(a, work.data());
   Import(b, lb);
-  MulMontLimbs(work.data(), lb, work.data(), lb + s_);
+  MulMontLimbs<0>(work.data(), lb, work.data(), lb + s_);
   return Export(work.data());
 }
 
@@ -138,27 +142,31 @@ BigUint MontgomeryContext::MulMod(const BigUint& a, const BigUint& b) const {
   Import(b, lb);
   // (a*R) * b * R^-1 = a*b ... converting one operand up and multiplying back down
   // costs two passes, same as ToMont+FromMont but without the extra reduction.
-  MulMontLimbs(la, r2_.data(), la, t);
-  MulMontLimbs(la, lb, la, t);
+  MulMontLimbs<0>(la, r2_.data(), la, t);
+  MulMontLimbs<0>(la, lb, la, t);
   return Export(la);
 }
 
-BigUint MontgomeryContext::PowMod(const BigUint& base, const BigUint& exp) const {
-  const size_t s = s_;
+template <size_t kLimbs>
+BigUint MontgomeryContext::PowModLimbs(const BigUint& base, const BigUint& exp) const {
+  const size_t s = kLimbs != 0 ? kLimbs : s_;
   if (exp.IsZero()) {
     return BigUint(1).Mod(modulus_);
   }
   // One buffer: table[w] = base^w in Montgomery form for w in [0, 16), then the
-  // accumulator, then the product scratch.
-  Limbs work(18 * s + 2);
+  // accumulator, then the product scratch. A constant width keeps it on the stack.
+  std::conditional_t<kLimbs != 0, std::array<uint64_t, 18 * kLimbs + 2>, Limbs> work{};
+  if constexpr (kLimbs == 0) {
+    work.resize(18 * s + 2);
+  }
   uint64_t* table = work.data();
   uint64_t* acc = table + 16 * s;
   uint64_t* t = acc + s;
   std::copy(one_mont_.begin(), one_mont_.end(), table);
   Import(base.Mod(modulus_), acc);
-  MulMontLimbs(acc, r2_.data(), table + s, t);
+  MulMontLimbs<kLimbs>(acc, r2_.data(), table + s, t);
   for (size_t w = 2; w < 16; ++w) {
-    MulMontLimbs(table + (w - 1) * s, table + s, table + w * s, t);
+    MulMontLimbs<kLimbs>(table + (w - 1) * s, table + s, table + w * s, t);
   }
 
   const std::vector<uint32_t>& e = exp.limbs();
@@ -167,24 +175,28 @@ BigUint MontgomeryContext::PowMod(const BigUint& base, const BigUint& exp) const
   for (size_t wi = windows; wi-- > 0;) {
     if (wi + 1 != windows) {
       for (int sq = 0; sq < 4; ++sq) {
-        MulMontLimbs(acc, acc, acc, t);
+        MulMontLimbs<kLimbs>(acc, acc, acc, t);
       }
     }
     // 32 % 4 == 0, so a window never straddles a (32-bit) exponent limb boundary.
     uint32_t w = (e[(wi * 4) / 32] >> ((wi * 4) % 32)) & 0xFu;
     if (w != 0) {
-      MulMontLimbs(acc, table + w * s, acc, t);
+      MulMontLimbs<kLimbs>(acc, table + w * s, acc, t);
     }
   }
   // Leave Montgomery form: multiply by 1, reusing the table's first slot.
   std::fill(table, table + s, uint64_t{0});
   table[0] = 1;
-  MulMontLimbs(acc, table, acc, t);
+  MulMontLimbs<kLimbs>(acc, table, acc, t);
   BigUint result = Export(acc);
   // The table holds powers of a possibly secret-derived base (and acc/scratch its
-  // residue); scrub before the storage returns to the allocator.
-  WipeLimbs(work);
+  // residue); scrub before the storage returns to the stack or the allocator.
+  SecureWipe(work.data(), work.size() * sizeof(uint64_t));
   return result;
+}
+
+BigUint MontgomeryContext::PowMod(const BigUint& base, const BigUint& exp) const {
+  return s_ == 4 ? PowModLimbs<4>(base, exp) : PowModLimbs<0>(base, exp);
 }
 
 }  // namespace deta::crypto

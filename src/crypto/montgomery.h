@@ -4,6 +4,11 @@
 // and Miller-Rabin witnesses: it replaces the schoolbook multiply + Knuth-D divide per
 // modular product with a single fused multiply-reduce pass that never divides.
 //
+// One CIOS body serves every width. PowMod instantiates it once per call: at a constant
+// 4 limbs for 4-limb moduli (p^2 and q^2 of the default 256-bit Paillier key, where the
+// run-time loop's bookkeeping rivals its multiplies), and at the run-time width for every
+// other size.
+//
 // All arithmetic is exact, so every result is bitwise identical to the schoolbook
 // reference (BigUint::PowModSchoolbook) — the deterministic-aggregation guarantee does
 // not depend on which path computed an exponentiation.
@@ -49,8 +54,9 @@ class MontgomeryContext {
 
   // base^exp mod m via fixed 4-bit windows: per window, four Montgomery squarings plus
   // at most one table multiply. One buffer per call holds the 16-entry window table, the
-  // accumulator and the product scratch, so no product allocates; it is wiped before
-  // returning (decryption exponentiates a table of powers tied to secret-keyed values).
+  // accumulator and the product scratch, so no product allocates (at 4 limbs it is a
+  // stack array); it is wiped before returning (encryption and decryption exponentiate
+  // tables of powers of r and of ciphertexts under secret moduli).
   BigUint PowMod(const BigUint& base, const BigUint& exp) const;
 
  private:
@@ -61,8 +67,13 @@ class MontgomeryContext {
   BigUint Export(const uint64_t* a) const { return BigUint::FromLimbs64(a, s_); }
   // CIOS fused multiply-reduce: out = a*b*R^-1 mod m over s-limb operands. |t| is s + 2
   // limbs of scratch; |out| may alias a or b (it is written after the last read).
+  // kLimbs == 0 reads the width s_ at run time; kLimbs > 0 is a compile-time s_.
+  template <size_t kLimbs>
   void MulMontLimbs(const uint64_t* a, const uint64_t* b, uint64_t* out,
                     uint64_t* t) const;
+  // PowMod at one width (kLimbs as in MulMontLimbs).
+  template <size_t kLimbs>
+  BigUint PowModLimbs(const BigUint& base, const BigUint& exp) const;
 
   BigUint modulus_;
   size_t s_;          // 64-bit limb count

@@ -15,6 +15,31 @@ BigUint LFunction(const BigUint& x, const BigUint& n) {
   return x.Sub(BigUint(1)).DivMod(n).quotient;
 }
 
+// The batch fan-out both encryption paths share. Each element gets its own SecureRng,
+// seeded from |rng| in index order before fanning out, so the modexp fan-out cannot
+// perturb the randomness stream: ciphertexts are reproducible across thread counts, and
+// both paths leave |rng| at the same position and draw the same r per element.
+template <typename EncryptOne>
+std::vector<BigUint> EncryptEach(const std::vector<BigUint>& ms, SecureRng& rng,
+                                 const EncryptOne& encrypt_one) {
+  telemetry::Span span("crypto.paillier.encrypt_batch");
+  DETA_COUNTER("crypto.paillier.encrypt_ops").Add(ms.size());
+  DETA_HISTOGRAM("crypto.paillier.encrypt_batch_size", ::deta::telemetry::Unit::kCount)
+      .Record(static_cast<double>(ms.size()));
+  std::vector<Bytes> seeds(ms.size());
+  for (Bytes& seed : seeds) {
+    seed = rng.NextBytes(32);
+  }
+  std::vector<BigUint> out(ms.size());
+  parallel::ParallelFor(0, static_cast<int64_t>(ms.size()), 1, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) {
+      SecureRng local(seeds[static_cast<size_t>(i)]);
+      out[static_cast<size_t>(i)] = encrypt_one(ms[static_cast<size_t>(i)], local);
+    }
+  });
+  return out;
+}
+
 }  // namespace
 
 PaillierPublicKey::PaillierPublicKey(BigUint n)
@@ -36,25 +61,8 @@ BigUint PaillierPublicKey::Encrypt(const BigUint& m, SecureRng& rng) const {
 
 std::vector<BigUint> PaillierPublicKey::EncryptBatch(const std::vector<BigUint>& ms,
                                                      SecureRng& rng) const {
-  // Each element gets its own SecureRng forked from |rng| in index order; the modexp
-  // fan-out below then cannot perturb the randomness stream, keeping ciphertexts
-  // reproducible across thread counts.
-  telemetry::Span span("crypto.paillier.encrypt_batch");
-  DETA_COUNTER("crypto.paillier.encrypt_ops").Add(ms.size());
-  DETA_HISTOGRAM("crypto.paillier.encrypt_batch_size", ::deta::telemetry::Unit::kCount)
-      .Record(static_cast<double>(ms.size()));
-  std::vector<Bytes> seeds(ms.size());
-  for (Bytes& seed : seeds) {
-    seed = rng.NextBytes(32);
-  }
-  std::vector<BigUint> out(ms.size());
-  parallel::ParallelFor(0, static_cast<int64_t>(ms.size()), 1, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      SecureRng local(seeds[static_cast<size_t>(i)]);
-      out[static_cast<size_t>(i)] = Encrypt(ms[static_cast<size_t>(i)], local);
-    }
-  });
-  return out;
+  return EncryptEach(ms, rng,
+                     [this](const BigUint& m, SecureRng& local) { return Encrypt(m, local); });
 }
 
 BigUint PaillierPublicKey::AddCiphertexts(const BigUint& c1, const BigUint& c2) const {
@@ -89,10 +97,12 @@ std::optional<PaillierPrivateKey> PaillierPrivateKey::FromPrimes(
                                     key.q_minus_1_.ExposeForCrypto());
   BigUint lp = LFunction(gp, pv);
   BigUint lq = LFunction(gq, qv);
-  // p^-1 mod q exists exactly when p != q.
+  // p^-1 mod q and (p^2)^-1 mod q^2 exist exactly when p != q.
   bool invertible = BigUint::InvMod(lp, pv, &key.hp_.ExposeMutable()) &&
                     BigUint::InvMod(lq, qv, &key.hq_.ExposeMutable()) &&
-                    BigUint::InvMod(pv, qv, &key.p_inv_q_.ExposeMutable());
+                    BigUint::InvMod(pv, qv, &key.p_inv_q_.ExposeMutable()) &&
+                    BigUint::InvMod(p2.ExposeForCrypto(), q2.ExposeForCrypto(),
+                                    &key.p2_inv_q2_.ExposeMutable());
   for (BigUint* local : {&gp, &gq, &lp, &lq}) {
     local->Wipe();
   }
@@ -102,6 +112,35 @@ std::optional<PaillierPrivateKey> PaillierPrivateKey::FromPrimes(
   key.p_ = std::move(p);
   key.q_ = std::move(q);
   return key;
+}
+
+BigUint PaillierPrivateKey::Encrypt(const BigUint& m, SecureRng& rng) const {
+  const BigUint& pv = p_.ExposeForCrypto();
+  const BigUint& qv = q_.ExposeForCrypto();
+  const BigUint n = pv.Mul(qv);
+  DETA_CHECK_MSG(m < n, "Paillier plaintext out of range");
+  // The public path's draw: for 0 <= r < n, gcd(r, n) = 1 exactly when neither prime
+  // divides r (r = 0 included), so this accepts and re-draws the same values.
+  BigUint r;
+  do {
+    r = BigUint::RandomBelow(rng, n);
+  } while (r.Mod(pv).IsZero() || r.Mod(qv).IsZero());
+  // c = (1 + m*n) * r^n, computed mod p^2 and mod q^2 and joined by Garner into the one
+  // residue below n^2 = p^2 * q^2 that the public path computes directly.
+  const BigUint g_m = BigUint(1).Add(m.Mul(n));
+  const BigUint& p2 = mont_p2_->modulus();
+  const BigUint& q2 = mont_q2_->modulus();
+  BigUint cp = mont_p2_->MulMod(g_m.Mod(p2), mont_p2_->PowMod(r, n));
+  BigUint cq = mont_q2_->MulMod(g_m.Mod(q2), mont_q2_->PowMod(r, n));
+  BigUint h = mont_q2_->MulMod(BigUint::SubMod(cq, cp.Mod(q2), q2),
+                               p2_inv_q2_.ExposeForCrypto());
+  return cp.Add(p2.Mul(h));  // cp + p^2*h < p^2 * q^2
+}
+
+std::vector<BigUint> PaillierPrivateKey::EncryptBatch(const std::vector<BigUint>& ms,
+                                                      SecureRng& rng) const {
+  return EncryptEach(ms, rng,
+                     [this](const BigUint& m, SecureRng& local) { return Encrypt(m, local); });
 }
 
 BigUint PaillierPrivateKey::Decrypt(const BigUint& c) const {
@@ -241,6 +280,13 @@ std::vector<BigUint> PaillierEncryptPacked(const PaillierPublicKey& pub,
                                            const std::vector<int64_t>& values,
                                            SecureRng& rng) {
   return pub.EncryptBatch(packer.Pack(values), rng);
+}
+
+std::vector<BigUint> PaillierEncryptPacked(const PaillierPrivateKey& priv,
+                                           const PaillierPacker& packer,
+                                           const std::vector<int64_t>& values,
+                                           SecureRng& rng) {
+  return priv.EncryptBatch(packer.Pack(values), rng);
 }
 
 std::vector<int64_t> PaillierDecryptPackedSum(const PaillierPrivateKey& priv,

@@ -12,6 +12,15 @@
 // decryption and bitwise identical to it; that textbook form survives only as the
 // oracle in tests/crypto_montgomery_test.cc and the BM_PaillierDecryptLambda fixture.
 //
+// Encryption has two paths with identical output. The public key computes
+// c = (1 + m*n) * r^n mod n^2 directly; it is the path for whoever holds n alone. Every
+// party also holds p and q (to decrypt), so PaillierPrivateKey::EncryptBatch computes
+// the same c mod p^2 and mod q^2 and joins the two by Garner,
+// c = c_p + p^2 * ((c_q - c_p) * (p^2)^-1 mod q^2): two exponentiations on half-width
+// moduli instead of one on n^2. Both draw r from the same per-element stream and accept
+// the same draws, so for equal rng states they return the same ciphertexts and leave
+// the rng at the same position (PaillierCrtDifferentialTest).
+//
 // Hot path: every modular exponentiation runs through a cached Montgomery fixed-window
 // context (crypto/montgomery.h), built once per key and shared by copies.
 #ifndef DETA_CRYPTO_PAILLIER_H_
@@ -64,6 +73,11 @@ class PaillierPrivateKey {
   const Secret<BigUint>& p() const { return p_; }
   const Secret<BigUint>& q() const { return q_; }
 
+  // Encrypt and EncryptBatch by CRT: the same ciphertexts and the same stream position
+  // of |rng| as PaillierPublicKey's, at about half the cost.
+  BigUint Encrypt(const BigUint& m, SecureRng& rng) const;
+  std::vector<BigUint> EncryptBatch(const std::vector<BigUint>& ms, SecureRng& rng) const;
+
   BigUint Decrypt(const BigUint& c) const;
   // Decrypts every element of |cs| in parallel (decryption is deterministic, so no
   // randomness bookkeeping is needed).
@@ -76,14 +90,16 @@ class PaillierPrivateKey {
   // decentralization argument denies to aggregators. So every component is a
   // Secret<BigUint>: it cannot reach a log, a telemetry label, or a plaintext wire or
   // persist path without an audited Expose* call, and it wipes itself on destruction.
-  // The derived members exist so decryption never recomputes an inverse per ciphertext.
+  // The derived members exist so neither decryption nor encryption recomputes an
+  // inverse per ciphertext.
   Secret<BigUint> p_;
   Secret<BigUint> q_;
   Secret<BigUint> p_minus_1_;  // CRT exponent mod p^2
   Secret<BigUint> q_minus_1_;  // CRT exponent mod q^2
   Secret<BigUint> hp_;         // L_p(g^(p-1) mod p^2)^-1 mod p
   Secret<BigUint> hq_;         // L_q(g^(q-1) mod q^2)^-1 mod q
-  Secret<BigUint> p_inv_q_;    // p^-1 mod q (Garner recombination)
+  Secret<BigUint> p_inv_q_;    // p^-1 mod q (Garner recombination, decryption)
+  Secret<BigUint> p2_inv_q2_;  // (p^2)^-1 mod q^2 (Garner recombination, encryption)
   // Contexts over p^2 and q^2; a context wipes its modulus and tables when the last
   // key copy drops it.
   std::shared_ptr<const MontgomeryContext> mont_p2_;
@@ -95,8 +111,8 @@ struct PaillierKeyPair {
   PaillierPrivateKey priv;
 };
 
-// Generates a key with |modulus_bits|-bit n. Benches default to 512 for speed; the
-// construction is identical at 2048.
+// Generates a key with |modulus_bits|-bit n. Jobs default to 256 (fl/job_api.h), as do
+// perfbench and Figure 5; the construction is identical at 2048.
 PaillierKeyPair GeneratePaillierKey(SecureRng& rng, size_t modulus_bits);
 
 // Lane layout for packing k quantized model parameters into one Paillier plaintext
@@ -137,8 +153,13 @@ class PaillierPacker {
 };
 
 // Packed batch hot path: Pack + EncryptBatch / DecryptBatch + UnpackSum fused behind
-// one call each, so the fusion layers never touch lane layout directly.
+// one call each, so the fusion layers never touch lane layout directly. Encryption
+// takes either key; the private key's CRT path gives the same ciphertexts faster.
 std::vector<BigUint> PaillierEncryptPacked(const PaillierPublicKey& pub,
+                                           const PaillierPacker& packer,
+                                           const std::vector<int64_t>& values,
+                                           SecureRng& rng);
+std::vector<BigUint> PaillierEncryptPacked(const PaillierPrivateKey& priv,
                                            const PaillierPacker& packer,
                                            const std::vector<int64_t>& values,
                                            SecureRng& rng);

@@ -24,10 +24,7 @@ PaillierVectorCodec::PaillierVectorCodec(const crypto::PaillierPublicKey& pub,
                                         << scale_bits);
 }
 
-std::vector<BigUint> PaillierVectorCodec::Encrypt(const std::vector<float>& values,
-                                                  crypto::SecureRng& rng) const {
-  // Quantize to fixed point, then hand off to the crypto-layer packed hot path
-  // (lane-pack + deterministic batch encrypt).
+std::vector<int64_t> PaillierVectorCodec::Quantize(const std::vector<float>& values) const {
   std::vector<int64_t> quantized(values.size());
   parallel::ParallelFor(0, static_cast<int64_t>(values.size()), 256,
                         [&](int64_t lo, int64_t hi) {
@@ -36,7 +33,20 @@ std::vector<BigUint> PaillierVectorCodec::Encrypt(const std::vector<float>& valu
           std::llround(static_cast<double>(values[static_cast<size_t>(i)]) * scale_);
     }
   });
-  return crypto::PaillierEncryptPacked(pub_, packer_, quantized, rng);
+  return quantized;
+}
+
+std::vector<BigUint> PaillierVectorCodec::Encrypt(const std::vector<float>& values,
+                                                  crypto::SecureRng& rng) const {
+  // Quantize to fixed point, then hand off to the crypto-layer packed hot path
+  // (lane-pack + deterministic batch encrypt).
+  return crypto::PaillierEncryptPacked(pub_, packer_, Quantize(values), rng);
+}
+
+std::vector<BigUint> PaillierVectorCodec::Encrypt(const std::vector<float>& values,
+                                                  const crypto::PaillierPrivateKey& priv,
+                                                  crypto::SecureRng& rng) const {
+  return crypto::PaillierEncryptPacked(priv, packer_, Quantize(values), rng);
 }
 
 void PaillierVectorCodec::AccumulateInPlace(std::vector<BigUint>& acc,

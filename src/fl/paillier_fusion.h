@@ -36,8 +36,12 @@ class PaillierVectorCodec {
   // Number of ciphertexts for a vector of |n| floats.
   size_t CiphertextCount(size_t n) const { return packer_.BlockCount(n); }
 
-  // Encrypts a float vector.
+  // Encrypts a float vector under the codec's public key.
   std::vector<crypto::BigUint> Encrypt(const std::vector<float>& values,
+                                       crypto::SecureRng& rng) const;
+  // The same ciphertexts by CRT, for a holder of the matching private key (a party).
+  std::vector<crypto::BigUint> Encrypt(const std::vector<float>& values,
+                                       const crypto::PaillierPrivateKey& priv,
                                        crypto::SecureRng& rng) const;
   // Homomorphically accumulates |other| into |acc| (coordinate-wise ciphertext product).
   void AccumulateInPlace(std::vector<crypto::BigUint>& acc,
@@ -48,6 +52,9 @@ class PaillierVectorCodec {
                                 int num_addends) const;
 
  private:
+  // Fixed point: round(v * 2^scale_bits).
+  std::vector<int64_t> Quantize(const std::vector<float>& values) const;
+
   const crypto::PaillierPublicKey& pub_;
   crypto::PaillierPacker packer_;
   double scale_;

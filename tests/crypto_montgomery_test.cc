@@ -1,6 +1,6 @@
 // Differential tests for the Montgomery hot path (crypto/montgomery.h): every REDC
-// multiply, fixed-window exponentiation, and CRT decryption must be bitwise identical
-// to the schoolbook reference it replaced. The suites below throw >10k randomized
+// multiply, fixed-window exponentiation, CRT decryption and CRT encryption must be
+// bitwise identical to the reference it replaced. The suites below throw >10k randomized
 // cases at the fast paths with the slow paths as oracle — the determinism guarantee
 // (DESIGN.md "Crypto hot path") rests on this equivalence, not on code inspection.
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 #include "crypto/bigint.h"
 #include "crypto/montgomery.h"
 #include "crypto/paillier.h"
+#include "persist/paillier_key_codec.h"
 
 namespace deta::crypto {
 namespace {
@@ -74,7 +75,8 @@ TEST(MontgomeryDifferentialTest, MulMontIsMontgomeryProduct) {
 TEST(MontgomeryDifferentialTest, PowModMatchesSchoolbookOddModulus) {
   SecureRng rng(StringToBytes("mont-powmod"));
   int cases = 0;
-  for (size_t bits : {size_t{32}, size_t{64}, size_t{128}, size_t{192}, size_t{256}}) {
+  for (size_t bits :
+       {size_t{32}, size_t{64}, size_t{128}, size_t{192}, size_t{256}, size_t{512}}) {
     for (int rep = 0; rep < 60; ++rep) {
       BigUint m = RandomOddModulus(rng, bits);
       // Base intentionally drawn wider than m so the pre-reduction path is exercised.
@@ -177,10 +179,12 @@ TEST(MontgomeryDifferentialTest, WideModuliMatchSchoolbook) {
 }
 
 // The top 64-bit limb all ones maximizes every carry in the CIOS rows and the final
-// subtraction; 2^(64*s) - 1 is the extreme case.
+// subtraction; 2^(64*s) - 1 is the extreme case. s = 4 is the width PowMod runs at a
+// constant (p^2 and q^2 of a 256-bit Paillier key).
 TEST(MontgomeryDifferentialTest, AllOnesTopLimbMatchesSchoolbook) {
   SecureRng rng(StringToBytes("mont-all-ones"));
-  for (size_t s : {size_t{1}, size_t{2}, size_t{5}, size_t{8}, size_t{9}, size_t{16}}) {
+  for (size_t s : {size_t{1}, size_t{2}, size_t{3}, size_t{4}, size_t{5}, size_t{8},
+                   size_t{9}, size_t{16}}) {
     BigUint top = BigUint(~uint64_t{0}).ShiftLeft(64 * (s - 1));
     BigUint all_ones = BigUint(1).ShiftLeft(64 * s).Sub(BigUint(1));
     CheckAgainstSchoolbook(all_ones, rng, 10);
@@ -242,6 +246,46 @@ TEST(PaillierCrtDifferentialTest, CrtDecryptMatchesLambdaMu) {
       BigUint via_lambda = textbook.Decrypt(c);
       ASSERT_EQ(via_crt, via_lambda) << "modulus_bits=" << modulus_bits << " i=" << i;
       ASSERT_EQ(via_crt, m);
+    }
+  }
+}
+
+// CRT encryption on the private key must return the public key's ciphertexts: same r
+// per element, same accepted draws, same residue mod n^2, and the caller's rng left at
+// the same position. m = 0 and m = n - 1 bound the plaintext range. The key is checked
+// as generated and after a round trip through the key codec, which rebuilds every
+// derived CRT value (p^2 and q^2, their contexts and (p^2)^-1 mod q^2) from n, p and q.
+TEST(PaillierCrtDifferentialTest, CrtEncryptMatchesPublicEncrypt) {
+  SecureRng rng(StringToBytes("crt-encrypt-diff"));
+  for (size_t modulus_bits : {size_t{128}, size_t{256}, size_t{512}, size_t{1024}}) {
+    for (int k = 0; k < 2; ++k) {
+      PaillierKeyPair generated = GeneratePaillierKey(rng, modulus_bits);
+      std::optional<PaillierKeyPair> parsed =
+          persist::ParsePaillierKey(persist::SerializePaillierKey(generated));
+      ASSERT_TRUE(parsed.has_value());
+      const BigUint& n = generated.pub.n();
+      std::vector<BigUint> ms = {BigUint(0), n.Sub(BigUint(1))};
+      for (int i = 0; i < 14; ++i) {
+        ms.push_back(BigUint::RandomBelow(rng, n));
+      }
+      for (const PaillierKeyPair* key : {&generated, &*parsed}) {
+        const Bytes seed = rng.NextBytes(32);
+        SecureRng public_rng(seed);
+        SecureRng crt_rng(seed);
+        std::vector<BigUint> via_public = key->pub.EncryptBatch(ms, public_rng);
+        std::vector<BigUint> via_crt = key->priv.EncryptBatch(ms, crt_rng);
+        ASSERT_EQ(via_crt.size(), ms.size());
+        for (size_t i = 0; i < ms.size(); ++i) {
+          ASSERT_EQ(via_crt[i], via_public[i])
+              << "modulus_bits=" << modulus_bits << " key=" << k << " i=" << i
+              << (key == &generated ? " generated" : " parsed");
+        }
+        EXPECT_EQ(crt_rng.NextBytes(32), public_rng.NextBytes(32))
+            << "modulus_bits=" << modulus_bits;
+        // The single-element form draws from the caller's rng directly.
+        EXPECT_EQ(key->priv.Encrypt(ms[1], crt_rng), key->pub.Encrypt(ms[1], public_rng));
+        EXPECT_EQ(key->priv.Decrypt(via_crt[1]), ms[1]);
+      }
     }
   }
 }

@@ -189,8 +189,9 @@ TEST_F(PaillierTest, PackerBlockCountMatchesPackOutput) {
 }
 
 // The fusion codec (and thus aggregated model parameters) must be bitwise identical
-// for any worker count: per-element randomness is pre-drawn sequentially, so the
-// thread fan-out only changes who computes each exponentiation, never its inputs.
+// for any worker count and either encryption path: per-element randomness is pre-drawn
+// sequentially, so the thread fan-out only changes who computes each exponentiation,
+// never its inputs, and the private key's CRT path computes the public path's residue.
 TEST_F(PaillierTest, VectorCodecBitExactAcrossThreadCounts) {
   std::vector<float> v(50);
   for (size_t i = 0; i < v.size(); ++i) {
@@ -200,21 +201,26 @@ TEST_F(PaillierTest, VectorCodecBitExactAcrossThreadCounts) {
   std::vector<std::vector<float>> sums;
   for (int threads : {1, 2, 4}) {
     parallel::ScopedThreads scoped(threads);
-    SecureRng rng(StringToBytes("thread-determinism"));
-    fl::PaillierVectorCodec codec(key_.pub, /*max_parties=*/4);
-    std::vector<BigUint> acc = codec.Encrypt(v, rng);
-    codec.AccumulateInPlace(acc, codec.Encrypt(v, rng));
-    sums.push_back(codec.DecryptSum(acc, key_.priv, v.size(), 2));
-    cts.push_back(std::move(acc));
+    for (bool crt : {false, true}) {
+      SecureRng rng(StringToBytes("thread-determinism"));
+      fl::PaillierVectorCodec codec(key_.pub, /*max_parties=*/4);
+      auto encrypt = [&] {
+        return crt ? codec.Encrypt(v, key_.priv, rng) : codec.Encrypt(v, rng);
+      };
+      std::vector<BigUint> acc = encrypt();
+      codec.AccumulateInPlace(acc, encrypt());
+      sums.push_back(codec.DecryptSum(acc, key_.priv, v.size(), 2));
+      cts.push_back(std::move(acc));
+    }
   }
   for (size_t t = 1; t < cts.size(); ++t) {
     ASSERT_EQ(cts[t].size(), cts[0].size());
     for (size_t i = 0; i < cts[0].size(); ++i) {
-      EXPECT_EQ(cts[t][i], cts[0][i]) << "threads variant " << t << " block " << i;
+      EXPECT_EQ(cts[t][i], cts[0][i]) << "variant " << t << " block " << i;
     }
     for (size_t i = 0; i < v.size(); ++i) {
       // Bit-exact, not NEAR: same ciphertexts, same integer sums, same floats.
-      EXPECT_EQ(sums[t][i], sums[0][i]) << "threads variant " << t << " coord " << i;
+      EXPECT_EQ(sums[t][i], sums[0][i]) << "variant " << t << " coord " << i;
     }
   }
 }
