@@ -139,16 +139,6 @@ void BM_PaillierAddCiphertexts(benchmark::State& state) {
 }
 BENCHMARK(BM_PaillierAddCiphertexts);
 
-void BM_PaillierDecrypt(benchmark::State& state) {
-  SecureRng rng(StringToBytes("bench"));
-  PaillierKeyPair key = GeneratePaillierKey(rng, 256);
-  BigUint c = key.pub.Encrypt(BigUint(42), rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(key.priv.Decrypt(c));
-  }
-}
-BENCHMARK(BM_PaillierDecrypt);
-
 // --- Hot-path building blocks (rows tracked by the perf-trajectory gate; see
 // BENCH_crypto.json and scripts/bench_snapshot.py) ---
 
@@ -184,8 +174,7 @@ void BM_BigUintMulMod(benchmark::State& state) {
 }
 BENCHMARK(BM_BigUintMulMod)->Arg(512)->Arg(1024);
 
-// Fixed-window Montgomery exponentiation (what PowMod dispatches to for odd moduli)
-// next to the square-and-multiply schoolbook oracle it replaced.
+// Fixed-window Montgomery exponentiation, the one PowMod path.
 void BM_PowModFixedWindow(benchmark::State& state) {
   SecureRng rng(StringToBytes("bench"));
   size_t bits = static_cast<size_t>(state.range(0));
@@ -197,18 +186,6 @@ void BM_PowModFixedWindow(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PowModFixedWindow)->Arg(512)->Arg(1024);
-
-void BM_PowModSchoolbook(benchmark::State& state) {
-  SecureRng rng(StringToBytes("bench"));
-  size_t bits = static_cast<size_t>(state.range(0));
-  BigUint m = OddModulus(rng, bits);
-  BigUint base = BigUint::RandomBelow(rng, m);
-  BigUint exp = BigUint::RandomBits(rng, bits);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(BigUint::PowModSchoolbook(base, exp, m));
-  }
-}
-BENCHMARK(BM_PowModSchoolbook)->Arg(512)->Arg(1024);
 
 // Binary GCD at the shape of Paillier encryption's gcd(r, n) = 1 check: a random r below
 // an odd |bits|-bit modulus.

@@ -12,7 +12,7 @@
 //
 // Flags (all optional; --config values are overridden by explicit flags):
 //   --parties=N --aggregators=N --rounds=N --seed=N
-//   --algorithm=NAME --paillier=0|1 --key-broker=0|1
+//   --algorithm=NAME --paillier=0|1
 //   --examples-per-party=N --eval-examples=N --image-size=N
 //   --batch=N --local-epochs=N --lr=F --threads=N
 //   --round-timeout-ms=N --setup-timeout-ms=N
@@ -70,9 +70,8 @@ int main(int argc, char** argv) {
     return core::RunClusterChild(spec, role_it->second, registry_it->second);
   }
 
-  std::printf("deta_cluster: %d aggregators, %d parties%s, %d rounds over TCP\n",
-              spec.aggregators, spec.parties,
-              spec.use_key_broker ? ", key broker" : "", spec.rounds);
+  std::printf("deta_cluster: %d aggregators, %d parties, key broker, %d rounds over TCP\n",
+              spec.aggregators, spec.parties, spec.rounds);
   core::ClusterResult result = core::LaunchCluster(spec, argv[0]);
 
   for (const core::RoleOutcome& role : result.roles) {

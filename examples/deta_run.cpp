@@ -1,7 +1,7 @@
 // deta_run — configurable command-line runner for DeTA training jobs.
 //
-//   $ ./deta_run --dataset=mnist --parties=4 --aggregators=3 --rounds=5 \
-//                --algorithm=coordinate_median --shuffle=1 --compare-baseline=1
+//   $ ./deta_run --dataset=mnist --parties=4 --aggregators=3 --rounds=5
+//   $ ./deta_run --algorithm=coordinate_median --shuffle=1 --compare-baseline=1
 //
 // Flags (all optional):
 //   --dataset=mnist|cifar10|rvlcdip      workload preset           (default mnist)

@@ -71,7 +71,7 @@ run_preset() {
     echo "==> ${preset}: durability crash/resume gate"
     ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
       "./${build_dir}/tests/deta_tests" \
-      --gtest_filter='PersistCodecTest.*:PersistSealTest.*:StateStoreTest.*:CheckpointTest.*:PaillierTest.KeyCodec*:CrashResumeTest.FollowerCrashMidRunIsLossless:CrashResumeTest.PaillierPartyCrashIsLossless:CrashResumeTest.WholeJobResumeMatchesUninterruptedRun'
+      --gtest_filter='PersistCodecTest.*:PersistSealTest.*:StateStoreTest.*:PaillierTest.KeyCodec*:CrashResumeTest.FollowerCrashMidRunIsLossless:CrashResumeTest.PaillierPartyCrashIsLossless:CrashResumeTest.WholeJobResumeMatchesUninterruptedRun:CrashResumeTest.FflWholeJobResumeMatchesUninterruptedRun'
   fi
   echo "==> OK (${preset})"
 }

@@ -42,9 +42,7 @@ std::vector<std::string> ClusterSpec::ChildRoles() const {
   for (const std::string& p : PartyNames()) {
     roles.push_back(p);
   }
-  if (use_key_broker) {
-    roles.push_back(KeyBroker::kEndpointName);
-  }
+  roles.push_back(KeyBroker::kEndpointName);
   return roles;
 }
 
@@ -59,7 +57,6 @@ std::vector<std::string> ClusterSpec::ToArgs() const {
   args.push_back(arg("seed", std::to_string(seed)));
   args.push_back(arg("algorithm", algorithm));
   args.push_back(arg("paillier", use_paillier ? "1" : "0"));
-  args.push_back(arg("key-broker", use_key_broker ? "1" : "0"));
   args.push_back(arg("examples-per-party", std::to_string(examples_per_party)));
   args.push_back(arg("eval-examples", std::to_string(eval_examples)));
   args.push_back(arg("image-size", std::to_string(image_size)));
@@ -99,7 +96,6 @@ ClusterSpec ClusterSpec::FromFlags(const std::map<std::string, std::string>& fla
       std::strtoull(get("seed", std::to_string(spec.seed)).c_str(), nullptr, 10));
   spec.algorithm = get("algorithm", spec.algorithm);
   spec.use_paillier = get_int("paillier", spec.use_paillier ? 1 : 0) != 0;
-  spec.use_key_broker = get_int("key-broker", spec.use_key_broker ? 1 : 0) != 0;
   spec.examples_per_party = get_int("examples-per-party", spec.examples_per_party);
   spec.eval_examples = get_int("eval-examples", spec.eval_examples);
   spec.image_size = get_int("image-size", spec.image_size);
@@ -245,7 +241,6 @@ fl::ExecutionOptions BuildExecutionOptions(const ClusterSpec& spec) {
 DetaOptions BuildDetaOptions(const ClusterSpec& spec) {
   DetaOptions deta;
   deta.num_aggregators = spec.aggregators;
-  deta.use_key_broker = spec.use_key_broker;
   return deta;
 }
 

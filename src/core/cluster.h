@@ -31,7 +31,6 @@ struct ClusterSpec {
   uint64_t seed = 1234;
   std::string algorithm = "iterative_averaging";
   bool use_paillier = false;
-  bool use_key_broker = true;
 
   // Workload: synthetic blob-MNIST shards over a tiny MLP (the protocol fabric is the
   // system under test here, not the model).

@@ -151,12 +151,6 @@ DetaJob::DetaJob(fl::ExecutionOptions options, DetaOptions deta,
   material.num_aggregators = deta_.num_aggregators;
   material.enable_partition = deta_.enable_partition;
   material.enable_shuffle = deta_.enable_shuffle;
-  if (!deta_.use_key_broker) {
-    // Parties share this transform. With the key broker each party builds its own from
-    // the fetched material, and the job builds its copy only when transform() asks.
-    transform_ = material.BuildTransform();
-    party_transform_ = transform_;
-  }
 
   // --- Paillier key material: generated before the broker exists so the fusion key
   // rides inside the broker-served material (§4.2 key-broker key material) and reaches
@@ -168,23 +162,20 @@ DetaJob::DetaJob(fl::ExecutionOptions options, DetaOptions deta,
   }
 
   crypto::EcKeyPair broker_identity = crypto::GenerateEcKey(setup_rng);
-  if (deta_.use_key_broker) {
-    // Drawn whether or not the broker is local, preserving the global draw order that
-    // keeps per-role RNGs identical across the processes of a deployment.
-    crypto::SecureRng broker_rng(setup_rng.NextBytes(32));
-    if (broker_local_) {
-      KeyBrokerDurability kbd;
-      kbd.store = store_.get();
-      kbd.resume = resume_roles;
-      kbd.crash_after_serves =
-          options_.fault_plan.CrashRoundFor(KeyBroker::kEndpointName);
-      kbd.seal_seed = options_.seed;
-      // expected_parties = 0: the broker serves (and re-serves) until the job stops it
-      // after the ready barrier — under fault injection a party may need a re-serve
-      // after every party has already been served once.
-      key_broker_ = std::make_unique<KeyBroker>(material, broker_identity, 0,
-                                                *transport_, std::move(broker_rng), kbd);
-    }
+  // Drawn whether or not the broker is local, preserving the global draw order that
+  // keeps per-role RNGs identical across the processes of a deployment.
+  crypto::SecureRng broker_rng(setup_rng.NextBytes(32));
+  if (broker_local_) {
+    KeyBrokerDurability kbd;
+    kbd.store = store_.get();
+    kbd.resume = resume_roles;
+    kbd.crash_after_serves = options_.fault_plan.CrashRoundFor(KeyBroker::kEndpointName);
+    kbd.seal_seed = options_.seed;
+    // expected_parties = 0: the broker serves (and re-serves) until the job stops it
+    // after the ready barrier — under fault injection a party may need a re-serve after
+    // every party has already been served once.
+    key_broker_ = std::make_unique<KeyBroker>(material, broker_identity, 0, *transport_,
+                                              std::move(broker_rng), kbd);
   }
   // Retained for crash revives: a replacement broker is rebuilt from the same material
   // and identity; replacement aggregators/parties from the retained configs below.
@@ -246,7 +237,6 @@ DetaJob::DetaJob(fl::ExecutionOptions options, DetaOptions deta,
     pc.is_reporter = (i == 0);
     pc.train = options_.train;
     pc.use_paillier = options_.use_paillier;
-    pc.paillier = paillier;
     pc.num_parties = static_cast<int>(party_names_.size());
     pc.initial_params = initial;
     pc.rounds = options_.rounds;
@@ -260,14 +250,9 @@ DetaJob::DetaJob(fl::ExecutionOptions options, DetaOptions deta,
       pc.resume = true;
       pc.resume_max_round = resume_round_;
     }
-    if (deta_.use_key_broker) {
-      pc.fetch_from_key_broker = true;
-      pc.key_broker_public = broker_identity.public_key;
-      // The Paillier key is broker-served material too: parties receive it over the
-      // authenticated fetch channel (or from their own sealed snapshot on resume),
-      // never via plain job config.
-      pc.paillier.reset();
-    }
+    // The transform material and the Paillier key reach parties only over the
+    // authenticated broker fetch (or from their own sealed snapshot on resume).
+    pc.key_broker_public = broker_identity.public_key;
     party_configs_.push_back(pc);
     crypto::SecureRng party_rng(setup_rng.NextBytes(32));  // drawn even for remote roles
     if (!RoleIsLocal(party_names_[i])) {
@@ -284,19 +269,15 @@ DetaJob::DetaJob(fl::ExecutionOptions options, DetaOptions deta,
     }
     DETA_CHECK_MSG(local != nullptr,
                    "no local trainer supplied for hosted party " << party_names_[i]);
-    deta_parties_.push_back(std::make_unique<DetaParty>(
-        std::move(local), pc, party_transform_, *transport_, std::move(party_rng)));
+    deta_parties_.push_back(
+        std::make_unique<DetaParty>(std::move(local), pc, *transport_, std::move(party_rng)));
   }
   revive_rng_ = crypto::SecureRng(setup_rng.NextBytes(32));
   construct_seconds_ = setup_watch_.ElapsedSeconds();
 }
 
 const Transform& DetaJob::transform() const {
-  std::call_once(transform_once_, [this] {
-    if (transform_ == nullptr) {
-      transform_ = material_.BuildTransform();
-    }
-  });
+  std::call_once(transform_once_, [this] { transform_ = material_.BuildTransform(); });
   return *transform_;
 }
 
@@ -318,7 +299,6 @@ Bytes DetaJob::ConfigDigest(size_t num_parties) const {
   w.WriteU32(static_cast<uint32_t>(deta_.num_aggregators));
   w.WriteU32(deta_.enable_partition ? 1 : 0);
   w.WriteU32(deta_.enable_shuffle ? 1 : 0);
-  w.WriteU32(deta_.use_key_broker ? 1 : 0);
   // rounds/threads deliberately excluded: a resumed run may extend the round count, and
   // numeric results are thread-count-invariant by construction.
   return crypto::Sha256Digest(w.Take());
@@ -394,8 +374,7 @@ void DetaJob::ReviveCrashedRoles(net::Endpoint& observer, bool job_started) {
     std::string name = local->name();
     deta_parties_[i].reset();
     deta_parties_[i] = std::make_unique<DetaParty>(
-        std::move(local), pc, party_transform_, *transport_,
-        crypto::SecureRng(revive_rng_.NextBytes(32)));
+        std::move(local), pc, *transport_, crypto::SecureRng(revive_rng_.NextBytes(32)));
     deta_parties_[i]->Start();
     DETA_COUNTER("persist.role_revived").Increment();
     LOG_INFO << "DeTA job: revived " << name << " from snapshot";
@@ -429,7 +408,7 @@ void DetaJob::ShutdownAll(net::Endpoint& observer) {
 void DetaJob::StopBroker(net::Endpoint& observer) {
   if (key_broker_ != nullptr) {
     key_broker_->Stop();
-  } else if (deta_.use_key_broker && !broker_local_ && !remote_broker_stopped_) {
+  } else if (!broker_local_ && !remote_broker_stopped_) {
     observer.Send(KeyBroker::kEndpointName, kShutdown, {});
     remote_broker_stopped_ = true;
   }
@@ -783,7 +762,6 @@ fl::JobResult RunCentralizedBaseline(fl::ExecutionOptions options,
   central.num_aggregators = 1;
   central.enable_partition = false;
   central.enable_shuffle = false;
-  central.use_key_broker = false;
   options.latency.sev_compute_overhead = 0.0;
   return DetaJob(std::move(options), central, std::move(parties), global_factory,
                  std::move(eval))

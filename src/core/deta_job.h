@@ -38,10 +38,6 @@ struct DetaOptions {
   bool enable_partition = true;
   bool enable_shuffle = true;
   size_t permutation_key_bits = 128;
-  // Distribute the transform material through the trusted key-broker protocol (§4.2)
-  // instead of handing parties a pre-built transform. Default on: this is the paper's
-  // deployment shape; turning it off removes the broker round-trip from setup.
-  bool use_key_broker = true;
   // Aggregate as soon as this many party fragments arrive (0 = all parties; at most the
   // party count). A round deadline with fewer fragments is a quorum failure.
   int quorum = 0;
@@ -79,8 +75,8 @@ class DetaJob {
   fl::JobResult Run();
 
   // Post-run access for the security experiments: the aggregator CVMs (breachable) and
-  // the transform (party-held secret state). In key-broker mode the first call derives
-  // the transform from the retained material.
+  // the transform (party-held secret state). The first transform() call derives it
+  // from the retained key-broker material.
   const std::vector<std::shared_ptr<cc::Cvm>>& aggregator_cvms() const { return cvms_; }
   const Transform& transform() const;
 
@@ -130,8 +126,7 @@ class DetaJob {
   std::vector<std::shared_ptr<cc::Cvm>> cvms_;
   std::unique_ptr<cc::AttestationProxy> proxy_;
   std::unique_ptr<KeyBroker> key_broker_;
-  // Built by the constructor when parties share it (no key broker), else by the first
-  // transform() call.
+  // Built by the first transform() call.
   mutable std::once_flag transform_once_;
   mutable std::shared_ptr<const Transform> transform_;
   std::vector<std::unique_ptr<DetaAggregator>> aggregators_;
@@ -141,15 +136,12 @@ class DetaJob {
 
   // --- durability / crash-fault orchestration state ---
   std::unique_ptr<persist::StateStore> store_;
-  // Retained construction inputs so crashed roles can be rebuilt identically (and the
-  // key-broker-mode transform() built on demand).
+  // Retained construction inputs so crashed roles can be rebuilt identically (and
+  // transform() built on demand).
   TransformMaterial material_;
   crypto::EcKeyPair broker_identity_;
   std::vector<AggregatorConfig> agg_configs_;
   std::vector<DetaPartyConfig> party_configs_;
-  // Transform handed to (re)constructed parties: null in key-broker mode (parties build
-  // it from broker-served or snapshot-restored material).
-  std::shared_ptr<const Transform> party_transform_;
   // Reseeded from setup entropy at the end of construction; the placeholder seed is
   // never drawn from (SecureRng has no default constructor).
   crypto::SecureRng revive_rng_{StringToBytes("deta-job-revive-placeholder")};
@@ -163,8 +155,10 @@ class DetaJob {
 };
 
 // The paper's baseline, "FFL with one central aggregator" (§7): a DetaJob with a single
-// aggregator that receives every party's full, in-order update (partitioning, shuffling
-// and the key broker off). The aggregator is a plain server rather than a CVM, so its
+// aggregator that receives every party's full, in-order update (partitioning and
+// shuffling off). Parties still fetch their (identity) transform material and any
+// Paillier key from the key broker, which stops at the ready barrier, so no round
+// carries broker work. The aggregator is a plain server rather than a CVM, so its
 // compute carries no SEV overhead in the latency model. Checkpoint/resume, fault
 // injection and telemetry behave exactly as for any other DetaJob.
 fl::JobResult RunCentralizedBaseline(fl::ExecutionOptions options,

@@ -34,34 +34,15 @@ int MsUntil(Clock::time_point deadline) {
 }  // namespace
 
 DetaParty::DetaParty(std::unique_ptr<fl::Party> local, DetaPartyConfig config,
-                     std::shared_ptr<const Transform> transform,
                      net::Transport& transport, crypto::SecureRng rng)
     : local_(std::move(local)),
       name_(local_->name()),
       config_(std::move(config)),
-      transform_(std::move(transform)),
       transport_(transport),
       rng_(std::move(rng)) {
   endpoint_ = transport_.CreateEndpoint(name_);
   global_params_ = config_.initial_params;
   DETA_CHECK_EQ(static_cast<int64_t>(global_params_.size()), local_->ParameterCount());
-  if (!config_.fetch_from_key_broker) {
-    DETA_CHECK_MSG(transform_ != nullptr, "no transform and key-broker fetch disabled");
-  }
-  if (transform_ != nullptr) {
-    DETA_CHECK_EQ(config_.aggregator_names.size(),
-                  static_cast<size_t>(transform_->num_partitions()));
-  }
-  if (config_.use_paillier) {
-    // The key arrives either with the job config or inside the broker-served transform
-    // material; with neither source the party could never decrypt a fused result.
-    DETA_CHECK_MSG(config_.paillier.has_value() || config_.fetch_from_key_broker,
-                   "Paillier fusion enabled but no key source configured");
-    if (config_.paillier.has_value()) {
-      paillier_codec_ = std::make_unique<fl::PaillierVectorCodec>(
-          config_.paillier->pub, config_.num_parties);
-    }
-  }
 }
 
 DetaParty::~DetaParty() { Join(); }
@@ -74,10 +55,10 @@ void DetaParty::Join() { thread_.Join(); }
 
 bool DetaParty::SetupChannels() {
   // Fetch the shared transform material from the trusted key broker first: the mapper
-  // seed and the permutation key exist only in participant-controlled domains. A resumed
-  // party that restored sealed material from its snapshot already has a transform and
-  // skips the broker entirely — the broker may no longer be running.
-  if (config_.fetch_from_key_broker && transform_ == nullptr) {
+  // seed, the permutation key and the Paillier key exist only in participant-controlled
+  // domains. A resumed party that restored sealed material from its snapshot already
+  // has a transform and skips the broker entirely: the broker may no longer be running.
+  if (transform_ == nullptr) {
     std::optional<TransformMaterial> material;
     for (int attempt = 0; attempt < kBrokerFetchAttempts && !material.has_value() &&
                           !endpoint_->closed();
@@ -96,27 +77,9 @@ bool DetaParty::SetupChannels() {
       material = FetchTransformMaterial(*endpoint_, config_.key_broker_public, rng_,
                                         config_.retry);
     }
-    if (!material.has_value()) {
+    if (!material.has_value() || !AdoptMaterial(std::move(*material))) {
       return false;
     }
-    transform_ = material->BuildTransform();
-    material_ = std::move(material);
-    if (config_.aggregator_names.size() !=
-        static_cast<size_t>(transform_->num_partitions())) {
-      LOG_WARNING << name() << ": broker material partition count mismatch";
-      return false;
-    }
-    if (!AdoptServedPaillierKey()) {
-      return false;
-    }
-  }
-  if (config_.use_paillier && paillier_codec_ == nullptr) {
-    if (!config_.paillier.has_value()) {
-      LOG_WARNING << name() << ": Paillier fusion enabled but no key from job or broker";
-      return false;
-    }
-    paillier_codec_ = std::make_unique<fl::PaillierVectorCodec>(config_.paillier->pub,
-                                                               config_.num_parties);
   }
   // Verify, then register with *all* aggregators (the paper's precondition for joining
   // training: no update is ever shared with an unverified aggregator).
@@ -245,12 +208,9 @@ void DetaParty::SaveState(int round) {
   persist::SealKey seal = persist::SealKey::Derive(config_.seal_seed, name_);
   snapshot.Add(persist::SectionType::kRngState, "rng",
                seal.Seal(rng_.SerializeState(), rng_));
-  if (material_.has_value()) {
-    // The one key copy: broker-served material carries the Paillier key, and without a
-    // broker the job re-derives the key from its seed.
-    snapshot.Add(persist::SectionType::kKeyMaterial, "material",
-                 seal.Seal(material_->Serialize(), rng_));
-  }
+  // The one key copy: the broker-served material carries the Paillier key.
+  snapshot.Add(persist::SectionType::kKeyMaterial, "material",
+               seal.Seal(material_.Serialize(), rng_));
   if (!config_.store->Write(snapshot)) {
     LOG_WARNING << name_ << ": snapshot write failed for round " << round;
   }
@@ -291,20 +251,19 @@ bool DetaParty::RestoreFromSnapshot() {
     }
   }
   const persist::Section* material = snapshot->Find("material");
-  if (material != nullptr) {
-    std::optional<Bytes> plain = seal.Open(material->data);
-    if (!plain.has_value()) {
-      return false;
-    }
-    try {
-      material_ = TransformMaterial::Deserialize(*plain);
-    } catch (const CheckFailure&) {
-      return false;
-    }
-    transform_ = material_->BuildTransform();
-    if (!AdoptServedPaillierKey()) {
-      return false;
-    }
+  std::optional<Bytes> plain =
+      material != nullptr ? seal.Open(material->data) : std::nullopt;
+  if (!plain.has_value()) {
+    return false;
+  }
+  TransformMaterial restored;
+  try {
+    restored = TransformMaterial::Deserialize(*plain);
+  } catch (const CheckFailure&) {
+    return false;
+  }
+  if (!AdoptMaterial(std::move(restored))) {
+    return false;
   }
   global_params_ = std::move(*params);
   resume_round_ = snapshot->round;
@@ -313,24 +272,24 @@ bool DetaParty::RestoreFromSnapshot() {
   return true;
 }
 
-bool DetaParty::AdoptServedPaillierKey() {
-  // ExposeForCrypto: parsing the served blob back into PaillierPrivateKey, whose
-  // components are themselves Secret members.
-  const Bytes& blob = material_->paillier_key.ExposeForCrypto();
-  if (!config_.use_paillier || blob.empty()) {
-    return true;
-  }
-  std::optional<crypto::PaillierKeyPair> kp = persist::ParsePaillierKey(blob);
-  if (!kp.has_value()) {
-    LOG_WARNING << name_ << ": broker-served Paillier key failed to parse";
+bool DetaParty::AdoptMaterial(TransformMaterial material) {
+  transform_ = material.BuildTransform();
+  if (static_cast<int>(config_.aggregator_names.size()) != transform_->num_partitions()) {
+    LOG_WARNING << name_ << ": broker material partition count mismatch";
     return false;
   }
-  if (config_.paillier.has_value() && config_.paillier->pub.n() != kp->pub.n()) {
-    // Decrypting with either of two disagreeing keys would be wrong.
-    LOG_WARNING << name_ << ": broker-served Paillier key disagrees with job key";
-    return false;
+  if (config_.use_paillier) {
+    // ExposeForCrypto: parsing the served blob back into PaillierPrivateKey, whose
+    // components are themselves Secret members.
+    paillier_ = persist::ParsePaillierKey(material.paillier_key.ExposeForCrypto());
+    if (!paillier_.has_value()) {
+      LOG_WARNING << name_ << ": broker-served Paillier key failed to parse";
+      return false;
+    }
+    paillier_codec_ =
+        std::make_unique<fl::PaillierVectorCodec>(paillier_->pub, config_.num_parties);
   }
-  config_.paillier = std::move(*kp);
+  material_ = std::move(material);
   return true;
 }
 
@@ -350,7 +309,7 @@ void DetaParty::RunRound(int round) {
   for (size_t j = 0; j < fragments.size(); ++j) {
     if (config_.use_paillier) {
       payloads[j] = fl::SerializeCiphertexts(
-          paillier_codec_->Encrypt(fragments[j], config_.paillier->priv, rng_));
+          paillier_codec_->Encrypt(fragments[j], paillier_->priv, rng_));
     } else {
       fl::ModelUpdate fragment_update;
       fragment_update.values = std::move(fragments[j]);
@@ -476,8 +435,8 @@ void DetaParty::RunRound(int round) {
             transform_->config().enable_partition
                 ? transform_->mapper().PartitionSize(static_cast<int>(j))
                 : static_cast<int64_t>(global_params_.size()));
-        aggregated[j] = paillier_codec_->DecryptSum(ct, config_.paillier->priv,
-                                                    fragment_len, addends);
+        aggregated[j] =
+            paillier_codec_->DecryptSum(ct, paillier_->priv, fragment_len, addends);
         float inv = 1.0f / static_cast<float>(addends);
         for (auto& v : aggregated[j]) {
           v *= inv;

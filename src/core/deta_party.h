@@ -1,8 +1,10 @@
 // A DeTA training party: wraps the baseline fl::Party local trainer with the full DeTA
-// life cycle of Figure 1 — verify every aggregator (phase II challenge/response),
-// register and establish secure channels, then per round: local train, Trans (partition +
-// shuffle), sealed upload to each aggregator, collect aggregated fragments, Trans^-1
-// (un-shuffle + merge), and synchronize the local model. Runs as a real thread.
+// life cycle of Figure 1 — fetch the transform material and any Paillier key from the
+// trusted key broker (or restore them from its own sealed snapshot), verify every
+// aggregator (phase II challenge/response), register and establish secure channels,
+// then per round: local train, Trans (partition + shuffle), sealed upload to each
+// aggregator, collect aggregated fragments, Trans^-1 (un-shuffle + merge), and
+// synchronize the local model. Runs as a real thread.
 //
 // Fault tolerance: every wait is bounded. Uploads are retransmitted (re-sealed, so the
 // channel replay window accepts them) to any aggregator whose result has not arrived;
@@ -43,16 +45,13 @@ struct DetaPartyConfig {
   // round for evaluation (they are identical across parties).
   bool is_reporter = false;
   fl::TrainConfig train;
-  // Paillier fusion key pair (all parties hold it). Unset when the key broker serves
-  // it inside the transform material instead.
+  // Paillier fusion: the key pair arrives inside the key-broker material.
   bool use_paillier = false;
-  std::optional<crypto::PaillierKeyPair> paillier;
   int num_parties = 1;
   // Starting global parameters; identical across all parties of a job.
   std::vector<float> initial_params;
-  // When true, the party fetches the transform material (permutation key + mapper seed)
-  // from the trusted key broker during setup instead of receiving a pre-built transform.
-  bool fetch_from_key_broker = false;
+  // Identity of the trusted key broker the party fetches its transform material
+  // (permutation key, mapper seed, Paillier key) from during setup.
   crypto::EcPoint key_broker_public;
   // Total rounds in the job; after the final round the party exits on its own, so a
   // dropped shutdown message cannot strand it (0 = exit only on shutdown/idle timeout).
@@ -83,11 +82,8 @@ struct DetaPartyConfig {
 
 class DetaParty {
  public:
-  // |transform| may be null when config.fetch_from_key_broker is set; the party then
-  // builds it from the broker-served material during setup.
   DetaParty(std::unique_ptr<fl::Party> local, DetaPartyConfig config,
-            std::shared_ptr<const Transform> transform, net::Transport& transport,
-            crypto::SecureRng rng);
+            net::Transport& transport, crypto::SecureRng rng);
   ~DetaParty();
 
   DetaParty(const DetaParty&) = delete;
@@ -122,9 +118,10 @@ class DetaParty {
   // Restores params/trainer/rng/material from the store; false when nothing verifiable
   // matches the configured resume point.
   bool RestoreFromSnapshot();
-  // Takes the Paillier key out of the broker-served material_, after a fetch or a
-  // restore. False when it fails to parse or disagrees with a job-supplied key.
-  bool AdoptServedPaillierKey();
+  // Takes broker-served material, after a fetch or a restore: builds the transform,
+  // checks its partition count and, with Paillier fusion, parses the key and builds the
+  // codec. False when the material does not fit this job.
+  bool AdoptMaterial(TransformMaterial material);
 
   std::unique_ptr<fl::Party> local_;
   std::string name_;
@@ -133,6 +130,8 @@ class DetaParty {
   net::Transport& transport_;
   std::unique_ptr<net::Endpoint> endpoint_;
   crypto::SecureRng rng_;
+  // Parsed from material_; paillier_codec_ holds a reference to its public key.
+  std::optional<crypto::PaillierKeyPair> paillier_;
   std::unique_ptr<fl::PaillierVectorCodec> paillier_codec_;
 
   std::map<std::string, net::SecureChannel> channels_;  // aggregator -> channel
@@ -140,7 +139,7 @@ class DetaParty {
   // Broker-served transform material, retained (and snapshotted sealed) so a resumed
   // party can rebuild its transform, and recover its Paillier key, without a live
   // broker.
-  std::optional<TransformMaterial> material_;
+  TransformMaterial material_;
   int resume_round_ = 0;
   bool setup_ok_ = false;
   std::atomic<bool> crashed_{false};

@@ -405,34 +405,13 @@ BigUint BigUint::MulMod(const BigUint& a, const BigUint& b, const BigUint& m) {
 }
 
 BigUint BigUint::PowMod(const BigUint& base, const BigUint& exp, const BigUint& m) {
-  DETA_CHECK_MSG(!m.IsZero(), "PowMod modulus must be nonzero");
+  // Every caller's modulus is odd: Paillier's n^2, p^2 and q^2, and Miller-Rabin's
+  // candidates, which trial division by 2 screens out before the first PowMod.
+  DETA_CHECK_MSG(m.IsOdd(), "PowMod modulus must be odd");
   if (m == BigUint(1)) {
     return BigUint();
   }
-  // Montgomery REDC requires gcd(m, 2^64) = 1, so even moduli (Miller-Rabin
-  // pre-checks, tests) must keep the schoolbook path; Paillier moduli n^2 are odd.
-  if (m.IsOdd()) {
-    return MontgomeryContext(m).PowMod(base, exp);
-  }
-  return PowModSchoolbook(base, exp, m);
-}
-
-BigUint BigUint::PowModSchoolbook(const BigUint& base, const BigUint& exp,
-                                  const BigUint& m) {
-  DETA_CHECK_MSG(!m.IsZero(), "PowMod modulus must be nonzero");
-  if (m == BigUint(1)) {
-    return BigUint();
-  }
-  BigUint result(1);
-  BigUint b = base.Mod(m);
-  size_t bits = exp.BitLength();
-  for (size_t i = 0; i < bits; ++i) {
-    if (exp.Bit(i)) {
-      result = MulMod(result, b, m);
-    }
-    b = MulMod(b, b, m);
-  }
-  return result;
+  return MontgomeryContext(m).PowMod(base, exp);
 }
 
 BigUint BigUint::FromLimbs(std::vector<uint32_t> limbs) {

@@ -70,14 +70,9 @@ class BigUint {
   static BigUint AddMod(const BigUint& a, const BigUint& b, const BigUint& m);
   static BigUint SubMod(const BigUint& a, const BigUint& b, const BigUint& m);
   static BigUint MulMod(const BigUint& a, const BigUint& b, const BigUint& m);
-  // Dispatches odd moduli to Montgomery fixed-window exponentiation
-  // (crypto/montgomery.h) and even moduli to the schoolbook loop; results are bitwise
-  // identical either way.
+  // Montgomery fixed-window exponentiation (crypto/montgomery.h). |m| must be odd, as
+  // REDC requires gcd(m, 2^64) = 1; an even modulus fails a DETA_CHECK.
   static BigUint PowMod(const BigUint& base, const BigUint& exp, const BigUint& m);
-  // Square-and-multiply reference implementation, valid for any modulus (odd or even).
-  // Kept public as the differential-test oracle for the Montgomery path.
-  static BigUint PowModSchoolbook(const BigUint& base, const BigUint& exp,
-                                  const BigUint& m);
   // Multiplicative inverse of a mod m; returns false if gcd(a, m) != 1.
   static bool InvMod(const BigUint& a, const BigUint& m, BigUint* out);
 

@@ -9,9 +9,10 @@
 // run-time loop's bookkeeping rivals its multiplies), and at the run-time width for every
 // other size.
 //
-// All arithmetic is exact, so every result is bitwise identical to the schoolbook
-// reference (BigUint::PowModSchoolbook) — the deterministic-aggregation guarantee does
-// not depend on which path computed an exponentiation.
+// All arithmetic is exact, so every result is bitwise identical to square-and-multiply
+// over BigUint::MulMod (the oracle in tests/crypto_montgomery_test.cc): the
+// deterministic-aggregation guarantee does not depend on which path computed an
+// exponentiation.
 //
 // A context precomputes everything derived from the modulus (R^2 mod m, R mod m,
 // -m^-1 mod 2^64, with R = 2^(64*s) for an s-limb modulus) once; contexts are immutable

@@ -1,9 +1,8 @@
 // Paillier-based fusion (paper §7.1, Figures 5c/5f): parties encrypt their updates under
 // a shared Paillier public key, the aggregator sums ciphertexts homomorphically without
 // ever seeing plaintext, and parties decrypt the fused result. The key pair comes from
-// the trusted key broker (as in Liu et al.) inside the sealed transform material, or
-// from the job config when no broker runs; a party snapshot holds it once, in that
-// material, and a job without a broker re-derives it from the job seed on resume.
+// the trusted key broker (as in Liu et al.) inside the sealed transform material, to
+// every party of every job; a party snapshot holds it once, in that material.
 //
 // PaillierVectorCodec is the one float codec over Paillier. Coordinates are lane-packed
 // through crypto::PaillierPacker ("Lossless Privacy-Preserving Aggregation for

@@ -1,7 +1,6 @@
 #include "nn/optimizer.h"
 
 #include <cmath>
-#include <cstring>
 
 #include "common/check.h"
 
@@ -25,79 +24,6 @@ void Sgd::Step(std::vector<Var>& params, const std::vector<Tensor>& grads) {
       value.AddScaled(grads[i], -lr_);
     }
   }
-}
-
-Bytes Sgd::SerializeState() const {
-  Bytes out;
-  AppendU32(out, static_cast<uint32_t>(velocity_.size()));
-  for (const Tensor& v : velocity_) {
-    AppendU32(out, static_cast<uint32_t>(v.shape().size()));
-    for (int dim : v.shape()) {
-      AppendU32(out, static_cast<uint32_t>(dim));
-    }
-    AppendU64(out, static_cast<uint64_t>(v.values().size()));
-    for (float value : v.values()) {
-      uint32_t bits = 0;
-      std::memcpy(&bits, &value, sizeof(bits));
-      AppendU32(out, bits);
-    }
-  }
-  return out;
-}
-
-bool Sgd::RestoreState(const Bytes& data) {
-  size_t offset = 0;
-  auto read_u32 = [&](uint32_t& v) {
-    if (data.size() < offset + sizeof(uint32_t)) {
-      return false;
-    }
-    v = ReadU32(data, offset);
-    offset += sizeof(uint32_t);
-    return true;
-  };
-  uint32_t count = 0;
-  if (!read_u32(count)) {
-    return false;
-  }
-  std::vector<Tensor> velocity;
-  for (uint32_t i = 0; i < count; ++i) {
-    uint32_t rank = 0;
-    if (!read_u32(rank) || rank > 8) {
-      return false;
-    }
-    Tensor::Shape shape(rank);
-    int64_t expect = 1;
-    for (auto& dim : shape) {
-      uint32_t d = 0;
-      if (!read_u32(d)) {
-        return false;
-      }
-      dim = static_cast<int>(d);
-      expect *= dim;
-    }
-    if (data.size() < offset + sizeof(uint64_t)) {
-      return false;
-    }
-    uint64_t numel = ReadU64(data, offset);
-    offset += sizeof(uint64_t);
-    if (numel != static_cast<uint64_t>(expect)) {
-      return false;
-    }
-    std::vector<float> values(static_cast<size_t>(numel));
-    for (auto& value : values) {
-      uint32_t bits = 0;
-      if (!read_u32(bits)) {
-        return false;
-      }
-      std::memcpy(&value, &bits, sizeof(bits));
-    }
-    velocity.emplace_back(std::move(shape), std::move(values));
-  }
-  if (offset != data.size()) {
-    return false;
-  }
-  velocity_ = std::move(velocity);
-  return true;
 }
 
 void Adam::Step(std::vector<Var>& params, const std::vector<Tensor>& grads) {

@@ -6,7 +6,6 @@
 #include <functional>
 #include <vector>
 
-#include "common/bytes.h"
 #include "nn/layers.h"
 
 namespace deta::nn {
@@ -24,12 +23,6 @@ class Sgd : public Optimizer {
   void Step(std::vector<Var>& params, const std::vector<Tensor>& grads) override;
   void set_lr(float lr) { lr_ = lr; }
   float lr() const { return lr_; }
-
-  // Momentum buffers for checkpoint/resume (empty until the first Step with
-  // momentum > 0). Hyperparameters are not included — they come from the config.
-  Bytes SerializeState() const;
-  // False (state unchanged) on a malformed blob.
-  bool RestoreState(const Bytes& data);
 
  private:
   float lr_;

@@ -24,8 +24,6 @@ const char* SectionTypeName(SectionType type) {
       return "raw";
     case SectionType::kModelParams:
       return "model_params";
-    case SectionType::kOptimizerState:
-      return "optimizer_state";
     case SectionType::kKeyMaterial:
       return "key_material";
     case SectionType::kRngState:

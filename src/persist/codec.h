@@ -30,7 +30,6 @@ namespace deta::persist {
 enum class SectionType : uint32_t {
   kRaw = 0,
   kModelParams = 1,
-  kOptimizerState = 2,
   kKeyMaterial = 3,
   kRngState = 4,
   kTrainerState = 5,

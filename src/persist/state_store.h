@@ -27,9 +27,8 @@
 
 namespace deta::persist {
 
-// Atomic durable file write: tmp + fsync + rename + directory fsync. Shared by the
-// StateStore and the model-checkpoint wrappers (nn/checkpoint.h). False on any I/O
-// failure (the tmp file is cleaned up best-effort).
+// Atomic durable file write: tmp + fsync + rename + directory fsync, used by the
+// StateStore. False on any I/O failure (the tmp file is cleaned up best-effort).
 bool AtomicWriteFile(const std::string& path, const Bytes& blob);
 
 // Reads a whole file; nullopt when it cannot be opened.

@@ -139,14 +139,14 @@ TEST(DetaJobTest, MatchesCentralizedBaselineBitExactly) {
   EXPECT_EQ(ffl_result.final_params, deta_result.final_params);
 }
 
-// In key-broker mode each party derives its own layout, and each round's shuffle tables
-// once, holding them from Trans to Trans^-1. The job itself derives no layout.
+// Each party derives its own layout from the key-broker material, and each round's
+// shuffle tables once, holding them from Trans to Trans^-1. The job itself derives no
+// layout.
 TEST(DetaJobTest, EachPartyDerivesEachRoundPermutationOnce) {
   fl::ExecutionOptions base = BaseOptions();
   const int kParties = 3;
   DetaOptions deta_options;
   deta_options.num_aggregators = 2;
-  ASSERT_TRUE(deta_options.use_key_broker);
   // Counted from before construction, so a layout built by the job itself would show.
   const telemetry::TelemetrySnapshot before = telemetry::Snapshot();
   DetaJob deta(base, deta_options, MakePartiesWith(TinyMlpFactory(), kParties, base.train),

@@ -176,29 +176,36 @@ TEST(CrashResumeTest, KeyBrokerCrashDuringEverySetupServeIsLossless) {
   }
 }
 
-// Paillier fusion with the key broker on. A party snapshot holds the fusion key once,
-// inside the sealed broker material, so the revived party decrypts with the key it
-// restored from there: it neither refetches nor gets one from the job config.
+// Paillier fusion in the DeTA shape and in the FFL baseline's. A party snapshot holds
+// the fusion key once, inside the sealed broker material, so the revived party decrypts
+// with the key it restored from there: it does not refetch.
 TEST(CrashResumeTest, PaillierPartyCrashIsLossless) {
-  ASSERT_TRUE(Deployment().use_key_broker);
-  auto run = [](const std::string& dir, bool crash) {
-    fl::ExecutionOptions options = BaseOptions(3, 2, dir);
-    options.use_paillier = true;
-    if (crash) {
-      options.fault_plan.crashes.push_back({"party1", 2});
-    }
-    DetaJob job(options, Deployment(), MakeParties(), TinyMlpFactory(), SmallMnist(40, 6));
-    return job.Run();
-  };
-  fl::JobResult clean = run("", false);
-  ASSERT_TRUE(clean.ok()) << clean.error;
-  fl::JobResult revived = run(UniqueDir("crash_paillier"), true);
-  ASSERT_TRUE(revived.ok()) << revived.error;
-  EXPECT_EQ(revived.final_params, clean.final_params);
-  EXPECT_EQ(revived.telemetry.DeterministicSignature("core.deta_job."),
-            clean.telemetry.DeterministicSignature("core.deta_job."));
-  EXPECT_EQ(revived.telemetry.counters.at("persist.crash.injected"), 1u);
-  EXPECT_GE(revived.telemetry.counters.at("persist.role_revived"), 1u);
+  for (bool ffl : {false, true}) {
+    SCOPED_TRACE(ffl ? "FFL baseline" : "DeTA");
+    auto run = [ffl](const std::string& dir, bool crash) {
+      fl::ExecutionOptions options = BaseOptions(3, 2, dir);
+      options.use_paillier = true;
+      if (crash) {
+        options.fault_plan.crashes.push_back({"party1", 2});
+      }
+      if (ffl) {
+        return RunCentralizedBaseline(options, MakeParties(), TinyMlpFactory(),
+                                      SmallMnist(40, 6));
+      }
+      return DetaJob(options, Deployment(), MakeParties(), TinyMlpFactory(),
+                     SmallMnist(40, 6))
+          .Run();
+    };
+    fl::JobResult clean = run("", false);
+    ASSERT_TRUE(clean.ok()) << clean.error;
+    fl::JobResult revived = run(UniqueDir("crash_paillier"), true);
+    ASSERT_TRUE(revived.ok()) << revived.error;
+    EXPECT_EQ(revived.final_params, clean.final_params);
+    EXPECT_EQ(revived.telemetry.DeterministicSignature("core.deta_job."),
+              clean.telemetry.DeterministicSignature("core.deta_job."));
+    EXPECT_EQ(revived.telemetry.counters.at("persist.crash.injected"), 1u);
+    EXPECT_GE(revived.telemetry.counters.at("persist.role_revived"), 1u);
+  }
 }
 
 TEST(CrashResumeTest, WholeJobResumeMatchesUninterruptedRun) {
@@ -221,8 +228,9 @@ TEST(CrashResumeTest, WholeJobResumeMatchesUninterruptedRun) {
   EXPECT_EQ(resumed.final_params, CleanBaseline(2, 4).final_params);
 }
 
-// Whole-job resume in the baseline shape: one aggregator, no partition/shuffle, and no
-// key broker (parties rebuild their transform from config, not broker material).
+// Whole-job resume in the baseline shape: one aggregator and no partition/shuffle.
+// Parties rebuild their transform from the broker material in their sealed snapshots,
+// as DeTA parties do.
 TEST(CrashResumeTest, FflWholeJobResumeMatchesUninterruptedRun) {
   std::string dir = UniqueDir("modeb_ffl");
   fl::JobResult first = RunCentralizedBaseline(BaseOptions(2, 2, dir), MakeParties(),

@@ -131,6 +131,12 @@ TEST(FflJobTest, PaillierMatchesPlainAveraging) {
 
   ASSERT_TRUE(plain_result.ok()) << plain_result.error;
   ASSERT_TRUE(homomorphic_result.ok()) << homomorphic_result.error;
+  // The baseline's parties get their transform material and the Paillier key from the
+  // key broker, exactly as DeTA parties do: one fetch each.
+  const auto& counters = homomorphic_result.telemetry.counters;
+  auto fetched = counters.find("core.kb.fetch_ok");
+  ASSERT_NE(fetched, counters.end());
+  EXPECT_EQ(fetched->second, 3u);
   const auto& a = plain_result.final_params;
   const auto& b = homomorphic_result.final_params;
   ASSERT_EQ(a.size(), b.size());

@@ -1,14 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
-#include <cstring>
 
 #include "common/check.h"
-#include "nn/checkpoint.h"
 #include "nn/models.h"
 #include "nn/optimizer.h"
-#include "persist/state_store.h"
 
 namespace deta::nn {
 namespace {
@@ -237,79 +233,6 @@ TEST(TrainingTest, LossDecreasesOnToyProblem) {
   EXPECT_LT(loss, first.loss * 0.3f);
   EXPECT_GT(Accuracy(*model, inputs, labels), 0.9);
   EXPECT_LT(MeanLoss(*model, inputs, labels, 3), 0.5);
-}
-
-
-TEST(CheckpointTest, BlobRoundTrip) {
-  // Exact float bit patterns survive the file, including -0.0 and a subnormal.
-  Rng rng(20);
-  auto model = BuildMlp(2, {}, 2, rng);
-  std::vector<float> params = {1.5f, -2.25f, 0.0f, -0.0f, 3.14159f, 1e-40f};
-  ASSERT_EQ(static_cast<int64_t>(params.size()), model->NumParameters());
-  model->SetFlatParams(params);
-  std::string path = ::testing::TempDir() + "/deta_ckpt_blob.bin";
-  ASSERT_TRUE(SaveCheckpointWithOptimizer(*model, nullptr, path));
-
-  Rng other_rng(21);
-  auto restored = BuildMlp(2, {}, 2, other_rng);
-  ASSERT_EQ(LoadCheckpointInto(*restored, nullptr, path), CheckpointStatus::kOk);
-  std::vector<float> back = restored->GetFlatParams();
-  ASSERT_EQ(back.size(), params.size());
-  EXPECT_EQ(std::memcmp(back.data(), params.data(), params.size() * sizeof(float)), 0);
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointTest, CorruptionDetected) {
-  Rng rng(23);
-  auto model = BuildMlp(2, {}, 2, rng);
-  std::string path = ::testing::TempDir() + "/deta_ckpt_corrupt.bin";
-  ASSERT_TRUE(SaveCheckpointWithOptimizer(*model, nullptr, path));
-  std::optional<Bytes> blob = persist::ReadFile(path);
-  ASSERT_TRUE(blob.has_value());
-  for (size_t i = 0; i < blob->size(); i += 11) {
-    Bytes bad = *blob;
-    bad[i] ^= 0x01;
-    ASSERT_TRUE(persist::AtomicWriteFile(path, bad));
-    EXPECT_EQ(LoadCheckpointInto(*model, nullptr, path), CheckpointStatus::kCorrupt)
-        << "byte " << i;
-  }
-  Bytes truncated(blob->begin(), blob->begin() + static_cast<long>(blob->size() / 2));
-  ASSERT_TRUE(persist::AtomicWriteFile(path, truncated));
-  EXPECT_EQ(LoadCheckpointInto(*model, nullptr, path), CheckpointStatus::kCorrupt);
-  ASSERT_TRUE(persist::AtomicWriteFile(path, {}));
-  EXPECT_NE(LoadCheckpointInto(*model, nullptr, path), CheckpointStatus::kOk);
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointTest, FileSaveLoadRestoresModel) {
-  Rng rng(21);
-  auto model = BuildMlp(6, {4}, 3, rng);
-  std::vector<float> original = model->GetFlatParams();
-  std::string path = ::testing::TempDir() + "/deta_ckpt_test.bin";
-  ASSERT_TRUE(SaveCheckpointWithOptimizer(*model, nullptr, path));
-
-  // Perturb, then restore.
-  std::vector<float> perturbed = original;
-  for (auto& v : perturbed) {
-    v += 1.0f;
-  }
-  model->SetFlatParams(perturbed);
-  ASSERT_EQ(LoadCheckpointInto(*model, nullptr, path), CheckpointStatus::kOk);
-  EXPECT_EQ(model->GetFlatParams(), original);
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointTest, ArchitectureMismatchRejected) {
-  Rng rng(22);
-  auto small = BuildMlp(4, {2}, 2, rng);
-  auto big = BuildMlp(8, {4}, 3, rng);  // different parameter count
-  std::string path = ::testing::TempDir() + "/deta_ckpt_mismatch.bin";
-  ASSERT_TRUE(SaveCheckpointWithOptimizer(*small, nullptr, path));
-  EXPECT_EQ(LoadCheckpointInto(*big, nullptr, path),
-            CheckpointStatus::kArchitectureMismatch);
-  EXPECT_EQ(LoadCheckpointInto(*big, nullptr, "/nonexistent/path.bin"),
-            CheckpointStatus::kIoError);
-  std::remove(path.c_str());
 }
 
 }  // namespace

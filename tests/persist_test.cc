@@ -1,19 +1,17 @@
 // Durable snapshot layer tests: codec integrity (any truncation or bit flip is
-// rejected whole), sealed-section confidentiality, the StateStore's
-// generation/retention/fallback behavior, and the model-checkpoint wrapper's typed
-// architecture-mismatch errors.
+// rejected whole, float bits survive exactly), sealed-section confidentiality, and the
+// StateStore's generation/retention/fallback behavior.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 
 #include "common/telemetry.h"
 #include "crypto/chacha20.h"
 #include "net/codec.h"
-#include "nn/checkpoint.h"
-#include "nn/models.h"
 #include "persist/codec.h"
 #include "persist/state_store.h"
 
@@ -45,16 +43,23 @@ Snapshot SampleSnapshot(int round) {
 TEST(PersistCodecTest, RoundTripPreservesEverySection) {
   Snapshot s = SampleSnapshot(7);
   s.generation = 42;
+  // Exact float bit patterns survive, including -0.0 and a subnormal.
+  const std::vector<float> bits = {1.5f, -2.25f, 0.0f, -0.0f, 3.14159f, 1e-40f};
+  s.AddFloats(SectionType::kModelParams, "bits", bits);
   Bytes blob = SerializeSnapshot(s);
   std::optional<Snapshot> parsed = ParseSnapshot(blob);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->role, "unit-role");
   EXPECT_EQ(parsed->round, 7);
   EXPECT_EQ(parsed->generation, 42u);
-  ASSERT_EQ(parsed->sections.size(), 2u);
+  ASSERT_EQ(parsed->sections.size(), 3u);
   auto params = parsed->FindFloats("params");
   ASSERT_TRUE(params.has_value());
   EXPECT_EQ(*params, (std::vector<float>{1.0f, -2.5f, 3.25f, 7.0f}));
+  auto back = parsed->FindFloats("bits");
+  ASSERT_TRUE(back.has_value());
+  ASSERT_EQ(back->size(), bits.size());
+  EXPECT_EQ(std::memcmp(back->data(), bits.data(), bits.size() * sizeof(float)), 0);
   const Section* note = parsed->Find("note");
   ASSERT_NE(note, nullptr);
   EXPECT_EQ(note->type, SectionType::kRaw);
@@ -186,70 +191,3 @@ TEST(StateStoreTest, NoVerifiableGenerationMeansNullopt) {
 
 }  // namespace
 }  // namespace deta::persist
-
-namespace deta::nn {
-namespace {
-
-std::unique_ptr<Model> CheckpointTestModel() {
-  Rng rng(77);
-  return BuildMlp(16, {6}, 4, rng);
-}
-
-TEST(CheckpointTest, SaveLoadRoundTripsParamsAndOptimizerState) {
-  auto model = CheckpointTestModel();
-  Sgd opt(0.1f, 0.9f);
-  // One momentum step so the velocity buffers are non-trivial.
-  std::vector<Tensor> grads;
-  for (const Var& p : model->params()) {
-    const auto& shape = p.shape();
-    size_t numel = 1;
-    for (int d : shape) {
-      numel *= static_cast<size_t>(d);
-    }
-    grads.emplace_back(shape, std::vector<float>(numel, 0.25f));
-  }
-  opt.Step(model->params(), grads);
-  std::vector<float> params = model->GetFlatParams();
-  Bytes opt_state = opt.SerializeState();
-
-  std::string path = ::testing::TempDir() + "ckpt_roundtrip.snap";
-  ASSERT_TRUE(SaveCheckpointWithOptimizer(*model, &opt, path));
-
-  auto restored_model = CheckpointTestModel();
-  Sgd restored_opt(0.1f, 0.9f);
-  EXPECT_EQ(LoadCheckpointInto(*restored_model, &restored_opt, path),
-            CheckpointStatus::kOk);
-  EXPECT_EQ(restored_model->GetFlatParams(), params);
-  EXPECT_EQ(restored_opt.SerializeState(), opt_state);
-}
-
-TEST(CheckpointTest, ArchitectureMismatchIsATypedError) {
-  auto model = CheckpointTestModel();
-  std::string path = ::testing::TempDir() + "ckpt_arch.snap";
-  ASSERT_TRUE(SaveCheckpointWithOptimizer(*model, nullptr, path));
-
-  Rng rng(78);
-  auto other = BuildMlp(16, {7}, 4, rng);  // different hidden width, different shapes
-  EXPECT_EQ(LoadCheckpointInto(*other, nullptr, path),
-            CheckpointStatus::kArchitectureMismatch);
-  EXPECT_EQ(std::string(CheckpointStatusName(CheckpointStatus::kArchitectureMismatch)),
-            "architecture_mismatch");
-}
-
-TEST(CheckpointTest, MissingAndCorruptFilesAreDistinguished) {
-  auto model = CheckpointTestModel();
-  EXPECT_EQ(LoadCheckpointInto(*model, nullptr,
-                               ::testing::TempDir() + "ckpt_does_not_exist.snap"),
-            CheckpointStatus::kIoError);
-
-  std::string path = ::testing::TempDir() + "ckpt_corrupt.snap";
-  ASSERT_TRUE(SaveCheckpointWithOptimizer(*model, nullptr, path));
-  std::optional<Bytes> blob = persist::ReadFile(path);
-  ASSERT_TRUE(blob.has_value());
-  (*blob)[blob->size() / 2] ^= 1;
-  ASSERT_TRUE(persist::AtomicWriteFile(path, *blob));
-  EXPECT_EQ(LoadCheckpointInto(*model, nullptr, path), CheckpointStatus::kCorrupt);
-}
-
-}  // namespace
-}  // namespace deta::nn
