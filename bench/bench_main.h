@@ -7,8 +7,9 @@
 // must-be-zero counters (dropped frames, channel rejects, warnings) stayed zero.
 //
 // The benchmark JSON's context carries the library's build stamp (telemetry::Build) as
-// deta_build_type and deta_cxx_flags; scripts/bench_snapshot.py copies it into each
-// snapshot.
+// deta_build_type and deta_cxx_flags, and the width of the ChaCha20 core the CPU runs
+// (crypto::ChaCha20Lanes) as deta_chacha_lanes; scripts/bench_snapshot.py copies both
+// into each snapshot.
 #ifndef DETA_BENCH_BENCH_MAIN_H_
 #define DETA_BENCH_BENCH_MAIN_H_
 
@@ -18,6 +19,7 @@
 #include <string>
 
 #include "common/telemetry.h"
+#include "crypto/chacha20.h"
 
 #define DETA_BENCH_MAIN()                                                        \
   int main(int argc, char** argv) {                                              \
@@ -26,6 +28,8 @@
     ::deta::telemetry::BuildStamp build = ::deta::telemetry::Build();            \
     ::benchmark::AddCustomContext("deta_build_type", build.type);                \
     ::benchmark::AddCustomContext("deta_cxx_flags", build.cxx_flags);            \
+    ::benchmark::AddCustomContext(                                               \
+        "deta_chacha_lanes", std::to_string(::deta::crypto::ChaCha20Lanes()));   \
     ::benchmark::Initialize(&argc, argv);                                        \
     if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;          \
     ::benchmark::RunSpecifiedBenchmarks();                                       \

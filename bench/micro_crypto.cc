@@ -1,7 +1,8 @@
 // Microbenchmarks for the crypto substrate (google-benchmark): the primitives behind
-// attestation (SHA-256/ECDSA), secure channels (the 4-block ChaCha20 core, Poly1305 and
-// the RFC 8439 ChaCha20-Poly1305 AEAD), shuffling (keyed permutation derivation on the
-// SecureRng stream), and Paillier fusion.
+// attestation (SHA-256/ECDSA), secure channels (the ChaCha20 core at the CPU's width,
+// Poly1305 and the RFC 8439 ChaCha20-Poly1305 AEAD), shuffling (keyed permutation
+// derivation on the SecureRng stream), and Paillier fusion. The width is in the
+// benchmark context (deta_chacha_lanes); rows over the keystream compare only at one.
 #include <benchmark/benchmark.h>
 
 #include "bench_main.h"

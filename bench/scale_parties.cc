@@ -20,6 +20,9 @@
 //   $ ./scale_parties --parties=10000
 //   $ ./scale_parties --mode=tcp               # 64-process TCP cluster
 //   $ ./scale_parties --telemetry-out=out.json # process telemetry for bench_gate.py
+//
+// Besides --mode and --telemetry-out it takes deta_cluster's flags (core::ParseClusterFlags);
+// any other key exits with status 2.
 #include <algorithm>
 #include <cstdio>
 #include <map>
@@ -60,20 +63,8 @@ void Report(const fl::JobResult& result, int parties) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::map<std::string, std::string> flags;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      std::fprintf(stderr, "unrecognized argument: %s\n", arg.c_str());
-      return 2;
-    }
-    size_t eq = arg.find('=');
-    if (eq == std::string::npos) {
-      flags[arg.substr(2)] = "1";
-    } else {
-      flags[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
-    }
-  }
+  std::map<std::string, std::string> flags =
+      core::ParseClusterFlags(argc, argv, {"mode", "telemetry-out"});
   SetLogLevel(flags.count("verbose") != 0 ? LogLevel::kInfo : LogLevel::kWarning);
   std::string mode = flags.count("mode") != 0 ? flags["mode"] : "inproc";
 

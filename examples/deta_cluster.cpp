@@ -10,7 +10,8 @@
 //   $ ./deta_cluster --aggregators=3 --parties=8 --rounds=3 --telemetry-dir=out/
 //   $ ./deta_cluster --config=cluster.toml          # flat `key = value` TOML
 //
-// Flags (all optional; --config values are overridden by explicit flags):
+// Flags (all optional; --config values are overridden by explicit flags; any other key
+// exits with status 2 before a role is spawned):
 //   --parties=N --aggregators=N --rounds=N --seed=N
 //   --algorithm=NAME --paillier=0|1
 //   --examples-per-party=N --eval-examples=N --image-size=N
@@ -21,6 +22,7 @@
 //   --telemetry-dir=DIR                         per-role telemetry JSON under DIR
 //   --drop=F --fault-seed=N                     seeded message-loss injection
 //   --config=FILE                               load flags from a flat TOML file
+//   --verbose                                   log at INFO
 //
 // Internal (added by the parent when spawning children — do not set by hand):
 //   --role=NAME --registry=HOST:PORT
@@ -34,29 +36,7 @@
 using namespace deta;
 
 int main(int argc, char** argv) {
-  std::map<std::string, std::string> flags;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      std::fprintf(stderr, "unrecognized argument: %s\n", arg.c_str());
-      return 2;
-    }
-    size_t eq = arg.find('=');
-    if (eq == std::string::npos) {
-      flags[arg.substr(2)] = "1";
-    } else {
-      flags[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
-    }
-  }
-  auto config_it = flags.find("config");
-  if (config_it != flags.end()) {
-    std::string error;
-    // Merged after the command line, so explicit flags win over the file.
-    if (!core::ParseTomlFile(config_it->second, &flags, &error)) {
-      std::fprintf(stderr, "config error: %s\n", error.c_str());
-      return 2;
-    }
-  }
+  std::map<std::string, std::string> flags = core::ParseClusterFlags(argc, argv);
   SetLogLevel(flags.count("verbose") != 0 ? LogLevel::kInfo : LogLevel::kWarning);
   core::ClusterSpec spec = core::ClusterSpec::FromFlags(flags);
 

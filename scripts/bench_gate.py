@@ -24,7 +24,10 @@ hard error (a renamed/deleted benchmark silently exits the perf trajectory
 otherwise). Fresh rows absent from the baseline are reported but pass — they
 join the gate when the baseline is next regenerated. When both files carry a
 build_type stamp (bench_snapshot.py) and the two differ, the comparison fails
-outright: the build type alone moves the numbers. A file without a stamp passes.
+outright: the build type alone moves the numbers. So does the ChaCha20 core's
+width (chacha_lanes: 4, 8 or 16, the widest the CPU runs), so snapshots taken at
+different widths do not compare either; a runner of another width gates against
+a snapshot taken at its own width. A file without a stamp passes.
 
 Usage:
   scripts/bench_gate.py --baseline BENCH_crypto.json --max-regression 35 fresh.json
@@ -115,6 +118,12 @@ def check_baseline(baseline_path: str, fresh_path: str, max_regression: float) -
     if base_type and fresh_type and base_type != fresh_type:
         return [f"{fresh_path} is a {fresh_type} build but baseline {baseline_path} is "
                 f"{base_type}; compare snapshots of one build type"]
+    base_lanes = baseline_snapshot.get("chacha_lanes")
+    fresh_lanes = fresh_snapshot.get("chacha_lanes")
+    if base_lanes and fresh_lanes and base_lanes != fresh_lanes:
+        return [f"{fresh_path} ran the {fresh_lanes}-lane ChaCha20 core but baseline "
+                f"{baseline_path} the {base_lanes}-lane one; gate against a snapshot "
+                "taken at this CPU's width"]
     baseline = baseline_snapshot["rows"]
     fresh = fresh_snapshot["rows"]
 

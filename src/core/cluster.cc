@@ -7,8 +7,10 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -190,6 +192,45 @@ bool ParseTomlFile(const std::string& path, std::map<std::string, std::string>* 
     out->emplace(key, value);  // existing keys (command-line flags) win
   }
   return true;
+}
+
+std::map<std::string, std::string> ParseClusterFlags(
+    int argc, const char* const* argv, const std::vector<std::string>& program_keys) {
+  std::set<std::string> known = {"config", "role", "registry", "verbose"};
+  known.insert(program_keys.begin(), program_keys.end());
+  for (const std::string& arg : ClusterSpec().ToArgs()) {
+    known.insert(arg.substr(2, arg.find('=') - 2));
+  }
+  std::map<std::string, std::string> flags;
+  std::vector<std::string> errors;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--", 0) != 0) {
+      errors.push_back("unrecognized argument: " + arg);
+      continue;
+    }
+    const size_t eq = arg.find('=');
+    std::string value = eq == std::string::npos ? std::string("1") : arg.substr(eq + 1);
+    flags.insert_or_assign(arg.substr(2, eq == std::string::npos ? eq : eq - 2),
+                           std::move(value));
+  }
+  auto config = flags.find("config");
+  std::string error;
+  if (config != flags.end() && !ParseTomlFile(config->second, &flags, &error)) {
+    errors.push_back("config error: " + error);
+  }
+  for (const auto& [key, value] : flags) {
+    if (known.count(key) == 0) {
+      errors.push_back("unknown flag --" + key);
+    }
+  }
+  if (!errors.empty()) {
+    for (const std::string& e : errors) {
+      std::fprintf(stderr, "%s: %s\n", argc > 0 ? argv[0] : "deta", e.c_str());
+    }
+    std::exit(2);
+  }
+  return flags;
 }
 
 // --- job derivation ---

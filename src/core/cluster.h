@@ -7,7 +7,8 @@
 //
 // The spec round-trips through --key=value flags (ToArgs/FromFlags) so the parent can
 // re-exec itself for each child role, and loads from a flat `key = value` TOML file
-// (ParseTomlFile) for scripted deployments. The builders below are shared with the
+// (ParseTomlFile) for scripted deployments. ParseClusterFlags is the one command-line
+// parser of the programs built on it, and it rejects keys nobody reads. The builders below are shared with the
 // scale harness (bench/scale_parties.cc) and the transport conformance tests, which is
 // what anchors the "same spec => same bits on any backend" guarantee.
 #ifndef DETA_CORE_CLUSTER_H_
@@ -73,6 +74,8 @@ struct ClusterSpec {
   // Flag round-trip: ToArgs() emits exactly the --key=value pairs FromFlags() reads.
   std::vector<std::string> ToArgs() const;
   static ClusterSpec FromFlags(const std::map<std::string, std::string>& flags);
+
+  bool operator==(const ClusterSpec&) const = default;
 };
 
 // Flat `key = value` TOML subset (comments, quoted strings, ints, floats, bools;
@@ -81,6 +84,15 @@ struct ClusterSpec {
 // syntax problems.
 bool ParseTomlFile(const std::string& path, std::map<std::string, std::string>* out,
                    std::string* error);
+
+// The command line of a program built on ClusterSpec: --key=value flags (a bare --key
+// reads as "1"), then the keys of the TOML file --config names, where the command line
+// has not set them. Besides FromFlags' keys it accepts config, role and registry (the
+// child-role handoff LaunchCluster appends), verbose, and |program_keys|. Anything else
+// (an argument that is not a flag, a key no one reads, a bad --config file) is printed
+// to stderr, all of it, and the process exits with status 2.
+std::map<std::string, std::string> ParseClusterFlags(
+    int argc, const char* const* argv, const std::vector<std::string>& program_keys = {});
 
 // --- job derivation (identical in every process of a deployment) ---
 

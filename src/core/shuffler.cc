@@ -1,5 +1,6 @@
 #include "core/shuffler.h"
 
+#include <algorithm>
 #include <numeric>
 
 #include "common/check.h"
@@ -15,9 +16,23 @@ std::vector<uint32_t> SeededPermutation(crypto::SecureRng& rng, size_t n) {
   DETA_CHECK_LT(n, size_t{1} << 32);
   std::vector<uint32_t> table(n);
   std::iota(table.begin(), table.end(), 0u);
-  for (size_t i = n; i > 1; --i) {
-    std::swap(table[i - 1], table[static_cast<size_t>(rng.NextBelow(i))]);
+  // The draws do not depend on the table, so each batch of them is taken first and its
+  // swap targets prefetched. The swaps then run in the one-at-a-time order, and a large
+  // table's cache misses overlap instead of coming one after another.
+  constexpr size_t kBatch = 32;
+  uint32_t targets[kBatch];
+  for (size_t i = n; i > 1;) {
+    const size_t batch = std::min(kBatch, i - 1);
+    for (size_t k = 0; k < batch; ++k) {
+      targets[k] = static_cast<uint32_t>(rng.NextBelow(i - k));
+      __builtin_prefetch(&table[targets[k]], 1);
+    }
+    for (size_t k = 0; k < batch; ++k) {
+      std::swap(table[i - 1 - k], table[targets[k]]);
+    }
+    i -= batch;
   }
+  crypto::SecureWipe(targets, sizeof(targets));
   return table;
 }
 

@@ -21,7 +21,8 @@
 namespace deta::core {
 
 // The one seeded Fisher-Yates behind both the model mapper's layout and the per-round
-// shuffle: iota, then for i = n..2 swap(t[i-1], t[rng.NextBelow(i)]). Requires n < 2^32.
+// shuffle: iota, then for i = n..2 swap(t[i-1], t[rng.NextBelow(i)]), the draws taken in
+// batches with their swap targets prefetched. Requires n < 2^32.
 std::vector<uint32_t> SeededPermutation(crypto::SecureRng& rng, size_t n);
 
 // A permutation table that wipes itself when destroyed or overwritten: a round's table

@@ -11,8 +11,9 @@ namespace {
 
 // RFC 8439 §2.8's limit: the 32-bit block counter covers 2^32 - 1 blocks after block 0.
 constexpr uint64_t kMaxDataSize = (uint64_t{1} << 38) - 64;
-// Seal encrypts and MACs this much at a time, so the MAC reads each chunk from cache.
-constexpr size_t kSealChunk = 16 * 1024;
+// Seal and Open run the cipher and the MAC over this much at a time, so the second pass
+// over a chunk reads it from cache.
+constexpr size_t kChunk = 16 * 1024;
 
 // The Poly1305 key for (key, nonce): the first 32 bytes of keystream block 0.
 Secret<std::array<uint8_t, kPoly1305KeySize>> OneTimeKey(
@@ -48,9 +49,8 @@ void ChaCha20Poly1305Seal(const std::array<uint8_t, kChaChaKeySize>& key,
   Poly1305 mac(one_time_key.ExposeForCrypto());
   mac.Update(associated_data);
   mac.PadToBlock();
-  for (size_t offset = 0; offset < data.size(); offset += kSealChunk) {
-    std::span<uint8_t> chunk =
-        data.subspan(offset, std::min(kSealChunk, data.size() - offset));
+  for (size_t offset = 0; offset < data.size(); offset += kChunk) {
+    std::span<uint8_t> chunk = data.subspan(offset, std::min(kChunk, data.size() - offset));
     ChaCha20XorInPlace(key, nonce, static_cast<uint32_t>(1 + offset / kChaChaBlockSize),
                        chunk);
     mac.Update(chunk);
@@ -72,15 +72,23 @@ std::optional<Bytes> ChaCha20Poly1305Open(const std::array<uint8_t, kChaChaKeySi
   Poly1305 mac(one_time_key.ExposeForCrypto());
   mac.Update(associated_data);
   mac.PadToBlock();
-  mac.Update(ciphertext);
+  // One pass: each chunk is MACed, then decrypted while it is in cache. The plaintext
+  // leaves only once the tag matches.
+  Bytes plaintext(ciphertext.size());
+  for (size_t offset = 0; offset < ciphertext.size(); offset += kChunk) {
+    size_t n = std::min(kChunk, ciphertext.size() - offset);
+    std::span<const uint8_t> chunk = ciphertext.subspan(offset, n);
+    mac.Update(chunk);
+    ChaCha20Xor(key, nonce, static_cast<uint32_t>(1 + offset / kChaChaBlockSize), chunk,
+                std::span<uint8_t>(plaintext).subspan(offset, n));
+  }
   std::array<uint8_t, kAeadTagSize> expected =
       FinishTag(mac, associated_data.size(), ciphertext.size());
   if (!ConstantTimeEqual(Bytes(expected.begin(), expected.end()),
                          Bytes(tag.begin(), tag.end()))) {
+    SecureWipe(plaintext);
     return std::nullopt;
   }
-  Bytes plaintext(ciphertext.size());
-  ChaCha20Xor(key, nonce, 1, ciphertext, plaintext);
   return plaintext;
 }
 

@@ -1,6 +1,7 @@
 // Poly1305 one-time authenticator (RFC 8439 §2.5), the MAC half of ChaCha20-Poly1305
 // (crypto/aead.h). The accumulator and r run on 44/44/42-bit limbs with 128-bit
-// products, the idiom the EC and Montgomery kernels use.
+// products, the idiom the EC and Montgomery kernels use. Whole 64-byte runs fold four
+// blocks into one carry chain with r^2, r^3 and r^4; the rest goes one block at a time.
 //
 // A key authenticates exactly one message: ChaCha20-Poly1305 derives a fresh one from
 // keystream block 0 of every (key, nonce). The object holds the key and the running
@@ -35,7 +36,8 @@ class Poly1305 {
   // partial block, which carries its own 0x01 terminator.
   void Blocks(const uint8_t* data, size_t len, uint64_t hibit);
 
-  uint64_t r_[3];
+  // r, r^2, r^3 and r^4 (mod p).
+  uint64_t r_[4][3];
   uint64_t h_[3] = {0, 0, 0};
   uint64_t pad_[2];
   uint8_t buffer_[16];

@@ -115,5 +115,23 @@ TEST(ShufflerTest, CoordinateWiseAggregationCommutes) {
   }
 }
 
+// SeededPermutation draws its swap targets in batches; the table must be the one the
+// one-draw-at-a-time Fisher-Yates gives from the same stream, at every batch tail.
+TEST(ShufflerTest, BatchedDrawsMatchOneDrawAtATime) {
+  for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{31}, size_t{32}, size_t{33},
+                   size_t{34}, size_t{65}, size_t{1000}, size_t{4099}}) {
+    crypto::SecureRng rng(StringToBytes("batched-" + std::to_string(n)));
+    crypto::SecureRng reference_rng(StringToBytes("batched-" + std::to_string(n)));
+    std::vector<uint32_t> expected(n);
+    std::iota(expected.begin(), expected.end(), 0u);
+    for (size_t i = n; i > 1; --i) {
+      std::swap(expected[i - 1], expected[reference_rng.NextBelow(i)]);
+    }
+    EXPECT_EQ(SeededPermutation(rng, n), expected) << "n " << n;
+    // Both streams end at the same point.
+    EXPECT_EQ(rng.NextU64(), reference_rng.NextU64()) << "n " << n;
+  }
+}
+
 }  // namespace
 }  // namespace deta::core

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "aead_kat_vectors.h"
@@ -40,16 +41,133 @@ TEST(Poly1305Test, Rfc8439Section252) {
   EXPECT_EQ(ToHex(TagBytes(Poly1305Mac(key, message))), "a8061dc1305136c6c22b8baf0c0127a9");
 }
 
-TEST(Poly1305Test, IncrementalMatchesOneShot) {
+// The one-block-at-a-time Poly1305 the 4-block kernel replaced, kept as an oracle: one
+// carry chain per 16-byte block.
+std::array<uint8_t, kPoly1305TagSize> OracleMac(std::span<const uint8_t> key,
+                                                std::span<const uint8_t> message) {
+  using U128 = unsigned __int128;
+  constexpr uint64_t kMask44 = (uint64_t{1} << 44) - 1;
+  constexpr uint64_t kMask42 = (uint64_t{1} << 42) - 1;
+  auto load = [](const uint8_t* p) {
+    uint64_t v = 0;
+    for (int i = 7; i >= 0; --i) {
+      v = (v << 8) | p[i];
+    }
+    return v;
+  };
+  const uint64_t t0 = load(key.data());
+  const uint64_t t1 = load(key.data() + 8);
+  const uint64_t r0 = t0 & 0xffc0fffffffULL;
+  const uint64_t r1 = ((t0 >> 44) | (t1 << 20)) & 0xfffffc0ffffULL;
+  const uint64_t r2 = (t1 >> 24) & 0x00ffffffc0fULL;
+  const uint64_t s1 = r1 * 20;
+  const uint64_t s2 = r2 * 20;
+  uint64_t h0 = 0;
+  uint64_t h1 = 0;
+  uint64_t h2 = 0;
+  for (size_t offset = 0; offset < message.size(); offset += 16) {
+    uint8_t block[16] = {};
+    size_t n = std::min<size_t>(16, message.size() - offset);
+    std::copy_n(message.begin() + static_cast<long>(offset), n, block);
+    uint64_t hibit = uint64_t{1} << 40;
+    if (n < 16) {
+      block[n] = 1;
+      hibit = 0;
+    }
+    uint64_t m0 = load(block);
+    uint64_t m1 = load(block + 8);
+    h0 += m0 & kMask44;
+    h1 += ((m0 >> 44) | (m1 << 20)) & kMask44;
+    h2 += ((m1 >> 24) & kMask42) | hibit;
+    U128 d0 = U128{h0} * r0 + U128{h1} * s2 + U128{h2} * s1;
+    U128 d1 = U128{h0} * r1 + U128{h1} * r0 + U128{h2} * s2;
+    U128 d2 = U128{h0} * r2 + U128{h1} * r1 + U128{h2} * r0;
+    uint64_t c = static_cast<uint64_t>(d0 >> 44);
+    h0 = static_cast<uint64_t>(d0) & kMask44;
+    d1 += c;
+    c = static_cast<uint64_t>(d1 >> 44);
+    h1 = static_cast<uint64_t>(d1) & kMask44;
+    d2 += c;
+    c = static_cast<uint64_t>(d2 >> 42);
+    h2 = static_cast<uint64_t>(d2) & kMask42;
+    h0 += c * 5;
+    c = h0 >> 44;
+    h0 &= kMask44;
+    h1 += c;
+  }
+  // Carry fully, subtract p when h >= p, then add the pad mod 2^128.
+  for (int pass = 0; pass < 2; ++pass) {
+    h2 += h1 >> 44;
+    h1 &= kMask44;
+    h0 += (h2 >> 42) * 5;
+    h2 &= kMask42;
+    h1 += h0 >> 44;
+    h0 &= kMask44;
+  }
+  uint64_t g0 = h0 + 5;
+  uint64_t g1 = h1 + (g0 >> 44);
+  g0 &= kMask44;
+  uint64_t g2 = h2 + (g1 >> 44) - (uint64_t{1} << 42);
+  g1 &= kMask44;
+  if ((g2 >> 63) == 0) {
+    h0 = g0;
+    h1 = g1;
+    h2 = g2;
+  }
+  U128 lo = U128{h0 | (h1 << 44)} + load(key.data() + 16);
+  uint64_t hi = ((h1 >> 20) | (h2 << 24)) + load(key.data() + 24) +
+                static_cast<uint64_t>(lo >> 64);
+  std::array<uint8_t, kPoly1305TagSize> tag;
+  for (int i = 0; i < 8; ++i) {
+    tag[i] = static_cast<uint8_t>(static_cast<uint64_t>(lo) >> (8 * i));
+    tag[8 + i] = static_cast<uint8_t>(hi >> (8 * i));
+  }
+  return tag;
+}
+
+TEST(Poly1305Test, OracleMatchesRfc8439Section252) {
   auto key = HexArray<kPoly1305KeySize>(
       "85d6be7857556d337f4452fe42d506a80103808afb0db2fd4abff6af4149f51b");
+  Bytes message = StringToBytes("Cryptographic Forum Research Group");
+  EXPECT_EQ(ToHex(TagBytes(OracleMac(key, message))), "a8061dc1305136c6c22b8baf0c0127a9");
+}
+
+// Every length 0-300, whole and split at points on both sides of the 64-byte steps,
+// against the one-block oracle. The all-ones key and message put every limb at its
+// largest, where the 4-block sums come closest to their bound.
+TEST(Poly1305Test, IncrementalMatchesOneShot) {
+  std::array<uint8_t, kPoly1305KeySize> ones;
+  ones.fill(0xff);
+  const std::array<uint8_t, kPoly1305KeySize> keys[] = {
+      HexArray<kPoly1305KeySize>(
+          "85d6be7857556d337f4452fe42d506a80103808afb0db2fd4abff6af4149f51b"),
+      ones};
+  const Bytes messages[] = {Pattern(300, 5), Bytes(300, 0xff)};
+  for (const auto& key : keys) {
+    for (const Bytes& message : messages) {
+      for (size_t len = 0; len <= message.size(); ++len) {
+        std::span<const uint8_t> prefix = std::span<const uint8_t>(message).first(len);
+        auto expected = OracleMac(key, prefix);
+        ASSERT_EQ(Poly1305Mac(key, prefix), expected) << "length " << len;
+        for (size_t split : {1u, 15u, 16u, 17u, 48u, 63u, 64u, 65u, 80u, 127u, 129u, 200u}) {
+          if (split > len) {
+            continue;
+          }
+          Poly1305 mac(key);
+          mac.Update(prefix.first(split));
+          mac.Update(prefix.subspan(split));
+          ASSERT_EQ(mac.Finish(), expected) << "length " << len << " split " << split;
+        }
+      }
+    }
+  }
   Bytes message = Pattern(1000, 5);
-  auto one_shot = Poly1305Mac(key, message);
+  auto expected = OracleMac(keys[0], message);
   for (size_t split : {0u, 1u, 15u, 16u, 17u, 33u, 500u, 999u, 1000u}) {
-    Poly1305 mac(key);
+    Poly1305 mac(keys[0]);
     mac.Update(std::span<const uint8_t>(message).first(split));
     mac.Update(std::span<const uint8_t>(message).subspan(split));
-    EXPECT_EQ(mac.Finish(), one_shot) << "split " << split;
+    EXPECT_EQ(mac.Finish(), expected) << "1000 bytes, split " << split;
   }
 }
 
@@ -157,6 +275,11 @@ TEST_F(AeadTest, DistinctNoncesPerSeal) {
   EXPECT_NE(f1, f2);
 }
 
+// Open MACs and decrypts 16 KiB at a time. This plaintext ends in a partial third chunk,
+// where the tamper tests below also flip, cut or mis-key.
+constexpr size_t kLongPlaintext = 2 * 16 * 1024 + 7000;
+constexpr size_t kLastChunk = kChaChaNonceSize + 2 * 16 * 1024;
+
 TEST_F(AeadTest, TamperedCiphertextRejected) {
   Bytes frame = aead_.Seal(StringToBytes("secret"), {}, rng_);
   for (size_t i = 0; i < frame.size(); i += 7) {
@@ -164,11 +287,20 @@ TEST_F(AeadTest, TamperedCiphertextRejected) {
     bad[i] ^= 0x01;
     EXPECT_FALSE(aead_.Open(bad, {}).has_value()) << "byte " << i;
   }
+  Bytes long_frame = aead_.Seal(Pattern(kLongPlaintext, 9), {}, rng_);
+  ASSERT_TRUE(aead_.Open(long_frame, {}).has_value());
+  for (size_t i = kLastChunk; i < long_frame.size(); i += 101) {
+    Bytes bad = long_frame;
+    bad[i] ^= 0x01;
+    EXPECT_FALSE(aead_.Open(bad, {}).has_value()) << "long frame byte " << i;
+  }
 }
 
 TEST_F(AeadTest, WrongAssociatedDataRejected) {
   Bytes frame = aead_.Seal(StringToBytes("secret"), StringToBytes("chan-A"), rng_);
   EXPECT_FALSE(aead_.Open(frame, StringToBytes("chan-B")).has_value());
+  Bytes long_frame = aead_.Seal(Pattern(kLongPlaintext, 9), StringToBytes("chan-A"), rng_);
+  EXPECT_FALSE(aead_.Open(long_frame, StringToBytes("chan-B")).has_value());
 }
 
 TEST_F(AeadTest, TruncatedFrameRejected) {
@@ -176,12 +308,17 @@ TEST_F(AeadTest, TruncatedFrameRejected) {
   Bytes truncated(frame.begin(), frame.begin() + 10);
   EXPECT_FALSE(aead_.Open(truncated, {}).has_value());
   EXPECT_FALSE(aead_.Open({}, {}).has_value());
+  Bytes long_frame = aead_.Seal(Pattern(kLongPlaintext, 9), {}, rng_);
+  Bytes cut(long_frame.begin(), long_frame.end() - 100);
+  EXPECT_FALSE(aead_.Open(cut, {}).has_value());
 }
 
 TEST_F(AeadTest, WrongKeyRejected) {
   Aead other(StringToBytes("different-key"));
   Bytes frame = aead_.Seal(StringToBytes("secret"), {}, rng_);
   EXPECT_FALSE(other.Open(frame, {}).has_value());
+  Bytes long_frame = aead_.Seal(Pattern(kLongPlaintext, 9), {}, rng_);
+  EXPECT_FALSE(other.Open(long_frame, {}).has_value());
 }
 
 TEST_F(AeadTest, FrameLeavesHeadroomAndCarriesA16ByteTag) {

@@ -1,8 +1,10 @@
 // SHA-256 / HMAC / HKDF / ChaCha20 against published test vectors (FIPS 180-4 examples,
-// RFC 4231, RFC 5869, RFC 8439), the 4-block ChaCha20 core against the scalar block
-// function it replaced, and SecureRng's stream against a digest pinned before that change.
+// RFC 4231, RFC 5869, RFC 8439), every width of the ChaCha20 core against the scalar block
+// function it replaced, and SecureRng's stream against that function and a digest pinned
+// before the vector core.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 
@@ -194,37 +196,71 @@ Bytes OracleXor(const std::array<uint8_t, kChaChaKeySize>& key,
   return out;
 }
 
+// Three 16-lane batches plus 63 bytes: whole and partial batches and every tail length at
+// each width.
+constexpr size_t kOracleLength = 3 * 16 * kChaChaBlockSize + 63;
+
+// Every width this CPU runs, through ChaCha20Kernels(), not only the one the process
+// picked.
 TEST(ChaCha20Test, CoreMatchesScalarOracleAtEveryLength) {
   SecureRng rng(StringToBytes("oracle"));
   auto key = rng.NextArray<kChaChaKeySize>();
   auto nonce = rng.NextArray<kChaChaNonceSize>();
-  Bytes data = rng.NextBytes(1100);
-  for (size_t n = 0; n <= data.size(); ++n) {
-    Bytes prefix(data.begin(), data.begin() + static_cast<long>(n));
-    Bytes expected = OracleXor(key, nonce, 7, prefix);
-    ASSERT_EQ(ChaCha20Xor(key, nonce, 7, prefix), expected) << "length " << n;
-    ChaCha20XorInPlace(key, nonce, 7, prefix);
-    ASSERT_EQ(prefix, expected) << "in place, length " << n;
+  Bytes data = rng.NextBytes(kOracleLength);
+  // A prefix's output is the prefix of the whole output.
+  Bytes expected = OracleXor(key, nonce, 7, data);
+  for (const ChaCha20Kernel& kernel : ChaCha20Kernels()) {
+    SCOPED_TRACE(std::to_string(kernel.lanes) + " lanes");
+    for (size_t n = 0; n <= data.size(); ++n) {
+      // Out of place, into a buffer whose guard bytes past n must survive.
+      Bytes out(n + 64, 0xee);
+      kernel.xor_stream(key, nonce, 7, data.data(), out.data(), n);
+      ASSERT_TRUE(std::equal(out.begin(), out.begin() + static_cast<long>(n),
+                             expected.begin()))
+          << "length " << n;
+      ASSERT_EQ(Bytes(out.begin() + static_cast<long>(n), out.end()), Bytes(64, 0xee))
+          << "length " << n;
+      Bytes in_place(data.begin(), data.begin() + static_cast<long>(n));
+      kernel.xor_stream(key, nonce, 7, in_place.data(), in_place.data(), n);
+      ASSERT_TRUE(std::equal(in_place.begin(), in_place.end(), expected.begin()))
+          << "in place, length " << n;
+    }
   }
+  EXPECT_EQ(ChaCha20Xor(key, nonce, 7, data), expected);
+  ChaCha20XorInPlace(key, nonce, 7, data);
+  EXPECT_EQ(data, expected);
 }
 
+// From 0xfffffff0 the lanes of one 16-lane batch wrap at different positions.
 TEST(ChaCha20Test, CounterWrapsWithoutTouchingTheNonce) {
   SecureRng rng(StringToBytes("wrap"));
   auto key = rng.NextArray<kChaChaKeySize>();
   auto nonce = rng.NextArray<kChaChaNonceSize>();
-  Bytes data = rng.NextBytes(1100);
-  for (uint32_t counter = 0xfffffffb; counter != 0; ++counter) {
-    EXPECT_EQ(ChaCha20Xor(key, nonce, counter, data), OracleXor(key, nonce, counter, data))
-        << "counter " << counter;
+  Bytes data = rng.NextBytes(kOracleLength);
+  for (uint32_t counter = 0xfffffff0; counter != 0; ++counter) {
+    Bytes expected = OracleXor(key, nonce, counter, data);
+    for (const ChaCha20Kernel& kernel : ChaCha20Kernels()) {
+      Bytes out(data.size());
+      kernel.xor_stream(key, nonce, counter, data.data(), out.data(), data.size());
+      EXPECT_EQ(out, expected) << "counter " << counter << ", " << kernel.lanes << " lanes";
+    }
+    EXPECT_EQ(ChaCha20Xor(key, nonce, counter, data), expected) << "counter " << counter;
     std::array<uint8_t, kChaChaBatchSize> blocks;
     ChaCha20Blocks(key, nonce, counter, blocks);
     for (uint32_t j = 0; j < 4; ++j) {
-      uint8_t expected[64];
-      OracleBlock(key, nonce, counter + j, expected);
-      EXPECT_EQ(0, std::memcmp(blocks.data() + 64 * j, expected, 64))
+      uint8_t block[64];
+      OracleBlock(key, nonce, counter + j, block);
+      EXPECT_EQ(0, std::memcmp(blocks.data() + 64 * j, block, 64))
           << "counter " << counter << " lane " << j;
     }
   }
+}
+
+TEST(ChaCha20Test, PickedWidthIsTheWidestSupported) {
+  std::vector<ChaCha20Kernel> kernels = ChaCha20Kernels();
+  ASSERT_FALSE(kernels.empty());
+  EXPECT_EQ(kernels.front().lanes, 4);
+  EXPECT_EQ(ChaCha20Lanes(), kernels.back().lanes);
 }
 
 TEST(SecureRngTest, DeterministicFromSeed) {
@@ -353,6 +389,33 @@ TEST(SecureRngTest, KnownAnswerDigest) {
   auto digest = h.Finish();
   EXPECT_EQ(ToHex(Bytes(digest.begin(), digest.end())),
             "1943405a2e18bcca3d862044aa2a3567df66543eedaa92bdb5970dacf2f5307e");
+}
+
+// Whole refills up to block 2^32, single blocks where a whole one would cross it, then the
+// next nonce: the stream is the oracle's blocks in order, from any start.
+TEST(SecureRngTest, RefillsFollowTheOracleAcrossTheNonceRollover) {
+  const std::array<uint8_t, kChaChaNonceSize> nonce = {0xff, 0x01, 0x02, 0x03, 0x04, 0x05,
+                                                       0x06, 0x07, 0x08, 0x09, 0x0a, 0x0b};
+  std::array<uint8_t, kChaChaNonceSize> next_nonce = nonce;
+  next_nonce[0] = 0x00;
+  next_nonce[1] = 0x02;
+  std::array<uint8_t, kChaChaKeySize> key;  // CraftedState's
+  for (size_t i = 0; i < key.size(); ++i) {
+    key[i] = static_cast<uint8_t>(7 * i + 1);
+  }
+  for (uint32_t start : {0xffffffb0u, 0xffffffe5u, 0xfffffff0u, 0xfffffff1u, 0xffffffffu}) {
+    SecureRng rng(StringToBytes("unrelated seed"));
+    ASSERT_TRUE(rng.RestoreState(CraftedState(nonce, start, {}, 0)));
+    Bytes expected;
+    uint32_t counter = start;
+    for (int block = 0; block < 100; ++block) {
+      uint8_t out[64];
+      OracleBlock(key, counter >= start ? nonce : next_nonce, counter, out);
+      expected.insert(expected.end(), out, out + 64);
+      ++counter;
+    }
+    EXPECT_EQ(rng.NextBytes(expected.size()), expected) << "start " << start;
+  }
 }
 
 }  // namespace
