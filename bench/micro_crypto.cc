@@ -7,7 +7,6 @@
 
 #include "bench_main.h"
 
-#include "common/check.h"
 #include "common/parallel.h"
 #include "core/model_mapper.h"
 #include "core/shuffler.h"
@@ -200,10 +199,7 @@ void BM_BigUintGcd(benchmark::State& state) {
 }
 BENCHMARK(BM_BigUintGcd)->Arg(256)->Arg(1024);
 
-// CRT decryption (the library's only decrypt path) vs. the textbook lambda/mu
-// decryption as the reference row. Both produce the same plaintext; the gap is the win.
-// The key holds only p and q, so the reference row's fixture derives lambda, mu and
-// the n^2 Montgomery context outside the timed loop.
+// Decryption, by CRT over p² and q²: the library's only decrypt path.
 void BM_PaillierDecryptCrt(benchmark::State& state) {
   SecureRng rng(StringToBytes("bench"));
   PaillierKeyPair key = GeneratePaillierKey(rng, 256);
@@ -213,27 +209,6 @@ void BM_PaillierDecryptCrt(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PaillierDecryptCrt);
-
-void BM_PaillierDecryptLambda(benchmark::State& state) {
-  SecureRng rng(StringToBytes("bench"));
-  PaillierKeyPair key = GeneratePaillierKey(rng, 256);
-  BigUint c = key.pub.Encrypt(BigUint(42), rng);
-  const BigUint& n = key.pub.n();
-  MontgomeryContext mont_n2(n.Mul(n));
-  // lambda = lcm(p-1, q-1), mu = L(g^lambda mod n^2)^-1 mod n with g = n + 1.
-  BigUint p1 = key.priv.p().ExposeForCrypto().Sub(BigUint(1));
-  BigUint q1 = key.priv.q().ExposeForCrypto().Sub(BigUint(1));
-  BigUint lambda = p1.Mul(q1) / BigUint::Gcd(p1, q1);
-  BigUint mu;
-  DETA_CHECK(BigUint::InvMod(
-      mont_n2.PowMod(n.Add(BigUint(1)), lambda).Sub(BigUint(1)) / n, n, &mu));
-  for (auto _ : state) {
-    // m = L(c^lambda mod n^2) * mu mod n, L(u) = (u - 1) / n.
-    BigUint u = mont_n2.PowMod(c, lambda);
-    benchmark::DoNotOptimize(BigUint::MulMod(u.Sub(BigUint(1)) / n, mu, n));
-  }
-}
-BENCHMARK(BM_PaillierDecryptLambda);
 
 // Packed hot path at several pack widths: narrower lanes pack more values per
 // ciphertext, dividing the per-coordinate exponentiation cost (items/s is the

@@ -3,7 +3,7 @@
 //   $ ./deta_run --dataset=mnist --parties=4 --aggregators=3 --rounds=5
 //   $ ./deta_run --algorithm=coordinate_median --shuffle=1 --compare-baseline=1
 //
-// Flags (all optional):
+// Flags (all optional; an unknown flag exits 2 naming it):
 //   --dataset=mnist|cifar10|rvlcdip      workload preset           (default mnist)
 //   --parties=N                          number of parties         (default 4)
 //   --aggregators=N                      number of DeTA aggregators (default 3)
@@ -25,61 +25,24 @@
 //   --threads=N                          worker threads for aggregation/crypto hot paths
 //                                        (0 = hardware concurrency; results are bitwise
 //                                        identical for any value)
-//   --checkpoint-dir=DIR                 durable per-role snapshots under DIR (src/persist/)
-//   --checkpoint-every=N                 snapshot cadence in rounds (default 1)
+//   --checkpoint-dir=DIR                 durable per-role snapshots under DIR after every
+//                                        round (src/persist/)
 //   --resume=0|1                         resume from the newest job snapshot in
 //                                        --checkpoint-dir instead of starting fresh
 //   --telemetry-out=FILE                 write the run's telemetry snapshot as JSON
+//   --verbose                            info-level logging
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <string>
 
 #include "common/logging.h"
 #include "common/telemetry.h"
+#include "core/cluster.h"
 #include "core/deta_job.h"
 
 using namespace deta;
 
 namespace {
-
-struct Flags {
-  std::map<std::string, std::string> values;
-
-  static Flags Parse(int argc, char** argv) {
-    Flags flags;
-    for (int i = 1; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) {
-        std::fprintf(stderr, "unrecognized argument: %s\n", arg.c_str());
-        std::exit(2);
-      }
-      size_t eq = arg.find('=');
-      if (eq == std::string::npos) {
-        flags.values[arg.substr(2)] = "1";
-      } else {
-        flags.values[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
-      }
-    }
-    return flags;
-  }
-
-  std::string Get(const std::string& key, const std::string& fallback) const {
-    auto it = values.find(key);
-    return it == values.end() ? fallback : it->second;
-  }
-  int GetInt(const std::string& key, int fallback) const {
-    auto it = values.find(key);
-    return it == values.end() ? fallback : std::atoi(it->second.c_str());
-  }
-  double GetDouble(const std::string& key, double fallback) const {
-    auto it = values.find(key);
-    return it == values.end() ? fallback : std::atof(it->second.c_str());
-  }
-  bool GetBool(const std::string& key, bool fallback) const {
-    return GetInt(key, fallback ? 1 : 0) != 0;
-  }
-};
 
 struct Workload {
   std::function<data::Dataset(int, uint64_t)> make;
@@ -129,45 +92,55 @@ Workload ResolveWorkload(const std::string& name, uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags = Flags::Parse(argc, argv);
-  SetLogLevel(flags.GetBool("verbose", false) ? LogLevel::kInfo : LogLevel::kWarning);
+  const std::map<std::string, std::string> flags = core::ParseFlags(
+      argc, argv,
+      {"dataset", "parties", "aggregators", "rounds", "local-epochs", "batch", "lr",
+       "algorithm", "fedsgd", "partition", "shuffle", "paillier", "ldp", "ldp-sigma",
+       "ldp-clip", "noniid", "train-examples", "eval-examples", "compare-baseline",
+       "seed", "threads", "checkpoint-dir", "resume", "telemetry-out", "verbose"});
+  auto get_int = [&flags](const std::string& key, int fallback) {
+    return core::FlagInt(flags, key, fallback);
+  };
+  auto get_double = [&flags](const std::string& key, double fallback) {
+    return core::FlagDouble(flags, key, fallback);
+  };
+  SetLogLevel(get_int("verbose", 0) != 0 ? LogLevel::kInfo : LogLevel::kWarning);
 
-  uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1234));
-  Workload workload = ResolveWorkload(flags.Get("dataset", "mnist"), seed);
-  int parties = flags.GetInt("parties", 4);
-  int train_examples = flags.GetInt("train-examples", 200 * parties);
-  int eval_examples = flags.GetInt("eval-examples", 150);
+  uint64_t seed = static_cast<uint64_t>(get_int("seed", 1234));
+  Workload workload = ResolveWorkload(core::FlagOr(flags, "dataset", "mnist"), seed);
+  int parties = get_int("parties", 4);
+  int train_examples = get_int("train-examples", 200 * parties);
+  int eval_examples = get_int("eval-examples", 150);
 
   fl::TrainConfig train;
-  train.batch_size = flags.GetInt("batch", 32);
-  train.local_epochs = flags.GetInt("local-epochs", 1);
-  train.lr = static_cast<float>(flags.GetDouble("lr", 0.08));
-  if (flags.GetBool("fedsgd", false)) {
+  train.batch_size = get_int("batch", 32);
+  train.local_epochs = get_int("local-epochs", 1);
+  train.lr = static_cast<float>(get_double("lr", 0.08));
+  if (get_int("fedsgd", 0) != 0) {
     train.kind = fl::TrainConfig::UpdateKind::kGradient;
   }
-  train.ldp.enabled = flags.GetBool("ldp", false);
-  train.ldp.noise_multiplier = static_cast<float>(flags.GetDouble("ldp-sigma", 0.05));
-  train.ldp.clip_norm = static_cast<float>(flags.GetDouble("ldp-clip", 2.0));
+  train.ldp.enabled = get_int("ldp", 0) != 0;
+  train.ldp.noise_multiplier = static_cast<float>(get_double("ldp-sigma", 0.05));
+  train.ldp.clip_norm = static_cast<float>(get_double("ldp-clip", 2.0));
 
   fl::ExecutionOptions options;
-  options.rounds = flags.GetInt("rounds", 5);
+  options.rounds = get_int("rounds", 5);
   options.train = train;
-  options.algorithm = flags.Get("algorithm", "iterative_averaging");
-  options.use_paillier = flags.GetBool("paillier", false);
+  options.algorithm = core::FlagOr(flags, "algorithm", "iterative_averaging");
+  options.use_paillier = get_int("paillier", 0) != 0;
   options.seed = seed;
-  options.threads = flags.GetInt("threads", 0);
-  options.checkpoint.dir = flags.Get("checkpoint-dir", "");
-  options.checkpoint.every_n_rounds = flags.GetInt("checkpoint-every", 1);
-  options.checkpoint.resume = flags.GetBool("resume", false);
+  options.threads = get_int("threads", 0);
+  options.checkpoint.dir = core::FlagOr(flags, "checkpoint-dir", "");
+  options.checkpoint.resume = get_int("resume", 0) != 0;
   core::DetaOptions deta_options;
-  deta_options.num_aggregators = flags.GetInt("aggregators", 3);
-  deta_options.enable_partition = flags.GetBool("partition", true);
-  deta_options.enable_shuffle = flags.GetBool("shuffle", true);
+  deta_options.num_aggregators = get_int("aggregators", 3);
+  deta_options.enable_partition = get_int("partition", 1) != 0;
+  deta_options.enable_shuffle = get_int("shuffle", 1) != 0;
 
   data::Dataset train_data = workload.make(train_examples, 7);
   data::Dataset eval_data = workload.make(eval_examples, 8);
   Rng split_rng(seed + 1);
-  auto shards = flags.GetBool("noniid", false)
+  auto shards = get_int("noniid", 0) != 0
                     ? data::SplitNonIidSkew(train_data, parties, 2, 0.9f, split_rng)
                     : data::SplitIid(train_data, parties, split_rng);
 
@@ -214,7 +187,7 @@ int main(int argc, char** argv) {
               result.setup_seconds);
 
   bool matches_baseline = true;
-  if (flags.GetBool("compare-baseline", false)) {
+  if (get_int("compare-baseline", 0) != 0) {
     // The baseline persists nothing: its snapshots would land next to the DeTA run's,
     // and a later --resume would load them.
     fl::ExecutionOptions baseline_options = options;
@@ -240,7 +213,7 @@ int main(int argc, char** argv) {
                 matches_baseline ? " (bit-exact)" : " (MISMATCH)");
   }
 
-  std::string telemetry_out = flags.Get("telemetry-out", "");
+  std::string telemetry_out = core::FlagOr(flags, "telemetry-out", "");
   if (!telemetry_out.empty()) {
     // The DeTA run's own delta (not process-global), so the baseline comparison above
     // cannot leak its counters into the artifact.

@@ -79,44 +79,49 @@ std::vector<std::string> ClusterSpec::ToArgs() const {
   return args;
 }
 
+std::string FlagOr(const Flags& flags, const std::string& key,
+                   const std::string& fallback) {
+  auto it = flags.find(key);
+  return it == flags.end() ? fallback : it->second;
+}
+
+int FlagInt(const Flags& flags, const std::string& key, int fallback) {
+  return flags.count(key) != 0 ? std::atoi(flags.at(key).c_str()) : fallback;
+}
+
+double FlagDouble(const Flags& flags, const std::string& key, double fallback) {
+  return flags.count(key) != 0 ? std::atof(flags.at(key).c_str()) : fallback;
+}
+
 ClusterSpec ClusterSpec::FromFlags(const std::map<std::string, std::string>& flags) {
   ClusterSpec spec;
-  auto get = [&flags](const std::string& key, const std::string& fallback) {
-    auto it = flags.find(key);
-    return it == flags.end() ? fallback : it->second;
-  };
-  auto get_int = [&get](const std::string& key, int fallback) {
-    return std::atoi(get(key, std::to_string(fallback)).c_str());
-  };
-  auto get_double = [&get](const std::string& key, double fallback) {
-    return std::atof(get(key, std::to_string(fallback)).c_str());
-  };
-  spec.parties = get_int("parties", spec.parties);
-  spec.aggregators = get_int("aggregators", spec.aggregators);
-  spec.rounds = get_int("rounds", spec.rounds);
-  spec.seed = static_cast<uint64_t>(
-      std::strtoull(get("seed", std::to_string(spec.seed)).c_str(), nullptr, 10));
-  spec.algorithm = get("algorithm", spec.algorithm);
-  spec.use_paillier = get_int("paillier", spec.use_paillier ? 1 : 0) != 0;
-  spec.examples_per_party = get_int("examples-per-party", spec.examples_per_party);
-  spec.eval_examples = get_int("eval-examples", spec.eval_examples);
-  spec.image_size = get_int("image-size", spec.image_size);
-  spec.batch_size = get_int("batch", spec.batch_size);
-  spec.local_epochs = get_int("local-epochs", spec.local_epochs);
-  spec.lr = get_double("lr", spec.lr);
-  spec.threads = get_int("threads", spec.threads);
-  spec.round_timeout_ms = get_int("round-timeout-ms", spec.round_timeout_ms);
-  spec.setup_timeout_ms = get_int("setup-timeout-ms", spec.setup_timeout_ms);
-  spec.retry_attempts = get_int("retry-attempts", spec.retry_attempts);
+  spec.parties = FlagInt(flags, "parties", spec.parties);
+  spec.aggregators = FlagInt(flags, "aggregators", spec.aggregators);
+  spec.rounds = FlagInt(flags, "rounds", spec.rounds);
+  spec.seed = static_cast<uint64_t>(std::strtoull(
+      FlagOr(flags, "seed", std::to_string(spec.seed)).c_str(), nullptr, 10));
+  spec.algorithm = FlagOr(flags, "algorithm", spec.algorithm);
+  spec.use_paillier = FlagInt(flags, "paillier", spec.use_paillier ? 1 : 0) != 0;
+  spec.examples_per_party = FlagInt(flags, "examples-per-party", spec.examples_per_party);
+  spec.eval_examples = FlagInt(flags, "eval-examples", spec.eval_examples);
+  spec.image_size = FlagInt(flags, "image-size", spec.image_size);
+  spec.batch_size = FlagInt(flags, "batch", spec.batch_size);
+  spec.local_epochs = FlagInt(flags, "local-epochs", spec.local_epochs);
+  spec.lr = FlagDouble(flags, "lr", spec.lr);
+  spec.threads = FlagInt(flags, "threads", spec.threads);
+  spec.round_timeout_ms = FlagInt(flags, "round-timeout-ms", spec.round_timeout_ms);
+  spec.setup_timeout_ms = FlagInt(flags, "setup-timeout-ms", spec.setup_timeout_ms);
+  spec.retry_attempts = FlagInt(flags, "retry-attempts", spec.retry_attempts);
   spec.retry_initial_timeout_ms =
-      get_int("retry-initial-timeout-ms", spec.retry_initial_timeout_ms);
-  spec.retry_max_timeout_ms = get_int("retry-max-timeout-ms", spec.retry_max_timeout_ms);
-  spec.listen_host = get("listen-host", spec.listen_host);
-  spec.registry_port = get_int("registry-port", spec.registry_port);
-  spec.telemetry_dir = get("telemetry-dir", spec.telemetry_dir);
-  spec.drop_probability = get_double("drop", spec.drop_probability);
+      FlagInt(flags, "retry-initial-timeout-ms", spec.retry_initial_timeout_ms);
+  spec.retry_max_timeout_ms =
+      FlagInt(flags, "retry-max-timeout-ms", spec.retry_max_timeout_ms);
+  spec.listen_host = FlagOr(flags, "listen-host", spec.listen_host);
+  spec.registry_port = FlagInt(flags, "registry-port", spec.registry_port);
+  spec.telemetry_dir = FlagOr(flags, "telemetry-dir", spec.telemetry_dir);
+  spec.drop_probability = FlagDouble(flags, "drop", spec.drop_probability);
   spec.fault_seed = static_cast<uint64_t>(std::strtoull(
-      get("fault-seed", std::to_string(spec.fault_seed)).c_str(), nullptr, 10));
+      FlagOr(flags, "fault-seed", std::to_string(spec.fault_seed)).c_str(), nullptr, 10));
   return spec;
 }
 
@@ -194,13 +199,7 @@ bool ParseTomlFile(const std::string& path, std::map<std::string, std::string>* 
   return true;
 }
 
-std::map<std::string, std::string> ParseClusterFlags(
-    int argc, const char* const* argv, const std::vector<std::string>& program_keys) {
-  std::set<std::string> known = {"config", "role", "registry", "verbose"};
-  known.insert(program_keys.begin(), program_keys.end());
-  for (const std::string& arg : ClusterSpec().ToArgs()) {
-    known.insert(arg.substr(2, arg.find('=') - 2));
-  }
+Flags ParseFlags(int argc, const char* const* argv, std::set<std::string> keys) {
   std::map<std::string, std::string> flags;
   std::vector<std::string> errors;
   for (int i = 1; i < argc; ++i) {
@@ -216,11 +215,12 @@ std::map<std::string, std::string> ParseClusterFlags(
   }
   auto config = flags.find("config");
   std::string error;
-  if (config != flags.end() && !ParseTomlFile(config->second, &flags, &error)) {
+  if (keys.count("config") != 0 && config != flags.end() &&
+      !ParseTomlFile(config->second, &flags, &error)) {
     errors.push_back("config error: " + error);
   }
   for (const auto& [key, value] : flags) {
-    if (known.count(key) == 0) {
+    if (keys.count(key) == 0) {
       errors.push_back("unknown flag --" + key);
     }
   }
@@ -231,6 +231,16 @@ std::map<std::string, std::string> ParseClusterFlags(
     std::exit(2);
   }
   return flags;
+}
+
+std::map<std::string, std::string> ParseClusterFlags(
+    int argc, const char* const* argv, const std::vector<std::string>& program_keys) {
+  std::set<std::string> keys = {"config", "role", "registry", "verbose"};
+  keys.insert(program_keys.begin(), program_keys.end());
+  for (const std::string& arg : ClusterSpec().ToArgs()) {
+    keys.insert(arg.substr(2, arg.find('=') - 2));
+  }
+  return ParseFlags(argc, argv, std::move(keys));
 }
 
 // --- job derivation ---

@@ -7,15 +7,16 @@
 //
 // The spec round-trips through --key=value flags (ToArgs/FromFlags) so the parent can
 // re-exec itself for each child role, and loads from a flat `key = value` TOML file
-// (ParseTomlFile) for scripted deployments. ParseClusterFlags is the one command-line
-// parser of the programs built on it, and it rejects keys nobody reads. The builders below are shared with the
-// scale harness (bench/scale_parties.cc) and the transport conformance tests, which is
-// what anchors the "same spec => same bits on any backend" guarantee.
+// (ParseTomlFile) for scripted deployments. ParseFlags, the one command-line parser of
+// every program, rejects keys the program does not read. The builders below are shared
+// with the scale harness (bench/scale_parties.cc) and the transport conformance tests,
+// which is what anchors the "same spec => same bits on any backend" guarantee.
 #ifndef DETA_CORE_CLUSTER_H_
 #define DETA_CORE_CLUSTER_H_
 
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -85,14 +86,22 @@ struct ClusterSpec {
 bool ParseTomlFile(const std::string& path, std::map<std::string, std::string>* out,
                    std::string* error);
 
-// The command line of a program built on ClusterSpec: --key=value flags (a bare --key
-// reads as "1"), then the keys of the TOML file --config names, where the command line
-// has not set them. Besides FromFlags' keys it accepts config, role and registry (the
-// child-role handoff LaunchCluster appends), verbose, and |program_keys|. Anything else
-// (an argument that is not a flag, a key no one reads, a bad --config file) is printed
+// --key=value flags (a bare --key reads as "1"), then, when |keys| holds "config", the
+// keys of the TOML file --config names that the command line has not set. Anything else
+// (an argument that is not a flag, a key outside |keys|, a bad --config file) is printed
 // to stderr, all of it, and the process exits with status 2.
+using Flags = std::map<std::string, std::string>;
+Flags ParseFlags(int argc, const char* const* argv, std::set<std::string> keys);
+
+// ParseFlags over FromFlags' keys, config, role and registry (the child-role handoff
+// LaunchCluster appends), verbose, and |program_keys|.
 std::map<std::string, std::string> ParseClusterFlags(
     int argc, const char* const* argv, const std::vector<std::string>& program_keys = {});
+
+// Typed reads of a parsed command line; |fallback| when |key| is not set.
+std::string FlagOr(const Flags& flags, const std::string& key, const std::string& fallback);
+int FlagInt(const Flags& flags, const std::string& key, int fallback);
+double FlagDouble(const Flags& flags, const std::string& key, double fallback);
 
 // --- job derivation (identical in every process of a deployment) ---
 

@@ -23,7 +23,10 @@ constexpr int kDrainTimeoutMs = 4000;
 
 DetaAggregator::DetaAggregator(AggregatorConfig config, net::Transport& transport,
                                std::shared_ptr<cc::Cvm> cvm, crypto::SecureRng rng)
-    : config_(std::move(config)), transport_(transport), cvm_(std::move(cvm)),
+    : config_(std::move(config)),
+      state_(config_.durability, config_.name),
+      transport_(transport),
+      cvm_(std::move(cvm)),
       rng_(std::move(rng)) {
   endpoint_ = transport_.CreateEndpoint(config_.name);
   // The token was injected by the attestation proxy in phase I; its presence is this
@@ -34,10 +37,9 @@ DetaAggregator::DetaAggregator(AggregatorConfig config, net::Transport& transpor
   token_private_ = Secret<crypto::BigUint>(crypto::BigUint::FromBytes(*token));
   crypto::SecureWipe(*token);
 
-  if (config_.use_paillier) {
-    DETA_CHECK(config_.paillier_public.has_value());
+  if (config_.paillier_public.has_value()) {
     paillier_codec_ = std::make_unique<fl::PaillierVectorCodec>(
-        *config_.paillier_public, config_.num_parties);
+        *config_.paillier_public, static_cast<int>(config_.party_names.size()));
   } else {
     algorithm_ = fl::MakeAlgorithm(config_.algorithm);
   }
@@ -55,12 +57,10 @@ void DetaAggregator::Start() {
 void DetaAggregator::Join() { thread_.Join(); }
 
 void DetaAggregator::Run() {
-  if (config_.resume) {
-    if (!RestoreFromSnapshot()) {
-      LOG_ERROR << config_.name << ": resume requested but no usable snapshot";
-      finished_ = true;
-      return;
-    }
+  if (!config_.durability.resume.fresh() && !RestoreFromSnapshot()) {
+    LOG_ERROR << config_.name << ": resume requested but no usable snapshot";
+    finished_ = true;
+    return;
   }
   idle_deadline_ = Clock::now() + std::chrono::milliseconds(config_.idle_timeout_ms);
   for (;;) {
@@ -119,7 +119,7 @@ void DetaAggregator::Dispatch(const net::Message& m) {
 }
 
 void DetaAggregator::HandleJobStart(const net::Message& m) {
-  if (!config_.is_initiator) {
+  if (!is_initiator()) {
     LOG_WARNING << config_.name << ": job.start sent to a follower aggregator — ignored";
     return;
   }
@@ -158,7 +158,7 @@ void DetaAggregator::SendRoundBegin() {
 void DetaAggregator::HandleRoundBegin(const net::Message& m) {
   net::Reader r(m.payload);
   int round = static_cast<int>(r.ReadU32());
-  if (config_.is_initiator) {
+  if (is_initiator()) {
     LOG_WARNING << config_.name << ": initiator received round.begin — ignored";
     return;
   }
@@ -173,7 +173,7 @@ void DetaAggregator::HandleRoundBegin(const net::Message& m) {
 }
 
 void DetaAggregator::StartCollecting(int round) {
-  if (config_.crash_at_round > 0 && round == config_.crash_at_round) {
+  if (round == config_.durability.crash_at) {
     // Injected crash: die before staging any of round |round|'s fragments, exactly as a
     // process kill at the round boundary would. Every caller checks finished_ after
     // this returns. The job driver revives a replacement from the last snapshot.
@@ -246,7 +246,7 @@ void DetaAggregator::Aggregate(int round) {
   Stopwatch watch;
   Bytes result_payload;
 
-  if (config_.use_paillier) {
+  if (paillier_codec_ != nullptr) {
     // Homomorphic accumulation; the aggregator never sees plaintext coordinates.
     std::vector<crypto::BigUint> acc;
     for (auto& [party, payload] : staged_) {
@@ -325,7 +325,7 @@ void DetaAggregator::Aggregate(int round) {
   }
 
   // Synchronization: followers notify the initiator; the initiator counts itself.
-  if (config_.is_initiator) {
+  if (is_initiator()) {
     MarkRoundDone(config_.name, round);
   } else {
     done_pending_ = true;
@@ -354,11 +354,11 @@ void DetaAggregator::ResendResult(const std::string& party) {
 void DetaAggregator::SendRoundDone() {
   net::Writer w;
   w.WriteU32(static_cast<uint32_t>(done_round_));
-  endpoint_->Send(config_.initiator_name, kRoundDone, w.Take());
+  endpoint_->Send(config_.aggregator_names.front(), kRoundDone, w.Take());
 }
 
 void DetaAggregator::MarkRoundDone(const std::string& aggregator, int round) {
-  if (!config_.is_initiator) {
+  if (!is_initiator()) {
     LOG_WARNING << config_.name << ": round.done received by a follower";
     return;
   }
@@ -377,7 +377,7 @@ void DetaAggregator::MarkRoundDone(const std::string& aggregator, int round) {
   // count twice. Completion needs every aggregator including ourselves, and our own
   // name only lands here after our own aggregation.
   done_.insert(aggregator);
-  if (static_cast<int>(done_.size()) < config_.num_aggregators) {
+  if (done_.size() < config_.aggregator_names.size()) {
     return;
   }
   if (current_round_ < config_.rounds) {
@@ -411,84 +411,30 @@ void DetaAggregator::MarkRoundDone(const std::string& aggregator, int round) {
 }
 
 void DetaAggregator::SaveState(int round) {
-  if (config_.store == nullptr || config_.checkpoint_every <= 0 ||
-      round % config_.checkpoint_every != 0) {
-    return;
-  }
-  persist::Snapshot snapshot;
-  snapshot.role = config_.name;
-  snapshot.round = round;
-  net::Writer agg;
-  agg.WriteU32(static_cast<uint32_t>(result_round_));
-  agg.WriteU32(static_cast<uint32_t>(last_aggregated_round_));
-  snapshot.Add(persist::SectionType::kRaw, "agg", agg.Take());
-  persist::SealKey seal = persist::SealKey::Derive(config_.seal_seed, config_.name);
-  snapshot.Add(persist::SectionType::kRaw, "result",
-               seal.Seal(result_plain_, rng_));
-  snapshot.Add(persist::SectionType::kChannelState, "channels",
-               seal.Seal(net::SerializeChannels(channels_), rng_));
-  snapshot.Add(persist::SectionType::kRegistrationCache, "registrations",
-               seal.Seal(registrations_.Serialize(), rng_));
-  snapshot.Add(persist::SectionType::kRngState, "rng",
-               seal.Seal(rng_.SerializeState(), rng_));
-  if (!config_.store->Write(snapshot)) {
-    LOG_WARNING << config_.name << ": snapshot write failed for round " << round;
-  }
+  state_.Save(round, [this](persist::Snapshot& snapshot) {
+    net::Writer agg;
+    agg.WriteU32(static_cast<uint32_t>(result_round_));
+    agg.WriteU32(static_cast<uint32_t>(last_aggregated_round_));
+    snapshot.Add(persist::SectionType::kRaw, "agg", agg.Take());
+    state_.AddSealed(snapshot, persist::SectionType::kRaw, "result", result_plain_, rng_);
+    state_.AddSession(snapshot, channels_, registrations_, rng_);
+  });
 }
 
 bool DetaAggregator::RestoreFromSnapshot() {
-  if (config_.store == nullptr) {
-    return false;
-  }
-  std::optional<persist::Snapshot> snapshot =
-      config_.resume_max_round >= 0
-          ? config_.store->LoadAt(config_.name, config_.resume_max_round)
-          : config_.store->Load(config_.name);
-  if (!snapshot.has_value()) {
-    return false;
-  }
-  if (config_.resume_max_round >= 0 && snapshot->round != config_.resume_max_round) {
-    LOG_WARNING << config_.name << ": no snapshot at round " << config_.resume_max_round;
-    return false;
-  }
-  persist::SealKey seal = persist::SealKey::Derive(config_.seal_seed, config_.name);
-  const persist::Section* agg = snapshot->Find("agg");
-  const persist::Section* result = snapshot->Find("result");
-  const persist::Section* channels = snapshot->Find("channels");
-  const persist::Section* registrations = snapshot->Find("registrations");
-  const persist::Section* rng_section = snapshot->Find("rng");
-  if (agg == nullptr || result == nullptr || channels == nullptr ||
-      registrations == nullptr || rng_section == nullptr) {
-    return false;
-  }
-  try {
+  return state_.Restore([this](const persist::Snapshot& snapshot) {
+    const persist::Section* agg = snapshot.Find("agg");
+    std::optional<Bytes> result_plain = state_.OpenSealed(snapshot, "result");
+    if (agg == nullptr || !result_plain.has_value() ||
+        !state_.RestoreSession(snapshot, channels_, registrations_, rng_)) {
+      return false;
+    }
     net::Reader r(agg->data);
-    int result_round = static_cast<int>(r.ReadU32());
-    int last_aggregated = static_cast<int>(r.ReadU32());
-    std::optional<Bytes> result_plain = seal.Open(result->data);
-    std::optional<Bytes> channels_plain = seal.Open(channels->data);
-    std::optional<Bytes> registrations_plain = seal.Open(registrations->data);
-    std::optional<Bytes> rng_plain = seal.Open(rng_section->data);
-    if (!result_plain.has_value() || !channels_plain.has_value() ||
-        !registrations_plain.has_value() || !rng_plain.has_value()) {
-      return false;
-    }
-    std::optional<std::map<std::string, net::SecureChannel>> restored =
-        net::RestoreChannels(*channels_plain);
-    if (!restored.has_value() || !registrations_.Deserialize(*registrations_plain) ||
-        !rng_.RestoreState(*rng_plain)) {
-      return false;
-    }
-    channels_ = std::move(*restored);
-    result_round_ = result_round;
+    result_round_ = static_cast<int>(r.ReadU32());
+    last_aggregated_round_ = static_cast<int>(r.ReadU32());
     result_plain_ = std::move(*result_plain);
-    last_aggregated_round_ = last_aggregated;
-    LOG_INFO << config_.name << ": resumed from snapshot at round " << snapshot->round
-             << " (generation " << snapshot->generation << ")";
     return true;
-  } catch (const CheckFailure&) {
-    return false;
-  }
+  });
 }
 
 void DetaAggregator::StartDraining() {
@@ -501,7 +447,8 @@ void DetaAggregator::StartDraining() {
 }
 
 int DetaAggregator::FragmentsNeeded() const {
-  return config_.quorum > 0 ? config_.quorum : config_.num_parties;
+  return config_.quorum > 0 ? config_.quorum
+                            : static_cast<int>(config_.party_names.size());
 }
 
 void DetaAggregator::FailRound(int round) {
@@ -549,8 +496,8 @@ void DetaAggregator::OnTick() {
 
   // Initiator: keep nudging parties (and followers) with round.begin until the round
   // completes — recovers parties whose original notice was dropped.
-  if (config_.is_initiator && current_round_ > 0 &&
-      static_cast<int>(done_.size()) < config_.num_aggregators &&
+  if (is_initiator() && current_round_ > 0 &&
+      done_.size() < config_.aggregator_names.size() &&
       begin_attempts_ < config_.retry.max_attempts && now >= next_begin_resend_) {
     SendRoundBegin();
     next_begin_resend_ = now + std::chrono::milliseconds(

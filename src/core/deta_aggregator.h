@@ -32,10 +32,10 @@
 #include "cc/sev.h"
 #include "common/thread.h"
 #include "core/auth_protocol.h"
+#include "core/role_state.h"
 #include "fl/aggregation.h"
 #include "fl/paillier_fusion.h"
 #include "net/retry.h"
-#include "persist/state_store.h"
 
 namespace deta::core {
 
@@ -53,11 +53,10 @@ inline constexpr char kAggFailed[] = "agg.failed";
 inline constexpr char kPartyDone[] = "party.done";
 inline constexpr char kShutdown[] = "shutdown";
 
+// The rosters decide the round protocol: the first aggregator is the initiator, and a
+// round needs a fragment from every party (or |quorum| of them).
 struct AggregatorConfig {
   std::string name;
-  bool is_initiator = false;
-  int num_parties = 0;
-  int num_aggregators = 1;
   int rounds = 1;
   // Aggregate as soon as this many party fragments arrive (0 = wait for all parties).
   // Late fragments for an already-aggregated round are dropped — tolerates stragglers in
@@ -72,32 +71,15 @@ struct AggregatorConfig {
   // Retransmission pacing for round.begin / round.done.
   net::RetryPolicy retry;
   std::string algorithm = "iterative_averaging";
-  // Paillier fusion: aggregate ciphertexts homomorphically instead of plaintext floats.
-  bool use_paillier = false;
+  // Paillier fusion, when set: aggregate ciphertexts homomorphically.
   std::optional<crypto::PaillierPublicKey> paillier_public;
   // Observer endpoint for timing reports (empty = no reports).
   std::string observer;
-  std::string initiator_name;
   std::vector<std::string> party_names;
   std::vector<std::string> aggregator_names;
-
-  // --- durability (src/persist/) ---
-  // Snapshot store, owned by the job; null disables persistence.
-  persist::StateStore* store = nullptr;
-  // Snapshot cadence (every Nth aggregated round; registration-time state is always
-  // saved so a crash before the first aggregation is still recoverable).
-  int checkpoint_every = 1;
-  // Restore channels / registration cache / result cache / round counter from the
-  // newest verifiable snapshot before entering the event loop.
-  bool resume = false;
-  // With resume: require the restored snapshot to be for exactly this round (>= 0);
-  // -1 accepts the newest. Whole-job resume pins every role to one consistent cut.
-  int resume_max_round = -1;
-  // Fault injection: kill this aggregator when it starts collecting round
-  // |crash_at_round| (0 = never).
-  int crash_at_round = 0;
-  // Seed for the snapshot sealing key (stand-in for CVM sealed storage; job-provided).
-  uint64_t seal_seed = 0;
+  // Snapshots (after each registration and each aggregated round), resume point and
+  // injected crash (when the aggregator starts collecting that round).
+  RoleDurability durability;
 };
 
 class DetaAggregator {
@@ -145,8 +127,10 @@ class DetaAggregator {
   // registration cache, RNG) for completed round |round|.
   void SaveState(int round);
   bool RestoreFromSnapshot();
+  bool is_initiator() const { return config_.name == config_.aggregator_names.front(); }
 
   AggregatorConfig config_;
+  RoleState state_;
   net::Transport& transport_;
   std::unique_ptr<net::Endpoint> endpoint_;
   std::shared_ptr<cc::Cvm> cvm_;

@@ -68,18 +68,11 @@ DetaJob::DetaJob(fl::ExecutionOptions options, DetaOptions deta,
 
   // --- Durability: one StateStore shared by every role of this job. ---
   if (!options_.checkpoint.dir.empty()) {
-    persist::StateStoreOptions so;
-    so.dir = options_.checkpoint.dir;
-    so.keep = options_.checkpoint.keep;
-    store_ = std::make_unique<persist::StateStore>(so);
+    store_ = std::make_unique<persist::StateStore>(
+        persist::StateStoreOptions{options_.checkpoint.dir});
   }
-  if (!options_.fault_plan.crashes.empty()) {
-    DETA_CHECK_MSG(store_ != nullptr,
-                   "crash faults require checkpoint.dir (roles revive from snapshots)");
-    DETA_CHECK_MSG(options_.checkpoint.every_n_rounds == 1,
-                   "crash faults require checkpoint.every_n_rounds == 1 — an in-run "
-                   "revive can only rejoin losslessly from the previous round");
-  }
+  DETA_CHECK_MSG(options_.fault_plan.crashes.empty() || store_ != nullptr,
+                 "crash faults require checkpoint.dir (roles revive from snapshots)");
   // Whole-job resume: load the job snapshot (the consistent cut every role restores to)
   // before any role is configured. A missing/mismatched snapshot is a typed setup
   // failure surfaced from Run(), not a silent fresh start.
@@ -109,8 +102,7 @@ DetaJob::DetaJob(fl::ExecutionOptions options, DetaOptions deta,
         net::Reader r(observer_state->data);
         resume_cumulative_ = r.ReadDouble();
         resume_round_ = job_snap->round;
-        resume_params_ = std::move(*params);
-        global_model_->SetFlatParams(resume_params_);
+        global_model_->SetFlatParams(*params);
         LOG_INFO << "DeTA job: resuming from job snapshot at round " << resume_round_
                  << " (generation " << job_snap->generation << ")";
       } catch (const CheckFailure&) {
@@ -120,6 +112,14 @@ DetaJob::DetaJob(fl::ExecutionOptions options, DetaOptions deta,
     }
   }
   const bool resume_roles = whole_job_resume && !resume_failed_;
+  // Whole-job resume pins parties and aggregators to the job snapshot's round; the key
+  // broker resumes from its newest snapshot, whose round counts serves.
+  auto durability = [&](const std::string& role, ResumePoint resume) {
+    return RoleDurability{store_.get(), options_.seed, resume,
+                          options_.fault_plan.CrashRoundFor(role)};
+  };
+  const ResumePoint role_resume =
+      resume_roles ? ResumePoint::AtRound(resume_round_) : ResumePoint::Fresh();
 
   // --- Phase I: platforms, paused CVMs, attestation, token provisioning (steps 1-2) ---
   ras_ = std::make_unique<cc::RemoteAttestationService>(setup_rng);
@@ -166,16 +166,13 @@ DetaJob::DetaJob(fl::ExecutionOptions options, DetaOptions deta,
   // keeps per-role RNGs identical across the processes of a deployment.
   crypto::SecureRng broker_rng(setup_rng.NextBytes(32));
   if (broker_local_) {
-    KeyBrokerDurability kbd;
-    kbd.store = store_.get();
-    kbd.resume = resume_roles;
-    kbd.crash_after_serves = options_.fault_plan.CrashRoundFor(KeyBroker::kEndpointName);
-    kbd.seal_seed = options_.seed;
     // expected_parties = 0: the broker serves (and re-serves) until the job stops it
     // after the ready barrier — under fault injection a party may need a re-serve after
     // every party has already been served once.
-    key_broker_ = std::make_unique<KeyBroker>(material, broker_identity, 0, *transport_,
-                                              std::move(broker_rng), kbd);
+    key_broker_ = std::make_unique<KeyBroker>(
+        material, broker_identity, 0, *transport_, std::move(broker_rng),
+        durability(KeyBroker::kEndpointName,
+                   resume_roles ? ResumePoint::Newest() : ResumePoint::Fresh()));
   }
   // Retained for crash revives: a replacement broker is rebuilt from the same material
   // and identity; replacement aggregators/parties from the retained configs below.
@@ -192,33 +189,21 @@ DetaJob::DetaJob(fl::ExecutionOptions options, DetaOptions deta,
   for (int j = 0; j < deta_.num_aggregators; ++j) {
     AggregatorConfig ac;
     ac.name = aggregator_names[static_cast<size_t>(j)];
-    ac.is_initiator = (j == 0);  // "DeTA randomly selects one aggregator as initiator";
-                                 // index 0 is equivalent (names carry no bias) and
-                                 // keeps runs reproducible.
-    ac.num_parties = static_cast<int>(party_names_.size());
-    ac.num_aggregators = deta_.num_aggregators;
     ac.rounds = options_.rounds;
     ac.quorum = deta_.quorum;
     ac.round_timeout_ms = options_.round_timeout_ms;
     ac.idle_timeout_ms = std::max(ac.idle_timeout_ms, idle_floor_ms);
     ac.retry = options_.retry;
     ac.algorithm = options_.algorithm;
-    ac.use_paillier = options_.use_paillier;
     if (paillier.has_value()) {
       ac.paillier_public = paillier->pub;
     }
     ac.observer = "observer";
-    ac.initiator_name = aggregator_names[0];
     ac.party_names = party_names_;
+    // The first is the initiator. "DeTA randomly selects one aggregator as initiator";
+    // the first is equivalent (names carry no bias) and keeps runs reproducible.
     ac.aggregator_names = aggregator_names;
-    ac.store = store_.get();
-    ac.checkpoint_every = options_.checkpoint.every_n_rounds;
-    ac.seal_seed = options_.seed;
-    ac.crash_at_round = options_.fault_plan.CrashRoundFor(ac.name);
-    if (resume_roles) {
-      ac.resume = true;
-      ac.resume_max_round = resume_round_;  // pin to the job snapshot's consistent cut
-    }
+    ac.durability = durability(ac.name, role_resume);
     agg_configs_.push_back(ac);
     crypto::SecureRng agg_rng(setup_rng.NextBytes(32));  // drawn even for remote roles
     if (RoleIsLocal(ac.name)) {
@@ -228,6 +213,7 @@ DetaJob::DetaJob(fl::ExecutionOptions options, DetaOptions deta,
   }
 
   // --- Party nodes ---
+  // Each party moves its copy into its own global parameters.
   std::vector<float> initial = global_model_->GetFlatParams();
   for (size_t i = 0; i < party_names_.size(); ++i) {
     DetaPartyConfig pc;
@@ -238,18 +224,10 @@ DetaJob::DetaJob(fl::ExecutionOptions options, DetaOptions deta,
     pc.train = options_.train;
     pc.use_paillier = options_.use_paillier;
     pc.num_parties = static_cast<int>(party_names_.size());
-    pc.initial_params = initial;
     pc.rounds = options_.rounds;
     pc.retry = options_.retry;
     pc.idle_timeout_ms = std::max(pc.idle_timeout_ms, idle_floor_ms);
-    pc.store = store_.get();
-    pc.checkpoint_every = options_.checkpoint.every_n_rounds;
-    pc.seal_seed = options_.seed;
-    pc.crash_at_round = options_.fault_plan.CrashRoundFor(party_names_[i]);
-    if (resume_roles) {
-      pc.resume = true;
-      pc.resume_max_round = resume_round_;
-    }
+    pc.durability = durability(party_names_[i], role_resume);
     // The transform material and the Paillier key reach parties only over the
     // authenticated broker fetch (or from their own sealed snapshot on resume).
     pc.key_broker_public = broker_identity.public_key;
@@ -269,8 +247,8 @@ DetaJob::DetaJob(fl::ExecutionOptions options, DetaOptions deta,
     }
     DETA_CHECK_MSG(local != nullptr,
                    "no local trainer supplied for hosted party " << party_names_[i]);
-    deta_parties_.push_back(
-        std::make_unique<DetaParty>(std::move(local), pc, *transport_, std::move(party_rng)));
+    deta_parties_.push_back(std::make_unique<DetaParty>(
+        std::move(local), pc, initial, *transport_, std::move(party_rng)));
   }
   revive_rng_ = crypto::SecureRng(setup_rng.NextBytes(32));
   construct_seconds_ = setup_watch_.ElapsedSeconds();
@@ -306,8 +284,7 @@ Bytes DetaJob::ConfigDigest(size_t num_parties) const {
 
 void DetaJob::SaveJobState(int round, const std::vector<float>& params,
                            double cumulative) {
-  if (store_ == nullptr || options_.checkpoint.every_n_rounds <= 0 ||
-      round % options_.checkpoint.every_n_rounds != 0) {
+  if (store_ == nullptr) {
     return;
   }
   persist::Snapshot snapshot;
@@ -325,16 +302,14 @@ void DetaJob::SaveJobState(int round, const std::vector<float>& params,
 }
 
 void DetaJob::ReviveCrashedRoles(net::Endpoint& observer, bool job_started) {
+  // A revived role restores its newest snapshot and does not crash again.
+  const RoleDurability revive{store_.get(), options_.seed, ResumePoint::Newest()};
   if (key_broker_ != nullptr && key_broker_->crashed()) {
     key_broker_->Join();
     key_broker_.reset();  // destroy first: the endpoint name must unregister
-    KeyBrokerDurability kbd;
-    kbd.store = store_.get();
-    kbd.resume = true;
-    kbd.seal_seed = options_.seed;
     key_broker_ = std::make_unique<KeyBroker>(
         material_, broker_identity_, 0, *transport_,
-        crypto::SecureRng(revive_rng_.NextBytes(32)), kbd);
+        crypto::SecureRng(revive_rng_.NextBytes(32)), revive);
     key_broker_->Start();
     DETA_COUNTER("persist.role_revived").Increment();
     LOG_INFO << "DeTA job: revived key broker from snapshot";
@@ -345,16 +320,14 @@ void DetaJob::ReviveCrashedRoles(net::Endpoint& observer, bool job_started) {
     }
     aggregators_[j]->Join();
     AggregatorConfig ac = agg_configs_[j];
-    ac.crash_at_round = 0;
-    ac.resume = true;
-    ac.resume_max_round = -1;  // in-run revive: newest snapshot is the right one
+    ac.durability = revive;
     aggregators_[j].reset();
     aggregators_[j] = std::make_unique<DetaAggregator>(
         ac, *transport_, cvms_[j], crypto::SecureRng(revive_rng_.NextBytes(32)));
     aggregators_[j]->Start();
     DETA_COUNTER("persist.role_revived").Increment();
     LOG_INFO << "DeTA job: revived " << ac.name << " from snapshot";
-    if (ac.is_initiator && job_started) {
+    if (ac.name == aggregator_names_.front() && job_started) {
       // The revived initiator owns the round protocol again but starts idle; a fresh
       // job.start makes it resume collecting at last_aggregated_round + 1.
       observer.Send(ac.name, kJobStart, {});
@@ -367,14 +340,12 @@ void DetaJob::ReviveCrashedRoles(net::Endpoint& observer, bool job_started) {
     deta_parties_[i]->Join();
     std::unique_ptr<fl::Party> local = deta_parties_[i]->TakeLocal();
     DetaPartyConfig pc = party_configs_[i];
-    pc.crash_at_round = 0;
-    pc.resume = true;
-    pc.resume_max_round = -1;
-    pc.announce_ready = false;  // the ready barrier already passed
+    pc.durability = revive;  // also skips the ready barrier, which already passed
     std::string name = local->name();
     deta_parties_[i].reset();
     deta_parties_[i] = std::make_unique<DetaParty>(
-        std::move(local), pc, *transport_, crypto::SecureRng(revive_rng_.NextBytes(32)));
+        std::move(local), pc, std::vector<float>(), *transport_,
+        crypto::SecureRng(revive_rng_.NextBytes(32)));
     deta_parties_[i]->Start();
     DETA_COUNTER("persist.role_revived").Increment();
     LOG_INFO << "DeTA job: revived " << name << " from snapshot";
@@ -535,7 +506,7 @@ fl::JobResult DetaJob::Run() {
       result.error = "timed out waiting for party readiness";
     } else if (m->payload.empty() || m->payload[0] != 1) {
       result.status = fl::JobStatus::kSetupFailed;
-      result.error = "party " + m->from + " failed aggregator verification";
+      result.error = "party " + m->from + " failed setup";
     } else {
       continue;
     }

@@ -137,7 +137,7 @@ class DetaJob {
   // --- durability / crash-fault orchestration state ---
   std::unique_ptr<persist::StateStore> store_;
   // Retained construction inputs so crashed roles can be rebuilt identically (and
-  // transform() built on demand).
+  // transform() built on demand). They hold no model parameters.
   TransformMaterial material_;
   crypto::EcKeyPair broker_identity_;
   std::vector<AggregatorConfig> agg_configs_;
@@ -148,7 +148,6 @@ class DetaJob {
   // Whole-job resume (checkpoint.resume): round of the job snapshot all roles restore
   // to, plus the observer accumulators restored from it.
   int resume_round_ = 0;
-  std::vector<float> resume_params_;
   double resume_cumulative_ = 0.0;
   bool resume_failed_ = false;
   std::string resume_error_;

@@ -34,15 +34,18 @@ int MsUntil(Clock::time_point deadline) {
 }  // namespace
 
 DetaParty::DetaParty(std::unique_ptr<fl::Party> local, DetaPartyConfig config,
-                     net::Transport& transport, crypto::SecureRng rng)
+                     std::vector<float> initial_params, net::Transport& transport,
+                     crypto::SecureRng rng)
     : local_(std::move(local)),
       name_(local_->name()),
       config_(std::move(config)),
+      state_(config_.durability, name_),
       transport_(transport),
-      rng_(std::move(rng)) {
+      rng_(std::move(rng)),
+      global_params_(std::move(initial_params)) {
   endpoint_ = transport_.CreateEndpoint(name_);
-  global_params_ = config_.initial_params;
-  DETA_CHECK_EQ(static_cast<int64_t>(global_params_.size()), local_->ParameterCount());
+  DETA_CHECK(!config_.durability.resume.fresh() ||
+             static_cast<int64_t>(global_params_.size()) == local_->ParameterCount());
 }
 
 DetaParty::~DetaParty() { Join(); }
@@ -103,26 +106,20 @@ bool DetaParty::SetupChannels() {
 }
 
 void DetaParty::Run() {
-  bool resumed = false;
-  if (config_.resume) {
-    resumed = RestoreFromSnapshot();
-    if (!resumed) {
-      LOG_ERROR << name() << ": resume requested but no usable snapshot";
-      if (config_.announce_ready) {
-        endpoint_->Send(config_.observer, kPartyReady, Bytes{uint8_t{0}});
-      }
-      return;
-    }
+  const ResumePoint& resume = config_.durability.resume;
+  if (!resume.fresh() && !RestoreFromSnapshot()) {
+    LOG_ERROR << name() << ": resume requested but no usable snapshot";
+  } else {
+    setup_ok_ = SetupChannels();
   }
-  setup_ok_ = SetupChannels();
-  if (config_.announce_ready) {
+  if (!resume.newest()) {
     endpoint_->Send(config_.observer, kPartyReady,
                     Bytes{setup_ok_ ? uint8_t{1} : uint8_t{0}});
   }
   if (!setup_ok_) {
     return;
   }
-  if (!resumed) {
+  if (resume.fresh()) {
     SaveState(0);  // post-setup baseline: resumable before the first round completes
   }
   int last_round = resume_round_;
@@ -164,7 +161,7 @@ void DetaParty::Run() {
       if (round <= last_round) {
         continue;  // retransmitted notice for a round we already ran
       }
-      if (config_.crash_at_round > 0 && round == config_.crash_at_round) {
+      if (round == config_.durability.crash_at) {
         // Injected crash: die before doing any of round |round|'s work, exactly as a
         // process kill between rounds would. The job driver revives a replacement from
         // the last durable snapshot (round - 1).
@@ -195,81 +192,35 @@ void DetaParty::Run() {
 }
 
 void DetaParty::SaveState(int round) {
-  if (config_.store == nullptr || config_.checkpoint_every <= 0 ||
-      round % config_.checkpoint_every != 0) {
-    return;
-  }
-  persist::Snapshot snapshot;
-  snapshot.role = name_;
-  snapshot.round = round;
-  snapshot.AddFloats(persist::SectionType::kModelParams, "params", global_params_);
-  snapshot.Add(persist::SectionType::kTrainerState, "trainer",
-               local_->SerializeTrainerState());
-  persist::SealKey seal = persist::SealKey::Derive(config_.seal_seed, name_);
-  snapshot.Add(persist::SectionType::kRngState, "rng",
-               seal.Seal(rng_.SerializeState(), rng_));
-  // The one key copy: the broker-served material carries the Paillier key.
-  snapshot.Add(persist::SectionType::kKeyMaterial, "material",
-               seal.Seal(material_.Serialize(), rng_));
-  if (!config_.store->Write(snapshot)) {
-    LOG_WARNING << name_ << ": snapshot write failed for round " << round;
-  }
+  state_.Save(round, [this](persist::Snapshot& snapshot) {
+    snapshot.AddFloats(persist::SectionType::kModelParams, "params", global_params_);
+    snapshot.Add(persist::SectionType::kTrainerState, "trainer",
+                 local_->SerializeTrainerState());
+    state_.AddSealed(snapshot, persist::SectionType::kRngState, "rng",
+                     rng_.SerializeState(), rng_);
+    // The one key copy: the broker-served material carries the Paillier key.
+    state_.AddSealed(snapshot, persist::SectionType::kKeyMaterial, "material",
+                     material_.Serialize(), rng_);
+  });
 }
 
 bool DetaParty::RestoreFromSnapshot() {
-  if (config_.store == nullptr) {
-    return false;
-  }
-  std::optional<persist::Snapshot> snapshot =
-      config_.resume_max_round >= 0
-          ? config_.store->LoadAt(name_, config_.resume_max_round)
-          : config_.store->Load(name_);
-  if (!snapshot.has_value()) {
-    return false;
-  }
-  if (config_.resume_max_round >= 0 && snapshot->round != config_.resume_max_round) {
-    // Whole-job resume needs every role at the same cut; an older snapshot would
-    // silently rewind this party against the rest of the federation.
-    LOG_WARNING << name_ << ": no snapshot at round " << config_.resume_max_round;
-    return false;
-  }
-  std::optional<std::vector<float>> params = snapshot->FindFloats("params");
-  if (!params.has_value() ||
-      static_cast<int64_t>(params->size()) != local_->ParameterCount()) {
-    return false;
-  }
-  const persist::Section* trainer = snapshot->Find("trainer");
-  if (trainer == nullptr || !local_->RestoreTrainerState(trainer->data)) {
-    return false;
-  }
-  persist::SealKey seal = persist::SealKey::Derive(config_.seal_seed, name_);
-  const persist::Section* rng_section = snapshot->Find("rng");
-  if (rng_section != nullptr) {
-    std::optional<Bytes> rng_state = seal.Open(rng_section->data);
-    if (!rng_state.has_value() || !rng_.RestoreState(*rng_state)) {
+  return state_.Restore([this](const persist::Snapshot& snapshot) {
+    std::optional<std::vector<float>> params = snapshot.FindFloats("params");
+    const persist::Section* trainer = snapshot.Find("trainer");
+    std::optional<Bytes> rng_state = state_.OpenSealed(snapshot, "rng");
+    std::optional<Bytes> material = state_.OpenSealed(snapshot, "material");
+    if (!params.has_value() ||
+        static_cast<int64_t>(params->size()) != local_->ParameterCount() ||
+        trainer == nullptr || !rng_state.has_value() || !material.has_value() ||
+        !local_->RestoreTrainerState(trainer->data) || !rng_.RestoreState(*rng_state) ||
+        !AdoptMaterial(TransformMaterial::Deserialize(*material))) {
       return false;
     }
-  }
-  const persist::Section* material = snapshot->Find("material");
-  std::optional<Bytes> plain =
-      material != nullptr ? seal.Open(material->data) : std::nullopt;
-  if (!plain.has_value()) {
-    return false;
-  }
-  TransformMaterial restored;
-  try {
-    restored = TransformMaterial::Deserialize(*plain);
-  } catch (const CheckFailure&) {
-    return false;
-  }
-  if (!AdoptMaterial(std::move(restored))) {
-    return false;
-  }
-  global_params_ = std::move(*params);
-  resume_round_ = snapshot->round;
-  LOG_INFO << name_ << ": resumed from snapshot at round " << resume_round_
-           << " (generation " << snapshot->generation << ")";
-  return true;
+    global_params_ = std::move(*params);
+    resume_round_ = snapshot.round;
+    return true;
+  });
 }
 
 bool DetaParty::AdoptMaterial(TransformMaterial material) {

@@ -24,10 +24,10 @@
 #include "common/thread.h"
 #include "core/deta_aggregator.h"
 #include "core/key_broker.h"
+#include "core/role_state.h"
 #include "core/transform.h"
 #include "fl/party.h"
 #include "net/retry.h"
-#include "persist/state_store.h"
 
 namespace deta::core {
 
@@ -48,8 +48,6 @@ struct DetaPartyConfig {
   // Paillier fusion: the key pair arrives inside the key-broker material.
   bool use_paillier = false;
   int num_parties = 1;
-  // Starting global parameters; identical across all parties of a job.
-  std::vector<float> initial_params;
   // Identity of the trusted key broker the party fetches its transform material
   // (permutation key, mapper seed, Paillier key) from during setup.
   crypto::EcPoint key_broker_public;
@@ -60,30 +58,18 @@ struct DetaPartyConfig {
   net::RetryPolicy retry;
   // Backstop: exit (with a warning) when no message arrives for this long between rounds.
   int idle_timeout_ms = 60000;
-
-  // --- durability (src/persist/) ---
-  // Snapshot store, owned by the job; null disables persistence.
-  persist::StateStore* store = nullptr;
-  // Snapshot cadence (every Nth completed round; the post-setup state is always saved).
-  int checkpoint_every = 1;
-  // Restore from the newest verifiable snapshot before setup. Setup fails if none loads.
-  bool resume = false;
-  // With resume: require the restored snapshot to be for exactly this round (>= 0).
-  // Whole-job resume uses this to pin every role to one consistent cut; -1 = newest.
-  int resume_max_round = -1;
-  // Send the kPartyReady barrier message (disabled for in-run revives: the barrier
-  // already completed and the observer is no longer listening for it).
-  bool announce_ready = true;
-  // Fault injection: kill this party when round |crash_at_round| begins (0 = never).
-  int crash_at_round = 0;
-  // Seed for the snapshot sealing key (stand-in for CVM sealed storage; job-provided).
-  uint64_t seal_seed = 0;
+  // Snapshots, resume point and injected crash. A party resumed at its newest snapshot
+  // is an in-run revive and skips the ready barrier, which already passed.
+  RoleDurability durability;
 };
 
 class DetaParty {
  public:
+  // |initial_params|: the job's starting global parameters (a resuming party takes its
+  // snapshot's instead).
   DetaParty(std::unique_ptr<fl::Party> local, DetaPartyConfig config,
-            net::Transport& transport, crypto::SecureRng rng);
+            std::vector<float> initial_params, net::Transport& transport,
+            crypto::SecureRng rng);
   ~DetaParty();
 
   DetaParty(const DetaParty&) = delete;
@@ -113,7 +99,7 @@ class DetaParty {
   void Run();
   bool SetupChannels();
   void RunRound(int round);
-  // Writes a snapshot for completed round |round| (respects checkpoint_every).
+  // Writes a snapshot for completed round |round|.
   void SaveState(int round);
   // Restores params/trainer/rng/material from the store; false when nothing verifiable
   // matches the configured resume point.
@@ -126,6 +112,7 @@ class DetaParty {
   std::unique_ptr<fl::Party> local_;
   std::string name_;
   DetaPartyConfig config_;
+  RoleState state_;
   std::shared_ptr<const Transform> transform_;
   net::Transport& transport_;
   std::unique_ptr<net::Endpoint> endpoint_;

@@ -65,11 +65,11 @@ std::shared_ptr<Transform> TransformMaterial::BuildTransform() const {
 
 KeyBroker::KeyBroker(TransformMaterial material, crypto::EcKeyPair identity,
                      int expected_parties, net::Transport& transport, crypto::SecureRng rng,
-                     KeyBrokerDurability durability)
+                     const RoleDurability& durability)
     : material_(std::move(material)),
       identity_(std::move(identity)),
       expected_parties_(expected_parties),
-      durability_(durability),
+      state_(durability, kEndpointName),
       rng_(std::move(rng)) {
   endpoint_ = transport.CreateEndpoint(kEndpointName);
 }
@@ -88,7 +88,8 @@ void KeyBroker::Stop() { endpoint_->Close(); }
 void KeyBroker::Join() { thread_.Join(); }
 
 void KeyBroker::Run() {
-  if (durability_.resume && !RestoreFromSnapshot()) {
+  const int crash_at = state_.durability().crash_at;
+  if (!state_.durability().resume.fresh() && !RestoreFromSnapshot()) {
     LOG_WARNING << "key broker: resume requested but no usable snapshot — "
                    "starting with fresh session state";
   }
@@ -116,8 +117,8 @@ void KeyBroker::Run() {
         SaveState();
       }
     } else if (m->type == kKeyBrokerFetch) {
-      if (durability_.crash_after_serves > 0 && !served_.count(m->from) &&
-          static_cast<int>(served_.size()) + 1 >= durability_.crash_after_serves) {
+      if (crash_at > 0 && !served_.count(m->from) &&
+          static_cast<int>(served_.size()) + 1 >= crash_at) {
         // Injected crash: die instead of serving the Nth distinct party. The job
         // driver revives a replacement; the stranded party restarts its whole
         // verify/register/fetch handshake against it.
@@ -156,58 +157,22 @@ void KeyBroker::Run() {
 }
 
 void KeyBroker::SaveState() {
-  if (durability_.store == nullptr) {
-    return;
-  }
-  persist::Snapshot snapshot;
-  snapshot.role = kEndpointName;
-  snapshot.round = static_cast<int>(served_.size());  // serve progress, not a round
-  persist::SealKey seal = persist::SealKey::Derive(durability_.seal_seed, kEndpointName);
-  snapshot.Add(persist::SectionType::kChannelState, "channels",
-               seal.Seal(net::SerializeChannels(channels_), rng_));
-  snapshot.Add(persist::SectionType::kRegistrationCache, "registrations",
-               seal.Seal(registrations_.Serialize(), rng_));
-  snapshot.Add(persist::SectionType::kRngState, "rng",
-               seal.Seal(rng_.SerializeState(), rng_));
-  net::Writer sw;
-  sw.WriteU32(static_cast<uint32_t>(served_.size()));
-  for (const std::string& party : served_) {
-    sw.WriteString(party);
-  }
-  snapshot.Add(persist::SectionType::kRaw, "served", sw.Take());
-  if (!durability_.store->Write(snapshot)) {
-    LOG_WARNING << "key broker: snapshot write failed";
-  }
+  // The snapshot round counts parties served, not rounds.
+  state_.Save(static_cast<int>(served_.size()), [this](persist::Snapshot& snapshot) {
+    state_.AddSession(snapshot, channels_, registrations_, rng_);
+    net::Writer sw;
+    sw.WriteU32(static_cast<uint32_t>(served_.size()));
+    for (const std::string& party : served_) {
+      sw.WriteString(party);
+    }
+    snapshot.Add(persist::SectionType::kRaw, "served", sw.Take());
+  });
 }
 
 bool KeyBroker::RestoreFromSnapshot() {
-  if (durability_.store == nullptr) {
-    return false;
-  }
-  std::optional<persist::Snapshot> snapshot = durability_.store->Load(kEndpointName);
-  if (!snapshot.has_value()) {
-    return false;
-  }
-  persist::SealKey seal = persist::SealKey::Derive(durability_.seal_seed, kEndpointName);
-  const persist::Section* channels = snapshot->Find("channels");
-  const persist::Section* registrations = snapshot->Find("registrations");
-  const persist::Section* rng_section = snapshot->Find("rng");
-  const persist::Section* served = snapshot->Find("served");
-  if (channels == nullptr || registrations == nullptr || rng_section == nullptr ||
-      served == nullptr) {
-    return false;
-  }
-  try {
-    std::optional<Bytes> channels_plain = seal.Open(channels->data);
-    std::optional<Bytes> registrations_plain = seal.Open(registrations->data);
-    std::optional<Bytes> rng_plain = seal.Open(rng_section->data);
-    if (!channels_plain.has_value() || !registrations_plain.has_value() ||
-        !rng_plain.has_value()) {
-      return false;
-    }
-    std::optional<std::map<std::string, net::SecureChannel>> restored =
-        net::RestoreChannels(*channels_plain);
-    if (!restored.has_value()) {
+  return state_.Restore([this](const persist::Snapshot& snapshot) {
+    const persist::Section* served = snapshot.Find("served");
+    if (served == nullptr) {
       return false;
     }
     std::set<std::string> served_names;
@@ -216,18 +181,12 @@ bool KeyBroker::RestoreFromSnapshot() {
     for (uint32_t i = 0; i < served_count; ++i) {
       served_names.insert(sr.ReadString());
     }
-    if (!registrations_.Deserialize(*registrations_plain) ||
-        !rng_.RestoreState(*rng_plain)) {
+    if (!state_.RestoreSession(snapshot, channels_, registrations_, rng_)) {
       return false;
     }
-    channels_ = std::move(*restored);
     served_ = std::move(served_names);
-    LOG_INFO << "key broker: resumed with " << served_.size()
-             << " parties already served (generation " << snapshot->generation << ")";
     return true;
-  } catch (const CheckFailure&) {
-    return false;
-  }
+  });
 }
 
 std::optional<TransformMaterial> FetchTransformMaterial(

@@ -21,8 +21,8 @@
 #include "common/secret.h"
 #include "common/thread.h"
 #include "core/auth_protocol.h"
+#include "core/role_state.h"
 #include "core/transform.h"
-#include "persist/state_store.h"
 
 namespace deta::core {
 
@@ -56,18 +56,6 @@ struct TransformMaterial {
   std::shared_ptr<Transform> BuildTransform() const;
 };
 
-// Durability / fault-injection knobs for the broker (src/persist/). The transform
-// material itself is not snapshotted: the job that constructs the broker owns it and
-// re-supplies it on revive, so the snapshot carries only the service's session state
-// (registration cache, channels, serve progress, RNG) — all sealed.
-struct KeyBrokerDurability {
-  persist::StateStore* store = nullptr;  // null disables persistence
-  bool resume = false;                   // restore session state before serving
-  // Fault injection: crash instead of serving the Nth *distinct* party (0 = never).
-  int crash_after_serves = 0;
-  uint64_t seal_seed = 0;  // snapshot sealing key seed (job-provided)
-};
-
 class KeyBroker {
  public:
   // |identity| is the broker's long-lived signing key; its public half is distributed to
@@ -76,9 +64,11 @@ class KeyBroker {
   // fetches are re-served without advancing the count); with |expected_parties| <= 0 it
   // serves until Stop() — the right mode under fault injection, where a party may still
   // need a retransmission after every party has been served once.
+  // |durability| snapshots the session (not the material, which the job re-supplies on
+  // revive) after each registration and first serve; the snapshot round counts serves.
   KeyBroker(TransformMaterial material, crypto::EcKeyPair identity, int expected_parties,
             net::Transport& transport, crypto::SecureRng rng,
-            KeyBrokerDurability durability = {});
+            const RoleDurability& durability = {});
   ~KeyBroker();
 
   KeyBroker(const KeyBroker&) = delete;
@@ -104,7 +94,7 @@ class KeyBroker {
   TransformMaterial material_;
   crypto::EcKeyPair identity_;
   int expected_parties_;
-  KeyBrokerDurability durability_;
+  RoleState state_;
   std::unique_ptr<net::Endpoint> endpoint_;
   crypto::SecureRng rng_;
   RegistrationCache registrations_;

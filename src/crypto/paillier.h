@@ -10,7 +10,7 @@
 // plus the CRT values derived from them. Decryption works mod p^2 and q^2 and
 // recombines with Garner's formula, about 4x cheaper than the textbook lambda/mu
 // decryption and bitwise identical to it; that textbook form survives only as the
-// oracle in tests/crypto_montgomery_test.cc and the BM_PaillierDecryptLambda fixture.
+// oracle in tests/crypto_montgomery_test.cc.
 //
 // Encryption has two paths with identical output. The public key computes
 // c = (1 + m*n) * r^n mod n^2 directly; it is the path for whoever holds n alone. Every

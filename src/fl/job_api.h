@@ -33,17 +33,12 @@ struct RoundMetrics {
 };
 
 // Durable checkpoint/resume knobs (src/persist/). With |dir| empty, nothing is
-// persisted and every other field is ignored.
+// persisted and |resume| is ignored.
 struct CheckpointOptions {
   // Directory for role snapshots; created on demand. Each role writes its own
-  // "<role>.g<generation>.snap" files; the job driver writes a "job" snapshot that
-  // anchors whole-job resume.
+  // "<role>.g<generation>.snap" files after every round; the job driver writes a "job"
+  // snapshot that anchors whole-job resume. The store keeps each role's newest three.
   std::string dir;
-  // Snapshot cadence: every Nth completed round. Crash faults (FaultPlan::crashes)
-  // require 1 — an in-run revive can only rejoin losslessly from the previous round.
-  int every_n_rounds = 1;
-  // Snapshots retained per role (older generations are pruned).
-  int keep = 3;
   // Resume a previous run from the newest verifiable job snapshot in |dir| instead of
   // starting fresh. The job configuration (seed, topology, algorithm) must match the
   // one that wrote the snapshot.

@@ -90,13 +90,9 @@ class AggregatorNodeTest : public ::testing::Test {
 
 AggregatorConfig BaseConfig() {
   AggregatorConfig config;
-  config.name = "agg0";
-  config.is_initiator = true;
-  config.num_parties = 2;
-  config.num_aggregators = 1;
+  config.name = "agg0";  // the first (and only) aggregator: the initiator
   config.rounds = 1;
   config.algorithm = "iterative_averaging";
-  config.initiator_name = "agg0";
   config.party_names = {"p0", "p1"};
   config.aggregator_names = {"agg0"};
   return config;
@@ -132,7 +128,6 @@ TEST_F(AggregatorNodeTest, FullRoundProtocol) {
 
 TEST_F(AggregatorNodeTest, QuorumAggregatesWithoutStragglers) {
   AggregatorConfig config = BaseConfig();
-  config.num_parties = 3;
   config.party_names = {"p0", "p1", "p2"};
   config.quorum = 2;  // tolerate one straggler
   auto aggregator = MakeAggregator(config);

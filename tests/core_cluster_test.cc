@@ -1,6 +1,7 @@
-// The one command-line parser of the ClusterSpec programs (deta_cluster, scale_parties):
-// a spec survives ToArgs -> ParseClusterFlags -> FromFlags, and a key no one reads ends
-// the process with status 2 instead of running on defaults.
+// The one command-line parser (ParseFlags; ParseClusterFlags for deta_cluster and
+// scale_parties, a key set of its own for deta_run): a spec survives ToArgs ->
+// ParseClusterFlags -> FromFlags, and a key the program does not read ends the process
+// with status 2 instead of running on defaults.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -65,6 +66,20 @@ TEST(ClusterFlagsDeathTest, MisspeltKeyExitsTwoNamingEveryOne) {
   EXPECT_EXIT(Parse({"--mode=tcp"}), ::testing::ExitedWithCode(2), "unknown flag --mode");
   EXPECT_EXIT(Parse({"parties=2"}), ::testing::ExitedWithCode(2),
               "unrecognized argument: parties=2");
+}
+
+TEST(ClusterFlagsDeathTest, ProgramKeySetRejectsEveryOtherKey) {
+  auto parse = [](std::vector<const char*> argv) {
+    argv.insert(argv.begin(), "deta_run");
+    return ParseFlags(static_cast<int>(argv.size()), argv.data(), {"rounds", "parties"});
+  };
+  EXPECT_EQ(parse({"--rounds=1", "--parties=2"}).at("parties"), "2");
+  EXPECT_EXIT(parse({"--rounds=1", "--parties=2", "--round=7", "--bogus=1"}),
+              ::testing::ExitedWithCode(2),
+              "unknown flag --bogus\n.*unknown flag --round");
+  // --config is a key like any other: a program that does not take it rejects it.
+  EXPECT_EXIT(parse({"--config=job.toml"}), ::testing::ExitedWithCode(2),
+              "unknown flag --config");
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include "common/telemetry.h"
 #include "core/deta_job.h"
+#include "persist/state_store.h"
 
 namespace deta::core {
 namespace {
@@ -259,6 +260,33 @@ TEST(CrashResumeTest, ResumeWithoutSnapshotIsATypedFailure) {
                         .Run();
   EXPECT_EQ(r.status, fl::JobStatus::kSetupFailed);
   EXPECT_NE(r.error.find("no verifiable job snapshot"), std::string::npos) << r.error;
+}
+
+// Whole-job resume pins every role to the job snapshot's round. A party whose snapshot of
+// that round is gone falls back to an older generation, which the loader refuses: the
+// resume ends as a typed setup failure naming the party, not a hang or a rewound party.
+TEST(CrashResumeTest, MissingSnapshotAtResumeCutIsATypedFailure) {
+  std::string dir = UniqueDir("cut");
+  fl::JobResult first =
+      DetaJob(BaseOptions(2, 2, dir), Deployment(), MakeParties(), TinyMlpFactory(),
+              SmallMnist(40, 6))
+          .Run();
+  ASSERT_TRUE(first.ok()) << first.error;
+
+  persist::StateStore store({dir});
+  std::optional<persist::Snapshot> newest = store.Load("party1");
+  ASSERT_TRUE(newest.has_value());
+  ASSERT_EQ(newest->round, 2);
+  ASSERT_TRUE(std::filesystem::remove(store.PathFor("party1", newest->generation)));
+  ASSERT_EQ(store.Load("party1").value().round, 1);
+
+  fl::ExecutionOptions options = BaseOptions(4, 2, dir);
+  options.checkpoint.resume = true;
+  fl::JobResult r = DetaJob(options, Deployment(), MakeParties(), TinyMlpFactory(),
+                            SmallMnist(40, 6))
+                        .Run();
+  EXPECT_EQ(r.status, fl::JobStatus::kSetupFailed);
+  EXPECT_NE(r.error.find("party party1 failed setup"), std::string::npos) << r.error;
 }
 
 TEST(CrashResumeTest, ResumeUnderDifferentConfigIsATypedFailure) {
