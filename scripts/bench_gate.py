@@ -4,9 +4,9 @@
 Counter mode (default): fails (exit 1) when any must-be-zero counter is nonzero
 in any of the given telemetry snapshots (common/telemetry.h::ToJson output). The
 defaults encode the fault-free contract of the protocol fabric: on a run with no
-FaultPlan installed, nothing may be dropped, no secure-channel frame may be
-rejected, no retry budget may be exhausted, and nothing may log at WARNING or
-above.
+FaultPlan installed, nothing may be dropped, no message or TCP frame may fail to
+parse, no secure-channel frame may be rejected, no retry budget may be exhausted,
+and nothing may log at WARNING or above.
 
 Usage:
   scripts/bench_gate.py telemetry1.json [telemetry2.json ...]
@@ -44,6 +44,10 @@ DEFAULT_FORBIDDEN = [
     "net.bus.fault_dropped",    # fault-injected losses: requires a FaultPlan
     "net.channel.open_rejected",  # tampered/replayed/malformed secure frames
     "net.retry.exhausted",      # a peer stayed unresponsive through the whole budget
+    "net.bus.malformed_frames",  # oversized, unknown-kind or unparseable TCP frames,
+                                 # each of which closed its connection
+    "core.role.malformed_messages",  # messages a role or the observer dropped
+                                     # because they did not parse
     "common.log.warnings",
     "common.log.errors",
 ]

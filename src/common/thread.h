@@ -1,7 +1,7 @@
 // deta::ServiceThread — the sanctioned owner of a protocol event-loop thread.
 //
-// Every long-lived role in the system (aggregator, party, key broker) runs one loop
-// thread with the same lifecycle: start in the constructor, drain on Stop(), join on
+// Its owners are the role runtime (core::Role: every aggregator, party and key broker)
+// and the TCP event loop, with one lifecycle: start, drain on Stop(), join on
 // destruction. Wrapping that in one type keeps raw std::thread out of protocol code
 // (deta_lint rule DL-D3 bans it outside this header and common/parallel), so thread
 // ownership and joining are auditable in exactly two places.

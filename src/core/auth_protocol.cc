@@ -3,6 +3,7 @@
 #include "common/check.h"
 #include "common/logging.h"
 #include "common/telemetry.h"
+#include "core/role.h"
 #include "crypto/hmac.h"
 #include "net/codec.h"
 
@@ -104,10 +105,14 @@ std::optional<net::SecureChannel> RegisterWithAggregator(
   if (!ack.has_value()) {
     return std::nullopt;
   }
-  net::Reader r(ack->payload);
-  Bytes their_share = r.ReadBytes();
-  Bytes sig_bytes = r.ReadBytes();
-  if (sig_bytes.size() != 64) {
+  Bytes their_share;
+  Bytes sig_bytes;
+  if (!DropIfMalformed(endpoint.name(), *ack, [&] {
+        net::Reader r(ack->payload);
+        their_share = r.ReadBytes();
+        sig_bytes = r.ReadBytes();
+      }) ||
+      sig_bytes.size() != 64) {
     return std::nullopt;
   }
   crypto::EcdsaSignature sig = crypto::EcdsaSignature::Deserialize(sig_bytes);

@@ -11,8 +11,6 @@
 namespace deta::core {
 
 namespace {
-// Event-loop tick granularity: deadlines and retransmissions are checked this often.
-constexpr int kTickMs = 50;
 // After the final round the aggregator *drains* instead of exiting: it keeps re-serving
 // the cached round result to parties whose copy was lost, until every party confirms
 // completion (party.done) or the mailbox stays quiet for this long. Exceeds the default
@@ -23,12 +21,10 @@ constexpr int kDrainTimeoutMs = 4000;
 
 DetaAggregator::DetaAggregator(AggregatorConfig config, net::Transport& transport,
                                std::shared_ptr<cc::Cvm> cvm, crypto::SecureRng rng)
-    : config_(std::move(config)),
-      state_(config_.durability, config_.name),
-      transport_(transport),
+    : Role(transport, config.name, config.idle_timeout_ms, config.durability),
+      config_(std::move(config)),
       cvm_(std::move(cvm)),
       rng_(std::move(rng)) {
-  endpoint_ = transport_.CreateEndpoint(config_.name);
   // The token was injected by the attestation proxy in phase I; its presence is this
   // node's proof of having passed attestation.
   std::optional<Bytes> token = cvm_->GuestRead(cc::kTokenRegion);
@@ -45,48 +41,23 @@ DetaAggregator::DetaAggregator(AggregatorConfig config, net::Transport& transpor
   }
 }
 
-DetaAggregator::~DetaAggregator() {
-  Join();
-  // token_private_ is a Secret and wipes itself.
-}
-
-void DetaAggregator::Start() {
-  thread_ = ServiceThread([this] { Run(); });
-}
-
-void DetaAggregator::Join() { thread_.Join(); }
-
-void DetaAggregator::Run() {
+bool DetaAggregator::Begin() {
   if (!config_.durability.resume.fresh() && !RestoreFromSnapshot()) {
-    LOG_ERROR << config_.name << ": resume requested but no usable snapshot";
-    finished_ = true;
-    return;
+    LOG_ERROR << name() << ": resume requested but no usable snapshot";
+    return false;
   }
-  idle_deadline_ = Clock::now() + std::chrono::milliseconds(config_.idle_timeout_ms);
-  for (;;) {
-    std::optional<net::Message> m = endpoint_->ReceiveFor(kTickMs);
-    if (m.has_value()) {
-      idle_deadline_ = Clock::now() + std::chrono::milliseconds(config_.idle_timeout_ms);
-      if (draining_) {
-        // Any traffic is evidence some party is still recovering its result.
-        drain_deadline_ = Clock::now() + std::chrono::milliseconds(kDrainTimeoutMs);
-      }
-      Dispatch(*m);
-    } else if (endpoint_->closed()) {
-      return;
-    }
-    OnTick();
-    if (finished_) {
-      return;
-    }
-  }
+  return true;
 }
 
 void DetaAggregator::Dispatch(const net::Message& m) {
+  if (draining_) {
+    // Any traffic is evidence some party is still recovering its result.
+    drain_deadline_ = Clock::now() + std::chrono::milliseconds(kDrainTimeoutMs);
+  }
   if (m.type == kAuthChallenge) {
-    AnswerChallenge(*endpoint_, m, token_private_);
+    AnswerChallenge(endpoint(), m, token_private_);
   } else if (m.type == kAuthRegister) {
-    auto result = registrations_.Accept(*endpoint_, m, token_private_, rng_);
+    auto result = registrations_.Accept(endpoint(), m, token_private_, rng_);
     if (result.has_value()) {
       channels_.insert_or_assign(result->first, std::move(result->second));
       // Registered channels are durable state: without them a crash before the first
@@ -111,7 +82,7 @@ void DetaAggregator::Dispatch(const net::Message& m) {
       done_pending_ = false;  // the fanout doubles as the round.done ack
       StartDraining();
     } else {
-      finished_ = true;
+      Finish();
     }
   } else {
     LOG_WARNING << config_.name << ": unexpected message type " << m.type;
@@ -126,9 +97,8 @@ void DetaAggregator::HandleJobStart(const net::Message& m) {
   if (current_round_ == 0) {
     // Resume-aware: a freshly constructed initiator starts at round 1; one revived or
     // restored from a snapshot picks up right after its last aggregated round.
-    StartCollecting(last_aggregated_round_ + 1);
-    if (finished_) {
-      return;  // injected crash fired inside StartCollecting
+    if (!StartCollecting(last_aggregated_round_ + 1)) {
+      return;  // the injected crash fired
     }
     SendRoundBegin();
     done_.clear();
@@ -137,20 +107,20 @@ void DetaAggregator::HandleJobStart(const net::Message& m) {
         Clock::now() + std::chrono::milliseconds(config_.retry.TimeoutForAttempt(0));
   }
   // Ack even for a duplicate job.start: the first ack may have been dropped.
-  endpoint_->Send(m.from, kJobStartAck, {});
+  endpoint().Send(m.from, kJobStartAck, {});
 }
 
 void DetaAggregator::SendRoundBegin() {
   net::Writer w;
   w.WriteU32(static_cast<uint32_t>(current_round_));
   for (const std::string& party : config_.party_names) {
-    endpoint_->Send(party, kRoundBegin, w.buffer());
+    endpoint().Send(party, kRoundBegin, w.buffer());
   }
   // Followers get the round notice too, so their collection deadline starts even when
   // every upload to them is delayed or dropped.
   for (const std::string& peer : config_.aggregator_names) {
     if (peer != config_.name) {
-      endpoint_->Send(peer, kRoundBegin, w.buffer());
+      endpoint().Send(peer, kRoundBegin, w.buffer());
     }
   }
 }
@@ -172,23 +142,20 @@ void DetaAggregator::HandleRoundBegin(const net::Message& m) {
   StartCollecting(round);
 }
 
-void DetaAggregator::StartCollecting(int round) {
+bool DetaAggregator::StartCollecting(int round) {
   if (round == config_.durability.crash_at) {
     // Injected crash: die before staging any of round |round|'s fragments, exactly as a
-    // process kill at the round boundary would. Every caller checks finished_ after
-    // this returns. The job driver revives a replacement from the last snapshot.
-    LOG_WARNING << config_.name << ": injected crash at round " << round;
-    DETA_COUNTER("persist.crash.injected").Increment();
-    crashed_.store(true);
-    finished_ = true;
-    endpoint_->Close();
-    return;
+    // process kill at the round boundary would. The job driver revives a replacement
+    // from the last snapshot.
+    Crash("at round " + std::to_string(round));
+    return false;
   }
   current_round_ = round;
   collecting_ = true;
   round_deadline_ =
       Clock::now() + std::chrono::milliseconds(config_.round_timeout_ms);
   LOG_DEBUG << config_.name << ": collecting round " << round;
+  return true;
 }
 
 void DetaAggregator::HandleUpload(const net::Message& m) {
@@ -211,9 +178,8 @@ void DetaAggregator::HandleUpload(const net::Message& m) {
   }
   if (!collecting_) {
     // Follower whose round.begin is still in flight: the first upload starts the round.
-    StartCollecting(round);
-    if (finished_) {
-      return;  // injected crash fired inside StartCollecting
+    if (!StartCollecting(round)) {
+      return;  // the injected crash fired
     }
   }
   if (round != current_round_) {
@@ -308,7 +274,7 @@ void DetaAggregator::Aggregate(int round) {
     net::Writer w;
     w.WriteU32(static_cast<uint32_t>(round));
     w.WriteBytes(channel.Seal(result_payload, rng_));
-    endpoint_->Send(party, kRoundResult, w.Take());
+    endpoint().Send(party, kRoundResult, w.Take());
   }
 
   // Timing + dropout report for the observer.
@@ -321,7 +287,7 @@ void DetaAggregator::Aggregate(int round) {
     for (const std::string& party : missing) {
       w.WriteString(party);
     }
-    endpoint_->Send(config_.observer, kAggReport, w.Take());
+    endpoint().Send(config_.observer, kAggReport, w.Take());
   }
 
   // Synchronization: followers notify the initiator; the initiator counts itself.
@@ -348,13 +314,13 @@ void DetaAggregator::ResendResult(const std::string& party) {
   net::Writer w;
   w.WriteU32(static_cast<uint32_t>(result_round_));
   w.WriteBytes(channel->second.Seal(result_plain_, rng_));
-  endpoint_->Send(party, kRoundResult, w.Take());
+  endpoint().Send(party, kRoundResult, w.Take());
 }
 
 void DetaAggregator::SendRoundDone() {
   net::Writer w;
   w.WriteU32(static_cast<uint32_t>(done_round_));
-  endpoint_->Send(config_.aggregator_names.front(), kRoundDone, w.Take());
+  endpoint().Send(config_.aggregator_names.front(), kRoundDone, w.Take());
 }
 
 void DetaAggregator::MarkRoundDone(const std::string& aggregator, int round) {
@@ -382,9 +348,8 @@ void DetaAggregator::MarkRoundDone(const std::string& aggregator, int round) {
   }
   if (current_round_ < config_.rounds) {
     done_.clear();
-    StartCollecting(current_round_ + 1);
-    if (finished_) {
-      return;  // injected crash fired inside StartCollecting
+    if (!StartCollecting(current_round_ + 1)) {
+      return;  // the injected crash fired
     }
     SendRoundBegin();
     begin_attempts_ = 1;
@@ -399,11 +364,11 @@ void DetaAggregator::MarkRoundDone(const std::string& aggregator, int round) {
   // parties deterministically after their final round, followers when their own drain
   // runs dry.
   for (const std::string& party : config_.party_names) {
-    endpoint_->Send(party, kShutdown, {});
+    endpoint().Send(party, kShutdown, {});
   }
   for (const std::string& peer : config_.aggregator_names) {
     if (peer != config_.name) {
-      endpoint_->Send(peer, kShutdown, {});
+      endpoint().Send(peer, kShutdown, {});
     }
   }
   LOG_INFO << config_.name << ": training complete after " << config_.rounds << " rounds";
@@ -411,22 +376,23 @@ void DetaAggregator::MarkRoundDone(const std::string& aggregator, int round) {
 }
 
 void DetaAggregator::SaveState(int round) {
-  state_.Save(round, [this](persist::Snapshot& snapshot) {
+  state().Save(round, [this](persist::Snapshot& snapshot) {
     net::Writer agg;
     agg.WriteU32(static_cast<uint32_t>(result_round_));
     agg.WriteU32(static_cast<uint32_t>(last_aggregated_round_));
     snapshot.Add(persist::SectionType::kRaw, "agg", agg.Take());
-    state_.AddSealed(snapshot, persist::SectionType::kRaw, "result", result_plain_, rng_);
-    state_.AddSession(snapshot, channels_, registrations_, rng_);
+    state().AddSealed(snapshot, persist::SectionType::kRaw, "result", result_plain_,
+                      rng_);
+    state().AddSession(snapshot, channels_, registrations_, rng_);
   });
 }
 
 bool DetaAggregator::RestoreFromSnapshot() {
-  return state_.Restore([this](const persist::Snapshot& snapshot) {
+  return state().Restore([this](const persist::Snapshot& snapshot) {
     const persist::Section* agg = snapshot.Find("agg");
-    std::optional<Bytes> result_plain = state_.OpenSealed(snapshot, "result");
+    std::optional<Bytes> result_plain = state().OpenSealed(snapshot, "result");
     if (agg == nullptr || !result_plain.has_value() ||
-        !state_.RestoreSession(snapshot, channels_, registrations_, rng_)) {
+        !state().RestoreSession(snapshot, channels_, registrations_, rng_)) {
       return false;
     }
     net::Reader r(agg->data);
@@ -461,15 +427,12 @@ void DetaAggregator::FailRound(int round) {
     w.WriteU32(static_cast<uint32_t>(round));
     w.WriteU32(static_cast<uint32_t>(have));
     w.WriteU32(static_cast<uint32_t>(need));
-    endpoint_->Send(config_.observer, kAggFailed, w.Take());
+    endpoint().Send(config_.observer, kAggFailed, w.Take());
   }
-  finished_ = true;
+  Finish();
 }
 
 void DetaAggregator::OnTick() {
-  if (finished_) {
-    return;
-  }
   Clock::time_point now = Clock::now();
 
   if (draining_) {
@@ -481,7 +444,7 @@ void DetaAggregator::OnTick() {
       }
     }
     if (all_confirmed || now >= drain_deadline_) {
-      finished_ = true;
+      Finish();
     }
     return;  // no round deadlines or retransmissions apply while draining
   }
@@ -520,12 +483,6 @@ void DetaAggregator::OnTick() {
     next_done_resend_ = now + std::chrono::milliseconds(
                                   config_.retry.TimeoutForAttempt(done_attempts_));
     ++done_attempts_;
-  }
-
-  if (now >= idle_deadline_) {
-    LOG_WARNING << config_.name << ": no traffic for " << config_.idle_timeout_ms
-                << "ms — giving up";
-    finished_ = true;
   }
 }
 

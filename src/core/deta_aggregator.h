@@ -1,19 +1,18 @@
 // A decentralized DeTA aggregator (§4.1): one of J instances, each confined to an SEV
-// CVM, holding only a fragmentary, shuffled view of every model update. Runs as a real
-// thread with an event loop over bus messages.
+// CVM, holding only a fragmentary, shuffled view of every model update. A Role
+// (core/role.h): its protocol runs as message and tick handlers on the role runtime.
 //
 // Roles: one aggregator is the *initiator* — it starts each training round by notifying
 // the parties and the follower aggregators, and advances to the next round once every
 // aggregator reports completion ("Inter-Aggregator Training Synchronization"). The rest
 // are followers.
 //
-// The event loop never blocks unboundedly: it ticks on a short receive timeout and uses
-// the ticks to (a) retransmit round.begin / round.done with capped backoff, (b) enforce a
-// per-round collection deadline — a round still missing fragments then emits a typed
-// agg.failed to the observer — and (c) bail out on a global idle backstop instead of
-// hanging. A party whose round.result was dropped recovers by retransmitting its upload:
-// uploads for an already-aggregated round are answered with a re-sealed copy of the
-// cached result.
+// The tick handler (a) retransmits round.begin / round.done with capped backoff and (b)
+// enforces a per-round collection deadline — a round still missing fragments then emits
+// a typed agg.failed to the observer; the runtime's idle backstop ends a node nobody
+// talks to instead of letting it hang. A party whose round.result was dropped recovers
+// by retransmitting its upload: uploads for an already-aggregated round are answered
+// with a re-sealed copy of the cached result.
 //
 // Everything secret the aggregator handles (its auth token, received fragments, the
 // aggregated result) lives in the CVM's encrypted memory, so the breach experiments can
@@ -21,7 +20,6 @@
 #ifndef DETA_CORE_DETA_AGGREGATOR_H_
 #define DETA_CORE_DETA_AGGREGATOR_H_
 
-#include <atomic>
 #include <chrono>
 #include <map>
 #include <memory>
@@ -30,9 +28,8 @@
 #include <string>
 
 #include "cc/sev.h"
-#include "common/thread.h"
 #include "core/auth_protocol.h"
-#include "core/role_state.h"
+#include "core/role.h"
 #include "fl/aggregation.h"
 #include "fl/paillier_fusion.h"
 #include "net/retry.h"
@@ -82,37 +79,34 @@ struct AggregatorConfig {
   RoleDurability durability;
 };
 
-class DetaAggregator {
+class DetaAggregator final : public Role {
  public:
   // The token private key is read from the CVM's encrypted memory (provisioned by the
   // attestation proxy in phase I); construction fails if the CVM was not provisioned.
   DetaAggregator(AggregatorConfig config, net::Transport& transport,
                  std::shared_ptr<cc::Cvm> cvm, crypto::SecureRng rng);
-  ~DetaAggregator();
+  ~DetaAggregator() override { Stop(); Join(); }
 
-  DetaAggregator(const DetaAggregator&) = delete;
-  DetaAggregator& operator=(const DetaAggregator&) = delete;
-
-  void Start();
-  void Join();
-
-  const std::string& name() const { return config_.name; }
-  const std::shared_ptr<cc::Cvm>& cvm() const { return cvm_; }
-
-  // True after an injected crash fault fired; the job driver polls this and revives the
-  // aggregator from its latest snapshot.
-  bool crashed() const { return crashed_.load(); }
+  // After the injected crash: the replacement on the same CVM, resuming from this
+  // node's newest snapshot.
+  std::unique_ptr<DetaAggregator> Revive(crypto::SecureRng rng) {
+    Release();
+    config_.durability = config_.durability.Revived();
+    return std::make_unique<DetaAggregator>(std::move(config_), transport(), cvm_,
+                                            std::move(rng));
+  }
 
  private:
   using Clock = std::chrono::steady_clock;
 
-  void Run();
-  void Dispatch(const net::Message& m);
-  void OnTick();
+  bool Begin() override;
+  void Dispatch(const net::Message& m) override;
+  void OnTick() override;
   void HandleJobStart(const net::Message& m);
   void HandleRoundBegin(const net::Message& m);
   void HandleUpload(const net::Message& m);
-  void StartCollecting(int round);
+  // False when the injected crash fired instead.
+  bool StartCollecting(int round);
   void Aggregate(int round);
   void ResendResult(const std::string& party);
   void SendRoundBegin();
@@ -130,9 +124,6 @@ class DetaAggregator {
   bool is_initiator() const { return config_.name == config_.aggregator_names.front(); }
 
   AggregatorConfig config_;
-  RoleState state_;
-  net::Transport& transport_;
-  std::unique_ptr<net::Endpoint> endpoint_;
   std::shared_ptr<cc::Cvm> cvm_;
   // The auth token proves this CVM passed attestation; the Secret wrapper wipes it on
   // destruction and keeps it out of logs/telemetry/plaintext wires by construction.
@@ -164,15 +155,11 @@ class DetaAggregator {
   int done_round_ = 0;
   int done_attempts_ = 0;
   Clock::time_point next_done_resend_;
-  Clock::time_point idle_deadline_;
   // Post-final-round drain state: still serving cached results, exiting once every
   // party confirmed completion or the mailbox has been quiet long enough.
   bool draining_ = false;
   Clock::time_point drain_deadline_;
   std::set<std::string> done_parties_;
-  bool finished_ = false;
-  std::atomic<bool> crashed_{false};
-  ServiceThread thread_;
 };
 
 }  // namespace deta::core

@@ -18,8 +18,6 @@ namespace deta::core {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-// Every observer wait ticks at most this long between crash checks.
-constexpr int kObserverTickMs = 50;
 
 // The aggregator "image" whose SHA-256 is the CVM launch measurement. In a real
 // deployment this is the OVMF+workload digest; here a canonical manifest plays that role —
@@ -174,10 +172,7 @@ DetaJob::DetaJob(fl::ExecutionOptions options, DetaOptions deta,
         durability(KeyBroker::kEndpointName,
                    resume_roles ? ResumePoint::Newest() : ResumePoint::Fresh()));
   }
-  // Retained for crash revives: a replacement broker is rebuilt from the same material
-  // and identity; replacement aggregators/parties from the retained configs below.
   material_ = material;
-  broker_identity_ = broker_identity;
 
   // --- Aggregator nodes (threads created at Run) ---
   // Idle-watchdog floor: an early party legitimately hears nothing while the rest of the
@@ -204,11 +199,10 @@ DetaJob::DetaJob(fl::ExecutionOptions options, DetaOptions deta,
     // the first is equivalent (names carry no bias) and keeps runs reproducible.
     ac.aggregator_names = aggregator_names;
     ac.durability = durability(ac.name, role_resume);
-    agg_configs_.push_back(ac);
     crypto::SecureRng agg_rng(setup_rng.NextBytes(32));  // drawn even for remote roles
     if (RoleIsLocal(ac.name)) {
       aggregators_.push_back(std::make_unique<DetaAggregator>(
-          ac, *transport_, cvms_[static_cast<size_t>(j)], std::move(agg_rng)));
+          std::move(ac), *transport_, cvms_[static_cast<size_t>(j)], std::move(agg_rng)));
     }
   }
 
@@ -231,7 +225,6 @@ DetaJob::DetaJob(fl::ExecutionOptions options, DetaOptions deta,
     // The transform material and the Paillier key reach parties only over the
     // authenticated broker fetch (or from their own sealed snapshot on resume).
     pc.key_broker_public = broker_identity.public_key;
-    party_configs_.push_back(pc);
     crypto::SecureRng party_rng(setup_rng.NextBytes(32));  // drawn even for remote roles
     if (!RoleIsLocal(party_names_[i])) {
       continue;
@@ -248,7 +241,7 @@ DetaJob::DetaJob(fl::ExecutionOptions options, DetaOptions deta,
     DETA_CHECK_MSG(local != nullptr,
                    "no local trainer supplied for hosted party " << party_names_[i]);
     deta_parties_.push_back(std::make_unique<DetaParty>(
-        std::move(local), pc, initial, *transport_, std::move(party_rng)));
+        std::move(local), std::move(pc), initial, *transport_, std::move(party_rng)));
   }
   revive_rng_ = crypto::SecureRng(setup_rng.NextBytes(32));
   construct_seconds_ = setup_watch_.ElapsedSeconds();
@@ -301,64 +294,36 @@ void DetaJob::SaveJobState(int round, const std::vector<float>& params,
   }
 }
 
-void DetaJob::ReviveCrashedRoles(net::Endpoint& observer, bool job_started) {
-  // A revived role restores its newest snapshot and does not crash again.
-  const RoleDurability revive{store_.get(), options_.seed, ResumePoint::Newest()};
-  if (key_broker_ != nullptr && key_broker_->crashed()) {
-    key_broker_->Join();
-    key_broker_.reset();  // destroy first: the endpoint name must unregister
-    key_broker_ = std::make_unique<KeyBroker>(
-        material_, broker_identity_, 0, *transport_,
-        crypto::SecureRng(revive_rng_.NextBytes(32)), revive);
-    key_broker_->Start();
-    DETA_COUNTER("persist.role_revived").Increment();
-    LOG_INFO << "DeTA job: revived key broker from snapshot";
+template <typename Fn>
+void DetaJob::ForEachLocalRole(const Fn& fn) {
+  if (key_broker_ != nullptr) {
+    fn(key_broker_);
   }
-  for (size_t j = 0; j < aggregators_.size(); ++j) {
-    if (!aggregators_[j]->crashed()) {
-      continue;
-    }
-    aggregators_[j]->Join();
-    AggregatorConfig ac = agg_configs_[j];
-    ac.durability = revive;
-    aggregators_[j].reset();
-    aggregators_[j] = std::make_unique<DetaAggregator>(
-        ac, *transport_, cvms_[j], crypto::SecureRng(revive_rng_.NextBytes(32)));
-    aggregators_[j]->Start();
-    DETA_COUNTER("persist.role_revived").Increment();
-    LOG_INFO << "DeTA job: revived " << ac.name << " from snapshot";
-    if (ac.name == aggregator_names_.front() && job_started) {
-      // The revived initiator owns the round protocol again but starts idle; a fresh
-      // job.start makes it resume collecting at last_aggregated_round + 1.
-      observer.Send(ac.name, kJobStart, {});
-    }
+  for (auto& agg : aggregators_) {
+    fn(agg);
   }
-  for (size_t i = 0; i < deta_parties_.size(); ++i) {
-    if (!deta_parties_[i]->crashed()) {
-      continue;
-    }
-    deta_parties_[i]->Join();
-    std::unique_ptr<fl::Party> local = deta_parties_[i]->TakeLocal();
-    DetaPartyConfig pc = party_configs_[i];
-    pc.durability = revive;  // also skips the ready barrier, which already passed
-    std::string name = local->name();
-    deta_parties_[i].reset();
-    deta_parties_[i] = std::make_unique<DetaParty>(
-        std::move(local), pc, std::vector<float>(), *transport_,
-        crypto::SecureRng(revive_rng_.NextBytes(32)));
-    deta_parties_[i]->Start();
-    DETA_COUNTER("persist.role_revived").Increment();
-    LOG_INFO << "DeTA job: revived " << name << " from snapshot";
+  for (auto& party : deta_parties_) {
+    fn(party);
   }
 }
 
-DetaJob::~DetaJob() {
-  for (auto& p : deta_parties_) {
-    p->Join();
-  }
-  for (auto& a : aggregators_) {
-    a->Join();
-  }
+void DetaJob::ReviveCrashedRoles(net::Endpoint& observer, bool job_started) {
+  // One path for every role: a crashed role builds its replacement, which restores its
+  // newest snapshot and does not crash again.
+  ForEachLocalRole([&](auto& role) {
+    if (!role->crashed()) {
+      return;
+    }
+    role = role->Revive(crypto::SecureRng(revive_rng_.NextBytes(32)));
+    role->Start();
+    DETA_COUNTER("persist.role_revived").Increment();
+    LOG_INFO << "DeTA job: revived " << role->name() << " from snapshot";
+    if (job_started && role->name() == aggregator_names_.front()) {
+      // The revived initiator owns the round protocol again but starts idle; a fresh
+      // job.start makes it resume collecting at last_aggregated_round + 1.
+      observer.Send(role->name(), kJobStart, {});
+    }
+  });
 }
 
 void DetaJob::ShutdownAll(net::Endpoint& observer) {
@@ -368,11 +333,9 @@ void DetaJob::ShutdownAll(net::Endpoint& observer) {
   for (const std::string& name : party_names_) {
     observer.Send(name, kShutdown, {});
   }
-  for (auto& party : deta_parties_) {
-    // The message alone cannot interrupt a party blocked in mid-round result
-    // collection (selective receive stashes it); closing the mailbox can.
-    party->Shutdown();
-  }
+  // The message alone cannot interrupt a party blocked in mid-round result collection
+  // (selective receive stashes it); closing the mailbox can.
+  ForEachLocalRole([](auto& role) { role->Stop(); });
   StopBroker(observer);
 }
 
@@ -385,35 +348,15 @@ void DetaJob::StopBroker(net::Endpoint& observer) {
   }
 }
 
-void DetaJob::StartLocalRoles() {
-  if (key_broker_ != nullptr) {
-    key_broker_->Start();
-  }
-  for (auto& agg : aggregators_) {
-    agg->Start();
-  }
-  for (auto& party : deta_parties_) {
-    party->Start();
-  }
-}
-
 // Worker-process path: no observer loop — start the hosted roles and wait for them to
 // run the protocol to completion (parties exit after their final round; followers and
 // the broker exit on the shutdown fan-out that reaches them over the transport).
 fl::JobResult DetaJob::RunWorker() {
   const telemetry::TelemetrySnapshot telemetry_start = telemetry::Snapshot();
-  StartLocalRoles();
+  ForEachLocalRole([](auto& role) { role->Start(); });
   fl::JobResult result;
   result.setup_seconds = construct_seconds_;
-  for (auto& party : deta_parties_) {
-    party->Join();
-  }
-  for (auto& agg : aggregators_) {
-    agg->Join();
-  }
-  if (key_broker_ != nullptr) {
-    key_broker_->Join();
-  }
+  ForEachLocalRole([](auto& role) { role->Join(); });
   for (auto& party : deta_parties_) {
     if (!party->setup_ok()) {
       result.status = fl::JobStatus::kSetupFailed;
@@ -467,13 +410,13 @@ fl::JobResult DetaJob::Run() {
   }
 
   auto observer = transport_->CreateEndpoint("observer");
-  StartLocalRoles();
+  ForEachLocalRole([](auto& role) { role->Start(); });
 
   fl::JobResult result;
   result.resumed_from_round = resume_round_;
 
   // The observer doubles as the supervisor: each wait below receives in ticks of at most
-  // kObserverTickMs and revives crashed roles between them (a no-op when none crashed),
+  // Role::kTickMs and revives crashed roles between them (a no-op when none crashed),
   // so a crash stalls a phase for one tick instead of its full timeout. |receive| takes
   // the tick's timeout; the wait returns the first message, or nullopt at |deadline|.
   auto supervised_wait = [&](Clock::time_point deadline, bool job_started,
@@ -486,7 +429,7 @@ fl::JobResult DetaJob::Run() {
         return std::nullopt;
       }
       std::optional<net::Message> m =
-          receive(static_cast<int>(std::min<int64_t>(left.count(), kObserverTickMs)));
+          receive(static_cast<int>(std::min<int64_t>(left.count(), Role::kTickMs)));
       if (m.has_value()) {
         return m;
       }
@@ -590,7 +533,7 @@ fl::JobResult DetaJob::Run() {
       return accounted >= party_names_.size() && agg_reports[round].size() >= num_aggs &&
              params_ready;
     };
-    while (!round_complete()) {
+    while (result.ok() && !round_complete()) {
       std::optional<net::Message> m =
           supervised_wait(deadline, /*job_started=*/true,
                           [&](int ms) { return observer->ReceiveFor(ms); });
@@ -600,45 +543,49 @@ fl::JobResult DetaJob::Run() {
                        std::to_string(round_budget_ms) + "ms";
         break;
       }
-      net::Reader r(m->payload);
-      if (m->type == kPartyTiming) {
-        int rd = static_cast<int>(r.ReadU32());
-        double train_s = r.ReadDouble();
-        double trans_s = r.ReadDouble();
-        uint64_t bytes = r.ReadU64();
-        rtts[rd].push_back(r.ReadDouble());
-        timings[rd].push_back({train_s, trans_s});
-        upload_bytes[rd] = std::max(upload_bytes[rd], bytes);
-      } else if (m->type == kAggReport) {
-        int rd = static_cast<int>(r.ReadU32());
-        double agg_s = r.ReadDouble();
-        uint64_t bytes = r.ReadU64();
-        agg_reports[rd].push_back({agg_s, bytes});
-        uint32_t missing = r.ReadU32();
-        for (uint32_t i = 0; i < missing; ++i) {
-          dropouts[rd].insert(r.ReadString());
+      // A report that does not parse is dropped: each is read whole before it counts.
+      DropIfMalformed("observer", *m, [&] {
+        net::Reader r(m->payload);
+        if (m->type == kPartyTiming) {
+          int rd = static_cast<int>(r.ReadU32());
+          double train_s = r.ReadDouble();
+          double trans_s = r.ReadDouble();
+          uint64_t bytes = r.ReadU64();
+          double rtt_s = r.ReadDouble();
+          rtts[rd].push_back(rtt_s);
+          timings[rd].push_back({train_s, trans_s});
+          upload_bytes[rd] = std::max(upload_bytes[rd], bytes);
+        } else if (m->type == kAggReport) {
+          int rd = static_cast<int>(r.ReadU32());
+          double agg_s = r.ReadDouble();
+          uint64_t bytes = r.ReadU64();
+          std::set<std::string> missing;
+          for (uint32_t i = 0, n = r.ReadU32(); i < n; ++i) {
+            missing.insert(r.ReadString());
+          }
+          agg_reports[rd].push_back({agg_s, bytes});
+          dropouts[rd].insert(missing.begin(), missing.end());
+        } else if (m->type == kPartyReport) {
+          int rd = static_cast<int>(r.ReadU32());
+          reported_params[rd] = r.ReadFloatVector();
+        } else if (m->type == kPartyRoundSkipped) {
+          int rd = static_cast<int>(r.ReadU32());
+          dropouts[rd].insert(m->from);
+          LOG_WARNING << "observer: party " << m->from << " skipped round " << rd;
+        } else if (m->type == kAggFailed) {
+          int rd = static_cast<int>(r.ReadU32());
+          int have = static_cast<int>(r.ReadU32());
+          int need = static_cast<int>(r.ReadU32());
+          result.status = fl::JobStatus::kQuorumFailed;
+          result.error = "aggregator " + m->from + " failed quorum in round " +
+                         std::to_string(rd) + " (" + std::to_string(have) + "/" +
+                         std::to_string(need) + " fragments)";
+        } else if (m->type == kJobStartAck) {
+          // Ack for the job.start kick sent to a revived initiator; nothing to do.
+        } else {
+          LOG_WARNING << "observer: unexpected message " << m->type;
         }
-      } else if (m->type == kPartyReport) {
-        int rd = static_cast<int>(r.ReadU32());
-        reported_params[rd] = r.ReadFloatVector();
-      } else if (m->type == kPartyRoundSkipped) {
-        int rd = static_cast<int>(r.ReadU32());
-        dropouts[rd].insert(m->from);
-        LOG_WARNING << "observer: party " << m->from << " skipped round " << rd;
-      } else if (m->type == kAggFailed) {
-        int rd = static_cast<int>(r.ReadU32());
-        int have = static_cast<int>(r.ReadU32());
-        int need = static_cast<int>(r.ReadU32());
-        result.status = fl::JobStatus::kQuorumFailed;
-        result.error = "aggregator " + m->from + " failed quorum in round " +
-                       std::to_string(rd) + " (" + std::to_string(have) + "/" +
-                       std::to_string(need) + " fragments)";
-        break;
-      } else if (m->type == kJobStartAck) {
-        // Ack for the job.start kick sent to a revived initiator; nothing to do.
-      } else {
-        LOG_WARNING << "observer: unexpected message " << m->type;
-      }
+      });
     }
     if (!result.ok()) {
       LOG_ERROR << "DeTA job: " << result.error;
@@ -710,16 +657,8 @@ fl::JobResult DetaJob::Run() {
   if (!result.ok()) {
     ShutdownAll(*observer);
   }
-  for (auto& party : deta_parties_) {
-    party->Join();
-  }
-  for (auto& agg : aggregators_) {
-    agg->Join();
-  }
-  if (key_broker_ != nullptr) {
-    key_broker_->Stop();
-    key_broker_->Join();
-  }
+  StopBroker(*observer);
+  ForEachLocalRole([](auto& role) { role->Join(); });
   // Snapshot after every node thread has joined, so all their metric writes are folded in.
   finish_telemetry(result, cumulative);
   return result;

@@ -66,7 +66,6 @@ class DetaJob {
           std::vector<std::unique_ptr<fl::Party>> parties,
           const fl::ModelFactory& global_factory, data::Dataset eval,
           DetaDeployment deployment = {});
-  ~DetaJob();
 
   // Runs the full life cycle; returns per-round metrics, the final global parameters,
   // and setup time (attestation, key-broker fetch, party handshakes and the ready
@@ -83,18 +82,19 @@ class DetaJob {
  private:
   // True when |role| runs in this process (deployment.local_roles empty = all local).
   bool RoleIsLocal(const std::string& role) const;
-  // Starts local role threads; the observer path then runs the measurement loop while
-  // worker processes just wait for their roles to finish.
-  void StartLocalRoles();
+  // Applies |fn| to the owning pointer of each role this process hosts: the key broker,
+  // the aggregators, then the parties.
+  template <typename Fn>
+  void ForEachLocalRole(const Fn& fn);
   fl::JobResult RunWorker();
   // Stops the key broker: directly when local, via a kShutdown message otherwise.
   void StopBroker(net::Endpoint& observer);
   // Fans out shutdown to every aggregator and party and stops the broker, so failure
   // paths leave no thread waiting on a message that will never come.
   void ShutdownAll(net::Endpoint& observer);
-  // Crash-fault orchestration: detects roles whose injected crash fired and replaces
-  // each with a new instance resumed from its latest snapshot. The revived role rejoins
-  // the in-flight run (re-registering where needed); no-op when nothing crashed.
+  // Crash-fault orchestration: replaces every role whose injected crash fired with the
+  // replacement it builds (Revive), resumed from its newest snapshot. The revived role
+  // rejoins the in-flight run (re-registering where needed); no-op when nothing crashed.
   void ReviveCrashedRoles(net::Endpoint& observer, bool job_started);
   // Binds a job snapshot to the options that wrote it, so a resume under a different
   // topology/seed is rejected instead of silently diverging. |num_parties| is passed in
@@ -114,6 +114,9 @@ class DetaJob {
   net::MessageBus bus_;
   // The transport every role endpoint is created on: &bus_ or deployment_.transport.
   net::Transport* transport_ = nullptr;
+  // Shared by every role; declared before them, as one still running when the job is
+  // destroyed (a failure path returned early) writes to it until its destructor stops it.
+  std::unique_ptr<persist::StateStore> store_;
   // Full rosters (identical in every process of a deployment); the local object
   // vectors below hold only this process's subset.
   std::vector<std::string> aggregator_names_;
@@ -135,13 +138,8 @@ class DetaJob {
   double construct_seconds_ = 0.0;
 
   // --- durability / crash-fault orchestration state ---
-  std::unique_ptr<persist::StateStore> store_;
-  // Retained construction inputs so crashed roles can be rebuilt identically (and
-  // transform() built on demand). They hold no model parameters.
+  // The key-broker material, retained so transform() can be built on demand.
   TransformMaterial material_;
-  crypto::EcKeyPair broker_identity_;
-  std::vector<AggregatorConfig> agg_configs_;
-  std::vector<DetaPartyConfig> party_configs_;
   // Reseeded from setup entropy at the end of construction; the placeholder seed is
   // never drawn from (SecureRng has no default constructor).
   crypto::SecureRng revive_rng_{StringToBytes("deta-job-revive-placeholder")};

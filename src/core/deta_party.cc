@@ -17,7 +17,6 @@ namespace deta::core {
 
 namespace {
 using Clock = std::chrono::steady_clock;
-constexpr int kTickMs = 50;
 // Overall ceiling on one round's upload + result collection; the round is skipped when
 // it expires.
 constexpr int kResultTimeoutMs = 120000;
@@ -36,25 +35,14 @@ int MsUntil(Clock::time_point deadline) {
 DetaParty::DetaParty(std::unique_ptr<fl::Party> local, DetaPartyConfig config,
                      std::vector<float> initial_params, net::Transport& transport,
                      crypto::SecureRng rng)
-    : local_(std::move(local)),
-      name_(local_->name()),
+    : Role(transport, local->name(), config.idle_timeout_ms, config.durability),
+      local_(std::move(local)),
       config_(std::move(config)),
-      state_(config_.durability, name_),
-      transport_(transport),
       rng_(std::move(rng)),
       global_params_(std::move(initial_params)) {
-  endpoint_ = transport_.CreateEndpoint(name_);
   DETA_CHECK(!config_.durability.resume.fresh() ||
              static_cast<int64_t>(global_params_.size()) == local_->ParameterCount());
 }
-
-DetaParty::~DetaParty() { Join(); }
-
-void DetaParty::Start() {
-  thread_ = ServiceThread([this] { Run(); });
-}
-
-void DetaParty::Join() { thread_.Join(); }
 
 bool DetaParty::SetupChannels() {
   // Fetch the shared transform material from the trusted key broker first: the mapper
@@ -64,7 +52,7 @@ bool DetaParty::SetupChannels() {
   if (transform_ == nullptr) {
     std::optional<TransformMaterial> material;
     for (int attempt = 0; attempt < kBrokerFetchAttempts && !material.has_value() &&
-                          !endpoint_->closed();
+                          !endpoint().closed();
          ++attempt) {
       if (attempt > 0) {
         // The broker endpoint did not exist for the previous attempt (crashed, or not
@@ -74,10 +62,10 @@ bool DetaParty::SetupChannels() {
         // for a nonce we no longer hold, a surplus ack, sealed material). Drain them,
         // or every retry pairs its fresh challenge with the previous attempt's reply
         // and fails verification one step behind, forever.
-        while (endpoint_->ReceiveFor(1).has_value()) {
+        while (endpoint().ReceiveFor(1).has_value()) {
         }
       }
-      material = FetchTransformMaterial(*endpoint_, config_.key_broker_public, rng_,
+      material = FetchTransformMaterial(endpoint(), config_.key_broker_public, rng_,
                                         config_.retry);
     }
     if (!material.has_value() || !AdoptMaterial(std::move(*material))) {
@@ -92,11 +80,11 @@ bool DetaParty::SetupChannels() {
       LOG_WARNING << name() << ": no attestation token on record for " << agg;
       return false;
     }
-    if (!VerifyAggregator(*endpoint_, agg, token->second, rng_, config_.retry)) {
+    if (!VerifyAggregator(endpoint(), agg, token->second, rng_, config_.retry)) {
       return false;
     }
     std::optional<net::SecureChannel> channel = RegisterWithAggregator(
-        *endpoint_, agg, token->second, rng_, config_.retry);
+        endpoint(), agg, token->second, rng_, config_.retry);
     if (!channel.has_value()) {
       return false;
     }
@@ -105,7 +93,7 @@ bool DetaParty::SetupChannels() {
   return true;
 }
 
-void DetaParty::Run() {
+bool DetaParty::Begin() {
   const ResumePoint& resume = config_.durability.resume;
   if (!resume.fresh() && !RestoreFromSnapshot()) {
     LOG_ERROR << name() << ": resume requested but no usable snapshot";
@@ -113,103 +101,86 @@ void DetaParty::Run() {
     setup_ok_ = SetupChannels();
   }
   if (!resume.newest()) {
-    endpoint_->Send(config_.observer, kPartyReady,
+    endpoint().Send(config_.observer, kPartyReady,
                     Bytes{setup_ok_ ? uint8_t{1} : uint8_t{0}});
   }
   if (!setup_ok_) {
-    return;
+    return false;
   }
   if (resume.fresh()) {
     SaveState(0);  // post-setup baseline: resumable before the first round completes
   }
-  int last_round = resume_round_;
-  // Exit notice: tells every aggregator this party needs nothing more, so draining
-  // aggregators can stop early. Best-effort — a lost notice just means the aggregator
-  // waits out its drain quiet period.
-  auto announce_done = [this] {
-    for (const std::string& agg : config_.aggregator_names) {
-      endpoint_->Send(agg, kPartyDone, {});
+  return true;
+}
+
+void DetaParty::OnTick() {
+  if (config_.rounds > 0 && last_round_ >= config_.rounds) {
+    Exit();
+  }
+}
+
+void DetaParty::Exit() {
+  for (const std::string& agg : config_.aggregator_names) {
+    endpoint().Send(agg, kPartyDone, {});
+  }
+  Finish();
+}
+
+void DetaParty::Dispatch(const net::Message& m) {
+  if (m.type == kShutdown) {
+    Exit();
+  } else if (m.type == kRoundBegin) {
+    net::Reader r(m.payload);
+    int round = static_cast<int>(r.ReadU32());
+    if (round <= last_round_) {
+      return;  // retransmitted notice for a round we already ran
     }
-  };
-  Clock::time_point idle_deadline =
-      Clock::now() + std::chrono::milliseconds(config_.idle_timeout_ms);
-  for (;;) {
-    if (config_.rounds > 0 && last_round >= config_.rounds) {
-      announce_done();
-      return;  // final round done — do not depend on the shutdown message arriving
-    }
-    std::optional<net::Message> m = endpoint_->ReceiveFor(kTickMs);
-    if (!m.has_value()) {
-      if (endpoint_->closed()) {
-        return;
-      }
-      if (Clock::now() >= idle_deadline) {
-        LOG_WARNING << name() << ": no traffic for " << config_.idle_timeout_ms
-                    << "ms — giving up";
-        return;
-      }
-      continue;
-    }
-    idle_deadline = Clock::now() + std::chrono::milliseconds(config_.idle_timeout_ms);
-    if (m->type == kShutdown) {
-      announce_done();
+    if (round == config_.durability.crash_at) {
+      // Injected crash: die before doing any of round |round|'s work, exactly as a
+      // process kill between rounds would. The job driver revives a replacement from
+      // the last durable snapshot (round - 1).
+      Crash("at round " + std::to_string(round));
       return;
     }
-    if (m->type == kRoundBegin) {
-      net::Reader r(m->payload);
-      int round = static_cast<int>(r.ReadU32());
-      if (round <= last_round) {
-        continue;  // retransmitted notice for a round we already ran
-      }
-      if (round == config_.durability.crash_at) {
-        // Injected crash: die before doing any of round |round|'s work, exactly as a
-        // process kill between rounds would. The job driver revives a replacement from
-        // the last durable snapshot (round - 1).
-        LOG_WARNING << name() << ": injected crash at round " << round;
-        DETA_COUNTER("persist.crash.injected").Increment();
-        crashed_.store(true);
-        endpoint_->Close();
-        return;
-      }
-      RunRound(round);
-      if (endpoint_->closed()) {
-        return;
-      }
-      last_round = round;
-      SaveState(round);
-    } else if (m->type == kRoundResult) {
-      LOG_DEBUG << name() << ": late round result between rounds — ignored";
-    } else if (m->type == kAuthRegisterAck || m->type == kAuthResponse ||
-               m->type == kKeyBrokerMaterial) {
-      // A slow reply races the handshake's (or key fetch's) retransmission, so the
-      // responder answers twice and the surplus ack, challenge response, or material
-      // copy pops out here. Expected protocol fallout, not a fault.
-      LOG_DEBUG << name() << ": surplus " << m->type << " — ignored";
-    } else {
-      LOG_WARNING << name() << ": unexpected message type " << m->type;
+    RunRound(round);
+    if (endpoint().closed()) {
+      Finish();  // stopped mid-round: the round did not complete
+      return;
     }
+    last_round_ = round;
+    SaveState(round);
+  } else if (m.type == kRoundResult) {
+    LOG_DEBUG << name() << ": late round result between rounds — ignored";
+  } else if (m.type == kAuthRegisterAck || m.type == kAuthResponse ||
+             m.type == kKeyBrokerMaterial) {
+    // A slow reply races the handshake's (or key fetch's) retransmission, so the
+    // responder answers twice and the surplus ack, challenge response, or material
+    // copy pops out here. Expected protocol fallout, not a fault.
+    LOG_DEBUG << name() << ": surplus " << m.type << " — ignored";
+  } else {
+    LOG_WARNING << name() << ": unexpected message type " << m.type;
   }
 }
 
 void DetaParty::SaveState(int round) {
-  state_.Save(round, [this](persist::Snapshot& snapshot) {
+  state().Save(round, [this](persist::Snapshot& snapshot) {
     snapshot.AddFloats(persist::SectionType::kModelParams, "params", global_params_);
     snapshot.Add(persist::SectionType::kTrainerState, "trainer",
                  local_->SerializeTrainerState());
-    state_.AddSealed(snapshot, persist::SectionType::kRngState, "rng",
+    state().AddSealed(snapshot, persist::SectionType::kRngState, "rng",
                      rng_.SerializeState(), rng_);
     // The one key copy: the broker-served material carries the Paillier key.
-    state_.AddSealed(snapshot, persist::SectionType::kKeyMaterial, "material",
+    state().AddSealed(snapshot, persist::SectionType::kKeyMaterial, "material",
                      material_.Serialize(), rng_);
   });
 }
 
 bool DetaParty::RestoreFromSnapshot() {
-  return state_.Restore([this](const persist::Snapshot& snapshot) {
+  return state().Restore([this](const persist::Snapshot& snapshot) {
     std::optional<std::vector<float>> params = snapshot.FindFloats("params");
     const persist::Section* trainer = snapshot.Find("trainer");
-    std::optional<Bytes> rng_state = state_.OpenSealed(snapshot, "rng");
-    std::optional<Bytes> material = state_.OpenSealed(snapshot, "material");
+    std::optional<Bytes> rng_state = state().OpenSealed(snapshot, "rng");
+    std::optional<Bytes> material = state().OpenSealed(snapshot, "material");
     if (!params.has_value() ||
         static_cast<int64_t>(params->size()) != local_->ParameterCount() ||
         trainer == nullptr || !rng_state.has_value() || !material.has_value() ||
@@ -218,7 +189,7 @@ bool DetaParty::RestoreFromSnapshot() {
       return false;
     }
     global_params_ = std::move(*params);
-    resume_round_ = snapshot.round;
+    last_round_ = snapshot.round;
     return true;
   });
 }
@@ -226,7 +197,7 @@ bool DetaParty::RestoreFromSnapshot() {
 bool DetaParty::AdoptMaterial(TransformMaterial material) {
   transform_ = material.BuildTransform();
   if (static_cast<int>(config_.aggregator_names.size()) != transform_->num_partitions()) {
-    LOG_WARNING << name_ << ": broker material partition count mismatch";
+    LOG_WARNING << name() << ": broker material partition count mismatch";
     return false;
   }
   if (config_.use_paillier) {
@@ -234,7 +205,7 @@ bool DetaParty::AdoptMaterial(TransformMaterial material) {
     // components are themselves Secret members.
     paillier_ = persist::ParsePaillierKey(material.paillier_key.ExposeForCrypto());
     if (!paillier_.has_value()) {
-      LOG_WARNING << name_ << ": broker-served Paillier key failed to parse";
+      LOG_WARNING << name() << ": broker-served Paillier key failed to parse";
       return false;
     }
     paillier_codec_ =
@@ -309,7 +280,7 @@ void DetaParty::RunRound(int round) {
       net::Writer w;
       w.WriteU32(static_cast<uint32_t>(round));
       w.WriteBytes(channels_.at(agg).Seal(payloads[j], rng_));
-      if (endpoint_->Send(agg, kRoundUpload, w.Take())) {
+      if (endpoint().Send(agg, kRoundUpload, w.Take())) {
         any_reachable = true;
       }
     }
@@ -318,7 +289,7 @@ void DetaParty::RunRound(int round) {
       // down — but transient when one crashed and the job driver is mid-revive (its
       // endpoint only reappears once the replacement starts). Tolerate a few
       // consecutive all-unreachable passes before declaring the round skipped.
-      if (++unreachable_streak >= 3 || endpoint_->closed()) {
+      if (++unreachable_streak >= 3 || endpoint().closed()) {
         break;
       }
       int sleep_ms = std::min(config_.retry.TimeoutForAttempt(attempt),
@@ -341,9 +312,9 @@ void DetaParty::RunRound(int round) {
       if (wait_ms == 0) {
         break;
       }
-      std::optional<net::Message> m = endpoint_->ReceiveTypeFor(kRoundResult, wait_ms);
+      std::optional<net::Message> m = endpoint().ReceiveTypeFor(kRoundResult, wait_ms);
       if (!m.has_value()) {
-        if (endpoint_->closed()) {
+        if (endpoint().closed()) {
           return;
         }
         break;  // slice expired — retransmit to the silent aggregators
@@ -355,48 +326,53 @@ void DetaParty::RunRound(int round) {
         continue;
       }
       size_t j = static_cast<size_t>(it - config_.aggregator_names.begin());
-      net::Reader r(m->payload);
-      int result_round = static_cast<int>(r.ReadU32());
-      if (result_round != round) {
-        LOG_DEBUG << name() << ": stale round " << result_round << " result from "
-                  << m->from << " — ignored";
-        continue;
-      }
-      if (have[j]) {
-        continue;  // duplicate (a re-served result we already decoded)
-      }
-      std::optional<Bytes> payload = channels_.at(m->from).Open(r.ReadBytes());
-      if (!payload.has_value()) {
-        LOG_WARNING << name() << ": failed to open aggregated fragment from " << m->from;
-        continue;
-      }
-      if (config_.use_paillier) {
-        // The aggregator states how many fragments it summed (fewer than num_parties
-        // under a quorum); decode and average over exactly those, as
-        // IterativeAveraging does on the plain path.
-        net::Reader result(*payload);
-        int addends = static_cast<int>(result.ReadU32());
-        std::vector<crypto::BigUint> ct = fl::DeserializeCiphertexts(result.ReadBytes());
-        if (addends < 1 || addends > config_.num_parties) {
-          LOG_WARNING << name() << ": Paillier result from " << m->from << " claims "
-                      << addends << " addends";
-          continue;
+      // A result that does not parse is dropped like one that does not open.
+      DropIfMalformed(name(), *m, [&] {
+        net::Reader r(m->payload);
+        int result_round = static_cast<int>(r.ReadU32());
+        if (result_round != round) {
+          LOG_DEBUG << name() << ": stale round " << result_round << " result from "
+                    << m->from << " — ignored";
+          return;
         }
-        size_t fragment_len = static_cast<size_t>(
-            transform_->config().enable_partition
-                ? transform_->mapper().PartitionSize(static_cast<int>(j))
-                : static_cast<int64_t>(global_params_.size()));
-        aggregated[j] =
-            paillier_codec_->DecryptSum(ct, paillier_->priv, fragment_len, addends);
-        float inv = 1.0f / static_cast<float>(addends);
-        for (auto& v : aggregated[j]) {
-          v *= inv;
+        if (have[j]) {
+          return;  // duplicate (a re-served result we already decoded)
         }
-      } else {
-        aggregated[j] = fl::DeserializeUpdate(*payload).values;
-      }
-      have[j] = true;
-      ++received;
+        std::optional<Bytes> payload = channels_.at(m->from).Open(r.ReadBytes());
+        if (!payload.has_value()) {
+          LOG_WARNING << name() << ": failed to open aggregated fragment from "
+                      << m->from;
+          return;
+        }
+        if (config_.use_paillier) {
+          // The aggregator states how many fragments it summed (fewer than num_parties
+          // under a quorum); decode and average over exactly those, as
+          // IterativeAveraging does on the plain path.
+          net::Reader result(*payload);
+          int addends = static_cast<int>(result.ReadU32());
+          std::vector<crypto::BigUint> ct =
+              fl::DeserializeCiphertexts(result.ReadBytes());
+          if (addends < 1 || addends > config_.num_parties) {
+            LOG_WARNING << name() << ": Paillier result from " << m->from << " claims "
+                        << addends << " addends";
+            return;
+          }
+          size_t fragment_len = static_cast<size_t>(
+              transform_->config().enable_partition
+                  ? transform_->mapper().PartitionSize(static_cast<int>(j))
+                  : static_cast<int64_t>(global_params_.size()));
+          aggregated[j] =
+              paillier_codec_->DecryptSum(ct, paillier_->priv, fragment_len, addends);
+          float inv = 1.0f / static_cast<float>(addends);
+          for (auto& v : aggregated[j]) {
+            v *= inv;
+          }
+        } else {
+          aggregated[j] = fl::DeserializeUpdate(*payload).values;
+        }
+        have[j] = true;
+        ++received;
+      });
     }
     if (Clock::now() >= overall_deadline) {
       break;
@@ -422,7 +398,7 @@ void DetaParty::RunRound(int round) {
       for (const std::string& agg : silent) {
         w.WriteString(agg);
       }
-      endpoint_->Send(config_.observer, kPartyRoundSkipped, w.Take());
+      endpoint().Send(config_.observer, kPartyRoundSkipped, w.Take());
     }
     return;
   }
@@ -451,12 +427,12 @@ void DetaParty::RunRound(int round) {
     w.WriteDouble(transform_seconds + invert_seconds);
     w.WriteU64(upload_bytes_max);
     w.WriteDouble(upload_rtt_seconds);
-    endpoint_->Send(config_.observer, kPartyTiming, w.Take());
+    endpoint().Send(config_.observer, kPartyTiming, w.Take());
     if (config_.is_reporter) {
       net::Writer wr;
       wr.WriteU32(static_cast<uint32_t>(round));
       wr.WriteFloatVector(global_params_);
-      endpoint_->Send(config_.observer, kPartyReport, wr.Take());
+      endpoint().Send(config_.observer, kPartyReport, wr.Take());
     }
   }
 }

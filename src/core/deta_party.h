@@ -4,7 +4,8 @@
 // aggregator (phase II challenge/response), register and establish secure channels,
 // then per round: local train, Trans (partition + shuffle), sealed upload to each
 // aggregator, collect aggregated fragments, Trans^-1 (un-shuffle + merge), and
-// synchronize the local model. Runs as a real thread.
+// synchronize the local model. A Role (core/role.h): setup runs before the role loop,
+// and each round.begin runs one blocking round.
 //
 // Fault tolerance: every wait is bounded. Uploads are retransmitted (re-sealed, so the
 // channel replay window accepts them) to any aggregator whose result has not arrived;
@@ -15,16 +16,14 @@
 #ifndef DETA_CORE_DETA_PARTY_H_
 #define DETA_CORE_DETA_PARTY_H_
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
 
-#include "common/thread.h"
 #include "core/deta_aggregator.h"
 #include "core/key_broker.h"
-#include "core/role_state.h"
+#include "core/role.h"
 #include "core/transform.h"
 #include "fl/party.h"
 #include "net/retry.h"
@@ -63,42 +62,38 @@ struct DetaPartyConfig {
   RoleDurability durability;
 };
 
-class DetaParty {
+class DetaParty final : public Role {
  public:
   // |initial_params|: the job's starting global parameters (a resuming party takes its
   // snapshot's instead).
   DetaParty(std::unique_ptr<fl::Party> local, DetaPartyConfig config,
             std::vector<float> initial_params, net::Transport& transport,
             crypto::SecureRng rng);
-  ~DetaParty();
+  ~DetaParty() override { Stop(); Join(); }
 
-  DetaParty(const DetaParty&) = delete;
-  DetaParty& operator=(const DetaParty&) = delete;
-
-  void Start();
-  void Join();
-  // Closes the party's mailbox, waking any in-flight wait (including mid-round result
-  // collection, which a queued shutdown message cannot interrupt). Used by the job's
-  // failure paths; on the happy path the party exits on its own after the final round.
-  void Shutdown() { endpoint_->Close(); }
-
-  const std::string& name() const { return name_; }
   // True once the setup phase (verification + registration) succeeded.
   bool setup_ok() const { return setup_ok_; }
   const std::vector<float>& final_params() const { return global_params_; }
 
-  // True after an injected crash fault fired; the job driver polls this and revives the
-  // party from its latest snapshot.
-  bool crashed() const { return crashed_.load(); }
-  // Releases the local trainer so a revived replacement party can own it (its durable
-  // iteration state is restored from the snapshot anyway; handing the object over avoids
-  // re-partitioning the dataset). Call only after Join().
-  std::unique_ptr<fl::Party> TakeLocal() { return std::move(local_); }
+  // After the injected crash: the replacement, resuming from this party's newest
+  // snapshot (which skips the ready barrier: it already passed). It takes over the local
+  // trainer, whose iteration state the snapshot restores; re-partitioning is avoided.
+  std::unique_ptr<DetaParty> Revive(crypto::SecureRng rng) {
+    Release();
+    config_.durability = config_.durability.Revived();
+    return std::make_unique<DetaParty>(std::move(local_), std::move(config_),
+                                       std::vector<float>(), transport(), std::move(rng));
+  }
 
  private:
-  void Run();
+  // Setup: restore or fetch the material, verify and register, report ready.
+  bool Begin() override;
+  void Dispatch(const net::Message& m) override;
+  void OnTick() override;  // exits after the final round (DetaPartyConfig::rounds)
   bool SetupChannels();
   void RunRound(int round);
+  // Sends party.done to every aggregator (best-effort) and ends the role.
+  void Exit();
   // Writes a snapshot for completed round |round|.
   void SaveState(int round);
   // Restores params/trainer/rng/material from the store; false when nothing verifiable
@@ -110,12 +105,8 @@ class DetaParty {
   bool AdoptMaterial(TransformMaterial material);
 
   std::unique_ptr<fl::Party> local_;
-  std::string name_;
   DetaPartyConfig config_;
-  RoleState state_;
   std::shared_ptr<const Transform> transform_;
-  net::Transport& transport_;
-  std::unique_ptr<net::Endpoint> endpoint_;
   crypto::SecureRng rng_;
   // Parsed from material_; paillier_codec_ holds a reference to its public key.
   std::optional<crypto::PaillierKeyPair> paillier_;
@@ -127,10 +118,9 @@ class DetaParty {
   // party can rebuild its transform, and recover its Paillier key, without a live
   // broker.
   TransformMaterial material_;
-  int resume_round_ = 0;
+  // The last round this party ran (or skipped), or its snapshot's round on resume.
+  int last_round_ = 0;
   bool setup_ok_ = false;
-  std::atomic<bool> crashed_{false};
-  ServiceThread thread_;
 };
 
 }  // namespace deta::core

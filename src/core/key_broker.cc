@@ -66,100 +66,76 @@ std::shared_ptr<Transform> TransformMaterial::BuildTransform() const {
 KeyBroker::KeyBroker(TransformMaterial material, crypto::EcKeyPair identity,
                      int expected_parties, net::Transport& transport, crypto::SecureRng rng,
                      const RoleDurability& durability)
-    : material_(std::move(material)),
+    : Role(transport, kEndpointName, /*idle_timeout_ms=*/0, durability),
+      material_(std::move(material)),
       identity_(std::move(identity)),
       expected_parties_(expected_parties),
-      state_(durability, kEndpointName),
-      rng_(std::move(rng)) {
-  endpoint_ = transport.CreateEndpoint(kEndpointName);
-}
+      rng_(std::move(rng)) {}
 
-KeyBroker::~KeyBroker() {
-  Stop();
-  Join();
-}
-
-void KeyBroker::Start() {
-  thread_ = ServiceThread([this] { Run(); });
-}
-
-void KeyBroker::Stop() { endpoint_->Close(); }
-
-void KeyBroker::Join() { thread_.Join(); }
-
-void KeyBroker::Run() {
-  const int crash_at = state_.durability().crash_at;
-  if (!state_.durability().resume.fresh() && !RestoreFromSnapshot()) {
+bool KeyBroker::Begin() {
+  if (!state().durability().resume.fresh() && !RestoreFromSnapshot()) {
     LOG_WARNING << "key broker: resume requested but no usable snapshot — "
                    "starting with fresh session state";
   }
-  // Tick granularity for noticing Stop(): with expected_parties <= 0 nothing but
-  // Close() ends the loop, so an indefinite Receive() could outlive the job had a
-  // party's final fetch been lost. Bounded waits keep the broker responsive to
-  // shutdown no matter what the bus drops (lint rule DL-L1).
-  constexpr int kTickMs = 200;
-  Bytes material_wire = material_.Serialize();
-  while (expected_parties_ <= 0 ||
-         static_cast<int>(served_.size()) < expected_parties_) {
-    std::optional<net::Message> m = endpoint_->ReceiveFor(kTickMs);
-    if (!m.has_value()) {
-      if (endpoint_->closed()) {
-        return;  // Stop()
-      }
-      continue;  // idle tick; keep serving
+  return true;
+}
+
+void KeyBroker::OnTick() {
+  if (expected_parties_ > 0 && static_cast<int>(served_.size()) >= expected_parties_) {
+    Finish();
+  }
+}
+
+void KeyBroker::Dispatch(const net::Message& m) {
+  if (m.type == kAuthChallenge) {
+    AnswerChallenge(endpoint(), m, identity_.private_key);
+  } else if (m.type == kAuthRegister) {
+    auto result = registrations_.Accept(endpoint(), m, identity_.private_key, rng_);
+    if (result.has_value()) {
+      channels_.insert_or_assign(result->first, std::move(result->second));
+      SaveState();
     }
-    if (m->type == kAuthChallenge) {
-      AnswerChallenge(*endpoint_, *m, identity_.private_key);
-    } else if (m->type == kAuthRegister) {
-      auto result = registrations_.Accept(*endpoint_, *m, identity_.private_key, rng_);
-      if (result.has_value()) {
-        channels_.insert_or_assign(result->first, std::move(result->second));
-        SaveState();
-      }
-    } else if (m->type == kKeyBrokerFetch) {
-      if (crash_at > 0 && !served_.count(m->from) &&
-          static_cast<int>(served_.size()) + 1 >= crash_at) {
-        // Injected crash: die instead of serving the Nth distinct party. The job
-        // driver revives a replacement; the stranded party restarts its whole
-        // verify/register/fetch handshake against it.
-        LOG_WARNING << "key broker: injected crash before serving " << m->from;
-        DETA_COUNTER("persist.crash.injected").Increment();
-        crashed_.store(true);
-        endpoint_->Close();
-        return;
-      }
-      auto it = channels_.find(m->from);
-      if (it == channels_.end()) {
-        LOG_WARNING << "key broker: fetch from unregistered party " << m->from;
-        continue;
-      }
-      // Re-seal per fetch: each reply carries a fresh channel sequence number, so a
-      // retransmitted fetch gets a reply the party's replay window still accepts.
-      endpoint_->Send(m->from, kKeyBrokerMaterial,
-                      it->second.Seal(material_wire, rng_));
-      bool first = served_.insert(m->from).second;
-      if (first) {
-        SaveState();
-      }
-      LOG_DEBUG << "key broker: served transform material to " << m->from
-                << (first ? "" : " (re-serve)") << " (" << served_.size() << "/"
-                << (expected_parties_ > 0 ? std::to_string(expected_parties_) : "∞")
-                << ")";
-    } else if (m->type == kShutdown) {
-      // Sent by a remote observer (multi-process deployments, where the job cannot
-      // call Stop() on a broker it does not own). Local jobs still use Stop().
-      endpoint_->Close();
+  } else if (m.type == kKeyBrokerFetch) {
+    const int crash_at = state().durability().crash_at;
+    if (crash_at > 0 && !served_.count(m.from) &&
+        static_cast<int>(served_.size()) + 1 >= crash_at) {
+      // Injected crash: die instead of serving the Nth distinct party. The job driver
+      // revives a replacement; the stranded party restarts its whole
+      // verify/register/fetch handshake against it.
+      Crash("before serving " + m.from);
       return;
-    } else {
-      LOG_WARNING << "key broker: unexpected message type " << m->type;
     }
+    auto it = channels_.find(m.from);
+    if (it == channels_.end()) {
+      LOG_WARNING << "key broker: fetch from unregistered party " << m.from;
+      return;
+    }
+    // Re-seal per fetch: each reply carries a fresh channel sequence number, so a
+    // retransmitted fetch gets a reply the party's replay window still accepts.
+    endpoint().Send(m.from, kKeyBrokerMaterial,
+                    it->second.Seal(material_.Serialize(), rng_));
+    bool first = served_.insert(m.from).second;
+    if (first) {
+      SaveState();
+    }
+    LOG_DEBUG << "key broker: served transform material to " << m.from
+              << (first ? "" : " (re-serve)") << " (" << served_.size() << "/"
+              << (expected_parties_ > 0 ? std::to_string(expected_parties_) : "∞")
+              << ")";
+  } else if (m.type == kShutdown) {
+    // Sent by a remote observer (multi-process deployments, where the job cannot
+    // call Stop() on a broker it does not own). Local jobs still use Stop().
+    Stop();
+    Finish();
+  } else {
+    LOG_WARNING << "key broker: unexpected message type " << m.type;
   }
 }
 
 void KeyBroker::SaveState() {
   // The snapshot round counts parties served, not rounds.
-  state_.Save(static_cast<int>(served_.size()), [this](persist::Snapshot& snapshot) {
-    state_.AddSession(snapshot, channels_, registrations_, rng_);
+  state().Save(static_cast<int>(served_.size()), [this](persist::Snapshot& snapshot) {
+    state().AddSession(snapshot, channels_, registrations_, rng_);
     net::Writer sw;
     sw.WriteU32(static_cast<uint32_t>(served_.size()));
     for (const std::string& party : served_) {
@@ -170,7 +146,7 @@ void KeyBroker::SaveState() {
 }
 
 bool KeyBroker::RestoreFromSnapshot() {
-  return state_.Restore([this](const persist::Snapshot& snapshot) {
+  return state().Restore([this](const persist::Snapshot& snapshot) {
     const persist::Section* served = snapshot.Find("served");
     if (served == nullptr) {
       return false;
@@ -181,7 +157,7 @@ bool KeyBroker::RestoreFromSnapshot() {
     for (uint32_t i = 0; i < served_count; ++i) {
       served_names.insert(sr.ReadString());
     }
-    if (!state_.RestoreSession(snapshot, channels_, registrations_, rng_)) {
+    if (!state().RestoreSession(snapshot, channels_, registrations_, rng_)) {
       return false;
     }
     served_ = std::move(served_names);
@@ -217,8 +193,13 @@ std::optional<TransformMaterial> FetchTransformMaterial(
     LOG_WARNING << endpoint.name() << ": key broker material failed to unseal";
     return std::nullopt;
   }
+  std::optional<TransformMaterial> parsed;
+  if (!DropIfMalformed(endpoint.name(), *m,
+                       [&] { parsed = TransformMaterial::Deserialize(*material); })) {
+    return std::nullopt;
+  }
   DETA_COUNTER("core.kb.fetch_ok").Increment();
-  return TransformMaterial::Deserialize(*material);
+  return parsed;
 }
 
 }  // namespace deta::core

@@ -9,19 +9,17 @@
 // sealed channel. The pull (rather than a push after registration) makes the exchange a
 // request/reply pair the party can retransmit when the bus drops either direction.
 // Aggregators never talk to the broker, so the material never exists outside
-// participant-controlled domains.
+// participant-controlled domains. A Role (core/role.h) with no idle backstop.
 #ifndef DETA_CORE_KEY_BROKER_H_
 #define DETA_CORE_KEY_BROKER_H_
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <set>
 
 #include "common/secret.h"
-#include "common/thread.h"
 #include "core/auth_protocol.h"
-#include "core/role_state.h"
+#include "core/role.h"
 #include "core/transform.h"
 
 namespace deta::core {
@@ -56,7 +54,7 @@ struct TransformMaterial {
   std::shared_ptr<Transform> BuildTransform() const;
 };
 
-class KeyBroker {
+class KeyBroker final : public Role {
  public:
   // |identity| is the broker's long-lived signing key; its public half is distributed to
   // parties out of band (like the AP's token registry). With |expected_parties| > 0 the
@@ -64,44 +62,39 @@ class KeyBroker {
   // fetches are re-served without advancing the count); with |expected_parties| <= 0 it
   // serves until Stop() — the right mode under fault injection, where a party may still
   // need a retransmission after every party has been served once.
-  // |durability| snapshots the session (not the material, which the job re-supplies on
-  // revive) after each registration and first serve; the snapshot round counts serves.
+  // |durability| snapshots the session (not the material, which a revive hands over)
+  // after each registration and first serve; the snapshot round counts serves.
   KeyBroker(TransformMaterial material, crypto::EcKeyPair identity, int expected_parties,
             net::Transport& transport, crypto::SecureRng rng,
             const RoleDurability& durability = {});
-  ~KeyBroker();
-
-  KeyBroker(const KeyBroker&) = delete;
-  KeyBroker& operator=(const KeyBroker&) = delete;
-
-  void Start();
-  // Closes the broker endpoint; the service thread drains and exits. Idempotent.
-  void Stop();
-  void Join();
+  ~KeyBroker() override { Stop(); Join(); }
 
   static constexpr char kEndpointName[] = "key-broker";
-  const crypto::EcPoint& identity_public() const { return identity_.public_key; }
 
-  // True after an injected crash fault fired; the job driver polls this and revives a
-  // replacement broker (same material/identity) that resumes from the snapshot.
-  bool crashed() const { return crashed_.load(); }
+  // After the injected crash: the replacement with the same material and identity,
+  // resuming its session from this broker's newest snapshot.
+  std::unique_ptr<KeyBroker> Revive(crypto::SecureRng rng) {
+    Release();
+    return std::make_unique<KeyBroker>(std::move(material_), std::move(identity_),
+                                       expected_parties_, transport(), std::move(rng),
+                                       state().durability().Revived());
+  }
 
  private:
-  void Run();
+  bool Begin() override;
+  void Dispatch(const net::Message& m) override;
+  // With expected_parties > 0, ends the broker once that many parties were served.
+  void OnTick() override;
   void SaveState();
   bool RestoreFromSnapshot();
 
   TransformMaterial material_;
   crypto::EcKeyPair identity_;
   int expected_parties_;
-  RoleState state_;
-  std::unique_ptr<net::Endpoint> endpoint_;
   crypto::SecureRng rng_;
   RegistrationCache registrations_;
   std::map<std::string, net::SecureChannel> channels_;
   std::set<std::string> served_;
-  std::atomic<bool> crashed_{false};
-  ServiceThread thread_;
 };
 
 // Party-side: verify the broker, register, fetch and open the material. Every wait is

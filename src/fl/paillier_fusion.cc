@@ -88,6 +88,8 @@ Bytes SerializeCiphertexts(const std::vector<BigUint>& c) {
 std::vector<BigUint> DeserializeCiphertexts(const Bytes& data) {
   net::Reader r(data);
   uint64_t n = r.ReadU64();
+  // Each ciphertext takes at least its 8-byte length, so refuse a larger count.
+  DETA_CHECK_LE(n, r.remaining() / 8);
   std::vector<BigUint> out;
   out.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {

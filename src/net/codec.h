@@ -92,9 +92,11 @@ class Reader {
     std::memcpy(&v, &bits, sizeof(v));
     return v;
   }
+  // Lengths are checked against remaining(), never as pos_ + n, which a claimed length
+  // near 2^64 wraps past the check.
   Bytes ReadBytes() {
     uint64_t n = ReadU64();
-    DETA_CHECK_LE(pos_ + n, data_.size());
+    DETA_CHECK_LE(n, remaining());
     Bytes out(data_.begin() + static_cast<long>(pos_),
               data_.begin() + static_cast<long>(pos_ + n));
     pos_ += n;
@@ -109,7 +111,7 @@ class Reader {
     static_assert(sizeof(float) == 4 && std::numeric_limits<float>::is_iec559,
                   "ReadFloatVector requires IEEE-754 binary32 floats");
     uint64_t n = ReadU64();
-    DETA_CHECK_LE(pos_ + n * sizeof(float), data_.size());
+    DETA_CHECK_LE(n, remaining() / sizeof(float));
     std::vector<float> out(n);
     std::memcpy(out.data(), data_.data() + pos_, n * sizeof(float));
     pos_ += n * sizeof(float);
@@ -117,6 +119,7 @@ class Reader {
   }
   std::vector<uint32_t> ReadU32Vector() {
     uint64_t n = ReadU64();
+    DETA_CHECK_LE(n, remaining() / sizeof(uint32_t));
     std::vector<uint32_t> out(n);
     for (auto& x : out) {
       x = ReadU32();

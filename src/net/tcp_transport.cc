@@ -368,6 +368,12 @@ void TcpTransport::UpdateEpollInterest(int fd) {
   epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev);
 }
 
+void TcpTransport::CloseMalformed(int fd, const char* why) {
+  DETA_COUNTER("net.bus.malformed_frames").Increment();
+  LOG_WARNING << options_.node_name << ": " << why << " — closing its connection";
+  CloseConn(fd, why);
+}
+
 void TcpTransport::CloseConn(int fd, const char* why) {
   auto it = conns_.find(fd);
   if (it == conns_.end()) {
@@ -506,7 +512,7 @@ void TcpTransport::HandleReadable(int fd) {
   while (conn.inbuf.size() - off >= 4) {
     uint32_t len = ReadU32(conn.inbuf, off);
     if (len > kMaxFrameBytes) {
-      CloseConn(fd, "oversized frame");
+      CloseMalformed(fd, "oversized frame");
       return;
     }
     if (conn.inbuf.size() - off - 4 < len) {
@@ -520,9 +526,16 @@ void TcpTransport::HandleReadable(int fd) {
     conn.inbuf.erase(conn.inbuf.begin(), conn.inbuf.begin() + static_cast<long>(off));
   }
   for (const Bytes& frame : frames) {
-    HandleFrame(fd, frame);
+    try {
+      HandleFrame(fd, frame);
+    } catch (const CheckFailure&) {
+      // Like an oversized or unknown-kind frame: the connection closes, the node lives.
+      CloseMalformed(fd, "malformed frame");
+    }
+    if (conns_.find(fd) == conns_.end()) {
+      break;  // closed over a bad frame: the rest of its frames are not trusted
+    }
   }
-  // HandleFrame may itself have closed this fd (oversized/unknown frame).
   if (close_reason != nullptr && conns_.find(fd) != conns_.end()) {
     CloseConn(fd, close_reason);
   }
@@ -579,7 +592,7 @@ void TcpTransport::HandleFrame(int fd, const Bytes& body) {
       return;
     }
     default:
-      CloseConn(fd, "unknown frame kind");
+      CloseMalformed(fd, "unknown frame kind");
       return;
   }
 }

@@ -99,6 +99,8 @@ class TcpTransport final : public Transport {
   void HandleWritable(int fd) DETA_REQUIRES(mutex_);
   void HandleFrame(int fd, const Bytes& body) DETA_REQUIRES(mutex_);
   void CloseConn(int fd, const char* why) DETA_REQUIRES(mutex_);
+  // Closes a connection over an oversized, unknown-kind or unparseable frame, counted.
+  void CloseMalformed(int fd, const char* why) DETA_REQUIRES(mutex_);
   // --- Transport hooks ---
   void Route(Message message) override DETA_REQUIRES(mutex_);
   void Registered(const std::string& name) override;

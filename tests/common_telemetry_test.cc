@@ -283,6 +283,8 @@ TEST(TelemetryDetaJobTest, FaultFreeRoundMetricsMatchSchedule) {
   EXPECT_EQ(CounterOr0(t, "net.bus.duplicated"), 0u);
   EXPECT_EQ(CounterOr0(t, "net.channel.open_rejected"), 0u);
   EXPECT_EQ(CounterOr0(t, "net.retry.exhausted"), 0u);
+  EXPECT_EQ(CounterOr0(t, "core.role.malformed_messages"), 0u);
+  EXPECT_EQ(CounterOr0(t, "net.bus.malformed_frames"), 0u);
 
   // Per-round spans recorded on both clocks.
   ASSERT_TRUE(t.histograms.count("span.core.deta_job.round.wall_s"));

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "cc/attestation_proxy.h"
+#include "common/telemetry.h"
 #include "core/deta_aggregator.h"
 #include "crypto/sha256.h"
 #include "net/codec.h"
@@ -187,6 +188,40 @@ TEST_F(AggregatorNodeTest, UnregisteredUploadIgnored) {
   p0->ReceiveTypeFor(kShutdown, kWaitMs);
   AnnounceDone({p0.get(), p1.get()});
   aggregator->Join();
+}
+
+// Any endpoint can reach an aggregator (over TCP, any connected peer). An intruder's
+// empty round.done and round.begin do not parse: the node drops and counts each, and the
+// round still completes.
+TEST_F(AggregatorNodeTest, MalformedMessagesAreDroppedAndCounted) {
+  const telemetry::TelemetrySnapshot start = telemetry::Snapshot();
+  auto aggregator = MakeAggregator(BaseConfig());
+  aggregator->Start();
+
+  auto p0 = bus_.CreateEndpoint("p0");
+  auto p1 = bus_.CreateEndpoint("p1");
+  auto intruder = bus_.CreateEndpoint("intruder");
+  auto driver = bus_.CreateEndpoint("driver");
+  intruder->Send("agg0", kRoundDone, {});
+  intruder->Send("agg0", kRoundBegin, {});
+  net::SecureChannel c0 = Register(*p0, "agg0");
+  net::SecureChannel c1 = Register(*p1, "agg0");
+
+  driver->Send("agg0", kJobStart, {});
+  p0->ReceiveTypeFor(kRoundBegin, kWaitMs);
+  Upload(*p0, c0, "agg0", 1, {1.0f});
+  Upload(*p1, c1, "agg0", 1, {5.0f});
+  EXPECT_EQ(AwaitResult(*p0, c0, 1), (std::vector<float>{3.0f}));
+  EXPECT_EQ(AwaitResult(*p1, c1, 1), (std::vector<float>{3.0f}));
+  p0->ReceiveTypeFor(kShutdown, kWaitMs);
+  AnnounceDone({p0.get(), p1.get()});
+  aggregator->Join();
+
+  const telemetry::TelemetrySnapshot delta =
+      telemetry::Delta(start, telemetry::Snapshot());
+  auto malformed = delta.counters.find("core.role.malformed_messages");
+  ASSERT_NE(malformed, delta.counters.end());
+  EXPECT_EQ(malformed->second, 2u);
 }
 
 TEST_F(AggregatorNodeTest, StoresFragmentsInCvmMemory) {

@@ -91,6 +91,21 @@ TEST_F(AuthTest, RegistrationFailsWithImpostorToken) {
   EXPECT_FALSE(channel.has_value());
 }
 
+// A registration ack that does not parse fails the handshake as a bad signature does.
+// Over TCP a frame's sender is whatever the frame claims, so anyone can answer as agg0.
+TEST_F(AuthTest, TruncatedRegistrationAckFailsSoftly) {
+  std::thread responder([this] {
+    auto m = aggregator_->ReceiveTypeFor(kAuthRegister, 10000);
+    ASSERT_TRUE(m.has_value());
+    net::Writer w;
+    w.WriteBytes(Bytes(33, 0x02));  // the share, and no signature after it
+    aggregator_->Send(m->from, kAuthRegisterAck, w.Take());
+  });
+  EXPECT_FALSE(
+      RegisterWithAggregator(*party_, "agg0", token_.public_key, rng_).has_value());
+  responder.join();
+}
+
 TEST_F(AuthTest, MalformedRegistrationShareRejected) {
   crypto::SecureRng agg_rng(StringToBytes("agg"));
   net::Message bogus;

@@ -6,7 +6,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <set>
+#include <thread>
 
 #include "cc/attestation_proxy.h"
 #include "common/check.h"
@@ -614,6 +616,79 @@ TEST(DetaJobFaultTest, QuorumFailureReportsTheQuorumNeeded) {
   fl::JobResult result = deta.Run();
   EXPECT_EQ(result.status, fl::JobStatus::kQuorumFailed);
   EXPECT_NE(result.error.find("(0/2 fragments)"), std::string::npos) << result.error;
+}
+
+// Runs the two-party, two-aggregator job on a bus the test owns, beside an endpoint
+// outside the job: |before_run| uses it once the roles' endpoints exist, |during_run| on
+// a thread of its own while Run() runs.
+using Intrusion = std::function<void(net::Endpoint& intruder)>;
+fl::JobResult RunWithIntruder(const Intrusion& before_run, const Intrusion& during_run) {
+  fl::ExecutionOptions base = BaseOptions();
+  DetaOptions deta_options;
+  deta_options.num_aggregators = 2;
+  net::MessageBus bus;
+  DetaDeployment deployment;
+  deployment.transport = &bus;
+  DetaJob deta(base, deta_options, MakePartiesWith(TinyMlpFactory(), 2, base.train),
+               TinyMlpFactory(), SmallMnist(30, 6), deployment);
+  std::unique_ptr<net::Endpoint> intruder = bus.CreateEndpoint("intruder");
+  before_run(*intruder);
+  std::thread alongside([&] { during_run(*intruder); });
+  fl::JobResult result = deta.Run();
+  alongside.join();
+  return result;
+}
+
+void NoIntrusion(net::Endpoint&) {}
+
+uint64_t CounterOr0(const fl::JobResult& result, const std::string& name) {
+  auto it = result.telemetry.counters.find(name);
+  return it == result.telemetry.counters.end() ? 0 : it->second;
+}
+
+void ExpectSameRun(const fl::JobResult& result, const fl::JobResult& clean) {
+  ASSERT_TRUE(result.ok()) << result.error;
+  ASSERT_EQ(result.rounds.size(), clean.rounds.size());
+  for (size_t i = 0; i < result.rounds.size(); ++i) {
+    EXPECT_DOUBLE_EQ(result.rounds[i].loss, clean.rounds[i].loss) << "round " << i;
+  }
+  EXPECT_EQ(result.final_params, clean.final_params);
+  EXPECT_EQ(result.telemetry.DeterministicSignature("core.deta_job."),
+            clean.telemetry.DeterministicSignature("core.deta_job."));
+}
+
+// Any endpoint can reach a role (over TCP, any connected peer). An empty round.begin to
+// a party and an empty round.done to the initiator do not parse: each role drops and
+// counts its message, and the job runs as if neither had been sent.
+TEST(DetaJobFaultTest, MalformedProtocolMessagesAreDroppedAndCounted) {
+  fl::JobResult clean = RunWithIntruder(NoIntrusion, NoIntrusion);
+  ASSERT_TRUE(clean.ok()) << clean.error;
+  EXPECT_EQ(CounterOr0(clean, "core.role.malformed_messages"), 0u);
+  fl::JobResult result = RunWithIntruder(
+      [](net::Endpoint& intruder) {
+        EXPECT_TRUE(intruder.Send("party0", kRoundBegin, {}));
+        EXPECT_TRUE(intruder.Send("aggregator0", kRoundDone, {}));
+      },
+      NoIntrusion);
+  ExpectSameRun(result, clean);
+  EXPECT_EQ(CounterOr0(result, "core.role.malformed_messages"), 2u);
+}
+
+// The observer parses reports under the same guard: an empty party.timing is dropped
+// and counted, not thrown out of Run().
+TEST(DetaJobFaultTest, MalformedObserverReportIsDropped) {
+  fl::JobResult clean = RunWithIntruder(NoIntrusion, NoIntrusion);
+  ASSERT_TRUE(clean.ok()) << clean.error;
+  fl::JobResult result = RunWithIntruder(NoIntrusion, [](net::Endpoint& intruder) {
+    // Run() creates the observer's endpoint; send as soon as it is reachable.
+    auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (!intruder.Send("observer", kPartyTiming, {})) {
+      ASSERT_LT(std::chrono::steady_clock::now(), give_up);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  ExpectSameRun(result, clean);
+  EXPECT_EQ(CounterOr0(result, "core.role.malformed_messages"), 1u);
 }
 
 // A quorum outside [0, parties] would leave every round to fail at its deadline, so the

@@ -122,5 +122,41 @@ TEST(KeyBrokerTest, RejectsImpostorBroker) {
   broker.Join();
 }
 
+// Material that opens but does not parse fails the fetch, as material that does not
+// open does (the party then retries its whole handshake); it is not thrown.
+TEST(KeyBrokerTest, MalformedMaterialFailsTheFetch) {
+  net::MessageBus bus;
+  crypto::SecureRng setup_rng(StringToBytes("kb3"));
+  crypto::EcKeyPair identity = crypto::GenerateEcKey(setup_rng);
+  auto broker = bus.CreateEndpoint(KeyBroker::kEndpointName);
+  std::thread responder([&] {
+    crypto::SecureRng rng(StringToBytes("broker"));
+    RegistrationCache registrations;
+    std::optional<net::SecureChannel> channel;
+    // Challenge, registration, fetch: answered as the broker would, but the sealed
+    // material is not a TransformMaterial.
+    for (int answered = 0; answered < 3; ++answered) {
+      auto m = broker->ReceiveFor(10000);
+      ASSERT_TRUE(m.has_value());
+      if (m->type == kAuthChallenge) {
+        AnswerChallenge(*broker, *m, identity.private_key);
+      } else if (m->type == kAuthRegister) {
+        auto accepted = registrations.Accept(*broker, *m, identity.private_key, rng);
+        ASSERT_TRUE(accepted.has_value());
+        channel = std::move(accepted->second);
+      } else {
+        ASSERT_EQ(m->type, kKeyBrokerFetch);
+        ASSERT_TRUE(channel.has_value());
+        broker->Send(m->from, kKeyBrokerMaterial,
+                     channel->Seal(StringToBytes("not material"), rng));
+      }
+    }
+  });
+  auto party = bus.CreateEndpoint("party0");
+  crypto::SecureRng rng(StringToBytes("p"));
+  EXPECT_FALSE(FetchTransformMaterial(*party, identity.public_key, rng).has_value());
+  responder.join();
+}
+
 }  // namespace
 }  // namespace deta::core

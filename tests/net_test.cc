@@ -1,9 +1,15 @@
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <thread>
 
 #include "common/telemetry.h"
+#include "fl/paillier_fusion.h"
 #include "net/codec.h"
 #include "net/fault.h"
 #include "net/message_bus.h"
@@ -71,6 +77,26 @@ TEST(CodecTest, MaliciousLengthPrefixRejected) {
   EXPECT_THROW(r.ReadBytes(), CheckFailure);
   Reader r2(wire);
   EXPECT_THROW(r2.ReadFloatVector(), CheckFailure);
+  // Lengths whose end offset wraps 2^64 back inside the buffer: 8 + (2^64 - 8) is 0,
+  // and (2^62 + 1) elements of 4 bytes are 4 bytes.
+  Bytes wraps_bytes;
+  AppendU64(wraps_bytes, ~uint64_t{0} - 7);
+  Reader r3(wraps_bytes);
+  EXPECT_THROW(r3.ReadBytes(), CheckFailure);
+  Bytes wraps_elements;
+  AppendU64(wraps_elements, (uint64_t{1} << 62) + 1);
+  AppendU32(wraps_elements, 0);
+  Reader r4(wraps_elements);
+  EXPECT_THROW(r4.ReadFloatVector(), CheckFailure);
+  Reader r5(wraps_elements);
+  EXPECT_THROW(r5.ReadU32Vector(), CheckFailure);
+  // A ciphertext count the bytes behind it cannot hold is refused before anything is
+  // reserved for it.
+  for (uint64_t count : {uint64_t{1} << 40, ~uint64_t{0}}) {
+    Bytes ciphertexts;
+    AppendU64(ciphertexts, count);
+    EXPECT_THROW(fl::DeserializeCiphertexts(ciphertexts), CheckFailure) << count;
+  }
 }
 
 TEST(MessageBusTest, RoutesByName) {
@@ -434,6 +460,37 @@ TEST(TcpTransportTest, DuplicatesAreSuppressedByReceiver) {
 TEST(TcpTransportTest, ReorderSwapsAdjacentMessages) {
   TcpTransport tcp{TcpTransportOptions{}};
   ExpectReorderSwapsAdjacentMessages(tcp);
+}
+
+// A frame that does not parse closes its connection, as an oversized or unknown-kind
+// frame does, and the node keeps delivering.
+TEST(TcpTransportTest, MalformedFrameClosesItsConnectionNotTheNode) {
+  BusCounters counters;
+  TcpTransport tcp{TcpTransportOptions{}};
+  auto a = tcp.CreateEndpoint("a");
+  auto b = tcp.CreateEndpoint("b");
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  timeval timeout{10, 0};  // a node that never closes fails the test, not hangs it
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)), 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(tcp.listen_port()));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  // Body length 4, kind 1 (a message frame), and none of a message's fields.
+  const uint8_t frame[] = {4, 0, 0, 0, 1, 0, 0, 0};
+  ASSERT_EQ(::send(fd, frame, sizeof(frame), MSG_NOSIGNAL),
+            static_cast<ssize_t>(sizeof(frame)));
+  char byte;
+  EXPECT_EQ(::recv(fd, &byte, 1, 0), 0);  // the node closed the connection
+  ::close(fd);
+  EXPECT_EQ(counters("net.bus.malformed_frames"), 1u);
+
+  ASSERT_TRUE(a->Send("b", "after", StringToBytes("still up")));
+  std::optional<Message> m = b->ReceiveFor(5000);
+  ASSERT_TRUE(m.has_value());
+  EXPECT_EQ(BytesToString(m->payload), "still up");
 }
 
 TEST(TcpTransportTest, ByteAccounting) {
