@@ -11,7 +11,9 @@
 #   --preset NAME     run exactly one CI leg:
 #     debug           Debug build + full ctest                    (build-debug/)
 #     release         Release build + full ctest                  (build-release/)
-#     asan            ASan+UBSan build + full ctest               (build-asan/)
+#     asan            ASan+UBSan build + full ctest               (build-asan/); every
+#                     UBSan report is fatal, and _GLIBCXX_ASSERTIONS bounds-checks
+#                     container indexing, which ASan misses inside a vector's capacity
 #     tsan            TSan build + concurrency-suite gtest filter (build-tsan/)
 #     static          deta_lint (strict + selftest), deta_taintcheck (selftest +
 #                     tree), Secret<T> negative-compile gate, clang -Wthread-safety
@@ -40,7 +42,7 @@ cmake_flags_for_preset() {
   case "$1" in
     debug)   echo "-DCMAKE_BUILD_TYPE=Debug" ;;
     release) echo "-DCMAKE_BUILD_TYPE=Release" ;;
-    asan)    echo "-DCMAKE_BUILD_TYPE=RelWithDebInfo -DDETA_SANITIZE=address,undefined" ;;
+    asan)    echo "-DCMAKE_BUILD_TYPE=RelWithDebInfo -DDETA_SANITIZE=address,undefined -DCMAKE_CXX_FLAGS=-D_GLIBCXX_ASSERTIONS" ;;
     tsan)    echo "-DCMAKE_BUILD_TYPE=RelWithDebInfo -DDETA_SANITIZE=thread" ;;
     *)       echo "unknown preset: $1 (debug|release|asan|tsan|static)" >&2; exit 2 ;;
   esac

@@ -1,6 +1,7 @@
 #include "crypto/bigint.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 #include "crypto/chacha20.h"
@@ -10,12 +11,16 @@
 namespace deta::crypto {
 
 namespace {
-constexpr uint64_t kBase = 1ULL << 32;
 
-// Fixed-buffer helpers for the binary GCD: a value is (limbs, length) with no leading
-// zero limb, so comparisons and subtractions shrink with the operands.
+using u128 = unsigned __int128;
 
-size_t TrimmedLength(const uint64_t* v, size_t n) {
+// Kernels on a value held as (limbs, length) with no leading zero limb: the one
+// implementation behind Trim, Compare, Sub and ShiftRight. Sub and ShiftRight work in
+// place, so Gcd runs them on one buffer and its loop never allocates. Those two are
+// always inlined: GCC otherwise keeps ShiftRightLimbs out of line once it has several
+// callers, which costs Gcd's loop a call per step.
+
+size_t TrimLimbs(const uint64_t* v, size_t n) {
   while (n > 0 && v[n - 1] == 0) {
     --n;
   }
@@ -32,9 +37,12 @@ size_t TrailingZeroBits(const uint64_t* v) {
 }
 
 // v >>= bits in place; returns the new length.
-size_t ShiftRightInPlace(uint64_t* v, size_t n, size_t bits) {
+[[gnu::always_inline]] inline size_t ShiftRightLimbs(uint64_t* v, size_t n, size_t bits) {
   size_t limb_shift = bits / 64;
   size_t bit_shift = bits % 64;
+  if (limb_shift >= n) {
+    return 0;
+  }
   size_t out_n = n - limb_shift;
   for (size_t i = 0; i < out_n; ++i) {
     uint64_t x = v[i + limb_shift] >> bit_shift;
@@ -43,10 +51,10 @@ size_t ShiftRightInPlace(uint64_t* v, size_t n, size_t bits) {
     }
     v[i] = x;
   }
-  return TrimmedLength(v, out_n);
+  return TrimLimbs(v, out_n);
 }
 
-int Compare64(const uint64_t* u, size_t un, const uint64_t* v, size_t vn) {
+int CompareLimbs(const uint64_t* u, size_t un, const uint64_t* v, size_t vn) {
   if (un != vn) {
     return un < vn ? -1 : 1;
   }
@@ -58,35 +66,27 @@ int Compare64(const uint64_t* u, size_t un, const uint64_t* v, size_t vn) {
   return 0;
 }
 
-// u -= v for u > v (so un >= vn); returns the new length.
-size_t SubInPlace(uint64_t* u, size_t un, const uint64_t* v, size_t vn) {
+// u -= v in place for u >= v (so un >= vn); returns the new length.
+[[gnu::always_inline]] inline size_t SubLimbs(uint64_t* u, size_t un, const uint64_t* v,
+                                              size_t vn) {
   uint64_t borrow = 0;
   for (size_t i = 0; i < un; ++i) {
-    unsigned __int128 diff =
-        static_cast<unsigned __int128>(u[i]) - (i < vn ? v[i] : 0) - borrow;
+    u128 diff = static_cast<u128>(u[i]) - (i < vn ? v[i] : 0) - borrow;
     u[i] = static_cast<uint64_t>(diff);
     borrow = static_cast<uint64_t>(diff >> 127);
   }
-  return TrimmedLength(u, un);
+  return TrimLimbs(u, un);
 }
 
 }  // namespace
 
 BigUint::BigUint(uint64_t value) {
   if (value != 0) {
-    limbs_.push_back(static_cast<uint32_t>(value));
-    uint32_t hi = static_cast<uint32_t>(value >> 32);
-    if (hi != 0) {
-      limbs_.push_back(hi);
-    }
+    limbs_.push_back(value);
   }
 }
 
-void BigUint::Trim() {
-  while (!limbs_.empty() && limbs_.back() == 0) {
-    limbs_.pop_back();
-  }
-}
+void BigUint::Trim() { limbs_.resize(TrimLimbs(limbs_.data(), limbs_.size())); }
 
 BigUint BigUint::FromHexString(const std::string& hex) {
   BigUint out;
@@ -110,11 +110,11 @@ BigUint BigUint::FromHexString(const std::string& hex) {
 BigUint BigUint::FromBytes(const Bytes& be) {
   BigUint out;
   size_t n = be.size();
-  out.limbs_.assign((n + 3) / 4, 0);
+  out.limbs_.assign((n + 7) / 8, 0);
   for (size_t i = 0; i < n; ++i) {
     // be[i] is the (n-1-i)-th byte from the least-significant end.
     size_t byte_index = n - 1 - i;
-    out.limbs_[byte_index / 4] |= static_cast<uint32_t>(be[i]) << (8 * (byte_index % 4));
+    out.limbs_[byte_index / 8] |= static_cast<uint64_t>(be[i]) << (8 * (byte_index % 8));
   }
   out.Trim();
   return out;
@@ -132,10 +132,10 @@ Bytes BigUint::ToBytesPadded(size_t n) const {
   DETA_CHECK_LE((BitLength() + 7) / 8, n);
   Bytes out(n, 0);
   for (size_t byte_index = 0; byte_index < n; ++byte_index) {
-    size_t limb = byte_index / 4;
+    size_t limb = byte_index / 8;
     if (limb < limbs_.size()) {
       out[n - 1 - byte_index] =
-          static_cast<uint8_t>(limbs_[limb] >> (8 * (byte_index % 4)));
+          static_cast<uint8_t>(limbs_[limb] >> (8 * (byte_index % 8)));
     }
   }
   return out;
@@ -148,7 +148,7 @@ std::string BigUint::ToHexString() const {
   static const char kDigits[] = "0123456789abcdef";
   std::string out;
   for (size_t i = limbs_.size(); i-- > 0;) {
-    for (int shift = 28; shift >= 0; shift -= 4) {
+    for (int shift = 60; shift >= 0; shift -= 4) {
       out.push_back(kDigits[(limbs_[i] >> shift) & 0xf]);
     }
   }
@@ -160,33 +160,19 @@ size_t BigUint::BitLength() const {
   if (limbs_.empty()) {
     return 0;
   }
-  uint32_t top = limbs_.back();
-  size_t bits = (limbs_.size() - 1) * 32;
-  while (top != 0) {
-    ++bits;
-    top >>= 1;
-  }
-  return bits;
+  return 64 * limbs_.size() - static_cast<size_t>(__builtin_clzll(limbs_.back()));
 }
 
 bool BigUint::Bit(size_t i) const {
-  size_t limb = i / 32;
+  size_t limb = i / 64;
   if (limb >= limbs_.size()) {
     return false;
   }
-  return (limbs_[limb] >> (i % 32)) & 1u;
+  return (limbs_[limb] >> (i % 64)) & 1u;
 }
 
 int BigUint::Compare(const BigUint& other) const {
-  if (limbs_.size() != other.limbs_.size()) {
-    return limbs_.size() < other.limbs_.size() ? -1 : 1;
-  }
-  for (size_t i = limbs_.size(); i-- > 0;) {
-    if (limbs_[i] != other.limbs_[i]) {
-      return limbs_[i] < other.limbs_[i] ? -1 : 1;
-    }
-  }
-  return 0;
+  return CompareLimbs(limbs_.data(), limbs_.size(), other.limbs_.data(), other.limbs_.size());
 }
 
 BigUint BigUint::Add(const BigUint& other) const {
@@ -195,42 +181,27 @@ BigUint BigUint::Add(const BigUint& other) const {
   out.limbs_.resize(n);
   uint64_t carry = 0;
   for (size_t i = 0; i < n; ++i) {
-    uint64_t sum = carry;
+    u128 sum = carry;
     if (i < limbs_.size()) {
       sum += limbs_[i];
     }
     if (i < other.limbs_.size()) {
       sum += other.limbs_[i];
     }
-    out.limbs_[i] = static_cast<uint32_t>(sum);
-    carry = sum >> 32;
+    out.limbs_[i] = static_cast<uint64_t>(sum);
+    carry = static_cast<uint64_t>(sum >> 64);
   }
   if (carry != 0) {
-    out.limbs_.push_back(static_cast<uint32_t>(carry));
+    out.limbs_.push_back(carry);
   }
   return out;
 }
 
 BigUint BigUint::Sub(const BigUint& other) const {
   DETA_CHECK_MSG(*this >= other, "BigUint::Sub would underflow");
-  BigUint out;
-  out.limbs_.resize(limbs_.size());
-  int64_t borrow = 0;
-  for (size_t i = 0; i < limbs_.size(); ++i) {
-    int64_t diff = static_cast<int64_t>(limbs_[i]) - borrow;
-    if (i < other.limbs_.size()) {
-      diff -= static_cast<int64_t>(other.limbs_[i]);
-    }
-    if (diff < 0) {
-      diff += static_cast<int64_t>(kBase);
-      borrow = 1;
-    } else {
-      borrow = 0;
-    }
-    out.limbs_[i] = static_cast<uint32_t>(diff);
-  }
-  DETA_CHECK_EQ(borrow, 0);
-  out.Trim();
+  BigUint out = *this;
+  out.limbs_.resize(SubLimbs(out.limbs_.data(), out.limbs_.size(), other.limbs_.data(),
+                             other.limbs_.size()));
   return out;
 }
 
@@ -239,22 +210,19 @@ BigUint BigUint::Mul(const BigUint& other) const {
     return BigUint();
   }
   BigUint out;
-  out.limbs_.assign(limbs_.size() + other.limbs_.size(), 0);
+  const size_t m = other.limbs_.size();
+  out.limbs_.assign(limbs_.size() + m, 0);
   for (size_t i = 0; i < limbs_.size(); ++i) {
     uint64_t carry = 0;
     uint64_t a = limbs_[i];
-    for (size_t j = 0; j < other.limbs_.size(); ++j) {
-      uint64_t cur = out.limbs_[i + j] + a * other.limbs_[j] + carry;
-      out.limbs_[i + j] = static_cast<uint32_t>(cur);
-      carry = cur >> 32;
+    for (size_t j = 0; j < m; ++j) {
+      // (2^64 - 1)^2 + 2 * (2^64 - 1) = 2^128 - 1: the sum never overflows.
+      u128 cur = static_cast<u128>(a) * other.limbs_[j] + out.limbs_[i + j] + carry;
+      out.limbs_[i + j] = static_cast<uint64_t>(cur);
+      carry = static_cast<uint64_t>(cur >> 64);
     }
-    size_t k = i + other.limbs_.size();
-    while (carry != 0) {
-      uint64_t cur = out.limbs_[k] + carry;
-      out.limbs_[k] = static_cast<uint32_t>(cur);
-      carry = cur >> 32;
-      ++k;
-    }
+    // Earlier rows reach at most limb i + m - 1, so this one is still zero.
+    out.limbs_[i + m] = carry;
   }
   out.Trim();
   return out;
@@ -265,35 +233,23 @@ BigUint BigUint::ShiftLeft(size_t bits) const {
     BigUint copy = *this;
     return copy;
   }
-  size_t limb_shift = bits / 32;
-  size_t bit_shift = bits % 32;
+  size_t limb_shift = bits / 64;
+  size_t bit_shift = bits % 64;
   BigUint out;
   out.limbs_.assign(limbs_.size() + limb_shift + 1, 0);
   for (size_t i = 0; i < limbs_.size(); ++i) {
-    uint64_t v = static_cast<uint64_t>(limbs_[i]) << bit_shift;
-    out.limbs_[i + limb_shift] |= static_cast<uint32_t>(v);
-    out.limbs_[i + limb_shift + 1] |= static_cast<uint32_t>(v >> 32);
+    out.limbs_[i + limb_shift] |= limbs_[i] << bit_shift;
+    if (bit_shift != 0) {
+      out.limbs_[i + limb_shift + 1] = limbs_[i] >> (64 - bit_shift);
+    }
   }
   out.Trim();
   return out;
 }
 
 BigUint BigUint::ShiftRight(size_t bits) const {
-  size_t limb_shift = bits / 32;
-  size_t bit_shift = bits % 32;
-  if (limb_shift >= limbs_.size()) {
-    return BigUint();
-  }
-  BigUint out;
-  out.limbs_.assign(limbs_.size() - limb_shift, 0);
-  for (size_t i = 0; i < out.limbs_.size(); ++i) {
-    uint64_t v = limbs_[i + limb_shift] >> bit_shift;
-    if (bit_shift != 0 && i + limb_shift + 1 < limbs_.size()) {
-      v |= static_cast<uint64_t>(limbs_[i + limb_shift + 1]) << (32 - bit_shift);
-    }
-    out.limbs_[i] = static_cast<uint32_t>(v);
-  }
-  out.Trim();
+  BigUint out = *this;
+  out.limbs_.resize(ShiftRightLimbs(out.limbs_.data(), out.limbs_.size(), bits));
   return out;
 }
 
@@ -309,9 +265,9 @@ BigUint::DivResult BigUint::DivMod(const BigUint& divisor) const {
     q.limbs_.resize(limbs_.size());
     uint64_t rem = 0;
     for (size_t i = limbs_.size(); i-- > 0;) {
-      uint64_t cur = (rem << 32) | limbs_[i];
-      q.limbs_[i] = static_cast<uint32_t>(cur / d);
-      rem = cur % d;
+      u128 cur = (static_cast<u128>(rem) << 64) | limbs_[i];
+      q.limbs_[i] = static_cast<uint64_t>(cur / d);
+      rem = limbs_[i] - q.limbs_[i] * d;  // cur - q * d < d, so its low limb is all of it
     }
     q.Trim();
     return {q, BigUint(rem)};
@@ -319,10 +275,7 @@ BigUint::DivResult BigUint::DivMod(const BigUint& divisor) const {
 
   // Knuth TAOCP vol. 2, algorithm D. Normalize so the divisor's top limb has its high bit
   // set; this keeps the quotient-digit estimate within 2 of the true digit.
-  size_t shift = 32 - (divisor.BitLength() % 32);
-  if (shift == 32) {
-    shift = 0;
-  }
+  size_t shift = static_cast<size_t>(__builtin_clzll(divisor.limbs_.back()));
   BigUint u = ShiftLeft(shift);
   BigUint v = divisor.ShiftLeft(shift);
   size_t n = v.limbs_.size();
@@ -335,56 +288,51 @@ BigUint::DivResult BigUint::DivMod(const BigUint& divisor) const {
   uint64_t v_second = v.limbs_[n - 2];
 
   for (size_t j = m + 1; j-- > 0;) {
-    uint64_t numerator = (static_cast<uint64_t>(u.limbs_[j + n]) << 32) | u.limbs_[j + n - 1];
-    uint64_t qhat = numerator / v_top;
-    uint64_t rhat = numerator % v_top;
-    while (qhat >= kBase ||
-           qhat * v_second > ((rhat << 32) | u.limbs_[j + n - 2])) {
+    // qhat starts at up to 2^64 + 1 and rhat grows by v_top, so both are 128 bits wide;
+    // the loop leaves qhat < 2^64 and compares rhat * 2^64 only while rhat < 2^64.
+    u128 numerator = (static_cast<u128>(u.limbs_[j + n]) << 64) | u.limbs_[j + n - 1];
+    u128 qhat = numerator / v_top;
+    u128 rhat = numerator - qhat * v_top;
+    while ((qhat >> 64) != 0 ||
+           static_cast<u128>(static_cast<uint64_t>(qhat)) * v_second >
+               ((rhat << 64) | u.limbs_[j + n - 2])) {
       --qhat;
       rhat += v_top;
-      if (rhat >= kBase) {
+      if ((rhat >> 64) != 0) {
         break;
       }
     }
+    uint64_t digit = static_cast<uint64_t>(qhat);
 
-    // Multiply-subtract qhat * v from u[j .. j+n].
-    int64_t borrow = 0;
+    // Multiply-subtract digit * v from u[j .. j+n].
+    uint64_t borrow = 0;
     uint64_t carry = 0;
     for (size_t i = 0; i < n; ++i) {
-      uint64_t p = qhat * v.limbs_[i] + carry;
-      carry = p >> 32;
-      int64_t t = static_cast<int64_t>(u.limbs_[i + j]) -
-                  static_cast<int64_t>(p & 0xffffffffULL) - borrow;
-      if (t < 0) {
-        t += static_cast<int64_t>(kBase);
-        borrow = 1;
-      } else {
-        borrow = 0;
-      }
-      u.limbs_[i + j] = static_cast<uint32_t>(t);
+      u128 p = static_cast<u128>(digit) * v.limbs_[i] + carry;
+      carry = static_cast<uint64_t>(p >> 64);
+      u128 t = static_cast<u128>(u.limbs_[i + j]) - static_cast<uint64_t>(p) - borrow;
+      u.limbs_[i + j] = static_cast<uint64_t>(t);
+      borrow = static_cast<uint64_t>(t >> 127);
     }
-    int64_t t = static_cast<int64_t>(u.limbs_[j + n]) - static_cast<int64_t>(carry) - borrow;
-    if (t < 0) {
-      // qhat was one too large; add v back.
-      t += static_cast<int64_t>(kBase);
-      --qhat;
+    u128 t = static_cast<u128>(u.limbs_[j + n]) - carry - borrow;
+    u.limbs_[j + n] = static_cast<uint64_t>(t);
+    if ((t >> 127) != 0) {
+      // The digit was one too large; add v back. The carry out cancels the borrow.
+      --digit;
       uint64_t carry2 = 0;
       for (size_t i = 0; i < n; ++i) {
-        uint64_t sum = static_cast<uint64_t>(u.limbs_[i + j]) + v.limbs_[i] + carry2;
-        u.limbs_[i + j] = static_cast<uint32_t>(sum);
-        carry2 = sum >> 32;
+        u128 sum = static_cast<u128>(u.limbs_[i + j]) + v.limbs_[i] + carry2;
+        u.limbs_[i + j] = static_cast<uint64_t>(sum);
+        carry2 = static_cast<uint64_t>(sum >> 64);
       }
-      t += static_cast<int64_t>(carry2);
-      t &= static_cast<int64_t>(kBase - 1);
+      u.limbs_[j + n] += carry2;
     }
-    u.limbs_[j + n] = static_cast<uint32_t>(t);
-    q.limbs_[j] = static_cast<uint32_t>(qhat);
+    q.limbs_[j] = digit;
   }
 
   q.Trim();
-  u.limbs_.resize(n);
-  u.Trim();
-  return {q, u.ShiftRight(shift)};
+  u.limbs_.resize(ShiftRightLimbs(u.limbs_.data(), n, shift));
+  return {std::move(q), std::move(u)};
 }
 
 BigUint BigUint::AddMod(const BigUint& a, const BigUint& b, const BigUint& m) {
@@ -414,7 +362,7 @@ BigUint BigUint::PowMod(const BigUint& base, const BigUint& exp, const BigUint& 
   return MontgomeryContext(m).PowMod(base, exp);
 }
 
-BigUint BigUint::FromLimbs(std::vector<uint32_t> limbs) {
+BigUint BigUint::FromLimbs(std::vector<uint64_t> limbs) {
   BigUint out;
   out.limbs_ = std::move(limbs);
   out.Trim();
@@ -450,18 +398,18 @@ BigUint BigUint::Gcd(const BigUint& a, const BigUint& b) {
   }
   // Stein: gcd(2^i u', 2^j v') = 2^min(i,j) gcd(u', v') for odd u', v', and for odd
   // u > v, gcd(u, v) = gcd((u - v) / 2^k, v) with u - v even and nonzero.
-  const size_t n = (std::max(a.limbs_.size(), b.limbs_.size()) + 1) / 2;
+  const size_t n = std::max(a.limbs_.size(), b.limbs_.size());
   std::vector<uint64_t> work(2 * n);
   uint64_t* u = work.data();
   uint64_t* v = u + n;
-  a.ToLimbs64(u, n);
-  b.ToLimbs64(v, n);
+  std::copy(a.limbs_.begin(), a.limbs_.end(), u);
+  std::copy(b.limbs_.begin(), b.limbs_.end(), v);
   size_t u_zeros = TrailingZeroBits(u);
   size_t v_zeros = TrailingZeroBits(v);
-  size_t un = ShiftRightInPlace(u, TrimmedLength(u, n), u_zeros);
-  size_t vn = ShiftRightInPlace(v, TrimmedLength(v, n), v_zeros);
+  size_t un = ShiftRightLimbs(u, a.limbs_.size(), u_zeros);
+  size_t vn = ShiftRightLimbs(v, b.limbs_.size(), v_zeros);
   for (;;) {
-    int cmp = Compare64(u, un, v, vn);
+    int cmp = CompareLimbs(u, un, v, vn);
     if (cmp == 0) {
       break;
     }
@@ -469,10 +417,11 @@ BigUint BigUint::Gcd(const BigUint& a, const BigUint& b) {
       std::swap(u, v);
       std::swap(un, vn);
     }
-    un = SubInPlace(u, un, v, vn);
-    un = ShiftRightInPlace(u, un, TrailingZeroBits(u));
+    un = SubLimbs(u, un, v, vn);
+    un = ShiftRightLimbs(u, un, TrailingZeroBits(u));
   }
-  BigUint out = FromLimbs64(u, un).ShiftLeft(std::min(u_zeros, v_zeros));
+  BigUint out =
+      FromLimbs(std::vector<uint64_t>(u, u + un)).ShiftLeft(std::min(u_zeros, v_zeros));
   // Callers pass secrets (the Paillier encryption randomness r).
   SecureWipe(work.data(), work.size() * sizeof(uint64_t));
   return out;
@@ -570,39 +519,10 @@ BigUint BigUint::RandomPrime(SecureRng& rng, size_t bits) {
   }
 }
 
-uint64_t BigUint::ToU64() const {
-  uint64_t v = 0;
-  if (!limbs_.empty()) {
-    v = limbs_[0];
-  }
-  if (limbs_.size() > 1) {
-    v |= static_cast<uint64_t>(limbs_[1]) << 32;
-  }
-  return v;
-}
-
-void BigUint::ToLimbs64(uint64_t* out, size_t n) const {
-  DETA_CHECK_LE((limbs_.size() + 1) / 2, n);
-  for (size_t k = 0; k < n; ++k) {
-    uint64_t lo = 2 * k < limbs_.size() ? limbs_[2 * k] : 0;
-    uint64_t hi = 2 * k + 1 < limbs_.size() ? limbs_[2 * k + 1] : 0;
-    out[k] = lo | (hi << 32);
-  }
-}
-
-BigUint BigUint::FromLimbs64(const uint64_t* limbs, size_t n) {
-  BigUint out;
-  out.limbs_.resize(2 * n);
-  for (size_t k = 0; k < n; ++k) {
-    out.limbs_[2 * k] = static_cast<uint32_t>(limbs[k]);
-    out.limbs_[2 * k + 1] = static_cast<uint32_t>(limbs[k] >> 32);
-  }
-  out.Trim();
-  return out;
-}
+uint64_t BigUint::ToU64() const { return limbs_.empty() ? 0 : limbs_[0]; }
 
 void BigUint::Wipe() {
-  SecureWipe(limbs_.data(), limbs_.size() * sizeof(uint32_t));
+  SecureWipe(limbs_.data(), limbs_.size() * sizeof(limbs_[0]));
   limbs_.clear();
 }
 

@@ -1,12 +1,12 @@
 // Arbitrary-precision unsigned integers, from scratch (no GMP in this environment).
-// 32-bit limbs, little-endian limb order, 64-bit intermediates. Supports everything
-// Paillier and secp256k1 need: +, -, *, divmod (Knuth algorithm D), shifts, modular
-// exponentiation, modular inverse (extended Euclid), gcd (Stein's binary GCD) and lcm,
-// Miller-Rabin primality, and random/prime generation from a SecureRng.
+// 64-bit limbs, little-endian limb order, unsigned __int128 intermediates. Supports
+// everything Paillier and secp256k1 need: +, -, *, divmod (Knuth algorithm D), shifts,
+// modular exponentiation, modular inverse (extended Euclid), gcd (Stein's binary GCD) and
+// lcm, Miller-Rabin primality, and random/prime generation from a SecureRng.
 //
-// The two hot kernels, Montgomery multiplication (crypto/montgomery.h) and Gcd, work on
-// 64-bit limbs with unsigned __int128 products; ToLimbs64/FromLimbs64 join and split
-// the 32-bit limbs at their boundary.
+// The word-size kernels read and write these limbs as they are: Montgomery
+// multiplication (crypto/montgomery.h), the binary GCD and secp256k1's field elements
+// (crypto/ec.cc) share the one layout, so no boundary joins or splits limbs.
 //
 // Not constant-time; this repo's crypto is a protocol-faithful simulation substrate, not
 // a hardened production TLS stack (see DESIGN.md).
@@ -32,8 +32,8 @@ class BigUint {
 
   // Parses lowercase/uppercase hex (no 0x prefix).
   static BigUint FromHexString(const std::string& hex);
-  // Builds from little-endian 32-bit limbs (trailing zero limbs are trimmed).
-  static BigUint FromLimbs(std::vector<uint32_t> limbs);
+  // Builds from little-endian 64-bit limbs (trailing zero limbs are trimmed).
+  static BigUint FromLimbs(std::vector<uint64_t> limbs);
   // Big-endian byte import/export.
   static BigUint FromBytes(const Bytes& be);
   Bytes ToBytes() const;            // Minimal big-endian encoding ("0" -> {0x00}).
@@ -97,19 +97,13 @@ class BigUint {
   // private scalars, auth tokens) so key material does not linger in freed heap pages.
   void Wipe();
 
-  const std::vector<uint32_t>& limbs() const { return limbs_; }
-
-  // Fixed-width little-endian 64-bit limbs for the word-size kernels: writes |n| limbs
-  // to |out|, zero-padded; checks the value fits.
-  void ToLimbs64(uint64_t* out, size_t n) const;
-  // Inverse of ToLimbs64 (leading zero limbs are trimmed).
-  static BigUint FromLimbs64(const uint64_t* limbs, size_t n);
+  // Little-endian 64-bit limbs with no trailing zero limb; empty means zero.
+  const std::vector<uint64_t>& limbs() const { return limbs_; }
 
  private:
   void Trim();
 
-  // Little-endian 32-bit limbs; empty means zero.
-  std::vector<uint32_t> limbs_;
+  std::vector<uint64_t> limbs_;
 };
 
 struct BigUintDivResult {

@@ -1,5 +1,6 @@
 #include "crypto/ec.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -163,30 +164,24 @@ Fe FeInv(const Fe& a) {
   return FeMul(FeSqrTimes(r, 2), a);
 }
 
-// Packs x's 32-bit limbs into four 64-bit ones; false when x needs more than 256 bits.
-bool PackLimbs(const BigUint& x, uint64_t out[4]) {
-  const std::vector<uint32_t>& limbs = x.limbs();
-  if (limbs.size() > 8) {
+// Copies x's limbs into the zeroed |out|; false when x needs more than 256 bits.
+bool LoadLimbs(const BigUint& x, uint64_t out[4]) {
+  const std::vector<uint64_t>& limbs = x.limbs();
+  if (limbs.size() > 4) {
     return false;
   }
-  for (size_t i = 0; i < limbs.size(); ++i) {
-    out[i / 2] |= static_cast<uint64_t>(limbs[i]) << (32 * (i % 2));
-  }
+  std::copy(limbs.begin(), limbs.end(), out);
   return true;
 }
 
 // Loads x into a field element; false when x >= p (a non-canonical coordinate).
 bool FeFromBigUint(const BigUint& x, Fe* out) {
   *out = Fe{};
-  return PackLimbs(x, out->v) && FeLessThanP(*out);
+  return LoadLimbs(x, out->v) && FeLessThanP(*out);
 }
 
 BigUint FeToBigUint(const Fe& a) {
-  std::vector<uint32_t> limbs(8);
-  for (size_t i = 0; i < 8; ++i) {
-    limbs[i] = static_cast<uint32_t>(a.v[i / 2] >> (32 * (i % 2)));
-  }
-  return BigUint::FromLimbs(std::move(limbs));
+  return BigUint::FromLimbs({a.v[0], a.v[1], a.v[2], a.v[3]});
 }
 
 // A finite point (x, y).
@@ -310,10 +305,10 @@ class Scalar {
   Scalar(const BigUint& k, const BigUint& n) {
     if (k >= n) {
       BigUint reduced = k.Mod(n);
-      PackLimbs(reduced, v_);
+      LoadLimbs(reduced, v_);
       reduced.Wipe();
     } else {
-      PackLimbs(k, v_);
+      LoadLimbs(k, v_);
     }
   }
   ~Scalar() { SecureWipe(v_, sizeof(v_)); }

@@ -31,10 +31,8 @@ void WipeLimbs(std::vector<uint64_t>& limbs) {
 MontgomeryContext::MontgomeryContext(const BigUint& modulus) : modulus_(modulus) {
   DETA_CHECK_MSG(modulus.IsOdd(), "MontgomeryContext requires an odd modulus");
   DETA_CHECK_MSG(modulus > BigUint(1), "MontgomeryContext requires modulus > 1");
-  s_ = (modulus.BitLength() + 63) / 64;
-  m_.resize(s_);
-  modulus.ToLimbs64(m_.data(), s_);
-  inv64_ = NegInverse64(m_[0]);
+  s_ = modulus.limbs().size();
+  inv64_ = NegInverse64(modulus.limbs()[0]);
   // R^2 mod m and R mod m with R = 2^(64*s), computed once via the schoolbook divider.
   r2_.resize(s_);
   Import(BigUint(1).ShiftLeft(128 * s_).Mod(modulus), r2_.data());
@@ -43,7 +41,6 @@ MontgomeryContext::MontgomeryContext(const BigUint& modulus) : modulus_(modulus)
 }
 
 MontgomeryContext::~MontgomeryContext() {
-  WipeLimbs(m_);
   WipeLimbs(r2_);
   WipeLimbs(one_mont_);
   modulus_.Wipe();
@@ -51,7 +48,8 @@ MontgomeryContext::~MontgomeryContext() {
 
 void MontgomeryContext::Import(const BigUint& a, uint64_t* out) const {
   DETA_CHECK_MSG(a < modulus_, "Montgomery operand not reduced mod m");
-  a.ToLimbs64(out, s_);
+  const Limbs& limbs = a.limbs();
+  std::fill(std::copy(limbs.begin(), limbs.end(), out), out + s_, uint64_t{0});
 }
 
 template <size_t kLimbs>
@@ -62,7 +60,7 @@ void MontgomeryContext::MulMontLimbs(const uint64_t* a, const uint64_t* b, uint6
   // accumulation stays below 2^128: (2^64-1)^2 + 2*(2^64-1) = 2^128 - 1. At a constant
   // width every loop below unrolls completely.
   const size_t s = kLimbs != 0 ? kLimbs : s_;
-  const uint64_t* m = m_.data();
+  const uint64_t* m = modulus_.limbs().data();
   std::fill(t, t + s + 2, uint64_t{0});
   for (size_t i = 0; i < s; ++i) {
     const uint64_t ai = a[i];
@@ -169,7 +167,7 @@ BigUint MontgomeryContext::PowModLimbs(const BigUint& base, const BigUint& exp) 
     MulMontLimbs<kLimbs>(table + (w - 1) * s, table + s, table + w * s, t);
   }
 
-  const std::vector<uint32_t>& e = exp.limbs();
+  const Limbs& e = exp.limbs();
   size_t windows = (exp.BitLength() + 3) / 4;
   std::copy(one_mont_.begin(), one_mont_.end(), acc);
   for (size_t wi = windows; wi-- > 0;) {
@@ -178,8 +176,8 @@ BigUint MontgomeryContext::PowModLimbs(const BigUint& base, const BigUint& exp) 
         MulMontLimbs<kLimbs>(acc, acc, acc, t);
       }
     }
-    // 32 % 4 == 0, so a window never straddles a (32-bit) exponent limb boundary.
-    uint32_t w = (e[(wi * 4) / 32] >> ((wi * 4) % 32)) & 0xFu;
+    // 64 % 4 == 0, so a window never straddles an exponent limb boundary.
+    uint64_t w = (e[(wi * 4) / 64] >> ((wi * 4) % 64)) & 0xFu;
     if (w != 0) {
       MulMontLimbs<kLimbs>(acc, table + w * s, acc, t);
     }

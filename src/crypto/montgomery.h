@@ -18,9 +18,9 @@
 // -m^-1 mod 2^64, with R = 2^(64*s) for an s-limb modulus) once; contexts are immutable
 // after construction and safe to share across the deterministic parallel layer: every
 // call works in its own scratch, so concurrent callers never share mutable state.
-// BigUint keeps 32-bit limbs; operands are joined into 64-bit limbs on the way in and
-// split on the way out. Contexts built over secret moduli (the CRT primes' squares in
-// the extended Paillier private key) wipe their limb storage on destruction.
+// Operands are BigUint's own 64-bit limbs, copied in zero-padded to s limbs and copied
+// out as they are. Contexts built over secret moduli (the CRT primes' squares in the
+// extended Paillier private key) wipe their limb storage on destruction.
 #ifndef DETA_CRYPTO_MONTGOMERY_H_
 #define DETA_CRYPTO_MONTGOMERY_H_
 
@@ -65,7 +65,7 @@ class MontgomeryContext {
 
   // Fixed-width import into s limbs at |out|: value must be < modulus.
   void Import(const BigUint& a, uint64_t* out) const;
-  BigUint Export(const uint64_t* a) const { return BigUint::FromLimbs64(a, s_); }
+  BigUint Export(const uint64_t* a) const { return BigUint::FromLimbs(Limbs(a, a + s_)); }
   // CIOS fused multiply-reduce: out = a*b*R^-1 mod m over s-limb operands. |t| is s + 2
   // limbs of scratch; |out| may alias a or b (it is written after the last read).
   // kLimbs == 0 reads the width s_ at run time; kLimbs > 0 is a compile-time s_.
@@ -76,9 +76,8 @@ class MontgomeryContext {
   template <size_t kLimbs>
   BigUint PowModLimbs(const BigUint& base, const BigUint& exp) const;
 
-  BigUint modulus_;
+  BigUint modulus_;   // its s limbs are the CIOS modulus operand
   size_t s_;          // 64-bit limb count
-  Limbs m_;           // modulus, fixed width
   uint64_t inv64_;    // -m^-1 mod 2^64
   Limbs r2_;          // R^2 mod m (Montgomery form of R)
   Limbs one_mont_;    // R mod m (Montgomery form of 1)

@@ -5,6 +5,7 @@
 #include "common/check.h"
 #include "crypto/bigint.h"
 #include "crypto/chacha20.h"
+#include "crypto/sha256.h"
 
 namespace deta::crypto {
 namespace {
@@ -101,8 +102,8 @@ TEST(BigUintTest, DivModInvariantLarge) {
   }
 }
 
-// Knuth algorithm D's add-back branch needs specially crafted inputs; exercise the
-// neighborhood with divisors just below limb boundaries.
+// Divisors just below limb boundaries, around algorithm D's add-back branch
+// (DivModAddBackMatchesLongDivision reaches the branch itself).
 TEST(BigUintTest, DivModEdgePatterns) {
   std::vector<std::string> dividends = {
       "ffffffffffffffffffffffffffffffff", "80000000000000000000000000000000",
@@ -117,6 +118,76 @@ TEST(BigUintTest, DivModEdgePatterns) {
       EXPECT_TRUE(qr.remainder < b);
       EXPECT_EQ(qr.quotient.Mul(b).Add(qr.remainder), a);
     }
+  }
+}
+
+// Schoolbook binary long division on hex strings, one bit at a time: the oracle for
+// DivMod that shares no arithmetic with BigUint. Returns {quotient, remainder} in
+// lowercase hex without leading zeros.
+std::pair<std::string, std::string> LongDivisionHex(const std::string& a_hex,
+                                                    const std::string& b_hex) {
+  auto to_bits = [](const std::string& hex) {  // most significant bit first
+    std::vector<int> bits;
+    for (char c : hex) {
+      int digit = std::stoi(std::string(1, c), nullptr, 16);
+      for (int shift = 3; shift >= 0; --shift) {
+        bits.push_back((digit >> shift) & 1);
+      }
+    }
+    return bits;
+  };
+  auto to_hex = [](std::vector<int> bits) {
+    while (bits.size() % 4 != 0) {
+      bits.insert(bits.begin(), 0);
+    }
+    std::string hex;
+    for (size_t i = 0; i < bits.size(); i += 4) {
+      hex.push_back("0123456789abcdef"[bits[i] * 8 + bits[i + 1] * 4 + bits[i + 2] * 2 +
+                                       bits[i + 3]]);
+    }
+    size_t first = hex.find_first_not_of('0');
+    return first == std::string::npos ? std::string("0") : hex.substr(first);
+  };
+  std::vector<int> a = to_bits(a_hex);
+  std::vector<int> b = to_bits(b_hex);
+  // The remainder and divisor share a width one bit wider than the divisor, so the
+  // shifted-in remainder (below 2b) always fits.
+  const size_t width = b.size() + 1;
+  b.insert(b.begin(), 1, 0);
+  std::vector<int> r(width, 0);
+  std::vector<int> q;
+  for (int bit : a) {
+    r.erase(r.begin());
+    r.push_back(bit);
+    bool ge = !std::lexicographical_compare(r.begin(), r.end(), b.begin(), b.end());
+    if (ge) {
+      int borrow = 0;
+      for (size_t i = width; i-- > 0;) {
+        int d = r[i] - b[i] - borrow;
+        borrow = d < 0 ? 1 : 0;
+        r[i] = d & 1;
+      }
+    }
+    q.push_back(ge ? 1 : 0);
+  }
+  return {to_hex(q), to_hex(r)};
+}
+
+// Operands that send algorithm D through its add-back step (qhat one too large after
+// the two-limb test) once each, at 32- and at 64-bit limbs; random operands reach it
+// with probability about 2 / 2^w per quotient digit.
+TEST(BigUintTest, DivModAddBackMatchesLongDivision) {
+  const std::vector<std::pair<std::string, std::string>> pairs = {
+      {"80000000000000010000000000000000ffffffffffffffffc000000000000000",
+       "80000000000000000000000000000000fffffffffffffffe"},
+      {"7fffffffffffffffffffffffffffffff80000000000000004000000000000000",
+       "7fffffffffffffffffffffffffffffffffffffffffffffff"},
+  };
+  for (const auto& [a_hex, b_hex] : pairs) {
+    auto [q_hex, r_hex] = LongDivisionHex(a_hex, b_hex);
+    auto qr = BigUint::FromHexString(a_hex).DivMod(BigUint::FromHexString(b_hex));
+    EXPECT_EQ(qr.quotient.ToHexString(), q_hex) << a_hex << " / " << b_hex;
+    EXPECT_EQ(qr.remainder.ToHexString(), r_hex) << a_hex << " % " << b_hex;
   }
 }
 
@@ -266,6 +337,114 @@ TEST(BigUintTest, ModularArithmeticIdentities) {
     // a * b mod m == b * a mod m
     EXPECT_EQ(BigUint::MulMod(a, b, m), BigUint::MulMod(b, a, m));
   }
+}
+
+// A seeded operand of 1-2,100 bits: random bits, all ones, a power of two, or random
+// limbs with whole 32-bit halves forced to zero or all ones (rounded up to a whole
+// 32-bit half), at a random length or within one bit of a 64-bit boundary. One rng
+// draw per statement, so the sequence does not depend on evaluation order.
+BigUint KnownAnswerOperand(SecureRng& rng) {
+  size_t bits = 1 + rng.NextBelow(2100);
+  if (rng.NextBelow(4) == 0) {
+    size_t limbs = 1 + rng.NextBelow(32);
+    bits = 64 * limbs + rng.NextBelow(3) - 1;
+  }
+  switch (rng.NextBelow(4)) {
+    case 0:
+      return BigUint::RandomBits(rng, bits);
+    case 1:
+      return BigUint(1).ShiftLeft(bits).Sub(BigUint(1));
+    case 2:
+      return BigUint(1).ShiftLeft(bits - 1);
+    default: {
+      Bytes raw = BigUint::RandomBits(rng, bits).ToBytesPadded((bits + 31) / 32 * 4);
+      for (size_t i = 0; i < raw.size(); i += 4) {
+        uint64_t pick = rng.NextBelow(4);
+        if (pick < 2) {
+          std::fill(raw.begin() + static_cast<long>(i), raw.begin() + static_cast<long>(i) + 4,
+                    pick == 0 ? uint8_t{0x00} : uint8_t{0xff});
+        }
+      }
+      BigUint v = BigUint::FromBytes(raw);
+      return v.IsZero() ? BigUint(1) : v;
+    }
+  }
+}
+
+// SHA-256 over every BigUint operation on seeded operands of 1-2,100 bits: Add, Sub,
+// Mul, DivMod (multi-limb and single-limb divisors), the shifts, MulMod, InvMod, Gcd,
+// PowMod over odd moduli, byte and hex I/O and BitLength. The digest was computed by
+// the 32-bit-limb BigUint; any result that moves changes it.
+TEST(BigUintTest, KnownAnswerDigest) {
+  SecureRng rng(StringToBytes("biguint-known-answer"));
+  Bytes transcript;
+  auto put_bytes = [&](const Bytes& b) {
+    for (int shift = 0; shift < 32; shift += 8) {
+      transcript.push_back(static_cast<uint8_t>(b.size() >> shift));
+    }
+    transcript.insert(transcript.end(), b.begin(), b.end());
+  };
+  auto put = [&](const BigUint& x) { put_bytes(x.ToBytes()); };
+  for (int i = 0; i < 96; ++i) {
+    BigUint a = KnownAnswerOperand(rng);
+    BigUint b = KnownAnswerOperand(rng);
+    BigUint m = KnownAnswerOperand(rng);
+    if (!m.IsOdd()) {
+      m = m.Add(BigUint(1));
+    }
+    if (m == BigUint(1)) {
+      m = BigUint(3);
+    }
+    put(a.Add(b));
+    put(a >= b ? a.Sub(b) : b.Sub(a));
+    put(a.Mul(b));
+    auto qr = a.DivMod(b);
+    put(qr.quotient);
+    put(qr.remainder);
+    BigUint small = BigUint::RandomBits(rng, 1 + rng.NextBelow(64));
+    qr = a.Mul(b).DivMod(small);
+    put(qr.quotient);
+    put(qr.remainder);
+    size_t shift = rng.NextBelow(200);
+    put(a.ShiftLeft(shift));
+    put(a.ShiftRight(shift));
+    put(BigUint::MulMod(a, b, m));
+    BigUint inv;
+    bool invertible = BigUint::InvMod(a, m, &inv);
+    put(BigUint(invertible ? 1 : 0));
+    put(inv);
+    put(BigUint::Gcd(a, b));
+    put(BigUint::Gcd(a.Mul(m), b.Mul(m)));
+    BigUint e = BigUint::RandomBits(rng, 1 + rng.NextBelow(320));
+    put(BigUint::PowMod(a, e, m));
+    put(BigUint::PowMod(a, m.Sub(BigUint(1)), m));
+    Bytes raw = rng.NextBytes(rng.NextBelow(270));
+    BigUint from_raw = BigUint::FromBytes(raw);
+    put(from_raw);
+    put_bytes(from_raw.ToBytesPadded(raw.size() + 3));
+    std::string hex = a.Mul(b).ToHexString();
+    put_bytes(Bytes(hex.begin(), hex.end()));
+    put(BigUint::FromHexString(hex));
+    put(BigUint(a.BitLength()));
+  }
+  EXPECT_EQ(ToHex(Sha256Digest(transcript)),
+            "ef112a503d70db7563292b24ba26dc2d18cf5338dfd30ac133b006956dc0b5ac");
+}
+
+// Wipe zeroes every byte of every limb in place: the storage the value occupied reads
+// back as zero, and clear() keeps that storage allocated, so the read is of the
+// wiped buffer itself.
+TEST(BigUintTest, WipeZeroesEveryLimb) {
+  SecureRng rng(StringToBytes("biguint-wipe"));
+  BigUint v = BigUint::RandomBits(rng, 1024);
+  const auto* data = v.limbs().data();
+  const size_t bytes = v.limbs().size() * sizeof(v.limbs()[0]);
+  ASSERT_EQ(bytes, 128u);
+  v.Wipe();
+  EXPECT_TRUE(v.IsZero());
+  ASSERT_EQ(v.limbs().data(), data);
+  const auto* raw = reinterpret_cast<const uint8_t*>(data);
+  EXPECT_TRUE(std::all_of(raw, raw + bytes, [](uint8_t byte) { return byte == 0; }));
 }
 
 }  // namespace

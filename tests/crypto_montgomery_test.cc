@@ -120,9 +120,9 @@ TEST(MontgomeryDifferentialTest, PowModExponentEdgeCases) {
   EXPECT_EQ(BigUint::PowMod(BigUint(7), BigUint(3), BigUint(1)), BigUint(0));
 }
 
-// Moduli at the workload's and the benches' sizes. 288 and 480 bits have an odd number
-// of 32-bit BigUint limbs, so there R = 2^(64*s) is not 2^(32*limbs); 511 bits is the
-// workload's n^2 for a 256-bit n.
+// Moduli at the workload's and the benches' sizes. 288 and 480 bits fill only half of
+// their top 64-bit limb, so there m sits 32 bits and more below R = 2^(64*s); 511 bits
+// is the workload's n^2 for a 256-bit n.
 constexpr size_t kWideBitSizes[] = {288, 480, 511, 512, 1024, 2048, 4096};
 
 // MulMod, the Montgomery-form round trips, and PowMod (with a random base and with
