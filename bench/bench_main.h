@@ -7,9 +7,10 @@
 // must-be-zero counters (dropped frames, channel rejects, warnings) stayed zero.
 //
 // The benchmark JSON's context carries the library's build stamp (telemetry::Build) as
-// deta_build_type and deta_cxx_flags, and the width of the ChaCha20 core the CPU runs
-// (crypto::ChaCha20Lanes) as deta_chacha_lanes; scripts/bench_snapshot.py copies both
-// into each snapshot.
+// deta_build_type and deta_cxx_flags, the width of the ChaCha20 core the CPU runs
+// (crypto::ChaCha20Lanes) as deta_chacha_lanes, and the lanes of the Montgomery batch
+// kernel (crypto::MontgomeryLanes) as deta_montgomery_lanes; scripts/bench_snapshot.py
+// copies them into each snapshot.
 #ifndef DETA_BENCH_BENCH_MAIN_H_
 #define DETA_BENCH_BENCH_MAIN_H_
 
@@ -20,6 +21,7 @@
 
 #include "common/telemetry.h"
 #include "crypto/chacha20.h"
+#include "crypto/montgomery.h"
 
 #define DETA_BENCH_MAIN()                                                        \
   int main(int argc, char** argv) {                                              \
@@ -30,6 +32,9 @@
     ::benchmark::AddCustomContext("deta_cxx_flags", build.cxx_flags);            \
     ::benchmark::AddCustomContext(                                               \
         "deta_chacha_lanes", std::to_string(::deta::crypto::ChaCha20Lanes()));   \
+    ::benchmark::AddCustomContext(                                               \
+        "deta_montgomery_lanes",                                                 \
+        std::to_string(::deta::crypto::MontgomeryLanes()));                      \
     ::benchmark::Initialize(&argc, argv);                                        \
     if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;          \
     ::benchmark::RunSpecifiedBenchmarks();                                       \

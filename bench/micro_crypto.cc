@@ -1,8 +1,10 @@
 // Microbenchmarks for the crypto substrate (google-benchmark): the primitives behind
 // attestation (SHA-256/ECDSA), secure channels (the ChaCha20 core at the CPU's width,
 // Poly1305 and the RFC 8439 ChaCha20-Poly1305 AEAD), shuffling (keyed permutation
-// derivation on the SecureRng stream), and Paillier fusion. The width is in the
-// benchmark context (deta_chacha_lanes); rows over the keystream compare only at one.
+// derivation on the SecureRng stream), and Paillier fusion (batches on the Montgomery
+// kernel at the CPU's width). Both widths are in the benchmark context
+// (deta_chacha_lanes, deta_montgomery_lanes); rows over the keystream or a Paillier
+// batch compare only at one.
 #include <benchmark/benchmark.h>
 
 #include "bench_main.h"
@@ -212,9 +214,11 @@ BENCHMARK(BM_PaillierDecryptCrt);
 
 // Packed hot path at several pack widths: narrower lanes pack more values per
 // ciphertext, dividing the per-coordinate exponentiation cost (items/s is the
-// comparable column across widths). Both rows run on one thread: they have no threads
-// column, so bench_snapshot.py keeps them whatever the core count, and the baseline
-// must not read a parallel wall time on a many-core runner.
+// comparable column across widths). Both rows run a party's path, the private key's
+// CRT batches that DetaParty::RunRound runs: 256 values make 19, 43 and 86 ciphertexts,
+// so the Montgomery kernel's lanes take full and short steps. Both rows run on one
+// thread: they have no threads column, so bench_snapshot.py keeps them whatever the
+// core count, and the baseline must not read a parallel wall time on a many-core runner.
 void BM_PaillierPackedEncrypt(benchmark::State& state) {
   int lane_bits = static_cast<int>(state.range(0));
   parallel::ScopedThreads threads(1);
@@ -226,7 +230,7 @@ void BM_PaillierPackedEncrypt(benchmark::State& state) {
     values[i] = static_cast<int64_t>(i % 200) - 100;
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(PaillierEncryptPacked(key.pub, packer, values, rng));
+    benchmark::DoNotOptimize(PaillierEncryptPacked(key.priv, packer, values, rng));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(values.size()));

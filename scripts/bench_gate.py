@@ -23,11 +23,11 @@ baseline. A row is a FAIL when its ns_per_op exceeds the baseline by more than
 hard error (a renamed/deleted benchmark silently exits the perf trajectory
 otherwise). Fresh rows absent from the baseline are reported but pass — they
 join the gate when the baseline is next regenerated. When both files carry a
-build_type stamp (bench_snapshot.py) and the two differ, the comparison fails
-outright: the build type alone moves the numbers. So does the ChaCha20 core's
-width (chacha_lanes: 4, 8 or 16, the widest the CPU runs), so snapshots taken at
-different widths do not compare either; a runner of another width gates against
-a snapshot taken at its own width. A file without a stamp passes.
+stamp (bench_snapshot.py) and the two differ, the comparison fails outright: the
+build type (build_type) alone moves the numbers, and so do the widths the CPU runs
+the ChaCha20 core (chacha_lanes: 4, 8 or 16) and the Montgomery batch kernel
+(montgomery_lanes: 1 or 8) at. A runner of another width gates against a snapshot
+taken at its own width. A file without a stamp passes.
 
 Usage:
   scripts/bench_gate.py --baseline BENCH_crypto.json --max-regression 35 fresh.json
@@ -51,6 +51,11 @@ DEFAULT_FORBIDDEN = [
     "common.log.warnings",
     "common.log.errors",
 ]
+
+
+# Snapshot stamps that must agree for two snapshots' timings to compare: the build type
+# and the widths the CPU runs the ChaCha20 core and the Montgomery batch kernel at.
+STAMP_KEYS = ("build_type", "chacha_lanes", "montgomery_lanes")
 
 
 def matches(prefix: str, name: str) -> bool:
@@ -117,17 +122,13 @@ def check_baseline(baseline_path: str, fresh_path: str, max_regression: float) -
         fresh_snapshot = load_bench_snapshot(fresh_path)
     except (OSError, json.JSONDecodeError, ValueError) as e:
         return [f"unreadable bench snapshot: {e}"]
-    base_type = baseline_snapshot.get("build_type")
-    fresh_type = fresh_snapshot.get("build_type")
-    if base_type and fresh_type and base_type != fresh_type:
-        return [f"{fresh_path} is a {fresh_type} build but baseline {baseline_path} is "
-                f"{base_type}; compare snapshots of one build type"]
-    base_lanes = baseline_snapshot.get("chacha_lanes")
-    fresh_lanes = fresh_snapshot.get("chacha_lanes")
-    if base_lanes and fresh_lanes and base_lanes != fresh_lanes:
-        return [f"{fresh_path} ran the {fresh_lanes}-lane ChaCha20 core but baseline "
-                f"{baseline_path} the {base_lanes}-lane one; gate against a snapshot "
-                "taken at this CPU's width"]
+    for key in STAMP_KEYS:
+        base_value = baseline_snapshot.get(key)
+        fresh_value = fresh_snapshot.get(key)
+        if base_value and fresh_value and base_value != fresh_value:
+            return [f"{fresh_path} has {key} {fresh_value} but baseline {baseline_path} "
+                    f"has {base_value}; gate against a snapshot of the same build type "
+                    "and lane widths"]
     baseline = baseline_snapshot["rows"]
     fresh = fresh_snapshot["rows"]
 

@@ -5,7 +5,8 @@ Runs the given google-benchmark binaries with --benchmark_format=json and writes
 one consolidated snapshot:
 
     {"commit": "<git rev>", "date": "YYYY-MM-DD",
-     "build_type": "Release", "cxx_flags": "-O3 -DNDEBUG", "chacha_lanes": 16, "rows": {
+     "build_type": "Release", "cxx_flags": "-O3 -DNDEBUG", "chacha_lanes": 16,
+     "montgomery_lanes": 8, "rows": {
         "<bench>/<row name>": {"ns_per_op": <real_time ns>, "ops": <iterations>},
         ...}}
 
@@ -14,8 +15,10 @@ JSON's context (deta_build_type, deta_cxx_flags; bench/bench_main.h), the same s
 its telemetry JSON carries: the build type and the flags that compiled src/.
 chacha_lanes is the width of the ChaCha20 core the CPU ran (deta_chacha_lanes; the
 crypto.chacha20.lanes gauge of the telemetry JSON): 4, 8 or 16 blocks per step, which
-moves every row over the keystream. Timings from different builds or widths do not
-compare, so a snapshot refuses binaries whose stamps differ, and
+moves every row over the keystream. montgomery_lanes is the width of the Montgomery
+batch kernel (deta_montgomery_lanes; the crypto.montgomery.lanes gauge): 1 or 8 bases
+per step, which moves every Paillier batch row. Timings from different builds or widths
+do not compare, so a snapshot refuses binaries whose stamps differ, and
 scripts/bench_gate.py --baseline refuses to compare snapshots of different build
 types or widths.
 
@@ -52,16 +55,18 @@ def git_commit() -> str:
 
 
 def build_stamp(binary: str, report: dict) -> dict:
-    """{"build_type", "cxx_flags", "chacha_lanes"} from the context of |binary|'s
-    benchmark JSON."""
+    """{"build_type", "cxx_flags", "chacha_lanes", "montgomery_lanes"} from the context
+    of |binary|'s benchmark JSON."""
     context = report.get("context", {})
-    keys = ("deta_build_type", "deta_cxx_flags", "deta_chacha_lanes")
+    keys = ("deta_build_type", "deta_cxx_flags", "deta_chacha_lanes",
+            "deta_montgomery_lanes")
     if any(key not in context for key in keys):
         raise RuntimeError(f"{binary}: its benchmark context lacks one of {keys}; is it "
                            "a DETA_BENCH_MAIN binary?")
     return {"build_type": context["deta_build_type"],
             "cxx_flags": context["deta_cxx_flags"],
-            "chacha_lanes": int(context["deta_chacha_lanes"])}
+            "chacha_lanes": int(context["deta_chacha_lanes"]),
+            "montgomery_lanes": int(context["deta_montgomery_lanes"])}
 
 
 def run_bench(binary: str, bench_filter: str, min_time: float) -> dict:

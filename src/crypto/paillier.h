@@ -22,7 +22,10 @@
 // the rng at the same position (PaillierCrtDifferentialTest).
 //
 // Hot path: every modular exponentiation runs through a cached Montgomery fixed-window
-// context (crypto/montgomery.h), built once per key and shared by copies.
+// context (crypto/montgomery.h), built once per key and shared by copies. The private
+// key's batch forms split a batch into chunks of the lanes PowModBatch runs (8 bases per
+// AVX-512 IFMA step at the default key size) and make one PowModBatch call per prime
+// square per chunk, so the single-element and batch forms return the same bits.
 #ifndef DETA_CRYPTO_PAILLIER_H_
 #define DETA_CRYPTO_PAILLIER_H_
 
@@ -78,13 +81,26 @@ class PaillierPrivateKey {
   BigUint Encrypt(const BigUint& m, SecureRng& rng) const;
   std::vector<BigUint> EncryptBatch(const std::vector<BigUint>& ms, SecureRng& rng) const;
 
+  // Throws CheckFailure on a ciphertext divisible by p or q (L is undefined there).
   BigUint Decrypt(const BigUint& c) const;
-  // Decrypts every element of |cs| in parallel (decryption is deterministic, so no
-  // randomness bookkeeping is needed).
+  // Decrypts every element of |cs| in parallel, as Decrypt does each (decryption is
+  // deterministic, so no randomness bookkeeping is needed).
   std::vector<BigUint> DecryptBatch(const std::vector<BigUint>& cs) const;
 
  private:
   PaillierPrivateKey() = default;
+
+  // The steps the single-element and batch forms share, so both compute each element
+  // the same way. DrawR draws r below n with neither prime dividing it. JoinEncrypt
+  // takes r^n mod p^2 and mod q^2 to the ciphertext of m; JoinDecrypt takes
+  // c^(p-1) mod p^2 and c^(q-1) mod q^2 to the plaintext.
+  BigUint DrawR(const BigUint& n, SecureRng& rng) const;
+  BigUint JoinEncrypt(const BigUint& m, const BigUint& n, const BigUint& rp,
+                      const BigUint& rq) const;
+  BigUint JoinDecrypt(const BigUint& up, const BigUint& uq) const;
+  // Elements per parallel chunk of the batch forms: the bases PowModBatch raises per
+  // step over p^2 and q^2 (8 with AVX-512 IFMA at the default key size, else 1).
+  size_t BatchGrain() const;
 
   // Whoever holds these can decrypt every party's update, the exact capability the
   // decentralization argument denies to aggregators. So every component is a
@@ -149,7 +165,7 @@ class PaillierPacker {
   int lanes_;
   int lane_bits_;
   int64_t value_bound_;
-  BigUint lane_offset_;  // 2^(value_bits - 1), added per lane so values are nonnegative
+  uint64_t lane_offset_;  // 2^(value_bits - 1), added per lane so values are nonnegative
 };
 
 // Packed batch hot path: Pack + EncryptBatch / DecryptBatch + UnpackSum fused behind

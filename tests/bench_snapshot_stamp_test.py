@@ -7,9 +7,10 @@ Snapshots one tiny row of the binary with scripts/bench_snapshot.py and runs the
 row again with --telemetry-out. Fails unless the snapshot's build_type and cxx_flags
 equal the telemetry JSON's "build" object, unless an optimized build (RelWithDebInfo
 or Release) names -O3, the level src/CMakeLists.txt compiles src/ at, and unless the
-snapshot's chacha_lanes is the telemetry's crypto.chacha20.lanes gauge. Then gates the
-snapshot against itself with scripts/bench_gate.py --baseline, which must pass, and
-against a copy stamped with another width, which must be refused.
+snapshot's chacha_lanes and montgomery_lanes are the telemetry's crypto.chacha20.lanes
+and crypto.montgomery.lanes gauges. Then gates the snapshot against itself with
+scripts/bench_gate.py --baseline, which must pass, and against copies stamped with
+another width of either kernel, which must be refused.
 """
 
 import json
@@ -44,11 +45,14 @@ def main() -> int:
             telemetry = json.load(f)
         build = telemetry["build"]
         gate_ok = gate(snapshot_path, snapshot_path)
-        other_width_path = os.path.join(tmp, "other_width.json")
-        with open(other_width_path, "w", encoding="utf-8") as f:
-            json.dump({**snapshot, "chacha_lanes": 4 if snapshot["chacha_lanes"] != 4 else 8},
-                      f)
-        gate_other_width = gate(other_width_path, snapshot_path)
+        other_widths = {"chacha_lanes": 4 if snapshot["chacha_lanes"] != 4 else 8,
+                        "montgomery_lanes": 1 if snapshot["montgomery_lanes"] != 1 else 8}
+        gate_other_width = {}
+        for key, width in other_widths.items():
+            other_width_path = os.path.join(tmp, f"other_{key}.json")
+            with open(other_width_path, "w", encoding="utf-8") as f:
+                json.dump({**snapshot, key: width}, f)
+            gate_other_width[key] = gate(other_width_path, snapshot_path)
     stamp = (snapshot["build_type"], snapshot["cxx_flags"])
     print(f"snapshot stamp {stamp}, telemetry stamp {(build['type'], build['cxx_flags'])}")
     if stamp != (build["type"], build["cxx_flags"]):
@@ -57,17 +61,20 @@ def main() -> int:
     if stamp[0] in ("RelWithDebInfo", "Release") and "-O3" not in stamp[1].split():
         print(f"FAIL: a {stamp[0]} build compiled src/ without -O3")
         return 1
-    lanes = telemetry["gauges"].get("crypto.chacha20.lanes")
-    print(f"snapshot chacha_lanes {snapshot['chacha_lanes']}, telemetry gauge {lanes}")
-    if snapshot["chacha_lanes"] not in (4, 8, 16) or snapshot["chacha_lanes"] != lanes:
-        print("FAIL: the snapshot and the telemetry of one binary name different widths")
-        return 1
+    for key, gauge, widths in (("chacha_lanes", "crypto.chacha20.lanes", (4, 8, 16)),
+                               ("montgomery_lanes", "crypto.montgomery.lanes", (1, 8))):
+        lanes = telemetry["gauges"].get(gauge)
+        print(f"snapshot {key} {snapshot[key]}, telemetry gauge {lanes}")
+        if snapshot[key] not in widths or snapshot[key] != lanes:
+            print(f"FAIL: the snapshot and the telemetry of one binary name different {key}")
+            return 1
     if gate_ok.returncode != 0:
         print(f"FAIL: a snapshot does not gate against itself:\n{gate_ok.stderr}")
         return 1
-    if gate_other_width.returncode == 0 or "lane" not in gate_other_width.stderr:
-        print("FAIL: bench_gate.py compared snapshots taken at different ChaCha20 widths")
-        return 1
+    for key, refused in gate_other_width.items():
+        if refused.returncode == 0 or key not in refused.stderr:
+            print(f"FAIL: bench_gate.py compared snapshots of different {key}")
+            return 1
     print("OK")
     return 0
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/check.h"
+#include "common/parallel.h"
 #include "crypto/bigint.h"
 #include "crypto/montgomery.h"
 #include "crypto/paillier.h"
@@ -185,6 +186,92 @@ TEST(MontgomeryDifferentialTest, AllOnesTopLimbMatchesSchoolbook) {
   }
 }
 
+// PowModBatch against the oracle, on every kernel this CPU runs. The moduli are 4-limb
+// (193 to 256 bits, 2^192 + 1 and 2^256 - 1 among them, and p^2 and q^2 of 128-bit
+// primes), where a CPU with AVX-512 IFMA runs the 8-lane kernel, and 1- to 3-limb,
+// where PowModBatch loops PowMod on every CPU. The bases are 0, 1, m - 1, values >= m
+// (reduced first), random residues and, under p^2 and q^2, multiples of the prime, whose
+// powers are 0: the lanes leave Montgomery form at m there, so only the final
+// subtraction makes them canonical. Batch sizes 0-17 and 186 (a lane-packed fragment)
+// take full and partial lane steps; each batch is a window of the base pool at a moving
+// offset, so every base visits every lane.
+TEST(MontgomeryDifferentialTest, PowModBatchMatchesOracleOnEveryKernel) {
+  SecureRng rng(StringToBytes("mont-powmod-batch"));
+  const PaillierKeyPair key = GeneratePaillierKey(rng, 256);
+  const BigUint& p = key.priv.p().ExposeForCrypto();
+  const BigUint& q = key.priv.q().ExposeForCrypto();
+  const BigUint all_ones_256 = BigUint(1).ShiftLeft(256).Sub(BigUint(1));
+  const std::vector<BigUint> exps = {BigUint(0),   BigUint(1),
+                                     BigUint(15),  BigUint(16),
+                                     BigUint(1).ShiftLeft(255), all_ones_256,
+                                     p.Sub(BigUint(1)), key.pub.n()};
+  struct Modulus {
+    BigUint m;
+    BigUint prime;  // m = prime^2, or 0
+  };
+  std::vector<Modulus> moduli = {{BigUint(1).ShiftLeft(192).Add(BigUint(1)), BigUint()},
+                                 {all_ones_256, BigUint()},
+                                 {p.Mul(p), p},
+                                 {q.Mul(q), q}};
+  for (size_t bits : {size_t{193}, size_t{200}, size_t{224}, size_t{255}, size_t{256}}) {
+    moduli.push_back({RandomOddModulus(rng, bits), BigUint()});
+  }
+  for (size_t bits : {size_t{64}, size_t{128}, size_t{192}}) {
+    moduli.push_back({RandomOddModulus(rng, bits), BigUint()});
+  }
+  std::vector<size_t> sizes;
+  for (size_t size = 0; size <= 17; ++size) {
+    sizes.push_back(size);
+  }
+  sizes.push_back(186);
+  constexpr size_t kPool = 186;
+  size_t checked = 0;
+  for (const Modulus& mod : moduli) {
+    const BigUint& m = mod.m;
+    MontgomeryContext ctx(m);
+    const bool four_limbs = m.limbs().size() == 4;
+    EXPECT_EQ(ctx.BatchLanes(), four_limbs ? static_cast<size_t>(MontgomeryLanes()) : 1u)
+        << "m=" << m.ToHexString();
+    std::vector<BigUint> pool = {BigUint(0), BigUint(1), m.Sub(BigUint(1)), m,
+                                 m.Add(BigUint(1)), m.Mul(BigUint(3)).Add(BigUint(7)),
+                                 BigUint::RandomBits(rng, 2 * m.BitLength() + 5)};
+    if (!mod.prime.IsZero()) {
+      for (const BigUint& k : {BigUint(1), BigUint(2), mod.prime.Sub(BigUint(1)),
+                               BigUint::RandomBelow(rng, mod.prime)}) {
+        pool.push_back(mod.prime.Mul(k.IsZero() ? BigUint(3) : k));
+      }
+      pool.push_back(key.pub.n());  // p * q, divisible by either prime
+    }
+    while (pool.size() < kPool) {
+      pool.push_back(BigUint::RandomBelow(rng, m));
+    }
+    for (const BigUint& exp : exps) {
+      std::vector<BigUint> want;
+      for (const BigUint& base : pool) {
+        want.push_back(PowModSchoolbook(base, exp, m));
+      }
+      size_t offset = 0;
+      for (size_t size : sizes) {
+        std::vector<BigUint> bases;
+        for (size_t i = 0; i < size; ++i) {
+          bases.push_back(pool[(offset + i) % kPool]);
+        }
+        std::vector<BigUint> got = ctx.PowModBatch(bases, exp);
+        ASSERT_EQ(got.size(), size);
+        for (size_t i = 0; i < size; ++i) {
+          ASSERT_EQ(got[i], want[(offset + i) % kPool])
+              << "lanes=" << ctx.BatchLanes() << " m=" << m.ToHexString()
+              << " exp=" << exp.ToHexString() << " size=" << size << " i=" << i
+              << " base=" << pool[(offset + i) % kPool].ToHexString();
+          ++checked;
+        }
+        offset += 5;
+      }
+    }
+  }
+  EXPECT_GE(checked, moduli.size() * exps.size() * 339);
+}
+
 TEST(MontgomeryContextTest, RejectsEvenOrTrivialModulus) {
   EXPECT_THROW(MontgomeryContext(BigUint(10)), CheckFailure);
   EXPECT_THROW(MontgomeryContext(BigUint(0)), CheckFailure);
@@ -272,6 +359,46 @@ TEST(PaillierCrtDifferentialTest, CrtEncryptMatchesPublicEncrypt) {
         // The single-element form draws from the caller's rng directly.
         EXPECT_EQ(key->priv.Encrypt(ms[1], crt_rng), key->pub.Encrypt(ms[1], public_rng));
         EXPECT_EQ(key->priv.Decrypt(via_crt[1]), ms[1]);
+      }
+    }
+  }
+}
+
+// The private key's batch forms run one PowModBatch per prime square per chunk of
+// BatchLanes() elements. At every batch size around a lane step (and at 186, a
+// lane-packed fragment) and every thread count, EncryptBatch must return the public
+// path's ciphertexts and leave the caller's rng where the public path leaves it, and
+// DecryptBatch must return the plaintexts.
+TEST(PaillierCrtDifferentialTest, BatchesOfEverySizeMatchThePublicPath) {
+  SecureRng rng(StringToBytes("crt-batch-sizes"));
+  const PaillierKeyPair key = GeneratePaillierKey(rng, 256);
+  const BigUint& n = key.pub.n();
+  for (size_t size :
+       {size_t{1}, size_t{7}, size_t{8}, size_t{9}, size_t{17}, size_t{186}}) {
+    std::vector<BigUint> ms = {n.Sub(BigUint(1)), BigUint(0)};
+    while (ms.size() < size) {
+      ms.push_back(BigUint::RandomBelow(rng, n));
+    }
+    ms.resize(size);
+    const Bytes seed = rng.NextBytes(32);
+    for (int threads : {1, 2, 4}) {
+      parallel::ScopedThreads scoped(threads);
+      SecureRng public_rng(seed);
+      SecureRng crt_rng(seed);
+      std::vector<BigUint> via_public = key.pub.EncryptBatch(ms, public_rng);
+      std::vector<BigUint> via_crt = key.priv.EncryptBatch(ms, crt_rng);
+      ASSERT_EQ(via_crt.size(), size);
+      for (size_t i = 0; i < size; ++i) {
+        ASSERT_EQ(via_crt[i], via_public[i])
+            << "size=" << size << " threads=" << threads << " i=" << i;
+      }
+      EXPECT_EQ(crt_rng.NextBytes(32), public_rng.NextBytes(32))
+          << "size=" << size << " threads=" << threads;
+      std::vector<BigUint> plains = key.priv.DecryptBatch(via_crt);
+      ASSERT_EQ(plains.size(), size);
+      for (size_t i = 0; i < size; ++i) {
+        ASSERT_EQ(plains[i], ms[i]) << "size=" << size << " threads=" << threads
+                                    << " i=" << i;
       }
     }
   }

@@ -225,6 +225,38 @@ TEST_F(PaillierTest, VectorCodecBitExactAcrossThreadCounts) {
   }
 }
 
+// A ciphertext divisible by p or q has no plaintext: its power mod p^2 (or q^2) is 0,
+// and L(0) throws. The batch form must throw as Decrypt does wherever such a ciphertext
+// sits: in a full step of PowModBatch's lanes or in a short last one, at any thread
+// count. (A lane that left Montgomery form at p^2 instead of 0 would decrypt it to
+// garbage without a word; a party drops a result that throws, core/deta_party.cc.)
+TEST_F(PaillierTest, DecryptBatchRejectsCiphertextsDivisibleByAPrime) {
+  const BigUint& p = key_.priv.p().ExposeForCrypto();
+  const BigUint& q = key_.priv.q().ExposeForCrypto();
+  std::vector<BigUint> valid;
+  for (uint64_t m = 0; m < 16; ++m) {
+    valid.push_back(key_.pub.Encrypt(BigUint(m), rng_));
+  }
+  for (const BigUint& bad : {p, q.Mul(BigUint(5)), p.Mul(q.Sub(BigUint(2)))}) {
+    EXPECT_THROW(key_.priv.Decrypt(bad), CheckFailure);
+    // Index 3 of a 16-element batch (a full step) and the last of 11 (a short step).
+    for (size_t size : {size_t{16}, size_t{11}}) {
+      std::vector<BigUint> cs(valid.begin(), valid.begin() + static_cast<long>(size));
+      cs[size == 16 ? 3 : size - 1] = bad;
+      for (int threads : {1, 4}) {
+        parallel::ScopedThreads scoped(threads);
+        EXPECT_THROW(key_.priv.DecryptBatch(cs), CheckFailure)
+            << "size=" << size << " threads=" << threads;
+      }
+    }
+  }
+  // The same batch without the bad ciphertext decrypts.
+  std::vector<BigUint> plains = key_.priv.DecryptBatch(valid);
+  for (uint64_t m = 0; m < 16; ++m) {
+    EXPECT_EQ(plains[m].ToU64(), m);
+  }
+}
+
 // --- Versioned private-key persistence (persist/paillier_key_codec.h) ---
 
 // The name predates codec version 3; the test round-trips the current (n, p, q) blob.
