@@ -257,9 +257,10 @@ void BM_PaillierPackedDecryptSum(benchmark::State& state) {
 }
 BENCHMARK(BM_PaillierPackedDecryptSum)->ArgName("lane_bits")->Arg(16)->Arg(32)->Arg(56);
 
-// Lane-packed vector encryption through the deterministic parallel layer: the threads
-// column shows the modular-exponentiation fan-out; ciphertexts are identical for any
-// thread count (per-element rng forked from sequentially pre-drawn seeds).
+// A party's fragment encryption: lane-packed, by CRT under the private key, through the
+// deterministic parallel layer and the batch exponentiation kernel. The threads column
+// shows the fan-out; ciphertexts are identical for any thread count (per-element rng
+// forked from sequentially pre-drawn seeds).
 void BM_PaillierVectorEncrypt(benchmark::State& state) {
   int64_t n = state.range(0);
   parallel::ScopedThreads threads(static_cast<int>(state.range(1)));
@@ -271,7 +272,7 @@ void BM_PaillierVectorEncrypt(benchmark::State& state) {
     values[i] = static_cast<float>(i % 97) * 0.25f - 12.0f;
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(codec.Encrypt(values, rng));
+    benchmark::DoNotOptimize(codec.Encrypt(values, key.priv, rng));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * n);
 }
@@ -288,8 +289,8 @@ void BM_PaillierVectorAccumulate(benchmark::State& state) {
   PaillierKeyPair key = GeneratePaillierKey(rng, 256);
   fl::PaillierVectorCodec codec(key.pub, /*max_parties=*/8);
   std::vector<float> values(static_cast<size_t>(n), 1.5f);
-  auto acc = codec.Encrypt(values, rng);
-  auto other = codec.Encrypt(values, rng);
+  auto acc = codec.Encrypt(values, key.priv, rng);
+  auto other = codec.Encrypt(values, key.priv, rng);
   for (auto _ : state) {
     codec.AccumulateInPlace(acc, other);
     benchmark::DoNotOptimize(acc.data());

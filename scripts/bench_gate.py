@@ -38,9 +38,8 @@ import json
 import sys
 
 DEFAULT_FORBIDDEN = [
-    "net.bus.dropped",          # undeliverable messages (unknown/closed endpoint)
-    "net.bus.unknown_target",   # sends routed to a name nobody registered: a protocol
-                                # wiring bug (stale roster, typo'd role), never load
+    "net.bus.dropped",          # undeliverable messages (unknown, closed or dead
+                                # endpoint: a wiring bug or a lost peer, never load)
     "net.bus.fault_dropped",    # fault-injected losses: requires a FaultPlan
     "net.channel.open_rejected",  # tampered/replayed/malformed secure frames
     "net.retry.exhausted",      # a peer stayed unresponsive through the whole budget

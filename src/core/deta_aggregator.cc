@@ -100,8 +100,8 @@ void DetaAggregator::HandleJobStart(const net::Message& m) {
     if (!StartCollecting(last_aggregated_round_ + 1)) {
       return;  // the injected crash fired
     }
-    SendRoundBegin();
     done_.clear();
+    SendRoundBegin();
     begin_attempts_ = 1;
     next_begin_resend_ =
         Clock::now() + std::chrono::milliseconds(config_.retry.TimeoutForAttempt(0));
@@ -111,15 +111,21 @@ void DetaAggregator::HandleJobStart(const net::Message& m) {
 }
 
 void DetaAggregator::SendRoundBegin() {
+  // Only the silent get the notice: a party whose upload for this round reached us, or
+  // a follower whose round.done for it did, already has it. The round's first send
+  // finds nobody in either set.
   net::Writer w;
   w.WriteU32(static_cast<uint32_t>(current_round_));
   for (const std::string& party : config_.party_names) {
-    endpoint().Send(party, kRoundBegin, w.buffer());
+    auto uploaded = upload_round_.find(party);
+    if (uploaded == upload_round_.end() || uploaded->second != current_round_) {
+      endpoint().Send(party, kRoundBegin, w.buffer());
+    }
   }
   // Followers get the round notice too, so their collection deadline starts even when
   // every upload to them is delayed or dropped.
   for (const std::string& peer : config_.aggregator_names) {
-    if (peer != config_.name) {
+    if (peer != config_.name && !done_.count(peer)) {
       endpoint().Send(peer, kRoundBegin, w.buffer());
     }
   }
@@ -166,6 +172,9 @@ void DetaAggregator::HandleUpload(const net::Message& m) {
   }
   net::Reader r(m.payload);
   int round = static_cast<int>(r.ReadU32());
+  if (round == current_round_) {
+    upload_round_[m.from] = round;
+  }
   if (round <= last_aggregated_round_) {
     if (round == result_round_ && !result_plain_.empty()) {
       // The party is retransmitting because it never saw our result — re-serve it.
@@ -457,8 +466,9 @@ void DetaAggregator::OnTick() {
     return;
   }
 
-  // Initiator: keep nudging parties (and followers) with round.begin until the round
-  // completes — recovers parties whose original notice was dropped.
+  // Initiator: keep nudging the parties (and followers) not yet heard from this round
+  // with round.begin until the round completes — recovers parties whose original notice
+  // was dropped.
   if (is_initiator() && current_round_ > 0 &&
       done_.size() < config_.aggregator_names.size() &&
       begin_attempts_ < config_.retry.max_attempts && now >= next_begin_resend_) {

@@ -7,10 +7,11 @@
 // aggregator reports completion ("Inter-Aggregator Training Synchronization"). The rest
 // are followers.
 //
-// The tick handler (a) retransmits round.begin / round.done with capped backoff and (b)
-// enforces a per-round collection deadline — a round still missing fragments then emits
-// a typed agg.failed to the observer; the runtime's idle backstop ends a node nobody
-// talks to instead of letting it hang. A party whose round.result was dropped recovers
+// The tick handler (a) retransmits round.begin, to the parties and followers not yet
+// heard from this round, and round.done with capped backoff, and (b) enforces a
+// per-round collection deadline — a round still missing fragments then emits a typed
+// agg.failed to the observer; the runtime's idle backstop ends a node nobody talks to
+// instead of letting it hang. A party whose round.result was dropped recovers
 // by retransmitting its upload: uploads for an already-aggregated round are answered
 // with a re-sealed copy of the cached result.
 //
@@ -146,6 +147,9 @@ class DetaAggregator final : public Role {
   Bytes result_plain_;
   // Initiator: aggregators (including self) that completed the current round.
   std::set<std::string> done_;
+  // Initiator: party -> the last round it uploaded for while that round was current,
+  // staged or not. With done_, it tells whom a round.begin re-send still has to reach.
+  std::map<std::string, int> upload_round_;
   // Initiator: round.begin retransmission state.
   int begin_attempts_ = 0;
   Clock::time_point next_begin_resend_;

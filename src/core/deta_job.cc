@@ -470,9 +470,9 @@ fl::JobResult DetaJob::Run() {
 
   // Acked job start, retransmitted on options_.retry's schedule, so a stalled initiator
   // is a typed error instead of a silent hang. (Observer traffic is exempt from fault
-  // injection, so this succeeds first try when the initiator is healthy.) Unlike
-  // RequestReply, a failed send does not end the handshake: the send fails when the
-  // initiator crashed, and the wait's next tick revives it and re-sends job.start.
+  // injection, so this succeeds first try when the initiator is healthy.) A job.start
+  // sent to a crashed initiator is lost; the wait's next tick revives it and re-sends
+  // job.start.
   const std::string& initiator = aggregator_names_[0];
   bool job_started = false;
   for (int attempt = 0; !job_started && attempt < options_.retry.max_attempts; ++attempt) {

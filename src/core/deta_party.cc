@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <thread>
 
 #include "common/check.h"
 #include "common/logging.h"
@@ -20,10 +19,6 @@ using Clock = std::chrono::steady_clock;
 // Overall ceiling on one round's upload + result collection; the round is skipped when
 // it expires.
 constexpr int kResultTimeoutMs = 120000;
-// Whole-handshake attempts for the key-broker material fetch. A crashed broker aborts
-// the fetch instantly, and one retry budget would be burned before the job revives it;
-// a fault-free fetch succeeds on its first attempt.
-constexpr int kBrokerFetchAttempts = 5;
 
 int MsUntil(Clock::time_point deadline) {
   auto left = std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
@@ -49,25 +44,12 @@ bool DetaParty::SetupChannels() {
   // seed, the permutation key and the Paillier key exist only in participant-controlled
   // domains. A resumed party that restored sealed material from its snapshot already
   // has a transform and skips the broker entirely: the broker may no longer be running.
+  // A broker that crashes mid-fetch needs no second handshake: the revived broker
+  // restores this party's registration and channel from its snapshot, and the fetch's
+  // next retransmission reaches it.
   if (transform_ == nullptr) {
-    std::optional<TransformMaterial> material;
-    for (int attempt = 0; attempt < kBrokerFetchAttempts && !material.has_value() &&
-                          !endpoint().closed();
-         ++attempt) {
-      if (attempt > 0) {
-        // The broker endpoint did not exist for the previous attempt (crashed, or not
-        // yet revived); RequestReply fails fast in that case, so pace the retries.
-        std::this_thread::sleep_for(std::chrono::milliseconds(150));
-        // The aborted handshake can leave stale replies queued (a challenge response
-        // for a nonce we no longer hold, a surplus ack, sealed material). Drain them,
-        // or every retry pairs its fresh challenge with the previous attempt's reply
-        // and fails verification one step behind, forever.
-        while (endpoint().ReceiveFor(1).has_value()) {
-        }
-      }
-      material = FetchTransformMaterial(endpoint(), config_.key_broker_public, rng_,
-                                        config_.retry);
-    }
+    std::optional<TransformMaterial> material = FetchTransformMaterial(
+        endpoint(), config_.key_broker_public, rng_, config_.retry);
     if (!material.has_value() || !AdoptMaterial(std::move(*material))) {
       return false;
     }
@@ -248,10 +230,10 @@ void DetaParty::RunRound(int round) {
   // results. Re-sends are re-sealed so the aggregator's replay window accepts them; the
   // aggregator answers a re-send for an already-aggregated round with the cached result.
   // The loop is bounded by kResultTimeoutMs, not by the retry budget: an aggregator
-  // that is merely slow (still waiting on other parties' uploads) is indistinguishable
-  // from a lossy link, and giving up after a handful of retransmissions would turn
-  // benign scheduling skew into spurious round skips. Retransmission cadence plateaus
-  // at the policy's capped timeout.
+  // that is merely slow (still waiting on other parties' uploads), or crashed and being
+  // revived, is indistinguishable from a lossy link, and giving up after a handful of
+  // retransmissions would turn benign scheduling skew into spurious round skips.
+  // Retransmission cadence plateaus at the policy's capped timeout.
   //
   // CPU-time stopwatch: counts the (potentially expensive, e.g. Paillier) result
   // processing but not the blocking waits on the network.
@@ -266,9 +248,7 @@ void DetaParty::RunRound(int round) {
   size_t received = 0;
   Clock::time_point overall_deadline =
       Clock::now() + std::chrono::milliseconds(kResultTimeoutMs);
-  int unreachable_streak = 0;
   for (int attempt = 0; received < num_aggs; ++attempt) {
-    bool any_reachable = false;
     for (size_t j = 0; j < num_aggs; ++j) {
       if (have[j]) {
         continue;
@@ -280,27 +260,8 @@ void DetaParty::RunRound(int round) {
       net::Writer w;
       w.WriteU32(static_cast<uint32_t>(round));
       w.WriteBytes(channels_.at(agg).Seal(payloads[j], rng_));
-      if (endpoint().Send(agg, kRoundUpload, w.Take())) {
-        any_reachable = true;
-      }
+      endpoint().Send(agg, kRoundUpload, w.Take());
     }
-    if (!any_reachable) {
-      // Every aggregator we still need is gone. That is terminal when they were shut
-      // down — but transient when one crashed and the job driver is mid-revive (its
-      // endpoint only reappears once the replacement starts). Tolerate a few
-      // consecutive all-unreachable passes before declaring the round skipped.
-      if (++unreachable_streak >= 3 || endpoint().closed()) {
-        break;
-      }
-      int sleep_ms = std::min(config_.retry.TimeoutForAttempt(attempt),
-                              MsUntil(overall_deadline));
-      if (sleep_ms == 0) {
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
-      continue;
-    }
-    unreachable_streak = 0;
     Clock::time_point slice_deadline =
         Clock::now() +
         std::chrono::milliseconds(config_.retry.TimeoutForAttempt(attempt));

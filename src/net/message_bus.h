@@ -9,14 +9,12 @@
 // the initiator/follower aggregator protocol and the two-phase auth handshake execute
 // as genuine message exchanges — and, with a fault plan installed, as genuinely lossy
 // ones. The TCP backend (net/tcp_transport.h) enacts the same contract over real
-// sockets.
-//
-// Unlike TCP, the bus knows every name: Send returns false, and counts
-// net.bus.unknown_target, when the target has no open endpoint (see Endpoint::Send).
+// sockets, loss model included: a message to a name with no open endpoint (never
+// created, closed, or a crashed role not yet revived) is counted once as
+// net.bus.dropped and lost, as a dead peer loses it over TCP; Send still succeeds.
 #ifndef DETA_NET_MESSAGE_BUS_H_
 #define DETA_NET_MESSAGE_BUS_H_
 
-#include <string>
 #include <utility>
 
 #include "net/transport.h"
@@ -26,7 +24,6 @@ namespace deta::net {
 class MessageBus final : public Transport {
  private:
   void Route(Message message) override { DeliverLocal(std::move(message)); }
-  bool Reachable(const std::string& to) override { return HasOpenEndpoint(to); }
 };
 
 }  // namespace deta::net

@@ -32,12 +32,7 @@ std::optional<Message> RequestReply(Endpoint& endpoint, const std::string& to,
                                     const RetryPolicy& policy) {
   for (int attempt = 0; attempt < policy.max_attempts; ++attempt) {
     DETA_COUNTER("net.retry.attempts").Increment();
-    if (!endpoint.Send(to, request_type, payload)) {
-      LOG_WARNING << endpoint.name() << ": " << to << " is gone; abandoning "
-                  << request_type;
-      DETA_COUNTER("net.retry.peer_gone").Increment();
-      return std::nullopt;
-    }
+    endpoint.Send(to, request_type, payload);
     std::optional<Message> reply =
         endpoint.ReceiveMatchFor(reply_type, to, policy.TimeoutForAttempt(attempt));
     if (reply.has_value()) {

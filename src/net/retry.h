@@ -3,7 +3,9 @@
 // request is sent, the reply awaited with a timeout, and on timeout the request is
 // retransmitted with capped exponential backoff. Retransmissions carry fresh sequence
 // tags — receivers must treat re-requests idempotently (see core/auth_protocol.h's
-// RegistrationCache for the non-trivial case).
+// RegistrationCache for the non-trivial case). A peer that is gone is not special: its
+// requests are lost (net/transport.h), so a crashed peer revived within the budget is
+// reached by the next retransmission, over either backend.
 #ifndef DETA_NET_RETRY_H_
 #define DETA_NET_RETRY_H_
 
@@ -28,8 +30,7 @@ struct RetryPolicy {
 // Sends |request_type| with |payload| to |to| and waits for a |reply_type| message from
 // |to|, retransmitting per |policy|. Replies of the right type from other senders are
 // stashed, not consumed, so concurrent conversations cannot steal each other's replies.
-// Returns nullopt when attempts are exhausted, when the local endpoint closes, or when
-// the peer's endpoint is gone (Send fails — retrying into a dead mailbox is pointless).
+// Returns nullopt when attempts are exhausted or when the local endpoint closes.
 std::optional<Message> RequestReply(Endpoint& endpoint, const std::string& to,
                                     const std::string& request_type, const Bytes& payload,
                                     const std::string& reply_type,

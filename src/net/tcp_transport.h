@@ -26,9 +26,9 @@
 //   * The send pipeline (fault decisions, the reorder holdback, every net.bus.*
 //     counter) and the local endpoint table are Transport's (net/transport.h), shared
 //     with the in-process bus. This backend supplies Route — resolve, park, frame,
-//     queue — and keeps the registry in step with the local table. Send always returns
-//     true: an unreachable peer looks exactly like network loss, and net/retry.h bounds
-//     the damage.
+//     queue — and keeps the registry in step with the local table. An unreachable
+//     peer looks exactly like network loss, as a missing endpoint does on the bus, and
+//     net/retry.h bounds the damage.
 //
 // Determinism note: socket readiness order is not deterministic, so *timing* over TCP
 // is not reproducible the way the in-process bus is. The protocol layer never depends

@@ -20,7 +20,9 @@
 // Faults are therefore decided on the sending side by the same code over either wire: a
 // given (seed, edge, send index) faults identically in both backends. The reliability
 // contract (messages arrive zero, one, or two times; retransmissions carry fresh tags;
-// receivers dedup on (sender, tag)) is a property of this layer, not of any wire.
+// receivers dedup on (sender, tag)) is a property of this layer, not of any wire. So is
+// the loss model: a send never fails, and a message to a peer that is gone (never
+// created, closed, or crashed and not yet revived) is lost like a dropped one.
 //
 // Lock order: Transport::mutex_ (fault state, reorder holdback, and TcpTransport's
 // routing state), then table_mutex_ (the endpoint table and the topic counter cache, a
@@ -92,9 +94,10 @@ class Endpoint {
   // stashed for later receives.
   std::optional<Message> ReceiveMatchFor(const std::string& type, const std::string& from,
                                          int timeout_ms);
-  // Routes a message; returns false when the backend knows retransmitting is pointless
-  // (in-proc: the target endpoint does not exist or closed its mailbox). A message lost
-  // to fault injection — or, over TCP, to the network — still returns true.
+  // Routes a message, fire-and-forget: on either backend a message to a missing, closed
+  // or crashed peer is lost the way a fault-injected one is, and only a retransmission
+  // recovers it (net/retry.h). Always returns true; the bool stays only because
+  // perfbench's replay checks it.
   bool Send(const std::string& to, const std::string& type, Bytes payload);
   void Close();
   // True once Close() ran (or the destructor did). Distinguishes "timed out" from
@@ -135,8 +138,7 @@ class Endpoint {
 };
 
 // The shared send pipeline plus the local endpoint table. A backend derives from it and
-// supplies Route, plus what it alone knows about names (Reachable, Registered,
-// Unregistered).
+// supplies Route, plus what it alone knows about names (Registered, Unregistered).
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -147,8 +149,8 @@ class Transport {
       DETA_EXCLUDES(table_mutex_);
 
   // The send pipeline (see the file comment). Callers should normally go through
-  // Endpoint::Send, which tags the message from NextSeq(); see it for the return value.
-  bool Send(Message message) DETA_EXCLUDES(mutex_);
+  // Endpoint::Send, which tags the message from NextSeq().
+  void Send(Message message) DETA_EXCLUDES(mutex_);
 
   // Installs a fault plan. Call before traffic starts; replaces any previous plan and
   // resets the per-edge fault schedule and the reorder holdback.
@@ -158,9 +160,6 @@ class Transport {
   // Carries one message toward its target: called under mutex_, once for every
   // copy the fault plan lets through, in per-edge send order.
   virtual void Route(Message message) DETA_REQUIRES(mutex_) = 0;
-  // False when |to| can never receive, so Send counts net.bus.unknown_target and returns
-  // false. The default answers true: a name missing here may live on another node.
-  virtual bool Reachable(const std::string& to);
   // Called after |name| joins, and after it leaves, the local endpoint table.
   virtual void Registered(const std::string& name);
   virtual void Unregistered(const std::string& name);

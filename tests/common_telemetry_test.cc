@@ -276,6 +276,12 @@ TEST(TelemetryDetaJobTest, FaultFreeRoundMetricsMatchSchedule) {
   EXPECT_EQ(CounterOr0(t, "core.auth.register_ok"),
             static_cast<uint64_t>(kParties * (kAggregators + 1)));
   EXPECT_EQ(CounterOr0(t, "core.kb.fetch_ok"), static_cast<uint64_t>(kParties));
+  // No retransmission timer fires, so round traffic is exactly its minimum: per round,
+  // round.begin to every party and follower, an upload and a result per (aggregator,
+  // party) edge, and each follower's round.done.
+  EXPECT_EQ(CounterOr0(t, "net.bus.sent.round"),
+            static_cast<uint64_t>(kRounds * (kParties + 2 * (kAggregators - 1) +
+                                             2 * kAggregators * kParties)));
 
   // The fault-free contract the CI bench gate enforces.
   EXPECT_EQ(CounterOr0(t, "net.bus.dropped"), 0u);

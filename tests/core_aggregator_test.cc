@@ -162,6 +162,46 @@ TEST_F(AggregatorNodeTest, QuorumAggregatesWithoutStragglers) {
   aggregator->Join();
 }
 
+// A round.begin re-send reaches only those the initiator has not heard from this round:
+// p0 uploads and follower agg1 reports round.done, so only the silent p1 gets the
+// notice again.
+TEST_F(AggregatorNodeTest, RoundBeginResendReachesOnlyTheSilent) {
+  AggregatorConfig config = BaseConfig();
+  config.aggregator_names = {"agg0", "agg1"};
+  // Short enough that the re-send fires within the test, long enough that p0's upload
+  // and agg1's round.done reach the aggregator first.
+  config.retry.initial_timeout_ms = 300;
+  auto aggregator = MakeAggregator(config);
+  aggregator->Start();
+
+  auto p0 = bus_.CreateEndpoint("p0");
+  auto p1 = bus_.CreateEndpoint("p1");
+  auto agg1 = bus_.CreateEndpoint("agg1");
+  auto driver = bus_.CreateEndpoint("driver");
+  net::SecureChannel c0 = Register(*p0, "agg0");
+  net::SecureChannel c1 = Register(*p1, "agg0");
+
+  driver->Send("agg0", kJobStart, {});
+  ASSERT_TRUE(p0->ReceiveTypeFor(kRoundBegin, kWaitMs).has_value());
+  Upload(*p0, c0, "agg0", 1, {1.0f});
+  ASSERT_TRUE(agg1->ReceiveTypeFor(kRoundBegin, kWaitMs).has_value());
+  net::Writer done;
+  done.WriteU32(1);
+  agg1->Send("agg0", kRoundDone, done.Take());
+  ASSERT_TRUE(p1->ReceiveTypeFor(kRoundBegin, kWaitMs).has_value());
+  // The re-send reaches p1, and neither p0 nor agg1.
+  EXPECT_TRUE(p1->ReceiveTypeFor(kRoundBegin, kWaitMs).has_value());
+  EXPECT_FALSE(p0->ReceiveTypeFor(kRoundBegin, 100).has_value());
+  EXPECT_FALSE(agg1->ReceiveTypeFor(kRoundBegin, 100).has_value());
+
+  Upload(*p1, c1, "agg0", 1, {3.0f});
+  EXPECT_EQ(AwaitResult(*p0, c0, 1), (std::vector<float>{2.0f}));
+  EXPECT_EQ(AwaitResult(*p1, c1, 1), (std::vector<float>{2.0f}));
+  p0->ReceiveTypeFor(kShutdown, kWaitMs);
+  AnnounceDone({p0.get(), p1.get()});
+  aggregator->Join();
+}
+
 TEST_F(AggregatorNodeTest, UnregisteredUploadIgnored) {
   auto aggregator = MakeAggregator(BaseConfig());
   aggregator->Start();

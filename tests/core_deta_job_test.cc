@@ -646,6 +646,13 @@ uint64_t CounterOr0(const fl::JobResult& result, const std::string& name) {
   return it == result.telemetry.counters.end() ? 0 : it->second;
 }
 
+// The process-wide count of |name| so far, for a thread outside the job.
+uint64_t GlobalCount(const std::string& name) {
+  telemetry::TelemetrySnapshot now = telemetry::Snapshot();
+  auto it = now.counters.find(name);
+  return it == now.counters.end() ? 0 : it->second;
+}
+
 void ExpectSameRun(const fl::JobResult& result, const fl::JobResult& clean) {
   ASSERT_TRUE(result.ok()) << result.error;
   ASSERT_EQ(result.rounds.size(), clean.rounds.size());
@@ -680,9 +687,16 @@ TEST(DetaJobFaultTest, MalformedObserverReportIsDropped) {
   fl::JobResult clean = RunWithIntruder(NoIntrusion, NoIntrusion);
   ASSERT_TRUE(clean.ok()) << clean.error;
   fl::JobResult result = RunWithIntruder(NoIntrusion, [](net::Endpoint& intruder) {
-    // Run() creates the observer's endpoint; send as soon as it is reachable.
+    // Run() creates the observer's endpoint. A report sent before it exists is lost and
+    // counted in net.bus.dropped.party (no role sends one that early), so re-send until
+    // a send is not counted there.
     auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(60);
-    while (!intruder.Send("observer", kPartyTiming, {})) {
+    for (;;) {
+      uint64_t lost = GlobalCount("net.bus.dropped.party");
+      intruder.Send("observer", kPartyTiming, {});
+      if (GlobalCount("net.bus.dropped.party") == lost) {
+        break;
+      }
       ASSERT_LT(std::chrono::steady_clock::now(), give_up);
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }

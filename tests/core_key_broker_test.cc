@@ -123,7 +123,7 @@ TEST(KeyBrokerTest, RejectsImpostorBroker) {
 }
 
 // Material that opens but does not parse fails the fetch, as material that does not
-// open does (the party then retries its whole handshake); it is not thrown.
+// open does (the party's setup then fails); it is not thrown.
 TEST(KeyBrokerTest, MalformedMaterialFailsTheFetch) {
   net::MessageBus bus;
   crypto::SecureRng setup_rng(StringToBytes("kb3"));
