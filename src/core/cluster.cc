@@ -441,12 +441,12 @@ ClusterResult LaunchCluster(const ClusterSpec& spec, const std::string& self_exe
   // The observer runs in-process; children host every other role.
   DetaDeployment deployment;
   deployment.transport = &transport;
-  deployment.local_roles = {"observer"};
+  deployment.local_roles = {kObserver};
   deployment.party_names = spec.PartyNames();
   DetaJob job(BuildExecutionOptions(spec), BuildDetaOptions(spec), {},
               ClusterModelFactory(spec), ClusterEvalData(spec), deployment);
   result.observer = job.Run();
-  WriteRoleTelemetry(spec, "observer", result.observer.telemetry);
+  WriteRoleTelemetry(spec, kObserver, result.observer.telemetry);
 
   // Bounded reap: children exit on their own once the protocol completes (or once the
   // observer's failure path fanned out shutdown); stragglers past the grace window are

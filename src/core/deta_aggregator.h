@@ -1,11 +1,14 @@
 // A decentralized DeTA aggregator (§4.1): one of J instances, each confined to an SEV
 // CVM, holding only a fragmentary, shuffled view of every model update. A Role
-// (core/role.h): its protocol runs as message and tick handlers on the role runtime.
+// (core/role.h): its protocol runs as message and tick handlers on the role runtime. It
+// reads the job — rosters, round count, quorum, deadlines, retry policy, algorithm and
+// Paillier key — from the shared JobPlan; its own are its name, its CVM and its
+// durability.
 //
-// Roles: one aggregator is the *initiator* — it starts each training round by notifying
-// the parties and the follower aggregators, and advances to the next round once every
-// aggregator reports completion ("Inter-Aggregator Training Synchronization"). The rest
-// are followers.
+// Roles: the plan's first aggregator is the *initiator* — it starts each training round
+// by notifying the parties and the follower aggregators, and advances to the next round
+// once every aggregator reports completion ("Inter-Aggregator Training
+// Synchronization"). The rest are followers.
 //
 // The tick handler (a) retransmits round.begin, to the parties and followers not yet
 // heard from this round, and round.done with capped backoff, and (b) enforces a
@@ -13,7 +16,10 @@
 // agg.failed to the observer; the runtime's idle backstop ends a node nobody talks to
 // instead of letting it hang. A party whose round.result was dropped recovers
 // by retransmitting its upload: uploads for an already-aggregated round are answered
-// with a re-sealed copy of the cached result.
+// with a re-sealed copy of the cached result. After the final round the aggregator
+// *drains*: it keeps re-serving that result until every party has sent party.done, or
+// until no message arrives for twice the plan's retry cap, so the drain cannot end
+// between two re-sends of a party that still needs it.
 //
 // Everything secret the aggregator handles (its auth token, received fragments, the
 // aggregated result) lives in the CVM's encrypted memory, so the breach experiments can
@@ -47,53 +53,27 @@ inline constexpr char kRoundDone[] = "round.done";
 inline constexpr char kAggReport[] = "agg.report";
 inline constexpr char kAggFailed[] = "agg.failed";
 // Sent by each party to every aggregator when it exits; lets aggregators stop draining
-// early instead of waiting out the drain quiet period.
+// early instead of waiting out the drain's quiet period.
 inline constexpr char kPartyDone[] = "party.done";
 inline constexpr char kShutdown[] = "shutdown";
-
-// The rosters decide the round protocol: the first aggregator is the initiator, and a
-// round needs a fragment from every party (or |quorum| of them).
-struct AggregatorConfig {
-  std::string name;
-  int rounds = 1;
-  // Aggregate as soon as this many party fragments arrive (0 = wait for all parties).
-  // Late fragments for an already-aggregated round are dropped — tolerates stragglers in
-  // the asynchronous-training setting §8.2 discusses.
-  int quorum = 0;
-  // Deadline for collecting one round's uploads, measured from when this aggregator
-  // learns the round started. Must exceed the retry policy's total budget or parties
-  // lose their retransmission window.
-  int round_timeout_ms = 10000;
-  // Backstop: exit (with a warning) if no message arrives for this long.
-  int idle_timeout_ms = 60000;
-  // Retransmission pacing for round.begin / round.done.
-  net::RetryPolicy retry;
-  std::string algorithm = "iterative_averaging";
-  // Paillier fusion, when set: aggregate ciphertexts homomorphically.
-  std::optional<crypto::PaillierPublicKey> paillier_public;
-  // Observer endpoint for timing reports (empty = no reports).
-  std::string observer;
-  std::vector<std::string> party_names;
-  std::vector<std::string> aggregator_names;
-  // Snapshots (after each registration and each aggregated round), resume point and
-  // injected crash (when the aggregator starts collecting that round).
-  RoleDurability durability;
-};
 
 class DetaAggregator final : public Role {
  public:
   // The token private key is read from the CVM's encrypted memory (provisioned by the
   // attestation proxy in phase I); construction fails if the CVM was not provisioned.
-  DetaAggregator(AggregatorConfig config, net::Transport& transport,
-                 std::shared_ptr<cc::Cvm> cvm, crypto::SecureRng rng);
+  // |durability|: snapshots (after each registration and each aggregated round), resume
+  // point and injected crash (when the aggregator starts collecting that round).
+  DetaAggregator(const JobPlan& plan, std::string name, std::shared_ptr<cc::Cvm> cvm,
+                 const RoleDurability& durability, net::Transport& transport,
+                 crypto::SecureRng rng);
   ~DetaAggregator() override { Stop(); Join(); }
 
   // After the injected crash: the replacement on the same CVM, resuming from this
   // node's newest snapshot.
   std::unique_ptr<DetaAggregator> Revive(crypto::SecureRng rng) {
     Release();
-    config_.durability = config_.durability.Revived();
-    return std::make_unique<DetaAggregator>(std::move(config_), transport(), cvm_,
+    return std::make_unique<DetaAggregator>(plan_, name(), cvm_,
+                                            state().durability().Revived(), transport(),
                                             std::move(rng));
   }
 
@@ -122,9 +102,11 @@ class DetaAggregator final : public Role {
   // registration cache, RNG) for completed round |round|.
   void SaveState(int round);
   bool RestoreFromSnapshot();
-  bool is_initiator() const { return config_.name == config_.aggregator_names.front(); }
+  bool is_initiator() const { return name() == plan_.initiator(); }
+  // Collecting a round it has not aggregated yet.
+  bool collecting() const { return current_round_ > last_aggregated_round_; }
 
-  AggregatorConfig config_;
+  const JobPlan& plan_;
   std::shared_ptr<cc::Cvm> cvm_;
   // The auth token proves this CVM passed attestation; the Secret wrapper wipes it on
   // destruction and keeps it out of logs/telemetry/plaintext wires by construction.
@@ -139,11 +121,9 @@ class DetaAggregator final : public Role {
   std::map<std::string, Bytes> staged_;
   int current_round_ = 0;
   int last_aggregated_round_ = 0;
-  bool collecting_ = false;
   Clock::time_point round_deadline_;
-  // Cached result of the last aggregated round, re-sealed on demand for parties whose
+  // Cached result of last_aggregated_round_, re-sealed on demand for parties whose
   // round.result was lost.
-  int result_round_ = 0;
   Bytes result_plain_;
   // Initiator: aggregators (including self) that completed the current round.
   std::set<std::string> done_;
@@ -160,7 +140,8 @@ class DetaAggregator final : public Role {
   int done_attempts_ = 0;
   Clock::time_point next_done_resend_;
   // Post-final-round drain state: still serving cached results, exiting once every
-  // party confirmed completion or the mailbox has been quiet long enough.
+  // party confirmed completion or the mailbox has been quiet for twice the retry cap,
+  // which outlasts a party's longest gap between two re-sends.
   bool draining_ = false;
   Clock::time_point drain_deadline_;
   std::set<std::string> done_parties_;

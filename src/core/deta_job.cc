@@ -31,6 +31,28 @@ Bytes AggregatorImage(const fl::ExecutionOptions& options) {
   return w.Take();
 }
 
+// What the observer has heard of one round. A party counts once, whether it reported its
+// timing, skipped the round or was missing from an aggregation: under a quorum, a party
+// missing from an aggregation still receives the result and reports its timing.
+struct RoundRecord {
+  std::set<std::string> accounted;
+  std::set<std::string> dropouts;  // missing from an aggregation, or skipped
+  bool reporter_skipped = false;
+  std::optional<std::vector<float>> params;  // the reporter's merged global model
+  std::vector<std::pair<double, double>> timings;  // per party: (train, trans)
+  std::vector<double> rtts;                        // per party: upload round-trip
+  uint64_t upload_bytes = 0;                       // the largest fragment
+  std::vector<std::pair<double, uint64_t>> agg_reports;  // per aggregator: (agg, bytes)
+
+  // Every party accounted for, every aggregator reported, and the reporter's parameters
+  // in unless the reporter itself skipped the round.
+  bool Complete(const JobPlan& plan) const {
+    return accounted.size() >= plan.party_names.size() &&
+           agg_reports.size() >= plan.aggregator_names.size() &&
+           (params.has_value() || reporter_skipped);
+  }
+};
+
 }  // namespace
 
 DetaJob::DetaJob(fl::ExecutionOptions options, DetaOptions deta,
@@ -43,20 +65,38 @@ DetaJob::DetaJob(fl::ExecutionOptions options, DetaOptions deta,
       global_model_(global_factory()),
       eval_(std::move(eval)) {
   transport_ = deployment_.transport != nullptr ? deployment_.transport : &bus_;
-  // Full party roster (identical in every process); |parties| holds trainers for the
-  // local subset when a roster is given explicitly.
+  // --- The job plan every party and aggregator reads. Its rosters are identical in
+  // every process; |parties| holds trainers for the local subset when a roster is given
+  // explicitly. The keys join it as setup makes them. ---
   if (deployment_.party_names.empty()) {
     for (const auto& p : parties) {
-      party_names_.push_back(p->name());
+      plan_.party_names.push_back(p->name());
     }
   } else {
-    party_names_ = deployment_.party_names;
+    plan_.party_names = deployment_.party_names;
   }
-  DETA_CHECK(!party_names_.empty());
+  DETA_CHECK(!plan_.party_names.empty());
   DETA_CHECK_GT(deta_.num_aggregators, 0);
-  DETA_CHECK_MSG(deta_.quorum >= 0 && static_cast<size_t>(deta_.quorum) <= party_names_.size(),
-                 "quorum " << deta_.quorum << " outside [0, " << party_names_.size() << "]");
-  observer_local_ = RoleIsLocal("observer");
+  DETA_CHECK_MSG(
+      deta_.quorum >= 0 && static_cast<size_t>(deta_.quorum) <= plan_.party_names.size(),
+      "quorum " << deta_.quorum << " outside [0, " << plan_.party_names.size() << "]");
+  // Aggregators sum Paillier ciphertexts: homomorphic averaging is the only algorithm
+  // they can run, so any other would be named (in the CVM image, the job digest) but
+  // not run.
+  DETA_CHECK_MSG(!options_.use_paillier || options_.algorithm == "iterative_averaging",
+                 "Paillier fusion runs iterative_averaging, not " << options_.algorithm);
+  plan_.rounds = options_.rounds;
+  plan_.quorum = deta_.quorum;
+  plan_.round_timeout_ms = options_.round_timeout_ms;
+  // The idle backstop only has to beat a genuinely dead peer, so it covers the worst
+  // legitimate silence: an early party hears nothing while the rest of the roster
+  // finishes setup, and an aggregator waits out the same tail before round 1.
+  plan_.idle_timeout_ms =
+      std::max({60000, options_.round_timeout_ms, options_.setup_timeout_ms});
+  plan_.retry = options_.retry;
+  plan_.algorithm = options_.algorithm;
+  plan_.train = options_.train;
+  observer_local_ = RoleIsLocal(kObserver);
   broker_local_ = RoleIsLocal(KeyBroker::kEndpointName);
   DETA_CHECK_MSG(options_.fault_plan.crashes.empty() || deployment_.local_roles.empty(),
                  "crash-fault orchestration requires a single-process job: the observer "
@@ -87,7 +127,7 @@ DetaJob::DetaJob(fl::ExecutionOptions options, DetaOptions deta,
       resume_failed_ = true;
       resume_error_ =
           "resume requested but no verifiable job snapshot in " + options_.checkpoint.dir;
-    } else if (config == nullptr || config->data != ConfigDigest(party_names_.size())) {
+    } else if (config == nullptr || config->data != ConfigDigest()) {
       resume_failed_ = true;
       resume_error_ = "job snapshot was written by a different configuration "
                       "(seed/topology/algorithm mismatch)";
@@ -126,7 +166,6 @@ DetaJob::DetaJob(fl::ExecutionOptions options, DetaOptions deta,
       ras_->RootKey(), crypto::Sha256Digest(image),
       crypto::SecureRng(setup_rng.NextBytes(32)));
 
-  std::vector<std::string> aggregator_names;
   for (int j = 0; j < deta_.num_aggregators; ++j) {
     std::string name = "aggregator" + std::to_string(j);
     platforms_.push_back(std::make_unique<cc::SevPlatform>(
@@ -134,8 +173,9 @@ DetaJob::DetaJob(fl::ExecutionOptions options, DetaOptions deta,
     cvms_.push_back(platforms_.back()->LaunchPausedCvm(name, image));
     auto provision = proxy_->VerifyAndProvision(*platforms_.back(), *cvms_.back());
     DETA_CHECK_MSG(provision.ok, "aggregator attestation failed: " << provision.failure_reason);
-    aggregator_names.push_back(name);
+    plan_.aggregator_names.push_back(name);
   }
+  plan_.token_registry = proxy_->TokenRegistry();
 
   // --- Shared party-side secrets: model mapper seed + permutation key. The trusted key
   // broker owns them and serves them to parties over authenticated channels (§4.2);
@@ -153,13 +193,17 @@ DetaJob::DetaJob(fl::ExecutionOptions options, DetaOptions deta,
   // --- Paillier key material: generated before the broker exists so the fusion key
   // rides inside the broker-served material (§4.2 key-broker key material) and reaches
   // parties over the same authenticated channel as the transform secrets. ---
-  std::optional<crypto::PaillierKeyPair> paillier;
   if (options_.use_paillier) {
-    paillier = crypto::GeneratePaillierKey(setup_rng, options_.paillier_modulus_bits);
-    material.paillier_key = Secret<Bytes>(persist::SerializePaillierKey(*paillier));
+    crypto::PaillierKeyPair paillier =
+        crypto::GeneratePaillierKey(setup_rng, options_.paillier_modulus_bits);
+    material.paillier_key = Secret<Bytes>(persist::SerializePaillierKey(paillier));
+    plan_.paillier_public = paillier.pub;
   }
 
   crypto::EcKeyPair broker_identity = crypto::GenerateEcKey(setup_rng);
+  // The transform material and the Paillier key reach parties only over the
+  // authenticated broker fetch (or from their own sealed snapshot on resume).
+  plan_.key_broker_public = broker_identity.public_key;
   // Drawn whether or not the broker is local, preserving the global draw order that
   // keeps per-role RNGs identical across the processes of a deployment.
   crypto::SecureRng broker_rng(setup_rng.NextBytes(32));
@@ -175,73 +219,37 @@ DetaJob::DetaJob(fl::ExecutionOptions options, DetaOptions deta,
   material_ = material;
 
   // --- Aggregator nodes (threads created at Run) ---
-  // Idle-watchdog floor: an early party legitimately hears nothing while the rest of the
-  // roster finishes setup, and an aggregator waits out the same tail before round 1.
-  // The watchdog only has to beat a genuinely dead peer, so cover the worst legitimate
-  // silence: the longer of the round/setup timeouts.
-  const int idle_floor_ms = std::max(options_.round_timeout_ms, options_.setup_timeout_ms);
-  aggregator_names_ = aggregator_names;
-  for (int j = 0; j < deta_.num_aggregators; ++j) {
-    AggregatorConfig ac;
-    ac.name = aggregator_names[static_cast<size_t>(j)];
-    ac.rounds = options_.rounds;
-    ac.quorum = deta_.quorum;
-    ac.round_timeout_ms = options_.round_timeout_ms;
-    ac.idle_timeout_ms = std::max(ac.idle_timeout_ms, idle_floor_ms);
-    ac.retry = options_.retry;
-    ac.algorithm = options_.algorithm;
-    if (paillier.has_value()) {
-      ac.paillier_public = paillier->pub;
-    }
-    ac.observer = "observer";
-    ac.party_names = party_names_;
-    // The first is the initiator. "DeTA randomly selects one aggregator as initiator";
-    // the first is equivalent (names carry no bias) and keeps runs reproducible.
-    ac.aggregator_names = aggregator_names;
-    ac.durability = durability(ac.name, role_resume);
+  for (size_t j = 0; j < plan_.aggregator_names.size(); ++j) {
+    const std::string& name = plan_.aggregator_names[j];
     crypto::SecureRng agg_rng(setup_rng.NextBytes(32));  // drawn even for remote roles
-    if (RoleIsLocal(ac.name)) {
+    if (RoleIsLocal(name)) {
       aggregators_.push_back(std::make_unique<DetaAggregator>(
-          std::move(ac), *transport_, cvms_[static_cast<size_t>(j)], std::move(agg_rng)));
+          plan_, name, cvms_[j], durability(name, role_resume), *transport_,
+          std::move(agg_rng)));
     }
   }
 
   // --- Party nodes ---
   // Each party moves its copy into its own global parameters.
   std::vector<float> initial = global_model_->GetFlatParams();
-  for (size_t i = 0; i < party_names_.size(); ++i) {
-    DetaPartyConfig pc;
-    pc.aggregator_names = aggregator_names;
-    pc.token_registry = proxy_->TokenRegistry();
-    pc.observer = "observer";
-    pc.is_reporter = (i == 0);
-    pc.train = options_.train;
-    pc.use_paillier = options_.use_paillier;
-    pc.num_parties = static_cast<int>(party_names_.size());
-    pc.rounds = options_.rounds;
-    pc.retry = options_.retry;
-    pc.idle_timeout_ms = std::max(pc.idle_timeout_ms, idle_floor_ms);
-    pc.durability = durability(party_names_[i], role_resume);
-    // The transform material and the Paillier key reach parties only over the
-    // authenticated broker fetch (or from their own sealed snapshot on resume).
-    pc.key_broker_public = broker_identity.public_key;
+  for (const std::string& name : plan_.party_names) {
     crypto::SecureRng party_rng(setup_rng.NextBytes(32));  // drawn even for remote roles
-    if (!RoleIsLocal(party_names_[i])) {
+    if (!RoleIsLocal(name)) {
       continue;
     }
     // Find this role's trainer: positional in the classic all-local shape, by name when
     // the deployment hands this process a subset.
     std::unique_ptr<fl::Party> local;
     for (auto& candidate : parties) {
-      if (candidate != nullptr && candidate->name() == party_names_[i]) {
+      if (candidate != nullptr && candidate->name() == name) {
         local = std::move(candidate);
         break;
       }
     }
-    DETA_CHECK_MSG(local != nullptr,
-                   "no local trainer supplied for hosted party " << party_names_[i]);
-    deta_parties_.push_back(std::make_unique<DetaParty>(
-        std::move(local), std::move(pc), initial, *transport_, std::move(party_rng)));
+    DETA_CHECK_MSG(local != nullptr, "no local trainer supplied for hosted party " << name);
+    deta_parties_.push_back(std::make_unique<DetaParty>(plan_, std::move(local), initial,
+                                                        durability(name, role_resume),
+                                                        *transport_, std::move(party_rng)));
   }
   revive_rng_ = crypto::SecureRng(setup_rng.NextBytes(32));
   construct_seconds_ = setup_watch_.ElapsedSeconds();
@@ -260,13 +268,13 @@ bool DetaJob::RoleIsLocal(const std::string& role) const {
                    role) != deployment_.local_roles.end();
 }
 
-Bytes DetaJob::ConfigDigest(size_t num_parties) const {
+Bytes DetaJob::ConfigDigest() const {
   net::Writer w;
   w.WriteString("deta-job-config-v1");
   w.WriteU64(options_.seed);
   w.WriteString(options_.algorithm);
   w.WriteU32(options_.use_paillier ? 1 : 0);
-  w.WriteU32(static_cast<uint32_t>(num_parties));
+  w.WriteU32(static_cast<uint32_t>(plan_.party_names.size()));
   w.WriteU32(static_cast<uint32_t>(deta_.num_aggregators));
   w.WriteU32(deta_.enable_partition ? 1 : 0);
   w.WriteU32(deta_.enable_shuffle ? 1 : 0);
@@ -287,8 +295,7 @@ void DetaJob::SaveJobState(int round, const std::vector<float>& params,
   net::Writer w;
   w.WriteDouble(cumulative);
   snapshot.Add(persist::SectionType::kRaw, "observer", w.Take());
-  snapshot.Add(persist::SectionType::kRaw, "config",
-               ConfigDigest(party_names_.size()));
+  snapshot.Add(persist::SectionType::kRaw, "config", ConfigDigest());
   if (!store_->Write(snapshot)) {
     LOG_WARNING << "DeTA job: job snapshot write failed for round " << round;
   }
@@ -318,7 +325,7 @@ void DetaJob::ReviveCrashedRoles(net::Endpoint& observer, bool job_started) {
     role->Start();
     DETA_COUNTER("persist.role_revived").Increment();
     LOG_INFO << "DeTA job: revived " << role->name() << " from snapshot";
-    if (job_started && role->name() == aggregator_names_.front()) {
+    if (job_started && role->name() == plan_.initiator()) {
       // The revived initiator owns the round protocol again but starts idle; a fresh
       // job.start makes it resume collecting at last_aggregated_round + 1.
       observer.Send(role->name(), kJobStart, {});
@@ -327,10 +334,10 @@ void DetaJob::ReviveCrashedRoles(net::Endpoint& observer, bool job_started) {
 }
 
 void DetaJob::ShutdownAll(net::Endpoint& observer) {
-  for (const std::string& name : aggregator_names_) {
+  for (const std::string& name : plan_.aggregator_names) {
     observer.Send(name, kShutdown, {});
   }
-  for (const std::string& name : party_names_) {
+  for (const std::string& name : plan_.party_names) {
     observer.Send(name, kShutdown, {});
   }
   // The message alone cannot interrupt a party blocked in mid-round result collection
@@ -399,7 +406,7 @@ fl::JobResult DetaJob::Run() {
   // report would be a harness bug, not a protocol fault.
   if (options_.fault_plan.enabled()) {
     net::FaultPlan plan = options_.fault_plan;
-    plan.immune.insert("observer");
+    plan.immune.insert(kObserver);
     transport_->SetFaultPlan(plan);
     LOG_INFO << "DeTA job: fault injection enabled (seed " << plan.seed << ")";
   }
@@ -409,7 +416,7 @@ fl::JobResult DetaJob::Run() {
     return RunWorker();
   }
 
-  auto observer = transport_->CreateEndpoint("observer");
+  auto observer = transport_->CreateEndpoint(kObserver);
   ForEachLocalRole([](auto& role) { role->Start(); });
 
   fl::JobResult result;
@@ -439,7 +446,7 @@ fl::JobResult DetaJob::Run() {
   // Bounded ready barrier: every party (local or remote) reports the outcome of
   // verification + registration, or the barrier times out. Either failure is a typed
   // result, not a hang.
-  for (size_t i = 0; i < party_names_.size(); ++i) {
+  for (size_t i = 0; i < plan_.party_names.size(); ++i) {
     std::optional<net::Message> m = supervised_wait(
         Clock::now() + std::chrono::milliseconds(options_.setup_timeout_ms),
         /*job_started=*/false,
@@ -458,8 +465,8 @@ fl::JobResult DetaJob::Run() {
     finish_telemetry(result, 0.0);
     return result;
   }
-  LOG_INFO << "DeTA job: all " << party_names_.size()
-           << " parties verified and registered with " << aggregator_names_.size()
+  LOG_INFO << "DeTA job: all " << plan_.party_names.size()
+           << " parties verified and registered with " << plan_.aggregator_names.size()
            << " aggregators";
   StopBroker(*observer);  // every party holds the material once it reports ready
   // Attestation, handshakes and the ready barrier are one-time setup; the paper's
@@ -468,17 +475,17 @@ fl::JobResult DetaJob::Run() {
   // the parties before it acks.
   result.setup_seconds = setup_watch_.ElapsedSeconds();
 
-  // Acked job start, retransmitted on options_.retry's schedule, so a stalled initiator
+  // Acked job start, retransmitted on the plan's retry schedule, so a stalled initiator
   // is a typed error instead of a silent hang. (Observer traffic is exempt from fault
   // injection, so this succeeds first try when the initiator is healthy.) A job.start
   // sent to a crashed initiator is lost; the wait's next tick revives it and re-sends
   // job.start.
-  const std::string& initiator = aggregator_names_[0];
+  const std::string& initiator = plan_.initiator();
   bool job_started = false;
-  for (int attempt = 0; !job_started && attempt < options_.retry.max_attempts; ++attempt) {
+  for (int attempt = 0; !job_started && attempt < plan_.retry.max_attempts; ++attempt) {
     observer->Send(initiator, kJobStart, {});
     Clock::time_point attempt_deadline =
-        Clock::now() + std::chrono::milliseconds(options_.retry.TimeoutForAttempt(attempt));
+        Clock::now() + std::chrono::milliseconds(plan_.retry.TimeoutForAttempt(attempt));
     job_started = supervised_wait(attempt_deadline, /*job_started=*/true, [&](int ms) {
                     return observer->ReceiveMatchFor(kJobStartAck, initiator, ms);
                   }).has_value();
@@ -497,15 +504,10 @@ fl::JobResult DetaJob::Run() {
   // modelled latency once the round's reports are in.
   SimClock sim_clock;
 
-  // Per-round report collection, tolerant of cross-round interleaving and dropouts.
-  std::map<int, std::vector<std::pair<double, double>>> timings;  // round -> (train, trans)
-  std::map<int, std::vector<double>> rtts;  // round -> per-party upload round-trips
-  std::map<int, uint64_t> upload_bytes;
-  std::map<int, std::vector<std::pair<double, uint64_t>>> agg_reports;
-  std::map<int, std::vector<float>> reported_params;
-  std::map<int, std::set<std::string>> dropouts;  // round -> absent/skipping parties
+  // Per-round report collection, tolerant of cross-round interleaving and dropouts. A
+  // round's record is erased once the round is evaluated.
+  std::map<int, RoundRecord> records;
 
-  const std::string reporter = party_names_[0];
   // On whole-job resume the constructor loaded the job snapshot's params into the global
   // model, so this is the restored consistent cut (and already the final params if the
   // requested round count was reached before the crash).
@@ -513,27 +515,21 @@ fl::JobResult DetaJob::Run() {
   if (resume_round_ > 0) {
     result.final_params = last_params;
   }
-  size_t num_aggs = aggregator_names_.size();
 
   // Worst case for one round under faults: an aggregator runs to its collection
   // deadline, parties spend their whole retry budget, plus scheduling slack.
   const int round_budget_ms =
-      2 * options_.round_timeout_ms + options_.retry.TotalBudgetMs() + 5000;
+      2 * plan_.round_timeout_ms + plan_.retry.TotalBudgetMs() + 5000;
 
-  for (int round = resume_round_ + 1; round <= options_.rounds && result.ok(); ++round) {
+  for (int round = resume_round_ + 1; round <= plan_.rounds && result.ok(); ++round) {
     telemetry::Span round_span("core.deta_job.round", &sim_clock);
     WallStopwatch round_wall;
     Clock::time_point deadline = Clock::now() + std::chrono::milliseconds(round_budget_ms);
-    auto round_complete = [&] {
-      // Every party either reported timing or skipped; every aggregator reported; the
-      // global params arrived unless the reporter sat the round out.
-      size_t accounted = timings[round].size() + dropouts[round].size();
-      bool params_ready =
-          reported_params.count(round) > 0 || dropouts[round].count(reporter) > 0;
-      return accounted >= party_names_.size() && agg_reports[round].size() >= num_aggs &&
-             params_ready;
-    };
-    while (result.ok() && !round_complete()) {
+    // Map nodes are stable: later rounds' records do not move this one.
+    RoundRecord& record = records[round];
+    // A round already evaluated has no record: its late reports are dropped.
+    auto record_of = [&](int rd) { return rd < round ? nullptr : &records[rd]; };
+    while (result.ok() && !record.Complete(plan_)) {
       std::optional<net::Message> m =
           supervised_wait(deadline, /*job_started=*/true,
                           [&](int ms) { return observer->ReceiveFor(ms); });
@@ -544,7 +540,7 @@ fl::JobResult DetaJob::Run() {
         break;
       }
       // A report that does not parse is dropped: each is read whole before it counts.
-      DropIfMalformed("observer", *m, [&] {
+      DropIfMalformed(kObserver, *m, [&] {
         net::Reader r(m->payload);
         if (m->type == kPartyTiming) {
           int rd = static_cast<int>(r.ReadU32());
@@ -552,9 +548,12 @@ fl::JobResult DetaJob::Run() {
           double trans_s = r.ReadDouble();
           uint64_t bytes = r.ReadU64();
           double rtt_s = r.ReadDouble();
-          rtts[rd].push_back(rtt_s);
-          timings[rd].push_back({train_s, trans_s});
-          upload_bytes[rd] = std::max(upload_bytes[rd], bytes);
+          if (RoundRecord* rec = record_of(rd)) {
+            rec->accounted.insert(m->from);
+            rec->timings.push_back({train_s, trans_s});
+            rec->rtts.push_back(rtt_s);
+            rec->upload_bytes = std::max(rec->upload_bytes, bytes);
+          }
         } else if (m->type == kAggReport) {
           int rd = static_cast<int>(r.ReadU32());
           double agg_s = r.ReadDouble();
@@ -563,15 +562,25 @@ fl::JobResult DetaJob::Run() {
           for (uint32_t i = 0, n = r.ReadU32(); i < n; ++i) {
             missing.insert(r.ReadString());
           }
-          agg_reports[rd].push_back({agg_s, bytes});
-          dropouts[rd].insert(missing.begin(), missing.end());
+          if (RoundRecord* rec = record_of(rd)) {
+            rec->agg_reports.push_back({agg_s, bytes});
+            rec->accounted.insert(missing.begin(), missing.end());
+            rec->dropouts.insert(missing.begin(), missing.end());
+          }
         } else if (m->type == kPartyReport) {
           int rd = static_cast<int>(r.ReadU32());
-          reported_params[rd] = r.ReadFloatVector();
+          std::vector<float> params = r.ReadFloatVector();
+          if (RoundRecord* rec = record_of(rd)) {
+            rec->params = std::move(params);
+          }
         } else if (m->type == kPartyRoundSkipped) {
           int rd = static_cast<int>(r.ReadU32());
-          dropouts[rd].insert(m->from);
           LOG_WARNING << "observer: party " << m->from << " skipped round " << rd;
+          if (RoundRecord* rec = record_of(rd)) {
+            rec->accounted.insert(m->from);
+            rec->dropouts.insert(m->from);
+            rec->reporter_skipped = rec->reporter_skipped || m->from == plan_.reporter();
+          }
         } else if (m->type == kAggFailed) {
           int rd = static_cast<int>(r.ReadU32());
           int have = static_cast<int>(r.ReadU32());
@@ -594,18 +603,18 @@ fl::JobResult DetaJob::Run() {
 
     // --- latency model for this round (see common/sim_clock.h) ---
     double party_phase = 0.0;
-    for (const auto& [train_s, trans_s] : timings[round]) {
+    for (const auto& [train_s, trans_s] : record.timings) {
       party_phase = std::max(party_phase, train_s + trans_s);
     }
-    party_phase += lm.TransferSeconds(upload_bytes[round]);  // parallel uploads: max size
+    party_phase += lm.TransferSeconds(record.upload_bytes);  // parallel uploads: max size
     double agg_phase = 0.0;
     uint64_t down_bytes = 0;
-    for (const auto& [agg_s, bytes] : agg_reports[round]) {
+    for (const auto& [agg_s, bytes] : record.agg_reports) {
       agg_phase = std::max(agg_phase, agg_s);
       down_bytes = std::max(down_bytes, bytes);
     }
     agg_phase *= (1.0 + lm.sev_compute_overhead);
-    if (num_aggs > 1) {
+    if (plan_.aggregator_names.size() > 1) {
       agg_phase += lm.rtt_seconds;  // initiator/follower round.done sync
     }
     double round_latency = party_phase + agg_phase + lm.TransferSeconds(down_bytes);
@@ -616,8 +625,8 @@ fl::JobResult DetaJob::Run() {
 
     // --- evaluation on the reporter's merged global model (or, if the reporter sat
     // this round out, its last synchronized state) ---
-    if (reported_params.count(round)) {
-      last_params = std::move(reported_params[round]);
+    if (record.params.has_value()) {
+      last_params = std::move(*record.params);
     }
     global_model_->SetFlatParams(last_params);
     fl::RoundMetrics m;
@@ -630,26 +639,22 @@ fl::JobResult DetaJob::Run() {
     cumulative += round_latency;
     m.cumulative_latency_s = cumulative;
     m.wall_seconds = round_wall.ElapsedSeconds();
-    m.party_rtts_s = std::move(rtts[round]);
+    m.party_rtts_s = std::move(record.rtts);
     std::sort(m.party_rtts_s.begin(), m.party_rtts_s.end());
     result.rounds.push_back(m);
-    if (!dropouts[round].empty()) {
-      result.per_round_dropouts[round] = std::vector<std::string>(
-          dropouts[round].begin(), dropouts[round].end());
+    if (!record.dropouts.empty()) {
+      result.per_round_dropouts[round] =
+          std::vector<std::string>(record.dropouts.begin(), record.dropouts.end());
     }
     LOG_INFO << "DeTA round " << round << ": loss=" << m.loss << " acc=" << m.accuracy
              << " latency=" << m.cumulative_latency_s << "s"
-             << (dropouts[round].empty()
+             << (record.dropouts.empty()
                      ? ""
-                     : " dropouts=" + std::to_string(dropouts[round].size()));
+                     : " dropouts=" + std::to_string(record.dropouts.size()));
 
     result.final_params = last_params;
     SaveJobState(round, last_params, cumulative);
-    timings.erase(round);
-    rtts.erase(round);
-    agg_reports.erase(round);
-    reported_params.erase(round);
-    dropouts.erase(round);
+    records.erase(round);
   }
 
   // On failure, release every thread still waiting on protocol traffic; on success the

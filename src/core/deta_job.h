@@ -5,12 +5,17 @@
 //   (4)     inter-aggregator synchronization (initiator/follower round protocol),
 //   (5)-(6) per-round Trans / upload / aggregate / download / Trans^-1.
 //
-// Aggregators and parties run on real threads and communicate only via the message bus.
-// The job's main thread acts as the evaluation observer: it receives one party's merged
-// global model per round (all parties hold identical copies) plus timing reports, from
-// which it produces the per-round loss/accuracy/latency metrics. The centralized FFL
-// baseline (RunCentralizedBaseline below) is this same engine in a one-aggregator shape,
-// so the Figure 5-7 comparisons measure both systems the same way.
+// The job builds one JobPlan (core/role.h) — rosters, round count, quorum, deadlines,
+// retry policy, algorithm and keys — identically in every process of a deployment, and
+// every aggregator and party reads it. They run on real threads and communicate only via
+// the message bus. The job's main thread acts as the evaluation observer (kObserver): it
+// keeps one record per round of the parties heard from (by timing or by skip) or missing
+// from an aggregation, each counted once, and of the aggregators' reports, and it
+// evaluates the reporter's merged global model (all parties hold identical copies) unless
+// the reporter itself skipped the round. A report for a round already recorded is
+// dropped. From the records come the per-round loss/accuracy/latency metrics. The
+// centralized FFL baseline (RunCentralizedBaseline below) is this same engine in a
+// one-aggregator shape, so the Figure 5-7 comparisons measure both systems the same way.
 #ifndef DETA_CORE_DETA_JOB_H_
 #define DETA_CORE_DETA_JOB_H_
 
@@ -52,7 +57,7 @@ struct DetaOptions {
 struct DetaDeployment {
   // External transport (not owned). Null = job-owned in-proc MessageBus.
   net::Transport* transport = nullptr;
-  // Role names this process hosts: "observer", KeyBroker::kEndpointName, aggregator
+  // Role names this process hosts: kObserver, KeyBroker::kEndpointName, aggregator
   // names ("aggregator0"...), party names. Empty = every role is local.
   std::vector<std::string> local_roles;
   // Full party roster for multi-process jobs, in global order; |parties| then holds
@@ -97,9 +102,8 @@ class DetaJob {
   // rejoins the in-flight run (re-registering where needed); no-op when nothing crashed.
   void ReviveCrashedRoles(net::Endpoint& observer, bool job_started);
   // Binds a job snapshot to the options that wrote it, so a resume under a different
-  // topology/seed is rejected instead of silently diverging. |num_parties| is passed in
-  // because the digest is first needed before the party list is materialized.
-  Bytes ConfigDigest(size_t num_parties) const;
+  // topology/seed is rejected instead of silently diverging.
+  Bytes ConfigDigest() const;
   // Writes the job-level snapshot (global params + observer accumulators) for round |r|.
   void SaveJobState(int round, const std::vector<float>& params, double cumulative);
 
@@ -115,12 +119,11 @@ class DetaJob {
   // The transport every role endpoint is created on: &bus_ or deployment_.transport.
   net::Transport* transport_ = nullptr;
   // Shared by every role; declared before them, as one still running when the job is
-  // destroyed (a failure path returned early) writes to it until its destructor stops it.
-  std::unique_ptr<persist::StateStore> store_;
-  // Full rosters (identical in every process of a deployment); the local object
+  // destroyed (a failure path returned early) writes to the store and reads the plan
+  // until its destructor stops it. The plan's rosters are the full ones; the local object
   // vectors below hold only this process's subset.
-  std::vector<std::string> aggregator_names_;
-  std::vector<std::string> party_names_;
+  std::unique_ptr<persist::StateStore> store_;
+  JobPlan plan_;
   bool observer_local_ = true;
   bool broker_local_ = true;
   bool remote_broker_stopped_ = false;

@@ -27,15 +27,15 @@ int MsUntil(Clock::time_point deadline) {
 }
 }  // namespace
 
-DetaParty::DetaParty(std::unique_ptr<fl::Party> local, DetaPartyConfig config,
-                     std::vector<float> initial_params, net::Transport& transport,
-                     crypto::SecureRng rng)
-    : Role(transport, local->name(), config.idle_timeout_ms, config.durability),
+DetaParty::DetaParty(const JobPlan& plan, std::unique_ptr<fl::Party> local,
+                     std::vector<float> initial_params, const RoleDurability& durability,
+                     net::Transport& transport, crypto::SecureRng rng)
+    : Role(transport, local->name(), plan.idle_timeout_ms, durability),
+      plan_(plan),
       local_(std::move(local)),
-      config_(std::move(config)),
       rng_(std::move(rng)),
       global_params_(std::move(initial_params)) {
-  DETA_CHECK(!config_.durability.resume.fresh() ||
+  DETA_CHECK(!durability.resume.fresh() ||
              static_cast<int64_t>(global_params_.size()) == local_->ParameterCount());
 }
 
@@ -49,24 +49,24 @@ bool DetaParty::SetupChannels() {
   // next retransmission reaches it.
   if (transform_ == nullptr) {
     std::optional<TransformMaterial> material = FetchTransformMaterial(
-        endpoint(), config_.key_broker_public, rng_, config_.retry);
+        endpoint(), plan_.key_broker_public, rng_, plan_.retry);
     if (!material.has_value() || !AdoptMaterial(std::move(*material))) {
       return false;
     }
   }
   // Verify, then register with *all* aggregators (the paper's precondition for joining
   // training: no update is ever shared with an unverified aggregator).
-  for (const std::string& agg : config_.aggregator_names) {
-    auto token = config_.token_registry.find(agg);
-    if (token == config_.token_registry.end()) {
+  for (const std::string& agg : plan_.aggregator_names) {
+    auto token = plan_.token_registry.find(agg);
+    if (token == plan_.token_registry.end()) {
       LOG_WARNING << name() << ": no attestation token on record for " << agg;
       return false;
     }
-    if (!VerifyAggregator(endpoint(), agg, token->second, rng_, config_.retry)) {
+    if (!VerifyAggregator(endpoint(), agg, token->second, rng_, plan_.retry)) {
       return false;
     }
     std::optional<net::SecureChannel> channel = RegisterWithAggregator(
-        endpoint(), agg, token->second, rng_, config_.retry);
+        endpoint(), agg, token->second, rng_, plan_.retry);
     if (!channel.has_value()) {
       return false;
     }
@@ -76,14 +76,14 @@ bool DetaParty::SetupChannels() {
 }
 
 bool DetaParty::Begin() {
-  const ResumePoint& resume = config_.durability.resume;
+  const ResumePoint& resume = state().durability().resume;
   if (!resume.fresh() && !RestoreFromSnapshot()) {
     LOG_ERROR << name() << ": resume requested but no usable snapshot";
   } else {
     setup_ok_ = SetupChannels();
   }
   if (!resume.newest()) {
-    endpoint().Send(config_.observer, kPartyReady,
+    endpoint().Send(kObserver, kPartyReady,
                     Bytes{setup_ok_ ? uint8_t{1} : uint8_t{0}});
   }
   if (!setup_ok_) {
@@ -96,13 +96,13 @@ bool DetaParty::Begin() {
 }
 
 void DetaParty::OnTick() {
-  if (config_.rounds > 0 && last_round_ >= config_.rounds) {
+  if (last_round_ >= plan_.rounds) {
     Exit();
   }
 }
 
 void DetaParty::Exit() {
-  for (const std::string& agg : config_.aggregator_names) {
+  for (const std::string& agg : plan_.aggregator_names) {
     endpoint().Send(agg, kPartyDone, {});
   }
   Finish();
@@ -117,7 +117,7 @@ void DetaParty::Dispatch(const net::Message& m) {
     if (round <= last_round_) {
       return;  // retransmitted notice for a round we already ran
     }
-    if (round == config_.durability.crash_at) {
+    if (round == state().durability().crash_at) {
       // Injected crash: die before doing any of round |round|'s work, exactly as a
       // process kill between rounds would. The job driver revives a replacement from
       // the last durable snapshot (round - 1).
@@ -178,11 +178,11 @@ bool DetaParty::RestoreFromSnapshot() {
 
 bool DetaParty::AdoptMaterial(TransformMaterial material) {
   transform_ = material.BuildTransform();
-  if (static_cast<int>(config_.aggregator_names.size()) != transform_->num_partitions()) {
+  if (static_cast<int>(plan_.aggregator_names.size()) != transform_->num_partitions()) {
     LOG_WARNING << name() << ": broker material partition count mismatch";
     return false;
   }
-  if (config_.use_paillier) {
+  if (plan_.paillier_public.has_value()) {
     // ExposeForCrypto: parsing the served blob back into PaillierPrivateKey, whose
     // components are themselves Secret members.
     paillier_ = persist::ParsePaillierKey(material.paillier_key.ExposeForCrypto());
@@ -190,8 +190,8 @@ bool DetaParty::AdoptMaterial(TransformMaterial material) {
       LOG_WARNING << name() << ": broker-served Paillier key failed to parse";
       return false;
     }
-    paillier_codec_ =
-        std::make_unique<fl::PaillierVectorCodec>(paillier_->pub, config_.num_parties);
+    paillier_codec_ = std::make_unique<fl::PaillierVectorCodec>(
+        paillier_->pub, static_cast<int>(plan_.party_names.size()));
   }
   material_ = std::move(material);
   return true;
@@ -211,7 +211,7 @@ void DetaParty::RunRound(int round) {
   std::vector<Bytes> payloads(fragments.size());
   uint64_t upload_bytes_max = 0;
   for (size_t j = 0; j < fragments.size(); ++j) {
-    if (config_.use_paillier) {
+    if (paillier_codec_ != nullptr) {
       payloads[j] = fl::SerializeCiphertexts(
           paillier_codec_->Encrypt(fragments[j], paillier_->priv, rng_));
     } else {
@@ -253,7 +253,7 @@ void DetaParty::RunRound(int round) {
       if (have[j]) {
         continue;
       }
-      const std::string& agg = config_.aggregator_names[j];
+      const std::string& agg = plan_.aggregator_names[j];
       if (attempt > 0) {
         DETA_COUNTER("core.deta_party.upload_resends").Increment();
       }
@@ -264,7 +264,7 @@ void DetaParty::RunRound(int round) {
     }
     Clock::time_point slice_deadline =
         Clock::now() +
-        std::chrono::milliseconds(config_.retry.TimeoutForAttempt(attempt));
+        std::chrono::milliseconds(plan_.retry.TimeoutForAttempt(attempt));
     if (slice_deadline > overall_deadline) {
       slice_deadline = overall_deadline;
     }
@@ -280,13 +280,13 @@ void DetaParty::RunRound(int round) {
         }
         break;  // slice expired — retransmit to the silent aggregators
       }
-      auto it = std::find(config_.aggregator_names.begin(),
-                          config_.aggregator_names.end(), m->from);
-      if (it == config_.aggregator_names.end()) {
+      auto it = std::find(plan_.aggregator_names.begin(), plan_.aggregator_names.end(),
+                          m->from);
+      if (it == plan_.aggregator_names.end()) {
         LOG_WARNING << name() << ": round result from unknown aggregator " << m->from;
         continue;
       }
-      size_t j = static_cast<size_t>(it - config_.aggregator_names.begin());
+      size_t j = static_cast<size_t>(it - plan_.aggregator_names.begin());
       // A result that does not parse is dropped like one that does not open.
       DropIfMalformed(name(), *m, [&] {
         net::Reader r(m->payload);
@@ -305,7 +305,7 @@ void DetaParty::RunRound(int round) {
                       << m->from;
           return;
         }
-        if (config_.use_paillier) {
+        if (paillier_codec_ != nullptr) {
           // The aggregator states how many fragments it summed (fewer than num_parties
           // under a quorum); decode and average over exactly those, as
           // IterativeAveraging does on the plain path.
@@ -313,7 +313,7 @@ void DetaParty::RunRound(int round) {
           int addends = static_cast<int>(result.ReadU32());
           std::vector<crypto::BigUint> ct =
               fl::DeserializeCiphertexts(result.ReadBytes());
-          if (addends < 1 || addends > config_.num_parties) {
+          if (addends < 1 || addends > static_cast<int>(plan_.party_names.size())) {
             LOG_WARNING << name() << ": Paillier result from " << m->from << " claims "
                         << addends << " addends";
             return;
@@ -347,20 +347,18 @@ void DetaParty::RunRound(int round) {
     std::vector<std::string> silent;
     for (size_t j = 0; j < num_aggs; ++j) {
       if (!have[j]) {
-        silent.push_back(config_.aggregator_names[j]);
+        silent.push_back(plan_.aggregator_names[j]);
       }
     }
     LOG_WARNING << name() << ": skipping round " << round << " (" << silent.size()
                 << " aggregator(s) unresponsive)";
-    if (!config_.observer.empty()) {
-      net::Writer w;
-      w.WriteU32(static_cast<uint32_t>(round));
-      w.WriteU32(static_cast<uint32_t>(silent.size()));
-      for (const std::string& agg : silent) {
-        w.WriteString(agg);
-      }
-      endpoint().Send(config_.observer, kPartyRoundSkipped, w.Take());
+    net::Writer w;
+    w.WriteU32(static_cast<uint32_t>(round));
+    w.WriteU32(static_cast<uint32_t>(silent.size()));
+    for (const std::string& agg : silent) {
+      w.WriteString(agg);
     }
+    endpoint().Send(kObserver, kPartyRoundSkipped, w.Take());
     return;
   }
 
@@ -372,29 +370,27 @@ void DetaParty::RunRound(int round) {
   std::vector<float> merged = trans.Invert(aggregated);
   double invert_seconds = invert_watch.ElapsedSeconds() + result_seconds;
 
-  if (config_.train.kind == fl::TrainConfig::UpdateKind::kGradient) {
+  if (plan_.train.kind == fl::TrainConfig::UpdateKind::kGradient) {
     for (size_t i = 0; i < global_params_.size(); ++i) {
-      global_params_[i] -= config_.train.lr * merged[i];
+      global_params_[i] -= plan_.train.lr * merged[i];
     }
   } else {
     global_params_ = std::move(merged);
   }
 
   // --- timing report + (reporter only) the merged global model for evaluation ---
-  if (!config_.observer.empty()) {
-    net::Writer w;
-    w.WriteU32(static_cast<uint32_t>(round));
-    w.WriteDouble(local.train_seconds);
-    w.WriteDouble(transform_seconds + invert_seconds);
-    w.WriteU64(upload_bytes_max);
-    w.WriteDouble(upload_rtt_seconds);
-    endpoint().Send(config_.observer, kPartyTiming, w.Take());
-    if (config_.is_reporter) {
-      net::Writer wr;
-      wr.WriteU32(static_cast<uint32_t>(round));
-      wr.WriteFloatVector(global_params_);
-      endpoint().Send(config_.observer, kPartyReport, wr.Take());
-    }
+  net::Writer w;
+  w.WriteU32(static_cast<uint32_t>(round));
+  w.WriteDouble(local.train_seconds);
+  w.WriteDouble(transform_seconds + invert_seconds);
+  w.WriteU64(upload_bytes_max);
+  w.WriteDouble(upload_rtt_seconds);
+  endpoint().Send(kObserver, kPartyTiming, w.Take());
+  if (name() == plan_.reporter()) {
+    net::Writer wr;
+    wr.WriteU32(static_cast<uint32_t>(round));
+    wr.WriteFloatVector(global_params_);
+    endpoint().Send(kObserver, kPartyReport, wr.Take());
   }
 }
 

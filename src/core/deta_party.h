@@ -5,7 +5,11 @@
 // then per round: local train, Trans (partition + shuffle), sealed upload to each
 // aggregator, collect aggregated fragments, Trans^-1 (un-shuffle + merge), and
 // synchronize the local model. A Role (core/role.h): setup runs before the role loop,
-// and each round.begin runs one blocking round.
+// and each round.begin runs one blocking round. It reads the job — rosters, round count,
+// retry policy, training config, token registry and the broker's key — from the shared
+// JobPlan; its own are its trainer, its starting parameters and its durability. The
+// plan's first party is the reporter, and with Paillier fusion the party takes the key
+// pair from the broker's material.
 //
 // Fault tolerance: every wait is bounded. Uploads are retransmitted (re-sealed, so the
 // channel replay window accepts them) to any aggregator whose result has not arrived;
@@ -35,40 +39,15 @@ inline constexpr char kPartyTiming[] = "party.timing";
 inline constexpr char kPartyReport[] = "party.report";
 inline constexpr char kPartyRoundSkipped[] = "party.round_skipped";
 
-struct DetaPartyConfig {
-  std::vector<std::string> aggregator_names;
-  // Token public keys from the attestation proxy's registry, keyed by aggregator name.
-  std::map<std::string, crypto::EcPoint> token_registry;
-  std::string observer;
-  // Exactly one party per job uploads the merged global parameters to the observer each
-  // round for evaluation (they are identical across parties).
-  bool is_reporter = false;
-  fl::TrainConfig train;
-  // Paillier fusion: the key pair arrives inside the key-broker material.
-  bool use_paillier = false;
-  int num_parties = 1;
-  // Identity of the trusted key broker the party fetches its transform material
-  // (permutation key, mapper seed, Paillier key) from during setup.
-  crypto::EcPoint key_broker_public;
-  // Total rounds in the job; after the final round the party exits on its own, so a
-  // dropped shutdown message cannot strand it (0 = exit only on shutdown/idle timeout).
-  int rounds = 0;
-  // Retransmission pacing for setup handshakes and per-round uploads.
-  net::RetryPolicy retry;
-  // Backstop: exit (with a warning) when no message arrives for this long between rounds.
-  int idle_timeout_ms = 60000;
-  // Snapshots, resume point and injected crash. A party resumed at its newest snapshot
-  // is an in-run revive and skips the ready barrier, which already passed.
-  RoleDurability durability;
-};
-
 class DetaParty final : public Role {
  public:
   // |initial_params|: the job's starting global parameters (a resuming party takes its
-  // snapshot's instead).
-  DetaParty(std::unique_ptr<fl::Party> local, DetaPartyConfig config,
-            std::vector<float> initial_params, net::Transport& transport,
-            crypto::SecureRng rng);
+  // snapshot's instead). |durability|: snapshots, resume point and injected crash; a
+  // party resumed at its newest snapshot is an in-run revive and skips the ready
+  // barrier, which already passed.
+  DetaParty(const JobPlan& plan, std::unique_ptr<fl::Party> local,
+            std::vector<float> initial_params, const RoleDurability& durability,
+            net::Transport& transport, crypto::SecureRng rng);
   ~DetaParty() override { Stop(); Join(); }
 
   // True once the setup phase (verification + registration) succeeded.
@@ -80,16 +59,17 @@ class DetaParty final : public Role {
   // trainer, whose iteration state the snapshot restores; re-partitioning is avoided.
   std::unique_ptr<DetaParty> Revive(crypto::SecureRng rng) {
     Release();
-    config_.durability = config_.durability.Revived();
-    return std::make_unique<DetaParty>(std::move(local_), std::move(config_),
-                                       std::vector<float>(), transport(), std::move(rng));
+    return std::make_unique<DetaParty>(plan_, std::move(local_), std::vector<float>(),
+                                       state().durability().Revived(), transport(),
+                                       std::move(rng));
   }
 
  private:
   // Setup: restore or fetch the material, verify and register, report ready.
   bool Begin() override;
   void Dispatch(const net::Message& m) override;
-  void OnTick() override;  // exits after the final round (DetaPartyConfig::rounds)
+  // Exits after the plan's final round, so a lost shutdown cannot strand the party.
+  void OnTick() override;
   bool SetupChannels();
   void RunRound(int round);
   // Sends party.done to every aggregator (best-effort) and ends the role.
@@ -104,8 +84,8 @@ class DetaParty final : public Role {
   // codec. False when the material does not fit this job.
   bool AdoptMaterial(TransformMaterial material);
 
+  const JobPlan& plan_;
   std::unique_ptr<fl::Party> local_;
-  DetaPartyConfig config_;
   std::shared_ptr<const Transform> transform_;
   crypto::SecureRng rng_;
   // Parsed from material_; paillier_codec_ holds a reference to its public key.

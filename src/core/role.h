@@ -1,11 +1,12 @@
 // What every DeTA role shares: the parties, the J aggregators and the key broker fail
-// independently and talk only by messages (§4.1–4.3). A role is configured by one
-// RoleDurability, and its RoleState seals its secret sections, saves its snapshots after
-// every round (an in-run revive rejoins losslessly only from the round before its crash)
-// and loads the one snapshot its ResumePoint names (src/persist/). Role is the runtime:
-// the endpoint, the thread behind Start/Stop/Join, one receive loop with one tick and the
-// idle backstop, the injected crash, and the guard around every message handler. A
-// subclass keeps only its protocol (Begin, Dispatch, OnTick) and its revive (Revive).
+// independently and talk only by messages (§4.1–4.3). Parties and aggregators act on one
+// JobPlan, and each role is configured by one RoleDurability: its RoleState seals its
+// secret sections, saves its snapshots after every round (an in-run revive rejoins
+// losslessly only from the round before its crash) and loads the one snapshot its
+// ResumePoint names (src/persist/). Role is the runtime: the endpoint, the thread behind
+// Start/Stop/Join, one receive loop with one tick and the idle backstop, the injected
+// crash, and the guard around every message handler. A subclass keeps only its protocol
+// (Begin, Dispatch, OnTick) and its revive (Revive).
 #ifndef DETA_CORE_ROLE_H_
 #define DETA_CORE_ROLE_H_
 
@@ -15,14 +16,50 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/check.h"
 #include "common/thread.h"
 #include "core/auth_protocol.h"
+#include "crypto/paillier.h"
+#include "fl/party.h"
 #include "net/transport.h"
 #include "persist/state_store.h"
 
 namespace deta::core {
+
+// The endpoint and role name of the job's evaluation observer.
+inline constexpr char kObserver[] = "observer";
+
+// The one job every party and aggregator acts on: DetaJob builds it once, identically in
+// every process of a deployment, and each role reads it by const reference.
+struct JobPlan {
+  // The first aggregator is the initiator (the paper picks one at random; the first is
+  // equivalent and reproducible). The first party is the reporter: it sends the observer
+  // the merged global model each round.
+  std::vector<std::string> aggregator_names;
+  std::vector<std::string> party_names;
+  int rounds = 1;
+  // Aggregate as soon as this many party fragments arrive (0 = all parties); late
+  // fragments for an aggregated round are dropped (stragglers, §8.2).
+  int quorum = 0;
+  // An aggregator's deadline for one round's uploads, from when it learns the round
+  // started. Must exceed the retry policy's total budget.
+  int round_timeout_ms = 10000;
+  // A role gives up, with a warning, when no message arrives for this long.
+  int idle_timeout_ms = 60000;
+  net::RetryPolicy retry;
+  std::string algorithm = "iterative_averaging";
+  // Set exactly when the job uses Paillier fusion.
+  std::optional<crypto::PaillierPublicKey> paillier_public;
+  fl::TrainConfig train;
+  // The attestation proxy's token public keys, by aggregator name.
+  std::map<std::string, crypto::EcPoint> token_registry;
+  crypto::EcPoint key_broker_public;
+
+  const std::string& initiator() const { return aggregator_names.front(); }
+  const std::string& reporter() const { return party_names.front(); }
+};
 
 // Where a role's state comes from when it starts: its configuration (fresh), its newest
 // snapshot (an in-run revive, which skips the ready barrier because it already passed),

@@ -52,7 +52,8 @@ struct ExecutionOptions {
   TrainConfig train;
   std::string algorithm = "iterative_averaging";
   // When set, updates travel Paillier-encrypted and the algorithm is homomorphic
-  // averaging (the paper's "Paillier" configuration).
+  // averaging (the paper's "Paillier" configuration); a job rejects any algorithm other
+  // than "iterative_averaging" with it.
   bool use_paillier = false;
   size_t paillier_modulus_bits = 256;
   LatencyModel latency;

@@ -4,6 +4,9 @@
 // the full-job tests cannot exercise deterministically.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "cc/attestation_proxy.h"
 #include "common/telemetry.h"
 #include "core/deta_aggregator.h"
@@ -25,17 +28,21 @@ class AggregatorNodeTest : public ::testing::Test {
         ras_(rng_),
         platform_("plat", ras_, rng_),
         proxy_(ras_.RootKey(), crypto::Sha256Digest(Image()),
-               crypto::SecureRng(StringToBytes("ap"))) {}
+               crypto::SecureRng(StringToBytes("ap"))) {
+    plan_.rounds = 1;
+    plan_.party_names = {"p0", "p1"};
+    plan_.aggregator_names = {"agg0"};  // the first (and only) aggregator: the initiator
+  }
 
   static Bytes Image() { return StringToBytes("agg-image"); }
 
-  // Launches + provisions a CVM and builds the aggregator on top of it.
-  std::unique_ptr<DetaAggregator> MakeAggregator(AggregatorConfig config) {
-    cvm_ = platform_.LaunchPausedCvm(config.name, Image());
+  // Launches + provisions a CVM and builds aggregator agg0 on top of it, on plan_.
+  std::unique_ptr<DetaAggregator> MakeAggregator() {
+    cvm_ = platform_.LaunchPausedCvm("agg0", Image());
     auto provision = proxy_.VerifyAndProvision(platform_, *cvm_);
     EXPECT_TRUE(provision.ok);
     token_public_ = provision.token_public;
-    return std::make_unique<DetaAggregator>(config, bus_, cvm_,
+    return std::make_unique<DetaAggregator>(plan_, "agg0", cvm_, RoleDurability{}, bus_,
                                             crypto::SecureRng(rng_.NextBytes(32)));
   }
 
@@ -81,6 +88,7 @@ class AggregatorNodeTest : public ::testing::Test {
   }
 
   net::MessageBus bus_;
+  JobPlan plan_;
   crypto::SecureRng rng_;
   cc::RemoteAttestationService ras_;
   cc::SevPlatform platform_;
@@ -89,18 +97,8 @@ class AggregatorNodeTest : public ::testing::Test {
   crypto::EcPoint token_public_;
 };
 
-AggregatorConfig BaseConfig() {
-  AggregatorConfig config;
-  config.name = "agg0";  // the first (and only) aggregator: the initiator
-  config.rounds = 1;
-  config.algorithm = "iterative_averaging";
-  config.party_names = {"p0", "p1"};
-  config.aggregator_names = {"agg0"};
-  return config;
-}
-
 TEST_F(AggregatorNodeTest, FullRoundProtocol) {
-  auto aggregator = MakeAggregator(BaseConfig());
+  auto aggregator = MakeAggregator();
   aggregator->Start();
 
   auto p0 = bus_.CreateEndpoint("p0");
@@ -128,10 +126,9 @@ TEST_F(AggregatorNodeTest, FullRoundProtocol) {
 }
 
 TEST_F(AggregatorNodeTest, QuorumAggregatesWithoutStragglers) {
-  AggregatorConfig config = BaseConfig();
-  config.party_names = {"p0", "p1", "p2"};
-  config.quorum = 2;  // tolerate one straggler
-  auto aggregator = MakeAggregator(config);
+  plan_.party_names = {"p0", "p1", "p2"};
+  plan_.quorum = 2;  // tolerate one straggler
+  auto aggregator = MakeAggregator();
   aggregator->Start();
 
   auto p0 = bus_.CreateEndpoint("p0");
@@ -166,12 +163,11 @@ TEST_F(AggregatorNodeTest, QuorumAggregatesWithoutStragglers) {
 // p0 uploads and follower agg1 reports round.done, so only the silent p1 gets the
 // notice again.
 TEST_F(AggregatorNodeTest, RoundBeginResendReachesOnlyTheSilent) {
-  AggregatorConfig config = BaseConfig();
-  config.aggregator_names = {"agg0", "agg1"};
+  plan_.aggregator_names = {"agg0", "agg1"};
   // Short enough that the re-send fires within the test, long enough that p0's upload
   // and agg1's round.done reach the aggregator first.
-  config.retry.initial_timeout_ms = 300;
-  auto aggregator = MakeAggregator(config);
+  plan_.retry.initial_timeout_ms = 300;
+  auto aggregator = MakeAggregator();
   aggregator->Start();
 
   auto p0 = bus_.CreateEndpoint("p0");
@@ -203,7 +199,7 @@ TEST_F(AggregatorNodeTest, RoundBeginResendReachesOnlyTheSilent) {
 }
 
 TEST_F(AggregatorNodeTest, UnregisteredUploadIgnored) {
-  auto aggregator = MakeAggregator(BaseConfig());
+  auto aggregator = MakeAggregator();
   aggregator->Start();
 
   auto p0 = bus_.CreateEndpoint("p0");
@@ -235,7 +231,7 @@ TEST_F(AggregatorNodeTest, UnregisteredUploadIgnored) {
 // round still completes.
 TEST_F(AggregatorNodeTest, MalformedMessagesAreDroppedAndCounted) {
   const telemetry::TelemetrySnapshot start = telemetry::Snapshot();
-  auto aggregator = MakeAggregator(BaseConfig());
+  auto aggregator = MakeAggregator();
   aggregator->Start();
 
   auto p0 = bus_.CreateEndpoint("p0");
@@ -264,8 +260,39 @@ TEST_F(AggregatorNodeTest, MalformedMessagesAreDroppedAndCounted) {
   EXPECT_EQ(malformed->second, 2u);
 }
 
+// After the final round the aggregator drains for twice the retry cap, so it outlasts a
+// party's longest gap between two re-sends. Under a 3 s cap, a party whose final result
+// was lost and that stays silent for over 4 s still gets the result re-served.
+TEST_F(AggregatorNodeTest, DrainOutlastsTheRetryCap) {
+  plan_.retry.max_timeout_ms = 3000;
+  auto aggregator = MakeAggregator();
+  aggregator->Start();
+
+  auto p0 = bus_.CreateEndpoint("p0");
+  auto p1 = bus_.CreateEndpoint("p1");
+  auto driver = bus_.CreateEndpoint("driver");
+  net::SecureChannel c0 = Register(*p0, "agg0");
+  net::SecureChannel c1 = Register(*p1, "agg0");
+  driver->Send("agg0", kJobStart, {});
+  p0->ReceiveTypeFor(kRoundBegin, kWaitMs);
+  Upload(*p0, c0, "agg0", 1, {1.0f});
+  Upload(*p1, c1, "agg0", 1, {3.0f});
+  EXPECT_EQ(AwaitResult(*p0, c0, 1), (std::vector<float>{2.0f}));
+  // p1's result is lost: it leaves the mailbox unopened.
+  ASSERT_TRUE(p1->ReceiveTypeFor(kRoundResult, kWaitMs).has_value());
+  // The final round is done, so the aggregator drains; p0 confirms, p1 stays silent.
+  ASSERT_TRUE(p0->ReceiveTypeFor(kShutdown, kWaitMs).has_value());
+  AnnounceDone({p0.get()});
+  std::this_thread::sleep_for(std::chrono::milliseconds(4500));
+
+  Upload(*p1, c1, "agg0", 1, {3.0f});
+  EXPECT_EQ(AwaitResult(*p1, c1, 1), (std::vector<float>{2.0f}));
+  AnnounceDone({p1.get()});
+  aggregator->Join();
+}
+
 TEST_F(AggregatorNodeTest, StoresFragmentsInCvmMemory) {
-  auto aggregator = MakeAggregator(BaseConfig());
+  auto aggregator = MakeAggregator();
   aggregator->Start();
 
   auto p0 = bus_.CreateEndpoint("p0");

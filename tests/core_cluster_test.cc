@@ -1,9 +1,13 @@
 // The one command-line parser (ParseFlags; ParseClusterFlags for deta_cluster and
 // scale_parties, a key set of its own for deta_run): a spec survives ToArgs ->
-// ParseClusterFlags -> FromFlags, and a key the program does not read ends the process
+// ParseClusterFlags -> FromFlags, a --config file fills the keys the command line leaves
+// unset, and a key the program does not read, or a bad --config file, ends the process
 // with status 2 instead of running on defaults.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -56,6 +60,46 @@ TEST(ClusterFlagsTest, AcceptsTheChildHandoffAndProgramKeys) {
   EXPECT_EQ(flags.at("role"), "party0");
   EXPECT_EQ(flags.at("verbose"), "1");
   EXPECT_EQ(flags.at("mode"), "tcp");
+}
+
+// Writes |contents| to a fresh file under the test temp dir and returns its path.
+std::string WriteConfig(const std::string& name, const std::string& contents) {
+  std::string path = ::testing::TempDir() + std::to_string(::getpid()) + "_" + name;
+  std::ofstream(path) << contents;
+  return path;
+}
+
+TEST(ClusterFlagsTest, ConfigFileFillsWhatTheCommandLineLeaves) {
+  const std::string path =
+      WriteConfig("job.toml",
+                  "# a deployment\n"
+                  "parties = 5   # the command line overrides this\n"
+                  "aggregators = 2\n"
+                  "telemetry-dir = \"out/#1\"  # a '#' inside quotes is data\n"
+                  "paillier = true\n"
+                  "verbose = false\n"
+                  "\n"
+                  "lr = 0.25\n");
+  auto flags = Parse({"--config=" + path, "--parties=7"});
+  std::remove(path.c_str());
+  EXPECT_EQ(flags.at("verbose"), "0");
+  ClusterSpec spec = ClusterSpec::FromFlags(flags);
+  EXPECT_EQ(spec.parties, 7);
+  EXPECT_EQ(spec.aggregators, 2);
+  EXPECT_EQ(spec.telemetry_dir, "out/#1");
+  EXPECT_TRUE(spec.use_paillier);
+  EXPECT_EQ(spec.lr, 0.25);
+  EXPECT_EQ(spec.rounds, ClusterSpec().rounds);
+}
+
+TEST(ClusterFlagsDeathTest, BadConfigFileExitsTwoNamingTheLineOrPath) {
+  const std::string path =
+      WriteConfig("sectioned.toml", "parties = 5\n[job]\nrounds = 2\n");
+  EXPECT_EXIT(Parse({"--config=" + path}), ::testing::ExitedWithCode(2),
+              "sectioned\\.toml:2: section headers are not supported");
+  std::remove(path.c_str());
+  EXPECT_EXIT(Parse({"--config=" + ::testing::TempDir() + "no_such_job.toml"}),
+              ::testing::ExitedWithCode(2), "cannot open .*no_such_job\\.toml");
 }
 
 TEST(ClusterFlagsDeathTest, MisspeltKeyExitsTwoNamingEveryOne) {

@@ -547,6 +547,41 @@ TEST(DetaJobFaultTest, DropoutScheduleIsDeterministic) {
   EXPECT_EQ(second.final_params, first.final_params);
 }
 
+// The same with the reporter as the missing party. It still receives each round's result
+// and reports its timing, so the observer must count it once, and it did not skip, so the
+// observer must wait for its parameters: each round is evaluated on its own merged model.
+TEST(DetaJobFaultTest, ReporterMissingFromAggregationsIsCountedOnceAndAwaited) {
+  auto run = [] {
+    fl::ExecutionOptions base = BaseOptions();
+    base.rounds = 3;
+    base.fault_plan.seed = 5;
+    net::EdgeFault fault;
+    fault.from = "party0";  // the reporter
+    fault.type_prefix = "round.upload";
+    fault.rates.drop = 1.0;
+    base.fault_plan.overrides.push_back(fault);
+    DetaOptions deta_options;
+    deta_options.num_aggregators = 2;
+    deta_options.quorum = 2;
+    DetaJob deta(base, deta_options, MakePartiesWith(TinyMlpFactory(), 3, base.train),
+                 TinyMlpFactory(), SmallMnist(30, 6));
+    return deta.Run();
+  };
+  fl::JobResult first = run();
+  ASSERT_EQ(first.status, fl::JobStatus::kOk) << first.error;
+  ASSERT_EQ(first.rounds.size(), 3u);
+  for (size_t i = 1; i < first.rounds.size(); ++i) {
+    EXPECT_NE(first.rounds[i].loss, first.rounds[i - 1].loss) << "round " << i + 1;
+  }
+  std::map<int, std::vector<std::string>> expected = {
+      {1, {"party0"}}, {2, {"party0"}}, {3, {"party0"}}};
+  EXPECT_EQ(first.per_round_dropouts, expected);
+
+  fl::JobResult second = run();
+  ASSERT_EQ(second.status, fl::JobStatus::kOk) << second.error;
+  EXPECT_EQ(second.final_params, first.final_params);
+}
+
 // Under a quorum an aggregator sums fewer Paillier fragments than there are parties.
 // Parties must decode and average over the count it summed, as IterativeAveraging does
 // on the plain path; decoding with num_parties offsets every coordinate by a lane.
@@ -693,7 +728,7 @@ TEST(DetaJobFaultTest, MalformedObserverReportIsDropped) {
     auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(60);
     for (;;) {
       uint64_t lost = GlobalCount("net.bus.dropped.party");
-      intruder.Send("observer", kPartyTiming, {});
+      intruder.Send(kObserver, kPartyTiming, {});
       if (GlobalCount("net.bus.dropped.party") == lost) {
         break;
       }
@@ -705,9 +740,10 @@ TEST(DetaJobFaultTest, MalformedObserverReportIsDropped) {
   EXPECT_EQ(CounterOr0(result, "core.role.malformed_messages"), 1u);
 }
 
-// A quorum outside [0, parties] would leave every round to fail at its deadline, so the
-// job rejects it at construction.
-TEST(DetaJobFaultTest, QuorumOutsidePartyCountIsRejected) {
+// The job rejects at construction what its roles cannot run: a quorum outside
+// [0, parties] would leave every round to fail at its deadline, and aggregators that sum
+// Paillier ciphertexts run iterative averaging whatever algorithm the job names.
+TEST(DetaJobFaultTest, QuorumOutsidePartyCountOrPaillierWithOtherAlgorithmIsRejected) {
   fl::ExecutionOptions base = BaseOptions();
   for (int quorum : {-1, 3}) {
     DetaOptions deta_options;
@@ -716,6 +752,12 @@ TEST(DetaJobFaultTest, QuorumOutsidePartyCountIsRejected) {
                          TinyMlpFactory(), SmallMnist(30, 6)),
                  CheckFailure);
   }
+  fl::ExecutionOptions paillier = base;
+  paillier.use_paillier = true;
+  paillier.algorithm = "krum";
+  EXPECT_THROW(DetaJob(paillier, DetaOptions(), MakePartiesWith(TinyMlpFactory(), 2, base.train),
+                       TinyMlpFactory(), SmallMnist(30, 6)),
+               CheckFailure);
 }
 
 }  // namespace

@@ -234,7 +234,7 @@ TEST(TransportDistributedTest, MultiNodeJobMatchesInProcReferenceBitExactly) {
   exec.retry.max_timeout_ms = 8000;
   DetaDeployment deployment;
   deployment.transport = &host;
-  deployment.local_roles = {"observer"};
+  deployment.local_roles = {kObserver};
   deployment.party_names = spec.PartyNames();
   DetaJob observer(exec, BuildDetaOptions(spec), {}, ClusterModelFactory(spec),
                    ClusterEvalData(spec), deployment);
