@@ -78,6 +78,7 @@ int main(int argc, char** argv) {
   flags.emplace("batch", "8");
   // Everything else (key broker on, timeouts, retry policy) is the ClusterSpec default.
   core::ClusterSpec spec = core::ClusterSpec::FromFlags(flags);
+  core::RejectJobShape(argv[0], spec);
 
   // Child-role dispatch for --mode=tcp (the parent re-execs this very binary).
   auto role_it = flags.find("role");

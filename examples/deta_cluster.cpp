@@ -39,6 +39,7 @@ int main(int argc, char** argv) {
   std::map<std::string, std::string> flags = core::ParseClusterFlags(argc, argv);
   SetLogLevel(flags.count("verbose") != 0 ? LogLevel::kInfo : LogLevel::kWarning);
   core::ClusterSpec spec = core::ClusterSpec::FromFlags(flags);
+  core::RejectJobShape(argv[0], spec);
 
   auto role_it = flags.find("role");
   if (role_it != flags.end()) {

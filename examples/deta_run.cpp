@@ -31,6 +31,7 @@
 //                                        --checkpoint-dir instead of starting fresh
 //   --telemetry-out=FILE                 write the run's telemetry snapshot as JSON
 //   --verbose                            info-level logging
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <string>
@@ -136,6 +137,8 @@ int main(int argc, char** argv) {
   deta_options.num_aggregators = get_int("aggregators", 3);
   deta_options.enable_partition = get_int("partition", 1) != 0;
   deta_options.enable_shuffle = get_int("shuffle", 1) != 0;
+  core::RejectJobShape(argv[0], options, deta_options,
+                       static_cast<size_t>(std::max(parties, 0)));
 
   data::Dataset train_data = workload.make(train_examples, 7);
   data::Dataset eval_data = workload.make(eval_examples, 8);

@@ -37,21 +37,23 @@ Bytes AttestationReport::Body() const {
 Cvm::Cvm(std::string id, Bytes measurement, std::array<uint8_t, crypto::kChaChaKeySize> vek)
     : id_(std::move(id)), measurement_(std::move(measurement)), vek_(vek) {}
 
-Bytes Cvm::EncryptRegion(const std::string& region, const Bytes& plaintext) const {
+Bytes Cvm::EncryptRegion(const std::string& region, std::span<const uint8_t> plaintext) const {
   // Region name -> deterministic per-region nonce (models the ASID/C-bit page tagging;
   // regions are whole-value replaced, so nonce reuse across writes is not a concern for
   // the simulation's threat model).
   Bytes nonce_seed = crypto::Sha256Digest(StringToBytes("vek-nonce:" + region));
   std::array<uint8_t, crypto::kChaChaNonceSize> nonce;
   std::copy(nonce_seed.begin(), nonce_seed.begin() + crypto::kChaChaNonceSize, nonce.begin());
-  return crypto::ChaCha20Xor(vek_, nonce, 0, plaintext);
+  Bytes ciphertext(plaintext.size());
+  crypto::ChaCha20Xor(vek_, nonce, 0, plaintext, ciphertext);
+  return ciphertext;
 }
 
 Bytes Cvm::DecryptRegion(const std::string& region, const Bytes& ciphertext) const {
   return EncryptRegion(region, ciphertext);  // XOR stream cipher: symmetric
 }
 
-void Cvm::GuestWrite(const std::string& region, const Bytes& plaintext) {
+void Cvm::GuestWrite(const std::string& region, std::span<const uint8_t> plaintext) {
   DETA_CHECK_MSG(state_ == State::kRunning, "guest write on non-running CVM");
   encrypted_memory_[region] = EncryptRegion(region, plaintext);
 }

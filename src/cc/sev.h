@@ -20,6 +20,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "crypto/chacha20.h"
@@ -64,7 +65,7 @@ class Cvm {
   const Bytes& measurement() const { return measurement_; }
 
   // In-guest accesses (only valid while running).
-  void GuestWrite(const std::string& region, const Bytes& plaintext);
+  void GuestWrite(const std::string& region, std::span<const uint8_t> plaintext);
   std::optional<Bytes> GuestRead(const std::string& region) const;
   // Frees a region (a no-op when it does not exist). Aggregators free the previous
   // round's regions as they write a new result, so guest memory holds only the latest
@@ -84,7 +85,7 @@ class Cvm {
   friend class SevPlatform;
   Cvm(std::string id, Bytes measurement, std::array<uint8_t, crypto::kChaChaKeySize> vek);
 
-  Bytes EncryptRegion(const std::string& region, const Bytes& plaintext) const;
+  Bytes EncryptRegion(const std::string& region, std::span<const uint8_t> plaintext) const;
   Bytes DecryptRegion(const std::string& region, const Bytes& ciphertext) const;
 
   std::string id_;

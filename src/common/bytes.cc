@@ -61,7 +61,7 @@ void AppendU64(Bytes& out, uint64_t v) {
   }
 }
 
-uint32_t ReadU32(const Bytes& in, size_t offset) {
+uint32_t ReadU32(std::span<const uint8_t> in, size_t offset) {
   DETA_CHECK_LE(offset + 4, in.size());
   uint32_t v = 0;
   for (int i = 0; i < 4; ++i) {
@@ -70,7 +70,7 @@ uint32_t ReadU32(const Bytes& in, size_t offset) {
   return v;
 }
 
-uint64_t ReadU64(const Bytes& in, size_t offset) {
+uint64_t ReadU64(std::span<const uint8_t> in, size_t offset) {
   DETA_CHECK_LE(offset + 8, in.size());
   uint64_t v = 0;
   for (int i = 0; i < 8; ++i) {

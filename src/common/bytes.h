@@ -4,6 +4,7 @@
 #define DETA_COMMON_BYTES_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -24,8 +25,8 @@ std::string BytesToString(const Bytes& b);
 // Appends a fixed-width little-endian integer to |out| / reads it back.
 void AppendU32(Bytes& out, uint32_t v);
 void AppendU64(Bytes& out, uint64_t v);
-uint32_t ReadU32(const Bytes& in, size_t offset);
-uint64_t ReadU64(const Bytes& in, size_t offset);
+uint32_t ReadU32(std::span<const uint8_t> in, size_t offset);
+uint64_t ReadU64(std::span<const uint8_t> in, size_t offset);
 
 // Constant-time equality for secrets (length leak is acceptable: lengths are public).
 bool ConstantTimeEqual(const Bytes& a, const Bytes& b);

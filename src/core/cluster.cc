@@ -6,6 +6,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -231,6 +232,20 @@ Flags ParseFlags(int argc, const char* const* argv, std::set<std::string> keys) 
     std::exit(2);
   }
   return flags;
+}
+
+void RejectJobShape(const char* program, const fl::ExecutionOptions& options,
+                    const DetaOptions& deta, size_t num_parties) {
+  const std::string error = JobShapeError(options, deta, num_parties);
+  if (!error.empty()) {
+    std::fprintf(stderr, "%s: %s\n", program, error.c_str());
+    std::exit(2);
+  }
+}
+
+void RejectJobShape(const char* program, const ClusterSpec& spec) {
+  RejectJobShape(program, BuildExecutionOptions(spec), BuildDetaOptions(spec),
+                 static_cast<size_t>(std::max(spec.parties, 0)));
 }
 
 std::map<std::string, std::string> ParseClusterFlags(

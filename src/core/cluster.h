@@ -93,6 +93,13 @@ bool ParseTomlFile(const std::string& path, std::map<std::string, std::string>* 
 using Flags = std::map<std::string, std::string>;
 Flags ParseFlags(int argc, const char* const* argv, std::set<std::string> keys);
 
+// Exits with status 2, printing why, when DetaJob would refuse the job (JobShapeError):
+// flags that describe a job it rejects are handled like any rejected flag.
+void RejectJobShape(const char* program, const fl::ExecutionOptions& options,
+                    const DetaOptions& deta, size_t num_parties);
+// The same for the job a ClusterSpec describes.
+void RejectJobShape(const char* program, const ClusterSpec& spec);
+
 // ParseFlags over FromFlags' keys, config, role and registry (the child-role handoff
 // LaunchCluster appends), verbose, and |program_keys|.
 std::map<std::string, std::string> ParseClusterFlags(

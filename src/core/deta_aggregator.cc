@@ -10,6 +10,42 @@
 
 namespace deta::core {
 
+namespace {
+// The headroom ahead of a round message's sealed frame: u32 round || u64 frame length.
+constexpr size_t kRoundHeaderSize = sizeof(uint32_t) + sizeof(uint64_t);
+}  // namespace
+
+Bytes SealRoundMessage(net::SecureChannel& channel, int round, size_t plaintext_size,
+                       const std::function<void(net::Writer&)>& write_plaintext,
+                       crypto::SecureRng& rng) {
+  const size_t sealed_size = net::SecureChannel::kOverhead + plaintext_size;
+  net::Writer w;
+  w.Reserve(kRoundHeaderSize + sealed_size);
+  w.WriteU32(static_cast<uint32_t>(round));
+  w.WriteU64(sealed_size);
+  channel.Seal(w, write_plaintext, rng);
+  DETA_CHECK_EQ(w.size(), kRoundHeaderSize + sealed_size);
+  return w.Take();
+}
+
+Bytes SealRoundMessage(net::SecureChannel& channel, int round, const Bytes& plaintext,
+                       crypto::SecureRng& rng) {
+  return SealRoundMessage(
+      channel, round, plaintext.size(), [&plaintext](net::Writer& w) { w.WriteRaw(plaintext); },
+      rng);
+}
+
+int RoundOf(const Bytes& payload) { return static_cast<int>(ReadU32(payload, 0)); }
+
+std::optional<std::span<uint8_t>> OpenRoundMessage(net::SecureChannel& channel,
+                                                   Bytes& payload) {
+  net::Reader r(payload);
+  r.ReadU32();
+  const size_t frame_size = r.ReadSpan().size();
+  return channel.OpenInPlace(
+      std::span<uint8_t>(payload).subspan(r.position() - frame_size, frame_size));
+}
+
 DetaAggregator::DetaAggregator(const JobPlan& plan, std::string name,
                                std::shared_ptr<cc::Cvm> cvm,
                                const RoleDurability& durability, net::Transport& transport,
@@ -42,7 +78,7 @@ bool DetaAggregator::Begin() {
   return true;
 }
 
-void DetaAggregator::Dispatch(const net::Message& m) {
+void DetaAggregator::Dispatch(net::Message& m) {
   if (draining_) {
     // Any traffic is evidence some party is still recovering its result.
     drain_deadline_ =
@@ -156,14 +192,13 @@ bool DetaAggregator::StartCollecting(int round) {
   return true;
 }
 
-void DetaAggregator::HandleUpload(const net::Message& m) {
+void DetaAggregator::HandleUpload(net::Message& m) {
   auto channel = channels_.find(m.from);
   if (channel == channels_.end()) {
     LOG_WARNING << name() << ": upload from unregistered party " << m.from;
     return;
   }
-  net::Reader r(m.payload);
-  int round = static_cast<int>(r.ReadU32());
+  int round = RoundOf(m.payload);
   if (round == current_round_) {
     upload_round_[m.from] = round;
   }
@@ -191,8 +226,7 @@ void DetaAggregator::HandleUpload(const net::Message& m) {
   if (staged_.count(m.from)) {
     return;  // retransmission of a fragment we already hold
   }
-  Bytes sealed = r.ReadBytes();
-  std::optional<Bytes> fragment = channel->second.Open(sealed);
+  std::optional<std::span<uint8_t>> fragment = OpenRoundMessage(channel->second, m.payload);
   if (!fragment.has_value()) {
     LOG_WARNING << name() << ": failed to open sealed fragment from " << m.from;
     return;
@@ -200,7 +234,7 @@ void DetaAggregator::HandleUpload(const net::Message& m) {
   // Everything the aggregator learns lands in CVM encrypted memory: this is exactly the
   // material the §6 breach experiments dump.
   cvm_->GuestWrite("update:" + m.from + ":r" + std::to_string(round), *fragment);
-  staged_[m.from] = std::move(*fragment);
+  staged_[m.from] = StagedFragment{std::move(m.payload), *fragment};
   if (static_cast<int>(staged_.size()) >= FragmentsNeeded()) {
     Aggregate(round);
   }
@@ -216,8 +250,8 @@ void DetaAggregator::Aggregate(int round) {
   if (paillier_codec_ != nullptr) {
     // Homomorphic accumulation; the aggregator never sees plaintext coordinates.
     std::vector<crypto::BigUint> acc;
-    for (auto& [party, payload] : staged_) {
-      std::vector<crypto::BigUint> ct = fl::DeserializeCiphertexts(payload);
+    for (auto& [party, staged] : staged_) {
+      std::vector<crypto::BigUint> ct = fl::DeserializeCiphertexts(staged.plaintext);
       if (acc.empty()) {
         acc = std::move(ct);
       } else {
@@ -232,13 +266,14 @@ void DetaAggregator::Aggregate(int round) {
     w.WriteBytes(fl::SerializeCiphertexts(acc));
     result_payload = w.Take();
   } else {
-    std::vector<fl::ModelUpdate> updates;
+    // The algorithm reads every fragment where it was received and opened.
+    std::vector<fl::UpdateView> updates;
     updates.reserve(staged_.size());
-    for (auto& [party, payload] : staged_) {
-      updates.push_back(fl::DeserializeUpdate(payload));
+    for (auto& [party, staged] : staged_) {
+      updates.push_back(fl::ViewUpdate(staged.plaintext));
     }
     fl::ModelUpdate aggregated;
-    aggregated.values = algorithm_->Aggregate(updates);
+    aggregated.values = algorithm_->AggregateViews(updates);
     aggregated.weight = 1.0;
     result_payload = fl::SerializeUpdate(aggregated);
   }
@@ -250,8 +285,8 @@ void DetaAggregator::Aggregate(int round) {
   }
   staged_.clear();
   last_aggregated_round_ = round;
-  result_plain_ = result_payload;
-  cvm_->GuestWrite("aggregated:r" + std::to_string(round), result_payload);
+  result_plain_ = std::move(result_payload);
+  cvm_->GuestWrite("aggregated:r" + std::to_string(round), result_plain_);
   // Guest memory keeps only the latest round: free the previous round's regions.
   std::string previous = ":r" + std::to_string(round - 1);
   cvm_->GuestErase("aggregated" + previous);
@@ -270,17 +305,15 @@ void DetaAggregator::Aggregate(int round) {
 
   // Distribute AU[A_j] back to every party over its secure channel.
   for (auto& [party, channel] : channels_) {
-    net::Writer w;
-    w.WriteU32(static_cast<uint32_t>(round));
-    w.WriteBytes(channel.Seal(result_payload, rng_));
-    endpoint().Send(party, kRoundResult, w.Take());
+    endpoint().Send(party, kRoundResult,
+                    SealRoundMessage(channel, round, result_plain_, rng_));
   }
 
   // Timing + dropout report for the observer.
   net::Writer report;
   report.WriteU32(static_cast<uint32_t>(round));
   report.WriteDouble(agg_seconds);
-  report.WriteU64(result_payload.size());
+  report.WriteU64(result_plain_.size());
   report.WriteU32(static_cast<uint32_t>(missing.size()));
   for (const std::string& party : missing) {
     report.WriteString(party);
@@ -308,10 +341,9 @@ void DetaAggregator::ResendResult(const std::string& party) {
   LOG_DEBUG << name() << ": re-serving round " << last_aggregated_round_ << " result to "
             << party;
   DETA_COUNTER("core.deta_agg.results_reserved").Increment();
-  net::Writer w;
-  w.WriteU32(static_cast<uint32_t>(last_aggregated_round_));
-  w.WriteBytes(channel->second.Seal(result_plain_, rng_));
-  endpoint().Send(party, kRoundResult, w.Take());
+  endpoint().Send(party, kRoundResult,
+                  SealRoundMessage(channel->second, last_aggregated_round_, result_plain_,
+                                   rng_));
 }
 
 void DetaAggregator::SendRoundDone() {

@@ -28,10 +28,12 @@
 #define DETA_CORE_DETA_AGGREGATOR_H_
 
 #include <chrono>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 
 #include "cc/sev.h"
@@ -57,6 +59,24 @@ inline constexpr char kAggFailed[] = "agg.failed";
 inline constexpr char kPartyDone[] = "party.done";
 inline constexpr char kShutdown[] = "shutdown";
 
+// round.upload and round.result bodies: u32 round || u64 |frame| || frame, the frame being
+// the sender's SecureChannel seal of the plaintext (a serialized fragment or result).
+// SealRoundMessage builds one in one buffer: the round and the frame length are the
+// seal's headroom, and |write_plaintext| appends the |plaintext_size| plaintext bytes
+// where the channel then encrypts them.
+Bytes SealRoundMessage(net::SecureChannel& channel, int round, size_t plaintext_size,
+                       const std::function<void(net::Writer&)>& write_plaintext,
+                       crypto::SecureRng& rng);
+Bytes SealRoundMessage(net::SecureChannel& channel, int round, const Bytes& plaintext,
+                       crypto::SecureRng& rng);
+// The round a round message names; throws CheckFailure when |payload| is too short.
+int RoundOf(const Bytes& payload);
+// Opens a round message's frame where it lies in |payload| and returns the plaintext's
+// span there; nullopt when the frame does not open. Throws CheckFailure when |payload|
+// is malformed.
+std::optional<std::span<uint8_t>> OpenRoundMessage(net::SecureChannel& channel,
+                                                   Bytes& payload);
+
 class DetaAggregator final : public Role {
  public:
   // The token private key is read from the CVM's encrypted memory (provisioned by the
@@ -81,11 +101,19 @@ class DetaAggregator final : public Role {
   using Clock = std::chrono::steady_clock;
 
   bool Begin() override;
-  void Dispatch(const net::Message& m) override;
+  void Dispatch(net::Message& m) override;
   void OnTick() override;
+  // A fragment as it was received: the upload message, opened in place, and the
+  // fragment's plaintext inside it. Moving the message keeps its buffer, so the span
+  // stays valid for as long as the staged entry lives.
+  struct StagedFragment {
+    Bytes message;
+    std::span<const uint8_t> plaintext;
+  };
+
   void HandleJobStart(const net::Message& m);
   void HandleRoundBegin(const net::Message& m);
-  void HandleUpload(const net::Message& m);
+  void HandleUpload(net::Message& m);
   // False when the injected crash fired instead.
   bool StartCollecting(int round);
   void Aggregate(int round);
@@ -117,8 +145,8 @@ class DetaAggregator final : public Role {
 
   RegistrationCache registrations_;
   std::map<std::string, net::SecureChannel> channels_;  // party -> channel
-  // Per-round fragment staging: party -> serialized fragment payload.
-  std::map<std::string, Bytes> staged_;
+  // Per-round fragment staging: party -> its opened upload.
+  std::map<std::string, StagedFragment> staged_;
   int current_round_ = 0;
   int last_aggregated_round_ = 0;
   Clock::time_point round_deadline_;

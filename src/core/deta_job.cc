@@ -75,16 +75,8 @@ DetaJob::DetaJob(fl::ExecutionOptions options, DetaOptions deta,
   } else {
     plan_.party_names = deployment_.party_names;
   }
-  DETA_CHECK(!plan_.party_names.empty());
-  DETA_CHECK_GT(deta_.num_aggregators, 0);
-  DETA_CHECK_MSG(
-      deta_.quorum >= 0 && static_cast<size_t>(deta_.quorum) <= plan_.party_names.size(),
-      "quorum " << deta_.quorum << " outside [0, " << plan_.party_names.size() << "]");
-  // Aggregators sum Paillier ciphertexts: homomorphic averaging is the only algorithm
-  // they can run, so any other would be named (in the CVM image, the job digest) but
-  // not run.
-  DETA_CHECK_MSG(!options_.use_paillier || options_.algorithm == "iterative_averaging",
-                 "Paillier fusion runs iterative_averaging, not " << options_.algorithm);
+  const std::string shape_error = JobShapeError(options_, deta_, plan_.party_names.size());
+  DETA_CHECK_MSG(shape_error.empty(), shape_error);
   plan_.rounds = options_.rounds;
   plan_.quorum = deta_.quorum;
   plan_.round_timeout_ms = options_.round_timeout_ms;
@@ -667,6 +659,29 @@ fl::JobResult DetaJob::Run() {
   // Snapshot after every node thread has joined, so all their metric writes are folded in.
   finish_telemetry(result, cumulative);
   return result;
+}
+
+std::string JobShapeError(const fl::ExecutionOptions& options, const DetaOptions& deta,
+                          size_t num_parties) {
+  if (num_parties == 0) {
+    return "a job needs at least one party";
+  }
+  if (deta.num_aggregators <= 0) {
+    return "a job needs at least one aggregator, not " +
+           std::to_string(deta.num_aggregators);
+  }
+  // A quorum above the party count would leave every round to fail at its deadline.
+  if (deta.quorum < 0 || static_cast<size_t>(deta.quorum) > num_parties) {
+    return "quorum " + std::to_string(deta.quorum) + " outside [0, " +
+           std::to_string(num_parties) + "]";
+  }
+  // Aggregators sum Paillier ciphertexts: homomorphic averaging is the only algorithm
+  // they can run, so any other would be named (in the CVM image, the job digest) but
+  // not run.
+  if (options.use_paillier && options.algorithm != "iterative_averaging") {
+    return "Paillier fusion runs iterative_averaging, not " + options.algorithm;
+  }
+  return "";
 }
 
 fl::JobResult RunCentralizedBaseline(fl::ExecutionOptions options,

@@ -154,6 +154,13 @@ class DetaJob {
   std::string resume_error_;
 };
 
+// Why DetaJob would refuse a job of |num_parties| parties run with |options| and |deta|,
+// or "" when it accepts it. The job checks it on construction; command-line drivers
+// check it first (RejectJobShape in core/cluster.h), so flags that describe such a job
+// exit 2 before anything trains or spawns.
+std::string JobShapeError(const fl::ExecutionOptions& options, const DetaOptions& deta,
+                          size_t num_parties);
+
 // The paper's baseline, "FFL with one central aggregator" (§7): a DetaJob with a single
 // aggregator that receives every party's full, in-order update (partitioning and
 // shuffling off). Parties still fetch their (identity) transform material and any

@@ -108,7 +108,7 @@ void DetaParty::Exit() {
   Finish();
 }
 
-void DetaParty::Dispatch(const net::Message& m) {
+void DetaParty::Dispatch(net::Message& m) {
   if (m.type == kShutdown) {
     Exit();
   } else if (m.type == kRoundBegin) {
@@ -204,23 +204,30 @@ void DetaParty::RunRound(int round) {
   fl::Party::LocalResult local = local_->RunLocalRound(global_params_, round);
 
   // --- Trans: partition + shuffle (+ Paillier encryption when enabled) ---
-  // The round's shuffle tables are derived here once and reused by Trans^-1.
+  // The round's shuffle tables are derived here once and reused by Trans^-1. The
+  // fragments land in buffers the party keeps across rounds.
   Stopwatch transform_watch;
   const RoundTransform trans = transform_->ForRound(static_cast<uint64_t>(round));
-  std::vector<std::vector<float>> fragments = trans.Apply(local.update.values);
-  std::vector<Bytes> payloads(fragments.size());
+  const size_t num_aggs = static_cast<size_t>(transform_->num_partitions());
+  fragments_.resize(num_aggs);
+  std::vector<std::span<float>> fragment_spans;
+  for (size_t j = 0; j < num_aggs; ++j) {
+    fragments_[j].resize(static_cast<size_t>(transform_->FragmentSize(static_cast<int>(j))));
+    fragment_spans.push_back(fragments_[j]);
+  }
+  trans.Apply(local.update.values, fragment_spans, shuffle_scratch_);
+  // Paillier fragments are encrypted once, here; plain ones are serialized at each send,
+  // straight into the frame that seals them.
+  std::vector<Bytes> ciphertexts(paillier_codec_ != nullptr ? num_aggs : 0);
   uint64_t upload_bytes_max = 0;
-  for (size_t j = 0; j < fragments.size(); ++j) {
+  for (size_t j = 0; j < num_aggs; ++j) {
+    size_t upload_bytes = fl::UpdateWireSize(fragments_[j].size());
     if (paillier_codec_ != nullptr) {
-      payloads[j] = fl::SerializeCiphertexts(
-          paillier_codec_->Encrypt(fragments[j], paillier_->priv, rng_));
-    } else {
-      fl::ModelUpdate fragment_update;
-      fragment_update.values = std::move(fragments[j]);
-      fragment_update.weight = local.update.weight;
-      payloads[j] = fl::SerializeUpdate(fragment_update);
+      ciphertexts[j] = fl::SerializeCiphertexts(
+          paillier_codec_->Encrypt(fragments_[j], paillier_->priv, rng_));
+      upload_bytes = ciphertexts[j].size();
     }
-    upload_bytes_max = std::max<uint64_t>(upload_bytes_max, payloads[j].size());
+    upload_bytes_max = std::max<uint64_t>(upload_bytes_max, upload_bytes);
   }
   double transform_seconds = transform_watch.ElapsedSeconds();
 
@@ -242,8 +249,11 @@ void DetaParty::RunRound(int round) {
   // result decoded): the tail-latency signal the scale harness aggregates into
   // per-round p50/p99 (bench/scale_parties.cc).
   WallStopwatch rtt_watch;
-  size_t num_aggs = payloads.size();
-  std::vector<std::vector<float>> aggregated(num_aggs);
+  // Aggregator j's result: a view of its values in the opened result message (kept in
+  // results[j]), or of the Paillier sum decrypted into decrypted[j].
+  std::vector<Bytes> results(num_aggs);
+  std::vector<std::vector<float>> decrypted(num_aggs);
+  std::vector<fl::FloatSpan> aggregated(num_aggs);
   std::vector<bool> have(num_aggs, false);
   size_t received = 0;
   Clock::time_point overall_deadline =
@@ -257,10 +267,16 @@ void DetaParty::RunRound(int round) {
       if (attempt > 0) {
         DETA_COUNTER("core.deta_party.upload_resends").Increment();
       }
-      net::Writer w;
-      w.WriteU32(static_cast<uint32_t>(round));
-      w.WriteBytes(channels_.at(agg).Seal(payloads[j], rng_));
-      endpoint().Send(agg, kRoundUpload, w.Take());
+      net::SecureChannel& channel = channels_.at(agg);
+      endpoint().Send(
+          agg, kRoundUpload,
+          paillier_codec_ != nullptr
+              ? SealRoundMessage(channel, round, ciphertexts[j], rng_)
+              : SealRoundMessage(channel, round, fl::UpdateWireSize(fragments_[j].size()),
+                                 [&](net::Writer& w) {
+                                   fl::WriteUpdate(w, local.update.weight, fragments_[j]);
+                                 },
+                                 rng_));
     }
     Clock::time_point slice_deadline =
         Clock::now() +
@@ -289,8 +305,7 @@ void DetaParty::RunRound(int round) {
       size_t j = static_cast<size_t>(it - plan_.aggregator_names.begin());
       // A result that does not parse is dropped like one that does not open.
       DropIfMalformed(name(), *m, [&] {
-        net::Reader r(m->payload);
-        int result_round = static_cast<int>(r.ReadU32());
+        int result_round = RoundOf(m->payload);
         if (result_round != round) {
           LOG_DEBUG << name() << ": stale round " << result_round << " result from "
                     << m->from << " — ignored";
@@ -299,7 +314,8 @@ void DetaParty::RunRound(int round) {
         if (have[j]) {
           return;  // duplicate (a re-served result we already decoded)
         }
-        std::optional<Bytes> payload = channels_.at(m->from).Open(r.ReadBytes());
+        std::optional<std::span<uint8_t>> payload =
+            OpenRoundMessage(channels_.at(m->from), m->payload);
         if (!payload.has_value()) {
           LOG_WARNING << name() << ": failed to open aggregated fragment from "
                       << m->from;
@@ -311,25 +327,25 @@ void DetaParty::RunRound(int round) {
           // IterativeAveraging does on the plain path.
           net::Reader result(*payload);
           int addends = static_cast<int>(result.ReadU32());
-          std::vector<crypto::BigUint> ct =
-              fl::DeserializeCiphertexts(result.ReadBytes());
+          std::vector<crypto::BigUint> ct = fl::DeserializeCiphertexts(result.ReadSpan());
           if (addends < 1 || addends > static_cast<int>(plan_.party_names.size())) {
             LOG_WARNING << name() << ": Paillier result from " << m->from << " claims "
                         << addends << " addends";
             return;
           }
-          size_t fragment_len = static_cast<size_t>(
-              transform_->config().enable_partition
-                  ? transform_->mapper().PartitionSize(static_cast<int>(j))
-                  : static_cast<int64_t>(global_params_.size()));
-          aggregated[j] =
-              paillier_codec_->DecryptSum(ct, paillier_->priv, fragment_len, addends);
+          decrypted[j] = paillier_codec_->DecryptSum(ct, paillier_->priv,
+                                                     fragments_[j].size(), addends);
           float inv = 1.0f / static_cast<float>(addends);
-          for (auto& v : aggregated[j]) {
+          for (auto& v : decrypted[j]) {
             v *= inv;
           }
+          aggregated[j] = decrypted[j];
         } else {
-          aggregated[j] = fl::DeserializeUpdate(*payload).values;
+          fl::UpdateView view = fl::ViewUpdate(*payload);
+          // Checked here, so Trans^-1 never stops halfway through the model.
+          DETA_CHECK_EQ(view.size(), fragments_[j].size());
+          aggregated[j] = view.values;
+          results[j] = std::move(m->payload);  // the view reads this buffer
         }
         have[j] = true;
         ++received;
@@ -366,17 +382,19 @@ void DetaParty::RunRound(int round) {
   double upload_rtt_seconds = rtt_watch.ElapsedSeconds();
 
   // --- Trans^-1: un-shuffle + merge, then synchronize the local model ---
+  // Parameters merge straight into the model; a gradient merges into a kept buffer
+  // first.
   Stopwatch invert_watch;
-  std::vector<float> merged = trans.Invert(aggregated);
-  double invert_seconds = invert_watch.ElapsedSeconds() + result_seconds;
-
   if (plan_.train.kind == fl::TrainConfig::UpdateKind::kGradient) {
+    merged_.resize(global_params_.size());
+    trans.Invert(aggregated, merged_, shuffle_scratch_);
     for (size_t i = 0; i < global_params_.size(); ++i) {
-      global_params_[i] -= plan_.train.lr * merged[i];
+      global_params_[i] -= plan_.train.lr * merged_[i];
     }
   } else {
-    global_params_ = std::move(merged);
+    trans.Invert(aggregated, global_params_, shuffle_scratch_);
   }
+  double invert_seconds = invert_watch.ElapsedSeconds() + result_seconds;
 
   // --- timing report + (reporter only) the merged global model for evaluation ---
   net::Writer w;

@@ -67,7 +67,7 @@ class DetaParty final : public Role {
  private:
   // Setup: restore or fetch the material, verify and register, report ready.
   bool Begin() override;
-  void Dispatch(const net::Message& m) override;
+  void Dispatch(net::Message& m) override;
   // Exits after the plan's final round, so a lost shutdown cannot strand the party.
   void OnTick() override;
   bool SetupChannels();
@@ -94,6 +94,11 @@ class DetaParty final : public Role {
 
   std::map<std::string, net::SecureChannel> channels_;  // aggregator -> channel
   std::vector<float> global_params_;
+  // Round buffers kept across rounds, so a round reuses their pages: Trans's fragments,
+  // its shuffle's working space, and the merged gradient under FedSGD.
+  std::vector<std::vector<float>> fragments_;
+  std::vector<float> shuffle_scratch_;
+  std::vector<float> merged_;
   // Broker-served transform material, retained (and snapshotted sealed) so a resumed
   // party can rebuild its transform, and recover its Paillier key, without a live
   // broker.

@@ -86,7 +86,7 @@ void KeyBroker::OnTick() {
   }
 }
 
-void KeyBroker::Dispatch(const net::Message& m) {
+void KeyBroker::Dispatch(net::Message& m) {
   if (m.type == kAuthChallenge) {
     AnswerChallenge(endpoint(), m, identity_.private_key);
   } else if (m.type == kAuthRegister) {

@@ -82,7 +82,7 @@ class KeyBroker final : public Role {
 
  private:
   bool Begin() override;
-  void Dispatch(const net::Message& m) override;
+  void Dispatch(net::Message& m) override;
   // With expected_parties > 0, ends the broker once that many parties were served.
   void OnTick() override;
   void SaveState();

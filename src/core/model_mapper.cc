@@ -85,17 +85,8 @@ std::vector<std::vector<float>> ModelMapper::Partition(const std::vector<float>&
   DETA_CHECK_EQ(static_cast<int64_t>(flat.size()), total_params_);
   std::vector<std::vector<float>> fragments(partition_indices_.size());
   for (size_t p = 0; p < partition_indices_.size(); ++p) {
-    const auto& indices = partition_indices_[p];
-    fragments[p].resize(indices.size());
-    float* out = fragments[p].data();
-    // Gather this partition's coordinates; chunks write disjoint slices of |out|.
-    parallel::ParallelFor(0, static_cast<int64_t>(indices.size()), 1 << 15,
-                          [&](int64_t lo, int64_t hi) {
-                            for (int64_t i = lo; i < hi; ++i) {
-                              out[i] = flat[static_cast<size_t>(
-                                  indices[static_cast<size_t>(i)])];
-                            }
-                          });
+    fragments[p].resize(partition_indices_[p].size());
+    GatherInto(flat, partition_indices_[p], fragments[p]);
   }
   return fragments;
 }
@@ -104,18 +95,8 @@ std::vector<float> ModelMapper::Merge(const std::vector<std::vector<float>>& fra
   DETA_CHECK_EQ(fragments.size(), partition_indices_.size());
   std::vector<float> flat(static_cast<size_t>(total_params_));
   for (size_t p = 0; p < fragments.size(); ++p) {
-    const auto& indices = partition_indices_[p];
-    DETA_CHECK_EQ(fragments[p].size(), indices.size());
-    const float* frag = fragments[p].data();
-    // Scatter back into the flat vector; partition index sets are disjoint by
-    // construction, as are chunks within one partition.
-    parallel::ParallelFor(0, static_cast<int64_t>(indices.size()), 1 << 15,
-                          [&](int64_t lo, int64_t hi) {
-                            for (int64_t i = lo; i < hi; ++i) {
-                              flat[static_cast<size_t>(indices[static_cast<size_t>(i)])] =
-                                  frag[i];
-                            }
-                          });
+    // Partition index sets are disjoint by construction, so every write lands once.
+    ScatterInto(fragments[p], partition_indices_[p], flat);
   }
   return flat;
 }

@@ -169,7 +169,9 @@ class Role {
   // On the role's thread before the loop; false ends the role there.
   virtual bool Begin() { return true; }
   // One message, under the guard: a malformed one is dropped and the loop carries on.
-  virtual void Dispatch(const net::Message& m) = 0;
+  // The handler owns |m| and may consume it: an aggregator opens an upload in place and
+  // keeps its buffer.
+  virtual void Dispatch(net::Message& m) = 0;
   // After every message and every quiet tick.
   virtual void OnTick() {}
 

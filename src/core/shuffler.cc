@@ -48,18 +48,62 @@ void PermutationTable::Wipe() {
   crypto::SecureWipe(table_.data(), table_.size() * sizeof(uint32_t));
 }
 
+namespace {
+
+// Elements per chunk: the pool's grain for a memory-bound pass.
+constexpr int64_t kGatherGrain = 1 << 15;
+
+template <typename Index>
+void Gather(std::span<const float> in, std::span<const Index> map, std::span<float> out) {
+  DETA_CHECK_EQ(map.size(), out.size());
+  parallel::ParallelFor(0, static_cast<int64_t>(out.size()), kGatherGrain,
+                        [&](int64_t lo, int64_t hi) {
+                          for (int64_t i = lo; i < hi; ++i) {
+                            const size_t k = static_cast<size_t>(i);
+                            out[k] = in[static_cast<size_t>(map[k])];
+                          }
+                        });
+}
+
+template <typename Index>
+void Scatter(const fl::FloatSpan& in, std::span<const Index> map, std::span<float> out) {
+  DETA_CHECK_EQ(map.size(), in.size());
+  parallel::ParallelFor(0, static_cast<int64_t>(in.size()), kGatherGrain,
+                        [&](int64_t lo, int64_t hi) {
+                          for (int64_t i = lo; i < hi; ++i) {
+                            const size_t k = static_cast<size_t>(i);
+                            out[static_cast<size_t>(map[k])] = in[k];
+                          }
+                        });
+}
+
+}  // namespace
+
+void GatherInto(std::span<const float> in, std::span<const uint32_t> map,
+                std::span<float> out) {
+  Gather(in, map, out);
+}
+
+void GatherInto(std::span<const float> in, std::span<const int64_t> map,
+                std::span<float> out) {
+  Gather(in, map, out);
+}
+
+void ScatterInto(const fl::FloatSpan& in, std::span<const uint32_t> map,
+                 std::span<float> out) {
+  Scatter(in, map, out);
+}
+
+void ScatterInto(const fl::FloatSpan& in, std::span<const int64_t> map,
+                 std::span<float> out) {
+  Scatter(in, map, out);
+}
+
 std::vector<float> GatherBy(const std::vector<float>& fragment,
                             std::span<const uint32_t> table) {
   DETA_CHECK_EQ(fragment.size(), table.size());
   std::vector<float> out(fragment.size());
-  // Disjoint writes, so chunks parallelize.
-  parallel::ParallelFor(0, static_cast<int64_t>(fragment.size()), 1 << 15,
-                        [&](int64_t lo, int64_t hi) {
-                          for (int64_t i = lo; i < hi; ++i) {
-                            out[static_cast<size_t>(i)] =
-                                fragment[table[static_cast<size_t>(i)]];
-                          }
-                        });
+  GatherInto(fragment, table, out);
   return out;
 }
 
@@ -67,14 +111,7 @@ std::vector<float> ScatterBy(const std::vector<float>& fragment,
                              std::span<const uint32_t> table) {
   DETA_CHECK_EQ(fragment.size(), table.size());
   std::vector<float> out(fragment.size());
-  // The table is a bijection, so writes are disjoint.
-  parallel::ParallelFor(0, static_cast<int64_t>(fragment.size()), 1 << 15,
-                        [&](int64_t lo, int64_t hi) {
-                          for (int64_t i = lo; i < hi; ++i) {
-                            out[table[static_cast<size_t>(i)]] =
-                                fragment[static_cast<size_t>(i)];
-                          }
-                        });
+  ScatterInto(fragment, table, out);
   return out;
 }
 

@@ -17,6 +17,7 @@
 #include "common/bytes.h"
 #include "common/secret.h"
 #include "crypto/chacha20.h"
+#include "fl/update.h"
 
 namespace deta::core {
 
@@ -42,6 +43,20 @@ class PermutationTable {
 
   std::vector<uint32_t> table_;
 };
+
+// The gather and scatter behind every Trans stage, over caller buffers: GatherInto
+// writes out[i] = in[map[i]] for every i of |out|, ScatterInto out[map[i]] = in[i] for
+// every i of |in| (|map| one-to-one). The writes are disjoint, so chunks run in parallel
+// and the bits do not depend on the split. The shuffle's maps are its tables, the
+// partition's the mapper's index lists.
+void GatherInto(std::span<const float> in, std::span<const uint32_t> map,
+                std::span<float> out);
+void GatherInto(std::span<const float> in, std::span<const int64_t> map,
+                std::span<float> out);
+void ScatterInto(const fl::FloatSpan& in, std::span<const uint32_t> map,
+                 std::span<float> out);
+void ScatterInto(const fl::FloatSpan& in, std::span<const int64_t> map,
+                 std::span<float> out);
 
 // out[i] = fragment[table[i]]: applies a shuffle table.
 std::vector<float> GatherBy(const std::vector<float>& fragment,

@@ -10,6 +10,7 @@
 
 #include "core/model_mapper.h"
 #include "core/shuffler.h"
+#include "fl/update.h"
 
 namespace deta::core {
 
@@ -29,9 +30,18 @@ class RoundTransform {
   RoundTransform(RoundTransform&&) noexcept = default;
   RoundTransform& operator=(RoundTransform&&) noexcept = default;
 
-  // Trans(LU[P]) for this round: fragment f goes to aggregator f.
+  // Trans(LU[P]) for this round, into caller buffers: fragment f, FragmentSize(f)
+  // floats, goes to aggregator f. |scratch| is working space the shuffle reuses (any
+  // size on entry), so a caller that keeps it across rounds allocates nothing here.
+  void Apply(std::span<const float> flat, std::span<const std::span<float>> fragments,
+             std::vector<float>& scratch) const;
+  // Trans^-1(AU[A_j]) from views of the aggregated fragments (a party's view the opened
+  // result messages), into |flat| (total_params floats, each written once); |scratch| as
+  // for Apply.
+  void Invert(std::span<const fl::FloatSpan> fragments, std::span<float> flat,
+              std::vector<float>& scratch) const;
+  // The copying forms: fragments and the merged vector in buffers of their own.
   std::vector<std::vector<float>> Apply(const std::vector<float>& flat) const;
-  // Trans^-1(AU[A_j]): un-shuffle each aggregated fragment and merge.
   std::vector<float> Invert(const std::vector<std::vector<float>>& fragments) const;
 
   // Partition |p|'s shuffle table, Shuffler::PermutationFor(round, p, size); empty when
@@ -53,6 +63,8 @@ class Transform {
             TransformConfig config);
 
   int num_partitions() const;
+  // Floats in fragment |f|: its partition's size, or the whole model unpartitioned.
+  int64_t FragmentSize(int f) const;
 
   // Derives round |round_id|'s tables (one per partition, in parallel across partitions).
   RoundTransform ForRound(uint64_t round_id) const;

@@ -60,33 +60,46 @@ void ChaCha20Poly1305Seal(const std::array<uint8_t, kChaChaKeySize>& key,
   std::copy(computed.begin(), computed.end(), tag.begin());
 }
 
-std::optional<Bytes> ChaCha20Poly1305Open(const std::array<uint8_t, kChaChaKeySize>& key,
-                                          const std::array<uint8_t, kChaChaNonceSize>& nonce,
-                                          std::span<const uint8_t> associated_data,
-                                          std::span<const uint8_t> ciphertext,
-                                          std::span<const uint8_t, kAeadTagSize> tag) {
+bool ChaCha20Poly1305Open(const std::array<uint8_t, kChaChaKeySize>& key,
+                          const std::array<uint8_t, kChaChaNonceSize>& nonce,
+                          std::span<const uint8_t> associated_data,
+                          std::span<const uint8_t> ciphertext,
+                          std::span<const uint8_t, kAeadTagSize> tag,
+                          std::span<uint8_t> plaintext) {
+  DETA_CHECK_EQ(ciphertext.size(), plaintext.size());
   if (ciphertext.size() > kMaxDataSize) {
-    return std::nullopt;
+    return false;
   }
   Secret<std::array<uint8_t, kPoly1305KeySize>> one_time_key = OneTimeKey(key, nonce);
   Poly1305 mac(one_time_key.ExposeForCrypto());
   mac.Update(associated_data);
   mac.PadToBlock();
-  // One pass: each chunk is MACed, then decrypted while it is in cache. The plaintext
-  // leaves only once the tag matches.
-  Bytes plaintext(ciphertext.size());
+  // One pass: each chunk is MACed, then decrypted while it is in cache (in place when
+  // |plaintext| is |ciphertext|: the MAC has read the chunk before the XOR overwrites it).
   for (size_t offset = 0; offset < ciphertext.size(); offset += kChunk) {
     size_t n = std::min(kChunk, ciphertext.size() - offset);
     std::span<const uint8_t> chunk = ciphertext.subspan(offset, n);
     mac.Update(chunk);
     ChaCha20Xor(key, nonce, static_cast<uint32_t>(1 + offset / kChaChaBlockSize), chunk,
-                std::span<uint8_t>(plaintext).subspan(offset, n));
+                plaintext.subspan(offset, n));
   }
   std::array<uint8_t, kAeadTagSize> expected =
       FinishTag(mac, associated_data.size(), ciphertext.size());
   if (!ConstantTimeEqual(Bytes(expected.begin(), expected.end()),
                          Bytes(tag.begin(), tag.end()))) {
-    SecureWipe(plaintext);
+    SecureWipe(plaintext.data(), plaintext.size());
+    return false;
+  }
+  return true;
+}
+
+std::optional<Bytes> ChaCha20Poly1305Open(const std::array<uint8_t, kChaChaKeySize>& key,
+                                          const std::array<uint8_t, kChaChaNonceSize>& nonce,
+                                          std::span<const uint8_t> associated_data,
+                                          std::span<const uint8_t> ciphertext,
+                                          std::span<const uint8_t, kAeadTagSize> tag) {
+  Bytes plaintext(ciphertext.size());
+  if (!ChaCha20Poly1305Open(key, nonce, associated_data, ciphertext, tag, plaintext)) {
     return std::nullopt;
   }
   return plaintext;
@@ -99,20 +112,37 @@ Aead::Aead(const Bytes& master_key) {
   SecureWipe(okm);
 }
 
+void Aead::SealInPlace(std::span<uint8_t> frame, std::span<const uint8_t> associated_data,
+                       SecureRng& rng) const {
+  DETA_CHECK_GE(frame.size(), kAeadOverhead);
+  std::array<uint8_t, kChaChaNonceSize> nonce = rng.NextArray<kChaChaNonceSize>();
+  std::copy(nonce.begin(), nonce.end(), frame.begin());
+  ChaCha20Poly1305Seal(key_.ExposeForCrypto(), nonce, associated_data,
+                       frame.subspan(kChaChaNonceSize, frame.size() - kAeadOverhead),
+                       frame.last<kAeadTagSize>());
+}
+
 Bytes Aead::Seal(std::span<const uint8_t> plaintext, std::span<const uint8_t> associated_data,
                  SecureRng& rng, size_t headroom) const {
-  std::array<uint8_t, kChaChaNonceSize> nonce = rng.NextArray<kChaChaNonceSize>();
   Bytes frame;
   frame.reserve(headroom + kAeadOverhead + plaintext.size());
-  frame.resize(headroom);
-  frame.insert(frame.end(), nonce.begin(), nonce.end());
+  frame.resize(headroom + kChaChaNonceSize);
   frame.insert(frame.end(), plaintext.begin(), plaintext.end());
   frame.resize(frame.size() + kAeadTagSize);
-  std::span<uint8_t> body(frame.data() + headroom + kChaChaNonceSize, plaintext.size());
-  ChaCha20Poly1305Seal(key_.ExposeForCrypto(), nonce, associated_data, body,
-                       std::span<uint8_t, kAeadTagSize>(frame.end() - kAeadTagSize,
-                                                         kAeadTagSize));
+  SealInPlace(std::span<uint8_t>(frame).subspan(headroom), associated_data, rng);
   return frame;
+}
+
+bool Aead::Open(std::span<const uint8_t> frame, std::span<const uint8_t> associated_data,
+                std::span<uint8_t> plaintext) const {
+  if (frame.size() < kAeadOverhead) {
+    return false;
+  }
+  std::array<uint8_t, kChaChaNonceSize> nonce;
+  std::copy_n(frame.begin(), kChaChaNonceSize, nonce.begin());
+  return ChaCha20Poly1305Open(key_.ExposeForCrypto(), nonce, associated_data,
+                              frame.subspan(kChaChaNonceSize, frame.size() - kAeadOverhead),
+                              frame.last<kAeadTagSize>(), plaintext);
 }
 
 std::optional<Bytes> Aead::Open(std::span<const uint8_t> frame,
@@ -120,11 +150,11 @@ std::optional<Bytes> Aead::Open(std::span<const uint8_t> frame,
   if (frame.size() < kAeadOverhead) {
     return std::nullopt;
   }
-  std::array<uint8_t, kChaChaNonceSize> nonce;
-  std::copy_n(frame.begin(), kChaChaNonceSize, nonce.begin());
-  return ChaCha20Poly1305Open(key_.ExposeForCrypto(), nonce, associated_data,
-                              frame.subspan(kChaChaNonceSize, frame.size() - kAeadOverhead),
-                              frame.last<kAeadTagSize>());
+  Bytes plaintext(frame.size() - kAeadOverhead);
+  if (!Open(frame, associated_data, plaintext)) {
+    return std::nullopt;
+  }
+  return plaintext;
 }
 
 }  // namespace deta::crypto

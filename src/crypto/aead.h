@@ -6,11 +6,13 @@
 // ChaCha20 keystream block 0; encryption starts at block 1; the tag covers
 // AD || pad16 || ciphertext || pad16 || le64(|AD|) || le64(|ciphertext|).
 //
-// Frame layout: [caller headroom] || nonce(12) || ciphertext || tag(16). Aead::Seal
-// allocates the frame once, copies the plaintext in, encrypts it in place and writes the
-// tag behind it; Aead::Open checks the tag over the ciphertext where it lies before
-// decrypting anything, then decrypts it straight into the plaintext buffer (so the
-// ciphertext is read twice, once per pass).
+// Frame layout: [caller headroom] || nonce(12) || ciphertext || tag(16). The in-place
+// forms are the one path: Aead::SealInPlace takes a frame whose plaintext its caller has
+// already written between the nonce and tag slots, draws and writes the nonce, encrypts
+// the plaintext where it lies and writes the tag; Aead::Open decrypts the ciphertext
+// where it lies (or into a disjoint buffer) in one pass, each 16 KiB chunk MACed and then
+// XORed while it is in cache, and wipes what it decrypted when the tag does not match.
+// The copying forms (Seal of a plaintext span, Open returning Bytes) wrap them.
 #ifndef DETA_CRYPTO_AEAD_H_
 #define DETA_CRYPTO_AEAD_H_
 
@@ -35,8 +37,17 @@ void ChaCha20Poly1305Seal(const std::array<uint8_t, kChaChaKeySize>& key,
                           std::span<const uint8_t> associated_data, std::span<uint8_t> data,
                           std::span<uint8_t, kAeadTagSize> tag);
 
-// Checks |tag| over |ciphertext| in constant time and only then decrypts it; nullopt on
-// a mismatch.
+// Checks |tag| over |ciphertext| in constant time while decrypting it into |plaintext|
+// (|ciphertext|'s own bytes, to decrypt in place, or disjoint from them, and the same
+// size). False on a mismatch, with |plaintext| wiped: no decrypted byte outlives a bad
+// tag.
+bool ChaCha20Poly1305Open(const std::array<uint8_t, kChaChaKeySize>& key,
+                          const std::array<uint8_t, kChaChaNonceSize>& nonce,
+                          std::span<const uint8_t> associated_data,
+                          std::span<const uint8_t> ciphertext,
+                          std::span<const uint8_t, kAeadTagSize> tag,
+                          std::span<uint8_t> plaintext);
+// The allocating form; nullopt on a mismatch.
 std::optional<Bytes> ChaCha20Poly1305Open(const std::array<uint8_t, kChaChaKeySize>& key,
                                           const std::array<uint8_t, kChaChaNonceSize>& nonce,
                                           std::span<const uint8_t> associated_data,
@@ -49,14 +60,22 @@ class Aead {
   // that wipes itself on destruction.
   explicit Aead(const Bytes& master_key);
 
-  // Encrypts and authenticates under a nonce drawn from |rng|. The frame starts with
-  // |headroom| zero bytes the caller may fill (SecureChannel writes its sequence number
-  // there), so a framed message is built in one buffer.
+  // Seals |frame| = nonce || plaintext || tag in place: the caller has written the
+  // plaintext and sized the frame for the nonce and tag around it. Draws the nonce from
+  // |rng|, encrypts the plaintext where it lies and writes the tag.
+  void SealInPlace(std::span<uint8_t> frame, std::span<const uint8_t> associated_data,
+                   SecureRng& rng) const;
+  // The copying form: a new frame of |headroom| zero bytes the caller may fill, then the
+  // sealed copy of |plaintext|.
   Bytes Seal(std::span<const uint8_t> plaintext, std::span<const uint8_t> associated_data,
              SecureRng& rng, size_t headroom = 0) const;
 
-  // Verifies and decrypts a frame (without headroom); nullopt on any authentication
-  // failure.
+  // Verifies a frame (without headroom) and decrypts it into |plaintext|, the frame's own
+  // ciphertext bytes (to open in place) or a disjoint buffer of frame.size() -
+  // kAeadOverhead bytes. False on any authentication failure, with |plaintext| wiped.
+  bool Open(std::span<const uint8_t> frame, std::span<const uint8_t> associated_data,
+            std::span<uint8_t> plaintext) const;
+  // The allocating form; nullopt on any authentication failure.
   std::optional<Bytes> Open(std::span<const uint8_t> frame,
                             std::span<const uint8_t> associated_data) const;
 

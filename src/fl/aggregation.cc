@@ -11,19 +11,40 @@
 
 namespace deta::fl {
 
+void WriteUpdate(net::Writer& w, double weight, std::span<const float> values) {
+  w.WriteDouble(weight);
+  w.WriteFloatVector(values);
+}
+
+UpdateView ViewUpdate(std::span<const uint8_t> data) {
+  net::Reader r(data);
+  UpdateView view;
+  view.weight = r.ReadDouble();
+  std::span<const uint8_t> values = r.ReadFloatBytes();
+  view.values = FloatSpan(values.data(), values.size() / sizeof(float));
+  return view;
+}
+
 Bytes SerializeUpdate(const ModelUpdate& update) {
   net::Writer w;
-  w.WriteDouble(update.weight);
-  w.WriteFloatVector(update.values);
+  w.Reserve(UpdateWireSize(update.values.size()));
+  WriteUpdate(w, update.weight, update.values);
   return w.Take();
 }
 
 ModelUpdate DeserializeUpdate(const Bytes& data) {
-  net::Reader r(data);
-  ModelUpdate u;
-  u.weight = r.ReadDouble();
-  u.values = r.ReadFloatVector();
-  return u;
+  UpdateView view = ViewUpdate(data);
+  return ModelUpdate{view.values.ToVector(), view.weight};
+}
+
+std::vector<float> AggregationAlgorithm::Aggregate(
+    const std::vector<ModelUpdate>& updates) const {
+  std::vector<UpdateView> views;
+  views.reserve(updates.size());
+  for (const ModelUpdate& u : updates) {
+    views.push_back(View(u));
+  }
+  return AggregateViews(views);
 }
 
 namespace {
@@ -36,14 +57,14 @@ constexpr int64_t kCoordGrain = 1 << 13;
 constexpr int64_t kSortGrain = 1 << 10;
 constexpr int64_t kReduceGrain = 1 << 15;
 
-void CheckUpdates(const std::vector<ModelUpdate>& updates) {
+void CheckUpdates(std::span<const UpdateView> updates) {
   DETA_CHECK_MSG(!updates.empty(), "aggregating zero updates");
   for (const auto& u : updates) {
     DETA_CHECK_EQ(u.values.size(), updates[0].values.size());
   }
 }
 
-double SquaredDistance(const std::vector<float>& a, const std::vector<float>& b) {
+double SquaredDistance(const FloatSpan& a, const FloatSpan& b) {
   return parallel::ParallelReduce(
       0, static_cast<int64_t>(a.size()), kReduceGrain, 0.0,
       [&](int64_t lo, int64_t hi) {
@@ -64,7 +85,7 @@ struct DotAndNorms {
   double nb = 0.0;
 };
 
-double CosineDist(const std::vector<float>& a, const std::vector<float>& b) {
+double CosineDist(const FloatSpan& a, const FloatSpan& b) {
   DotAndNorms r = parallel::ParallelReduce(
       0, static_cast<int64_t>(a.size()), kReduceGrain, DotAndNorms{},
       [&](int64_t lo, int64_t hi) {
@@ -89,7 +110,7 @@ double CosineDist(const std::vector<float>& a, const std::vector<float>& b) {
   return 1.0 - r.dot / (std::sqrt(r.na) * std::sqrt(r.nb));
 }
 
-double Norm(const std::vector<float>& a) {
+double Norm(const FloatSpan& a) {
   double s = parallel::ParallelReduce(
       0, static_cast<int64_t>(a.size()), kReduceGrain, 0.0,
       [&](int64_t lo, int64_t hi) {
@@ -118,7 +139,7 @@ double Median(std::vector<double> v) {
 
 }  // namespace
 
-std::vector<float> IterativeAveraging::Aggregate(const std::vector<ModelUpdate>& updates) const {
+std::vector<float> IterativeAveraging::AggregateViews(std::span<const UpdateView> updates) const {
   CheckUpdates(updates);
   double total_weight = 0.0;
   for (const auto& u : updates) {
@@ -136,16 +157,17 @@ std::vector<float> IterativeAveraging::Aggregate(const std::vector<ModelUpdate>&
                         [&](int64_t lo, int64_t hi) {
                           for (size_t p = 0; p < updates.size(); ++p) {
                             const float w = weights[p];
-                            const float* v = updates[p].values.data();
+                            const FloatSpan& v = updates[p].values;
                             for (int64_t i = lo; i < hi; ++i) {
-                              out[static_cast<size_t>(i)] += w * v[i];
+                              const size_t k = static_cast<size_t>(i);
+                              out[k] += w * v[k];
                             }
                           }
                         });
   return out;
 }
 
-std::vector<float> CoordinateMedian::Aggregate(const std::vector<ModelUpdate>& updates) const {
+std::vector<float> CoordinateMedian::AggregateViews(std::span<const UpdateView> updates) const {
   CheckUpdates(updates);
   size_t n = updates[0].values.size();
   std::vector<float> out(n);
@@ -171,7 +193,7 @@ std::vector<float> CoordinateMedian::Aggregate(const std::vector<ModelUpdate>& u
 namespace {
 
 // Krum scores: sum of squared distances to each candidate's n - f - 2 nearest neighbours.
-std::vector<double> KrumScores(const std::vector<ModelUpdate>& updates, int byzantine) {
+std::vector<double> KrumScores(std::span<const UpdateView> updates, int byzantine) {
   int n = static_cast<int>(updates.size());
   int neighbours = std::max(1, n - byzantine - 2);
   std::vector<std::vector<double>> dist(static_cast<size_t>(n),
@@ -206,15 +228,15 @@ std::vector<double> KrumScores(const std::vector<ModelUpdate>& updates, int byza
 
 }  // namespace
 
-std::vector<float> Krum::Aggregate(const std::vector<ModelUpdate>& updates) const {
+std::vector<float> Krum::AggregateViews(std::span<const UpdateView> updates) const {
   CheckUpdates(updates);
   std::vector<double> scores = KrumScores(updates, byzantine_);
   size_t best = static_cast<size_t>(
       std::min_element(scores.begin(), scores.end()) - scores.begin());
-  return updates[best].values;
+  return updates[best].values.ToVector();
 }
 
-std::vector<float> MultiKrum::Aggregate(const std::vector<ModelUpdate>& updates) const {
+std::vector<float> MultiKrum::AggregateViews(std::span<const UpdateView> updates) const {
   CheckUpdates(updates);
   int n = static_cast<int>(updates.size());
   int m = std::min(select_, n);
@@ -226,14 +248,14 @@ std::vector<float> MultiKrum::Aggregate(const std::vector<ModelUpdate>& updates)
   }
   std::sort(order.begin(), order.end(),
             [&](size_t a, size_t b) { return scores[a] < scores[b]; });
-  std::vector<ModelUpdate> selected;
+  std::vector<UpdateView> selected;
   for (int k = 0; k < m; ++k) {
     selected.push_back(updates[order[static_cast<size_t>(k)]]);
   }
-  return IterativeAveraging().Aggregate(selected);
+  return IterativeAveraging().AggregateViews(selected);
 }
 
-std::vector<float> Bulyan::Aggregate(const std::vector<ModelUpdate>& updates) const {
+std::vector<float> Bulyan::AggregateViews(std::span<const UpdateView> updates) const {
   CheckUpdates(updates);
   int n = static_cast<int>(updates.size());
   // Bulyan requires n >= 4f + 3 for its full guarantee; degrade gracefully below that by
@@ -273,11 +295,11 @@ std::vector<float> Bulyan::Aggregate(const std::vector<ModelUpdate>& updates) co
   return out;
 }
 
-std::vector<float> Flame::Aggregate(const std::vector<ModelUpdate>& updates) const {
+std::vector<float> Flame::AggregateViews(std::span<const UpdateView> updates) const {
   CheckUpdates(updates);
   size_t n = updates.size();
   if (n <= 2) {
-    return IterativeAveraging().Aggregate(updates);
+    return IterativeAveraging().AggregateViews(updates);
   }
   // 1. Outlier filtering on mean pairwise cosine distance (cluster-free approximation of
   //    FLAME's HDBSCAN step; both rely only on permutation-invariant distances).
@@ -321,9 +343,10 @@ std::vector<float> Flame::Aggregate(const std::vector<ModelUpdate>& updates) con
       0, static_cast<int64_t>(out.size()), kCoordGrain, [&](int64_t lo, int64_t hi) {
         for (size_t k = 0; k < kept.size(); ++k) {
           const double scale = scales[k];
-          const float* v = updates[kept[k]].values.data();
+          const FloatSpan& v = updates[kept[k]].values;
           for (int64_t i = lo; i < hi; ++i) {
-            out[static_cast<size_t>(i)] += static_cast<float>(v[i] * scale);
+            const size_t c = static_cast<size_t>(i);
+            out[c] += static_cast<float>(v[c] * scale);
           }
         }
       });
@@ -334,7 +357,7 @@ std::vector<float> Flame::Aggregate(const std::vector<ModelUpdate>& updates) con
   return out;
 }
 
-std::vector<float> TrimmedMean::Aggregate(const std::vector<ModelUpdate>& updates) const {
+std::vector<float> TrimmedMean::AggregateViews(std::span<const UpdateView> updates) const {
   CheckUpdates(updates);
   int n = static_cast<int>(updates.size());
   DETA_CHECK_MSG(2 * trim_ < n, "trim " << trim_ << " too large for " << n << " updates");
@@ -371,7 +394,7 @@ class InstrumentedAlgorithm : public AggregationAlgorithm {
     span_name_.append(inner_->Name());
   }
 
-  std::vector<float> Aggregate(const std::vector<ModelUpdate>& updates) const override {
+  std::vector<float> AggregateViews(std::span<const UpdateView> updates) const override {
     telemetry::Span span(span_name_);
     DETA_COUNTER("fl.aggregation.calls").Increment();
     DETA_COUNTER("fl.aggregation.updates_in").Add(updates.size());
@@ -379,7 +402,7 @@ class InstrumentedAlgorithm : public AggregationAlgorithm {
       DETA_HISTOGRAM("fl.aggregation.vector_len", ::deta::telemetry::Unit::kCount)
           .Record(static_cast<double>(updates[0].values.size()));
     }
-    return inner_->Aggregate(updates);
+    return inner_->AggregateViews(updates);
   }
 
   std::string Name() const override { return inner_->Name(); }

@@ -1,11 +1,14 @@
 // Model-aggregation algorithms (paper §3.1, §7.1). All are coordinate-wise (or
 // distance-based in a way that partitioning/shuffling preserves — §4.2 "Applicable
 // Aggregation Algorithms"), so they run unmodified inside DeTA on partitioned, shuffled
-// fragments.
+// fragments. They read updates through UpdateViews (fl/update.h): a DeTA aggregator's
+// views point into the fragments it received, and the ModelUpdate form views its
+// arguments, so both read the same values in the same order and agree bit for bit.
 #ifndef DETA_FL_AGGREGATION_H_
 #define DETA_FL_AGGREGATION_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -17,7 +20,9 @@ class AggregationAlgorithm {
  public:
   virtual ~AggregationAlgorithm() = default;
   // Fuses same-length updates into one vector.
-  virtual std::vector<float> Aggregate(const std::vector<ModelUpdate>& updates) const = 0;
+  virtual std::vector<float> AggregateViews(std::span<const UpdateView> updates) const = 0;
+  // The same over views of |updates|.
+  std::vector<float> Aggregate(const std::vector<ModelUpdate>& updates) const;
   virtual std::string Name() const = 0;
 };
 
@@ -25,14 +30,14 @@ class AggregationAlgorithm {
 // the paper's §7.1).
 class IterativeAveraging : public AggregationAlgorithm {
  public:
-  std::vector<float> Aggregate(const std::vector<ModelUpdate>& updates) const override;
+  std::vector<float> AggregateViews(std::span<const UpdateView> updates) const override;
   std::string Name() const override { return "iterative_averaging"; }
 };
 
 // Coordinate-wise median (Yin et al.) — Byzantine-tolerant.
 class CoordinateMedian : public AggregationAlgorithm {
  public:
-  std::vector<float> Aggregate(const std::vector<ModelUpdate>& updates) const override;
+  std::vector<float> AggregateViews(std::span<const UpdateView> updates) const override;
   std::string Name() const override { return "coordinate_median"; }
 };
 
@@ -42,7 +47,7 @@ class Krum : public AggregationAlgorithm {
  public:
   // |byzantine| = assumed max number of malicious parties (f).
   explicit Krum(int byzantine) : byzantine_(byzantine) {}
-  std::vector<float> Aggregate(const std::vector<ModelUpdate>& updates) const override;
+  std::vector<float> AggregateViews(std::span<const UpdateView> updates) const override;
   std::string Name() const override { return "krum"; }
 
  private:
@@ -54,7 +59,7 @@ class Krum : public AggregationAlgorithm {
 // then average. Cosine distance and norms are permutation-invariant (§4.2).
 class Flame : public AggregationAlgorithm {
  public:
-  std::vector<float> Aggregate(const std::vector<ModelUpdate>& updates) const override;
+  std::vector<float> AggregateViews(std::span<const UpdateView> updates) const override;
   std::string Name() const override { return "flame"; }
 };
 
@@ -63,7 +68,7 @@ class Flame : public AggregationAlgorithm {
 class TrimmedMean : public AggregationAlgorithm {
  public:
   explicit TrimmedMean(int trim) : trim_(trim) {}
-  std::vector<float> Aggregate(const std::vector<ModelUpdate>& updates) const override;
+  std::vector<float> AggregateViews(std::span<const UpdateView> updates) const override;
   std::string Name() const override { return "trimmed_mean"; }
 
  private:
@@ -76,7 +81,7 @@ class TrimmedMean : public AggregationAlgorithm {
 class MultiKrum : public AggregationAlgorithm {
  public:
   MultiKrum(int byzantine, int select) : byzantine_(byzantine), select_(select) {}
-  std::vector<float> Aggregate(const std::vector<ModelUpdate>& updates) const override;
+  std::vector<float> AggregateViews(std::span<const UpdateView> updates) const override;
   std::string Name() const override { return "multi_krum"; }
 
  private:
@@ -89,7 +94,7 @@ class MultiKrum : public AggregationAlgorithm {
 class Bulyan : public AggregationAlgorithm {
  public:
   explicit Bulyan(int byzantine) : byzantine_(byzantine) {}
-  std::vector<float> Aggregate(const std::vector<ModelUpdate>& updates) const override;
+  std::vector<float> AggregateViews(std::span<const UpdateView> updates) const override;
   std::string Name() const override { return "bulyan"; }
 
  private:

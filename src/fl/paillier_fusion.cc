@@ -85,7 +85,7 @@ Bytes SerializeCiphertexts(const std::vector<BigUint>& c) {
   return w.Take();
 }
 
-std::vector<BigUint> DeserializeCiphertexts(const Bytes& data) {
+std::vector<BigUint> DeserializeCiphertexts(std::span<const uint8_t> data) {
   net::Reader r(data);
   uint64_t n = r.ReadU64();
   // Each ciphertext takes at least its 8-byte length, so refuse a larger count.

@@ -61,7 +61,7 @@ class PaillierVectorCodec {
 
 // Serialization of ciphertext vectors for the wire.
 Bytes SerializeCiphertexts(const std::vector<crypto::BigUint>& c);
-std::vector<crypto::BigUint> DeserializeCiphertexts(const Bytes& data);
+std::vector<crypto::BigUint> DeserializeCiphertexts(std::span<const uint8_t> data);
 
 }  // namespace deta::fl
 

@@ -1,12 +1,15 @@
 // Append-only binary serialization for protocol messages. Little-endian, length-prefixed;
 // a Reader checks bounds on every read so malformed frames fail loudly instead of reading
-// out of bounds.
+// out of bounds. A Reader reads a span in place: ReadSpan borrows a length-prefixed field
+// without copying it, so a receiver can parse a message where it lies.
 #ifndef DETA_NET_CODEC_H_
 #define DETA_NET_CODEC_H_
 
 #include <bit>
+#include <cstdint>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,10 +35,16 @@ class Writer {
   }
   void WriteBytes(const Bytes& b) {
     WriteU64(b.size());
-    buffer_.insert(buffer_.end(), b.begin(), b.end());
+    WriteRaw(b);
   }
-  void WriteString(const std::string& s) { WriteBytes(StringToBytes(s)); }
+  void WriteString(const std::string& s) {
+    WriteU64(s.size());
+    WriteRaw({reinterpret_cast<const uint8_t*>(s.data()), s.size()});
+  }
   void WriteFloatVector(const std::vector<float>& v) {
+    WriteFloatVector(std::span<const float>(v));
+  }
+  void WriteFloatVector(std::span<const float> v) {
     // The bulk path memcpys host floats straight into the little-endian wire format;
     // that is only a valid encoding on little-endian IEEE-754 binary32 hosts.
     static_assert(std::endian::native == std::endian::little,
@@ -44,9 +53,7 @@ class Writer {
     static_assert(sizeof(float) == 4 && std::numeric_limits<float>::is_iec559,
                   "WriteFloatVector requires IEEE-754 binary32 floats");
     WriteU64(v.size());
-    size_t old = buffer_.size();
-    buffer_.resize(old + v.size() * sizeof(float));
-    std::memcpy(buffer_.data() + old, v.data(), v.size() * sizeof(float));
+    WriteRaw({reinterpret_cast<const uint8_t*>(v.data()), v.size() * sizeof(float)});
   }
   void WriteU32Vector(const std::vector<uint32_t>& v) {
     WriteU64(v.size());
@@ -55,19 +62,32 @@ class Writer {
     }
   }
 
+  // Appends |b| with no length prefix.
+  void WriteRaw(std::span<const uint8_t> b) { buffer_.insert(buffer_.end(), b.begin(), b.end()); }
+  // Appends |n| zero bytes for a later writer to fill in place (a seal's nonce and tag).
+  void Pad(size_t n) { buffer_.resize(buffer_.size() + n); }
+
   // Sizes the buffer once, so writing up to |bytes| never reallocates it (and never
   // frees a copy of what was already written).
   void Reserve(size_t bytes) { buffer_.reserve(bytes); }
+  size_t size() const { return buffer_.size(); }
   const Bytes& buffer() const { return buffer_; }
+  // The bytes written from |offset| on, for a writer that transforms them in place.
+  std::span<uint8_t> WrittenFrom(size_t offset) {
+    DETA_CHECK_LE(offset, buffer_.size());
+    return std::span<uint8_t>(buffer_).subspan(offset);
+  }
   Bytes Take() { return std::move(buffer_); }
 
  private:
   Bytes buffer_;
 };
 
+// Reads a span it does not own: the bytes must outlive the Reader and every span it
+// returns.
 class Reader {
  public:
-  explicit Reader(const Bytes& data) : data_(data) {}
+  explicit Reader(std::span<const uint8_t> data) : data_(data) {}
 
   uint32_t ReadU32() {
     uint32_t v = deta::ReadU32(data_, pos_);
@@ -94,15 +114,22 @@ class Reader {
   }
   // Lengths are checked against remaining(), never as pos_ + n, which a claimed length
   // near 2^64 wraps past the check.
-  Bytes ReadBytes() {
+  // A length-prefixed field, borrowed where it lies.
+  std::span<const uint8_t> ReadSpan() {
     uint64_t n = ReadU64();
     DETA_CHECK_LE(n, remaining());
-    Bytes out(data_.begin() + static_cast<long>(pos_),
-              data_.begin() + static_cast<long>(pos_ + n));
+    std::span<const uint8_t> out = data_.subspan(pos_, n);
     pos_ += n;
     return out;
   }
-  std::string ReadString() { return BytesToString(ReadBytes()); }
+  Bytes ReadBytes() {
+    std::span<const uint8_t> b = ReadSpan();
+    return Bytes(b.begin(), b.end());
+  }
+  std::string ReadString() {
+    std::span<const uint8_t> b = ReadSpan();
+    return std::string(b.begin(), b.end());
+  }
   std::vector<float> ReadFloatVector() {
     // Mirror of Writer::WriteFloatVector's bulk memcpy; same host-layout requirements.
     static_assert(std::endian::native == std::endian::little,
@@ -114,6 +141,15 @@ class Reader {
     DETA_CHECK_LE(n, remaining() / sizeof(float));
     std::vector<float> out(n);
     std::memcpy(out.data(), data_.data() + pos_, n * sizeof(float));
+    pos_ += n * sizeof(float);
+    return out;
+  }
+  // The bytes of ReadFloatVector's floats, borrowed where they lie instead of copied out
+  // (fl::FloatSpan reads them as floats).
+  std::span<const uint8_t> ReadFloatBytes() {
+    uint64_t n = ReadU64();
+    DETA_CHECK_LE(n, remaining() / sizeof(float));
+    std::span<const uint8_t> out = data_.subspan(pos_, n * sizeof(float));
     pos_ += n * sizeof(float);
     return out;
   }
@@ -129,9 +165,11 @@ class Reader {
 
   bool AtEnd() const { return pos_ == data_.size(); }
   size_t remaining() const { return data_.size() - pos_; }
+  // Bytes read so far: where the next field starts.
+  size_t position() const { return pos_; }
 
  private:
-  const Bytes& data_;
+  std::span<const uint8_t> data_;
   size_t pos_ = 0;
 };
 

@@ -60,35 +60,61 @@ Bytes SecureChannel::AssociatedData(ChannelRole sender, uint64_t seq) const {
   return ad;
 }
 
-Bytes SecureChannel::Seal(const Bytes& plaintext, crypto::SecureRng& rng) {
+void SecureChannel::Seal(Writer& frame, const std::function<void(Writer&)>& write_plaintext,
+                         crypto::SecureRng& rng) {
   DETA_COUNTER("net.channel.seal").Increment();
   uint64_t seq = ++send_seq_;
-  Bytes frame = aead_.Seal(plaintext, AssociatedData(role_, seq), rng, sizeof(uint64_t));
-  for (size_t i = 0; i < sizeof(uint64_t); ++i) {
-    frame[i] = static_cast<uint8_t>(seq >> (8 * i));
-  }
-  return frame;
+  frame.WriteU64(seq);
+  const size_t sealed_at = frame.size();
+  frame.Pad(crypto::kChaChaNonceSize);
+  write_plaintext(frame);
+  frame.Pad(crypto::kAeadTagSize);
+  aead_.SealInPlace(frame.WrittenFrom(sealed_at), AssociatedData(role_, seq), rng);
 }
 
-std::optional<Bytes> SecureChannel::Open(const Bytes& frame) {
-  if (frame.size() < sizeof(uint64_t)) {
+Bytes SecureChannel::Seal(const Bytes& plaintext, crypto::SecureRng& rng) {
+  Writer frame;
+  frame.Reserve(kOverhead + plaintext.size());
+  Seal(frame, [&plaintext](Writer& w) { w.WriteRaw(plaintext); }, rng);
+  return frame.Take();
+}
+
+bool SecureChannel::OpenTo(std::span<const uint8_t> frame, std::span<uint8_t> plaintext) {
+  if (frame.size() < kOverhead) {
     DETA_COUNTER("net.channel.open_rejected").Increment();
-    return std::nullopt;
+    return false;
   }
   uint64_t seq = ReadU64(frame, 0);
   if (seq <= last_accepted_) {
     DETA_COUNTER("net.channel.open_rejected").Increment();
-    return std::nullopt;  // replayed or superseded frame
+    return false;  // replayed or superseded frame
   }
   ChannelRole sender =
       role_ == ChannelRole::kInitiator ? ChannelRole::kResponder : ChannelRole::kInitiator;
-  auto sealed = std::span<const uint8_t>(frame).subspan(sizeof(uint64_t));
-  std::optional<Bytes> plaintext = aead_.Open(sealed, AssociatedData(sender, seq));
-  if (plaintext.has_value()) {
-    last_accepted_ = seq;  // only authenticated frames advance the window
-    DETA_COUNTER("net.channel.open_ok").Increment();
-  } else {
+  if (!aead_.Open(frame.subspan(sizeof(uint64_t)), AssociatedData(sender, seq), plaintext)) {
     DETA_COUNTER("net.channel.open_rejected").Increment();
+    return false;
+  }
+  last_accepted_ = seq;  // only authenticated frames advance the window
+  DETA_COUNTER("net.channel.open_ok").Increment();
+  return true;
+}
+
+std::optional<std::span<uint8_t>> SecureChannel::OpenInPlace(std::span<uint8_t> frame) {
+  // OpenTo rejects a frame too short to hold a plaintext before reading |plaintext|.
+  std::span<uint8_t> plaintext = frame.size() < kOverhead
+                                     ? std::span<uint8_t>()
+                                     : frame.subspan(kHeaderSize, frame.size() - kOverhead);
+  if (!OpenTo(frame, plaintext)) {
+    return std::nullopt;
+  }
+  return plaintext;
+}
+
+std::optional<Bytes> SecureChannel::Open(const Bytes& frame) {
+  Bytes plaintext(frame.size() < kOverhead ? 0 : frame.size() - kOverhead);
+  if (!OpenTo(frame, plaintext)) {
+    return std::nullopt;
   }
   return plaintext;
 }

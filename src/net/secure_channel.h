@@ -4,9 +4,14 @@
 // protocol (src/core/auth_protocol.h); this class is the record layer — the stand-in for
 // TLS in the paper's deployment.
 //
-// Frame layout: seq(8, LE) || nonce(12) || ciphertext || tag(16), one buffer: Seal has
-// the AEAD leave 8 bytes of headroom for seq, and Open hands the AEAD the span past seq,
-// so neither side copies the sealed body. The AEAD (ChaCha20-Poly1305, crypto/aead.h)
+// Frame layout: seq(8, LE) || nonce(12) || ciphertext || tag(16). The frame is built in
+// the caller's buffer, behind whatever headroom the caller wrote first (the round
+// protocol's round number and sealed length): Seal appends seq and the nonce slot, lets
+// the caller append the plaintext, encrypts it where it lies and appends the tag, so a
+// sender writes the plaintext once and copies nothing after. OpenInPlace decrypts the
+// ciphertext where it lies in the received message and returns its span, so a receiver
+// copies nothing either; a frame whose tag fails is wiped. The Bytes forms (Seal of a
+// plaintext, Open returning Bytes) wrap the two. The AEAD (ChaCha20-Poly1305, crypto/aead.h)
 // associated data is channel_id || direction || seq, where the direction label depends
 // on the sender's role, so a frame can neither be replayed on another channel, nor
 // reflected back to its sender, nor replayed on the same channel (Open rejects
@@ -15,12 +20,15 @@
 #define DETA_NET_SECURE_CHANNEL_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "common/secret.h"
 #include "crypto/aead.h"
+#include "net/codec.h"
 
 namespace deta::net {
 
@@ -35,14 +43,28 @@ class SecureChannel {
 
   // The retained master secret is a Secret member and wipes itself on destruction.
 
-  // Seals |plaintext| with the next outbound sequence number. Not idempotent: a
-  // retransmitted protocol message must be re-sealed, not re-sent byte-for-byte, or the
-  // receiver's monotonicity check will discard it as a replay.
+  // seq || nonce ahead of the ciphertext, the tag behind it.
+  static constexpr size_t kHeaderSize = sizeof(uint64_t) + crypto::kChaChaNonceSize;
+  static constexpr size_t kOverhead = kHeaderSize + crypto::kAeadTagSize;
+
+  // Seals with the next outbound sequence number, in |frame|'s buffer: whatever |frame|
+  // holds on entry is the caller's headroom and is left as it is. Appends seq and the
+  // nonce slot, has |write_plaintext| append the plaintext, encrypts it in place and
+  // appends the tag. Not idempotent: a retransmitted protocol message must be re-sealed,
+  // not re-sent byte-for-byte, or the receiver's monotonicity check will discard it as a
+  // replay.
+  void Seal(Writer& frame, const std::function<void(Writer&)>& write_plaintext,
+            crypto::SecureRng& rng);
+  // The Bytes form: a frame of its own holding a sealed copy of |plaintext|.
   Bytes Seal(const Bytes& plaintext, crypto::SecureRng& rng);
 
-  // Verifies and decrypts; nullopt on authentication failure, on a frame sealed for the
-  // other direction (reflection), and on a sequence number at or below the last accepted
-  // one (replay / reordering past an already-accepted frame).
+  // Verifies |frame| and decrypts it where it lies, returning the plaintext's span inside
+  // |frame|. nullopt on authentication failure (the frame is then wiped, so no plaintext
+  // stays behind), on a frame sealed for the other direction (reflection), and on a
+  // sequence number at or below the last accepted one (replay / reordering past an
+  // already-accepted frame).
+  std::optional<std::span<uint8_t>> OpenInPlace(std::span<uint8_t> frame);
+  // The Bytes form: the plaintext of |frame| in a buffer of its own.
   std::optional<Bytes> Open(const Bytes& frame);
 
   const std::string& channel_id() const { return channel_id_; }
@@ -63,6 +85,10 @@ class SecureChannel {
 
  private:
   Bytes AssociatedData(ChannelRole sender, uint64_t seq) const;
+  // The one open path: checks seq, then verifies |frame| and decrypts it into
+  // |plaintext| (its own ciphertext bytes or a disjoint buffer), advancing the replay
+  // window on success and counting the outcome.
+  bool OpenTo(std::span<const uint8_t> frame, std::span<uint8_t> plaintext);
 
   crypto::Aead aead_;  // wipes its own keys on destruction
   Secret<Bytes> master_secret_;  // retained for SerializeState

@@ -7,11 +7,14 @@
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <new>
 
 #include "common/check.h"
 #include "common/logging.h"
@@ -43,8 +46,15 @@ constexpr size_t kMaxParkedPerName = 1024;
 // Event-loop tick: the bound on epoll_wait (DL-L1) and the granularity of shutdown.
 constexpr int kTickMs = 20;
 
-// A frame is a u32 little-endian body length, then the body. Every frame is made by
-// FrameStart, which reserves the prefix, and FrameEnd, which fills it in, so the body
+// A frame's u32 little-endian length prefix at |at|.
+uint32_t FrameLength(const uint8_t* at) { return ReadU32(std::span<const uint8_t>(at, 4), 0); }
+
+// Bytes a receive buffer keeps free beyond the frame it is receiving, so one recv can
+// also take in the head of whatever follows.
+constexpr size_t kRecvChunk = 64 << 10;
+
+// A frame is a u32 little-endian body length, then the body. Every control frame is made
+// by FrameStart, which reserves the prefix, and FrameEnd, which fills it in, so the body
 // is written once and never copied behind the prefix.
 Writer FrameStart(uint32_t kind) {
   Writer w;
@@ -60,16 +70,6 @@ Bytes FrameEnd(Writer& w) {
     frame[i] = static_cast<uint8_t>(len >> (8 * i));
   }
   return frame;
-}
-
-Bytes MsgFrame(const Message& m) {
-  Writer w = FrameStart(kFrameMsg);
-  w.WriteString(m.from);
-  w.WriteString(m.to);
-  w.WriteString(m.type);
-  w.WriteU64(m.seq);
-  w.WriteBytes(m.payload);
-  return FrameEnd(w);
 }
 
 Bytes NameAddrFrame(uint32_t kind, const std::string& name, const std::string& addr) {
@@ -114,6 +114,38 @@ bool ParseAddr(const std::string& addr, sockaddr_in* out) {
 }
 
 }  // namespace
+
+Bytes DataFrameHead(const Message& m) {
+  Writer w;
+  w.Reserve(4 + 4 + 8 * 5 + m.from.size() + m.to.size() + m.type.size());
+  w.WriteU32(0);  // the body length, filled in below
+  w.WriteU32(kFrameMsg);
+  w.WriteString(m.from);
+  w.WriteString(m.to);
+  w.WriteString(m.type);
+  w.WriteU64(m.seq);
+  w.WriteU64(m.payload.size());
+  Bytes head = w.Take();
+  const uint64_t len = head.size() - 4 + m.payload.size();
+  DETA_CHECK_LE(len, uint64_t{0xffffffffu});
+  for (size_t i = 0; i < 4; ++i) {
+    head[i] = static_cast<uint8_t>(len >> (8 * i));
+  }
+  return head;
+}
+
+Message ParseDataFrame(std::span<const uint8_t> body) {
+  Reader r(body);
+  DETA_CHECK_EQ(r.ReadU32(), kFrameMsg);
+  Message m;
+  m.from = r.ReadString();
+  m.to = r.ReadString();
+  m.type = r.ReadString();
+  m.seq = r.ReadU64();
+  std::span<const uint8_t> payload = r.ReadSpan();
+  m.payload.assign(payload.begin(), payload.end());
+  return m;
+}
 
 TcpTransport::TcpTransport(TcpTransportOptions options) : options_(std::move(options)) {
   epoll_fd_ = epoll_create1(EPOLL_CLOEXEC);
@@ -224,7 +256,9 @@ void TcpTransport::RouteResolved(Message message, const std::string& addr) {
     CountDropped(message.type);
     return;
   }
-  QueueFrame(fd, {MsgFrame(message), true, message.type});
+  // The payload moves into the queue: only the head is built here, under the lock, and
+  // HandleWritable sends the two with one sendmsg.
+  QueueFrame(fd, {DataFrameHead(message), true, message.type, std::move(message.payload)});
 }
 
 void TcpTransport::ResolveName(const std::string& name) {
@@ -418,6 +452,7 @@ void TcpTransport::CloseConn(int fd, const char* why) {
   epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
   close(fd);
   conns_.erase(it);
+  rx_.erase(fd);
 }
 
 void TcpTransport::HandleAccept() {
@@ -459,9 +494,26 @@ void TcpTransport::HandleWritable(int fd) {
     conn.connected = true;
   }
   while (!conn.outq.empty()) {
-    const Bytes& wire = conn.outq.front().wire;
-    ssize_t n = ::send(fd, wire.data() + conn.out_offset, wire.size() - conn.out_offset,
-                       MSG_NOSIGNAL);
+    // Head and payload leave in one sendmsg, straight from the buffers they were built
+    // in; |out_offset| counts across both.
+    const OutFrame& frame = conn.outq.front();
+    iovec iov[2];
+    size_t iovcnt = 0;
+    size_t skip = conn.out_offset;
+    for (const Bytes* part : {&frame.head, &frame.payload}) {
+      if (skip >= part->size()) {
+        skip -= part->size();
+        continue;
+      }
+      iov[iovcnt].iov_base = const_cast<uint8_t*>(part->data() + skip);
+      iov[iovcnt].iov_len = part->size() - skip;
+      ++iovcnt;
+      skip = 0;
+    }
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = iovcnt;
+    ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
         break;
@@ -470,7 +522,7 @@ void TcpTransport::HandleWritable(int fd) {
       return;
     }
     conn.out_offset += static_cast<size_t>(n);
-    if (conn.out_offset == wire.size()) {
+    if (conn.out_offset == frame.head.size() + frame.payload.size()) {
       conn.outq.pop_front();
       conn.out_offset = 0;
     }
@@ -478,83 +530,136 @@ void TcpTransport::HandleWritable(int fd) {
   UpdateEpollInterest(fd);
 }
 
-void TcpTransport::HandleReadable(int fd) {
-  auto it = conns_.find(fd);
-  if (it == conns_.end()) {
-    return;
+bool TcpTransport::MakeRoom(RecvBuffer& rx) {
+  const size_t pending = rx.end - rx.begin;
+  if (pending == 0) {
+    rx.begin = rx.end = 0;
   }
-  Conn& conn = it->second;
-  char buf[65536];
+  // Room from |begin| for the frame being received, once its length prefix is in, plus
+  // a chunk of what follows. ParseFrames has already closed a connection over a length
+  // above kMaxFrameBytes, and consumed every complete frame. The buffer is kept across
+  // frames, so it stays as large as the largest frame its connection has carried.
+  size_t need = pending + kRecvChunk;
+  if (pending >= 4) {
+    need = 4 + static_cast<size_t>(FrameLength(rx.data.get() + rx.begin)) + kRecvChunk;
+  }
+  if (rx.capacity - rx.begin >= need) {
+    return true;
+  }
+  if (rx.capacity >= need) {
+    // Only the unparsed tail moves: at most the head of one frame, since each frame's
+    // room is made once its length is known.
+    std::memmove(rx.data.get(), rx.data.get() + rx.begin, pending);
+  } else {
+    // The length is the peer's claim, so the room is made before its bytes arrive: the
+    // allocation is not initialised, so pages are touched only as bytes land, and one
+    // this node cannot make closes the connection, not the node.
+    const size_t capacity = std::max(need, rx.capacity + rx.capacity / 2);
+    std::unique_ptr<uint8_t[]> grown;
+    try {
+      grown = std::make_unique_for_overwrite<uint8_t[]>(capacity);
+    } catch (const std::bad_alloc&) {
+      return false;
+    }
+    if (pending > 0) {
+      std::memcpy(grown.get(), rx.data.get() + rx.begin, pending);
+    }
+    rx.data = std::move(grown);
+    rx.capacity = capacity;
+  }
+  rx.begin = 0;
+  rx.end = pending;
+  return true;
+}
+
+bool TcpTransport::ParseFrames(int fd, RecvBuffer& rx) {
+  while (rx.end - rx.begin >= 4) {
+    const uint8_t* at = rx.data.get() + rx.begin;
+    const uint32_t len = FrameLength(at);
+    if (len > kMaxFrameBytes) {
+      MutexLock lock(mutex_);
+      CloseMalformed(fd, "oversized frame");
+      return false;
+    }
+    if (rx.end - rx.begin - 4 < len) {
+      break;
+    }
+    rx.begin += 4 + len;
+    if (!HandleFrame(fd, {at + 4, len})) {
+      return false;  // closed over a bad frame: the rest of its frames are not trusted
+    }
+  }
+  return true;
+}
+
+void TcpTransport::HandleReadable(int fd) {
+  {
+    MutexLock lock(mutex_);
+    if (conns_.find(fd) == conns_.end()) {
+      return;
+    }
+  }
+  // Only this thread closes connections, so |fd| and its buffer stay valid until it
+  // does. Bytes are received straight into the buffer and frames parsed where they lie,
+  // each complete frame as soon as it is in.
+  RecvBuffer& rx = rx_[fd];
   // A peer that sends its final frames and immediately exits delivers data and EOF in
-  // the same readable event, so the close is deferred until the buffered frames below
-  // have been parsed and dispatched.
+  // the same readable event; its frames are dispatched before the close below.
   const char* close_reason = nullptr;
   for (;;) {
-    ssize_t n = recv(fd, buf, sizeof(buf), 0);
+    if (!MakeRoom(rx)) {
+      MutexLock lock(mutex_);
+      CloseMalformed(fd, "frame too large to buffer");
+      return;
+    }
+    ssize_t n = recv(fd, rx.data.get() + rx.end, rx.capacity - rx.end, 0);
     if (n > 0) {
-      conn.inbuf.insert(conn.inbuf.end(), buf, buf + n);
+      rx.end += static_cast<size_t>(n);
+      if (!ParseFrames(fd, rx)) {
+        return;  // the connection, and |rx| with it, are gone
+      }
       continue;
     }
     if (n == 0) {
       close_reason = "peer closed";
-      break;
+    } else if (errno != EAGAIN && errno != EWOULDBLOCK) {
+      close_reason = "read error";
     }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      break;
-    }
-    close_reason = "read error";
     break;
   }
-  // Extract complete frames first: HandleFrame can open/close *other* connections,
-  // which would invalidate `conn` mid-parse.
-  std::vector<Bytes> frames;
-  size_t off = 0;
-  while (conn.inbuf.size() - off >= 4) {
-    uint32_t len = ReadU32(conn.inbuf, off);
-    if (len > kMaxFrameBytes) {
-      CloseMalformed(fd, "oversized frame");
-      return;
-    }
-    if (conn.inbuf.size() - off - 4 < len) {
-      break;
-    }
-    frames.emplace_back(conn.inbuf.begin() + static_cast<long>(off + 4),
-                        conn.inbuf.begin() + static_cast<long>(off + 4 + len));
-    off += 4 + len;
-  }
-  if (off > 0) {
-    conn.inbuf.erase(conn.inbuf.begin(), conn.inbuf.begin() + static_cast<long>(off));
-  }
-  for (const Bytes& frame : frames) {
-    try {
-      HandleFrame(fd, frame);
-    } catch (const CheckFailure&) {
-      // Like an oversized or unknown-kind frame: the connection closes, the node lives.
-      CloseMalformed(fd, "malformed frame");
-    }
-    if (conns_.find(fd) == conns_.end()) {
-      break;  // closed over a bad frame: the rest of its frames are not trusted
-    }
-  }
-  if (close_reason != nullptr && conns_.find(fd) != conns_.end()) {
+  if (close_reason != nullptr) {
+    MutexLock lock(mutex_);
     CloseConn(fd, close_reason);
   }
 }
 
-void TcpTransport::HandleFrame(int fd, const Bytes& body) {
+bool TcpTransport::HandleFrame(int fd, std::span<const uint8_t> body) {
+  try {
+    if (ReadU32(body, 0) == kFrameMsg) {
+      // Data frames are copied out and delivered without mutex_: the payload's one copy
+      // on this side does not hold up senders.
+      DeliverLocal(ParseDataFrame(body));
+      return true;
+    }
+  } catch (const CheckFailure&) {
+    // Like an oversized or unknown-kind frame: the connection closes, the node lives.
+    MutexLock lock(mutex_);
+    CloseMalformed(fd, "malformed frame");
+    return false;
+  }
+  MutexLock lock(mutex_);
+  try {
+    HandleControlFrame(fd, body);
+  } catch (const CheckFailure&) {
+    CloseMalformed(fd, "malformed frame");
+  }
+  return conns_.find(fd) != conns_.end();
+}
+
+void TcpTransport::HandleControlFrame(int fd, std::span<const uint8_t> body) {
   Reader r(body);
   uint32_t kind = r.ReadU32();
   switch (kind) {
-    case kFrameMsg: {
-      Message m;
-      m.from = r.ReadString();
-      m.to = r.ReadString();
-      m.type = r.ReadString();
-      m.seq = r.ReadU64();
-      m.payload = r.ReadBytes();
-      DeliverLocal(std::move(m));
-      return;
-    }
     case kFrameRegister: {
       std::string name = r.ReadString();
       std::string addr = r.ReadString();
@@ -603,11 +708,11 @@ void TcpTransport::Loop() {
   std::chrono::steady_clock::time_point stop_deadline{};
   for (;;) {
     int n = epoll_wait(epoll_fd_, events, kMaxEvents, kTickMs);
-    MutexLock lock(mutex_);
     for (int i = 0; i < n; ++i) {
       int fd = events[i].data.fd;
       uint32_t flags = events[i].events;
       if (fd == listen_fd_) {
+        MutexLock lock(mutex_);
         HandleAccept();
         continue;
       }
@@ -617,10 +722,12 @@ void TcpTransport::Loop() {
         continue;
       }
       // Read before honouring HUP so a peer's final frames are not lost when data and
-      // hangup arrive in the same tick.
+      // hangup arrive in the same tick. A read takes mutex_ only for control frames and
+      // closes.
       if ((flags & EPOLLIN) != 0) {
         HandleReadable(fd);
       }
+      MutexLock lock(mutex_);
       if (conns_.find(fd) == conns_.end()) {
         continue;  // HandleReadable closed it
       }
@@ -633,6 +740,7 @@ void TcpTransport::Loop() {
       }
     }
     if (stop_.load()) {
+      MutexLock lock(mutex_);
       auto now = std::chrono::steady_clock::now();
       if (stop_deadline == std::chrono::steady_clock::time_point{}) {
         stop_deadline = now + std::chrono::seconds(2);

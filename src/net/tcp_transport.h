@@ -8,7 +8,14 @@
 //   * Wire format: length-prefixed frames (u32 little-endian byte count, then a
 //     net/codec.h body of at most 256 MiB; a larger frame drops the connection).
 //     Frame kinds: data message, register/unregister, resolve and resolve-reply (the
-//     name registry).
+//     name registry). A data frame is
+//       u32 length || u32 kind || from || to || type || u64 seq || u64 n || payload(n)
+//     and everything before the payload is its head (DataFrameHead).
+//   * Copies: a send builds only the head, under Transport::mutex_; the payload moves
+//     out of the Message into the connection's queue, and the event loop writes head
+//     and payload with one sendmsg. The loop receives straight into the connection's
+//     buffer, parses each frame where it lies, and copies a data frame's payload once,
+//     into the delivered Message, without holding mutex_ (DESIGN.md "Transport").
 //   * Name registry: exactly one node in a cluster hosts the registry (it leaves
 //     TcpTransportOptions::registry_addr empty); every other node dials it. Endpoints
 //     register their logical name plus this node's listen address; a send to an
@@ -43,6 +50,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -65,6 +73,14 @@ struct TcpTransportOptions {
   std::string node_name = "node";
 };
 
+// The data-frame codec TcpTransport runs, public for its micro benchmarks. The head is
+// built alone and the payload follows it on the wire as the Message holds it;
+// ParseDataFrame reads a frame body (everything after the length prefix) where it lies
+// and copies the payload once, into the Message. Throws CheckFailure when the body is
+// malformed.
+Bytes DataFrameHead(const Message& m);
+Message ParseDataFrame(std::span<const uint8_t> body);
+
 class TcpTransport final : public Transport {
  public:
   explicit TcpTransport(TcpTransportOptions options);
@@ -78,28 +94,45 @@ class TcpTransport final : public Transport {
 
  private:
   struct OutFrame {
-    Bytes wire;        // length prefix + body
+    Bytes head;        // length prefix + body, or a data frame's head
     bool is_data;      // a kFrameMsg (counts as a drop if the connection dies first)
     std::string type;  // message type of data frames, for per-type loss accounting
+    Bytes payload = {};  // a data frame's payload, moved out of its Message
   };
   struct Conn {
     int fd = -1;
     bool connected = false;        // outbound: three-way handshake finished
     bool peer_retired = false;     // peer sent GOODBYE: it is exiting on purpose
     std::string peer_addr;         // outbound connections only ("host:port")
-    Bytes inbuf;
     std::deque<OutFrame> outq;
     size_t out_offset = 0;         // bytes of outq.front() already written
+  };
+  // A connection's receive buffer: [begin, end) is received and not yet parsed.
+  struct RecvBuffer {
+    std::unique_ptr<uint8_t[]> data;
+    size_t capacity = 0;
+    size_t begin = 0;
+    size_t end = 0;
   };
 
   void Loop();
   // --- event handling (loop thread) ---
   void HandleAccept() DETA_REQUIRES(mutex_);
-  void HandleReadable(int fd) DETA_REQUIRES(mutex_);
+  // Receives and dispatches every complete frame; takes mutex_ only for control frames
+  // and closes.
+  void HandleReadable(int fd) DETA_EXCLUDES(mutex_);
   void HandleWritable(int fd) DETA_REQUIRES(mutex_);
-  void HandleFrame(int fd, const Bytes& body) DETA_REQUIRES(mutex_);
+  // Makes room in |rx| for the rest of the frame being received and the next chunk;
+  // false when that room cannot be allocated.
+  static bool MakeRoom(RecvBuffer& rx);
+  // Dispatches the complete frames in |rx|; false once the connection closed over one.
+  bool ParseFrames(int fd, RecvBuffer& rx) DETA_EXCLUDES(mutex_);
+  // One frame body; false when it closed the connection.
+  bool HandleFrame(int fd, std::span<const uint8_t> body) DETA_EXCLUDES(mutex_);
+  void HandleControlFrame(int fd, std::span<const uint8_t> body) DETA_REQUIRES(mutex_);
   void CloseConn(int fd, const char* why) DETA_REQUIRES(mutex_);
-  // Closes a connection over an oversized, unknown-kind or unparseable frame, counted.
+  // Closes a connection over an oversized, unknown-kind or unparseable frame, or one too
+  // large to buffer, counted.
   void CloseMalformed(int fd, const char* why) DETA_REQUIRES(mutex_);
   // --- Transport hooks ---
   void Route(Message message) override DETA_REQUIRES(mutex_);
@@ -147,6 +180,9 @@ class TcpTransport final : public Transport {
   // to requesting connection fds; -1 marks a request from this very node.
   std::map<std::string, std::string> registry_names_ DETA_GUARDED_BY(mutex_);
   std::map<std::string, std::set<int>> registry_waiters_ DETA_GUARDED_BY(mutex_);
+  // Receive buffers by connection fd. The loop thread alone reads, parses and closes
+  // connections, so these need no lock; CloseConn drops a connection's buffer.
+  std::map<int, RecvBuffer> rx_;
 
   ServiceThread loop_thread_;  // last member: joins before the state above dies
 };

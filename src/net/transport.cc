@@ -202,6 +202,11 @@ void Transport::Send(Message message) {
     // Blocks the *sender*, like a slow link; messages on other edges overtake freely.
     std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
   }
+  // A duplicate's copy is made here, so no payload is copied under mutex_.
+  std::optional<Message> copy;
+  if (d.duplicate) {
+    copy = message;
+  }
   MutexLock lock(mutex_);
   DETA_COUNTER("net.bus.sent").Increment();
   DETA_COUNTER("net.bus.sent_bytes").Add(message.WireSize());
@@ -227,11 +232,9 @@ void Transport::Send(Message message) {
     // holding two would starve the first.
     held_.emplace(edge, std::move(message));
   } else {
-    std::optional<Message> copy;
-    if (d.duplicate) {
+    if (copy.has_value()) {
       DETA_COUNTER("net.bus.duplicated").Increment();
       CountTopic("net.bus.duplicated", message.type);
-      copy = message;
     }
     Route(std::move(message));
     if (copy.has_value()) {

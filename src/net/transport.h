@@ -26,8 +26,9 @@
 //
 // Lock order: Transport::mutex_ (fault state, reorder holdback, and TcpTransport's
 // routing state), then table_mutex_ (the endpoint table and the topic counter cache, a
-// leaf). A send holds mutex_ across Route; TcpTransport's event loop takes it for every
-// socket event.
+// leaf). A send holds mutex_ across Route, which moves the payload and copies none of
+// it (a duplicate's copy is made before the lock); TcpTransport's event loop takes it to
+// write, accept, close and handle control frames, and delivers data frames without it.
 #ifndef DETA_NET_TRANSPORT_H_
 #define DETA_NET_TRANSPORT_H_
 
@@ -178,7 +179,7 @@ class Transport {
   // Lock order: mutex_, then table_mutex_. mutex_ guards the fault state and the reorder
   // holdback; a backend with routing state of its own guards it with mutex_ too, so
   // routing is atomic with the fault decision (TcpTransport's event loop takes it for
-  // every socket event).
+  // every socket event but the delivery of a data frame).
   Mutex mutex_;
 
  private:

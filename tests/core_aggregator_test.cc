@@ -97,6 +97,42 @@ class AggregatorNodeTest : public ::testing::Test {
   crypto::EcPoint token_public_;
 };
 
+// A round message built in one buffer is byte for byte the copying form, and it opens
+// where it lies.
+TEST(RoundMessageTest, SealedInHeadroomMatchesTheWireFormatAndOpensInPlace) {
+  const Bytes master = StringToBytes("master");
+  net::SecureChannel party(master, "chan:p0:agg0", net::ChannelRole::kInitiator);
+  net::SecureChannel party_clone(master, "chan:p0:agg0", net::ChannelRole::kInitiator);
+  net::SecureChannel aggregator(master, "chan:p0:agg0", net::ChannelRole::kResponder);
+  crypto::SecureRng rng_a(StringToBytes("clone"));
+  crypto::SecureRng rng_b(StringToBytes("clone"));
+  fl::ModelUpdate update;
+  update.values = {1.5f, -2.0f, 0.25f, 8.0f};
+  update.weight = 3.0;
+  Bytes message = SealRoundMessage(party, 7, fl::UpdateWireSize(update.values.size()),
+                                   [&](net::Writer& w) {
+                                     fl::WriteUpdate(w, update.weight, update.values);
+                                   },
+                                   rng_a);
+  net::Writer expected;
+  expected.WriteU32(7);
+  expected.WriteBytes(party_clone.Seal(fl::SerializeUpdate(update), rng_b));
+  EXPECT_EQ(message, expected.buffer());
+
+  EXPECT_EQ(RoundOf(message), 7);
+  std::optional<std::span<uint8_t>> plaintext = OpenRoundMessage(aggregator, message);
+  ASSERT_TRUE(plaintext.has_value());
+  EXPECT_GE(plaintext->data(), message.data());
+  EXPECT_LE(plaintext->data() + plaintext->size(), message.data() + message.size());
+  fl::UpdateView view = fl::ViewUpdate(*plaintext);
+  EXPECT_EQ(view.weight, 3.0);
+  EXPECT_EQ(view.values.ToVector(), update.values);
+  // A length prefix that runs past the message is malformed, not opened.
+  Bytes cut = expected.buffer();
+  cut.resize(cut.size() - 1);
+  EXPECT_THROW(OpenRoundMessage(aggregator, cut), CheckFailure);
+}
+
 TEST_F(AggregatorNodeTest, FullRoundProtocol) {
   auto aggregator = MakeAggregator();
   aggregator->Start();

@@ -126,5 +126,29 @@ TEST(ClusterFlagsDeathTest, ProgramKeySetRejectsEveryOtherKey) {
               "unknown flag --config");
 }
 
+TEST(ClusterFlagsDeathTest, JobTheJobRefusesExitsTwoWithItsReason) {
+  // Each flag parses alone; together they describe a job DetaJob refuses, which the
+  // drivers reject the way they reject a bad flag instead of aborting the job later.
+  const std::vector<std::pair<std::vector<std::string>, std::string>> refused = {
+      {{"--paillier=1", "--algorithm=krum"},
+       "Paillier fusion runs iterative_averaging, not krum"},
+      {{"--aggregators=0"}, "a job needs at least one aggregator, not 0"},
+      {{"--parties=0"}, "a job needs at least one party"},
+  };
+  for (const auto& [flags, reason] : refused) {
+    ClusterSpec spec = ClusterSpec::FromFlags(Parse(flags));
+    EXPECT_EQ(JobShapeError(BuildExecutionOptions(spec), BuildDetaOptions(spec),
+                            static_cast<size_t>(spec.parties)),
+              reason);
+    EXPECT_EXIT(RejectJobShape("deta_cluster", spec), ::testing::ExitedWithCode(2),
+                "deta_cluster: " + reason);
+  }
+  ClusterSpec spec = ClusterSpec::FromFlags(Parse({"--paillier=1", "--rounds=1"}));
+  EXPECT_EQ(JobShapeError(BuildExecutionOptions(spec), BuildDetaOptions(spec),
+                          static_cast<size_t>(spec.parties)),
+            "");
+  RejectJobShape("deta_cluster", spec);  // returns: accepted
+}
+
 }  // namespace
 }  // namespace deta::core

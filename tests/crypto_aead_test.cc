@@ -192,6 +192,9 @@ TEST(ChaCha20Poly1305Test, Rfc8439Section282) {
             "3ff4def08e4b7a9de576d26586cec64b6116");
   EXPECT_EQ(ToHex(TagBytes(tag)), "1ae10b594f09e26a7e902ecbd0600691");
   EXPECT_EQ(ChaCha20Poly1305Open(key, nonce, ad, data, tag), plaintext);
+  // In place: the ciphertext's own bytes become the plaintext.
+  ASSERT_TRUE(ChaCha20Poly1305Open(key, nonce, ad, data, tag, data));
+  EXPECT_EQ(data, plaintext);
 }
 
 // Vectors from OpenSSL (scripts/gen_aead_kat.py). Every byte of a small frame
@@ -327,6 +330,31 @@ TEST_F(AeadTest, FrameLeavesHeadroomAndCarriesA16ByteTag) {
   ASSERT_EQ(frame.size(), 8 + kChaChaNonceSize + plaintext.size() + kAeadTagSize);
   EXPECT_EQ(Bytes(frame.begin(), frame.begin() + 8), Bytes(8, 0));
   EXPECT_EQ(aead_.Open(std::span<const uint8_t>(frame).subspan(8), {}), plaintext);
+}
+
+// The in-place open is the one path: over the OpenSSL vectors it turns the ciphertext's
+// own bytes into the plaintext, and on a bad tag it leaves only zeros behind.
+TEST(ChaCha20Poly1305Test, OpenSslVectorsOpenInPlace) {
+  for (const kat::AeadVector& v : kat::kAeadVectors) {
+    SCOPED_TRACE("plaintext size " + std::to_string(v.plaintext_size));
+    auto key = HexArray<kChaChaKeySize>(v.key);
+    auto nonce = HexArray<kChaChaNonceSize>(v.nonce);
+    Bytes ad = FromHex(v.associated_data);
+    Bytes plaintext = Pattern(v.plaintext_size, v.pattern);
+    Bytes data = plaintext;
+    std::array<uint8_t, kAeadTagSize> tag;
+    ChaCha20Poly1305Seal(key, nonce, ad, data, tag);
+    ASSERT_EQ(ToHex(Sha256Digest(data)), v.ciphertext_sha256);
+    ASSERT_EQ(ToHex(TagBytes(tag)), v.tag);
+    Bytes in_place = data;
+    ASSERT_TRUE(ChaCha20Poly1305Open(key, nonce, ad, in_place, tag, in_place));
+    EXPECT_EQ(in_place, plaintext);
+    std::array<uint8_t, kAeadTagSize> bad_tag = tag;
+    bad_tag[v.plaintext_size % kAeadTagSize] ^= 0x01;
+    Bytes rejected = data;
+    EXPECT_FALSE(ChaCha20Poly1305Open(key, nonce, ad, rejected, bad_tag, rejected));
+    EXPECT_EQ(rejected, Bytes(rejected.size(), 0));
+  }
 }
 
 TEST(SecureChannelTest, BindsFramesToChannelId) {

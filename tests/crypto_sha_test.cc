@@ -418,5 +418,34 @@ TEST(SecureRngTest, RefillsFollowTheOracleAcrossTheNonceRollover) {
   }
 }
 
+// A fresh generator's first draw may be short (a Paillier r is 32 bytes) and the ones
+// after it large or small, straddling refills: the stream is the oracle's blocks in order
+// whatever the draw sizes.
+TEST(SecureRngTest, SmallFirstDrawsThenLargeOnesFollowTheOracle) {
+  const std::array<uint8_t, kChaChaNonceSize> nonce{};  // a fresh generator's
+  std::array<uint8_t, kChaChaKeySize> key;               // CraftedState's
+  for (size_t i = 0; i < key.size(); ++i) {
+    key[i] = static_cast<uint8_t>(7 * i + 1);
+  }
+  Bytes oracle;
+  for (uint32_t counter = 0; counter < 160; ++counter) {
+    uint8_t out[64];
+    OracleBlock(key, nonce, counter, out);
+    oracle.insert(oracle.end(), out, out + 64);
+  }
+  for (size_t first : {1, 4, 12, 32, 63, 64, 65, 200, 1023, 1024, 1025, 1500}) {
+    SecureRng rng(StringToBytes("unrelated seed"));
+    ASSERT_TRUE(rng.RestoreState(CraftedState(nonce, 0, {}, 0)));
+    Bytes drawn = first == 1 ? Bytes{rng.NextByte()} : rng.NextBytes(first);
+    for (size_t next : {3000, 5, 1024, 64, 1}) {
+      Bytes more = rng.NextBytes(next);
+      drawn.insert(drawn.end(), more.begin(), more.end());
+    }
+    ASSERT_LE(drawn.size(), oracle.size());
+    EXPECT_EQ(drawn, Bytes(oracle.begin(), oracle.begin() + static_cast<long>(drawn.size())))
+        << "first draw " << first;
+  }
+}
+
 }  // namespace
 }  // namespace deta::crypto

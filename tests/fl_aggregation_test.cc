@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/check.h"
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -216,6 +218,57 @@ TEST(ThreadInvarianceTest, AllAlgorithmsBitwiseIdenticalAcrossThreadCounts) {
       }
     }
   }
+}
+
+// An aggregator reads each fragment through a view of the received wire form, where it
+// lies. Every algorithm must give the same bits that way as over ModelUpdate copies.
+TEST(UpdateViewTest, EveryAlgorithmMatchesOverViewsOfWireUpdates) {
+  Rng rng(7);
+  const size_t n = 20000;
+  std::vector<ModelUpdate> updates;
+  for (int p = 0; p < 7; ++p) {
+    std::vector<float> v(n);
+    for (auto& x : v) {
+      x = rng.NextGaussian();
+    }
+    updates.push_back(MakeUpdate(std::move(v), 1.0 + 0.5 * p));
+  }
+  std::vector<Bytes> wire;
+  for (const ModelUpdate& u : updates) {
+    wire.push_back(SerializeUpdate(u));
+  }
+  std::vector<UpdateView> views;
+  for (const Bytes& w : wire) {
+    views.push_back(ViewUpdate(w));
+  }
+  for (const char* name : {"iterative_averaging", "coordinate_median", "krum", "flame",
+                           "trimmed_mean", "multi_krum", "bulyan"}) {
+    auto algorithm = MakeAlgorithm(name);
+    std::vector<float> copies = algorithm->Aggregate(updates);
+    std::vector<float> in_place = algorithm->AggregateViews(views);
+    ASSERT_EQ(in_place.size(), copies.size()) << name;
+    EXPECT_EQ(std::memcmp(in_place.data(), copies.data(), copies.size() * sizeof(float)), 0)
+        << name;
+  }
+}
+
+TEST(UpdateViewTest, MalformedWireFormThrows) {
+  Bytes wire = SerializeUpdate(MakeUpdate({1.0f, 2.0f, 3.0f}, 2.0));
+  UpdateView view = ViewUpdate(wire);
+  EXPECT_EQ(view.weight, 2.0);
+  EXPECT_EQ(view.values.ToVector(), (std::vector<float>{1.0f, 2.0f, 3.0f}));
+  // The view reads the wire bytes where they lie: flipping the sign bit of the first
+  // value's last byte flips the value it reads.
+  wire[16 + 3] ^= 0x80;
+  EXPECT_EQ(view.values[0], -1.0f);
+  // At any offset, however aligned.
+  Bytes shifted(1, 0);
+  shifted.insert(shifted.end(), wire.begin(), wire.end());
+  EXPECT_EQ(ViewUpdate(std::span<const uint8_t>(shifted).subspan(1)).values.ToVector(),
+            (std::vector<float>{-1.0f, 2.0f, 3.0f}));
+  wire.pop_back();  // the last value is cut short
+  EXPECT_THROW(ViewUpdate(wire), CheckFailure);
+  EXPECT_THROW(ViewUpdate(Bytes(8)), CheckFailure);
 }
 
 }  // namespace

@@ -1,12 +1,17 @@
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <fstream>
 #include <thread>
 
 #include "common/telemetry.h"
@@ -473,35 +478,243 @@ TEST(TcpTransportTest, ReorderSwapsAdjacentMessages) {
   ExpectReorderSwapsAdjacentMessages(tcp);
 }
 
+// A raw client of a TcpTransport's listen port: a peer node's socket, driven by hand so a
+// test decides how the bytes of its frames split across reads.
+int ConnectRaw(const TcpTransport& tcp) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) {
+    return -1;
+  }
+  timeval timeout{10, 0};  // a node that never answers fails the test, not hangs it
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(tcp.listen_port()));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+void SendAll(int fd, const Bytes& bytes) {
+  ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(bytes.size()));
+}
+
+// A whole data frame as a peer node writes it: the head, then the payload.
+Bytes RawDataFrame(const std::string& to, uint64_t seq, const Bytes& payload) {
+  Message m;
+  m.from = "raw";
+  m.to = to;
+  m.type = "raw.data";
+  m.seq = seq;
+  m.payload = payload;
+  Bytes frame = DataFrameHead(m);
+  frame.insert(frame.end(), payload.begin(), payload.end());
+  return frame;
+}
+
+Bytes Pattern(size_t size, uint64_t seed) {
+  Bytes out(size);
+  uint64_t x = seed * 0x9e3779b97f4a7c15ULL + 1;
+  for (auto& b : out) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    b = static_cast<uint8_t>(x);
+  }
+  return out;
+}
+
 // A frame that does not parse closes its connection, as an oversized or unknown-kind
-// frame does, and the node keeps delivering.
+// frame does, and the node keeps delivering. A good frame ahead of it in the same read
+// is delivered first: frames are dispatched in order as they are parsed.
 TEST(TcpTransportTest, MalformedFrameClosesItsConnectionNotTheNode) {
   BusCounters counters;
   TcpTransport tcp{TcpTransportOptions{}};
   auto a = tcp.CreateEndpoint("a");
   auto b = tcp.CreateEndpoint("b");
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  int fd = ConnectRaw(tcp);
   ASSERT_GE(fd, 0);
-  timeval timeout{10, 0};  // a node that never closes fails the test, not hangs it
-  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)), 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(tcp.listen_port()));
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  // Body length 4, kind 1 (a message frame), and none of a message's fields.
-  const uint8_t frame[] = {4, 0, 0, 0, 1, 0, 0, 0};
-  ASSERT_EQ(::send(fd, frame, sizeof(frame), MSG_NOSIGNAL),
-            static_cast<ssize_t>(sizeof(frame)));
+  // A good frame, then body length 4, kind 1 (a message frame), and none of a message's
+  // fields, in one send.
+  Bytes bytes = RawDataFrame("b", 1, StringToBytes("before the bad frame"));
+  const uint8_t malformed[] = {4, 0, 0, 0, 1, 0, 0, 0};
+  bytes.insert(bytes.end(), std::begin(malformed), std::end(malformed));
+  SendAll(fd, bytes);
   char byte;
   EXPECT_EQ(::recv(fd, &byte, 1, 0), 0);  // the node closed the connection
   ::close(fd);
   EXPECT_EQ(counters("net.bus.malformed_frames"), 1u);
+  std::optional<Message> good = b->ReceiveFor(5000);
+  ASSERT_TRUE(good.has_value());
+  EXPECT_EQ(good->from, "raw");
+  EXPECT_EQ(BytesToString(good->payload), "before the bad frame");
 
   ASSERT_TRUE(a->Send("b", "after", StringToBytes("still up")));
   std::optional<Message> m = b->ReceiveFor(5000);
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(BytesToString(m->payload), "still up");
+}
+
+// A payload far larger than a socket buffer crosses the node in many reads into one
+// receive buffer and is delivered intact, and the stream carries on behind it.
+TEST(TcpTransportTest, LargePayloadArrivesIntactAcrossManyReads) {
+  TcpTransport tcp{TcpTransportOptions{}};
+  auto a = tcp.CreateEndpoint("a");
+  auto b = tcp.CreateEndpoint("b");
+  const Bytes payload = Pattern(32u << 20, 1);
+  ASSERT_TRUE(a->Send("b", "bulk", payload));
+  ASSERT_TRUE(a->Send("b", "tail", StringToBytes("behind it")));
+  std::optional<Message> bulk = b->ReceiveFor(30000);
+  ASSERT_TRUE(bulk.has_value());
+  EXPECT_EQ(bulk->type, "bulk");
+  EXPECT_TRUE(bulk->payload == payload);
+  std::optional<Message> tail = b->ReceiveFor(5000);
+  ASSERT_TRUE(tail.has_value());
+  EXPECT_EQ(BytesToString(tail->payload), "behind it");
+}
+
+// Two whole frames and the head of a third in one read, the third's rest later: the
+// whole ones are parsed where they lie, the partial one waits in the buffer for its rest.
+TEST(TcpTransportTest, CoalescedFramesAndASplitTailAreDeliveredInOrder) {
+  TcpTransport tcp{TcpTransportOptions{}};
+  auto b = tcp.CreateEndpoint("b");
+  int fd = ConnectRaw(tcp);
+  ASSERT_GE(fd, 0);
+  const Bytes first = Pattern(3000, 2);
+  const Bytes second = Pattern(17, 3);
+  const Bytes third = Pattern(200000, 4);
+  Bytes bytes = RawDataFrame("b", 1, first);
+  Bytes more = RawDataFrame("b", 2, second);
+  bytes.insert(bytes.end(), more.begin(), more.end());
+  Bytes last = RawDataFrame("b", 3, third);
+  const size_t split = 100;  // inside the third frame's payload
+  bytes.insert(bytes.end(), last.begin(), last.begin() + split);
+  SendAll(fd, bytes);
+  for (const Bytes* expected : {&first, &second}) {
+    std::optional<Message> m = b->ReceiveFor(5000);
+    ASSERT_TRUE(m.has_value());
+    EXPECT_TRUE(m->payload == *expected);
+  }
+  EXPECT_FALSE(b->ReceiveFor(100).has_value());  // the third is still in flight
+  SendAll(fd, Bytes(last.begin() + split, last.end()));
+  std::optional<Message> m = b->ReceiveFor(5000);
+  ASSERT_TRUE(m.has_value());
+  EXPECT_EQ(m->seq, 3u);
+  EXPECT_TRUE(m->payload == third);
+  ::close(fd);
+}
+
+// A frame written one byte at a time splits its length prefix and every header field at
+// every boundary; each frame is still delivered whole.
+TEST(TcpTransportTest, FrameWrittenOneByteAtATimeIsParsed) {
+  TcpTransport tcp{TcpTransportOptions{}};
+  auto b = tcp.CreateEndpoint("b");
+  int fd = ConnectRaw(tcp);
+  ASSERT_GE(fd, 0);
+  for (uint64_t seq : {1, 2}) {
+    const Bytes payload = Pattern(24, seq);
+    for (uint8_t byte : RawDataFrame("b", seq, payload)) {
+      ASSERT_EQ(::send(fd, &byte, 1, MSG_NOSIGNAL), 1);
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    std::optional<Message> m = b->ReceiveFor(5000);
+    ASSERT_TRUE(m.has_value());
+    EXPECT_EQ(m->from, "raw");
+    EXPECT_EQ(m->type, "raw.data");
+    EXPECT_EQ(m->seq, seq);
+    EXPECT_EQ(m->payload, payload);
+  }
+  ::close(fd);
+}
+
+// The largest length prefix a node accepts, 256 MiB, as a peer writes it.
+const Bytes kLargestClaim = {0x00, 0x00, 0x00, 0x10};
+
+// A peer may claim a frame as large as the protocol allows and then stall. The node makes
+// room for the claim without touching it and keeps delivering everyone else's traffic;
+// the claim is legal, so nothing counts as malformed, and the peer's close is clean.
+TEST(TcpTransportTest, AStalledLargestFrameClaimDoesNotHoldUpTheNode) {
+  BusCounters counters;
+  TcpTransport tcp{TcpTransportOptions{}};
+  auto a = tcp.CreateEndpoint("a");
+  auto b = tcp.CreateEndpoint("b");
+  int fd = ConnectRaw(tcp);
+  ASSERT_GE(fd, 0);
+  Bytes bytes = kLargestClaim;
+  const Bytes head = RawDataFrame("b", 1, {});
+  bytes.insert(bytes.end(), head.begin() + 4, head.end());  // the body's first bytes
+  SendAll(fd, bytes);
+  auto expect_delivered = [&](const std::string& text) {
+    ASSERT_TRUE(a->Send("b", "meanwhile", StringToBytes(text)));
+    std::optional<Message> m = b->ReceiveFor(5000);
+    ASSERT_TRUE(m.has_value()) << text;
+    EXPECT_EQ(BytesToString(m->payload), text);
+  };
+  expect_delivered("while it stalls");
+  ::close(fd);
+  expect_delivered("after it left");
+  EXPECT_EQ(counters("net.bus.malformed_frames"), 0u);
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+
+// The largest claim on a node whose address space is capped just above what it has
+// mapped: 0 when the claim's connection closes as a malformed frame's does and the node
+// still delivers, else the number of the step that failed.
+int ClaimBeyondTheAddressSpace() {
+  BusCounters counters;
+  TcpTransport tcp{TcpTransportOptions{}};
+  auto a = tcp.CreateEndpoint("a");
+  auto b = tcp.CreateEndpoint("b");
+  // Traffic first, so the loop thread and its allocator arena are mapped before the cap.
+  if (!a->Send("b", "warm", StringToBytes("up")) || !b->ReceiveFor(5000).has_value()) {
+    return 1;
+  }
+  int fd = ConnectRaw(tcp);
+  size_t mapped_pages = 0;
+  std::ifstream("/proc/self/statm") >> mapped_pages;
+  if (fd < 0 || mapped_pages == 0) {
+    return 2;
+  }
+  const rlim_t cap = mapped_pages * static_cast<rlim_t>(::sysconf(_SC_PAGESIZE)) + (64 << 20);
+  const rlimit limit{cap, cap};
+  if (::setrlimit(RLIMIT_AS, &limit) != 0 ||
+      ::send(fd, kLargestClaim.data(), kLargestClaim.size(), MSG_NOSIGNAL) != 4) {
+    return 3;
+  }
+  char byte;
+  if (::recv(fd, &byte, 1, 0) != 0) {
+    return 4;  // the node did not close the connection
+  }
+  ::close(fd);
+  if (counters("net.bus.malformed_frames") != 1) {
+    return 5;
+  }
+  if (!a->Send("b", "after", StringToBytes("still up"))) {
+    return 6;
+  }
+  std::optional<Message> m = b->ReceiveFor(5000);
+  return m.has_value() && BytesToString(m->payload) == "still up" ? 0 : 7;
+}
+
+// Room for a claimed frame that cannot be allocated closes the claim's connection, not
+// the node. Sanitizers map their shadow memory under the same cap, so they skip it.
+TEST(TcpTransportDeathTest, AFrameTooLargeToBufferClosesItsConnectionNotTheNode) {
+  if (kSanitized) {
+    GTEST_SKIP() << "an address-space cap also starves the sanitizer's allocator";
+  }
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(std::exit(ClaimBeyondTheAddressSpace()), ::testing::ExitedWithCode(0), "");
 }
 
 TEST(TcpTransportTest, ByteAccounting) {
@@ -687,6 +900,71 @@ TEST(SecureChannelTest, NonMonotonicSequenceRejected) {
   // Newest first: accepted and advances the window past the older frame.
   EXPECT_TRUE(receiver.Open(f2).has_value());
   EXPECT_FALSE(receiver.Open(f1).has_value());
+}
+
+// The headroom seal writes the bytes the copying form does behind the same header, so
+// the round protocol's wire format is pinned: u32 round || u64 length || frame, under
+// cloned RNGs and channels.
+TEST(SecureChannelTest, HeadroomSealMatchesTheBytesForm) {
+  const Bytes master = StringToBytes("master");
+  crypto::SecureRng pattern(StringToBytes("plaintext"));
+  const Bytes plaintext = pattern.NextBytes(40000);
+  SecureChannel in_place(master, "chan:p:a", ChannelRole::kInitiator);
+  SecureChannel copying(master, "chan:p:a", ChannelRole::kInitiator);
+  crypto::SecureRng rng_a(StringToBytes("clone"));
+  crypto::SecureRng rng_b(StringToBytes("clone"));
+  for (uint32_t round : {1u, 2u}) {
+    Writer message;
+    message.WriteU32(round);
+    message.WriteU64(SecureChannel::kOverhead + plaintext.size());
+    in_place.Seal(message, [&](Writer& w) { w.WriteRaw(plaintext); }, rng_a);
+    Writer expected;
+    expected.WriteU32(round);
+    expected.WriteBytes(copying.Seal(plaintext, rng_b));
+    EXPECT_EQ(message.buffer(), expected.buffer()) << "round " << round;
+  }
+}
+
+// OpenInPlace returns the plaintext's span inside the received frame. A flipped tag bit,
+// a reflected frame and a replayed sequence number are rejected, and none leaves
+// plaintext in the buffer: a frame decrypted before its tag failed is wiped.
+TEST(SecureChannelTest, OpenInPlaceRejectsAndLeavesNoPlaintext) {
+  crypto::SecureRng rng(StringToBytes("in-place"));
+  const Bytes master = StringToBytes("master");
+  SecureChannel sender(master, "chan:p:a", ChannelRole::kInitiator);
+  SecureChannel receiver(master, "chan:p:a", ChannelRole::kResponder);
+  const Bytes plaintext = rng.NextBytes(100000);  // several 16 KiB chunks
+  const Bytes frame = sender.Seal(plaintext, rng);
+  auto holds_plaintext = [&](const Bytes& f) {
+    return std::search(f.begin(), f.end(), plaintext.begin(), plaintext.begin() + 32) !=
+           f.end();
+  };
+  auto body_wiped = [](const Bytes& f) {
+    return std::all_of(f.begin() + SecureChannel::kHeaderSize,
+                       f.end() - crypto::kAeadTagSize, [](uint8_t b) { return b == 0; });
+  };
+
+  Bytes flipped = frame;
+  flipped.back() ^= 0x01;  // a tag bit
+  EXPECT_FALSE(receiver.OpenInPlace(flipped).has_value());
+  EXPECT_TRUE(body_wiped(flipped));
+  // The sender's own frame bounced back: same key, wrong direction in the AD.
+  Bytes reflected = frame;
+  EXPECT_FALSE(sender.OpenInPlace(reflected).has_value());
+  EXPECT_TRUE(body_wiped(reflected));
+
+  Bytes good = frame;
+  std::optional<std::span<uint8_t>> opened = receiver.OpenInPlace(good);
+  ASSERT_TRUE(opened.has_value());
+  EXPECT_EQ(opened->data(), good.data() + SecureChannel::kHeaderSize);
+  EXPECT_TRUE(std::equal(opened->begin(), opened->end(), plaintext.begin(), plaintext.end()));
+
+  // Rejected on its sequence number, before any byte is decrypted.
+  Bytes replayed = frame;
+  EXPECT_FALSE(receiver.OpenInPlace(replayed).has_value());
+  EXPECT_EQ(replayed, frame);
+  EXPECT_FALSE(holds_plaintext(replayed) || holds_plaintext(flipped) ||
+               holds_plaintext(reflected));
 }
 
 TEST(SecureChannelTest, TruncatedFrameRejected) {
