@@ -2,10 +2,11 @@
 //
 // The paper measures wall-clock training latency on a physical testbed (SEV machines,
 // GPUs, a real network). This repo runs everything in one process, so latency is modelled:
-// each logical node (party/aggregator) owns a SimClock that mixes
-//   * measured compute time (real CPU time spent in training/aggregation), and
-//   * modelled costs (network transfer = rtt + bytes/bandwidth; SEV memory-encryption
-//     overhead as a multiplicative factor on aggregator compute).
+// the job's observer (core/deta_job.cc) mixes
+//   * measured compute time (real CPU time spent in training/aggregation, timed by
+//     Stopwatch), and
+//   * modelled costs (LatencyModel: network transfer = rtt + bytes/bandwidth; SEV
+//     memory-encryption overhead as a multiplicative factor on aggregator compute).
 // A round's end-to-end latency combines sequential party work (max over parties, since
 // parties run in parallel in the paper's testbed) and parallel aggregator work (max over
 // aggregators — the property that makes Paillier *faster* under DeTA).
@@ -28,26 +29,6 @@ struct LatencyModel {
   double TransferSeconds(uint64_t bytes) const {
     return rtt_seconds + static_cast<double>(bytes) / bandwidth_bytes_per_sec;
   }
-};
-
-// Accumulates simulated seconds for one logical node.
-class SimClock {
- public:
-  SimClock() = default;
-
-  void Advance(double seconds) { seconds_ += seconds; }
-  double seconds() const { return seconds_; }
-  void Reset() { seconds_ = 0.0; }
-
-  // Advances to at least |t| (used when a node waits on another node's output).
-  void AdvanceTo(double t) {
-    if (t > seconds_) {
-      seconds_ = t;
-    }
-  }
-
- private:
-  double seconds_ = 0.0;
 };
 
 // Stopwatch measuring this thread's CPU time. Thread CPU time (not wall time) is the

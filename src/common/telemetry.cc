@@ -310,7 +310,6 @@ std::string TelemetrySnapshot::DeterministicSignature(const std::string& prefix)
 
 TelemetrySnapshot Delta(const TelemetrySnapshot& before, const TelemetrySnapshot& after) {
   TelemetrySnapshot delta;
-  delta.sim_seconds = after.sim_seconds - before.sim_seconds;
   for (const auto& [name, value] : after.counters) {
     auto it = before.counters.find(name);
     uint64_t base = it == before.counters.end() ? 0 : it->second;
@@ -343,11 +342,7 @@ TelemetrySnapshot Delta(const TelemetrySnapshot& before, const TelemetrySnapshot
 
 // --- spans ------------------------------------------------------------------
 
-Span::Span(std::string name, const SimClock* sim)
-    : name_(std::move(name)), sim_(sim), parent_(tls_current_span) {
-  if (sim_ != nullptr) {
-    sim_start_ = sim_->seconds();
-  }
+Span::Span(std::string name) : name_(std::move(name)), parent_(tls_current_span) {
   tls_current_span = this;
   ++tls_span_depth;
 }
@@ -365,10 +360,6 @@ void Span::End() {
   std::string metric = "span.";
   metric.append(name_).append(".wall_s");
   registry.GetHistogram(metric, Unit::kSeconds).Record(wall_.ElapsedSeconds());
-  if (sim_ != nullptr) {
-    metric.assign("span.").append(name_).append(".sim_s");
-    registry.GetHistogram(metric, Unit::kSeconds).Record(sim_->seconds() - sim_start_);
-  }
 }
 
 int Span::Depth() { return tls_span_depth; }
@@ -409,9 +400,7 @@ std::string ToJson(const TelemetrySnapshot& snapshot) {
   AppendJsonString(&out, build.type);
   out += ",\"cxx_flags\":";
   AppendJsonString(&out, build.cxx_flags);
-  out += "},\"sim_seconds\":";
-  AppendDouble(&out, snapshot.sim_seconds);
-  out += ",\"counters\":{";
+  out += "},\"counters\":{";
   bool first = true;
   for (const auto& [name, value] : snapshot.counters) {
     if (!first) out += ",";

@@ -21,8 +21,8 @@
 //
 // Metric naming scheme: `layer.component.metric` (e.g. `net.bus.delivered`,
 // `crypto.paillier.encrypt`, `core.deta_agg.fragments`). Span S records the histogram
-// `span.S.wall_s` (and `span.S.sim_s` when a SimClock is attached); its count doubles as
-// the span's invocation counter. See DESIGN.md "Observability".
+// `span.S.wall_s`; its count doubles as the span's invocation counter. See DESIGN.md
+// "Observability".
 #ifndef DETA_COMMON_TELEMETRY_H_
 #define DETA_COMMON_TELEMETRY_H_
 
@@ -107,8 +107,6 @@ struct TelemetrySnapshot {
   std::map<std::string, uint64_t> counters;
   std::map<std::string, double> gauges;
   std::map<std::string, HistogramSnapshot> histograms;
-  // Simulated seconds at capture time, when the capturing job stamps one (0 otherwise).
-  double sim_seconds = 0.0;
 
   // One line per invariant fact: counter name=value, gauge/histogram names, and — for
   // histograms not in Unit::kSeconds — count plus bucket contents. Two fault-free runs
@@ -170,12 +168,10 @@ void Reset();
 
 // RAII trace span. Construction pushes onto the calling thread's span stack;
 // End()/destruction pops it and records the wall-clock duration into the histogram
-// `span.<name>.wall_s`. With a SimClock attached, the simulated-time delta between
-// construction and End() additionally lands in `span.<name>.sim_s` — the caller advances
-// the clock; the span only reads it.
+// `span.<name>.wall_s`.
 class Span {
  public:
-  explicit Span(std::string name, const SimClock* sim = nullptr);
+  explicit Span(std::string name);
   ~Span();
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
@@ -193,8 +189,6 @@ class Span {
 
  private:
   std::string name_;
-  const SimClock* sim_;
-  double sim_start_ = 0.0;
   WallStopwatch wall_;
   Span* parent_;  // enclosing span on this thread, restored by End()
   bool ended_ = false;
@@ -218,7 +212,7 @@ struct BuildStamp {
 BuildStamp Build();
 
 // Machine-readable export consumed by scripts/bench_gate.py:
-//   {"version":1,"build":{"type":...,"cxx_flags":...},"sim_seconds":...,
+//   {"version":1,"build":{"type":...,"cxx_flags":...},
 //    "counters":{...},"gauges":{...},
 //    "histograms":{name:{"unit":...,"count":...,"sum":...,"buckets":[[b,c],...]}}}
 // "build" is Build().

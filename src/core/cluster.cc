@@ -463,9 +463,9 @@ ClusterResult LaunchCluster(const ClusterSpec& spec, const std::string& self_exe
   result.observer = job.Run();
   WriteRoleTelemetry(spec, kObserver, result.observer.telemetry);
 
-  // Bounded reap: children exit on their own once the protocol completes (or once the
-  // observer's failure path fanned out shutdown); stragglers past the grace window are
-  // killed and reported as failures rather than hanging the parent.
+  // Bounded reap: party children exit after their final round, the others on the
+  // observer's shutdown (on the failure path every child gets one); stragglers past the
+  // grace window are killed and reported as failures rather than hanging the parent.
   auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
   for (RoleOutcome& role : result.roles) {
     if (role.pid < 0) {

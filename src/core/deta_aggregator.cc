@@ -79,11 +79,6 @@ bool DetaAggregator::Begin() {
 }
 
 void DetaAggregator::Dispatch(net::Message& m) {
-  if (draining_) {
-    // Any traffic is evidence some party is still recovering its result.
-    drain_deadline_ =
-        Clock::now() + std::chrono::milliseconds(2 * plan_.retry.max_timeout_ms);
-  }
   if (m.type == kAuthChallenge) {
     AnswerChallenge(endpoint(), m, token_private_);
   } else if (m.type == kAuthRegister) {
@@ -103,17 +98,8 @@ void DetaAggregator::Dispatch(net::Message& m) {
   } else if (m.type == kRoundDone) {
     net::Reader r(m.payload);
     MarkRoundDone(m.from, static_cast<int>(r.ReadU32()));
-  } else if (m.type == kPartyDone) {
-    done_parties_.insert(m.from);
   } else if (m.type == kShutdown) {
-    if (last_aggregated_round_ >= plan_.rounds) {
-      // Completion fanout from the initiator. Don't vanish yet: a party whose final
-      // round.result was lost still needs this node alive to re-serve it.
-      done_pending_ = false;  // the fanout doubles as the round.done ack
-      StartDraining();
-    } else {
-      Finish();
-    }
+    Finish();
   } else {
     LOG_WARNING << name() << ": unexpected message type " << m.type;
   }
@@ -386,22 +372,9 @@ void DetaAggregator::MarkRoundDone(const std::string& aggregator, int round) {
         Clock::now() + std::chrono::milliseconds(plan_.retry.TimeoutForAttempt(0));
     return;
   }
-  // Training complete: fan out shutdown to parties and follower aggregators, then
-  // drain rather than exit — a party whose final round.result was dropped recovers by
-  // retransmitting its upload, which only works while this node is still answering.
-  // Parties and followers that miss the (unacknowledged) shutdown exit on their own —
-  // parties deterministically after their final round, followers when their own drain
-  // runs dry.
-  for (const std::string& party : plan_.party_names) {
-    endpoint().Send(party, kShutdown, {});
-  }
-  for (const std::string& peer : plan_.aggregator_names) {
-    if (peer != name()) {
-      endpoint().Send(peer, kShutdown, {});
-    }
-  }
+  // Training complete. The observer ends the job: until its shutdown this node keeps
+  // re-serving the final result to any party whose round.result was lost.
   LOG_INFO << name() << ": training complete after " << plan_.rounds << " rounds";
-  StartDraining();
 }
 
 void DetaAggregator::SaveState(int round) {
@@ -432,16 +405,6 @@ bool DetaAggregator::RestoreFromSnapshot() {
   });
 }
 
-void DetaAggregator::StartDraining() {
-  if (draining_) {
-    return;
-  }
-  draining_ = true;
-  drain_deadline_ =
-      Clock::now() + std::chrono::milliseconds(2 * plan_.retry.max_timeout_ms);
-  LOG_DEBUG << name() << ": draining";
-}
-
 int DetaAggregator::FragmentsNeeded() const {
   return plan_.quorum > 0 ? plan_.quorum : static_cast<int>(plan_.party_names.size());
 }
@@ -461,20 +424,6 @@ void DetaAggregator::FailRound(int round) {
 
 void DetaAggregator::OnTick() {
   Clock::time_point now = Clock::now();
-
-  if (draining_) {
-    bool all_confirmed = true;
-    for (const std::string& party : plan_.party_names) {
-      if (!done_parties_.count(party)) {
-        all_confirmed = false;
-        break;
-      }
-    }
-    if (all_confirmed || now >= drain_deadline_) {
-      Finish();
-    }
-    return;  // no round deadlines or retransmissions apply while draining
-  }
 
   // Round-collection deadline: a round still collecting has not met its quorum (it
   // aggregates the moment it does), so fail it with a typed error instead of waiting
@@ -500,11 +449,6 @@ void DetaAggregator::OnTick() {
   if (done_pending_ && now >= next_done_resend_) {
     if (done_attempts_ >= plan_.retry.max_attempts) {
       done_pending_ = false;
-      if (done_round_ >= plan_.rounds) {
-        // Final round and the initiator never advanced us: assume it is gone, but keep
-        // serving cached results to straggling parties before exiting.
-        StartDraining();
-      }
       return;
     }
     SendRoundDone();

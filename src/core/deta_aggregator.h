@@ -16,10 +16,10 @@
 // agg.failed to the observer; the runtime's idle backstop ends a node nobody talks to
 // instead of letting it hang. A party whose round.result was dropped recovers
 // by retransmitting its upload: uploads for an already-aggregated round are answered
-// with a re-sealed copy of the cached result. After the final round the aggregator
-// *drains*: it keeps re-serving that result until every party has sent party.done, or
-// until no message arrives for twice the plan's retry cap, so the drain cannot end
-// between two re-sends of a party that still needs it.
+// with a re-sealed copy of the cached result. The aggregator does not decide the end of
+// the job: after the final round it keeps re-serving that result until the job's
+// observer sends shutdown, once every party has reported the round (core/deta_job.h).
+// That shutdown also acks a follower's final round.done.
 //
 // Everything secret the aggregator handles (its auth token, received fragments, the
 // aggregated result) lives in the CVM's encrypted memory, so the breach experiments can
@@ -54,9 +54,6 @@ inline constexpr char kRoundResult[] = "round.result";
 inline constexpr char kRoundDone[] = "round.done";
 inline constexpr char kAggReport[] = "agg.report";
 inline constexpr char kAggFailed[] = "agg.failed";
-// Sent by each party to every aggregator when it exits; lets aggregators stop draining
-// early instead of waiting out the drain's quiet period.
-inline constexpr char kPartyDone[] = "party.done";
 inline constexpr char kShutdown[] = "shutdown";
 
 // round.upload and round.result bodies: u32 round || u64 |frame| || frame, the frame being
@@ -125,7 +122,6 @@ class DetaAggregator final : public Role {
   int FragmentsNeeded() const;
   // Reports the round's staged fragments against FragmentsNeeded() and stops.
   void FailRound(int round);
-  void StartDraining();
   // Writes a snapshot of the durable state (round counter, result cache, channels,
   // registration cache, RNG) for completed round |round|.
   void SaveState(int round);
@@ -167,12 +163,6 @@ class DetaAggregator final : public Role {
   int done_round_ = 0;
   int done_attempts_ = 0;
   Clock::time_point next_done_resend_;
-  // Post-final-round drain state: still serving cached results, exiting once every
-  // party confirmed completion or the mailbox has been quiet for twice the retry cap,
-  // which outlasts a party's longest gap between two re-sends.
-  bool draining_ = false;
-  Clock::time_point drain_deadline_;
-  std::set<std::string> done_parties_;
 };
 
 }  // namespace deta::core

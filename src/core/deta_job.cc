@@ -36,6 +36,7 @@ Bytes AggregatorImage(const fl::ExecutionOptions& options) {
 // missing from an aggregation still receives the result and reports its timing.
 struct RoundRecord {
   std::set<std::string> accounted;
+  std::set<std::string> reported;  // by the party itself: its timing or its skip
   std::set<std::string> dropouts;  // missing from an aggregation, or skipped
   bool reporter_skipped = false;
   std::optional<std::vector<float>> params;  // the reporter's merged global model
@@ -325,10 +326,14 @@ void DetaJob::ReviveCrashedRoles(net::Endpoint& observer, bool job_started) {
   });
 }
 
-void DetaJob::ShutdownAll(net::Endpoint& observer) {
+void DetaJob::ShutdownAggregators(net::Endpoint& observer) {
   for (const std::string& name : plan_.aggregator_names) {
     observer.Send(name, kShutdown, {});
   }
+}
+
+void DetaJob::ShutdownAll(net::Endpoint& observer) {
+  ShutdownAggregators(observer);
   for (const std::string& name : plan_.party_names) {
     observer.Send(name, kShutdown, {});
   }
@@ -348,8 +353,8 @@ void DetaJob::StopBroker(net::Endpoint& observer) {
 }
 
 // Worker-process path: no observer loop — start the hosted roles and wait for them to
-// run the protocol to completion (parties exit after their final round; followers and
-// the broker exit on the shutdown fan-out that reaches them over the transport).
+// run the protocol to completion (parties end after their final round; aggregators and
+// the broker end on the shutdown the observer's process sends them over the transport).
 fl::JobResult DetaJob::RunWorker() {
   const telemetry::TelemetrySnapshot telemetry_start = telemetry::Snapshot();
   ForEachLocalRole([](auto& role) { role->Start(); });
@@ -388,9 +393,8 @@ fl::JobResult DetaJob::Run() {
   // Per-run telemetry is a Delta over the process-global registry, so concurrent runs in
   // one process would bleed into each other — tests run jobs one at a time.
   const telemetry::TelemetrySnapshot telemetry_start = telemetry::Snapshot();
-  auto finish_telemetry = [&](fl::JobResult& r, double sim_seconds) {
+  auto finish_telemetry = [&](fl::JobResult& r) {
     r.telemetry = telemetry::Delta(telemetry_start, telemetry::Snapshot());
-    r.telemetry.sim_seconds = sim_seconds;
   };
 
   // Fault injection covers the protocol fabric only: the observer is the measurement
@@ -454,7 +458,7 @@ fl::JobResult DetaJob::Run() {
     }
     LOG_ERROR << "DeTA job: " << result.error;
     ShutdownAll(*observer);
-    finish_telemetry(result, 0.0);
+    finish_telemetry(result);
     return result;
   }
   LOG_INFO << "DeTA job: all " << plan_.party_names.size()
@@ -471,30 +475,32 @@ fl::JobResult DetaJob::Run() {
   // is a typed error instead of a silent hang. (Observer traffic is exempt from fault
   // injection, so this succeeds first try when the initiator is healthy.) A job.start
   // sent to a crashed initiator is lost; the wait's next tick revives it and re-sends
-  // job.start.
-  const std::string& initiator = plan_.initiator();
-  bool job_started = false;
-  for (int attempt = 0; !job_started && attempt < plan_.retry.max_attempts; ++attempt) {
-    observer->Send(initiator, kJobStart, {});
-    Clock::time_point attempt_deadline =
-        Clock::now() + std::chrono::milliseconds(plan_.retry.TimeoutForAttempt(attempt));
-    job_started = supervised_wait(attempt_deadline, /*job_started=*/true, [&](int ms) {
-                    return observer->ReceiveMatchFor(kJobStartAck, initiator, ms);
-                  }).has_value();
-  }
-  if (!job_started) {
-    result.status = fl::JobStatus::kStalled;
-    result.error = "initiator " + initiator + " did not ack job start";
-    ShutdownAll(*observer);
-    finish_telemetry(result, 0.0);
-    return result;
+  // job.start. A resumed job with no round left starts nothing: the shutdown ends its
+  // aggregators here, and its parties end after setup.
+  if (resume_round_ >= plan_.rounds) {
+    ShutdownAggregators(*observer);
+  } else {
+    const std::string& initiator = plan_.initiator();
+    bool job_started = false;
+    for (int attempt = 0; !job_started && attempt < plan_.retry.max_attempts; ++attempt) {
+      observer->Send(initiator, kJobStart, {});
+      Clock::time_point attempt_deadline =
+          Clock::now() + std::chrono::milliseconds(plan_.retry.TimeoutForAttempt(attempt));
+      job_started = supervised_wait(attempt_deadline, /*job_started=*/true, [&](int ms) {
+                      return observer->ReceiveMatchFor(kJobStartAck, initiator, ms);
+                    }).has_value();
+    }
+    if (!job_started) {
+      result.status = fl::JobStatus::kStalled;
+      result.error = "initiator " + initiator + " did not ack job start";
+      ShutdownAll(*observer);
+      finish_telemetry(result);
+      return result;
+    }
   }
 
   const LatencyModel& lm = options_.latency;
   double cumulative = resume_cumulative_;
-  // Drives the sim_s stamps on the per-round spans below; advanced by each round's
-  // modelled latency once the round's reports are in.
-  SimClock sim_clock;
 
   // Per-round report collection, tolerant of cross-round interleaving and dropouts. A
   // round's record is erased once the round is evaluated.
@@ -514,18 +520,36 @@ fl::JobResult DetaJob::Run() {
       2 * plan_.round_timeout_ms + plan_.retry.TotalBudgetMs() + 5000;
 
   for (int round = resume_round_ + 1; round <= plan_.rounds && result.ok(); ++round) {
-    telemetry::Span round_span("core.deta_job.round", &sim_clock);
+    telemetry::Span round_span("core.deta_job.round");
     WallStopwatch round_wall;
     Clock::time_point deadline = Clock::now() + std::chrono::milliseconds(round_budget_ms);
     // Map nodes are stable: later rounds' records do not move this one.
     RoundRecord& record = records[round];
     // A round already evaluated has no record: its late reports are dropped.
     auto record_of = [&](int rd) { return rd < round ? nullptr : &records[rd]; };
-    while (result.ok() && !record.Complete(plan_)) {
+    // The final round also waits for every party's own report: one the record counts
+    // only as missing from an aggregation may still be re-uploading for a lost result,
+    // and the shutdown below ends the aggregators that would re-serve it. The wait lasts
+    // at most twice the retry cap past the complete record, which outlasts a party's
+    // longest gap between two re-sends.
+    std::optional<Clock::time_point> final_wait_end;
+    while (result.ok()) {
+      if (record.Complete(plan_)) {
+        if (round < plan_.rounds || record.reported.size() >= plan_.party_names.size()) {
+          break;
+        }
+        if (!final_wait_end.has_value()) {
+          final_wait_end =
+              Clock::now() + std::chrono::milliseconds(2 * plan_.retry.max_timeout_ms);
+        }
+      }
       std::optional<net::Message> m =
-          supervised_wait(deadline, /*job_started=*/true,
+          supervised_wait(final_wait_end.value_or(deadline), /*job_started=*/true,
                           [&](int ms) { return observer->ReceiveFor(ms); });
       if (!m.has_value()) {
+        if (final_wait_end.has_value()) {
+          break;  // the record is complete; the silent party is not coming
+        }
         result.status = fl::JobStatus::kStalled;
         result.error = "no progress in round " + std::to_string(round) + " within " +
                        std::to_string(round_budget_ms) + "ms";
@@ -542,6 +566,7 @@ fl::JobResult DetaJob::Run() {
           double rtt_s = r.ReadDouble();
           if (RoundRecord* rec = record_of(rd)) {
             rec->accounted.insert(m->from);
+            rec->reported.insert(m->from);
             rec->timings.push_back({train_s, trans_s});
             rec->rtts.push_back(rtt_s);
             rec->upload_bytes = std::max(rec->upload_bytes, bytes);
@@ -570,6 +595,7 @@ fl::JobResult DetaJob::Run() {
           LOG_WARNING << "observer: party " << m->from << " skipped round " << rd;
           if (RoundRecord* rec = record_of(rd)) {
             rec->accounted.insert(m->from);
+            rec->reported.insert(m->from);
             rec->dropouts.insert(m->from);
             rec->reporter_skipped = rec->reporter_skipped || m->from == plan_.reporter();
           }
@@ -592,6 +618,11 @@ fl::JobResult DetaJob::Run() {
       LOG_ERROR << "DeTA job: " << result.error;
       break;
     }
+    if (round == plan_.rounds) {
+      // The job's last reports are in: end the aggregators before the evaluation, so the
+      // shutdown also acks each follower's last round.done before its first re-send.
+      ShutdownAggregators(*observer);
+    }
 
     // --- latency model for this round (see common/sim_clock.h) ---
     double party_phase = 0.0;
@@ -610,7 +641,6 @@ fl::JobResult DetaJob::Run() {
       agg_phase += lm.rtt_seconds;  // initiator/follower round.done sync
     }
     double round_latency = party_phase + agg_phase + lm.TransferSeconds(down_bytes);
-    sim_clock.Advance(round_latency);
     DETA_COUNTER("core.deta_job.rounds").Increment();
     DETA_HISTOGRAM("core.deta_job.round_latency_s", ::deta::telemetry::Unit::kSeconds)
         .Record(round_latency);
@@ -650,14 +680,14 @@ fl::JobResult DetaJob::Run() {
   }
 
   // On failure, release every thread still waiting on protocol traffic; on success the
-  // initiator has already fanned out shutdown and parties exit after their final round.
+  // aggregators already have their shutdown and parties end after their final round.
   if (!result.ok()) {
     ShutdownAll(*observer);
   }
   StopBroker(*observer);
   ForEachLocalRole([](auto& role) { role->Join(); });
   // Snapshot after every node thread has joined, so all their metric writes are folded in.
-  finish_telemetry(result, cumulative);
+  finish_telemetry(result);
   return result;
 }
 

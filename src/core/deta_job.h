@@ -13,8 +13,15 @@
 // from an aggregation, each counted once, and of the aggregators' reports, and it
 // evaluates the reporter's merged global model (all parties hold identical copies) unless
 // the reporter itself skipped the round. A report for a round already recorded is
-// dropped. From the records come the per-round loss/accuracy/latency metrics. The
-// centralized FFL baseline (RunCentralizedBaseline below) is this same engine in a
+// dropped. From the records come the per-round loss/accuracy/latency metrics.
+//
+// The observer is also the one place a successful job ends. Once the final round's
+// record is complete and every party has reported that round itself (or twice the retry
+// cap has passed since the record completed), it sends shutdown to each aggregator; a
+// resumed job with no round left sends it right after the ready barrier. Parties end on
+// their own after their final round.
+//
+// The centralized FFL baseline (RunCentralizedBaseline below) is this same engine in a
 // one-aggregator shape, so the Figure 5-7 comparisons measure both systems the same way.
 #ifndef DETA_CORE_DETA_JOB_H_
 #define DETA_CORE_DETA_JOB_H_
@@ -94,8 +101,11 @@ class DetaJob {
   fl::JobResult RunWorker();
   // Stops the key broker: directly when local, via a kShutdown message otherwise.
   void StopBroker(net::Endpoint& observer);
-  // Fans out shutdown to every aggregator and party and stops the broker, so failure
-  // paths leave no thread waiting on a message that will never come.
+  // Sends shutdown to every aggregator, local or remote: how a successful job ends.
+  void ShutdownAggregators(net::Endpoint& observer);
+  // Fans out shutdown to every aggregator and party, closes the local roles' endpoints
+  // and stops the broker, so failure paths leave no thread waiting on a message that
+  // will never come.
   void ShutdownAll(net::Endpoint& observer);
   // Crash-fault orchestration: replaces every role whose injected crash fired with the
   // replacement it builds (Revive), resumed from its newest snapshot. The revived role

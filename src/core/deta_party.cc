@@ -97,20 +97,13 @@ bool DetaParty::Begin() {
 
 void DetaParty::OnTick() {
   if (last_round_ >= plan_.rounds) {
-    Exit();
+    Finish();
   }
-}
-
-void DetaParty::Exit() {
-  for (const std::string& agg : plan_.aggregator_names) {
-    endpoint().Send(agg, kPartyDone, {});
-  }
-  Finish();
 }
 
 void DetaParty::Dispatch(net::Message& m) {
   if (m.type == kShutdown) {
-    Exit();
+    Finish();
   } else if (m.type == kRoundBegin) {
     net::Reader r(m.payload);
     int round = static_cast<int>(r.ReadU32());

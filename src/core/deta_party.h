@@ -17,6 +17,11 @@
 // party to *skip* the round — params stay at the last synchronized state, the observer
 // is told via party.round_skipped, and the party keeps participating — rather than
 // aborting the job.
+//
+// A party ends itself once the plan's final round has run (a resumed party with no
+// round left, right after setup) and tells nobody. The aggregators stay up until the
+// job's observer has every party's report of the final round (core/deta_job.h), so a
+// party whose final result was lost can still have it re-served.
 #ifndef DETA_CORE_DETA_PARTY_H_
 #define DETA_CORE_DETA_PARTY_H_
 
@@ -68,12 +73,11 @@ class DetaParty final : public Role {
   // Setup: restore or fetch the material, verify and register, report ready.
   bool Begin() override;
   void Dispatch(net::Message& m) override;
-  // Exits after the plan's final round, so a lost shutdown cannot strand the party.
+  // Ends the role once the plan's final round has run (or was skipped): the observer
+  // already has the party's report, and nobody sends a finished party anything.
   void OnTick() override;
   bool SetupChannels();
   void RunRound(int round);
-  // Sends party.done to every aggregator (best-effort) and ends the role.
-  void Exit();
   // Writes a snapshot for completed round |round|.
   void SaveState(int round);
   // Restores params/trainer/rng/material from the store; false when nothing verifiable

@@ -114,20 +114,6 @@ TEST(TelemetrySpanTest, NestingTracksPerThreadStack) {
   EXPECT_EQ(delta.histograms.at("span.test.span.inner.wall_s").count, 1u);
 }
 
-TEST(TelemetrySpanTest, SimClockDeltaIsRecorded) {
-  SimClock clock;
-  const TelemetrySnapshot before = Snapshot();
-  {
-    Span span("test.span.sim", &clock);
-    clock.Advance(2.5);
-  }
-  const TelemetrySnapshot delta = Delta(before, Snapshot());
-  auto it = delta.histograms.find("span.test.span.sim.sim_s");
-  ASSERT_NE(it, delta.histograms.end());
-  EXPECT_EQ(it->second.count, 1u);
-  EXPECT_DOUBLE_EQ(it->second.sum, 2.5);
-}
-
 TEST(TelemetryJsonTest, ExportContainsRegisteredMetrics) {
   MetricsRegistry::Global().GetCounter("test.json.counter").Add(3);
   MetricsRegistry::Global().GetGauge("test.json.gauge").Set(1.5);
@@ -282,6 +268,12 @@ TEST(TelemetryDetaJobTest, FaultFreeRoundMetricsMatchSchedule) {
   EXPECT_EQ(CounterOr0(t, "net.bus.sent.round"),
             static_cast<uint64_t>(kRounds * (kParties + 2 * (kAggregators - 1) +
                                              2 * kAggregators * kParties)));
+  // The observer ends the job with one shutdown per aggregator, and a party reports
+  // readiness once and its timing each round, the reporter its model too: nothing
+  // else ends the job.
+  EXPECT_EQ(CounterOr0(t, "net.bus.sent.shutdown"), static_cast<uint64_t>(kAggregators));
+  EXPECT_EQ(CounterOr0(t, "net.bus.sent.party"),
+            static_cast<uint64_t>(kParties + kRounds * kParties + kRounds));
 
   // The fault-free contract the CI bench gate enforces.
   EXPECT_EQ(CounterOr0(t, "net.bus.dropped"), 0u);
@@ -292,12 +284,13 @@ TEST(TelemetryDetaJobTest, FaultFreeRoundMetricsMatchSchedule) {
   EXPECT_EQ(CounterOr0(t, "core.role.malformed_messages"), 0u);
   EXPECT_EQ(CounterOr0(t, "net.bus.malformed_frames"), 0u);
 
-  // Per-round spans recorded on both clocks.
+  // One round span and one modelled latency per round.
   ASSERT_TRUE(t.histograms.count("span.core.deta_job.round.wall_s"));
   EXPECT_EQ(t.histograms.at("span.core.deta_job.round.wall_s").count,
             static_cast<uint64_t>(kRounds));
-  ASSERT_TRUE(t.histograms.count("span.core.deta_job.round.sim_s"));
-  EXPECT_GT(t.sim_seconds, 0.0);
+  ASSERT_TRUE(t.histograms.count("core.deta_job.round_latency_s"));
+  EXPECT_EQ(t.histograms.at("core.deta_job.round_latency_s").count,
+            static_cast<uint64_t>(kRounds));
 }
 
 TEST(TelemetryDetaJobTest, SnapshotsAreIdenticalAcrossThreadCounts) {

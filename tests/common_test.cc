@@ -199,19 +199,6 @@ TEST(QueueTest, CrossThreadTransfer) {
   EXPECT_EQ(sum, kCount * (kCount - 1) / 2);
 }
 
-TEST(SimClockTest, AdvanceAccumulates) {
-  SimClock clock;
-  clock.Advance(1.5);
-  clock.Advance(0.5);
-  EXPECT_DOUBLE_EQ(clock.seconds(), 2.0);
-  clock.AdvanceTo(1.0);  // no-op, already past
-  EXPECT_DOUBLE_EQ(clock.seconds(), 2.0);
-  clock.AdvanceTo(3.0);
-  EXPECT_DOUBLE_EQ(clock.seconds(), 3.0);
-  clock.Reset();
-  EXPECT_DOUBLE_EQ(clock.seconds(), 0.0);
-}
-
 TEST(SimClockTest, LatencyModelTransfer) {
   LatencyModel lm;
   lm.rtt_seconds = 0.01;

@@ -79,14 +79,6 @@ class AggregatorNodeTest : public ::testing::Test {
     return fl::DeserializeUpdate(*payload).values;
   }
 
-  // Every party announces its exit, as DetaParty does after its final round, so the
-  // draining aggregator stops at once instead of waiting out its drain timeout.
-  static void AnnounceDone(std::initializer_list<net::Endpoint*> parties) {
-    for (net::Endpoint* party : parties) {
-      party->Send("agg0", kPartyDone, {});
-    }
-  }
-
   net::MessageBus bus_;
   JobPlan plan_;
   crypto::SecureRng rng_;
@@ -154,10 +146,8 @@ TEST_F(AggregatorNodeTest, FullRoundProtocol) {
   EXPECT_EQ(AwaitResult(*p0, c0, 1), (std::vector<float>{2.0f, 3.0f}));
   EXPECT_EQ(AwaitResult(*p1, c1, 1), (std::vector<float>{2.0f, 3.0f}));
 
-  // Last round complete: parties receive shutdown; aggregator thread exits.
-  EXPECT_TRUE(p0->ReceiveTypeFor(kShutdown, kWaitMs).has_value());
-  EXPECT_TRUE(p1->ReceiveTypeFor(kShutdown, kWaitMs).has_value());
-  AnnounceDone({p0.get(), p1.get()});
+  // Last round complete: the observer's shutdown ends the aggregator.
+  driver->Send("agg0", kShutdown, {});
   aggregator->Join();
 }
 
@@ -190,8 +180,7 @@ TEST_F(AggregatorNodeTest, QuorumAggregatesWithoutStragglers) {
   // The straggler's late upload for the completed round is dropped without crashing.
   Upload(*p2, c2, "agg0", 1, {100.0f});
 
-  p0->ReceiveTypeFor(kShutdown, kWaitMs);
-  AnnounceDone({p0.get(), p1.get(), p2.get()});
+  driver->Send("agg0", kShutdown, {});
   aggregator->Join();
 }
 
@@ -229,8 +218,7 @@ TEST_F(AggregatorNodeTest, RoundBeginResendReachesOnlyTheSilent) {
   Upload(*p1, c1, "agg0", 1, {3.0f});
   EXPECT_EQ(AwaitResult(*p0, c0, 1), (std::vector<float>{2.0f}));
   EXPECT_EQ(AwaitResult(*p1, c1, 1), (std::vector<float>{2.0f}));
-  p0->ReceiveTypeFor(kShutdown, kWaitMs);
-  AnnounceDone({p0.get(), p1.get()});
+  driver->Send("agg0", kShutdown, {});
   aggregator->Join();
 }
 
@@ -257,8 +245,7 @@ TEST_F(AggregatorNodeTest, UnregisteredUploadIgnored) {
   Upload(*p0, c0, "agg0", 1, {1.0f});
   Upload(*p1, c1, "agg0", 1, {5.0f});
   EXPECT_EQ(AwaitResult(*p0, c0, 1), (std::vector<float>{3.0f}));
-  p0->ReceiveTypeFor(kShutdown, kWaitMs);
-  AnnounceDone({p0.get(), p1.get()});
+  driver->Send("agg0", kShutdown, {});
   aggregator->Join();
 }
 
@@ -285,8 +272,7 @@ TEST_F(AggregatorNodeTest, MalformedMessagesAreDroppedAndCounted) {
   Upload(*p1, c1, "agg0", 1, {5.0f});
   EXPECT_EQ(AwaitResult(*p0, c0, 1), (std::vector<float>{3.0f}));
   EXPECT_EQ(AwaitResult(*p1, c1, 1), (std::vector<float>{3.0f}));
-  p0->ReceiveTypeFor(kShutdown, kWaitMs);
-  AnnounceDone({p0.get(), p1.get()});
+  driver->Send("agg0", kShutdown, {});
   aggregator->Join();
 
   const telemetry::TelemetrySnapshot delta =
@@ -296,11 +282,10 @@ TEST_F(AggregatorNodeTest, MalformedMessagesAreDroppedAndCounted) {
   EXPECT_EQ(malformed->second, 2u);
 }
 
-// After the final round the aggregator drains for twice the retry cap, so it outlasts a
-// party's longest gap between two re-sends. Under a 3 s cap, a party whose final result
-// was lost and that stays silent for over 4 s still gets the result re-served.
-TEST_F(AggregatorNodeTest, DrainOutlastsTheRetryCap) {
-  plan_.retry.max_timeout_ms = 3000;
+// A finished aggregator serves until the observer's shutdown, however long a party whose
+// final result was lost stays silent: here for three times a 100 ms retry cap.
+TEST_F(AggregatorNodeTest, ReservesTheFinalResultUntilShutdown) {
+  plan_.retry.max_timeout_ms = 100;
   auto aggregator = MakeAggregator();
   aggregator->Start();
 
@@ -316,14 +301,14 @@ TEST_F(AggregatorNodeTest, DrainOutlastsTheRetryCap) {
   EXPECT_EQ(AwaitResult(*p0, c0, 1), (std::vector<float>{2.0f}));
   // p1's result is lost: it leaves the mailbox unopened.
   ASSERT_TRUE(p1->ReceiveTypeFor(kRoundResult, kWaitMs).has_value());
-  // The final round is done, so the aggregator drains; p0 confirms, p1 stays silent.
-  ASSERT_TRUE(p0->ReceiveTypeFor(kShutdown, kWaitMs).has_value());
-  AnnounceDone({p0.get()});
-  std::this_thread::sleep_for(std::chrono::milliseconds(4500));
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
 
   Upload(*p1, c1, "agg0", 1, {3.0f});
   EXPECT_EQ(AwaitResult(*p1, c1, 1), (std::vector<float>{2.0f}));
-  AnnounceDone({p1.get()});
+  // No party is told to stop: the aggregator leaves on the observer's shutdown alone.
+  EXPECT_FALSE(p0->ReceiveTypeFor(kShutdown, 0).has_value());
+  EXPECT_FALSE(p1->ReceiveTypeFor(kShutdown, 0).has_value());
+  driver->Send("agg0", kShutdown, {});
   aggregator->Join();
 }
 
@@ -341,8 +326,7 @@ TEST_F(AggregatorNodeTest, StoresFragmentsInCvmMemory) {
   Upload(*p0, c0, "agg0", 1, {7.0f});
   Upload(*p1, c1, "agg0", 1, {9.0f});
   AwaitResult(*p0, c0, 1);
-  p0->ReceiveTypeFor(kShutdown, kWaitMs);
-  AnnounceDone({p0.get(), p1.get()});
+  driver->Send("agg0", kShutdown, {});
   aggregator->Join();
 
   // The staged fragment and the aggregated result live in encrypted CVM memory.

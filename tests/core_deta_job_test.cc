@@ -518,6 +518,43 @@ TEST(DetaJobFaultTest, LostResultIsReservedAndCounted) {
   EXPECT_EQ(result.final_params, clean_result.final_params);
 }
 
+// Under a quorum the final round aggregates without party1, whose upload was lost, and
+// party1's result is lost too. party1 recovers it by re-uploading, so the job must not end
+// the aggregator before party1 has reported the round itself.
+TEST(DetaJobFaultTest, PartyMissingFromTheFinalAggregationReportsBeforeTheJobEnds) {
+  fl::ExecutionOptions options = BaseOptions();
+  options.rounds = 1;
+  options.fault_plan.seed = 3;
+  net::EdgeFault lost_upload;
+  lost_upload.from = "party1";
+  lost_upload.type_prefix = kRoundUpload;
+  lost_upload.rates.drop = 1.0;
+  lost_upload.max_faults = 1;
+  net::EdgeFault lost_result;
+  lost_result.to = "party1";
+  lost_result.type_prefix = kRoundResult;
+  lost_result.rates.drop = 1.0;
+  lost_result.max_faults = 1;
+  options.fault_plan.overrides = {lost_upload, lost_result};
+  DetaOptions deta_options;
+  deta_options.num_aggregators = 1;
+  deta_options.quorum = 1;
+  DetaJob deta(options, deta_options, MakePartiesWith(TinyMlpFactory(), 2, options.train),
+               TinyMlpFactory(), SmallMnist(30, 6));
+  fl::JobResult result = deta.Run();
+  ASSERT_EQ(result.status, fl::JobStatus::kOk) << result.error;
+
+  std::map<int, std::vector<std::string>> expected = {{1, {"party1"}}};
+  EXPECT_EQ(result.per_round_dropouts, expected);
+  auto reserved = result.telemetry.counters.find("core.deta_agg.results_reserved");
+  ASSERT_NE(reserved, result.telemetry.counters.end());
+  EXPECT_GE(reserved->second, 1u);
+  // Both parties' round trips are in the round's record: the observer heard party1's
+  // own report, after the re-served result, before it ended the job.
+  ASSERT_EQ(result.rounds.size(), 1u);
+  EXPECT_EQ(result.rounds[0].party_rtts_s.size(), 2u);
+}
+
 // A party whose uploads never arrive is skipped per round — recorded, not fatal — and
 // the same fault seed reproduces the same dropout schedule.
 TEST(DetaJobFaultTest, DropoutScheduleIsDeterministic) {

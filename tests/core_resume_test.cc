@@ -229,6 +229,34 @@ TEST(CrashResumeTest, WholeJobResumeMatchesUninterruptedRun) {
   EXPECT_EQ(resumed.final_params, CleanBaseline(2, 4).final_params);
 }
 
+// Resuming a finished job with no round left trains nothing: the job ends after the
+// ready barrier, and no role starts a round past the plan, so every role's snapshots stay
+// at the job snapshot's cut.
+TEST(CrashResumeTest, WholeJobResumeWithNoRoundLeftTrainsNothing) {
+  std::string dir = UniqueDir("modeb_done");
+  fl::JobResult first =
+      DetaJob(BaseOptions(2, 2, dir), Deployment(), MakeParties(), TinyMlpFactory(),
+              SmallMnist(40, 6))
+          .Run();
+  ASSERT_TRUE(first.ok()) << first.error;
+
+  fl::ExecutionOptions resumed_options = BaseOptions(2, 2, dir);
+  resumed_options.checkpoint.resume = true;
+  fl::JobResult resumed = DetaJob(resumed_options, Deployment(), MakeParties(),
+                                  TinyMlpFactory(), SmallMnist(40, 6))
+                              .Run();
+  ASSERT_TRUE(resumed.ok()) << resumed.error;
+  EXPECT_EQ(resumed.resumed_from_round, 2);
+  EXPECT_TRUE(resumed.rounds.empty());
+  EXPECT_EQ(resumed.final_params, first.final_params);
+  auto counter = [&](const std::string& name) {
+    auto it = resumed.telemetry.counters.find(name);
+    return it == resumed.telemetry.counters.end() ? uint64_t{0} : it->second;
+  };
+  EXPECT_EQ(counter("core.deta_agg.rounds_aggregated"), 0u);
+  EXPECT_EQ(counter("core.deta_party.rounds"), 0u);
+}
+
 // Whole-job resume in the baseline shape: one aggregator and no partition/shuffle.
 // Parties rebuild their transform from the broker material in their sealed snapshots,
 // as DeTA parties do.
