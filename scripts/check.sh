@@ -30,14 +30,15 @@ jobs="$(nproc 2>/dev/null || echo 2)"
 # The TSan gate covers the suites that exercise real threads: the shared send pipeline
 # and its fault injector on both backends (the bus and a loopback TCP transport, whose
 # event loop delivers concurrently with senders), retry/secure-channel, the deterministic parallel layer, telemetry, the
-# Paillier batch encrypt/decrypt fan-out (pool workers share one Montgomery context,
-# so its scratch must stay per call, the lane kernel's PowModBatch included), and the
-# aggregator/party/job protocol stack.
+# Paillier batch encrypt/decrypt fan-out (pool workers share one key's Montgomery
+# contexts, so scratch must stay per call: the lane kernel's PowModBatch and the
+# private key's per-chunk CRT kernels included), and the aggregator/party/job protocol
+# stack.
 # The Trans suites run too: a round's shuffle tables fill from ParallelFor chunks, then
 # gather and scatter in nested regions. So does the training known-answer test: its
 # digest, taken at -O2, must hold under TSan's instrumentation as in every other build.
 # Filtering keeps the (slow, ~10x) sanitized run feasible on small containers.
-tsan_filter='MessageBus*:TcpTransportTest*:EndpointDedupTest*:EndpointStashTest*:FaultInjector*:Retry*:SecureChannel*:Codec*:ParallelFor*:ParallelReduce*:DefaultThreads*:ThreadInvariance*:AggregatorNode*:KeyBroker*:Auth*:Telemetry*:DetaJobFaultTest.QuorumFailureIsTypedNotAHang:*TransportConformanceTest.AuthHandshakeVerifiesAndRejects*:*TransportConformanceTest.KeyFetchServesIdenticalMaterial*:PaillierTest.*:PaillierCrtDifferentialTest.*:MontgomeryDifferentialTest.PowModBatch*:ShufflerTest.*:TransformTest.*:*TransformCommuteTest.*:ModelMapperTest.*:*MapperPropertyTest.*:PartyTest.TrainingKnownAnswerDigest'
+tsan_filter='MessageBus*:TcpTransportTest*:EndpointDedupTest*:EndpointStashTest*:FaultInjector*:Retry*:SecureChannel*:Codec*:ParallelFor*:ParallelReduce*:DefaultThreads*:ThreadInvariance*:AggregatorNode*:KeyBroker*:Auth*:Telemetry*:DetaJobFaultTest.QuorumFailureIsTypedNotAHang:*TransportConformanceTest.AuthHandshakeVerifiesAndRejects*:*TransportConformanceTest.KeyFetchServesIdenticalMaterial*:PaillierTest.*:PaillierCrtDifferentialTest.*:PaillierCrtJoinTest.*:MontgomeryDifferentialTest.PowModBatch*:ShufflerTest.*:TransformTest.*:*TransformCommuteTest.*:ModelMapperTest.*:*MapperPropertyTest.*:PartyTest.TrainingKnownAnswerDigest'
 
 cmake_flags_for_preset() {
   case "$1" in

@@ -32,7 +32,7 @@ void WipeLimbs(std::vector<uint64_t>& limbs) {
 }
 
 // The 8-lane kernel's shape: 8 bases of a 4-limb modulus, each as 5 digits of 52 bits.
-constexpr size_t kLanes = 8;
+constexpr size_t kLanes = kMaxMontgomeryLanes;
 constexpr size_t kDigits = 5;
 constexpr int kDigitBits = 52;
 constexpr uint64_t kDigitMask = (uint64_t{1} << kDigitBits) - 1;
@@ -242,60 +242,6 @@ void MontgomeryContext::Import(const BigUint& a, uint64_t* out) const {
   std::fill(std::copy(limbs.begin(), limbs.end(), out), out + s_, uint64_t{0});
 }
 
-template <size_t kLimbs>
-void MontgomeryContext::MulMontLimbs(const uint64_t* a, const uint64_t* b, uint64_t* out,
-                                     uint64_t* t) const {
-  // CIOS (coarsely integrated operand scanning): interleaves the schoolbook product
-  // with the REDC reduction so the intermediate never exceeds s+2 limbs. Every 128-bit
-  // accumulation stays below 2^128: (2^64-1)^2 + 2*(2^64-1) = 2^128 - 1. At a constant
-  // width every loop below unrolls completely.
-  const size_t s = kLimbs != 0 ? kLimbs : s_;
-  const uint64_t* m = modulus_.limbs().data();
-  std::fill(t, t + s + 2, uint64_t{0});
-  for (size_t i = 0; i < s; ++i) {
-    const uint64_t ai = a[i];
-    u128 c = 0;
-    for (size_t j = 0; j < s; ++j) {
-      c = static_cast<u128>(ai) * b[j] + t[j] + static_cast<uint64_t>(c >> 64);
-      t[j] = static_cast<uint64_t>(c);
-    }
-    c = static_cast<u128>(t[s]) + static_cast<uint64_t>(c >> 64);
-    t[s] = static_cast<uint64_t>(c);
-    t[s + 1] = static_cast<uint64_t>(c >> 64);
-
-    const uint64_t mf = t[0] * inv64_;
-    c = static_cast<u128>(mf) * m[0] + t[0];
-    for (size_t j = 1; j < s; ++j) {
-      c = static_cast<u128>(mf) * m[j] + t[j] + static_cast<uint64_t>(c >> 64);
-      t[j - 1] = static_cast<uint64_t>(c);
-    }
-    c = static_cast<u128>(t[s]) + static_cast<uint64_t>(c >> 64);
-    t[s - 1] = static_cast<uint64_t>(c);
-    t[s] = t[s + 1] + static_cast<uint64_t>(c >> 64);
-  }
-  // Conditional final subtraction: the CIOS invariant leaves t < 2m.
-  bool ge = t[s] != 0;
-  if (!ge) {
-    ge = true;
-    for (size_t i = s; i-- > 0;) {
-      if (t[i] != m[i]) {
-        ge = t[i] > m[i];
-        break;
-      }
-    }
-  }
-  if (ge) {
-    uint64_t borrow = 0;
-    for (size_t i = 0; i < s; ++i) {
-      u128 diff = static_cast<u128>(t[i]) - m[i] - borrow;
-      out[i] = static_cast<uint64_t>(diff);
-      borrow = static_cast<uint64_t>(diff >> 127);
-    }
-  } else {
-    std::copy(t, t + s, out);
-  }
-}
-
 BigUint MontgomeryContext::ToMont(const BigUint& a) const {
   Limbs work(2 * s_ + 2);
   Import(a, work.data());
@@ -336,11 +282,9 @@ BigUint MontgomeryContext::MulMod(const BigUint& a, const BigUint& b) const {
 }
 
 template <size_t kLimbs>
-BigUint MontgomeryContext::PowModLimbs(const BigUint& base, const BigUint& exp) const {
+void MontgomeryContext::PowModLimbs(const uint64_t* base, const BigUint& exp,
+                                    uint64_t* out) const {
   const size_t s = kLimbs != 0 ? kLimbs : s_;
-  if (exp.IsZero()) {
-    return BigUint(1).Mod(modulus_);
-  }
   // One buffer: table[w] = base^w in Montgomery form for w in [0, 16), then the
   // accumulator, then the product scratch. A constant width keeps it on the stack.
   std::conditional_t<kLimbs != 0, std::array<uint64_t, 18 * kLimbs + 2>, Limbs> work{};
@@ -351,12 +295,12 @@ BigUint MontgomeryContext::PowModLimbs(const BigUint& base, const BigUint& exp) 
   uint64_t* acc = table + 16 * s;
   uint64_t* t = acc + s;
   std::copy(one_mont_.begin(), one_mont_.end(), table);
-  Import(base.Mod(modulus_), acc);
-  MulMontLimbs<kLimbs>(acc, r2_.data(), table + s, t);
+  MulMontLimbs<kLimbs>(base, r2_.data(), table + s, t);
   for (size_t w = 2; w < 16; ++w) {
     MulMontLimbs<kLimbs>(table + (w - 1) * s, table + s, table + w * s, t);
   }
 
+  // A zero exponent has no window, so acc stays R mod m and leaves as 1 mod m.
   const Limbs& e = exp.limbs();
   size_t windows = (exp.BitLength() + 3) / 4;
   std::copy(one_mont_.begin(), one_mont_.end(), acc);
@@ -375,60 +319,65 @@ BigUint MontgomeryContext::PowModLimbs(const BigUint& base, const BigUint& exp) 
   // Leave Montgomery form: multiply by 1, reusing the table's first slot.
   std::fill(table, table + s, uint64_t{0});
   table[0] = 1;
-  MulMontLimbs<kLimbs>(acc, table, acc, t);
-  BigUint result = Export(acc);
+  MulMontLimbs<kLimbs>(acc, table, out, t);
   // The table holds powers of a possibly secret-derived base (and acc/scratch its
   // residue); scrub before the storage returns to the stack or the allocator.
   SecureWipe(work.data(), work.size() * sizeof(uint64_t));
-  return result;
 }
 
 BigUint MontgomeryContext::PowMod(const BigUint& base, const BigUint& exp) const {
-  return s_ == 4 ? PowModLimbs<4>(base, exp) : PowModLimbs<0>(base, exp);
+  // The reduced base, then the reduction's scratch; the result overwrites the base.
+  Limbs work(3 * s_ + 2);
+  const Limbs& b = base.limbs();
+  ReduceLimbs<0>(b.data(), b.size(), work.data(), work.data() + s_);
+  if (s_ == 4) {
+    PowModLimbs<4>(work.data(), exp, work.data());
+  } else {
+    PowModLimbs<0>(work.data(), exp, work.data());
+  }
+  BigUint result = Export(work.data());
+  WipeLimbs(work);
+  return result;
 }
 
-std::vector<BigUint> MontgomeryContext::PowModBatch(std::span<const BigUint> bases,
-                                                    const BigUint& exp) const {
-  std::vector<BigUint> out;
-  out.reserve(bases.size());
+void MontgomeryContext::PowModBatch(const uint64_t* bases, size_t count,
+                                    const BigUint& exp, uint64_t* out) const {
   if (lanes52_.empty()) {
-    for (const BigUint& base : bases) {
-      out.push_back(PowMod(base, exp));
+    for (size_t i = 0; i < count; ++i) {
+      if (s_ == 4) {
+        PowModLimbs<4>(bases + 4 * i, exp, out + 4 * i);
+      } else {
+        PowModLimbs<0>(bases + s_ * i, exp, out + s_ * i);
+      }
     }
-    return out;
+    return;
   }
 #if defined(__x86_64__)
   const size_t windows = (exp.BitLength() + 3) / 4;
   // One step's 8 bases, digit j of lane l at kLanes * j + l (a short last step leaves its
-  // spare lanes 0), then one lane's digits and limbs on their way in or out.
+  // spare lanes 0), then one lane's digits on their way in or out.
   std::array<uint64_t, kDigits * kLanes> digits{};
   std::array<uint64_t, kDigits> lane{};
-  std::array<uint64_t, 4> limbs{};
-  for (size_t lo = 0; lo < bases.size(); lo += kLanes) {
-    const size_t count = std::min(kLanes, bases.size() - lo);
+  for (size_t lo = 0; lo < count; lo += kLanes) {
+    const size_t step = std::min(kLanes, count - lo);
     digits.fill(0);
-    for (size_t l = 0; l < count; ++l) {
-      const BigUint reduced = bases[lo + l].Mod(modulus_);
-      Repack(reduced.limbs().data(), reduced.limbs().size(), 64, lane.data(), kDigits,
-             kDigitBits);
+    for (size_t l = 0; l < step; ++l) {
+      Repack(bases + 4 * (lo + l), 4, 64, lane.data(), kDigits, kDigitBits);
       for (size_t j = 0; j < kDigits; ++j) {
         digits[kLanes * j + l] = lane[j];
       }
     }
     PowMod52x8(lanes52_.data(), exp.limbs().data(), windows, digits.data());
-    for (size_t l = 0; l < count; ++l) {
+    for (size_t l = 0; l < step; ++l) {
       for (size_t j = 0; j < kDigits; ++j) {
         lane[j] = digits[kLanes * j + l];
       }
-      Repack(lane.data(), kDigits, kDigitBits, limbs.data(), limbs.size(), 64);
-      out.push_back(Export(limbs.data()));
+      Repack(lane.data(), kDigits, kDigitBits, out + 4 * (lo + l), 4, 64);
     }
   }
   SecureWipe(digits.data(), sizeof(digits));
   SecureWipe(lane.data(), sizeof(lane));
-  SecureWipe(limbs.data(), sizeof(limbs));
 #endif
-  return out;
 }
 
 }  // namespace deta::crypto

@@ -1,19 +1,119 @@
 #include "crypto/paillier.h"
 
 #include <algorithm>
+#include <array>
+#include <optional>
 #include <span>
+#include <type_traits>
 
 #include "common/check.h"
 #include "common/parallel.h"
 #include "common/telemetry.h"
+#include "crypto/secure_wipe.h"
 
 namespace deta::crypto {
 
 namespace {
 
-// L(x) = (x - 1) / n, defined on x ≡ 1 (mod n).
-BigUint LFunction(const BigUint& x, const BigUint& n) {
-  return x.Sub(BigUint(1)).DivMod(n).quotient;
+using Limbs = std::vector<uint64_t>;
+
+// |value| as |width| zero-padded limbs in a Secret; |value| is wiped.
+Secret<Limbs> FixedLimbs(BigUint& value, size_t width) {
+  DETA_CHECK_LE(value.limbs().size(), width);
+  Limbs limbs(width);
+  std::copy(value.limbs().begin(), value.limbs().end(), limbs.begin());
+  value.Wipe();
+  return Secret<Limbs>(std::move(limbs));
+}
+
+// |value| (below ctx's modulus) in ctx's Montgomery form, as FixedLimbs; |value| is
+// wiped.
+Secret<Limbs> MontLimbs(const MontgomeryContext& ctx, BigUint& value) {
+  BigUint mont = ctx.ToMont(value);
+  value.Wipe();
+  return FixedLimbs(mont, ctx.limbs());
+}
+
+bool IsZeroLimbs(const uint64_t* x, size_t count) {
+  return std::all_of(x, x + count, [](uint64_t limb) { return limb == 0; });
+}
+
+// out = a*b + c for a of |na| limbs and b and c of |nb|, in na + nb limbs, which always
+// hold it: a*b + c < (2^(64na) - 1)(2^(64nb) - 1) + 2^(64nb) <= 2^(64(na+nb)).
+inline void MulAddLimbs(const uint64_t* a, size_t na, const uint64_t* b, size_t nb,
+                        const uint64_t* c, uint64_t* out) {
+  using u128 = unsigned __int128;
+  std::fill(std::copy(c, c + nb, out), out + na + nb, uint64_t{0});
+  for (size_t i = 0; i < na; ++i) {
+    uint64_t carry = 0;
+    for (size_t j = 0; j < nb; ++j) {
+      const u128 cur = static_cast<u128>(a[i]) * b[j] + out[i + j] + carry;
+      out[i + j] = static_cast<uint64_t>(cur);
+      carry = static_cast<uint64_t>(cur >> 64);
+    }
+    out[i + nb] = carry;  // above everything rows 0..i-1 and c have written
+  }
+}
+
+// L(x) = (x - 1) / p for x = 1 (mod p) and x < p^2, into the h = limbs(p) limbs at
+// |out|. The quotient is below p < 2^(64h) and p is odd, so it is (x - 1) * p^-1 mod
+// 2^(64h): an exact division by one truncated product, in which only x's low h limbs
+// take part. |t| is h limbs.
+inline void ExactQuotient(const uint64_t* x, const uint64_t* p_inv_low, size_t h,
+                          uint64_t* out, uint64_t* t) {
+  using u128 = unsigned __int128;
+  uint64_t borrow = 1;
+  for (size_t i = 0; i < h; ++i) {
+    t[i] = x[i] - borrow;
+    borrow = x[i] < borrow ? 1 : 0;
+  }
+  std::fill(out, out + h, uint64_t{0});
+  for (size_t i = 0; i < h; ++i) {
+    uint64_t carry = 0;
+    for (size_t j = 0; i + j < h; ++j) {
+      const u128 cur = static_cast<u128>(t[i]) * p_inv_low[j] + out[i + j] + carry;
+      out[i + j] = static_cast<uint64_t>(cur);
+      carry = static_cast<uint64_t>(cur >> 64);
+    }
+  }
+}
+
+// A chunk kernel's scratch of |size| limbs: a stack array of kCapacity limbs when that
+// is nonzero (a compile-time width, sized for the most bases a PowModBatch step takes),
+// else a heap buffer. Wiped however the chunk ends (a ciphertext divisible by a prime
+// throws).
+template <size_t kCapacity>
+class ChunkScratch {
+ public:
+  explicit ChunkScratch(size_t size) {
+    if constexpr (kCapacity == 0) {
+      buffer_.resize(size);
+    } else {
+      DETA_CHECK_LE(size, kCapacity);
+    }
+  }
+  ~ChunkScratch() { SecureWipe(buffer_.data(), buffer_.size() * sizeof(uint64_t)); }
+  ChunkScratch(const ChunkScratch&) = delete;
+  ChunkScratch& operator=(const ChunkScratch&) = delete;
+
+  uint64_t* data() { return buffer_.data(); }
+
+ private:
+  std::conditional_t<kCapacity != 0, std::array<uint64_t, kCapacity>, Limbs> buffer_{};
+};
+
+// Scratch limbs of an encrypt chunk of |count| elements with p^2 of s limbs and p of h:
+// r for p^2 and for q^2 per element (then r^n), one element's m, products and Garner
+// values (4s), the products' scratch (2s + 2) and DrawR's (3h + 2).
+constexpr size_t EncryptScratch(size_t s, size_t h, size_t count) {
+  return 2 * s * count + 4 * s + 2 * s + 2 + 3 * h + 2;
+}
+
+// Scratch limbs of a decrypt chunk: c mod p^2 and mod q^2 per element (then their
+// powers), one element's L values, products and Garner values (6h), and the products'
+// scratch (2s + 2).
+constexpr size_t DecryptScratch(size_t s, size_t h, size_t count) {
+  return 2 * s * count + 6 * h + 2 * s + 2;
 }
 
 // The batch fan-out both encryption paths share. Each element gets its own SecureRng,
@@ -83,37 +183,68 @@ std::optional<PaillierPrivateKey> PaillierPrivateKey::FromPrimes(
     const PaillierPublicKey& pub, Secret<BigUint> p, Secret<BigUint> q) {
   // All derivation happens on exposed references inside this kernel, and every derived
   // value lands in a Secret member. BigUint does not wipe itself on destruction, so the
-  // locals below that determine the key (the powers and their L values) are wiped by
-  // hand; the temporaries inside PowMod, LFunction and InvMod are freed unwiped.
+  // locals below that determine the key (the powers, their L values and the inverses)
+  // are wiped by hand; the temporaries inside ToMont, Mod and InvMod are freed unwiped.
   const BigUint& pv = p.ExposeForCrypto();
   const BigUint& qv = q.ExposeForCrypto();
-  if (pv.Mul(qv) != pub.n()) {
+  // Primes of one bit length b make p^2, q^2 and n all ceil(2b/64) limbs (2b - 1 is
+  // never a multiple of 64) and p and q both ceil(b/64): the chunk kernels run each
+  // group at one width.
+  if (pv.Mul(qv) != pub.n() || pv.BitLength() != qv.BitLength()) {
     return std::nullopt;
   }
   PaillierPrivateKey key;
   key.p_minus_1_ = Secret<BigUint>(pv.Sub(BigUint(1)));
   key.q_minus_1_ = Secret<BigUint>(qv.Sub(BigUint(1)));
-  // The contexts keep (and wipe) their own copies of p^2 and q^2.
+  // The contexts keep (and wipe) their own copies of p^2, q^2, p and q.
   Secret<BigUint> p2(pv.Mul(pv));
   Secret<BigUint> q2(qv.Mul(qv));
   key.mont_p2_ = std::make_shared<const MontgomeryContext>(p2.ExposeForCrypto());
   key.mont_q2_ = std::make_shared<const MontgomeryContext>(q2.ExposeForCrypto());
+  key.mont_p_ = std::make_shared<const MontgomeryContext>(pv);
+  key.mont_q_ = std::make_shared<const MontgomeryContext>(qv);
   // hp = L_p(g^(p-1) mod p^2)^-1 mod p (and symmetrically hq): the per-prime analogue
   // of mu, precomputed so decryption costs one inverse-free multiply per prime.
   const BigUint g = pub.n().Add(BigUint(1));
-  BigUint gp = key.mont_p2_->PowMod(g.Mod(key.mont_p2_->modulus()),
-                                    key.p_minus_1_.ExposeForCrypto());
-  BigUint gq = key.mont_q2_->PowMod(g.Mod(key.mont_q2_->modulus()),
-                                    key.q_minus_1_.ExposeForCrypto());
-  BigUint lp = LFunction(gp, pv);
-  BigUint lq = LFunction(gq, qv);
-  // p^-1 mod q and (p^2)^-1 mod q^2 exist exactly when p != q.
-  bool invertible = BigUint::InvMod(lp, pv, &key.hp_.ExposeMutable()) &&
-                    BigUint::InvMod(lq, qv, &key.hq_.ExposeMutable()) &&
-                    BigUint::InvMod(pv, qv, &key.p_inv_q_.ExposeMutable()) &&
+  BigUint gp = key.mont_p2_->PowMod(g, key.p_minus_1_.ExposeForCrypto());
+  BigUint gq = key.mont_q2_->PowMod(g, key.q_minus_1_.ExposeForCrypto());
+  BigUint lp = gp.Sub(BigUint(1)) / pv;
+  BigUint lq = gq.Sub(BigUint(1)) / qv;
+  BigUint hp;
+  BigUint hq;
+  BigUint p_inv_q;
+  BigUint p2_inv_q2;
+  BigUint p_inv_low;
+  BigUint q_inv_low;
+  const size_t h = key.mont_p_->limbs();
+  const BigUint low = BigUint(1).ShiftLeft(64 * h);
+  // p^-1 mod q and (p^2)^-1 mod q^2 exist exactly when p != q; odd primes are invertible
+  // mod 2^(64h).
+  bool invertible = BigUint::InvMod(lp, pv, &hp) && BigUint::InvMod(lq, qv, &hq) &&
+                    BigUint::InvMod(pv, qv, &p_inv_q) &&
                     BigUint::InvMod(p2.ExposeForCrypto(), q2.ExposeForCrypto(),
-                                    &key.p2_inv_q2_.ExposeMutable());
-  for (BigUint* local : {&gp, &gq, &lp, &lq}) {
+                                    &p2_inv_q2) &&
+                    BigUint::InvMod(pv, low, &p_inv_low) &&
+                    BigUint::InvMod(qv, low, &q_inv_low);
+  if (invertible) {
+    // n * R^2 mod p^2 is n mod p^2 taken into Montgomery form twice.
+    BigUint n_p2 = pub.n().Mod(p2.ExposeForCrypto());
+    BigUint n_q2 = pub.n().Mod(q2.ExposeForCrypto());
+    BigUint n_p2_mont = key.mont_p2_->ToMont(n_p2);
+    BigUint n_q2_mont = key.mont_q2_->ToMont(n_q2);
+    key.n_p2_ = MontLimbs(*key.mont_p2_, n_p2_mont);
+    key.n_q2_ = MontLimbs(*key.mont_q2_, n_q2_mont);
+    key.p2_inv_q2_ = MontLimbs(*key.mont_q2_, p2_inv_q2);
+    key.hp_ = MontLimbs(*key.mont_p_, hp);
+    key.hq_ = MontLimbs(*key.mont_q_, hq);
+    key.p_inv_q_ = MontLimbs(*key.mont_q_, p_inv_q);
+    key.p_inv_low_ = FixedLimbs(p_inv_low, h);
+    key.q_inv_low_ = FixedLimbs(q_inv_low, h);
+    n_p2.Wipe();
+    n_q2.Wipe();
+  }
+  for (BigUint* local : {&gp, &gq, &lp, &lq, &hp, &hq, &p_inv_q, &p2_inv_q2, &p_inv_low,
+                         &q_inv_low}) {
     local->Wipe();
   }
   if (!invertible) {
@@ -128,46 +259,141 @@ size_t PaillierPrivateKey::BatchGrain() const {
   return std::max(mont_p2_->BatchLanes(), mont_q2_->BatchLanes());
 }
 
-BigUint PaillierPrivateKey::DrawR(const BigUint& n, SecureRng& rng) const {
+template <size_t kLimbs>
+BigUint PaillierPrivateKey::DrawR(const BigUint& n, SecureRng& rng, uint64_t* t) const {
   // The public path's draw: for 0 <= r < n, gcd(r, n) = 1 exactly when neither prime
   // divides r (r = 0 included), so this accepts and re-draws the same values.
+  constexpr size_t kHalf = kLimbs / 2;
+  const size_t h = mont_p_->limbs();
   BigUint r;
+  auto divides = [&](const MontgomeryContext& prime) {
+    prime.ReduceLimbs<kHalf>(r.limbs().data(), r.limbs().size(), t, t + h);
+    return IsZeroLimbs(t, h);
+  };
   do {
     r = BigUint::RandomBelow(rng, n);
-  } while (r.Mod(p_.ExposeForCrypto()).IsZero() || r.Mod(q_.ExposeForCrypto()).IsZero());
+  } while (divides(*mont_p_) || divides(*mont_q_));
   return r;
 }
 
-BigUint PaillierPrivateKey::JoinEncrypt(const BigUint& m, const BigUint& n,
-                                        const BigUint& rp, const BigUint& rq) const {
+template <size_t kLimbs, typename RngAt>
+void PaillierPrivateKey::EncryptChunk(std::span<const BigUint> ms, const BigUint& n,
+                                      const RngAt& rng_at, std::span<BigUint> out) const {
   // c = (1 + m*n) * r^n, computed mod p^2 and mod q^2 and joined by Garner into the one
   // residue below n^2 = p^2 * q^2 that the public path computes directly.
-  const BigUint g_m = BigUint(1).Add(m.Mul(n));
-  const BigUint& p2 = mont_p2_->modulus();
-  const BigUint& q2 = mont_q2_->modulus();
-  BigUint cp = mont_p2_->MulMod(g_m.Mod(p2), rp);
-  BigUint cq = mont_q2_->MulMod(g_m.Mod(q2), rq);
-  BigUint h = mont_q2_->MulMod(BigUint::SubMod(cq, cp.Mod(q2), q2),
-                               p2_inv_q2_.ExposeForCrypto());
-  return cp.Add(p2.Mul(h));  // cp + p^2*h < p^2 * q^2
+  constexpr size_t kHalf = kLimbs / 2;
+  const size_t s = kLimbs != 0 ? kLimbs : mont_p2_->limbs();
+  const size_t h = mont_p_->limbs();
+  const size_t count = ms.size();
+  constexpr size_t kCapacity =
+      kLimbs == 0 ? 0 : EncryptScratch(kLimbs, kHalf, kMaxMontgomeryLanes);
+  ChunkScratch<kCapacity> scratch(EncryptScratch(s, h, count));
+  uint64_t* rp = scratch.data();
+  uint64_t* rq = rp + count * s;
+  uint64_t* m = rq + count * s;
+  uint64_t* cp = m + s;
+  uint64_t* cq = cp + s;
+  uint64_t* d = cq + s;
+  uint64_t* t = d + s;  // 2s + 2
+  uint64_t* draw = t + 2 * s + 2;
+  for (size_t i = 0; i < count; ++i) {
+    DETA_CHECK_MSG(ms[i] < n, "Paillier plaintext out of range");
+    // r < n = p*q < 2p^2 and < 2q^2 (equal-length primes), below the 2m PowModBatch
+    // takes, so its s limbs go in unreduced.
+    BigUint r = DrawR<kLimbs>(n, rng_at(i), draw);
+    std::fill(std::copy(r.limbs().begin(), r.limbs().end(), rp + i * s), rp + (i + 1) * s,
+              uint64_t{0});
+    std::copy(rp + i * s, rp + (i + 1) * s, rq + i * s);
+    r.Wipe();
+  }
+  mont_p2_->PowModBatch(rp, count, n, rp);
+  mont_q2_->PowModBatch(rq, count, n, rq);
+  const uint64_t* p2 = mont_p2_->modulus().limbs().data();
+  for (size_t i = 0; i < count; ++i) {
+    // m < n has at most s limbs. m*n*R (n_p2_ is n*R^2) times r^n leaves Montgomery form
+    // as m*n*r^n, and adding r^n makes (1 + m*n) * r^n: no reduction of m or 1 + m*n.
+    const std::vector<uint64_t>& ml = ms[i].limbs();
+    std::fill(std::copy(ml.begin(), ml.end(), m), m + s, uint64_t{0});
+    const uint64_t* rpi = rp + i * s;
+    const uint64_t* rqi = rq + i * s;
+    mont_p2_->MulMontLimbs<kLimbs>(m, n_p2_.ExposeForCrypto().data(), cp, t);
+    mont_p2_->MulMontLimbs<kLimbs>(cp, rpi, cp, t);
+    mont_p2_->AddModLimbs<kLimbs>(cp, rpi, cp);
+    mont_q2_->MulMontLimbs<kLimbs>(m, n_q2_.ExposeForCrypto().data(), cq, t);
+    mont_q2_->MulMontLimbs<kLimbs>(cq, rqi, cq, t);
+    mont_q2_->AddModLimbs<kLimbs>(cq, rqi, cq);
+    // Garner: c = c_p + p^2 * ((c_q - c_p) * (p^2)^-1 mod q^2) < p^2 * q^2.
+    mont_q2_->ReduceLimbs<kLimbs>(cp, s, d, t);
+    mont_q2_->SubModLimbs<kLimbs>(cq, d, d);
+    mont_q2_->MulMontLimbs<kLimbs>(d, p2_inv_q2_.ExposeForCrypto().data(), d, t);
+    Limbs c(2 * s);
+    MulAddLimbs(p2, s, d, s, cp, c.data());
+    out[i] = BigUint::FromLimbs(std::move(c));
+  }
 }
 
-BigUint PaillierPrivateKey::JoinDecrypt(const BigUint& up, const BigUint& uq) const {
+template <size_t kLimbs>
+void PaillierPrivateKey::DecryptChunk(std::span<const BigUint> cs,
+                                      std::span<BigUint> out) const {
   // m mod p = L_p(c^(p-1) mod p^2) * hp mod p, likewise mod q, recombined with Garner's
-  // formula. L throws on a ciphertext divisible by p or q, whose power is 0.
-  const BigUint& pv = p_.ExposeForCrypto();
-  const BigUint& qv = q_.ExposeForCrypto();
-  BigUint mp = BigUint::MulMod(LFunction(up, pv), hp_.ExposeForCrypto(), pv);
-  BigUint mq = BigUint::MulMod(LFunction(uq, qv), hq_.ExposeForCrypto(), qv);
-  BigUint h = BigUint::MulMod(BigUint::SubMod(mq, mp, qv), p_inv_q_.ExposeForCrypto(), qv);
-  return mp.Add(pv.Mul(h));  // mp + p*h < p*q = n
+  // formula.
+  constexpr size_t kHalf = kLimbs / 2;
+  const size_t s = kLimbs != 0 ? kLimbs : mont_p2_->limbs();
+  const size_t h = mont_p_->limbs();
+  const size_t count = cs.size();
+  constexpr size_t kCapacity =
+      kLimbs == 0 ? 0 : DecryptScratch(kLimbs, kHalf, kMaxMontgomeryLanes);
+  ChunkScratch<kCapacity> scratch(DecryptScratch(s, h, count));
+  uint64_t* up = scratch.data();
+  uint64_t* uq = up + count * s;
+  uint64_t* lp = uq + count * s;
+  uint64_t* lq = lp + h;
+  uint64_t* mp = lq + h;
+  uint64_t* mq = mp + h;
+  uint64_t* d = mq + h;
+  uint64_t* w = d + h;
+  uint64_t* t = w + h;  // 2s + 2
+  for (size_t i = 0; i < count; ++i) {
+    const std::vector<uint64_t>& c = cs[i].limbs();
+    mont_p2_->ReduceLimbs<kLimbs>(c.data(), c.size(), up + i * s, t);
+    mont_q2_->ReduceLimbs<kLimbs>(c.data(), c.size(), uq + i * s, t);
+  }
+  mont_p2_->PowModBatch(up, count, p_minus_1_.ExposeForCrypto(), up);
+  mont_q2_->PowModBatch(uq, count, q_minus_1_.ExposeForCrypto(), uq);
+  const uint64_t* p = mont_p_->modulus().limbs().data();
+  for (size_t i = 0; i < count; ++i) {
+    const uint64_t* upi = up + i * s;
+    const uint64_t* uqi = uq + i * s;
+    // A power is 1 mod its prime by Fermat, unless the prime divides c: then it is 0
+    // and L is undefined.
+    DETA_CHECK_MSG(!IsZeroLimbs(upi, s) && !IsZeroLimbs(uqi, s),
+                   "Paillier ciphertext divisible by a prime of the key");
+    ExactQuotient(upi, p_inv_low_.ExposeForCrypto().data(), h, lp, w);
+    ExactQuotient(uqi, q_inv_low_.ExposeForCrypto().data(), h, lq, w);
+    mont_p_->MulMontLimbs<kHalf>(lp, hp_.ExposeForCrypto().data(), mp, t);
+    mont_q_->MulMontLimbs<kHalf>(lq, hq_.ExposeForCrypto().data(), mq, t);
+    // Garner: m = m_p + p * ((m_q - m_p) * p^-1 mod q) < p * q = n.
+    mont_q_->ReduceLimbs<kHalf>(mp, h, d, t);
+    mont_q_->SubModLimbs<kHalf>(mq, d, d);
+    mont_q_->MulMontLimbs<kHalf>(d, p_inv_q_.ExposeForCrypto().data(), d, t);
+    Limbs m(2 * h);
+    MulAddLimbs(p, h, d, h, mp, m.data());
+    out[i] = BigUint::FromLimbs(std::move(m));
+  }
 }
 
 BigUint PaillierPrivateKey::Encrypt(const BigUint& m, SecureRng& rng) const {
   const BigUint n = p_.ExposeForCrypto().Mul(q_.ExposeForCrypto());
-  DETA_CHECK_MSG(m < n, "Paillier plaintext out of range");
-  const BigUint r = DrawR(n, rng);
-  return JoinEncrypt(m, n, mont_p2_->PowMod(r, n), mont_q2_->PowMod(r, n));
+  BigUint c;
+  const std::span<const BigUint> in(&m, 1);
+  const std::span<BigUint> out(&c, 1);
+  auto rng_at = [&](size_t) -> SecureRng& { return rng; };
+  if (FourLimbs()) {
+    EncryptChunk<4>(in, n, rng_at, out);
+  } else {
+    EncryptChunk<0>(in, n, rng_at, out);
+  }
+  return c;
 }
 
 std::vector<BigUint> PaillierPrivateKey::EncryptBatch(const std::vector<BigUint>& ms,
@@ -177,25 +403,28 @@ std::vector<BigUint> PaillierPrivateKey::EncryptBatch(const std::vector<BigUint>
   return EncryptEach(ms, rng, BatchGrain(),
                      [&](std::span<const BigUint> chunk, std::span<const Bytes> seeds,
                          std::span<BigUint> out) {
-                       std::vector<BigUint> rs(chunk.size());
-                       for (size_t i = 0; i < chunk.size(); ++i) {
-                         DETA_CHECK_MSG(chunk[i] < n, "Paillier plaintext out of range");
-                         SecureRng local(seeds[i]);
-                         rs[i] = DrawR(n, local);
-                       }
-                       std::vector<BigUint> rp = mont_p2_->PowModBatch(rs, n);
-                       std::vector<BigUint> rq = mont_q2_->PowModBatch(rs, n);
-                       for (size_t i = 0; i < chunk.size(); ++i) {
-                         out[i] = JoinEncrypt(chunk[i], n, rp[i], rq[i]);
+                       std::optional<SecureRng> local;
+                       auto rng_at = [&](size_t i) -> SecureRng& {
+                         return local.emplace(seeds[i]);
+                       };
+                       if (FourLimbs()) {
+                         EncryptChunk<4>(chunk, n, rng_at, out);
+                       } else {
+                         EncryptChunk<0>(chunk, n, rng_at, out);
                        }
                      });
 }
 
 BigUint PaillierPrivateKey::Decrypt(const BigUint& c) const {
   // CRT decryption: exponentiate against the half-size moduli p^2/q^2 with the
-  // half-size exponents p-1/q-1 (PowMod reduces c), then recombine.
-  return JoinDecrypt(mont_p2_->PowMod(c, p_minus_1_.ExposeForCrypto()),
-                     mont_q2_->PowMod(c, q_minus_1_.ExposeForCrypto()));
+  // half-size exponents p-1/q-1, then recombine.
+  BigUint m;
+  if (FourLimbs()) {
+    DecryptChunk<4>(std::span<const BigUint>(&c, 1), std::span<BigUint>(&m, 1));
+  } else {
+    DecryptChunk<0>(std::span<const BigUint>(&c, 1), std::span<BigUint>(&m, 1));
+  }
+  return m;
 }
 
 std::vector<BigUint> PaillierPrivateKey::DecryptBatch(const std::vector<BigUint>& cs) const {
@@ -206,13 +435,15 @@ std::vector<BigUint> PaillierPrivateKey::DecryptBatch(const std::vector<BigUint>
   std::vector<BigUint> out(cs.size());
   parallel::ParallelFor(0, static_cast<int64_t>(cs.size()),
                         static_cast<int64_t>(BatchGrain()), [&](int64_t lo, int64_t hi) {
+    const size_t begin = static_cast<size_t>(lo);
+    const size_t count = static_cast<size_t>(hi - lo);
     const std::span<const BigUint> chunk =
-        std::span<const BigUint>(cs).subspan(static_cast<size_t>(lo),
-                                             static_cast<size_t>(hi - lo));
-    std::vector<BigUint> up = mont_p2_->PowModBatch(chunk, p_minus_1_.ExposeForCrypto());
-    std::vector<BigUint> uq = mont_q2_->PowModBatch(chunk, q_minus_1_.ExposeForCrypto());
-    for (size_t i = 0; i < chunk.size(); ++i) {
-      out[static_cast<size_t>(lo) + i] = JoinDecrypt(up[i], uq[i]);
+        std::span<const BigUint>(cs).subspan(begin, count);
+    const std::span<BigUint> dest = std::span<BigUint>(out).subspan(begin, count);
+    if (FourLimbs()) {
+      DecryptChunk<4>(chunk, dest);
+    } else {
+      DecryptChunk<0>(chunk, dest);
     }
   });
   return out;

@@ -25,12 +25,17 @@
 // context (crypto/montgomery.h), built once per key and shared by copies. The private
 // key's batch forms split a batch into chunks of the lanes PowModBatch runs (8 bases per
 // AVX-512 IFMA step at the default key size) and make one PowModBatch call per prime
-// square per chunk, so the single-element and batch forms return the same bits.
+// square per chunk; the single-element forms are chunks of one, so both return the same
+// bits. Around the exponentiations, each element's CRT work (r's prime checks, the
+// reductions, the Garner joins and L) runs on fixed-width limbs in the chunk's scratch,
+// on Montgomery contexts over p^2, q^2, p and q, so an element allocates only its output.
 #ifndef DETA_CRYPTO_PAILLIER_H_
 #define DETA_CRYPTO_PAILLIER_H_
 
+#include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/secret.h"
@@ -67,7 +72,8 @@ class PaillierPublicKey {
 class PaillierPrivateKey {
  public:
   // Builds the private key of |pub| from its prime factors and derives the CRT values.
-  // nullopt unless p * q = n and p != q; a factor of 1 fails a DETA_CHECK.
+  // nullopt unless p * q = n, p != q and p and q have the same bit length, as every
+  // generated key's do: the CRT kernels size their operands and reductions by it.
   static std::optional<PaillierPrivateKey> FromPrimes(const PaillierPublicKey& pub,
                                                       Secret<BigUint> p,
                                                       Secret<BigUint> q);
@@ -88,38 +94,56 @@ class PaillierPrivateKey {
   std::vector<BigUint> DecryptBatch(const std::vector<BigUint>& cs) const;
 
  private:
+  using Limbs = std::vector<uint64_t>;
+
   PaillierPrivateKey() = default;
 
-  // The steps the single-element and batch forms share, so both compute each element
-  // the same way. DrawR draws r below n with neither prime dividing it. JoinEncrypt
-  // takes r^n mod p^2 and mod q^2 to the ciphertext of m; JoinDecrypt takes
-  // c^(p-1) mod p^2 and c^(q-1) mod q^2 to the plaintext.
-  BigUint DrawR(const BigUint& n, SecureRng& rng) const;
-  BigUint JoinEncrypt(const BigUint& m, const BigUint& n, const BigUint& rp,
-                      const BigUint& rq) const;
-  BigUint JoinDecrypt(const BigUint& up, const BigUint& uq) const;
+  // The chunk kernels the single-element and batch forms share, so both compute each
+  // element the same way. EncryptChunk draws element i's r from rng_at(i), in index
+  // order; DecryptChunk throws on a ciphertext divisible by p or q. kLimbs is the width
+  // of p^2 and q^2: 4 at the default key size (p and q then have 2), 0 for the run-time
+  // width.
+  template <size_t kLimbs, typename RngAt>
+  void EncryptChunk(std::span<const BigUint> ms, const BigUint& n, const RngAt& rng_at,
+                    std::span<BigUint> out) const;
+  template <size_t kLimbs>
+  void DecryptChunk(std::span<const BigUint> cs, std::span<BigUint> out) const;
+  // Draws r below n with neither prime dividing it, testing each prime by a reduction on
+  // limbs; |t| is scratch of 3 * limbs(p) + 2 limbs.
+  template <size_t kLimbs>
+  BigUint DrawR(const BigUint& n, SecureRng& rng, uint64_t* t) const;
+  // Whether the chunk kernels run at the compile-time 4 limbs.
+  bool FourLimbs() const { return mont_p2_->limbs() == 4; }
   // Elements per parallel chunk of the batch forms: the bases PowModBatch raises per
   // step over p^2 and q^2 (8 with AVX-512 IFMA at the default key size, else 1).
   size_t BatchGrain() const;
 
   // Whoever holds these can decrypt every party's update, the exact capability the
-  // decentralization argument denies to aggregators. So every component is a
-  // Secret<BigUint>: it cannot reach a log, a telemetry label, or a plaintext wire or
-  // persist path without an audited Expose* call, and it wipes itself on destruction.
-  // The derived members exist so neither decryption nor encryption recomputes an
-  // inverse per ciphertext.
+  // decentralization argument denies to aggregators. So every component is a Secret: it
+  // cannot reach a log, a telemetry label, or a plaintext wire or persist path without an
+  // audited Expose* call, and it wipes itself on destruction. The derived members exist
+  // so neither decryption nor encryption recomputes an inverse per ciphertext. The limb
+  // constants are little-endian and zero-padded to limbs(p^2) or limbs(p); those marked
+  // Montgomery are in the Montgomery form of their modulus's context, so one CIOS
+  // product applies each.
   Secret<BigUint> p_;
   Secret<BigUint> q_;
   Secret<BigUint> p_minus_1_;  // CRT exponent mod p^2
   Secret<BigUint> q_minus_1_;  // CRT exponent mod q^2
-  Secret<BigUint> hp_;         // L_p(g^(p-1) mod p^2)^-1 mod p
-  Secret<BigUint> hq_;         // L_q(g^(q-1) mod q^2)^-1 mod q
-  Secret<BigUint> p_inv_q_;    // p^-1 mod q (Garner recombination, decryption)
-  Secret<BigUint> p2_inv_q2_;  // (p^2)^-1 mod q^2 (Garner recombination, encryption)
-  // Contexts over p^2 and q^2; a context wipes its modulus and tables when the last
-  // key copy drops it.
+  Secret<Limbs> n_p2_;         // n * R^2 mod p^2: MulMont(m, .) = m*n, Montgomery form
+  Secret<Limbs> n_q2_;         // n * R^2 mod q^2
+  Secret<Limbs> p2_inv_q2_;    // (p^2)^-1 mod q^2, Montgomery (Garner, encryption)
+  Secret<Limbs> hp_;           // L_p(g^(p-1) mod p^2)^-1 mod p, Montgomery
+  Secret<Limbs> hq_;           // L_q(g^(q-1) mod q^2)^-1 mod q, Montgomery
+  Secret<Limbs> p_inv_q_;      // p^-1 mod q, Montgomery (Garner, decryption)
+  Secret<Limbs> p_inv_low_;    // p^-1 mod 2^(64*limbs(p)): L_p as an exact division
+  Secret<Limbs> q_inv_low_;    // q^-1 mod 2^(64*limbs(q))
+  // Contexts over p^2, q^2, p and q; a context wipes its modulus and tables when the
+  // last key copy drops it.
   std::shared_ptr<const MontgomeryContext> mont_p2_;
   std::shared_ptr<const MontgomeryContext> mont_q2_;
+  std::shared_ptr<const MontgomeryContext> mont_p_;
+  std::shared_ptr<const MontgomeryContext> mont_q_;
 };
 
 struct PaillierKeyPair {

@@ -50,7 +50,7 @@ constexpr int kTickMs = 20;
 uint32_t FrameLength(const uint8_t* at) { return ReadU32(std::span<const uint8_t>(at, 4), 0); }
 
 // Bytes a receive buffer keeps free beyond the frame it is receiving, so one recv can
-// also take in the head of whatever follows.
+// also take in the head of whatever follows; no recv takes in more.
 constexpr size_t kRecvChunk = 64 << 10;
 
 // A frame is a u32 little-endian body length, then the body. Every control frame is made
@@ -530,7 +530,7 @@ void TcpTransport::HandleWritable(int fd) {
   UpdateEpollInterest(fd);
 }
 
-bool TcpTransport::MakeRoom(RecvBuffer& rx) {
+size_t TcpTransport::MakeRoom(RecvBuffer& rx) {
   const size_t pending = rx.end - rx.begin;
   if (pending == 0) {
     rx.begin = rx.end = 0;
@@ -539,16 +539,16 @@ bool TcpTransport::MakeRoom(RecvBuffer& rx) {
   // a chunk of what follows. ParseFrames has already closed a connection over a length
   // above kMaxFrameBytes, and consumed every complete frame. The buffer is kept across
   // frames, so it stays as large as the largest frame its connection has carried.
-  size_t need = pending + kRecvChunk;
+  size_t need = kRecvChunk;
   if (pending >= 4) {
-    need = 4 + static_cast<size_t>(FrameLength(rx.data.get() + rx.begin)) + kRecvChunk;
+    need += 4 + static_cast<size_t>(FrameLength(rx.data.get() + rx.begin));
   }
   if (rx.capacity - rx.begin >= need) {
-    return true;
+    return rx.begin + need - rx.end;
   }
   if (rx.capacity >= need) {
-    // Only the unparsed tail moves: at most the head of one frame, since each frame's
-    // room is made once its length is known.
+    // Only the unparsed tail moves: at most one chunk, since no recv reads more than a
+    // chunk past the end of the frame whose length it knew.
     std::memmove(rx.data.get(), rx.data.get() + rx.begin, pending);
   } else {
     // The length is the peer's claim, so the room is made before its bytes arrive: the
@@ -559,7 +559,7 @@ bool TcpTransport::MakeRoom(RecvBuffer& rx) {
     try {
       grown = std::make_unique_for_overwrite<uint8_t[]>(capacity);
     } catch (const std::bad_alloc&) {
-      return false;
+      return 0;
     }
     if (pending > 0) {
       std::memcpy(grown.get(), rx.data.get() + rx.begin, pending);
@@ -567,9 +567,15 @@ bool TcpTransport::MakeRoom(RecvBuffer& rx) {
     rx.data = std::move(grown);
     rx.capacity = capacity;
   }
+  if (pending > 0) {
+    DETA_HISTOGRAM("net.tcp.recv_moved_bytes", ::deta::telemetry::Unit::kBytes)
+        .Record(static_cast<double>(pending));
+  }
   rx.begin = 0;
   rx.end = pending;
-  return true;
+  // Up to the end of the room: more would take in the frames behind this one, to be
+  // moved once it is parsed.
+  return need - pending;
 }
 
 bool TcpTransport::ParseFrames(int fd, RecvBuffer& rx) {
@@ -607,12 +613,13 @@ void TcpTransport::HandleReadable(int fd) {
   // the same readable event; its frames are dispatched before the close below.
   const char* close_reason = nullptr;
   for (;;) {
-    if (!MakeRoom(rx)) {
+    const size_t room = MakeRoom(rx);
+    if (room == 0) {
       MutexLock lock(mutex_);
       CloseMalformed(fd, "frame too large to buffer");
       return;
     }
-    ssize_t n = recv(fd, rx.data.get() + rx.end, rx.capacity - rx.end, 0);
+    ssize_t n = recv(fd, rx.data.get() + rx.end, room, 0);
     if (n > 0) {
       rx.end += static_cast<size_t>(n);
       if (!ParseFrames(fd, rx)) {

@@ -122,9 +122,12 @@ class TcpTransport final : public Transport {
   // and closes.
   void HandleReadable(int fd) DETA_EXCLUDES(mutex_);
   void HandleWritable(int fd) DETA_REQUIRES(mutex_);
-  // Makes room in |rx| for the rest of the frame being received and the next chunk;
-  // false when that room cannot be allocated.
-  static bool MakeRoom(RecvBuffer& rx);
+  // Makes room in |rx| for the rest of the frame being received and the next chunk, and
+  // returns the bytes the next recv may take: up to the end of that room, so no read
+  // takes in more than a chunk past the frame whose length is known and no move copies
+  // more than a chunk. 0 when that room cannot be allocated. The size of each move or
+  // grow's copy of the unparsed tail is recorded in net.tcp.recv_moved_bytes.
+  static size_t MakeRoom(RecvBuffer& rx);
   // Dispatches the complete frames in |rx|; false once the connection closed over one.
   bool ParseFrames(int fd, RecvBuffer& rx) DETA_EXCLUDES(mutex_);
   // One frame body; false when it closed the connection.

@@ -10,6 +10,7 @@
 #include "crypto/bigint.h"
 #include "crypto/montgomery.h"
 #include "crypto/paillier.h"
+#include "net/codec.h"
 #include "persist/paillier_key_codec.h"
 
 namespace deta::crypto {
@@ -37,6 +38,112 @@ BigUint PowModSchoolbook(const BigUint& base, const BigUint& exp, const BigUint&
 }
 
 constexpr size_t kBitSizes[] = {8, 31, 32, 33, 64, 96, 128, 160, 224, 256};
+
+// |value| as |width| zero-padded limbs, and back.
+std::vector<uint64_t> ToLimbs(const BigUint& value, size_t width) {
+  std::vector<uint64_t> limbs(width);
+  std::copy(value.limbs().begin(), value.limbs().end(), limbs.begin());
+  return limbs;
+}
+BigUint FromLimbs(const uint64_t* limbs, size_t width) {
+  return BigUint::FromLimbs(std::vector<uint64_t>(limbs, limbs + width));
+}
+
+// PowModBatch over BigUint bases of any size. A base below 2m that fits s limbs goes in
+// as it is, as the Paillier private key's r does (the kernels take any base below 2m);
+// any other is reduced by ReduceLimbs first, as the key's ciphertexts are.
+std::vector<BigUint> PowModBatchOf(const MontgomeryContext& ctx,
+                                   const std::vector<BigUint>& bases,
+                                   const BigUint& exp) {
+  const size_t s = ctx.limbs();
+  const BigUint twice_m = ctx.modulus().Mul(BigUint(2));
+  std::vector<uint64_t> limbs(bases.size() * s);
+  std::vector<uint64_t> t(2 * s + 2);
+  for (size_t i = 0; i < bases.size(); ++i) {
+    const std::vector<uint64_t>& b = bases[i].limbs();
+    if (bases[i] < twice_m && b.size() <= s) {
+      std::copy(b.begin(), b.end(), limbs.begin() + static_cast<long>(i * s));
+    } else {
+      ctx.ReduceLimbs<0>(b.data(), b.size(), limbs.data() + i * s, t.data());
+    }
+  }
+  ctx.PowModBatch(limbs.data(), bases.size(), exp, limbs.data());
+  std::vector<BigUint> out;
+  for (size_t i = 0; i < bases.size(); ++i) {
+    out.push_back(FromLimbs(limbs.data() + i * s, s));
+  }
+  return out;
+}
+
+// The limb kernels against BigUint at one width: kLimbs == 0 runs the run-time loops,
+// kLimbs > 0 the unrolled ones (Paillier's p^2 and q^2 at 4 limbs, p and q at 2). Each
+// kernel sees the edges of its domain: MulMontLimbs a first operand anywhere below R
+// (0, 1, m - 1, m, R - 1), AddModLimbs and SubModLimbs m - 1 and 0, and ReduceLimbs
+// inputs of 0 to 3s + 1 limbs, m itself, multiples of m and all-ones values.
+template <size_t kLimbs>
+void CheckLimbKernels(const BigUint& m, SecureRng& rng) {
+  MontgomeryContext ctx(m);
+  const size_t s = ctx.limbs();
+  ASSERT_TRUE(kLimbs == 0 || kLimbs == s);
+  const BigUint r = BigUint(1).ShiftLeft(64 * s);
+  BigUint r_inv;
+  ASSERT_TRUE(BigUint::InvMod(r, m, &r_inv));
+  const BigUint m1 = m.Sub(BigUint(1));
+  std::vector<BigUint> below_m = {BigUint(0), BigUint(1), m1};
+  std::vector<BigUint> below_r = {BigUint(0), BigUint(1), m1, m, r.Sub(BigUint(1))};
+  for (int i = 0; i < 6; ++i) {
+    below_m.push_back(BigUint::RandomBelow(rng, m));
+    below_r.push_back(BigUint::RandomBelow(rng, r));
+  }
+  std::vector<uint64_t> out(s);
+  std::vector<uint64_t> t(2 * s + 2);
+  for (const BigUint& a : below_r) {
+    for (const BigUint& b : below_m) {
+      const std::vector<uint64_t> la = ToLimbs(a, s);
+      const std::vector<uint64_t> lb = ToLimbs(b, s);
+      ctx.MulMontLimbs<kLimbs>(la.data(), lb.data(), out.data(), t.data());
+      ASSERT_EQ(FromLimbs(out.data(), s),
+                BigUint::MulMod(a.Mod(m), b, m).Mul(r_inv).Mod(m))
+          << "m=" << m.ToHexString() << " a=" << a.ToHexString()
+          << " b=" << b.ToHexString();
+      if (a < m) {
+        ctx.AddModLimbs<kLimbs>(la.data(), lb.data(), out.data());
+        ASSERT_EQ(FromLimbs(out.data(), s), BigUint::AddMod(a, b, m));
+        ctx.SubModLimbs<kLimbs>(la.data(), lb.data(), out.data());
+        ASSERT_EQ(FromLimbs(out.data(), s), BigUint::SubMod(a, b, m));
+      }
+    }
+  }
+  std::vector<BigUint> wide = {BigUint(0), m, m.Mul(BigUint(3)), m.Mul(r).Add(m1),
+                               BigUint(1).ShiftLeft(64 * 3 * s).Sub(BigUint(1))};
+  for (size_t limbs = 1; limbs <= 3 * s + 1; ++limbs) {
+    wide.push_back(BigUint::RandomBits(rng, 64 * limbs));
+  }
+  for (const BigUint& x : wide) {
+    ctx.ReduceLimbs<kLimbs>(x.limbs().data(), x.limbs().size(), out.data(), t.data());
+    ASSERT_EQ(FromLimbs(out.data(), s), x.Mod(m))
+        << "m=" << m.ToHexString() << " x=" << x.ToHexString();
+  }
+}
+
+TEST(MontgomeryDifferentialTest, LimbKernelsMatchBigUint) {
+  SecureRng rng(StringToBytes("mont-limb-kernels"));
+  const BigUint all_ones_256 = BigUint(1).ShiftLeft(256).Sub(BigUint(1));
+  const BigUint all_ones_128 = BigUint(1).ShiftLeft(128).Sub(BigUint(1));
+  for (const BigUint& m : {all_ones_256, BigUint(1).ShiftLeft(192).Add(BigUint(1)),
+                           RandomOddModulus(rng, 256), RandomOddModulus(rng, 200)}) {
+    CheckLimbKernels<4>(m, rng);
+    CheckLimbKernels<0>(m, rng);
+  }
+  for (const BigUint& m : {all_ones_128, BigUint(1).ShiftLeft(64).Add(BigUint(1)),
+                           RandomOddModulus(rng, 128), RandomOddModulus(rng, 97)}) {
+    CheckLimbKernels<2>(m, rng);
+    CheckLimbKernels<0>(m, rng);
+  }
+  for (size_t bits : {size_t{3}, size_t{64}, size_t{130}, size_t{512}, size_t{1024}}) {
+    CheckLimbKernels<0>(RandomOddModulus(rng, bits), rng);
+  }
+}
 
 TEST(MontgomeryDifferentialTest, MulModMatchesBigUintMulMod) {
   SecureRng rng(StringToBytes("mont-mulmod"));
@@ -189,8 +296,9 @@ TEST(MontgomeryDifferentialTest, AllOnesTopLimbMatchesSchoolbook) {
 // PowModBatch against the oracle, on every kernel this CPU runs. The moduli are 4-limb
 // (193 to 256 bits, 2^192 + 1 and 2^256 - 1 among them, and p^2 and q^2 of 128-bit
 // primes), where a CPU with AVX-512 IFMA runs the 8-lane kernel, and 1- to 3-limb,
-// where PowModBatch loops PowMod on every CPU. The bases are 0, 1, m - 1, values >= m
-// (reduced first), random residues and, under p^2 and q^2, multiples of the prime, whose
+// where PowModBatch runs PowMod's kernel on every CPU. The bases are 0, 1, m - 1, m and
+// m + 1 (passed unreduced where they fit s limbs), larger values (reduced first, by
+// ReduceLimbs), random residues and, under p^2 and q^2, multiples of the prime, whose
 // powers are 0: the lanes leave Montgomery form at m there, so only the final
 // subtraction makes them canonical. Batch sizes 0-17 and 186 (a lane-packed fragment)
 // take full and partial lane steps; each batch is a window of the base pool at a moving
@@ -256,7 +364,7 @@ TEST(MontgomeryDifferentialTest, PowModBatchMatchesOracleOnEveryKernel) {
         for (size_t i = 0; i < size; ++i) {
           bases.push_back(pool[(offset + i) % kPool]);
         }
-        std::vector<BigUint> got = ctx.PowModBatch(bases, exp);
+        std::vector<BigUint> got = PowModBatchOf(ctx, bases, exp);
         ASSERT_EQ(got.size(), size);
         for (size_t i = 0; i < size; ++i) {
           ASSERT_EQ(got[i], want[(offset + i) % kPool])
@@ -402,6 +510,139 @@ TEST(PaillierCrtDifferentialTest, BatchesOfEverySizeMatchThePublicPath) {
       }
     }
   }
+}
+
+// A key built by FromPrimes from two distinct random primes of |bits| bits each.
+PaillierKeyPair KeyFromPrimesOf(SecureRng& rng, size_t bits) {
+  for (;;) {
+    BigUint p = BigUint::RandomPrime(rng, bits);
+    BigUint q = BigUint::RandomPrime(rng, bits);
+    if (p == q) {
+      continue;
+    }
+    PaillierPublicKey pub(p.Mul(q));
+    std::optional<PaillierPrivateKey> priv = PaillierPrivateKey::FromPrimes(
+        pub, Secret<BigUint>(std::move(p)), Secret<BigUint>(std::move(q)));
+    EXPECT_TRUE(priv.has_value()) << "bits=" << bits;
+    return PaillierKeyPair{std::move(pub), std::move(*priv)};
+  }
+}
+
+// r mod p and r mod q on limbs, DrawR's divisibility test, against BigUint::Mod at the
+// width the key's kernels run p and q (2 limbs at the default key size).
+void ExpectDivisibilityMatchesMod(const PaillierKeyPair& key, const BigUint& r) {
+  for (const BigUint* prime : {&key.priv.p().ExposeForCrypto(),
+                               &key.priv.q().ExposeForCrypto()}) {
+    MontgomeryContext ctx(*prime);
+    const size_t h = ctx.limbs();
+    std::vector<uint64_t> out(h);
+    std::vector<uint64_t> t(2 * h + 2);
+    if (h == 2) {
+      ctx.ReduceLimbs<2>(r.limbs().data(), r.limbs().size(), out.data(), t.data());
+    } else {
+      ctx.ReduceLimbs<0>(r.limbs().data(), r.limbs().size(), out.data(), t.data());
+    }
+    EXPECT_EQ(FromLimbs(out.data(), h), r.Mod(*prime))
+        << "r=" << r.ToHexString() << " prime=" << prime->ToHexString();
+  }
+}
+
+// The private key's fixed-limb CRT kernels against the BigUint oracles, at every width
+// they run: the public path's n^2 encryption (same seeds, same ciphertexts, same rng
+// position) and the textbook lambda/mu decryption. The keys are generated at 128 to 1024
+// bits, as PaillierCrtDifferentialTest's are, and also built from primes of 8 to 129
+// bits, which give p^2 of 1 to 5 limbs and p of 1 to 3, with p^2 at twice p's limbs and
+// one less; each key is checked as built and after a round trip through the key codec.
+// The plaintexts are 0, 1, n - 1 and random; the ciphertexts include 1, whose plaintext
+// is 0. At 8-bit primes about one r in a hundred shares a prime with n, so DrawR
+// re-draws dozens of times and must accept exactly what the public path's gcd test does.
+TEST(PaillierCrtJoinTest, KernelsMatchTheBigUintOraclesAtEveryWidth) {
+  SecureRng rng(StringToBytes("crt-join"));
+  std::vector<PaillierKeyPair> keys;
+  for (size_t modulus_bits : {size_t{128}, size_t{256}, size_t{512}, size_t{1024}}) {
+    keys.push_back(GeneratePaillierKey(rng, modulus_bits));
+  }
+  for (size_t prime_bits : {size_t{8}, size_t{31}, size_t{32}, size_t{33}, size_t{64},
+                            size_t{65}, size_t{96}, size_t{97}, size_t{129}}) {
+    keys.push_back(KeyFromPrimesOf(rng, prime_bits));
+  }
+  for (const PaillierKeyPair& built : keys) {
+    const std::optional<PaillierKeyPair> parsed =
+        persist::ParsePaillierKey(persist::SerializePaillierKey(built));
+    ASSERT_TRUE(parsed.has_value());
+    const BigUint& n = built.pub.n();
+    const BigUint& p = built.priv.p().ExposeForCrypto();
+    const BigUint& q = built.priv.q().ExposeForCrypto();
+    for (const BigUint& r : {BigUint(0), p, q.Mul(BigUint(5)), n.Sub(p),
+                             n.Sub(BigUint(1)), BigUint::RandomBelow(rng, n)}) {
+      ExpectDivisibilityMatchesMod(built, r);
+    }
+    const bool tiny = n.BitLength() <= 16;
+    std::vector<BigUint> ms = {BigUint(0), BigUint(1), n.Sub(BigUint(1))};
+    while (ms.size() < (tiny ? 2000u : 12u)) {
+      ms.push_back(BigUint::RandomBelow(rng, n));
+    }
+    const TextbookPaillier textbook(built);
+    for (const PaillierKeyPair* key : {&built, &*parsed}) {
+      const std::string where =
+          "n=" + n.ToHexString() + (key == &built ? " built" : " parsed");
+      const Bytes seed = rng.NextBytes(32);
+      SecureRng public_rng(seed);
+      SecureRng crt_rng(seed);
+      std::vector<BigUint> want = key->pub.EncryptBatch(ms, public_rng);
+      std::vector<BigUint> got = key->priv.EncryptBatch(ms, crt_rng);
+      ASSERT_EQ(got, want) << where;
+      for (size_t i = 0; i < 3; ++i) {  // the single-element form, on the caller's rng
+        ASSERT_EQ(key->priv.Encrypt(ms[i], crt_rng), key->pub.Encrypt(ms[i], public_rng))
+            << where << " i=" << i;
+      }
+      EXPECT_EQ(crt_rng.NextBytes(32), public_rng.NextBytes(32)) << where;
+      got.push_back(BigUint(1));
+      ms.push_back(BigUint(0));
+      const std::vector<BigUint> plains = key->priv.DecryptBatch(got);
+      ASSERT_EQ(plains, ms) << where;
+      for (size_t i = 0; i < got.size(); i += tiny ? 37 : 1) {
+        ASSERT_EQ(key->priv.Decrypt(got[i]), textbook.Decrypt(got[i]))
+            << where << " i=" << i;
+      }
+      ms.pop_back();
+    }
+  }
+}
+
+// FromPrimes refuses primes of unequal bit length (keygen never draws them): with them
+// m < n could exceed 2p^2 and p^2 could exceed 4q^2, and their limb counts could differ.
+// A key codec blob that carries such primes fails to parse, as any other invalid key.
+TEST(PaillierCrtJoinTest, FromPrimesRefusesPrimesOfUnequalLength) {
+  SecureRng rng(StringToBytes("crt-unequal"));
+  for (auto [p_bits, q_bits] : {std::pair<size_t, size_t>{127, 128}, {128, 127}, {64, 65},
+                                {120, 136}, {8, 248}}) {
+    const BigUint p = BigUint::RandomPrime(rng, p_bits);
+    const BigUint q = BigUint::RandomPrime(rng, q_bits);
+    PaillierPublicKey pub(p.Mul(q));
+    EXPECT_FALSE(PaillierPrivateKey::FromPrimes(pub, Secret<BigUint>(p), Secret<BigUint>(q))
+                     .has_value())
+        << p_bits << " and " << q_bits << " bits";
+    net::Writer blob;
+    blob.WriteU32(3);
+    blob.WriteBytes(pub.n().ToBytes());
+    blob.WriteBytes(p.ToBytes());
+    blob.WriteBytes(q.ToBytes());
+    EXPECT_FALSE(persist::ParsePaillierKey(blob.Take()).has_value())
+        << p_bits << " and " << q_bits << " bits";
+  }
+  // Equal lengths, the control: the same blob layout parses.
+  const BigUint p = BigUint::RandomPrime(rng, 128);
+  BigUint q = BigUint::RandomPrime(rng, 128);
+  while (q == p) {
+    q = BigUint::RandomPrime(rng, 128);
+  }
+  net::Writer blob;
+  blob.WriteU32(3);
+  blob.WriteBytes(p.Mul(q).ToBytes());
+  blob.WriteBytes(p.ToBytes());
+  blob.WriteBytes(q.ToBytes());
+  EXPECT_TRUE(persist::ParsePaillierKey(blob.Take()).has_value());
 }
 
 }  // namespace

@@ -633,6 +633,53 @@ TEST(TcpTransportTest, FrameWrittenOneByteAtATimeIsParsed) {
   ::close(fd);
 }
 
+// Once a connection's buffer has grown past one frame, a read must still stop one
+// receive chunk (64 KiB) past the end of the frame it is receiving: a read that took in
+// the frames behind it would have them moved to the front of the buffer when the next
+// frame's room is made, megabytes at a time. A burst of back-to-back frames of mixed
+// sizes, sent behind a 3 MiB frame that grew the buffer, arrives intact and in order,
+// and no move or grow copies more than a chunk (net.tcp.recv_moved_bytes).
+TEST(TcpTransportTest, ABurstBehindAGrownBufferIsMovedAtMostAChunkAtATime) {
+  TcpTransport tcp{TcpTransportOptions{}};
+  auto b = tcp.CreateEndpoint("b");
+  int fd = ConnectRaw(tcp);
+  ASSERT_GE(fd, 0);
+  const Bytes grow = Pattern(3u << 20, 20);
+  SendAll(fd, RawDataFrame("b", 1, grow));
+  std::optional<Message> first = b->ReceiveFor(10000);
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(first->payload == grow);
+  const telemetry::TelemetrySnapshot before = telemetry::Snapshot();
+  const std::vector<size_t> sizes = {1500000, 17, 300000, 70000, 5,      900000,
+                                     65536,   1,  2000000, 40000, 700000, 3};
+  Bytes burst;
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    const Bytes frame = RawDataFrame("b", i + 2, Pattern(sizes[i], i + 2));
+    burst.insert(burst.end(), frame.begin(), frame.end());
+  }
+  SendAll(fd, burst);
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    std::optional<Message> m = b->ReceiveFor(10000);
+    ASSERT_TRUE(m.has_value()) << "frame " << i;
+    EXPECT_EQ(m->seq, i + 2);
+    EXPECT_TRUE(m->payload == Pattern(sizes[i], i + 2)) << "frame " << i;
+  }
+  ::close(fd);
+  const telemetry::TelemetrySnapshot after =
+      telemetry::Delta(before, telemetry::Snapshot());
+  auto moved = after.histograms.find("net.tcp.recv_moved_bytes");
+  if (moved != after.histograms.end()) {
+    // Bucket b holds [2^(b-31), 2^(b-30)), so a move of at most 2^16 bytes is in 47 or
+    // below.
+    constexpr int kChunkBucket = 16 + 31;
+    for (const auto& [bucket, count] : moved->second.buckets) {
+      EXPECT_TRUE(count == 0 || bucket <= kChunkBucket)
+          << count << " moves of at least 2^" << bucket - 31 << " bytes";
+    }
+    EXPECT_LE(moved->second.sum, static_cast<double>(moved->second.count) * 65536.0);
+  }
+}
+
 // The largest length prefix a node accepts, 256 MiB, as a peer writes it.
 const Bytes kLargestClaim = {0x00, 0x00, 0x00, 0x10};
 
