@@ -315,7 +315,7 @@ void BM_PermutationDerivation(benchmark::State& state) {
 BENCHMARK(BM_PermutationDerivation)->Arg(10000)->Arg(100000)->Arg(1000000);
 
 // The model mapper's layout at bulk_update_tcp's 2,035,210 parameters over 3 aggregators:
-// one Fisher-Yates over every coordinate plus the walk that fills the partitions.
+// a Fisher-Yates stopped once the first slice is left, then each slice's bitmap sort.
 void BM_MapperLayout(benchmark::State& state) {
   int64_t n = state.range(0);
   const Bytes seed = StringToBytes("bench");

@@ -10,6 +10,7 @@
 #define DETA_CORE_MODEL_MAPPER_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/bytes.h"
@@ -22,7 +23,7 @@ class ModelMapper {
   // given proportions (finite, non-negative, positive sum; they need not sum exactly to 1
   // and are normalized). The assignment is a seeded random permutation, so every
   // aggregator's partition is a uniform random subset of coordinates. Counted under
-  // core.transform.layouts.
+  // core.transform.layouts and timed by the span core.transform.layout.
   ModelMapper(int64_t total_params, const std::vector<double>& proportions,
               const Bytes& shared_seed);
 
@@ -30,10 +31,10 @@ class ModelMapper {
   static ModelMapper Uniform(int64_t total_params, int num_aggregators,
                              const Bytes& shared_seed);
 
-  int num_partitions() const { return static_cast<int>(partition_indices_.size()); }
-  int64_t total_params() const { return total_params_; }
-  // Global coordinate indices owned by partition |p|, in fragment order.
-  const std::vector<int64_t>& PartitionIndices(int p) const;
+  int num_partitions() const { return static_cast<int>(offsets_.size() - 1); }
+  int64_t total_params() const { return static_cast<int64_t>(indices_.size()); }
+  // Global coordinate indices owned by partition |p|, ascending: fragment order.
+  std::span<const uint32_t> PartitionIndices(int p) const;
   int64_t PartitionSize(int p) const { return static_cast<int64_t>(PartitionIndices(p).size()); }
 
   // Splits a flat update into per-aggregator fragments.
@@ -42,8 +43,10 @@ class ModelMapper {
   std::vector<float> Merge(const std::vector<std::vector<float>>& fragments) const;
 
  private:
-  int64_t total_params_;
-  std::vector<std::vector<int64_t>> partition_indices_;
+  // Every coordinate once, partition by partition: partition p owns
+  // indices_[offsets_[p], offsets_[p + 1]).
+  std::vector<uint32_t> indices_;
+  std::vector<size_t> offsets_;
 };
 
 }  // namespace deta::core

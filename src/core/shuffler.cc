@@ -12,8 +12,9 @@
 
 namespace deta::core {
 
-std::vector<uint32_t> SeededPermutation(crypto::SecureRng& rng, size_t n) {
+std::vector<uint32_t> SeededPermutation(crypto::SecureRng& rng, size_t n, size_t stop) {
   DETA_CHECK_LT(n, size_t{1} << 32);
+  DETA_CHECK_LE(stop, n);
   std::vector<uint32_t> table(n);
   std::iota(table.begin(), table.end(), 0u);
   // The draws do not depend on the table, so each batch of them is taken first and its
@@ -21,8 +22,9 @@ std::vector<uint32_t> SeededPermutation(crypto::SecureRng& rng, size_t n) {
   // table's cache misses overlap instead of coming one after another.
   constexpr size_t kBatch = 32;
   uint32_t targets[kBatch];
-  for (size_t i = n; i > 1;) {
-    const size_t batch = std::min(kBatch, i - 1);
+  const size_t last = std::max<size_t>(stop, 1);  // step 2 fixes positions 1 and 0
+  for (size_t i = n; i > last;) {
+    const size_t batch = std::min(kBatch, i - last);
     for (size_t k = 0; k < batch; ++k) {
       targets[k] = static_cast<uint32_t>(rng.NextBelow(i - k));
       __builtin_prefetch(&table[targets[k]], 1);
@@ -53,50 +55,30 @@ namespace {
 // Elements per chunk: the pool's grain for a memory-bound pass.
 constexpr int64_t kGatherGrain = 1 << 15;
 
-template <typename Index>
-void Gather(std::span<const float> in, std::span<const Index> map, std::span<float> out) {
+}  // namespace
+
+void GatherInto(std::span<const float> in, std::span<const uint32_t> map,
+                std::span<float> out) {
   DETA_CHECK_EQ(map.size(), out.size());
   parallel::ParallelFor(0, static_cast<int64_t>(out.size()), kGatherGrain,
                         [&](int64_t lo, int64_t hi) {
                           for (int64_t i = lo; i < hi; ++i) {
                             const size_t k = static_cast<size_t>(i);
-                            out[k] = in[static_cast<size_t>(map[k])];
+                            out[k] = in[map[k]];
                           }
                         });
 }
 
-template <typename Index>
-void Scatter(const fl::FloatSpan& in, std::span<const Index> map, std::span<float> out) {
+void ScatterInto(const fl::FloatSpan& in, std::span<const uint32_t> map,
+                 std::span<float> out) {
   DETA_CHECK_EQ(map.size(), in.size());
   parallel::ParallelFor(0, static_cast<int64_t>(in.size()), kGatherGrain,
                         [&](int64_t lo, int64_t hi) {
                           for (int64_t i = lo; i < hi; ++i) {
                             const size_t k = static_cast<size_t>(i);
-                            out[static_cast<size_t>(map[k])] = in[k];
+                            out[map[k]] = in[k];
                           }
                         });
-}
-
-}  // namespace
-
-void GatherInto(std::span<const float> in, std::span<const uint32_t> map,
-                std::span<float> out) {
-  Gather(in, map, out);
-}
-
-void GatherInto(std::span<const float> in, std::span<const int64_t> map,
-                std::span<float> out) {
-  Gather(in, map, out);
-}
-
-void ScatterInto(const fl::FloatSpan& in, std::span<const uint32_t> map,
-                 std::span<float> out) {
-  Scatter(in, map, out);
-}
-
-void ScatterInto(const fl::FloatSpan& in, std::span<const int64_t> map,
-                 std::span<float> out) {
-  Scatter(in, map, out);
 }
 
 std::vector<float> GatherBy(const std::vector<float>& fragment,

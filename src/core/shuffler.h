@@ -23,8 +23,12 @@ namespace deta::core {
 
 // The one seeded Fisher-Yates behind both the model mapper's layout and the per-round
 // shuffle: iota, then for i = n..2 swap(t[i-1], t[rng.NextBelow(i)]), the draws taken in
-// batches with their swap targets prefetched. Requires n < 2^32.
-std::vector<uint32_t> SeededPermutation(crypto::SecureRng& rng, size_t n);
+// batches with their swap targets prefetched. Step i fixes position i - 1, so a draw
+// stopped at |stop| (<= n) takes only the steps i > max(stop, 1): positions [stop, n)
+// hold what the full draw puts there, [0, stop) the rest of the entries in an order the
+// full draw would go on to change, and the stream ends where those steps end. The mapper
+// stops at its first slice; the shuffle's tables are full draws. Requires n < 2^32.
+std::vector<uint32_t> SeededPermutation(crypto::SecureRng& rng, size_t n, size_t stop = 0);
 
 // A permutation table that wipes itself when destroyed or overwritten: a round's table
 // undoes that round's shuffle, so it must not linger in freed heap pages.
@@ -48,14 +52,10 @@ class PermutationTable {
 // writes out[i] = in[map[i]] for every i of |out|, ScatterInto out[map[i]] = in[i] for
 // every i of |in| (|map| one-to-one). The writes are disjoint, so chunks run in parallel
 // and the bits do not depend on the split. The shuffle's maps are its tables, the
-// partition's the mapper's index lists.
+// partition's the mapper's index slices.
 void GatherInto(std::span<const float> in, std::span<const uint32_t> map,
                 std::span<float> out);
-void GatherInto(std::span<const float> in, std::span<const int64_t> map,
-                std::span<float> out);
 void ScatterInto(const fl::FloatSpan& in, std::span<const uint32_t> map,
-                 std::span<float> out);
-void ScatterInto(const fl::FloatSpan& in, std::span<const int64_t> map,
                  std::span<float> out);
 
 // out[i] = fragment[table[i]]: applies a shuffle table.

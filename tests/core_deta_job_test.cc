@@ -160,6 +160,10 @@ TEST(DetaJobTest, EachPartyDerivesEachRoundPermutationOnce) {
     return it == delta.counters.end() ? uint64_t{0} : it->second;
   };
   EXPECT_EQ(counter("core.transform.layouts"), static_cast<uint64_t>(kParties));
+  // The layout span times each of those layouts once.
+  auto layout_span = delta.histograms.find("span.core.transform.layout.wall_s");
+  ASSERT_NE(layout_span, delta.histograms.end());
+  EXPECT_EQ(layout_span->second.count, static_cast<uint64_t>(kParties));
   EXPECT_EQ(counter("core.transform.permutations"),
             static_cast<uint64_t>(base.rounds * kParties * deta_options.num_aggregators));
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 
 #include "common/check.h"
@@ -62,7 +63,8 @@ TEST(TransformMaterialTest, BuildTransformIsDeterministic) {
   auto t1 = m.BuildTransform();
   auto t2 = m.BuildTransform();
   // Same material -> identical partition assignment and permutations.
-  EXPECT_EQ(t1->mapper().PartitionIndices(0), t2->mapper().PartitionIndices(0));
+  EXPECT_TRUE(
+      std::ranges::equal(t1->mapper().PartitionIndices(0), t2->mapper().PartitionIndices(0)));
   std::vector<float> update(1000);
   for (size_t i = 0; i < update.size(); ++i) {
     update[i] = static_cast<float>(i);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -8,6 +9,8 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "core/model_mapper.h"
+#include "core/shuffler.h"
+#include "crypto/chacha20.h"
 #include "crypto/sha256.h"
 
 namespace deta::core {
@@ -85,8 +88,8 @@ TEST(ModelMapperTest, SeedDeterminesAssignment) {
   ModelMapper a = ModelMapper::Uniform(500, 3, StringToBytes("same"));
   ModelMapper b = ModelMapper::Uniform(500, 3, StringToBytes("same"));
   ModelMapper c = ModelMapper::Uniform(500, 3, StringToBytes("different"));
-  EXPECT_EQ(a.PartitionIndices(0), b.PartitionIndices(0));
-  EXPECT_NE(a.PartitionIndices(0), c.PartitionIndices(0));
+  EXPECT_TRUE(std::ranges::equal(a.PartitionIndices(0), b.PartitionIndices(0)));
+  EXPECT_FALSE(std::ranges::equal(a.PartitionIndices(0), c.PartitionIndices(0)));
 }
 
 TEST(ModelMapperTest, AssignmentIsUnbiased) {
@@ -165,6 +168,78 @@ TEST(ModelMapperTest, KnownAnswerDigest) {
   auto digest = h.Finish();
   EXPECT_EQ(ToHex(Bytes(digest.begin(), digest.end())),
             "f320ad95456c232ca1a72163fcee053d3ef7165f2da6ef255b130a401bb7ed24");
+}
+
+// The layout by the full draw: the whole Fisher-Yates, every coordinate marked with the
+// partition whose slice holds it, then one ascending walk that fills the partitions. The
+// mapper, whose draw stops at the first slice, must give the same partitions.
+std::vector<std::vector<uint32_t>> OracleLayout(int64_t total_params,
+                                                const std::vector<double>& proportions,
+                                                const Bytes& shared_seed) {
+  Bytes seed = shared_seed;
+  seed.insert(seed.end(), {'m', 'a', 'p', 'p', 'e', 'r'});
+  crypto::SecureRng rng(seed);
+  const size_t n = static_cast<size_t>(total_params);
+  const std::vector<uint32_t> order = SeededPermutation(rng, n);
+  const double sum = std::accumulate(proportions.begin(), proportions.end(), 0.0);
+  std::vector<size_t> owner(n);
+  size_t start = 0;
+  for (size_t p = 0; p < proportions.size(); ++p) {
+    size_t count = n - start;
+    if (p + 1 < proportions.size()) {
+      double quota = static_cast<double>(total_params) * proportions[p] / sum;
+      if (quota < static_cast<double>(count)) {
+        count = static_cast<size_t>(quota);
+      }
+    }
+    for (size_t k = start; k < start + count; ++k) {
+      owner[order[k]] = p;
+    }
+    start += count;
+  }
+  std::vector<std::vector<uint32_t>> partitions(proportions.size());
+  for (size_t i = 0; i < n; ++i) {
+    partitions[owner[i]].push_back(static_cast<uint32_t>(i));
+  }
+  return partitions;
+}
+
+// The shapes the known-answer digest lacks: an empty partition first, in the middle and
+// last (the first one's empty slice lets the draw run to the end, the last one's full
+// slice stops it before the first step), one partition, more partitions than
+// parameters, sizes at the sort's 64-bit word edges, and many small partitions.
+TEST(ModelMapperTest, LayoutMatchesTheFullDrawOracle) {
+  struct Shape {
+    int64_t total;
+    std::vector<double> proportions;
+  };
+  const std::vector<Shape> shapes = {
+      {1000, {0.0, 1.0}},
+      {1000, {0.2, 0.0, 0.8}},
+      {1000, {1.0, 0.0}},
+      {1000, {1.0}},
+      {3, std::vector<double>(5, 0.2)},
+      {1, {0.5, 0.5}},
+      {1, {1.0}},
+      {63, {1.0, 1.0, 1.0}},
+      {64, {1.0, 1.0, 1.0}},
+      {65, {1.0, 1.0, 1.0}},
+      {129, {0.5, 0.25, 0.25}},
+      {1000, std::vector<double>(300, 1.0)},
+      {100003, {0.5, 0.3, 0.2}},
+  };
+  const Bytes seed = StringToBytes("oracle-seed");
+  for (const Shape& shape : shapes) {
+    const ModelMapper mapper(shape.total, shape.proportions, seed);
+    const auto expected = OracleLayout(shape.total, shape.proportions, seed);
+    ASSERT_EQ(mapper.num_partitions(), static_cast<int>(expected.size()));
+    for (int p = 0; p < mapper.num_partitions(); ++p) {
+      EXPECT_TRUE(std::ranges::equal(mapper.PartitionIndices(p),
+                                     expected[static_cast<size_t>(p)]))
+          << "n " << shape.total << ", " << shape.proportions.size()
+          << " partitions, partition " << p;
+    }
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <set>
 
@@ -116,20 +117,36 @@ TEST(ShufflerTest, CoordinateWiseAggregationCommutes) {
 }
 
 // SeededPermutation draws its swap targets in batches; the table must be the one the
-// one-draw-at-a-time Fisher-Yates gives from the same stream, at every batch tail.
+// one-draw-at-a-time Fisher-Yates gives from the same stream, at every batch tail, and a
+// draw stopped at |stop| must fix positions [stop, n) as the one-draw loop stopped at the
+// same step does.
 TEST(ShufflerTest, BatchedDrawsMatchOneDrawAtATime) {
   for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{31}, size_t{32}, size_t{33},
                    size_t{34}, size_t{65}, size_t{1000}, size_t{4099}}) {
-    crypto::SecureRng rng(StringToBytes("batched-" + std::to_string(n)));
-    crypto::SecureRng reference_rng(StringToBytes("batched-" + std::to_string(n)));
-    std::vector<uint32_t> expected(n);
-    std::iota(expected.begin(), expected.end(), 0u);
-    for (size_t i = n; i > 1; --i) {
-      std::swap(expected[i - 1], expected[reference_rng.NextBelow(i)]);
+    for (size_t stop : {size_t{0}, size_t{1}, n / 3, n - 1, n}) {
+      if (stop > n) {
+        continue;  // n - 1 at n = 0
+      }
+      crypto::SecureRng rng(StringToBytes("batched-" + std::to_string(n)));
+      crypto::SecureRng reference_rng(StringToBytes("batched-" + std::to_string(n)));
+      std::vector<uint32_t> expected(n);
+      std::iota(expected.begin(), expected.end(), 0u);
+      for (size_t i = n; i > std::max<size_t>(stop, 1); --i) {
+        std::swap(expected[i - 1], expected[reference_rng.NextBelow(i)]);
+      }
+      const std::vector<uint32_t> table = SeededPermutation(rng, n, stop);
+      ASSERT_EQ(table.size(), n);
+      EXPECT_TRUE(std::equal(table.begin() + static_cast<std::ptrdiff_t>(stop), table.end(),
+                             expected.begin() + static_cast<std::ptrdiff_t>(stop)))
+          << "n " << n << " stop " << stop;
+      // The positions before |stop| hold the entries not yet drawn.
+      std::vector<uint32_t> entries = table;
+      std::ranges::sort(entries);
+      std::ranges::sort(expected);
+      EXPECT_EQ(entries, expected) << "n " << n << " stop " << stop;
+      // Both streams end at the same point.
+      EXPECT_EQ(rng.NextU64(), reference_rng.NextU64()) << "n " << n << " stop " << stop;
     }
-    EXPECT_EQ(SeededPermutation(rng, n), expected) << "n " << n;
-    // Both streams end at the same point.
-    EXPECT_EQ(rng.NextU64(), reference_rng.NextU64()) << "n " << n;
   }
 }
 

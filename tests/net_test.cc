@@ -70,8 +70,8 @@ TEST(CodecTest, AllTypesRoundTrip) {
 TEST(CodecTest, TruncatedReadThrows) {
   Writer w;
   w.WriteBytes({1, 2, 3, 4, 5});
-  Bytes wire = w.Take();
-  wire.resize(wire.size() - 2);
+  const Bytes whole = w.Take();
+  const Bytes wire(whole.begin(), whole.end() - 2);  // drops the payload's last 2 bytes
   Reader r(wire);
   EXPECT_THROW(r.ReadBytes(), CheckFailure);
 }

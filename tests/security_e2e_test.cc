@@ -6,6 +6,8 @@
 // fragments come out of the breached CVMs of a live threaded deployment.
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "attacks/gradient_inversion.h"
 #include "core/deta_job.h"
 
@@ -136,7 +138,8 @@ TEST(SecurityE2eTest, DlgOnBreachedShuffledFragmentFails) {
   // even the model mapper (position oracle): the fragment values remain permuted by the
   // party-held key, and that alone defeats the attack.
   attacks::Observation obs;
-  obs.true_indices = run.job->transform().mapper().PartitionIndices(0);
+  const std::span<const uint32_t> breached = run.job->transform().mapper().PartitionIndices(0);
+  obs.true_indices.assign(breached.begin(), breached.end());
   obs.attack_indices = obs.true_indices;
   obs.observed_values = run.breached_fragments[0].values;
 
